@@ -8,10 +8,11 @@ its own augmenter." This package implements that deployment:
 polystore, dispatches independent queries across them, keeps the
 replicas in sync on index maintenance, and accounts completion times on
 the shared virtual clock.
-:class:`~repro.cluster.sharded.ShardedCluster` grows the deployment
-from replicas to partitions: instances own disjoint shards of a
-:class:`~repro.sharding.aindex.ShardedAIndex` and index maintenance is
-routed only to owning shards.
+:class:`~repro.cluster.sharded.ShardedCluster` is the same cluster
+handing out views of one shared
+:class:`~repro.sharding.aindex.ShardedAIndex` instead of replicas:
+instances own disjoint shards and index maintenance is routed only to
+owning shards.
 """
 
 from repro.cluster.cluster import ClusterResult, DispatchPolicy, QuepaCluster

@@ -102,16 +102,22 @@ class QuepaCluster:
             _Instance(
                 Quepa(
                     polystore,
-                    aindex.copy(),  # each instance: its own replica
+                    self._instance_index(aindex, index),
                     profile=profile,
                     config=config,
                 )
             )
-            for __ in range(instances)
+            for index in range(instances)
         ]
         self._clock = 0.0
         self._round_robin = 0
         self._pending: list[ClusterResult] = []
+
+    def _instance_index(self, aindex: AIndex, instance: int):
+        """The index instance number ``instance`` plans against: its own
+        replica here; ``ShardedCluster`` hands out views of one shared
+        partitioned index instead."""
+        return aindex.copy()
 
     # -- sizing -----------------------------------------------------------------
 

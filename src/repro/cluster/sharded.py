@@ -1,19 +1,20 @@
 """A partitioned QUEPA cluster: instances own shards, not replicas.
 
 :class:`~repro.cluster.cluster.QuepaCluster` scales reads by giving
-every instance a *full replica* of the A' index. ``ShardedCluster``
-grows that into a partitioned deployment: one authoritative
-:class:`~repro.sharding.aindex.ShardedAIndex` whose partitions are
-owned by instances (``shard % instances``), with every instance's QUEPA
-reading through a view of the shared structure. Queries still dispatch
-by policy exactly as in the replica cluster, but index *maintenance* is
-no longer a broadcast to everyone:
+every instance a *full replica* of the A' index. ``ShardedCluster`` is
+that cluster — same constructor, dispatch and timing — over one
+authoritative :class:`~repro.sharding.aindex.ShardedAIndex` whose
+partitions are owned by instances (``shard % instances``): its
+per-instance index factory hands every QUEPA a view of the shared
+structure instead of a copy. What differs is index *maintenance*, which
+is no longer a broadcast to everyone:
 
 * ``add_relation`` is delivered only to the owners of the two
   endpoints' shards;
 * ``remove_object`` is delivered only to the owners of the partitions
   that actually hold adjacency entries for the key (its home shard plus
-  the shards holding cross-shard stubs, from the cross-edge table);
+  the shards holding cross-shard stubs —
+  :meth:`~repro.sharding.aindex.ShardedAIndex.owning_shards`);
 * lazy deletions discovered during a batch are applied through the same
   ownership routing, and ``drain()`` re-delivers them idempotently to
   owners only.
@@ -30,17 +31,16 @@ inferring deletions from node-set differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.cluster.cluster import DispatchPolicy, QuepaCluster, _Instance
+from repro.cluster.cluster import DispatchPolicy, QuepaCluster
 from repro.core.augmentation import AugmentationConfig
-from repro.core.system import Quepa
 from repro.errors import ConfigurationError
 from repro.model.objects import GlobalKey
 from repro.model.polystore import Polystore
 from repro.model.prelations import PRelation, RelationType
-from repro.network.latency import DeploymentProfile, centralized_profile
+from repro.network.latency import DeploymentProfile
 from repro.sharding.aindex import ShardedAIndex
 
 
@@ -50,14 +50,6 @@ class Delivery:
 
     operation: str
     target: Any
-
-
-@dataclass
-class _OwnedInstance(_Instance):
-    """A cluster member plus the shards and messages it owns/received."""
-
-    shards: list[int] = field(default_factory=list)
-    deliveries: list[Delivery] = field(default_factory=list)
 
 
 class _InstanceIndexView:
@@ -147,43 +139,25 @@ class ShardedCluster(QuepaCluster):
                 "ShardedCluster needs a ShardedAIndex; use QuepaCluster "
                 "for replica deployments"
             )
-        if instances < 1:
-            raise ConfigurationError(
-                f"a cluster needs at least one instance, got {instances}"
-            )
         if instances > aindex.shards:
             raise ConfigurationError(
                 f"{instances} instances cannot each own a shard of a "
                 f"{aindex.shards}-shard index"
             )
-        self.polystore = polystore
+        # Set first: the per-instance views ``super().__init__`` builds
+        # reach the shared index through the cluster.
         self.aindex = aindex
-        self.policy = policy
-        profile = profile or centralized_profile(list(polystore))
+        super().__init__(polystore, aindex, instances, policy, profile, config)
         #: shard -> owning instance (round-robin assignment).
         self.ownership = {
             shard: shard % instances for shard in range(aindex.shards)
         }
         self._pending_deletions: list[tuple[int, GlobalKey]] = []
-        self._instances = [
-            _OwnedInstance(
-                Quepa(
-                    polystore,
-                    _InstanceIndexView(self, index),
-                    profile=profile,
-                    config=config,
-                ),
-                shards=[
-                    shard
-                    for shard, owner in self.ownership.items()
-                    if owner == index
-                ],
-            )
-            for index in range(instances)
-        ]
-        self._clock = 0.0
-        self._round_robin = 0
-        self._pending = []
+        #: instance -> maintenance messages it has received.
+        self._deliveries: list[list[Delivery]] = [[] for __ in self._instances]
+
+    def _instance_index(self, aindex: ShardedAIndex, instance: int):
+        return _InstanceIndexView(self, instance)
 
     # -- ownership -----------------------------------------------------------
 
@@ -191,15 +165,19 @@ class ShardedCluster(QuepaCluster):
         return self.ownership[shard]
 
     def owned_shards(self, instance: int) -> list[int]:
-        return list(self._instances[instance].shards)
+        return [
+            shard
+            for shard, owner in self.ownership.items()
+            if owner == instance
+        ]
 
     def deliveries(self, instance: int) -> list[Delivery]:
-        return list(self._instances[instance].deliveries)
+        return list(self._deliveries[instance])
 
     def _deliver(self, shards: set[int], delivery: Delivery) -> set[int]:
         owners = {self.owner_of(shard) for shard in shards}
         for owner in sorted(owners):
-            self._instances[owner].deliveries.append(delivery)
+            self._deliveries[owner].append(delivery)
         return owners
 
     # -- index maintenance (ownership-routed) --------------------------------
@@ -215,7 +193,7 @@ class ShardedCluster(QuepaCluster):
 
     def remove_object(self, key: GlobalKey) -> int:
         """Lazy-delete an object, delivered only to the partitions that
-        hold adjacency entries for it (home shard + cross-edge stubs)."""
+        hold adjacency entries for it (home shard + cross-shard stubs)."""
         shards = self.aindex.owning_shards(key)
         self._deliver(shards, Delivery("remove_object", key))
         return self.aindex.remove_object(key)

@@ -212,15 +212,25 @@ class AIndex:
     def copy(self) -> "AIndex":
         """An independent replica of this index (Section III-A: each
         QUEPA instance has its own A' index replica)."""
-        replica = AIndex(enforce_consistency=self.enforce_consistency)
+        replica = self._blank()
         with self._mutex:
-            replica._adjacency = {
-                key: dict(adjacency) for key, adjacency in self._adjacency.items()
-            }
+            for key, adjacency in self._adjacency.items():
+                replica._adjacency[key] = dict(adjacency)
             replica._lineage = {
                 pair: set(supports) for pair, supports in self._lineage.items()
             }
         return replica
+
+    # -- hooks for a subclass that swaps ``_adjacency`` for another node map ------
+
+    def _blank(self) -> "AIndex":
+        """An empty index with this one's configuration."""
+        return AIndex(enforce_consistency=self.enforce_consistency)
+
+    def _freeze(self):
+        from repro.core.compressed import FrozenAIndex
+
+        return FrozenAIndex.freeze(self)
 
     # -- read snapshot ------------------------------------------------------------
 
@@ -246,9 +256,7 @@ class AIndex:
             return self._frozen_snapshot
         with self._mutex:
             if self._frozen_generation != self.generation:
-                from repro.core.compressed import FrozenAIndex
-
-                self._frozen_snapshot = FrozenAIndex.freeze(self)
+                self._frozen_snapshot = self._freeze()
                 self._frozen_generation = self.generation
                 self.refreezes += 1
             return self._frozen_snapshot

@@ -1,35 +1,40 @@
 """A partitioned A' index whose p-relations may cross shard boundaries.
 
-``ShardedAIndex`` keeps the exact insertion semantics of
-:class:`~repro.core.aindex.AIndex` — supersedence, the Consistency
-Condition's identity/matching propagation, lineage, generations, lazy
-deletion — but stores each node's neighbour list in the partition that
-*owns the node*: an edge ``a -- b`` with ``shard(a) = i`` and
-``shard(b) = j`` records ``a → b`` in partition ``i`` and ``b → a`` in
-partition ``j``. Edges with ``i != j`` are additionally tracked in a
-cross-shard edge table, which is what cluster maintenance uses to route
-a deletion to every partition that holds a stub of the node.
+``ShardedAIndex`` *is* an :class:`~repro.core.aindex.AIndex` — same
+supersedence, Consistency-Condition propagation, lineage, generations,
+lazy deletion and excision, because it inherits every one of them — and
+changes exactly one decision: where a node's adjacency dict lives. Its
+``_adjacency`` is a :class:`_PartitionedNodes` map that routes each key
+to the per-shard dict of the partition that *owns the node*, so an edge
+``a -- b`` with ``shard(a) = i`` and ``shard(b) = j`` records ``a → b``
+in partition ``i`` and ``b → a`` in partition ``j``. Cross-shard edges
+are not tracked separately; :meth:`ShardedAIndex.cross_edges` derives
+them from adjacency on demand, and :meth:`ShardedAIndex.owning_shards`
+(home shard plus the shards of the node's neighbours, which hold the
+reverse stubs) is what cluster maintenance uses to route a deletion.
 
 Freezing produces a :class:`ShardedFrozenAIndex`: one per-partition
-:class:`~repro.core.compressed.FrozenAIndex` CSR snapshot plus the
-cross-edge table. Because every node's full neighbour list lives in its
-owning partition (cross-shard neighbours included, as stubs), routing a
-traversal step to the owner's snapshot reproduces the unsharded
-``FrozenAIndex`` semantics edge-for-edge — per-node adjacency order is
-preserved, so the planner's tie-breaking is unchanged.
+:class:`~repro.core.compressed.FrozenAIndex` CSR snapshot. Because
+every node's full neighbour list lives in its owning partition
+(cross-shard neighbours included, as stubs), routing a traversal step
+to the owner's snapshot reproduces the unsharded ``FrozenAIndex``
+semantics edge-for-edge — per-node adjacency order is preserved, so the
+planner's tie-breaking is unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 from zlib import crc32
 
 from repro.core.aindex import AIndex, Neighbor, _pair
+from repro.core.compressed import FrozenAIndex
 from repro.errors import ConfigurationError
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation, RelationType
+
+Adjacency = dict[GlobalKey, tuple[RelationType, float]]
 
 
 def default_index_placement(shards: int) -> Callable[[GlobalKey], int]:
@@ -42,7 +47,56 @@ def default_index_placement(shards: int) -> Callable[[GlobalKey], int]:
     return placement
 
 
-class ShardedAIndex:
+class _PartitionedNodes:
+    """The node map of a sharded index: the slice of the ``dict``
+    interface :class:`AIndex` uses on ``_adjacency``, routed by the
+    placement function over one plain dict per shard. Iteration walks
+    the partitions in shard order, each in insertion order."""
+
+    def __init__(
+        self, shards: int, placement: Callable[[GlobalKey], int]
+    ) -> None:
+        self.partitions: list[dict[GlobalKey, Adjacency]] = [
+            {} for __ in range(shards)
+        ]
+        self._placement = placement
+
+    def _home(self, key: GlobalKey) -> dict[GlobalKey, Adjacency]:
+        return self.partitions[self._placement(key)]
+
+    def get(self, key: GlobalKey, default=None):
+        return self._home(key).get(key, default)
+
+    def setdefault(self, key: GlobalKey, default: Adjacency) -> Adjacency:
+        return self._home(key).setdefault(key, default)
+
+    def pop(self, key: GlobalKey, default=None):
+        return self._home(key).pop(key, default)
+
+    def __setitem__(self, key: GlobalKey, adjacency: Adjacency) -> None:
+        self._home(key)[key] = adjacency
+
+    def __contains__(self, key: GlobalKey) -> bool:
+        return key in self._home(key)
+
+    def __iter__(self) -> Iterator[GlobalKey]:
+        return itertools.chain.from_iterable(self.partitions)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.partitions))
+
+    def items(self):
+        return itertools.chain.from_iterable(
+            partition.items() for partition in self.partitions
+        )
+
+    def values(self):
+        return itertools.chain.from_iterable(
+            partition.values() for partition in self.partitions
+        )
+
+
+class ShardedAIndex(AIndex):
     """An A' index partitioned into per-shard adjacency maps."""
 
     #: Marker for cluster machinery: node sets differ per partition by
@@ -59,25 +113,21 @@ class ShardedAIndex:
             raise ConfigurationError(
                 f"a sharded index needs at least one shard, got {shards}"
             )
+        super().__init__(enforce_consistency=enforce_consistency)
         self.shards = shards
         self._placement = placement or default_index_placement(shards)
         #: shard -> key -> neighbour key -> (type, probability)
-        self._partitions: list[
-            dict[GlobalKey, dict[GlobalKey, tuple[RelationType, float]]]
-        ] = [{} for __ in range(shards)]
-        #: cross-shard edge table: pair -> (shard(a), shard(b))
-        self._cross: dict[
-            tuple[GlobalKey, GlobalKey], tuple[int, int]
-        ] = {}
-        self._lineage: dict[
-            tuple[GlobalKey, GlobalKey], set[tuple[GlobalKey, GlobalKey]]
-        ] = {}
-        self.enforce_consistency = enforce_consistency
-        self.generation = 0
-        self.refreezes = 0
-        self._frozen_snapshot = None
-        self._frozen_generation = -1
-        self._mutex = threading.RLock()
+        self._adjacency = _PartitionedNodes(shards, self._placement)
+
+    def _blank(self) -> "ShardedAIndex":
+        return ShardedAIndex(
+            shards=self.shards,
+            enforce_consistency=self.enforce_consistency,
+            placement=self._placement,
+        )
+
+    def _freeze(self) -> "ShardedFrozenAIndex":
+        return ShardedFrozenAIndex.freeze(self)
 
     # -- partitioning ----------------------------------------------------------
 
@@ -90,332 +140,43 @@ class ShardedAIndex:
         reverse stubs). This is the broadcast target set for a
         deletion."""
         with self._mutex:
-            home = self.shard_of(key)
-            owners = {home}
-            for other in self._partitions[home].get(key, {}):
-                owners.add(self.shard_of(other))
+            owners = {self.shard_of(key)}
+            owners.update(map(self.shard_of, self._adjacency.get(key, ())))
             return owners
 
     def cross_edges(self) -> dict[tuple[GlobalKey, GlobalKey], tuple[int, int]]:
+        """Every edge whose endpoints live in different partitions:
+        canonical pair -> (shard of ``pair[0]``, shard of ``pair[1]``),
+        derived from adjacency."""
         with self._mutex:
-            return dict(self._cross)
+            edges = {}
+            for a, adjacency in self._adjacency.items():
+                shard_a = self.shard_of(a)
+                for b in adjacency:
+                    shard_b = self.shard_of(b)
+                    # Each undirected edge once, from its canonical end.
+                    if shard_a != shard_b and _pair(a, b) == (a, b):
+                        edges[a, b] = (shard_a, shard_b)
+            return edges
 
     def partition_node_counts(self) -> list[int]:
         with self._mutex:
-            return [len(partition) for partition in self._partitions]
-
-    # -- size ------------------------------------------------------------------
-
-    def node_count(self) -> int:
-        return sum(len(partition) for partition in self._partitions)
-
-    def edge_count(self) -> int:
-        with self._mutex:
-            return (
-                sum(
-                    len(adjacency)
-                    for partition in self._partitions
-                    for adjacency in partition.values()
-                )
-                // 2
-            )
-
-    def __contains__(self, key: GlobalKey) -> bool:
-        return key in self._partitions[self.shard_of(key)]
-
-    def nodes(self) -> Iterator[GlobalKey]:
-        return itertools.chain.from_iterable(self._partitions)
-
-    # -- insertion (AIndex semantics, partition-aware storage) -----------------
-
-    def add(self, relation: PRelation) -> None:
-        with self._mutex:
-            inferred = self._set_edge(
-                relation.left,
-                relation.right,
-                relation.type,
-                relation.probability,
-            )
-            if not inferred or not self.enforce_consistency:
-                return
-            if relation.type is RelationType.IDENTITY:
-                self._propagate_identity(relation)
-            else:
-                self._propagate_matching(relation)
-
-    def add_all(self, relations: Iterable[PRelation]) -> None:
-        with self._mutex:
-            for relation in relations:
-                self.add(relation)
-
-    def _adjacency_of(
-        self, key: GlobalKey
-    ) -> dict[GlobalKey, tuple[RelationType, float]]:
-        return self._partitions[self.shard_of(key)].get(key, {})
-
-    def _set_edge(
-        self,
-        a: GlobalKey,
-        b: GlobalKey,
-        rel_type: RelationType,
-        probability: float,
-    ) -> bool:
-        if a == b:
-            return False
-        shard_a = self.shard_of(a)
-        shard_b = self.shard_of(b)
-        existing = self._partitions[shard_a].get(a, {}).get(b)
-        if existing is not None:
-            current_type, current_probability = existing
-            if (
-                current_type is RelationType.IDENTITY
-                and rel_type is RelationType.MATCHING
-            ):
-                return False
-            if current_type is rel_type and current_probability >= probability:
-                return False
-        self._partitions[shard_a].setdefault(a, {})[b] = (
-            rel_type, probability,
-        )
-        self._partitions[shard_b].setdefault(b, {})[a] = (
-            rel_type, probability,
-        )
-        if shard_a != shard_b:
-            self._cross[_pair(a, b)] = (shard_a, shard_b)
-        self.generation += 1
-        return True
-
-    def _propagate_identity(self, relation: PRelation) -> None:
-        for anchor, other in (
-            (relation.left, relation.right),
-            (relation.right, relation.left),
-        ):
-            for neighbor_key, (n_type, n_prob) in list(
-                self._adjacency_of(other).items()
-            ):
-                if neighbor_key == anchor:
-                    continue
-                combined = relation.probability * n_prob
-                if combined <= 0.0:
-                    continue
-                if self._set_edge(anchor, neighbor_key, n_type, combined):
-                    self._record_lineage(
-                        anchor, neighbor_key,
-                        supports=[(anchor, other), (other, neighbor_key)],
-                    )
-                    if n_type is RelationType.IDENTITY:
-                        self._propagate_identity(
-                            PRelation.identity(anchor, neighbor_key, combined)
-                        )
-
-    def _propagate_matching(self, relation: PRelation) -> None:
-        left_class = self._identity_class(relation.left)
-        right_class = self._identity_class(relation.right)
-        for x, p_left in left_class.items():
-            for y, p_right in right_class.items():
-                if x == y or (x, y) == (relation.left, relation.right):
-                    continue
-                combined = p_left * relation.probability * p_right
-                if combined <= 0.0:
-                    continue
-                if self._set_edge(x, y, RelationType.MATCHING, combined):
-                    self._record_lineage(
-                        x, y, supports=[(relation.left, relation.right)],
-                    )
-
-    def _identity_class(self, key: GlobalKey) -> dict[GlobalKey, float]:
-        members = {key: 1.0}
-        for neighbor_key, (n_type, n_prob) in self._adjacency_of(key).items():
-            if n_type is RelationType.IDENTITY:
-                members[neighbor_key] = n_prob
-        return members
-
-    def _record_lineage(
-        self,
-        a: GlobalKey,
-        b: GlobalKey,
-        supports: list[tuple[GlobalKey, GlobalKey]],
-    ) -> None:
-        self._lineage.setdefault(_pair(a, b), set()).update(
-            _pair(x, y) for x, y in supports
-        )
-
-    def copy(self) -> "ShardedAIndex":
-        replica = ShardedAIndex(
-            shards=self.shards,
-            enforce_consistency=self.enforce_consistency,
-            placement=self._placement,
-        )
-        with self._mutex:
-            replica._partitions = [
-                {key: dict(adjacency) for key, adjacency in partition.items()}
-                for partition in self._partitions
-            ]
-            replica._cross = dict(self._cross)
-            replica._lineage = {
-                pair: set(supports)
-                for pair, supports in self._lineage.items()
-            }
-        return replica
-
-    # -- read snapshot ---------------------------------------------------------
-
-    def frozen(self) -> "ShardedFrozenAIndex":
-        if self._frozen_generation == self.generation:
-            return self._frozen_snapshot
-        with self._mutex:
-            if self._frozen_generation != self.generation:
-                self._frozen_snapshot = ShardedFrozenAIndex.freeze(self)
-                self._frozen_generation = self.generation
-                self.refreezes += 1
-            return self._frozen_snapshot
-
-    # -- queries ---------------------------------------------------------------
-
-    def neighbors(
-        self, key: GlobalKey, rel_type: RelationType | None = None
-    ) -> list[Neighbor]:
-        with self._mutex:
-            adjacency = self._adjacency_of(key)
-            if not adjacency:
-                return []
-            return [
-                Neighbor(other, edge_type, probability)
-                for other, (edge_type, probability) in adjacency.items()
-                if rel_type is None or edge_type is rel_type
-            ]
-
-    def neighbor_arcs(
-        self, key: GlobalKey
-    ) -> list[tuple[GlobalKey, float]]:
-        with self._mutex:
-            adjacency = self._adjacency_of(key)
-            if not adjacency:
-                return []
-            return [
-                (other, probability)
-                for other, (__, probability) in adjacency.items()
-            ]
-
-    def relation(self, a: GlobalKey, b: GlobalKey) -> PRelation | None:
-        edge = self._adjacency_of(a).get(b)
-        if edge is None:
-            return None
-        edge_type, probability = edge
-        return PRelation(a, b, edge_type, probability)
-
-    def degree(self, key: GlobalKey) -> int:
-        return len(self._adjacency_of(key))
-
-    # -- deletion --------------------------------------------------------------
-
-    def remove_object(self, key: GlobalKey) -> int:
-        with self._mutex:
-            home = self.shard_of(key)
-            adjacency = self._partitions[home].pop(key, None)
-            if adjacency is None:
-                return 0
-            for other in adjacency:
-                owner = self.shard_of(other)
-                self._partitions[owner].get(other, {}).pop(key, None)
-                self._cross.pop(_pair(key, other), None)
-            self.generation += 1
-            return len(adjacency)
-
-    def excise(self, keys: Iterable[GlobalKey]) -> int:
-        """Remove a set of nodes, their incident edges (cross-shard
-        stubs included), and every lineage record touching them, in one
-        generation bump — the partition-aware twin of
-        :meth:`repro.core.aindex.AIndex.excise`. Returns the number of
-        nodes removed."""
-        targets = set(keys)
-        if not targets:
-            return 0
-        with self._mutex:
-            removed = 0
-            for key in targets:
-                home = self.shard_of(key)
-                adjacency = self._partitions[home].pop(key, None)
-                if adjacency is None:
-                    continue
-                removed += 1
-                for other in adjacency:
-                    if other not in targets:
-                        owner = self.shard_of(other)
-                        self._partitions[owner].get(other, {}).pop(key, None)
-                    self._cross.pop(_pair(key, other), None)
-            changed = removed > 0
-            for pair in list(self._lineage):
-                if pair[0] in targets or pair[1] in targets:
-                    del self._lineage[pair]
-                    changed = True
-                    continue
-                supports = self._lineage[pair]
-                stale = [
-                    s for s in supports
-                    if s[0] in targets or s[1] in targets
-                ]
-                if stale:
-                    supports.difference_update(stale)
-                    changed = True
-                    if not supports:
-                        del self._lineage[pair]
-            if changed:
-                self.generation += 1
-            return removed
-
-    def remove_relation(
-        self, a: GlobalKey, b: GlobalKey, cascade: bool = False
-    ) -> int:
-        with self._mutex:
-            shard_a = self.shard_of(a)
-            if self._partitions[shard_a].get(a, {}).pop(b, None) is None:
-                return 0
-            shard_b = self.shard_of(b)
-            self._partitions[shard_b].get(b, {}).pop(a, None)
-            self._cross.pop(_pair(a, b), None)
-            self.generation += 1
-            removed = 1
-            removed_pair = _pair(a, b)
-            self._lineage.pop(removed_pair, None)
-            if cascade:
-                dependents = [
-                    pair
-                    for pair, supports in self._lineage.items()
-                    if removed_pair in supports
-                ]
-                for pair in dependents:
-                    removed += self.remove_relation(
-                        pair[0], pair[1], cascade=True
-                    )
-            return removed
-
-    def is_inferred(self, a: GlobalKey, b: GlobalKey) -> bool:
-        return _pair(a, b) in self._lineage
+            return [len(part) for part in self._adjacency.partitions]
 
 
-class _PartitionView:
-    """A read adapter over one partition, shaped for
-    :meth:`FrozenAIndex.freeze` (``nodes()`` + ``neighbors()``)."""
-
-    def __init__(self, index: ShardedAIndex, shard: int) -> None:
-        self._partition = index._partitions[shard]
-        self.generation = index.generation
-
-    def nodes(self) -> Iterator[GlobalKey]:
-        return iter(self._partition)
-
-    def neighbors(self, key: GlobalKey) -> list[Neighbor]:
-        return [
-            Neighbor(other, edge_type, probability)
-            for other, (edge_type, probability) in self._partition.get(
-                key, {}
-            ).items()
-        ]
+def _partition_index(index: ShardedAIndex, shard: int) -> AIndex:
+    """One partition as a plain :class:`AIndex` that shares (does not
+    copy) its node dict — the shape :meth:`FrozenAIndex.freeze` reads.
+    Its cross-shard neighbours dangle; ``freeze`` interns those as
+    ghost nodes."""
+    view = AIndex()
+    view._adjacency = index._adjacency.partitions[shard]
+    view.generation = index.generation
+    return view
 
 
 class ShardedFrozenAIndex:
-    """Per-shard CSR snapshots plus the cross-shard edge table.
+    """Per-shard CSR snapshots behind the ``AIndex`` read protocol.
 
     Reads route to the owner's snapshot; since each node's full
     neighbour list (cross-shard stubs included) lives in its owning
@@ -429,14 +190,12 @@ class ShardedFrozenAIndex:
         self,
         snapshots: list,
         placement: Callable[[GlobalKey], int],
-        cross: dict[tuple[GlobalKey, GlobalKey], tuple[int, int]],
         generation: int | None,
         edge_total: int,
         owned_counts: list[int],
     ) -> None:
         self._snapshots = snapshots
         self._placement = placement
-        self._cross = cross
         self.generation = generation
         self._edge_total = edge_total
         #: Real (owned) nodes per partition snapshot. A snapshot's key
@@ -446,20 +205,16 @@ class ShardedFrozenAIndex:
 
     @classmethod
     def freeze(cls, index: ShardedAIndex) -> "ShardedFrozenAIndex":
-        from repro.core.compressed import FrozenAIndex
-
         with index._mutex:
-            snapshots = [
-                FrozenAIndex.freeze(_PartitionView(index, shard))
-                for shard in range(index.shards)
-            ]
             return cls(
-                snapshots,
+                [
+                    FrozenAIndex.freeze(_partition_index(index, shard))
+                    for shard in range(index.shards)
+                ],
                 index._placement,
-                dict(index._cross),
                 index.generation,
                 index.edge_count(),
-                [len(partition) for partition in index._partitions],
+                index.partition_node_counts(),
             )
 
     @property
@@ -468,12 +223,6 @@ class ShardedFrozenAIndex:
 
     def _snapshot_of(self, key: GlobalKey):
         return self._snapshots[self._placement(key)]
-
-    def shard_snapshot(self, shard: int):
-        return self._snapshots[shard]
-
-    def cross_edges(self) -> dict[tuple[GlobalKey, GlobalKey], tuple[int, int]]:
-        return dict(self._cross)
 
     # -- AIndex read protocol --------------------------------------------------
 
@@ -535,25 +284,22 @@ def shard_aindex(
 
     The source index already materialized the Consistency Condition, so
     edges are copied verbatim (first-seen per undirected pair, in node
-    iteration order). Answers are identical to the source index's;
+    iteration order; the reverse visit of a pair finds an equal edge
+    and is a no-op). Answers are identical to the source index's;
     per-node adjacency order may interleave differently, which can only
     swap equal-probability tie-breaks, never probabilities or keys.
     """
     sharded = ShardedAIndex(
-        shards=shards, enforce_consistency=False, placement=placement
+        shards=shards,
+        enforce_consistency=index.enforce_consistency,
+        placement=placement,
     )
-    seen: set[tuple[GlobalKey, GlobalKey]] = set()
     for node in index.nodes():
         for neighbor in index.neighbors(node):
-            pair = _pair(node, neighbor.key)
-            if pair in seen:
-                continue
-            seen.add(pair)
             sharded._set_edge(
                 node, neighbor.key, neighbor.type, neighbor.probability
             )
     sharded._lineage = {
         pair: set(supports) for pair, supports in index._lineage.items()
     }
-    sharded.enforce_consistency = index.enforce_consistency
     return sharded

@@ -162,7 +162,9 @@ class RelationalStore(Store):
     def _table_change(
         self, op: str, table: str, pk: str, row: Any
     ) -> None:
-        """Forward table-level writes to the CDC outbox, if attached."""
+        """Every table write lands here: count it, then forward it to
+        the CDC outbox, if attached."""
+        self.stats.writes += 1
         self._emit_change(op, table, pk, row)
 
     def drop_table(self, name: str) -> None:
@@ -242,7 +244,6 @@ class RelationalStore(Store):
                 for column, expr in zip(columns, value_tuple)
             }
             table.insert(row)
-            self.stats.writes += 1
 
     def _run_update(self, update: Update) -> None:
         table = self.table(update.table)
@@ -259,7 +260,6 @@ class RelationalStore(Store):
                 for assignment in update.assignments
             }
             table.update(pk, changes)
-            self.stats.writes += 1
 
     def _run_delete(self, delete: Delete) -> None:
         table = self.table(delete.table)
@@ -271,7 +271,6 @@ class RelationalStore(Store):
                 targets.append(pk)
         for pk in targets:
             table.delete(pk)
-            self.stats.writes += 1
 
     # -- Store contract --------------------------------------------------------------
 
@@ -406,6 +405,4 @@ class RelationalStore(Store):
 
     def insert_row(self, table: str, row: Mapping[str, Any]) -> str:
         """Programmatic insert (used by the workload generator)."""
-        pk = self.table(table).insert(row)
-        self.stats.writes += 1
-        return pk
+        return self.table(table).insert(row)

@@ -144,6 +144,30 @@ class TestSqlDml:
             store.sql("INSERT INTO inventory (id, name) VALUES ('z')")
 
 
+class TestWriteStats:
+    """``StoreStats.writes`` counts every row write exactly once,
+    whichever surface made it."""
+
+    def test_direct_table_writes_are_counted(self, store):
+        table = store.table("inventory")
+        before = store.stats.writes
+        assert before == 4  # the fixture's insert_row calls
+        table.insert({"id": "a9"})
+        table.update("a3", {"stock": 99})
+        assert table.delete("a1") is True
+        assert store.stats.writes == before + 3
+        # A delete that finds nothing writes nothing.
+        assert table.delete("a1") is False
+        assert store.stats.writes == before + 3
+
+    def test_sql_writes_count_once_per_row(self, store):
+        before = store.stats.writes
+        store.sql("INSERT INTO inventory (id) VALUES ('b1'), ('b2')")
+        store.sql("UPDATE inventory SET stock = 1 WHERE artist = 'Cure'")
+        store.sql("DELETE FROM inventory WHERE id = 'a3'")
+        assert store.stats.writes == before + 2 + 2 + 1
+
+
 class TestStoreContract:
     def test_execute_returns_objects_with_provenance(self, store):
         objects = store.execute("SELECT * FROM inventory WHERE artist = 'Cure'")

@@ -366,6 +366,100 @@ class TestShardedAIndex:
         replica.remove_object(K("catalogue.albums.d1"))
         assert K("catalogue.albums.d1") in sharded
 
+    def test_copy_keeps_class_partitioning_and_lineage(self):
+        sharded = shard_aindex(_propagated_index(AIndex()), shards=4)
+        replica = sharded.copy()
+        assert type(replica) is ShardedAIndex
+        assert replica.shards == 4
+        assert replica.partition_node_counts() == (
+            sharded.partition_node_counts()
+        )
+        assert replica.cross_edges() == sharded.cross_edges()
+        assert replica._lineage == sharded._lineage
+        assert replica._lineage is not sharded._lineage
+
+    def test_cross_edges_are_canonical_pair_to_endpoint_owners(self):
+        """Regression: the owner tuple follows the *canonical* pair, not
+        the argument order of whichever call stored the edge — which
+        propagation and ``shard_aindex`` make arbitrary."""
+        built = _propagated_index(ShardedAIndex(shards=4))
+        copied = shard_aindex(_propagated_index(AIndex()), shards=4)
+        for sharded in (built, copied):
+            cross = sharded.cross_edges()
+            assert cross, "the build produced no cross-shard edge"
+            for (a, b), owners in cross.items():
+                assert str(a) <= str(b)
+                assert owners == (sharded.shard_of(a), sharded.shard_of(b))
+                assert owners[0] != owners[1]
+                assert sharded.relation(a, b) is not None
+        # Exactly the edges that straddle two partitions, each once.
+        straddling = {
+            frozenset((node, neighbor.key))
+            for node in built.nodes()
+            for neighbor in built.neighbors(node)
+            if built.shard_of(node) != built.shard_of(neighbor.key)
+        }
+        assert {frozenset(pair) for pair in built.cross_edges()} == straddling
+        assert len(built.cross_edges()) == len(straddling)
+
+
+def _propagated_index(index):
+    """Fill ``index`` so that most edges come from identity/matching
+    *propagation*, whose ``_set_edge`` calls put the endpoints in
+    whatever order the traversal met them — here mostly descending."""
+    keys = [K(f"db{i % 3}.c.k{i:02d}") for i in range(10)]
+    clique, rest = keys[:5], keys[5:]
+    for i in range(4, 0, -1):
+        index.add(PRelation.identity(clique[i], clique[i - 1], 0.9))
+    for key in rest:  # each fans out over the whole identity class
+        index.add(PRelation.matching(key, clique[0], 0.7))
+    return index
+
+
+class TestOneImplementation:
+    """Structural guard: the Consistency-Condition algorithm and the
+    cluster constructor exist once, so a second copy cannot quietly
+    grow back in the sharded classes."""
+
+    def test_sharded_index_inherits_the_algorithm(self):
+        assert issubclass(ShardedAIndex, AIndex)
+        inherited = {
+            "add", "add_all", "_set_edge", "_propagate_identity",
+            "_propagate_matching", "_identity_class", "_record_lineage",
+            "neighbors", "neighbor_arcs", "relation", "degree",
+            "remove_object", "excise", "remove_relation", "is_inferred",
+        }
+        assert inherited.isdisjoint(vars(ShardedAIndex))
+        for name in inherited | {"copy", "frozen"}:
+            assert getattr(ShardedAIndex, name) is getattr(AIndex, name)
+        assert type(AIndex()._adjacency) is dict
+
+    def test_both_clusters_build_instances_in_one_code_object(
+        self, polystore, monkeypatch
+    ):
+        import sys
+
+        import repro.cluster.cluster as cluster_module
+        from repro.cluster import QuepaCluster, ShardedCluster
+
+        builders = []
+
+        def recording_quepa(*args, **kwargs):
+            builders.append(sys._getframe(1).f_code)
+            return Quepa(*args, **kwargs)
+
+        monkeypatch.setattr(cluster_module, "Quepa", recording_quepa)
+        QuepaCluster(polystore, make_mini_aindex(), instances=2)
+        ShardedCluster(
+            polystore, shard_aindex(make_mini_aindex(), shards=2), instances=2
+        )
+        assert len(builders) == 4
+        (builder,) = set(builders)
+        base_init = QuepaCluster.__init__.__code__
+        # (before Python 3.12 the list comprehension is a nested code
+        # object among ``__init__``'s constants)
+        assert builder is base_init or builder in base_init.co_consts
+
 
 # -- wiring ------------------------------------------------------------------
 
