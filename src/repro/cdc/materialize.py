@@ -3,7 +3,7 @@
 A gold-tier cache in front of the serving scheduler: full
 :class:`~repro.core.search.AugmentedAnswer` objects for *hot* request
 shapes, keyed by ``(database, query, level, augment)``. Unlike the
-store-call LRU (which caches object fetches), this tier skips planning
+object cache (which caches object fetches), this tier skips planning
 and traversal entirely — a hit costs a dict probe.
 
 Freshness is **event-driven**: after every applied CDC batch the hub
@@ -16,16 +16,18 @@ staleness bound is exactly the CDC lag the hub reports.
 
 Promotion is threshold-based: a request shape becomes materialized
 after ``hot_threshold`` misses, so one-off queries never pay the
-storage. Capacity eviction is LRU.
+storage. Recency, capacity eviction and the hit/miss counters are a
+:class:`~repro.core.cache.BoundedLru`'s; this module adds admission and
+invalidation.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Iterable
 
+from repro.core.cache import BoundedLru
 from repro.core.search import AugmentedAnswer
 from repro.model.objects import GlobalKey
 
@@ -58,13 +60,13 @@ class MaterializedAugmentations:
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
         self.hot_threshold = hot_threshold
-        self._entries: "OrderedDict[MaterializeKey, _Entry]" = OrderedDict()
+        self._lru: BoundedLru[MaterializeKey, _Entry] = BoundedLru(capacity)
         self._miss_counts: dict[MaterializeKey, int] = {}
+        #: Guards the admission and invalidation state and makes
+        #: observe/invalidate atomic against each other; the LRU's own
+        #: lock nests inside it.
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self.invalidations = 0
         self._metrics = metrics
         if metrics is not None:
@@ -93,15 +95,12 @@ class MaterializedAugmentations:
         """
         key = (database, _freeze_query(query), level, augment)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._lru.get(key)
             if entry is None:
-                self.misses += 1
                 self._miss_counts[key] = self._miss_counts.get(key, 0) + 1
                 if self._miss_counter is not None:
                     self._miss_counter.inc()
                 return None
-            self._entries.move_to_end(key)
-            self.hits += 1
         if self._hit_counter is not None:
             self._hit_counter.inc()
         answer = entry.answer
@@ -132,13 +131,11 @@ class MaterializedAugmentations:
         with self._lock:
             if self._miss_counts.get(key, 0) < self.hot_threshold:
                 return False
-            self._entries[key] = _Entry(answer, dependencies)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                evicted_key, __ = self._entries.popitem(last=False)
+            evicted = self._lru.put(key, _Entry(answer, dependencies))
+            for evicted_key, __ in evicted:
                 self._miss_counts.pop(evicted_key, None)
             if self._size_gauge is not None:
-                self._size_gauge.set(len(self._entries))
+                self._size_gauge.set(len(self._lru))
             return True
 
     # -- CDC side --------------------------------------------------------------
@@ -161,38 +158,35 @@ class MaterializedAugmentations:
         dbs = set(databases)
         dropped = 0
         with self._lock:
-            for key in list(self._entries):
-                entry = self._entries[key]
+            for key, entry in self._lru.items():
                 if key[0] in dbs or (dirty and entry.dependencies & dirty):
                     # Keep the miss count: the shape already proved hot,
                     # so the next computed answer re-materializes at once.
-                    del self._entries[key]
+                    self._lru.pop(key)
                     dropped += 1
             self.invalidations += dropped
             if self._size_gauge is not None:
-                self._size_gauge.set(len(self._entries))
+                self._size_gauge.set(len(self._lru))
         if dropped and self._invalidation_counter is not None:
             self._invalidation_counter.inc(dropped)
         return dropped
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._lru.clear()
             self._miss_counts.clear()
             if self._size_gauge is not None:
                 self._size_gauge.set(0)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
-    def status(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "capacity": self.capacity,
-                "hot_threshold": self.hot_threshold,
-            }
+    def status(self) -> dict:
+        """The core's counter snapshot plus this tier's own keys."""
+        stats = self._lru.stats()
+        return {
+            **stats,
+            "entries": stats["size"],
+            "invalidations": self.invalidations,
+            "hot_threshold": self.hot_threshold,
+        }

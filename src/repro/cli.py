@@ -534,24 +534,24 @@ def _stats(args, out) -> int:
             f"total_ms={entry['total_s'] * 1000:.3f}",
             file=out,
         )
-    cache = quepa.cache.stats()
-    probes = cache["hits"] + cache["misses"]
-    if probes:
+    print("cache:", file=out)
+    print(
+        f"  {'tier':18s} {'size':>7s} {'capacity':>8s} {'hits':>8s} "
+        f"{'misses':>8s} {'evictions':>9s} {'hit_rate':>8s}",
+        file=out,
+    )
+    tiers = [
+        {"name": "object", **quepa.cache.stats()},
+        {"name": "plan", **quepa.augmentation.plan_cache_stats()},
+        *parse_cache_stats(),
+    ]
+    for tier in tiers:
         print(
-            f"cache: {probes} probes, {cache['hits']} hits "
-            f"({cache['hit_rate']:.1%} hit rate), "
-            f"{cache['size']}/{cache['capacity']} entries, "
-            f"{cache['evictions']} evictions",
+            f"  {tier['name']:18s} {tier['size']:7d} {tier['capacity']:8d} "
+            f"{tier['hits']:8d} {tier['misses']:8d} {tier['evictions']:9d} "
+            f"{tier['hit_rate']:8.1%}",
             file=out,
         )
-        for index, shard in enumerate(cache["shards"]):
-            print(
-                f"  shard {index}: {shard['size']:6d} entries "
-                f"{shard['hits']:8d} hits {shard['misses']:8d} misses",
-                file=out,
-            )
-    else:
-        print("cache: unused", file=out)
     refreezes = getattr(quepa.aindex, "refreezes", None)
     if refreezes is not None:
         print(
@@ -559,16 +559,6 @@ def _stats(args, out) -> int:
             f"(generation {quepa.aindex.generation})",
             file=out,
         )
-    parse_lines = [
-        f"  {entry['name']:18s} {entry['hits']:8d} hits "
-        f"{entry['misses']:8d} misses ({entry['hit_rate']:.1%} hit rate)"
-        for entry in parse_cache_stats()
-        if entry["hits"] or entry["misses"]
-    ]
-    if parse_lines:
-        print("parse caches:", file=out)
-        for line in parse_lines:
-            print(line, file=out)
     return 0
 
 

@@ -8,7 +8,8 @@
   search (Def. 3) and augmented exploration (Def. 4).
 * :mod:`repro.core.validator` — query augmentability checks/rewrites.
 * :mod:`repro.core.connectors` — native key access per engine.
-* :mod:`repro.core.cache` — the LRU object cache (Section IV-C).
+* :mod:`repro.core.cache` — the one LRU core and, on it, the object
+  cache (Section IV-C).
 * :mod:`repro.core.promotion` — p-relation promotion from user paths.
 * :mod:`repro.core.system` — the :class:`~repro.core.system.Quepa`
   facade tying it all together.

@@ -22,11 +22,10 @@ and o2 = transactions.inventory.a32 appears in its augmentation).
 from __future__ import annotations
 
 import heapq
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.aindex import AIndex
+from repro.core.cache import BoundedLru
 from repro.model.objects import GlobalKey
 
 
@@ -111,22 +110,33 @@ class Augmentation:
 
     def __init__(self, aindex: AIndex) -> None:
         self.aindex = aindex
-        #: (level, min_probability, seeds) -> (planning index, plan).
-        #: The stored index pins the snapshot the plan was computed
-        #: over; a hit requires the current snapshot to be the same
-        #: object, so any index mutation (new generation, new frozen
-        #: instance) invalidates cached plans transparently.
-        self._plan_cache: "OrderedDict[tuple, tuple[object, AugmentationPlan]]" = (
-            OrderedDict()
+        #: (planning index, level, min_probability, seeds) -> plan. The
+        #: snapshot is part of the key and hashes by identity, so any
+        #: index mutation (new generation, new frozen instance) makes
+        #: every cached plan a miss; plans of dead snapshots age out.
+        #: Concurrent serving sessions share one planner per Quepa.
+        self._plan_cache: BoundedLru[tuple, AugmentationPlan] = BoundedLru(
+            self.PLAN_CACHE_SIZE
         )
-        #: Guards the plan cache's LRU bookkeeping; concurrent serving
-        #: sessions share one planner per Quepa instance.
-        self._plan_cache_lock = threading.Lock()
 
     def _planning_index(self):
         """The read snapshot to traverse: frozen if available, else live."""
         frozen = getattr(self.aindex, "frozen", None)
         return frozen() if frozen is not None else self.aindex
+
+    def _plan_cache_key(
+        self, index, seeds: list[GlobalKey], level: int, min_probability: float
+    ) -> tuple | None:
+        """The plan-cache key, or ``None`` when ``index`` is no safe
+        anchor: only immutable snapshots are — a live duck-typed index
+        can mutate without changing identity."""
+        if index is self.aindex and hasattr(index, "add"):
+            return None
+        return (index, level, min_probability, tuple(seeds))
+
+    def plan_cache_stats(self) -> dict:
+        """The plan cache's :meth:`BoundedLru.stats`."""
+        return self._plan_cache.stats()
 
     def plan(
         self,
@@ -145,27 +155,18 @@ class Augmentation:
         if level < 0:
             raise ValueError(f"augmentation level must be >= 0, got {level}")
         index = self._planning_index()
-        # Only immutable snapshots are safe plan-cache anchors; a live
-        # duck-typed index can mutate without changing identity.
-        cacheable = index is not self.aindex or not hasattr(index, "add")
-        cache_key = None
-        if cacheable:
-            cache_key = (level, min_probability, tuple(seeds))
-            with self._plan_cache_lock:
-                cached = self._plan_cache.get(cache_key)
-                if cached is not None and cached[0] is index:
-                    self._plan_cache.move_to_end(cache_key)
-                    return cached[1]
+        cache_key = self._plan_cache_key(index, seeds, level, min_probability)
+        if cache_key is not None:
+            cached = self._plan_cache.get(cache_key)
+            if cached is not None:
+                return cached
         plan = AugmentationPlan(level=level, seeds=list(seeds))
         for seed in seeds:
             fetches, edges = self._expand(index, seed, level, min_probability)
             plan.fetches_by_seed[seed] = fetches
             plan.edges_examined += edges
-        if cacheable:
-            with self._plan_cache_lock:
-                self._plan_cache[cache_key] = (index, plan)
-                while len(self._plan_cache) > self.PLAN_CACHE_SIZE:
-                    self._plan_cache.popitem(last=False)
+        if cache_key is not None:
+            self._plan_cache.put(cache_key, plan)
         return plan
 
     def explain(
@@ -184,14 +185,11 @@ class Augmentation:
         store.
         """
         index = self._planning_index()
-        cacheable = index is not self.aindex or not hasattr(index, "add")
-        plan_cache_hit = False
-        if cacheable:
-            with self._plan_cache_lock:
-                cached = self._plan_cache.get(
-                    (level, min_probability, tuple(seeds))
-                )
-            plan_cache_hit = cached is not None and cached[0] is index
+        cache_key = self._plan_cache_key(index, seeds, level, min_probability)
+        plan_cache_hit = (
+            cache_key is not None
+            and self._plan_cache.peek(cache_key) is not None
+        )
         plan = self.plan(seeds, level, min_probability)
         fetches_by_database: dict[str, int] = {}
         for fetch in plan.all_fetches():
@@ -206,7 +204,7 @@ class Augmentation:
             "snapshot": type(index).__name__,
             "snapshot_generation": getattr(self.aindex, "generation", None),
             "refreezes": getattr(self.aindex, "refreezes", None),
-            "plan_cacheable": cacheable,
+            "plan_cacheable": cache_key is not None,
             "plan_cache_hit": plan_cache_hit,
             "edges_examined": plan.edges_examined,
             "planned_fetches": plan.total_fetches(),

@@ -1,264 +1,179 @@
-"""Sharded LRU object cache (Section IV-C).
+"""The one LRU in ``src/``: :class:`BoundedLru`, and the object cache on it.
 
 All augmenters consult a shared LRU cache keyed by global key before
-asking the polystore for an object — the stand-in for the paper's
-Ehcache. The cache is sized in objects (``CACHE_SIZE``), thread-safe
-(augmenters fetch from worker threads under the real runtime), and can
-be resized online, which is what the adaptive optimizer's cache-delta
-formula does between queries.
+asking the polystore for an object (Section IV-C) — the stand-in for
+the paper's Ehcache. That cache is :class:`LruCache`. The other bounded
+tiers — the parse caches (:mod:`repro.stores.querycache`), the plan
+cache (:mod:`repro.core.augmentation`) and the materialized answers
+(:mod:`repro.cdc.materialize`) — each hold a :class:`BoundedLru` and add
+only their policy, so recency, eviction and the counters are written
+once and every tier reports the same :meth:`BoundedLru.stats`.
 
-Large caches are *lock-striped*: the keyspace is hash-partitioned over
-independent LRU shards, each with its own lock, so concurrent augmenter
-workers stop serializing on a single mutex. Small caches (below
-``SHARD_MIN_CAPACITY`` objects per shard) collapse to one shard, which
-preserves the exact global-LRU eviction order the unit tests and the
-adaptive optimizer's cache-delta model assume. Eviction is per-shard,
-so a sharded cache may evict a slightly different *victim* than a
-global LRU would — hit/miss behaviour is identical as long as the cache
-is not overflowing, which is the regime the figure benchmarks run in.
+One lock, one ``OrderedDict``: eviction is exact global LRU at every
+size and independent of the hash seed. The critical sections are a few
+dict operations, never contended under the GIL; the lock keeps the
+counters, and a resize racing a put, consistent.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable
+from typing import Generic, Hashable, Iterable, TypeVar
 
 from repro.model.objects import DataObject, GlobalKey
 
-#: Default number of lock stripes for large caches.
-DEFAULT_SHARDS = 8
-#: A shard smaller than this many objects is not worth its lock: the
-#: cache collapses to a single shard below ``shards * SHARD_MIN_CAPACITY``.
-SHARD_MIN_CAPACITY = 512
+K = TypeVar("K", bound=Hashable)
+V = TypeVar("V")
 
 
-class _Shard:
-    """One lock-striped LRU partition of the cache."""
-
-    __slots__ = ("lock", "entries", "capacity", "hits", "misses", "evictions")
+class BoundedLru(Generic[K, V]):
+    """A thread-safe LRU map sized in entries; ``None`` means absent,
+    so values must not be ``None``."""
 
     def __init__(self, capacity: int) -> None:
-        self.lock = threading.Lock()
-        self.entries: OrderedDict[GlobalKey, DataObject] = OrderedDict()
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def snapshot(self) -> dict[str, int]:
-        with self.lock:
-            return {
-                "size": len(self.entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-
-class LruCache:
-    """A thread-safe, lock-striped LRU cache of data objects."""
-
-    def __init__(self, capacity: int = 1024, shards: int = DEFAULT_SHARDS) -> None:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
-        if shards < 1:
-            raise ValueError(f"cache shards must be >= 1, got {shards}")
-        self._capacity = capacity
-        self._shards = [
-            _Shard(c) for c in _shard_capacities(capacity, _shard_count(capacity, shards))
-        ]
-        self._mask_mod = len(self._shards)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[K, V] = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
 
     def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
+        return len(self._entries)
 
-    def _shard(self, key: GlobalKey) -> _Shard:
-        if self._mask_mod == 1:
-            return self._shards[0]
-        return self._shards[hash(key) % self._mask_mod]
+    # -- probes --------------------------------------------------------------
 
-    # -- single-key interface ----------------------------------------------
-
-    def get(self, key: GlobalKey) -> DataObject | None:
+    def get(self, key: K) -> V | None:
         """Look up ``key``; a hit refreshes its recency."""
-        shard = self._shard(key)
-        with shard.lock:
-            entry = shard.entries.get(key)
-            if entry is None:
-                shard.misses += 1
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
                 return None
-            shard.entries.move_to_end(key)
-            shard.hits += 1
-            return entry
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
 
-    def put(self, obj: DataObject) -> None:
-        """Insert an object, evicting the least recently used if full.
-
-        Objects are stored with probability 1.0 so a cached object can be
-        re-weighted per query (the probability depends on the path that
-        reached it, not on the object itself).
-        """
-        shard = self._shard(obj.key)
-        with shard.lock:
-            # The capacity check must happen under the lock: a concurrent
-            # resize() (the adaptive optimizer's cache-delta path) may
-            # zero the capacity between check and insert, leaving an
-            # entry stranded in a supposedly disabled cache.
-            if shard.capacity == 0:
-                return
-            shard.entries[obj.key] = obj.with_probability(1.0)
-            shard.entries.move_to_end(obj.key)
-            while len(shard.entries) > shard.capacity:
-                shard.entries.popitem(last=False)
-                shard.evictions += 1
-
-    def contains(self, key: GlobalKey) -> bool:
-        """Non-mutating membership probe: no recency refresh, no hit or
-        miss counted (EXPLAIN must not perturb what it observes)."""
-        shard = self._shard(key)
-        with shard.lock:
-            return key in shard.entries
-
-    def invalidate(self, key: GlobalKey) -> bool:
-        shard = self._shard(key)
-        with shard.lock:
-            return shard.entries.pop(key, None) is not None
-
-    # -- bulk interface -----------------------------------------------------
-
-    def get_many(
-        self, keys: Iterable[GlobalKey]
-    ) -> dict[GlobalKey, DataObject]:
-        """Look up several keys, taking each shard's lock only once.
-
-        Returns the found objects keyed by global key; each hit
-        refreshes recency exactly as :meth:`get` would. Hit/miss
-        counters advance once per *distinct* requested key.
-        """
-        by_shard: dict[int, list[GlobalKey]] = {}
-        for key in dict.fromkeys(keys):
-            index = 0 if self._mask_mod == 1 else hash(key) % self._mask_mod
-            by_shard.setdefault(index, []).append(key)
-        found: dict[GlobalKey, DataObject] = {}
-        for index, shard_keys in by_shard.items():
-            shard = self._shards[index]
-            with shard.lock:
-                entries = shard.entries
-                for key in shard_keys:
-                    entry = entries.get(key)
-                    if entry is None:
-                        shard.misses += 1
-                        continue
-                    entries.move_to_end(key)
-                    shard.hits += 1
-                    found[key] = entry
+    def get_many(self, keys: Iterable[K]) -> dict[K, V]:
+        """Look up several keys under one lock acquisition: recency as
+        :meth:`get`, counters once per *distinct* requested key."""
+        found: dict[K, V] = {}
+        with self._lock:
+            entries = self._entries
+            for key in dict.fromkeys(keys):
+                value = entries.get(key)
+                if value is None:
+                    self.misses += 1
+                    continue
+                entries.move_to_end(key)
+                self.hits += 1
+                found[key] = value
         return found
 
-    def put_many(self, objects: Iterable[DataObject]) -> None:
-        """Insert several objects, taking each shard's lock only once."""
-        by_shard: dict[int, list[DataObject]] = {}
-        for obj in objects:
-            index = 0 if self._mask_mod == 1 else hash(obj.key) % self._mask_mod
-            by_shard.setdefault(index, []).append(obj)
-        for index, shard_objects in by_shard.items():
-            shard = self._shards[index]
-            with shard.lock:
-                if shard.capacity == 0:
-                    continue
-                entries = shard.entries
-                for obj in shard_objects:
-                    entries[obj.key] = obj.with_probability(1.0)
-                    entries.move_to_end(obj.key)
-                while len(entries) > shard.capacity:
-                    entries.popitem(last=False)
-                    shard.evictions += 1
+    def peek(self, key: K) -> V | None:
+        """Non-mutating probe: no recency refresh, no hit or miss
+        counted (EXPLAIN must not perturb what it observes)."""
+        with self._lock:
+            return self._entries.get(key)
 
-    # -- maintenance --------------------------------------------------------
+    def items(self) -> list[tuple[K, V]]:
+        """A snapshot of the entries, least recently used first."""
+        with self._lock:
+            return list(self._entries.items())
 
-    def resize(self, capacity: int) -> None:
-        """Change capacity online, evicting LRU entries if shrinking.
+    # -- updates -------------------------------------------------------------
 
-        The shard count is fixed at construction; a resize redistributes
-        the new capacity over the existing shards.
-        """
+    def put(self, key: K, value: V) -> list[tuple[K, V]]:
+        """Insert or replace an entry as most recent; returns what the
+        insert evicted (least recently used first)."""
+        return self._insert(((key, value),))
+
+    def put_many(self, items: Iterable[tuple[K, V]]) -> list[tuple[K, V]]:
+        return self._insert(items)
+
+    def _insert(self, items: Iterable[tuple[K, V]]) -> list[tuple[K, V]]:
+        """Insert entries under one lock acquisition, then evict."""
+        with self._lock:
+            # Checked under the lock: a concurrent resize(0) (the
+            # adaptive optimizer's cache-delta path) must not leave an
+            # entry stranded in a disabled cache.
+            if self.capacity == 0:
+                return []
+            entries = self._entries
+            for key, value in items:
+                entries[key] = value
+                entries.move_to_end(key)
+            return self._evict()
+
+    def pop(self, key: K) -> V | None:
+        """Drop ``key``; returns its value, or ``None`` if absent."""
+        with self._lock:
+            return self._entries.pop(key, None)
+
+    def resize(self, capacity: int) -> list[tuple[K, V]]:
+        """Change capacity online, evicting LRU entries if shrinking."""
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
-        self._capacity = capacity
-        for shard, shard_capacity in zip(
-            self._shards, _shard_capacities(capacity, len(self._shards))
-        ):
-            with shard.lock:
-                shard.capacity = shard_capacity
-                while len(shard.entries) > shard.capacity:
-                    shard.entries.popitem(last=False)
-                    shard.evictions += 1
+        with self._lock:
+            self.capacity = capacity
+            return self._evict()
 
     def clear(self) -> None:
-        for shard in self._shards:
-            with shard.lock:
-                shard.entries.clear()
-                shard.hits = 0
-                shard.misses = 0
-                shard.evictions = 0
+        """Drop all entries and reset the counters."""
+        with self._lock:
+            self._entries.clear()
+            self.hits = self.misses = self.evictions = 0
 
-    # -- statistics ---------------------------------------------------------
+    def _evict(self) -> list[tuple[K, V]]:
+        evicted = []
+        while len(self._entries) > self.capacity:
+            evicted.append(self._entries.popitem(last=False))
+        self.evictions += len(evicted)
+        return evicted
 
-    @property
-    def hits(self) -> int:
-        return sum(shard.snapshot()["hits"] for shard in self._shards)
+    # -- statistics ----------------------------------------------------------
 
-    @property
-    def misses(self) -> int:
-        return sum(shard.snapshot()["misses"] for shard in self._shards)
+    def stats(self) -> dict:
+        """A consistent snapshot of the counters: taken under the lock,
+        so ``hits + misses`` equals the number of completed probes."""
+        with self._lock:
+            hits, misses = self.hits, self.misses
+            return {
+                "capacity": self.capacity,
+                "size": len(self._entries),
+                "hits": hits,
+                "misses": misses,
+                "evictions": self.evictions,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            }
 
     @property
     def hit_rate(self) -> float:
-        stats = self.stats()
-        total = stats["hits"] + stats["misses"]
-        return stats["hits"] / total if total else 0.0
-
-    def stats(self) -> dict:
-        """A consistent snapshot of the cache counters.
-
-        Unlike reading ``hits``/``misses`` back-to-back (two separate
-        lock acquisitions that a concurrent probe can interleave), the
-        totals here come from one pass over per-shard snapshots, each
-        taken under its shard's lock, so ``hits + misses`` equals the
-        number of completed probes. The per-shard breakdown feeds the
-        CLI ``stats`` table and the shard metrics gauges.
-        """
-        shards = [shard.snapshot() for shard in self._shards]
-        hits = sum(s["hits"] for s in shards)
-        misses = sum(s["misses"] for s in shards)
-        return {
-            "capacity": self._capacity,
-            "size": sum(s["size"] for s in shards),
-            "hits": hits,
-            "misses": misses,
-            "evictions": sum(s["evictions"] for s in shards),
-            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            "shards": shards,
-        }
+        return self.stats()["hit_rate"]
 
 
-def _shard_count(capacity: int, requested: int) -> int:
-    """Collapse to one shard when stripes would be too small to matter."""
-    if requested <= 1 or capacity < requested * SHARD_MIN_CAPACITY:
-        return 1
-    return requested
+class LruCache(BoundedLru[GlobalKey, DataObject]):
+    """The shared object cache: data objects by global key.
 
+    Objects are stored with probability 1.0 so a cached object can be
+    re-weighted per query (the probability depends on the path that
+    reached it, not on the object itself).
+    """
 
-def _shard_capacities(capacity: int, shards: int) -> list[int]:
-    """Split ``capacity`` over ``shards``, remainder to the first ones."""
-    base, remainder = divmod(capacity, shards)
-    return [base + (1 if i < remainder else 0) for i in range(shards)]
+    def __init__(self, capacity: int = 1024) -> None:
+        super().__init__(capacity)
+
+    def put(self, obj: DataObject) -> None:  # type: ignore[override]
+        self._insert(((obj.key, obj.with_probability(1.0)),))
+
+    def put_many(  # type: ignore[override]
+        self, objects: Iterable[DataObject]
+    ) -> None:
+        self._insert((o.key, o.with_probability(1.0)) for o in objects)
+
+    def contains(self, key: GlobalKey) -> bool:
+        return self.peek(key) is not None
+
+    def invalidate(self, key: GlobalKey) -> bool:
+        return self.pop(key) is not None

@@ -94,6 +94,10 @@ class Quepa:
         self.validator = Validator()
         self.registry = ConnectorRegistry(polystore, self.resilience)
         self.cache = LruCache(self.config.cache_size)
+        for store in polystore.databases.values():
+            for partition in getattr(store, "shards", (store,)):
+                with partition.lock:  # a writer may be iterating the set
+                    partition.write_listeners.add(self)
         self.augmentation = Augmentation(aindex)
         self.paths = PathRepository(aindex, promotion_policy)
         #: Lazily built cost-based cross-store planner (repro.planner);
@@ -286,7 +290,6 @@ class Quepa:
         stats.batch_size = run_config.batch_size
         stats.threads_size = run_config.threads_size
         stats.cache_size = run_config.cache_size
-        outcome.trace = self.obs.trace_summary()  # now includes all spans
         answer = assemble_answer(originals, outcome.objects, stats)
         self._emit_record(features, run_config, stats, outcome, ctx=ctx)
         self.obs.events.emit(
@@ -600,6 +603,32 @@ class Quepa:
         ):
             return replace(config, skip_unavailable=True)
         return config
+
+    def on_store_write(self, store, op: str, collection: str, key: str) -> None:
+        """Keep the object cache coherent with a write (the listener
+        side of :meth:`Store._emit_change`).
+
+        A delete drops the cached copy; an insert or update re-reads
+        the key and replaces the copy *only if the key is cached* —
+        dropping instead would cost the next reader a store round-trip
+        for an object the cache already holds. Runs on the writer's
+        thread, re-entering the ``store.lock`` a serving-time writer
+        already holds, so the re-read sees the write it is reacting to.
+
+        Remaining window: a reader that fetched the object before the
+        write can still ``put`` the old copy after this refresh; the
+        next write to the key repairs it. Stores attached to the
+        polystore after this instance was built are not listened to.
+        """
+        if collection.startswith("_"):
+            return  # infrastructure payloads (graph edges), never cached
+        global_key = GlobalKey(store.database_name, collection, key)
+        if op == "delete":
+            self.cache.invalidate(global_key)
+        elif self.cache.contains(global_key):
+            with store.lock:
+                value = store.get_value(collection, key)
+            self.cache.put(DataObject(global_key, value))
 
     def _locked_execute(self, store, query) -> list[DataObject]:
         """Run a native query holding the store's engine lock.

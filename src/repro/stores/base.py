@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
@@ -84,18 +85,29 @@ class Store(ABC):
         #: consumer attaches one; unattached stores pay one ``None``
         #: check per write.
         self.changes: Any = None
+        #: Consumers told about every write synchronously, on the
+        #: writer's thread and under whatever lock it holds: each gets
+        #: ``on_store_write(store, op, collection, key)``. Held weakly,
+        #: so a discarded consumer (one of many ``Quepa`` instances
+        #: over a long-lived polystore) drops out by itself.
+        self.write_listeners: weakref.WeakSet = weakref.WeakSet()
 
     def _emit_change(
         self, op: str, collection: str, key: str, value: Any = None
     ) -> None:
-        """Record one write on the attached CDC feed, if any.
+        """The single write hook: every engine write path ends here.
 
-        ``value`` is the post-state payload (``None`` for deletes);
-        the feed copies it, so engines may keep mutating in place.
+        Records the write on the attached CDC feed, if any, then tells
+        the write listeners. ``value`` is the post-state payload
+        (``None`` for deletes); the feed copies it, so engines may keep
+        mutating in place.
         """
         feed = self.changes
         if feed is not None:
             feed.record(op, collection, key, value)
+        if self.write_listeners:  # bulk loads: a length check per write
+            for listener in self.write_listeners:
+                listener.on_store_write(self, op, collection, key)
 
     # -- native access ------------------------------------------------------
 

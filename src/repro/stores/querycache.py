@@ -8,18 +8,21 @@ every flush. Parsing is pure (all three ASTs are frozen dataclasses),
 so the parsed artifact can be shared between callers and cached keyed
 by the query text.
 
-:class:`QueryCache` is a small thread-safe LRU used by
-:mod:`repro.stores.relational.parser`, :mod:`repro.stores.document.query`
-and :mod:`repro.stores.graph.cypher`. Each cache registers itself by
-name so the CLI ``stats`` command (and tests) can enumerate hit rates
-without importing every store module.
+:class:`QueryCache` is a named :class:`~repro.core.cache.BoundedLru`
+used by :mod:`repro.stores.relational.parser`,
+:mod:`repro.stores.document.query` and :mod:`repro.stores.graph.cypher`.
+Recency, eviction and counters are the core's; this module adds the
+name registry, so the CLI ``stats`` command (and tests) can enumerate
+hit rates without importing every store module, and
+``get_or_compute``. Nothing invalidates an entry: a parse depends on
+the query text alone.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Any, Callable, Hashable
+
+from repro.core.cache import BoundedLru
 
 #: Default number of parsed statements kept per language. Query texts
 #: are short and ASTs small; 256 comfortably covers the workloads while
@@ -30,7 +33,7 @@ _REGISTRY: dict[str, "QueryCache"] = {}
 
 
 class QueryCache:
-    """Thread-safe bounded LRU mapping query text to a parsed artifact.
+    """Bounded LRU mapping query text to a parsed artifact.
 
     ``get_or_compute`` runs the ``compute`` callable outside the lock:
     two threads racing on the same new key may both parse, and the
@@ -44,51 +47,23 @@ class QueryCache:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.name = name
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self._lru: BoundedLru[Hashable, Any] = BoundedLru(capacity)
         _REGISTRY[name] = self
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return value
-        value = compute()
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        value = self._lru.get(key)
+        if value is None:
+            value = compute()
+            self._lru.put(key, value)
         return value
 
     def clear(self) -> None:
         """Drop all entries and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
+        self._lru.clear()
 
     def stats(self) -> dict:
-        """Consistent snapshot of size and hit/miss counters."""
-        with self._lock:
-            hits, misses, size = self.hits, self.misses, len(self._entries)
-        probes = hits + misses
-        return {
-            "name": self.name,
-            "capacity": self.capacity,
-            "size": size,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / probes) if probes else 0.0,
-        }
+        """The core's counter snapshot, labelled with the cache name."""
+        return {"name": self.name, **self._lru.stats()}
 
 
 def parse_cache_stats() -> list[dict]:

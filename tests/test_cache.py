@@ -1,11 +1,27 @@
-"""Tests for the LRU object cache (Section IV-C)."""
+"""Tests for the one LRU core, the object cache (Section IV-C) and the
+tiers built on the core."""
 
+import inspect
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.core.cache import LruCache
+import repro
+from repro.cdc.materialize import MaterializedAugmentations
+from repro.core.aindex import AIndex
+from repro.core.augmentation import Augmentation
+from repro.core.cache import BoundedLru, LruCache
+from repro.core.search import AugmentedAnswer
 from repro.model.objects import DataObject, GlobalKey
+from repro.network import centralized_profile
+from repro.network.executor import RealRuntime
+from repro.serving import QuepaServer
+from repro.sharding import shard_polystore
+from repro.stores.querycache import QueryCache
+
+from tests.conftest import make_mini_aindex, make_mini_polystore
 
 
 def obj(name: str, value=None) -> DataObject:
@@ -153,3 +169,270 @@ class TestLru:
         assert not errors
         cache.resize(0)
         assert len(cache) == 0  # shrink-to-zero always empties it
+
+
+# -- one contract for every tier ---------------------------------------------
+
+
+class _Tier:
+    """Adapter: ``insert(name)`` stores an entry, ``probe(name)`` looks
+    one up and reports a hit; ``probes`` counts the lookups the tier's
+    own counters should have seen (the compute-on-miss tiers count an
+    insert as a missed lookup)."""
+
+    capacity = 3
+    probes = 0
+
+
+class _BoundedLruTier(_Tier):
+    def __init__(self):
+        self.lru = BoundedLru(self.capacity)
+        self.stats = self.lru.stats
+
+    def insert(self, name):
+        self.lru.put(name, name.upper())
+
+    def probe(self, name):
+        self.probes += 1
+        return self.lru.get(name) == name.upper()
+
+
+class _ObjectCacheTier(_Tier):
+    def __init__(self):
+        self.cache = LruCache(self.capacity)
+        self.stats = self.cache.stats
+
+    def insert(self, name):
+        self.cache.put(obj(name, name.upper()))
+
+    def probe(self, name):
+        self.probes += 1
+        return self.cache.get(obj(name).key) is not None
+
+
+class _QueryCacheTier(_Tier):
+    def __init__(self):
+        self.cache = QueryCache("test_contract", self.capacity)
+        self.stats = self.cache.stats
+
+    def probe(self, name):
+        self.probes += 1
+        computed = []
+        self.cache.get_or_compute(name, lambda: computed.append(name) or name)
+        return not computed
+
+    insert = probe
+
+
+class _PlanCacheTier(_Tier):
+    capacity = Augmentation.PLAN_CACHE_SIZE
+
+    def __init__(self):
+        self.planner = Augmentation(AIndex())
+        self.stats = self.planner.plan_cache_stats
+        self.plans = {}
+
+    def probe(self, name):
+        self.probes += 1
+        plan = self.planner.plan([obj(name).key], level=0)
+        hit = self.plans.get(name) is plan
+        self.plans[name] = plan
+        return hit
+
+    insert = probe
+
+
+class _MaterializedTier(_Tier):
+    def __init__(self):
+        self.tier = MaterializedAugmentations(self.capacity, hot_threshold=0)
+        self.stats = self.tier.status
+
+    def insert(self, name):
+        self.tier.observe("db", name, 0, True, AugmentedAnswer())
+
+    def probe(self, name):
+        self.probes += 1
+        return self.tier.lookup("db", name, 0) is not None
+
+
+@pytest.fixture(
+    params=[
+        _BoundedLruTier,
+        _ObjectCacheTier,
+        _QueryCacheTier,
+        _PlanCacheTier,
+        _MaterializedTier,
+    ],
+    ids=["BoundedLru", "LruCache", "QueryCache", "plan_cache", "materialized"],
+)
+def tier(request):
+    return request.param()
+
+
+class TestTierContract:
+    def test_lru_order_eviction_and_counters(self, tier):
+        names = [f"k{i}" for i in range(tier.capacity + 1)]
+        *resident, newcomer = names
+        for name in resident:
+            tier.insert(name)
+        assert tier.stats()["size"] == tier.capacity
+        assert tier.stats()["evictions"] == 0
+        assert tier.probe(resident[0])  # refreshed: resident[1] is now LRU
+        tier.insert(newcomer)
+        stats = tier.stats()
+        assert stats["size"] == tier.capacity
+        assert stats["evictions"] == 1
+        for name in [resident[0], *resident[2:], newcomer]:
+            assert tier.probe(name), name
+        assert not tier.probe(resident[1])  # the one eviction took the LRU
+
+        stats = tier.stats()
+        assert stats["hits"] + stats["misses"] == tier.probes
+        assert stats["hits"] == tier.capacity + 1
+        assert stats["hit_rate"] == stats["hits"] / tier.probes
+        assert stats["capacity"] == tier.capacity
+        assert {
+            "capacity", "size", "hits", "misses", "evictions", "hit_rate",
+        } <= set(stats)
+
+    def test_tier_specific_keys_survive(self):
+        assert QueryCache("test_keys").stats()["name"] == "test_keys"
+        status = MaterializedAugmentations(hot_threshold=5).status()
+        assert status["entries"] == status["size"] == 0
+        assert status["invalidations"] == 0
+        assert status["hot_threshold"] == 5
+
+
+class TestBoundedLru:
+    def test_peek_is_invisible(self):
+        lru = BoundedLru(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.peek("a") == 1 and lru.peek("zzz") is None
+        assert lru.put("c", 3) == [("a", 1)]  # peek did not refresh "a"
+        stats = lru.stats()
+        assert stats["hits"] == stats["misses"] == 0
+
+    def test_put_many_and_resize_report_evictions_lru_first(self):
+        lru = BoundedLru(2)
+        assert lru.put_many([("a", 1), ("b", 2), ("c", 3), ("d", 4)]) == [
+            ("a", 1), ("b", 2),
+        ]
+        assert lru.items() == [("c", 3), ("d", 4)]
+        assert lru.resize(1) == [("c", 3)]
+        assert lru.pop("d") == 4 and lru.pop("d") is None
+        assert lru.stats()["evictions"] == 3
+
+    def test_get_many_counts_distinct_keys(self):
+        lru = BoundedLru(4)
+        lru.put_many([("a", 1), ("b", 2)])
+        assert lru.get_many(["b", "x", "b", "a"]) == {"b": 2, "a": 1}
+        assert (lru.hits, lru.misses) == (2, 1)
+        assert [key for key, __ in lru.items()] == ["b", "a"]
+
+    def test_plan_cache_misses_on_a_new_snapshot(self):
+        index = make_mini_aindex()
+        planner = Augmentation(index)
+        seeds = [GlobalKey.parse("catalogue.albums.d1")]
+        first = planner.plan(seeds, level=0)
+        assert planner.plan(seeds, level=0) is first
+        index.remove_object(GlobalKey.parse("similar.Item.i2"))
+        assert planner.plan(seeds, level=0) is not first
+        stats = planner.plan_cache_stats()
+        assert (stats["hits"], stats["misses"]) == (1, 2)
+
+
+class TestOneImplementation:
+    """Structural guard: the LRU algorithm exists once, so a second
+    copy cannot quietly grow back in a tier."""
+
+    def test_lru_primitives_appear_only_in_core_cache(self):
+        root = Path(repro.__file__).parent
+        offenders = [
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            if re.search(r"move_to_end|popitem", path.read_text())
+        ]
+        assert offenders == ["core/cache.py"]
+
+    def test_object_cache_has_no_striping_knob(self):
+        assert list(inspect.signature(LruCache).parameters) == ["capacity"]
+        assert not hasattr(LruCache(4), "shard_count")
+        assert "shards" not in LruCache(4).stats()
+
+
+# -- the object cache hears about writes -------------------------------------
+
+
+ALBUM = GlobalKey.parse("catalogue.albums.d1")
+SEED_QUERY = "SELECT * FROM inventory WHERE id = 'a32'"
+
+
+def _plain():
+    polystore = make_mini_polystore()
+    quepa = repro.Quepa(polystore, make_mini_aindex())
+    search = lambda: quepa.augmented_search("transactions", SEED_QUERY)  # noqa: E731
+    return search, polystore.database("catalogue")
+
+
+def _sharded():
+    polystore = shard_polystore(make_mini_polystore(), shards=2)
+    quepa = repro.Quepa(polystore, make_mini_aindex())
+    search = lambda: quepa.augmented_search("transactions", SEED_QUERY)  # noqa: E731
+    catalogue = polystore.database("catalogue")
+    # Writes go to the partition that owns the key.
+    return search, catalogue.shards[catalogue.scheme.shard_of_key("d1")]
+
+
+def _served():
+    polystore = make_mini_polystore()
+    profile = centralized_profile(list(polystore))
+    quepa = repro.Quepa(
+        polystore, make_mini_aindex(), profile=profile,
+        runtime=RealRuntime(profile),
+    )
+
+    def search():
+        with QuepaServer(quepa) as server:
+            return server.search("s1", "transactions", SEED_QUERY)
+
+    return search, polystore.database("catalogue")
+
+
+@pytest.mark.parametrize(
+    "build", [_plain, _sharded, _served], ids=["plain", "sharded", "served"]
+)
+class TestWritesReachTheObjectCache:
+    """Regression: ``LruCache.invalidate`` had no caller, so an object
+    fetched once kept its first payload however often its store was
+    written."""
+
+    def _album(self, answer):
+        found = [a.object for a in answer.augmented if a.object.key == ALBUM]
+        return found[0] if found else None
+
+    def test_update_is_visible_to_the_next_search(self, build):
+        search, catalogue = build()
+        assert self._album(search()).value["year"] == 1992
+        with catalogue.lock:
+            catalogue.update_one("albums", "d1", {"year": 1066})
+        answer = search()
+        assert self._album(answer).value["year"] == 1066
+        assert answer.stats.cache_hits  # refreshed in place, not dropped
+
+    def test_delete_is_visible_to_the_next_search(self, build):
+        search, catalogue = build()
+        assert self._album(search()) is not None
+        with catalogue.lock:
+            catalogue.delete_one("albums", "d1")
+        assert self._album(search()) is None
+
+
+def test_write_to_an_uncached_key_caches_nothing():
+    polystore = make_mini_polystore()
+    quepa = repro.Quepa(polystore, make_mini_aindex())
+    catalogue = polystore.database("catalogue")
+    reads = (catalogue.stats.gets, catalogue.stats.multi_gets)
+    catalogue.update_one("albums", "d1", {"year": 1066})
+    assert len(quepa.cache) == 0
+    assert (catalogue.stats.gets, catalogue.stats.multi_gets) == reads

