@@ -117,6 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--format", choices=("tree", "chrome"),
                        default="tree", dest="trace_format",
                        help="tree (default) or Chrome trace-event JSON")
+    trace.add_argument("--trace-id", default=None, dest="trace_id",
+                       help="serve the query as a request and print only "
+                            "the spans of this trace id (the first "
+                            "request's is t-000001)")
 
     explain = commands.add_parser(
         "explain", help="explain how an augmented query would run"
@@ -466,7 +470,11 @@ def _query(args, renderer: TextRenderer, out) -> int:
 
 
 def _run_instrumented(args):
-    """Run one augmented query and return (quepa, answer) for reporting."""
+    """Run one augmented query and return (quepa, answer) for reporting.
+
+    With ``--trace-id`` the query is served through an embedded server,
+    so its spans are request-scoped (root ``request`` span, trace id).
+    """
     quepa = _load(args)
     config = None
     if args.augmenter:
@@ -475,10 +483,32 @@ def _run_instrumented(args):
             batch_size=args.batch_size,
             threads_size=args.threads_size,
         )
-    answer = quepa.augmented_search(
-        args.database, args.query, level=args.level, config=config
-    )
+    if getattr(args, "trace_id", None) is not None:
+        from repro.serving import QuepaServer
+
+        with QuepaServer(quepa) as server:
+            answer = server.search(
+                "cli", args.database, args.query,
+                level=args.level, config=config,
+            )
+    else:
+        answer = quepa.augmented_search(
+            args.database, args.query, level=args.level, config=config
+        )
     return quepa, answer
+
+
+def _print_retention_warning(tracer, out) -> None:
+    """What the tracer's caps cost the run: spans dropped (a buffer or a
+    single trace over ``max_spans``) and whole older traces evicted."""
+    stats = tracer.stats()
+    evicted = tracer.evicted
+    if stats["dropped"] or evicted:
+        print(
+            f"warning: {stats['dropped']} spans dropped, "
+            f"{evicted} traces evicted (cap {stats['max_spans']})",
+            file=out,
+        )
 
 
 def _stats(args, out) -> int:
@@ -534,6 +564,7 @@ def _stats(args, out) -> int:
             f"total_ms={entry['total_s'] * 1000:.3f}",
             file=out,
         )
+    _print_retention_warning(quepa.obs.tracer, out)
     print("cache:", file=out)
     print(
         f"  {'tier':18s} {'size':>7s} {'capacity':>8s} {'hits':>8s} "
@@ -602,7 +633,18 @@ def _trace(args, out) -> int:
     quepa, __ = _run_instrumented(args)
     from repro.obs import to_chrome_trace, tree_lines
 
-    spans = quepa.obs.tracer.spans()
+    tracer = quepa.obs.tracer
+    if args.trace_id is None:
+        spans = tracer.spans()
+    else:
+        spans = tracer.spans_for(args.trace_id)
+        if not spans:
+            print(
+                f"error: no spans retained for trace {args.trace_id!r} "
+                f"(unknown, or evicted: {tracer.evicted} traces evicted)",
+                file=out,
+            )
+            return 1
     if args.trace_format == "chrome":
         # Pure JSON on stdout so it pipes straight into a .json file
         # that Perfetto / chrome://tracing can open.
@@ -614,13 +656,15 @@ def _trace(args, out) -> int:
         print(line, file=out)
     if len(lines) > args.limit:
         print(f"... and {len(lines) - args.limit} more spans", file=out)
-    tracer_stats = quepa.obs.tracer.stats()
-    if tracer_stats["dropped"]:
-        print(
-            f"warning: {tracer_stats['dropped']} spans dropped "
-            f"(cap {tracer_stats['max_spans']})",
-            file=out,
+    if args.trace_id is not None:
+        summary = quepa.obs.trace_summary(args.trace_id)
+        kinds = ", ".join(
+            f"{kind}={int(entry['count'])}"
+            for kind, entry in sorted(summary["by_kind"].items())
         )
+        print(f"trace {args.trace_id}: {summary['spans']} spans ({kinds})",
+              file=out)
+    _print_retention_warning(tracer, out)
     return 0
 
 

@@ -99,9 +99,9 @@ class Augmenter(ABC):
         )
         # The probe loop runs once per planned fetch; per-probe metric
         # increments (registry lookup + counter lock, three per probe)
-        # dwarf the cache probe itself. The shard counters inside the
-        # cache already count every probe under their shard lock, so the
-        # obs counters are published once per run from the stats delta.
+        # dwarf the cache probe itself. ``BoundedLru`` already counts
+        # every probe under its one lock, so the obs counters are
+        # published once per run from the stats delta.
         self._probe_cost = ctx.cost_model.cache_probe_cost
         before = self.cache.stats()
         outcome = self._run(ctx, plan, config)
@@ -129,7 +129,9 @@ class Augmenter(ABC):
             got = {entry.key for entry in outcome.objects}
             lost = planned - got - set(outcome.missing)
             outcome.degraded = bool(lost)
-        outcome.trace = ctx.obs.trace_summary()
+        # A served request summarizes its own spans; a classic run
+        # (no trace id) owns the whole, freshly reset tracer.
+        outcome.trace = ctx.obs.trace_summary(ctx._trace_id)
         return outcome
 
     @abstractmethod
@@ -148,8 +150,9 @@ class Augmenter(ABC):
     ) -> AugmentedObject | None:
         """Cache lookup with its (small) CPU cost charged.
 
-        Hit/miss accounting happens inside the cache's shard counters;
-        :meth:`execute` publishes the per-run delta to the obs metrics.
+        Hit/miss accounting happens inside the cache (``BoundedLru``
+        counts under its one lock); :meth:`execute` publishes the
+        per-run delta to the obs metrics.
         """
         ctx.cpu(self._probe_cost)
         cached = self.cache.get(fetch.key)

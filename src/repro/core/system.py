@@ -725,22 +725,15 @@ class Quepa:
     ) -> None:
         meter = self.runtime.meter.snapshot()
         trace_id = getattr(ctx, "_trace_id", None)
-        if trace_id is not None:
-            # Request-scoped run: summarize only this request's spans,
-            # and attach the critical-path breakdown the serving layer
-            # surfaces through the flight recorder.
-            request_spans = self.obs.tracer.spans_for(trace_id)
-            span_summary: dict[str, dict] = {}
-            for span in request_spans:
-                entry = span_summary.setdefault(
-                    span.name, {"count": 0, "total_s": 0.0}
-                )
-                entry["count"] += 1
-                entry["total_s"] += span.duration
-            breakdown = latency_breakdown(request_spans)
-        else:
-            span_summary = self.obs.tracer.summary()
-            breakdown = {}
+        # A request-scoped run summarizes only its own spans, and
+        # attaches the critical-path breakdown the serving layer
+        # surfaces through the flight recorder.
+        span_summary = self.obs.tracer.summary(trace_id)
+        breakdown = (
+            latency_breakdown(self.obs.tracer.spans_for(trace_id))
+            if trace_id is not None
+            else {}
+        )
         record = RunRecord(
             features=features,
             augmenter=config.augmenter,

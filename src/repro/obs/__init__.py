@@ -6,8 +6,9 @@ planning vs. cache probes vs. per-store roundtrips vs. pool
 synchronization. This package provides that visibility for the
 reproduction:
 
-* :class:`~repro.obs.trace.Tracer` — per-run spans on the runtime's own
-  clock (virtual or wall), with parent/child structure and attributes;
+* :class:`~repro.obs.trace.Tracer` — spans on the runtime's own clock
+  (virtual or wall), with parent/child structure and attributes: one
+  run's tree for a classic search, one bucket per served request;
 * :class:`~repro.obs.metrics.MetricsRegistry` — cumulative thread-safe
   counters, gauges and fixed-bucket histograms (per-database latency);
 * :class:`Observability` — one bundle of both, created per
@@ -71,13 +72,20 @@ class Observability:
         self.events = EventJournal(max_events)
         self.slow_query_threshold = slow_query_threshold
 
-    def trace_summary(self) -> dict[str, Any]:
-        """Structured summary of the current run's trace."""
+    def trace_summary(self, trace_id: str | None = None) -> dict[str, Any]:
+        """Structured summary of the current run's trace — of one served
+        request when given its ``trace_id`` (``"spans"`` is then that
+        request's count), else of everything the tracer retains."""
         stats = self.tracer.stats()
+        by_kind = self.tracer.summary(trace_id)
         return {
-            "spans": stats["spans"],
+            "spans": (
+                stats["spans"]
+                if trace_id is None
+                else sum(entry["count"] for entry in by_kind.values())
+            ),
             "dropped": stats["dropped"],
-            "by_kind": self.tracer.summary(),
+            "by_kind": by_kind,
         }
 
     def snapshot(self) -> dict[str, Any]:

@@ -11,9 +11,19 @@ only *reads* the clock; it never charges CPU or latency, so virtual-time
 accounting is bit-identical with and without it (the smoke guard in
 ``tests/test_benchmark_guard.py`` pins this).
 
-The tracer is bounded: beyond ``max_spans`` finished spans it counts
-drops instead of growing, so tracing a 10,000-result augmentation cannot
-exhaust memory.
+Retention is bounded and comes in two kinds:
+
+* **Untraced spans** (``trace_id is None``: a classic run, which resets
+  the tracer first) share one buffer of ``max_spans``. Past the cap the
+  *newest* span is dropped and counted, so the roots of the run's tree
+  stay renderable and tracing a 10,000-result augmentation cannot
+  exhaust memory.
+* **Request spans** (served requests stamp their ``trace_id``) live in
+  one bucket per trace, with their own budget of ``max_spans`` in total.
+  Past it the *oldest traces with no span still open* are evicted whole
+  and counted, so a long-lived server keeps the spans of its recent
+  requests, and reading one request costs its own spans, not the
+  buffer's.
 """
 
 from __future__ import annotations
@@ -72,7 +82,7 @@ class Span:
 
 
 class Tracer:
-    """Collects spans for one run (thread-safe, bounded).
+    """Collects spans (thread-safe, bounded; see the module docstring).
 
     Span ids are monotonic for the tracer's lifetime — they do NOT
     restart on :meth:`reset`. Under the serving layer many requests
@@ -89,9 +99,20 @@ class Tracer:
             raise ValueError(f"max_spans must be >= 1, got {max_spans}")
         self.max_spans = max_spans
         self._lock = threading.Lock()
+        #: Finished untraced spans, in completion order.
         self._spans: list[Span] = []
+        #: Trace id -> that request's finished spans in completion
+        #: order; buckets sit oldest trace first (dict insertion order).
+        self._traces: dict[str, list[Span]] = {}
+        #: Spans held across all buckets (their shared budget).
+        self._traced = 0
+        #: Trace id -> spans begun and not yet ended. An entry lives
+        #: only while its count is positive; a trace listed here is in
+        #: flight and never evicted.
+        self._open: dict[str, int] = {}
         self._next_id = 1
         self._dropped = 0
+        self._evicted = 0
         #: Spans with ``span_id < _reset_floor`` predate the last reset
         #: and belong to a discarded run; :meth:`end` drops them.
         self._reset_floor = 1
@@ -110,6 +131,8 @@ class Tracer:
                 self._next_id, name, start, parent_id, attrs, trace_id
             )
             self._next_id += 1
+            if trace_id is not None:
+                self._open[trace_id] = self._open.get(trace_id, 0) + 1
         return span
 
     def end(self, span: Span, end: float) -> None:
@@ -120,13 +143,45 @@ class Tracer:
         as dropped — its run's counters are gone too).
         """
         span.end = end
+        trace_id = span.trace_id
         with self._lock:
             if span.span_id < self._reset_floor:
                 return
-            if len(self._spans) >= self.max_spans:
-                self._dropped += 1
+            if trace_id is None:
+                if len(self._spans) >= self.max_spans:
+                    self._dropped += 1
+                else:
+                    self._spans.append(span)
+                return
+            if self._make_room(trace_id):
+                self._traces.setdefault(trace_id, []).append(span)
+                self._traced += 1
             else:
-                self._spans.append(span)
+                self._dropped += 1
+            still_open = self._open.get(trace_id, 1) - 1
+            if still_open > 0:
+                self._open[trace_id] = still_open
+            else:
+                self._open.pop(trace_id, None)
+
+    def _make_room(self, trace_id: str) -> bool:
+        """Get the request spans under budget for one more span of
+        ``trace_id`` (lock held).
+
+        Evicts whole buckets, oldest first, skipping ``trace_id``'s own
+        and every trace in flight. ``False`` when those are all that is
+        left — the request spans in flight alone fill the budget — and
+        the new span has to be dropped instead.
+        """
+        while self._traced >= self.max_spans:
+            for victim in self._traces:
+                if victim != trace_id and victim not in self._open:
+                    break
+            else:
+                return False
+            self._traced -= len(self._traces.pop(victim))
+            self._evicted += 1
+        return True
 
     def record(
         self,
@@ -143,52 +198,71 @@ class Tracer:
         return span
 
     def reset(self) -> None:
-        """Start a fresh trace: drop finished spans and orphan in-flight
-        ones (they are discarded at ``end``). Called by
+        """Start a fresh trace: drop finished spans (both kinds) and
+        orphan in-flight ones (they are discarded at ``end``). Called by
         ``Runtime.root()`` so each classic run starts clean; span ids
         keep counting up so concurrent serving requests never see their
         parent ids recycled.
         """
         with self._lock:
             self._spans = []
+            self._traces = {}
+            self._traced = 0
+            self._open = {}
             self._dropped = 0
+            self._evicted = 0
             self._reset_floor = self._next_id
 
     def spans(self) -> list[Span]:
-        """A snapshot of the finished spans, in completion order."""
+        """A snapshot of every finished span retained: the untraced ones
+        in completion order, then each trace's, oldest trace first."""
         with self._lock:
-            return list(self._spans)
+            out = list(self._spans)
+            for bucket in self._traces.values():
+                out.extend(bucket)
+            return out
 
     def spans_for(self, trace_id: str) -> list[Span]:
-        """Finished spans of one request, in completion order."""
+        """Finished spans of one request, in completion order (empty
+        once the trace has been evicted)."""
         with self._lock:
-            return [
-                span for span in self._spans if span.trace_id == trace_id
-            ]
+            return list(self._traces.get(trace_id, ()))
 
     @property
     def dropped(self) -> int:
-        """Spans discarded because the cap was reached (locked read)."""
+        """Spans discarded because a cap was reached (locked read)."""
         with self._lock:
             return self._dropped
+
+    @property
+    def evicted(self) -> int:
+        """Whole traces evicted to make room for newer requests' spans
+        (locked read)."""
+        with self._lock:
+            return self._evicted
 
     def stats(self) -> dict[str, int]:
         """Span count, drop count and cap, read under one lock."""
         with self._lock:
             return {
-                "spans": len(self._spans),
+                "spans": len(self._spans) + self._traced,
                 "dropped": self._dropped,
                 "max_spans": self.max_spans,
             }
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._spans)
+            return len(self._spans) + self._traced
 
-    def summary(self) -> dict[str, dict[str, float]]:
-        """Per span kind: ``{"count": n, "total_s": seconds}``."""
+    def summary(
+        self, trace_id: str | None = None
+    ) -> dict[str, dict[str, float]]:
+        """Per span kind: ``{"count": n, "total_s": seconds}`` — over
+        one request's spans when given its ``trace_id``, else over
+        everything retained."""
+        spans = self.spans() if trace_id is None else self.spans_for(trace_id)
         out: dict[str, dict[str, float]] = {}
-        for span in self.spans():
+        for span in spans:
             entry = out.setdefault(span.name, {"count": 0, "total_s": 0.0})
             entry["count"] += 1
             entry["total_s"] += span.duration

@@ -499,7 +499,10 @@ class Scheduler:
             stats["admitted"] += 1
             # The request's root span: open for its whole queued+running
             # life, on the scheduler's wall clock (the same timebase
-            # RealRuntime contexts stamp their spans with).
+            # RealRuntime contexts stamp their spans with). While it is
+            # open the tracer treats the trace as in flight and never
+            # evicts it; every way out of the scheduler (_finish_trace,
+            # _observe_shed) must therefore end it.
             request.root_span = self.obs.tracer.begin(
                 "request",
                 now,

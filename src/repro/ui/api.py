@@ -19,6 +19,8 @@ GET      /metrics                   cumulative metrics registry snapshot
                                     ``?format=prometheus`` returns text
                                     exposition for a Prometheus scrape
 GET      /trace                     spans of the last run + per-kind summary;
+                                    ``?trace_id=`` narrows both to one
+                                    served request (404 once evicted);
                                     ``?format=chrome`` returns Chrome
                                     trace-event JSON (Perfetto-openable)
 GET      /events                    the event journal (``?kind=``,
@@ -452,17 +454,31 @@ class QuepaApi:
     def trace(
         self, params: Mapping[str, str] | None = None
     ) -> dict[str, Any]:
-        """The last run's spans, plus the per-kind summary."""
+        """The retained spans plus the per-kind summary — of one served
+        request when ``trace_id`` names it (a flight-recorder digest
+        carries the id), else of everything the tracer holds."""
         obs = self.quepa.obs
-        fmt = (params or {}).get("format", "json")
+        params = params or {}
+        fmt = params.get("format", "json")
+        trace_id = params.get("trace_id")
+        if trace_id is None:
+            spans = obs.tracer.spans()
+        else:
+            spans = obs.tracer.spans_for(trace_id)
+            if not spans:
+                raise ApiError(
+                    404,
+                    f"no spans retained for trace {trace_id!r} (unknown, "
+                    f"or evicted: {obs.tracer.evicted} traces evicted)",
+                )
         if fmt == "chrome":
-            return to_chrome_trace(obs.tracer.spans())
+            return to_chrome_trace(spans)
         if fmt != "json":
             raise ApiError(400, f"unknown trace format {fmt!r}")
         return {
             "trace": {
-                "summary": obs.trace_summary(),
-                "spans": obs.tracer.as_dicts(),
+                "summary": obs.trace_summary(trace_id),
+                "spans": [span.as_dict() for span in spans],
             }
         }
 

@@ -18,7 +18,8 @@ codes (the same codes :class:`ApiError` carries).
 Observability rides along: ``GET /metrics`` returns the cumulative
 metrics snapshot (``?format=prometheus`` for text exposition, served
 with the Prometheus content type), ``GET /trace`` the spans of the
-last completed run (``?format=chrome`` for Chrome trace-event JSON),
+last completed run (``?format=chrome`` for Chrome trace-event JSON,
+``?trace_id=`` for one served request),
 ``GET /events`` the structured event journal, and ``POST /explain``
 an EXPLAIN/ANALYZE report — see :mod:`repro.obs` and
 docs/OBSERVABILITY.md.

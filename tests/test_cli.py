@@ -117,6 +117,26 @@ class TestGenerateQueryInspect:
         names = {event["name"] for event in events}
         assert "store_call" in names
 
+    def test_trace_id_prints_one_served_request(self, snapshot):
+        argv = (
+            "trace", "--snapshot", snapshot,
+            "--database", "transactions",
+            "--query", "SELECT * FROM inventory WHERE seq < 5",
+            "--level", "1",
+        )
+        code, output = run_cli(*argv, "--trace-id", "t-000001")
+        assert code == 0
+        lines = output.splitlines()
+        assert lines[0].startswith("request ")  # the served root span
+        assert "  store_call" in output
+        assert "trace t-000001:" in lines[-1]
+        assert "request=1" in lines[-1]
+        # An id the tracer does not hold: a clear message, exit 1.
+        code, output = run_cli(*argv, "--trace-id", "t-000999")
+        assert code == 1
+        assert "no spans retained for trace 't-000999'" in output
+        assert "evicted" in output
+
     def test_explain_reports_plan_and_estimates(self, snapshot):
         code, output = run_cli(
             "explain", "--snapshot", snapshot,

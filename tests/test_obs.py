@@ -1,7 +1,9 @@
 """Tests for the tracing + metrics layer (repro.obs) and its wiring."""
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -121,6 +123,251 @@ class TestTracer:
         lines = tree_lines(tracer.spans())
         assert lines[0].startswith("augment")
         assert lines[1].startswith("  fetch")
+
+
+class TestTraceRetention:
+    """Request spans: one bucket per trace, whole-trace ring retention."""
+
+    @staticmethod
+    def _request(tracer, trace_id, children=2):
+        """One finished request: ``children`` spans, then the root."""
+        root = tracer.begin("request", 0.0, None, trace_id)
+        for i in range(children):
+            tracer.record("store_call", 0.0, 0.1, root.span_id, trace_id, n=i)
+        tracer.end(root, 1.0)
+
+    def test_bucket_holds_completion_order(self):
+        tracer = Tracer()
+        root = tracer.begin("request", 0.0, None, "t-1")
+        inner = tracer.begin("augment", 0.1, root.span_id, "t-1")
+        tracer.record("store_call", 0.2, 0.3, inner.span_id, "t-1")
+        tracer.record("store_call", 0.0, 0.1, None, "t-2")
+        tracer.end(inner, 0.4)
+        tracer.end(root, 0.5)
+        assert [s.name for s in tracer.spans_for("t-1")] == [
+            "store_call", "augment", "request",
+        ]
+        assert [s.trace_id for s in tracer.spans_for("t-2")] == ["t-2"]
+        assert tracer.spans_for("t-unknown") == []
+        # A copy, not the live bucket.
+        tracer.spans_for("t-1").clear()
+        assert len(tracer.spans_for("t-1")) == 3
+
+    def test_spans_lists_untraced_then_traces_oldest_first(self):
+        tracer = Tracer()
+        tracer.record("a", 0.0, 1.0, None, "t-1")
+        tracer.record("b", 0.0, 1.0, None, "t-2")
+        tracer.record("plan", 0.0, 1.0)
+        tracer.record("c", 0.0, 1.0, None, "t-1")
+        assert [s.name for s in tracer.spans()] == ["plan", "a", "c", "b"]
+        assert [d["name"] for d in tracer.as_dicts()] == [
+            "plan", "a", "c", "b",
+        ]
+        assert len(tracer) == 4
+        assert tracer.stats()["spans"] == 4
+
+    def test_summary_of_one_trace(self):
+        tracer = Tracer()
+        self._request(tracer, "t-1", children=2)
+        self._request(tracer, "t-2", children=5)
+        tracer.record("plan", 0.0, 1.0)
+        assert tracer.summary("t-1") == {
+            "store_call": {"count": 2, "total_s": pytest.approx(0.2)},
+            "request": {"count": 1, "total_s": 1.0},
+        }
+        assert tracer.summary("t-gone") == {}
+        assert tracer.summary()["store_call"]["count"] == 7
+
+    def test_oldest_traces_are_evicted_whole(self):
+        tracer = Tracer(max_spans=9)
+        for i in range(1, 4):
+            self._request(tracer, f"t-{i}")  # 3 spans each: budget full
+        assert tracer.evicted == 0
+        self._request(tracer, "t-4")
+        # One whole trace made room for all three spans of the new one.
+        assert tracer.evicted == 1
+        assert tracer.dropped == 0
+        assert tracer.spans_for("t-1") == []
+        for i in (2, 3, 4):
+            assert len(tracer.spans_for(f"t-{i}")) == 3
+        self._request(tracer, "t-5", children=5)  # 6 spans: two victims
+        assert tracer.evicted == 3
+        assert [s.trace_id for s in tracer.spans()] == ["t-4"] * 3 + ["t-5"] * 6
+
+    def test_untraced_buffer_and_request_spans_have_separate_budgets(self):
+        tracer = Tracer(max_spans=3)
+        for _ in range(5):
+            tracer.record("classic", 0.0, 1.0)  # drop-newest, as ever
+        assert tracer.dropped == 2
+        self._request(tracer, "t-1")
+        assert len(tracer.spans_for("t-1")) == 3
+        assert tracer.stats() == {"spans": 6, "dropped": 2, "max_spans": 3}
+        self._request(tracer, "t-2")
+        assert tracer.evicted == 1
+        assert [s.name for s in tracer.spans()[:3]] == ["classic"] * 3
+
+    def test_open_trace_is_never_evicted(self):
+        tracer = Tracer(max_spans=4)
+        slow_root = tracer.begin("request", 0.0, None, "t-slow")
+        tracer.record("store_call", 0.0, 0.1, slow_root.span_id, "t-slow")
+        for i in range(6):
+            self._request(tracer, f"t-{i}", children=1)
+        # t-slow is the oldest bucket, but its root is still open.
+        assert len(tracer.spans_for("t-slow")) == 1
+        tracer.end(slow_root, 9.0)
+        assert [s.name for s in tracer.spans_for("t-slow")] == [
+            "store_call", "request",
+        ]
+        assert tracer.dropped == 0
+        # Closed, it is the oldest evictable trace.
+        self._request(tracer, "t-next", children=1)
+        assert tracer.spans_for("t-slow") == []
+
+    def test_single_trace_over_budget_drops_its_own_newest(self):
+        tracer = Tracer(max_spans=3)
+        self._request(tracer, "t-big", children=5)
+        assert [s.attrs.get("n") for s in tracer.spans_for("t-big")] == [
+            0, 1, 2,
+        ]
+        assert tracer.dropped == 3  # two children and the root
+        assert tracer.evicted == 0  # never its own victim
+
+    def test_in_flight_spans_over_budget_are_dropped_not_evicted(self):
+        tracer = Tracer(max_spans=2)
+        roots = [
+            tracer.begin("request", 0.0, None, f"t-{i}") for i in range(3)
+        ]
+        for i, root in enumerate(roots):
+            tracer.record("store_call", 0.0, 0.1, root.span_id, f"t-{i}")
+        assert tracer.dropped == 1 and tracer.evicted == 0
+        for root in roots:
+            tracer.end(root, 1.0)
+        assert tracer._open == {}
+
+    def test_reset_empties_buckets_and_in_flight_bookkeeping(self):
+        tracer = Tracer(max_spans=3)
+        self._request(tracer, "t-1")
+        self._request(tracer, "t-2")
+        stale = tracer.begin("request", 0.0, None, "t-3")
+        assert tracer.evicted == 1 and tracer._open == {"t-3": 1}
+        tracer.reset()
+        assert len(tracer) == 0
+        assert tracer.spans_for("t-2") == []
+        assert tracer.evicted == 0
+        assert tracer._open == {} and tracer._traces == {}
+        # Begun before the reset: discarded at end, leaves nothing behind.
+        tracer.end(stale, 1.0)
+        assert tracer.spans_for("t-3") == []
+        assert tracer._open == {}
+        assert tracer.stats() == {"spans": 0, "dropped": 0, "max_spans": 3}
+
+    def test_no_in_flight_state_after_completed_failed_and_shed_requests(self):
+        from repro.errors import RequestDeadlineExceeded, ServerBusy
+        from repro.serving import QuepaServer, ServingConfig
+        from tests.conftest import make_mini_aindex, make_mini_polystore
+
+        polystore = make_mini_polystore()
+        profile = centralized_profile(list(polystore))
+        quepa = Quepa(
+            polystore, make_mini_aindex(),
+            profile=profile, runtime=RealRuntime(profile),
+        )
+        query = {"collection": "albums", "filter": {}}
+        gate = threading.Event()
+        started = threading.Event()
+        real = quepa.serve_search
+
+        def gated(*args, **kwargs):
+            started.set()
+            assert gate.wait(10), "test gate never opened"
+            return real(*args, **kwargs)
+
+        tracer = quepa.obs.tracer
+        config = ServingConfig(workers=1, max_inflight_per_session=1)
+        server = QuepaServer(quepa, config).start()
+        done = server.submit_search("s", "catalogue", query, level=1)
+        done.result(10)
+        failed = server.submit_search("s", "nosuchdb", query)
+        with pytest.raises(Exception):
+            failed.result(10)
+        quepa.serve_search = gated
+        blocker = server.submit_search("s", "catalogue", query)
+        assert started.wait(10)
+        with pytest.raises(RequestDeadlineExceeded):  # shed at admission
+            server.submit_search("s", "catalogue", query, deadline=1e-9)
+        doomed = server.submit_search("s", "catalogue", query, deadline=0.01)
+        assert set(tracer._open) == {blocker.trace_id, doomed.trace_id}
+        time.sleep(0.05)
+        gate.set()
+        blocker.result(10)
+        with pytest.raises(RequestDeadlineExceeded):  # shed on deadline
+            doomed.result(10)
+        gate.clear()
+        started.clear()
+        second = server.submit_search("s", "catalogue", query)
+        assert started.wait(10)
+        queued = server.submit_search("s", "catalogue", query)
+        stopper = threading.Thread(target=lambda: server.stop(drain=False))
+        stopper.start()
+        with pytest.raises(ServerBusy):  # shed on stop
+            queued.result(10)
+        gate.set()
+        stopper.join(30)
+        second.result(10)
+        assert failed.status == "failed"
+        assert doomed.status == queued.status == "shed"
+        assert tracer._open == {}
+        # Every admitted request left exactly one closed root span.
+        for ticket in (done, failed, blocker, doomed, second, queued):
+            roots = [
+                s for s in tracer.spans_for(ticket.trace_id)
+                if s.name == "request"
+            ]
+            assert len(roots) == 1 and roots[0].end is not None
+
+    def test_threaded_begin_end_keeps_the_accounting_exact(self):
+        tracer = Tracer(max_spans=64)
+        trace_ids = [f"t-{i}" for i in range(8)]
+        errors = []
+
+        def hammer(worker):
+            try:
+                for i in range(400):
+                    trace_id = trace_ids[(worker + i) % len(trace_ids)]
+                    root = tracer.begin("request", 0.0, None, trace_id)
+                    tracer.record("store_call", 0.0, 0.1, root.span_id, trace_id)
+                    if i % 5 == 0:
+                        tracer.record("classic", 0.0, 0.1)
+                    tracer.end(root, 1.0)
+                    assert len(tracer) <= 2 * tracer.max_spans
+            except BaseException as exc:  # surface in the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(w,)) for w in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleavings inside begin/end
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        untraced = [s for s in tracer.spans() if s.trace_id is None]
+        in_buckets = sum(len(tracer.spans_for(t)) for t in trace_ids)
+        assert len(untraced) == tracer.max_spans
+        assert in_buckets <= tracer.max_spans
+        assert len(tracer) == len(untraced) + in_buckets
+        assert tracer._traced == in_buckets
+        assert tracer._open == {}
+        # 6 x 400 x 2 request spans + 6 x 80 classic ones, all accounted
+        # for: retained, dropped, or gone with an evicted trace.
+        assert tracer.dropped >= 6 * 80 - tracer.max_spans
+        assert tracer.evicted > 0
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,90 @@ def test_tracer_reset_under_concurrent_serving():
         assert any(s.name == "store_call" for s in spans)
 
 
+# -- a long-lived server keeps recording (the blind-after-saturation bug) -------
+
+
+def test_saturated_tracer_still_records_served_requests():
+    """Once both budgets are full — untraced spans of classic runs, and
+    ``max_spans`` spans of earlier served requests — a new request still
+    keeps its whole trace: the oldest traces make room. (The tracer used
+    to drop every new span for good once 10 000 were retained.)"""
+    quepa = _mini_real_quepa()
+    tracer = quepa.obs.tracer
+    for _ in range(tracer.max_spans):
+        tracer.record("aged", 0.0, 0.0)
+    for old in range(tracer.max_spans // 5 + 1):
+        root = tracer.begin("request", 0.0, None, f"old-{old:06d}")
+        for _ in range(4):
+            tracer.record(
+                "store_call", 0.0, 0.0, root.span_id, f"old-{old:06d}",
+                database="catalogue",
+            )
+        tracer.end(root, 0.0)
+    assert len(tracer) >= tracer.max_spans
+
+    config = ServingConfig(workers=2, recorder_slow_threshold=1e-9)
+    with QuepaServer(quepa, config) as server:
+        ticket = server.submit_search("s1", "catalogue", DOC_QUERY, level=1)
+        assert ticket.result(10.0).originals
+        digests = server.records(status="completed")
+
+    spans = tracer.spans_for(ticket.trace_id)
+    roots = [span for span in spans if span.parent_id is None]
+    assert [span.name for span in roots] == ["request"]
+    ids = {span.span_id for span in spans}
+    assert all(span.parent_id in ids for span in spans if span not in roots)
+    assert {"plan", "augment", "store_call"} <= {span.name for span in spans}
+    summary = quepa.last_record.span_summary
+    assert summary["store_call"]["count"] > 0
+    assert summary["augment"]["count"] == 1
+    (digest,) = [d for d in digests if d["trace_id"] == ticket.trace_id]
+    assert digest["breakdown"]["store_calls"] > 0
+    assert tracer.evicted > 0
+    assert len(tracer) <= 2 * tracer.max_spans
+
+
+def test_served_outcome_trace_describes_the_request_not_the_buffer(
+    monkeypatch,
+):
+    """``AugmentationOutcome.trace`` of a served search has the span
+    kinds and counts of the same search run classically on a fresh
+    ``Quepa`` — whatever else the shared tracer retains."""
+    from repro.core.augmenters.base import Augmenter
+
+    outcomes = []
+    execute = Augmenter.execute
+
+    def capturing(self, ctx, plan, config):
+        outcome = execute(self, ctx, plan, config)
+        outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(Augmenter, "execute", capturing)
+
+    def by_kind(trace):
+        return {kind: entry["count"] for kind, entry in trace["by_kind"].items()}
+
+    classic = Quepa(make_mini_polystore(), make_mini_aindex())
+    classic.augmented_search("catalogue", DOC_QUERY, level=1)
+    expected = outcomes.pop().trace
+
+    served = Quepa(make_mini_polystore(), make_mini_aindex())  # VirtualRuntime
+    served.obs.tracer.record("aged", 0.0, 0.0)
+    with QuepaServer(served, ServingConfig(workers=1)) as server:
+        server.search("s1", "catalogue", DOC_QUERY, level=1, timeout=10.0)
+        server.search("s2", "transactions",
+                      "SELECT * FROM inventory", level=1, timeout=10.0)
+        outcomes.clear()
+        served.cache.clear()  # as cold as the classic run
+        server.search("s1", "catalogue", DOC_QUERY, level=1, timeout=10.0)
+    (outcome,) = outcomes
+    assert len(served.obs.tracer) > outcome.trace["spans"]
+    assert by_kind(outcome.trace) == by_kind(expected)
+    assert outcome.trace["spans"] == expected["spans"]
+    assert set(outcome.trace) == {"spans", "dropped", "by_kind"}
+
+
 # -- satellite: histogram percentile / fraction edge cases ---------------------
 
 

@@ -260,6 +260,40 @@ class TestOtherEndpoints:
         shallow = api.handle("GET", "/trace")["trace"]["summary"]["spans"]
         assert shallow < deep  # the tracer only holds the last run
 
+    def test_trace_of_one_served_request(self, mini_quepa):
+        from repro.serving import QuepaServer, ServingConfig
+
+        config = ServingConfig(workers=1, recorder_slow_threshold=1e-9)
+        with QuepaServer(mini_quepa, config) as server:
+            api = QuepaApi(mini_quepa, server=server)
+            for level in (1, 0):
+                api.handle("POST", "/query", {
+                    "database": "transactions", "query": QUERY,
+                    "level": level,
+                })
+            # A flight-recorder digest's trace id resolves to its spans.
+            digest = api.handle("GET", "/requests")["requests"][-1]
+            trace_id = digest["trace_id"]
+            trace = api.handle("GET", f"/trace?trace_id={trace_id}")["trace"]
+            assert {span["trace_id"] for span in trace["spans"]} == {trace_id}
+            assert trace["summary"]["spans"] == len(trace["spans"])
+            assert trace["summary"]["by_kind"]["request"]["count"] == 1
+            everything = api.handle("GET", "/trace")["trace"]
+            assert len(everything["spans"]) > len(trace["spans"])
+            chrome = api.handle(
+                "GET", f"/trace?trace_id={trace_id}&format=chrome"
+            )
+            timed = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
+            assert len(timed) == len(trace["spans"])
+            # Evicted (or never seen): a clear 404, not an empty trace.
+            mini_quepa.obs.tracer.max_spans = 1
+            api.handle("POST", "/query",
+                       {"database": "transactions", "query": QUERY})
+            with pytest.raises(ApiError) as err:
+                api.handle("GET", f"/trace?trace_id={trace_id}")
+            assert err.value.status == 404
+            assert "evicted" in err.value.message
+
     def test_unknown_route_is_404(self, api):
         with pytest.raises(ApiError) as err:
             api.handle("GET", "/teapot")
