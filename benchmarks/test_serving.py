@@ -7,13 +7,29 @@ on the *real* runtime with scaled store latencies (``time_scale=1``:
 virtual store roundtrips become real, GIL-releasing sleeps, so
 concurrency genuinely overlaps them).
 
-Checked claims:
+Checked claims (cold: fresh cache per point, real store roundtrips, a
+shared hot-query pool, coalescing + hedging on, closed system, 8
+workers, a fixed total request count):
 
-* cold throughput (fresh cache per point, real store roundtrips, a
-  shared hot-query pool, coalescing + hedging on) scales *strictly
-  better than the 2.59x* the pre-accelerator serving layer recorded
-  from 1 to 8 concurrent clients at a fixed total request count
-  (closed system, 8 workers);
+* every sweep point serves at least the QPS committed for it while
+  ``RealRuntime`` still slept once per CPU charge (``SLEEP_FLOOR_QPS``):
+  paying CPU as a debt may only make a point faster;
+* throughput scales from 1 to 8 clients by at least
+  ``OVERLAP_FRACTION`` of what the interpreter lock allows. The model:
+  a request of mean latency ``L`` spends ``S`` inside sleeps, which
+  release the lock and overlap across threads, and ``L - S`` running
+  Python, which holds it and cannot. ``N`` closed-loop clients
+  therefore complete at most ``min(N / L, 1 / (L - S))`` requests a
+  second, against ``1 / L`` for one client: a ceiling of
+  ``min(N, 1 / (1 - f))`` with ``f = S / L``. ``f`` is measured on the
+  1-client point, where nothing overlaps and nothing is shared: ``S`` is
+  the modelled seconds the runtime was asked to sleep per request,
+  (``cpu_seconds_total`` + the sum over stores of ``store_queries_total``
+  x roundtrip) x ``time_scale`` / requests, and ``L`` the load report's
+  mean latency. A sleep never returns early and coalesced followers
+  skip work a lone client must do, so the measured scaling can exceed
+  the ceiling; a serving layer that held a lock across its sleeps
+  would scale 1.0x, i.e. ``1 - f`` of it (~0.64 here);
 * no request is shed or failed at any client count (ample queue);
 * tail latency is reported (p50/p95/p99) and grows no worse than the
   client count would explain;
@@ -22,7 +38,8 @@ Checked claims:
 * the virtual-time guard numbers of Fig 9 stay bit-identical — the
   serving layer must not perturb the deterministic cost model.
 
-Outputs ``results/serving_scaling.txt`` and ``BENCH_serving.json``.
+Outputs ``results/serving_throughput_scales_with_clients.txt`` and
+``results/BENCH_serving.json``.
 """
 
 from __future__ import annotations
@@ -48,11 +65,17 @@ SEED = 17
 #: time — the workload shape single-flight coalescing exists for.
 HOT_QUERIES = 8
 HOT_FRACTION = 0.5
-#: The 1->8 client scaling the serving layer recorded *before* request
-#: coalescing and hedged store calls (committed BENCH_serving.json of
-#: the warm, accelerator-free sweep). The rebuilt serving core must
-#: strictly beat it.
-BASELINE_SCALING = 2.59
+#: QPS per client count committed in
+#: ``results/serving_throughput_scales_with_clients.txt`` while
+#: ``RealRuntime.cpu()`` slept once per charge (the timer floor, ~67 us,
+#: ~320 times a request). No point may fall back below it.
+SLEEP_FLOOR_QPS = {1: 51.67, 2: 92.01, 4: 127.81, 8: 158.95}
+#: Share of the interpreter-lock ceiling ``1 / (1 - f)`` the 1 -> 8
+#: client scaling must reach (module docstring). The 2.59x this
+#: replaces was measured with the sleep floor in place, when most of a
+#: request was sleep to overlap; with the floor gone ``f`` is ~0.35, the
+#: ceiling ~1.55x, and ten measured sweeps reached 1.05-1.43 of it.
+OVERLAP_FRACTION = 0.85
 
 
 def _make_server(bundle):
@@ -80,7 +103,8 @@ def _sweep_point(bundle, clients: int):
     Each point gets a fresh Quepa (own cold cache): requests pay real
     store roundtrips, so concurrency genuinely overlaps them and the
     hot-query pool gives the coalescer identical concurrent fetches to
-    share. Returns the load report plus the server's accelerator view.
+    share. Returns the load report, the server's accelerator view and
+    the seconds the runtime was asked to sleep over the whole point.
     """
     per_client = TOTAL_REQUESTS // clients
     workload = QueryWorkload(bundle)
@@ -96,10 +120,17 @@ def _sweep_point(bundle, clients: int):
         )
         measured = generator.run(clients, per_client)
         status = server.status()
+        quepa = server.quepa
     accelerator = status["accelerator"] or {}
     coalesce = accelerator.get("coalesce") or {}
     hedge = accelerator.get("hedge") or {}
-    return measured, coalesce, hedge
+    metrics = quepa.obs.metrics
+    modelled = metrics.counter("cpu_seconds_total").value + sum(
+        metrics.counter("store_queries_total", database=database).value
+        * quepa.profile.site(database).roundtrip
+        for database in bundle.polystore
+    )
+    return measured, coalesce, hedge, modelled * TIME_SCALE
 
 
 def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
@@ -118,7 +149,7 @@ def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
         f"{TOTAL_REQUESTS} requests/point, coalesce+hedge on, "
         f"hot pool {HOT_QUERIES}@{HOT_FRACTION})"
     )
-    for clients, (load, coalesce, hedge) in results.items():
+    for clients, (load, coalesce, hedge, slept) in results.items():
         report.row(
             clients=clients,
             qps=load.qps,
@@ -130,36 +161,49 @@ def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
             failed=load.failed,
             coalesce_hit=coalesce.get("hit_rate", 0.0),
             hedge_win=hedge.get("win_rate", 0.0),
+            modelled_sleep_ms=slept / load.completed * 1000,
         )
 
-    # Claim 2: ample queue — nothing shed, nothing failed, no drops.
-    for clients, (load, _, _) in results.items():
+    # Claim 3: ample queue — nothing shed, nothing failed, no drops.
+    for clients, (load, *_) in results.items():
         assert load.completed == TOTAL_REQUESTS, (
             f"{clients} clients: dropped requests"
         )
         assert load.shed == 0 and load.failed == 0
 
-    # Claim 1: with coalescing + hedging the cold closed-loop curve
-    # must scale strictly better 1->8 than the 2.59x the serving layer
-    # managed before the accelerator existed.
-    scaling = results[8][0].qps / results[1][0].qps
-    report.note(f"throughput scaling 1->8 clients: {scaling:.2f}x")
-    assert scaling > BASELINE_SCALING, (
-        f"expected > {BASELINE_SCALING}x cold throughput scaling with "
-        f"the accelerator on, got {scaling:.2f}x "
-        f"({results[1][0].qps:.1f} -> {results[8][0].qps:.1f} QPS)"
+    # Claim 1: no point is slower than it was under per-charge sleeps.
+    for clients, (load, *_) in results.items():
+        assert load.qps >= SLEEP_FLOOR_QPS[clients], (
+            f"{clients} clients: {load.qps:.1f} QPS is below the "
+            f"{SLEEP_FLOOR_QPS[clients]} committed with the sleep floor"
+        )
+
+    # Claim 2: 1->8 scaling against the interpreter-lock ceiling.
+    one, _, _, slept = results[1]
+    sleep_share = slept / one.completed / one.latency_mean
+    ceiling = min(8.0, 1.0 / (1.0 - sleep_share))
+    scaling = results[8][0].qps / one.qps
+    report.note(
+        f"throughput scaling 1->8 clients: {scaling:.2f}x "
+        f"(sleep share f={sleep_share:.3f}, lock ceiling {ceiling:.2f}x, "
+        f"{scaling / ceiling:.2f} of it)"
+    )
+    assert scaling >= OVERLAP_FRACTION * ceiling, (
+        f"expected >= {OVERLAP_FRACTION} of the {ceiling:.2f}x the "
+        f"interpreter lock allows at f={sleep_share:.3f}, got "
+        f"{scaling:.2f}x ({one.qps:.1f} -> {results[8][0].qps:.1f} QPS)"
     )
     # More clients should not *reduce* throughput anywhere on the curve.
     assert results[8][0].qps >= results[2][0].qps * 0.9
 
-    # Claim 3: per-request tail latency stays bounded — in a closed
+    # Claim 4: per-request tail latency stays bounded — in a closed
     # system with as many workers as clients it must not blow up
     # superlinearly with the client count.
     p95_1 = max(results[1][0].latency_p95, 1e-9)
     assert results[8][0].latency_p95 <= p95_1 * 8 * 2.0
 
-    # Claim 4: the accelerator's own ledgers reconcile at every point.
-    for clients, (_, coalesce, hedge) in results.items():
+    # Claim 5: the accelerator's own ledgers reconcile at every point.
+    for clients, (_, coalesce, hedge, _) in results.items():
         if coalesce:
             shared = coalesce["followers"] + coalesce["leaders"]
             assert shared >= coalesce["leaders"]
@@ -181,6 +225,7 @@ def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
             "p99_ms": round(load.latency_p99 * 1000, 3),
             "mean_ms": round(load.latency_mean * 1000, 3),
             "cold_wall_s": round(load.wall_s, 6),
+            "modelled_sleep_ms": round(slept / load.completed * 1000, 3),
             "coalesce_hit_rate": round(
                 coalesce.get("hit_rate", 0.0), 4
             ),
@@ -190,7 +235,7 @@ def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
             "hedges_issued": hedge.get("issued", 0),
             "hedge_breaker_skips": hedge.get("breaker_skips", 0),
         }
-        for clients, (load, coalesce, hedge) in results.items()
+        for clients, (load, coalesce, hedge, slept) in results.items()
     ]
     path = write_bench_json("serving", sweeps)
     report.note(f"QPS/latency sweep written to {path.name}")

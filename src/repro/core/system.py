@@ -208,6 +208,8 @@ class Quepa:
         ``finish`` is called exactly where the classic path stopped the
         run timer; ``clock`` reports elapsed run seconds (classic:
         :attr:`Runtime.elapsed`; serving: a context-local delta).
+        ``ctx.settle()`` runs just before either, so CPU the real
+        runtime still owes is inside the time they report.
         """
         op = lambda: self._locked_execute(store, validation.query)  # noqa: E731
         try:
@@ -226,6 +228,7 @@ class Quepa:
                 raise
             # The queried store itself is unreachable: no seeds, no
             # augmentation — answer empty but degraded, never raise.
+            ctx.settle()
             return self._degraded_local_answer(
                 database, level, validation, exc, finish, clock
             )
@@ -235,6 +238,7 @@ class Quepa:
             rewritten=validation.rewritten,
         )
         if not augment:
+            ctx.settle()
             finish()
             stats.elapsed = clock()
             return assemble_answer(originals, [], stats)
@@ -269,6 +273,7 @@ class Quepa:
                 removed=len(outcome.missing),
             )
         self._publish_planner_metrics()
+        ctx.settle()
         finish()
         stats.planned_fetches = plan.total_fetches()
         stats.queries_issued = outcome.queries_issued + 1  # + the local query
@@ -838,6 +843,7 @@ class Quepa:
         outcome = augmenter.execute(ctx, plan, step_config)
         for missing in outcome.missing:
             self.aindex.remove_object(missing)
+        ctx.settle()
         finish()
         ranked = sorted(
             outcome.objects, key=lambda entry: (-entry.probability, str(entry.key))

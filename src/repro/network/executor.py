@@ -15,6 +15,30 @@ virtual clock with capacity-limited CPU resources (see DESIGN.md);
 optional scaled real sleeps. Answers are identical under both; only the
 time measurements differ.
 
+**CPU debt (real runtime).** A real sleep costs tens of microseconds
+however short it is asked to be, and an augmenter charges ``cpu()``
+once per cache probe — hundreds of sub-microsecond charges a request.
+So a real context does not sleep per charge: ``cpu()`` adds the charge
+to the context's *debt* (and to ``cpu_seconds_total``, per charge, as
+ever), and ``settle()`` pays the whole debt in one sleep at the next
+point where the thread blocks anyway:
+
+1. ``store_call`` — before its timer starts, as a sleep of its own, so
+   the ``store_call`` span and ``store_call_seconds`` (whose p95 is the
+   hedge delay) hold roundtrip time only;
+2. ``sleep`` (retry backoff);
+3. pool hand-off — the parent settles in ``submit`` and ``join``;
+4. task end — a child settles on its worker thread, in a ``finally``;
+5. request end — ``Quepa`` calls ``settle()`` before it stops the
+   clock.
+
+``now`` reads wall time *plus* the owed debt, the value it would have
+had if each charge had slept on the spot, so timeout budgets trip at
+the same fetch as before. With ``time_scale == 0`` nothing is owed and
+nothing sleeps. Every sleep goes through the module-level ``time`` name
+(the benchmark spine swaps it to time the sleeps). Virtual contexts
+advance their clock inside ``cpu()``; their ``settle()`` is a no-op.
+
 Both runtimes carry an :class:`~repro.obs.Observability` bundle. Every
 store call, CPU charge and pool lifetime is recorded as spans/metrics on
 the runtime's *own* clock — instrumentation reads the clock but never
@@ -162,6 +186,14 @@ class ExecContext(ABC):
     @abstractmethod
     def pool(self, workers: int) -> "WorkerPool":
         """Create a pool of ``workers`` logical threads."""
+
+    def settle(self) -> None:
+        """Pay any CPU charged but not yet waited out.
+
+        Called where a request ends, before its clock is read. Only the
+        real runtime defers CPU (see ``_RealContext``); virtual contexts
+        advance their clock inside :meth:`cpu` and owe nothing.
+        """
 
     @abstractmethod
     def sleep(self, seconds: float) -> None:
@@ -638,32 +670,67 @@ class VirtualRuntime(Runtime):
 class _RealContext(ExecContext):
     def __init__(self, runtime: "RealRuntime") -> None:
         self._runtime = runtime
+        #: Modelled CPU seconds charged by :meth:`cpu` and not slept
+        #: yet; :meth:`settle` pays them in one sleep.
+        self._debt = 0.0
 
     @property
     def now(self) -> float:
-        return time.monotonic()
+        # Wall time plus the owed debt: what the clock would read had
+        # every charge slept on the spot, so a timeout budget cannot be
+        # outlived by CPU that is charged but not yet paid.
+        return time.monotonic() + self._debt * self._runtime.time_scale
 
     def cpu(self, seconds: float) -> None:
         if seconds > 0:
             if self._runtime.time_scale > 0:
-                time.sleep(seconds * self._runtime.time_scale)
+                self._debt += seconds
             self._runtime._cpu_seconds.inc(seconds)
+
+    def settle(self) -> None:
+        owed = self._debt
+        if owed <= 0:
+            return
+        self._debt = 0.0
+        started, ended = self._sleep(owed * self._runtime.time_scale)
+        self._runtime.obs.tracer.record(
+            "cpu_settle",
+            started,
+            ended,
+            self._span_id,
+            self._trace_id,
+            owed_s=owed,
+        )
+
+    def _sleep(self, seconds: float) -> tuple[float, float]:
+        """One real sleep, metered: how many there were and how late
+        each woke. Returns the wall times around it."""
+        runtime = self._runtime
+        started = time.monotonic()
+        time.sleep(seconds)
+        ended = time.monotonic()
+        runtime._sleeps.inc()
+        runtime._sleep_overshoot.inc(max(0.0, ended - started - seconds))
+        return started, ended
 
     def store_call(
         self, database: str, fn: StoreOp, query: Any = None
     ) -> Sequence[Any]:
+        # Its own sleep, before the timer starts: the store_call span
+        # and store_call_seconds (the hedger's p95) hold no CPU debt.
+        self.settle()
         started = self.now
         runtime = self._runtime
         profile = runtime.profile
         site = profile.site(database)
         if runtime.time_scale > 0:
-            time.sleep(site.roundtrip * runtime.time_scale)
+            self._sleep(site.roundtrip * runtime.time_scale)
         decision = None
         if runtime.faults is not None:
             decision = runtime.faults.decide(database, self.now)
             self.last_call_truncated = False
             if decision.extra_seconds and runtime.time_scale > 0:
-                time.sleep(decision.extra_seconds * runtime.time_scale)
+                self._sleep(decision.extra_seconds * runtime.time_scale)
             if decision.action == "fail":
                 runtime.meter.record_failure(database)
                 self._record_failed_call(
@@ -690,13 +757,23 @@ class _RealContext(ExecContext):
         return results
 
     def sleep(self, seconds: float) -> None:
+        self.settle()
         if seconds > 0 and self._runtime.time_scale > 0:
-            time.sleep(seconds * self._runtime.time_scale)
+            self._sleep(seconds * self._runtime.time_scale)
 
     def pool(self, workers: int) -> WorkerPool:
         self.cpu(self._runtime.profile.cost_model.pool_create_overhead)
         self._runtime._pools_created.inc()
         return _RealPool(self._runtime, self, workers)
+
+
+def _run_settled(task: Callable[[ExecContext], T], child: _RealContext) -> T:
+    """A pool task, its CPU debt paid on the worker thread that ran it
+    up — also when the task raises."""
+    try:
+        return task(child)
+    finally:
+        child.settle()
 
 
 class _RealPool(WorkerPool):
@@ -713,24 +790,33 @@ class _RealPool(WorkerPool):
         self._futures: list[Any] = []
 
     def submit(self, task: Callable[[ExecContext], T]) -> None:
+        # The parent's modelled CPU elapses before the task it hands
+        # off can start, as it did when every charge slept on the spot.
+        self._parent.settle()
         child = _RealContext(self._runtime)
         # Inherit the submitting context's active span and trace id
         # (read in the submitting thread, so the tree is race-free).
         child._span_id = self._parent._span_id
         child._trace_id = self._parent._trace_id
-        self._futures.append(self._executor.submit(task, child))
+        self._futures.append(
+            self._executor.submit(_run_settled, task, child)
+        )
 
     def join(self) -> list[Any]:
-        results = [future.result() for future in self._futures]
-        tasks = len(self._futures)
-        self._futures = []
-        self._executor.shutdown(wait=True)
+        self._parent.settle()
+        futures, self._futures = self._futures, []
+        try:
+            results = [future.result() for future in futures]
+        finally:
+            # Also when a task raised: the workers must not outlive
+            # the request that failed.
+            self._executor.shutdown(wait=True)
         self._parent._record_pool(
             self._started,
             self._parent.now,
             self._parent._span_id,
             self._workers,
-            tasks,
+            len(futures),
         )
         return results
 
@@ -741,6 +827,10 @@ class RealRuntime(Runtime):
     def __init__(self, profile: DeploymentProfile, time_scale: float = 0.0) -> None:
         super().__init__(profile)
         self.time_scale = time_scale
+        self._sleeps = self.obs.metrics.counter("runtime_sleeps_total")
+        self._sleep_overshoot = self.obs.metrics.counter(
+            "runtime_sleep_overshoot_seconds_total"
+        )
         self._started: float | None = None
         self._stopped = 0.0
 

@@ -65,11 +65,17 @@ def latency_breakdown(spans: Iterable[Span]) -> dict[str, Any]:
           "hedge": {"attempts": n, "won": n, "lost": n, "cancelled": n,
                     "savings_s": seconds},
           "plan_s": float, "augment_s": float, "optimize_s": float,
+          "cpu_s": float,                            # cpu_settle spans
         }
 
     ``savings_s`` is the hedge-win proxy: for every won backup, the
     primary's elapsed-so-far minus the winning backup's duration — the
     tail latency the request did not pay.
+
+    ``cpu_s`` is the wall time spent paying modelled CPU: the real
+    runtime's ``cpu_settle`` sleeps, the wait to be rescheduled after
+    each included. Pool workers pay theirs in parallel, so like
+    ``store_s`` it can exceed the request's latency.
     """
     store_s: dict[str, float] = {}
     shard_s: dict[str, float] = {}
@@ -87,6 +93,7 @@ def latency_breakdown(spans: Iterable[Span]) -> dict[str, Any]:
         "plan_s": 0.0,
         "augment_s": 0.0,
         "optimize_s": 0.0,
+        "cpu_s": 0.0,
     }
     for span in spans:
         name = span.name
@@ -115,6 +122,8 @@ def latency_breakdown(spans: Iterable[Span]) -> dict[str, Any]:
                 hedge["savings_s"] += float(saved)
         elif name in ("plan", "augment", "optimize"):
             out[f"{name}_s"] += span.duration
+        elif name == "cpu_settle":
+            out["cpu_s"] += span.duration
     return out
 
 

@@ -23,6 +23,7 @@ import threading
 import pytest
 
 from repro.core import Quepa
+from repro.core.augmentation import AugmentationConfig
 from repro.core.cache import LruCache
 from repro.model import GlobalKey, PRelation
 from repro.model.objects import DataObject
@@ -36,7 +37,7 @@ pytestmark = pytest.mark.concurrency
 K = GlobalKey.parse
 
 
-def _fresh_quepa():
+def _fresh_quepa(config=None, time_scale=0.0):
     """A private bundle per test: the writer thread mutates it."""
     bundle = build_polyphony(
         stores=4, scale=PolystoreScale(n_albums=60), seed=9
@@ -46,7 +47,8 @@ def _fresh_quepa():
         bundle.polystore,
         bundle.aindex,
         profile=profile,
-        runtime=RealRuntime(profile),
+        runtime=RealRuntime(profile, time_scale=time_scale),
+        config=config,
     )
     return bundle, quepa
 
@@ -257,10 +259,19 @@ def test_lru_cache_counters_self_consistent_under_hammering():
 
 def test_serving_layer_survives_1000_concurrent_requests():
     """Acceptance: >= 1000 requests through the scheduler with zero
-    drops — every submission is accounted, none fail, none tear."""
-    bundle, quepa = _fresh_quepa()
+    drops — every submission is accounted, none fail, none tear — and
+    no thread left behind. A pooled augmenter on scaled real sleeps
+    puts every request's worker pools, and the CPU debt their tasks
+    settle as they end, under the same load."""
+    bundle, quepa = _fresh_quepa(
+        config=AugmentationConfig(
+            augmenter="outer_batch", batch_size=8, threads_size=4
+        ),
+        time_scale=0.01,
+    )
     workload = QueryWorkload(bundle)
     clients, per_client = 8, 125  # 1000 requests total
+    threads_before = threading.active_count()
     with QuepaServer(
         quepa,
         ServingConfig(workers=8, queue_capacity=2048),
@@ -275,6 +286,8 @@ def test_serving_layer_survives_1000_concurrent_requests():
         report = generator.run(clients, per_client)
         status = server.status()
 
+    assert threading.active_count() == threads_before
+    assert quepa.obs.metrics.counter("pool_tasks_total").value > 0
     assert report.completed == clients * per_client
     assert report.shed == 0 and report.failed == 0
     totals = status["totals"]

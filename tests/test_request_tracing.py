@@ -612,6 +612,8 @@ def test_latency_breakdown_folds_span_kinds():
         "hedge_attempt", 0.9, 1.0, root.span_id, trace,
         attempt="primary", outcome="lost",
     )
+    tracer.record("cpu_settle", 0.90, 0.95, root.span_id, trace, owed_s=0.04)
+    tracer.record("cpu_settle", 0.95, 1.0, root.span_id, trace, owed_s=0.04)
     tracer.end(root, 1.0)
 
     out = latency_breakdown(tracer.spans_for(trace))
@@ -631,6 +633,7 @@ def test_latency_breakdown_folds_span_kinds():
         "savings_s": pytest.approx(0.25),
     }
     assert out["plan_s"] == pytest.approx(0.1)
+    assert out["cpu_s"] == pytest.approx(0.1)
 
 
 # -- HTTP surfaces -------------------------------------------------------------
