@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# Surface smoke: every CLI subcommand runs once against a small 4-store
+# snapshot, and every --json output parses. A subcommand that stops
+# being wired to its report fails here in well under 30 s.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export PYTHONPATH=src
+
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+snap="$work/snap"
+repro() { python -m repro "$@"; }
+json() { python -m json.tool > /dev/null; }
+sql=(--snapshot "$snap" --database transactions
+     --query "SELECT * FROM inventory WHERE seq < 5" --level 1)
+load=(--stores 4 --albums 30 --clients 2 --requests 2 --workers 2)
+
+repro demo > /dev/null
+repro generate --stores 4 --albums 40 --out "$snap" > /dev/null
+repro inspect --snapshot "$snap" > /dev/null
+repro query "${sql[@]}" > /dev/null
+repro query --snapshot "$snap" --database catalogue --query \
+    '{"collection": "albums", "filter": {"year": {"$gt": 2010}}, "limit": 2}' \
+    | grep "^2 result(s)" > /dev/null
+repro explore --snapshot "$snap" --database similar \
+    --query '{"op": "match", "label": "Item", "limit": 1}' > /dev/null
+repro stats "${sql[@]}" --shards 2 | grep "^shard routing:" > /dev/null
+repro trace "${sql[@]}" --trace-id t-000001 > /dev/null
+repro trace "${sql[@]}" --format chrome | json
+repro explain "${sql[@]}" --analyze --json | json
+repro plan "${sql[@]}" --targets catalogue,similar --execute --json | json
+repro events "${sql[@]}" --slow-ms 0 > /dev/null
+repro faults "${sql[@]}" --inject discount:fail --shards 2 --json | json
+repro serve --snapshot "$snap" --port 0 --duration 0.05 > /dev/null
+repro loadgen "${load[@]}" --json | json
+repro slo "${load[@]}" --json | json
+repro record "${load[@]}" --json | json
+repro ingest --albums 20 --updates 6 --batch 3 --json | json
+echo "surface smoke: 16 subcommands ok"

@@ -1,67 +1,26 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+Sixteen subcommands in four families (``repro <command> --help`` has
+the flags). **Snapshots**: ``demo`` (the paper's Fig 1 example),
+``generate`` (a Polyphony polystore to disk), ``inspect``. **One
+query** against a snapshot (``--snapshot --database --query [--level]
+[--augmenter] [--shards]``; a JSON ``--query`` is the dict/tuple form of
+the document, graph and key-value stores): ``query`` prints the answer
+and ``explore`` walks its strongest links; ``stats``, ``trace``,
+``events`` and ``faults`` run it and print the report of that name;
+``explain`` and ``plan`` print theirs without serving it. **Serving**:
+``serve`` a snapshot over HTTP; ``loadgen``, ``slo`` and ``record`` drive
+an embedded server with seeded closed-loop load and print the
+``serving``, ``slo`` and ``requests`` reports. **Ingestion**: ``ingest``
+streams seeded mutations through the CDC pipeline.
 
-``demo``
-    Build the Fig 1 mini polystore and run Lucy's augmented query.
-``generate --stores N --albums M --out DIR``
-    Generate a Polyphony polystore variant and snapshot it to disk.
-``query --snapshot DIR --database DB --query Q [--level L] [--augmenter A]``
-    Run one augmented query against a snapshot and print the answer.
-``inspect --snapshot DIR``
-    Print a snapshot's databases, object counts and index size.
-``explore --snapshot DIR --database DB --query Q [--steps N]``
-    Run an automatic exploration (always following the strongest link).
-``stats --snapshot DIR --database DB --query Q [--level L] ...``
-    Run one augmented query and print its observability breakdown:
-    per-store latency/query/object counts, cache behaviour, span-kind
-    timings (see :mod:`repro.obs`).
-``trace --snapshot DIR --database DB --query Q [--level L] ...``
-    Run one augmented query and print its span tree on the virtual
-    timeline (``--format=chrome`` emits Chrome trace-event JSON that
-    opens in Perfetto).
-``explain --snapshot DIR --database DB --query Q [--level L] [--analyze]``
-    EXPLAIN (or EXPLAIN ANALYZE) an augmented query: store access path,
-    A' index traversal, pool/batching decisions, optimizer rule
-    firings, estimated vs actual rows and queries.
-``plan --snapshot DIR --database DB --query Q [--targets A,B] [--execute]``
-    Enumerate the cross-store physical plans of one query (A'-index
-    push-down, collect-and-join, ETL cast, multi-model import), print
-    each plan's estimated cost and the planner's pick; ``--execute``
-    also runs the winner (see :mod:`repro.planner`).
-``events --snapshot DIR --database DB --query Q [--slow-ms T] ...``
-    Run one augmented query with the event journal armed and print the
-    recorded events (slow queries, lazy deletions, run completions).
-``faults --snapshot DIR --database DB --query Q --inject SPEC ...``
-    Run one augmented query under an injected fault schedule (specs
-    look like ``db:kind[:k=v,...]``, kinds: fail/stall/truncate/flap)
-    with the resilience layer armed, then print whether the answer
-    degraded, the breaker states and the injection/retry counters.
-``serve --snapshot DIR [--port P] [--workers N] ...``
-    Serve a snapshot over HTTP through the multi-session scheduler
-    (:mod:`repro.serving`): bounded admission queue, per-session
-    fairness, deadlines. ``GET /serving`` reports live status.
-``loadgen --stores N --albums M --clients C --requests R ...``
-    Build a Polyphony polystore in memory, start an embedded server,
-    and drive it with the seeded closed-loop load generator; prints
-    QPS and latency percentiles (``--json`` for machine-readable).
-``slo --clients C --requests R [--latency-threshold S] ...``
-    Drive the embedded server with seeded load, then report SLO
-    compliance: measured availability and latency against their
-    objectives, with error-budget burn rates from the live histograms.
-``ingest --stores N --albums M --updates U [--batch B] [--workdir DIR]``
-    Stream seeded store mutations through the CDC pipeline
-    (:mod:`repro.cdc`): bootstrap an incremental collector, pump change
-    batches through the WAL into A' index deltas, take an incremental
-    snapshot and finish with a warm restart that replays only the delta.
-``record --clients C --requests R [--status S] [--session X] ...``
-    Drive the embedded server with seeded load, then dump the flight
-    recorder: the shed/failed/degraded/slow requests it retained, each
-    with trace id, queue wait, latency and critical-path breakdown.
-
-The CLI prints with :class:`~repro.ui.render.TextRenderer` (pass
-``--color`` for the ANSI renderer, the terminal face of the paper's
-probability colors).
+Every report is built in :mod:`repro.ui.reports` — the function's
+docstring is the command's description, and ``--json`` prints the same
+payload the HTTP route of that name serves. This module only parses
+flags, runs the one query (:func:`_run_query`) or the embedded load
+(:func:`_drive_embedded_load`), and renders text with
+:class:`~repro.ui.render.TextRenderer` (``--color`` for the ANSI
+renderer, the terminal face of the paper's probability colors).
 """
 
 from __future__ import annotations
@@ -69,14 +28,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from inspect import cleandoc
 from typing import Any, Sequence
 
 from repro.core import Quepa
 from repro.core.augmentation import AugmentationConfig
 from repro.errors import ReproError
 from repro.persistence import load_snapshot, save_snapshot
-from repro.stores.querycache import parse_cache_stats
+from repro.ui import reports
 from repro.ui.render import AnsiRenderer, TextRenderer
+from repro.ui.reports import REPORTS, Subject
 from repro.workloads import MusicGenerator, PolystoreScale, build_polyphony
 
 
@@ -90,27 +51,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="render probabilities with ANSI colors")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("demo", help="run the paper's running example")
+    def command(name: str, help: str, report: str | None = None):
+        """A subparser; one that reads a report quotes its docstring."""
+        description = report and (
+            f"{help}. Reads the {report!r} report: "
+            + cleandoc(REPORTS[report].__doc__)
+        )
+        return commands.add_parser(name, help=help, description=description)
 
-    generate = commands.add_parser(
-        "generate", help="generate a Polyphony polystore snapshot"
-    )
+    command("demo", "run the paper's running example")
+
+    generate = command("generate", "generate a Polyphony polystore snapshot")
     generate.add_argument("--stores", type=int, default=4)
     generate.add_argument("--albums", type=int, default=500)
     generate.add_argument("--seed", type=int, default=42)
     generate.add_argument("--out", required=True)
 
-    query = commands.add_parser("query", help="run one augmented query")
+    query = command("query", "run one augmented query")
     _add_query_args(query)
 
-    stats = commands.add_parser(
-        "stats", help="run one query and print its metrics breakdown"
+    stats = command(
+        "stats", "run one query and print its metrics breakdown", "stats",
     )
     _add_query_args(stats)
 
-    trace = commands.add_parser(
-        "trace", help="run one query and print its span tree"
-    )
+    trace = command("trace", "run one query and print its span tree", "trace")
     _add_query_args(trace)
     trace.add_argument("--limit", type=int, default=100,
                        help="maximum number of span lines to print")
@@ -122,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "the spans of this trace id (the first "
                             "request's is t-000001)")
 
-    explain = commands.add_parser(
-        "explain", help="explain how an augmented query would run"
+    explain = command(
+        "explain", "explain how an augmented query would run", "explain",
     )
     _add_query_args(explain)
     explain.add_argument("--analyze", action="store_true",
@@ -131,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--json", action="store_true", dest="as_json",
                          help="print the report as JSON")
 
-    plan = commands.add_parser(
-        "plan", help="enumerate and cost cross-store physical plans"
+    plan = command(
+        "plan", "enumerate and cost cross-store physical plans", "plan",
     )
     _add_query_args(plan)
     plan.add_argument("--targets", default=None,
@@ -143,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--json", action="store_true", dest="as_json",
                       help="print the plan report as JSON")
 
-    events = commands.add_parser(
-        "events", help="run one query and print the event journal"
+    events = command(
+        "events", "run one query and print the event journal", "events",
     )
     _add_query_args(events)
     events.add_argument("--slow-ms", type=float, default=None,
@@ -156,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     events.add_argument("--limit", type=int, default=50,
                         help="maximum number of events to print")
 
-    faults = commands.add_parser(
-        "faults", help="run one query under an injected fault schedule"
+    faults = command(
+        "faults", "run one query under an injected fault schedule", "faults",
     )
     _add_query_args(faults)
     faults.add_argument(
@@ -176,9 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--json", action="store_true", dest="as_json",
                         help="print the fault report as JSON")
 
-    serve = commands.add_parser(
-        "serve", help="serve a snapshot over HTTP via the scheduler"
-    )
+    serve = command("serve", "serve a snapshot over HTTP via the scheduler")
     serve.add_argument("--snapshot", required=True)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
@@ -188,15 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run for this many seconds then exit "
                             "(default: until interrupted)")
 
-    loadgen = commands.add_parser(
-        "loadgen", help="drive an embedded server with seeded load"
+    loadgen = command(
+        "loadgen", "drive an embedded server with seeded load", "serving",
     )
     _add_loadgen_args(loadgen)
     loadgen.add_argument("--json", action="store_true", dest="as_json",
                          help="print the load report as JSON")
 
-    slo = commands.add_parser(
-        "slo", help="drive seeded load, then report SLO burn rates"
+    slo = command(
+        "slo", "drive seeded load, then report SLO burn rates", "slo",
     )
     _add_loadgen_args(slo)
     slo.add_argument("--availability-objective", type=float, default=0.99,
@@ -212,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--json", action="store_true", dest="as_json",
                      help="print the SLO report as JSON")
 
-    record = commands.add_parser(
-        "record", help="drive seeded load, then dump the flight recorder"
+    record = command(
+        "record", "drive seeded load, then dump the flight recorder",
+        "requests",
     )
     _add_loadgen_args(record)
     record.add_argument("--capacity", type=int, default=256,
@@ -232,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--json", action="store_true", dest="as_json",
                         help="print the digests as JSON")
 
-    ingest = commands.add_parser(
+    ingest = command(
+        "ingest", "incremental ingestion demo: CDC feeds -> WAL -> A' deltas",
         "ingest",
-        help="incremental ingestion demo: CDC feeds -> WAL -> A' deltas",
     )
     ingest.add_argument("--stores", type=int, default=4)
     ingest.add_argument("--albums", type=int, default=60)
@@ -249,12 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--json", action="store_true", dest="as_json",
                         help="machine-readable ingest report")
 
-    inspect = commands.add_parser("inspect", help="describe a snapshot")
+    inspect = command("inspect", "describe a snapshot")
     inspect.add_argument("--snapshot", required=True)
 
-    explore = commands.add_parser(
-        "explore", help="walk the strongest links from a query"
-    )
+    explore = command("explore", "walk the strongest links from a query")
     explore.add_argument("--snapshot", required=True)
     explore.add_argument("--database", required=True)
     explore.add_argument("--query", required=True)
@@ -323,47 +285,24 @@ def _add_serving_args(subparser) -> None:
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    renderer = AnsiRenderer() if args.color else TextRenderer()
     try:
-        if args.command == "demo":
-            return _demo(renderer, out)
-        if args.command == "generate":
-            return _generate(args, out)
-        if args.command == "query":
-            return _query(args, renderer, out)
-        if args.command == "stats":
-            return _stats(args, out)
-        if args.command == "trace":
-            return _trace(args, out)
-        if args.command == "explain":
-            return _explain(args, out)
-        if args.command == "plan":
-            return _plan(args, out)
-        if args.command == "events":
-            return _events(args, out)
-        if args.command == "faults":
-            return _faults(args, out)
-        if args.command == "serve":
-            return _serve(args, out)
-        if args.command == "loadgen":
-            return _loadgen(args, out)
-        if args.command == "slo":
-            return _slo(args, out)
-        if args.command == "record":
-            return _record(args, out)
-        if args.command == "ingest":
-            return _ingest(args, out)
-        if args.command == "inspect":
-            return _inspect(args, out)
-        if args.command == "explore":
-            return _explore(args, renderer, out)
-    except ReproError as exc:
+        return COMMANDS[args.command](args, out)
+    except ReproError as exc:  # a refused report (ReportError) included
         print(f"error: {exc}", file=out)
         return 1
-    return 0  # pragma: no cover - argparse enforces a command
 
 
-def _demo(renderer: TextRenderer, out) -> int:
+def _renderer(args) -> TextRenderer:
+    return AnsiRenderer() if args.color else TextRenderer()
+
+
+def _dump(payload: Any, out) -> int:
+    json.dump(payload, out, indent=2, default=str)
+    print(file=out)
+    return 0
+
+
+def _demo(args, out) -> int:
     # Imported lazily: examples/ is not part of the installed package.
     from repro.model import GlobalKey, Polystore, PRelation
     from repro.core import AIndex
@@ -415,7 +354,7 @@ def _demo(renderer: TextRenderer, out) -> int:
     answer = quepa.augmented_search(
         "transactions", "SELECT * FROM inventory WHERE name LIKE '%wish%'"
     )
-    print(renderer.render_answer(answer), file=out)
+    print(_renderer(args).render_answer(answer), file=out)
     return 0
 
 
@@ -435,7 +374,22 @@ def _generate(args, out) -> int:
     return 0
 
 
-def _load(args) -> Quepa:
+def _real_runtime(polystore, time_scale: float) -> dict[str, Any]:
+    """``Quepa`` keywords for the wall-clock runtime a served instance
+    runs on."""
+    from repro.network import RealRuntime, centralized_profile
+
+    profile = centralized_profile(list(polystore))
+    return {
+        "profile": profile,
+        "runtime": RealRuntime(profile, time_scale=time_scale),
+    }
+
+
+def _load(args, **quepa_kwargs) -> Quepa:
+    """The one ``Quepa``-from-snapshot builder: ``--shards`` and
+    ``--placement`` partition the stores and the A' index, and a command
+    with ``--time-scale`` (``serve``) runs on the wall clock."""
     polystore, aindex = load_snapshot(args.snapshot)
     shards = getattr(args, "shards", 1)
     if shards > 1:
@@ -445,22 +399,48 @@ def _load(args) -> Quepa:
             polystore, shards=shards, placement=args.placement
         )
         aindex = shard_aindex(aindex, shards=shards)
-    return Quepa(polystore, aindex)
+    if hasattr(args, "time_scale"):
+        quepa_kwargs.update(_real_runtime(polystore, args.time_scale))
+    return Quepa(polystore, aindex, **quepa_kwargs)
 
 
-def _query(args, renderer: TextRenderer, out) -> int:
-    quepa = _load(args)
-    config = None
-    if args.augmenter:
-        config = AugmentationConfig(
-            augmenter=args.augmenter,
-            batch_size=args.batch_size,
-            threads_size=args.threads_size,
-        )
-    answer = quepa.augmented_search(
-        args.database, args.query, level=args.level, config=config
+def _config(args, **extra) -> AugmentationConfig | None:
+    """``--augmenter``/``--batch-size``/``--threads-size`` as a config;
+    ``None`` (no ``--augmenter``, nothing extra) leaves the choice to the
+    system."""
+    if not (args.augmenter or extra):
+        return None
+    return AugmentationConfig(
+        augmenter=args.augmenter or "sequential",
+        batch_size=args.batch_size,
+        threads_size=args.threads_size,
+        **extra,
     )
-    print(renderer.render_answer(answer), file=out)
+
+
+def _run_query(args, quepa: Quepa | None = None, config=None):
+    """Run the one query of query/stats/trace/events/faults; returns
+    ``(subject, answer)`` for reporting.
+
+    With ``--trace-id`` the query is served through an embedded server,
+    so its spans are request-scoped (root ``request`` span, trace id).
+    """
+    quepa = quepa or _load(args)
+    run = {"level": args.level, "config": config or _config(args)}
+    query = reports.coerce("query", args.query)
+    if getattr(args, "trace_id", None) is not None:
+        from repro.serving import QuepaServer
+
+        with QuepaServer(quepa) as server:
+            answer = server.search("cli", args.database, query, **run)
+    else:
+        answer = quepa.augmented_search(args.database, query, **run)
+    return Subject(quepa), answer
+
+
+def _query(args, out) -> int:
+    _, answer = _run_query(args)
+    print(_renderer(args).render_answer(answer), file=out)
     print(
         f"[{answer.stats.queries_issued} native queries, "
         f"{answer.stats.elapsed * 1000:.2f} ms virtual]",
@@ -469,50 +449,22 @@ def _query(args, renderer: TextRenderer, out) -> int:
     return 0
 
 
-def _run_instrumented(args):
-    """Run one augmented query and return (quepa, answer) for reporting.
-
-    With ``--trace-id`` the query is served through an embedded server,
-    so its spans are request-scoped (root ``request`` span, trace id).
-    """
-    quepa = _load(args)
-    config = None
-    if args.augmenter:
-        config = AugmentationConfig(
-            augmenter=args.augmenter,
-            batch_size=args.batch_size,
-            threads_size=args.threads_size,
-        )
-    if getattr(args, "trace_id", None) is not None:
-        from repro.serving import QuepaServer
-
-        with QuepaServer(quepa) as server:
-            answer = server.search(
-                "cli", args.database, args.query,
-                level=args.level, config=config,
-            )
-    else:
-        answer = quepa.augmented_search(
-            args.database, args.query, level=args.level, config=config
-        )
-    return quepa, answer
-
-
-def _print_retention_warning(tracer, out) -> None:
-    """What the tracer's caps cost the run: spans dropped (a buffer or a
-    single trace over ``max_spans``) and whole older traces evicted."""
-    stats = tracer.stats()
-    evicted = tracer.evicted
-    if stats["dropped"] or evicted:
+def _print_retention_warning(retention: dict, out) -> None:
+    if retention["dropped"] or retention["evicted"]:
         print(
-            f"warning: {stats['dropped']} spans dropped, "
-            f"{evicted} traces evicted (cap {stats['max_spans']})",
+            f"warning: {retention['dropped']} spans dropped, "
+            f"{retention['evicted']} traces evicted "
+            f"(cap {retention['max_spans']})",
             file=out,
         )
 
 
+_LATENCY_COLUMNS = ("mean", "p50", "p95", "p99", "max")
+
+
 def _stats(args, out) -> int:
-    quepa, answer = _run_instrumented(args)
+    subject, answer = _run_query(args)
+    report = reports.call("stats", subject)
     stats = answer.stats
     print(
         f"query on {args.database} (level {stats.level}, "
@@ -526,159 +478,97 @@ def _stats(args, out) -> int:
         f"{stats.augmented_count} augmented objects",
         file=out,
     )
-    meter = quepa.runtime.meter
-    metrics = quepa.obs.metrics
     print("per-store breakdown:", file=out)
-    header = (
+    print(
         f"  {'database':16s} {'queries':>8s} {'objects':>8s} "
-        f"{'mean_ms':>9s} {'p50_ms':>9s} {'p95_ms':>9s} {'p99_ms':>9s} "
-        f"{'max_ms':>9s}"
+        + " ".join(f"{name + '_ms':>9s}" for name in _LATENCY_COLUMNS),
+        file=out,
     )
-    print(header, file=out)
-    for database in sorted(meter.queries_by_database):
-        latency = metrics.histogram(
-            "store_call_seconds", database=database
-        ).snapshot()
+    for store in report["stores"]:
         print(
-            f"  {database:16s} "
-            f"{meter.queries_by_database[database]:8d} "
-            f"{meter.objects_by_database.get(database, 0):8d} "
-            f"{latency['mean'] * 1000:9.3f} "
-            f"{latency['p50'] * 1000:9.3f} "
-            f"{latency['p95'] * 1000:9.3f} "
-            f"{latency['p99'] * 1000:9.3f} "
-            f"{latency['max'] * 1000:9.3f}",
+            f"  {store['database']:16s} {store['queries']:8d} "
+            f"{store['objects']:8d} "
+            + " ".join(
+                f"{store['latency_s'][name] * 1000:9.3f}"
+                for name in _LATENCY_COLUMNS
+            ),
             file=out,
         )
-    shard_lines = _shard_metric_lines(metrics)
-    if shard_lines:
+    if report["shard_routing"]:
         print("shard routing:", file=out)
-        for line in shard_lines:
-            print(line, file=out)
+    for row in report["shard_routing"]:
+        parts = [f"  {row['database']:16s}"]
+        fanout = row.get("fanout")
+        if fanout is not None and fanout["count"]:
+            parts.append(
+                f"fanout mean={fanout['mean']:.2f} "
+                f"max={fanout['max']:.0f} ({fanout['count']} scatters)"
+            )
+        parts.append(
+            f"partitions scanned={row.get('scanned', 0):.0f} "
+            f"pruned={row.get('pruned', 0):.0f}"
+        )
+        print(" ".join(parts), file=out)
     print("span kinds:", file=out)
-    summary = quepa.obs.tracer.summary()
-    for kind in sorted(summary):
-        entry = summary[kind]
+    for kind, entry in sorted(report["span_kinds"].items()):
         print(
             f"  {kind:16s} count={int(entry['count']):<6d} "
             f"total_ms={entry['total_s'] * 1000:.3f}",
             file=out,
         )
-    _print_retention_warning(quepa.obs.tracer, out)
+    _print_retention_warning(report["retention"], out)
     print("cache:", file=out)
     print(
         f"  {'tier':18s} {'size':>7s} {'capacity':>8s} {'hits':>8s} "
         f"{'misses':>8s} {'evictions':>9s} {'hit_rate':>8s}",
         file=out,
     )
-    tiers = [
-        {"name": "object", **quepa.cache.stats()},
-        {"name": "plan", **quepa.augmentation.plan_cache_stats()},
-        *parse_cache_stats(),
-    ]
-    for tier in tiers:
+    for tier in report["cache"]:
         print(
             f"  {tier['name']:18s} {tier['size']:7d} {tier['capacity']:8d} "
             f"{tier['hits']:8d} {tier['misses']:8d} {tier['evictions']:9d} "
             f"{tier['hit_rate']:8.1%}",
             file=out,
         )
-    refreezes = getattr(quepa.aindex, "refreezes", None)
-    if refreezes is not None:
+    index = report["index"]
+    if index["refreezes"] is not None:
         print(
-            f"planner: {refreezes} index refreezes "
-            f"(generation {quepa.aindex.generation})",
+            f"planner: {index['refreezes']} index refreezes "
+            f"(generation {index['generation']})",
             file=out,
         )
     return 0
 
 
-def _shard_metric_lines(metrics) -> list[str]:
-    """Per-database shard-routing lines, empty when nothing is sharded.
-
-    Scatter fan-out comes from the ``augment_fanout_shards`` histogram,
-    pruning from the partition counters — all emitted only by sharded
-    routing, so an unsharded run prints no section at all.
-    """
-    fanout: dict[str, dict] = {}
-    scanned: dict[str, float] = {}
-    pruned: dict[str, float] = {}
-    for entry in metrics.snapshot():
-        database = entry["labels"].get("database", "")
-        if entry["name"] == "augment_fanout_shards":
-            fanout[database] = entry
-        elif entry["name"] == "shard_partitions_scanned_total":
-            scanned[database] = entry["value"]
-        elif entry["name"] == "shard_partitions_pruned_total":
-            pruned[database] = entry["value"]
-    lines = []
-    for database in sorted(set(fanout) | set(scanned) | set(pruned)):
-        histogram = fanout.get(database)
-        parts = [f"  {database:16s}"]
-        if histogram is not None and histogram["count"]:
-            parts.append(
-                f"fanout mean={histogram['mean']:.2f} "
-                f"max={histogram['max']:.0f} "
-                f"({histogram['count']} scatters)"
-            )
-        parts.append(
-            f"partitions scanned={scanned.get(database, 0):.0f} "
-            f"pruned={pruned.get(database, 0):.0f}"
-        )
-        lines.append(" ".join(parts))
-    return lines
-
-
 def _trace(args, out) -> int:
-    quepa, __ = _run_instrumented(args)
-    from repro.obs import to_chrome_trace, tree_lines
-
-    tracer = quepa.obs.tracer
-    if args.trace_id is None:
-        spans = tracer.spans()
-    else:
-        spans = tracer.spans_for(args.trace_id)
-        if not spans:
-            print(
-                f"error: no spans retained for trace {args.trace_id!r} "
-                f"(unknown, or evicted: {tracer.evicted} traces evicted)",
-                file=out,
-            )
-            return 1
-    if args.trace_format == "chrome":
+    subject, _ = _run_query(args)
+    chrome = args.trace_format == "chrome"
+    payload = reports.call("trace", subject, {
+        "trace_id": args.trace_id, "format": "chrome" if chrome else "json",
+    })
+    if chrome:
         # Pure JSON on stdout so it pipes straight into a .json file
         # that Perfetto / chrome://tracing can open.
-        json.dump(to_chrome_trace(spans), out)
+        json.dump(payload, out)
         print(file=out)
         return 0
-    lines = tree_lines(spans)
+    from repro.obs import tree_lines
+
+    lines = tree_lines(payload["trace"]["spans"])
     for line in lines[: args.limit]:
         print(line, file=out)
     if len(lines) > args.limit:
         print(f"... and {len(lines) - args.limit} more spans", file=out)
     if args.trace_id is not None:
-        summary = quepa.obs.trace_summary(args.trace_id)
+        summary = payload["trace"]["summary"]
         kinds = ", ".join(
             f"{kind}={int(entry['count'])}"
             for kind, entry in sorted(summary["by_kind"].items())
         )
         print(f"trace {args.trace_id}: {summary['spans']} spans ({kinds})",
               file=out)
-    _print_retention_warning(tracer, out)
+    _print_retention_warning(payload["trace"]["retention"], out)
     return 0
-
-
-def _parse_query(text: str) -> Any:
-    """CLI queries are strings; JSON objects/arrays become the dict and
-    tuple query forms of the document/graph/key-value stores."""
-    stripped = text.strip()
-    if stripped.startswith(("{", "[")):
-        try:
-            loaded = json.loads(stripped)
-        except ValueError:
-            return text
-        return tuple(loaded) if isinstance(loaded, list) else loaded
-    return text
 
 
 def _print_report(data: dict, out, indent: int = 0) -> None:
@@ -700,63 +590,17 @@ def _print_report(data: dict, out, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}", file=out)
 
 
-def _explain(args, out) -> int:
-    quepa = _load(args)
-    config = None
-    if args.augmenter:
-        config = AugmentationConfig(
-            augmenter=args.augmenter,
-            batch_size=args.batch_size,
-            threads_size=args.threads_size,
-        )
-    report = quepa.explain(
-        args.database,
-        _parse_query(args.query),
-        level=args.level,
-        config=config,
-        analyze=args.analyze,
+def _explain_or_plan(args, out) -> int:
+    """``explain`` and ``plan``: the report named like the command,
+    printed bare (without its one-key envelope)."""
+    payload = reports.call(
+        args.command,
+        Subject(_load(args)),
+        {**vars(args), "config": _config(args)},
     )
     if args.as_json:
-        json.dump(report, out, indent=2, default=str)
-        print(file=out)
-    else:
-        _print_report(report, out)
-    return 0
-
-
-def _plan(args, out) -> int:
-    from repro.planner import LogicalQuery
-
-    quepa = _load(args)
-    targets = None
-    if args.targets:
-        targets = tuple(
-            name.strip() for name in args.targets.split(",") if name.strip()
-        )
-    logical = LogicalQuery(
-        database=args.database,
-        query=_parse_query(args.query),
-        level=args.level,
-        targets=targets,
-    )
-    engine = quepa.planner_engine()
-    report = engine.explain_section(logical)
-    if args.execute:
-        execution = engine.execute(logical)
-        result = execution.result
-        report["executed"] = {
-            "strategy": execution.chosen,
-            "elapsed_s": result.elapsed,
-            "queries_issued": result.queries_issued,
-            "answer_size": len(result.answer),
-            "out_of_memory": result.out_of_memory,
-            "degraded": result.degraded,
-        }
-    if args.as_json:
-        json.dump(report, out, indent=2, default=str)
-        print(file=out)
-    else:
-        _print_report(report, out)
+        return _dump(payload[args.command], out)
+    _print_report(payload[args.command], out)
     return 0
 
 
@@ -766,38 +610,24 @@ def _events(args, out) -> int:
         quepa.obs.slow_query_threshold = args.slow_ms / 1000.0
     if args.jsonl:
         quepa.obs.events.attach_sink(args.jsonl)
-    config = None
-    if args.augmenter:
-        config = AugmentationConfig(
-            augmenter=args.augmenter,
-            batch_size=args.batch_size,
-            threads_size=args.threads_size,
-        )
     try:
-        quepa.augmented_search(
-            args.database,
-            _parse_query(args.query),
-            level=args.level,
-            config=config,
-        )
+        subject, _ = _run_query(args, quepa)
     finally:
         quepa.obs.events.close_sink()
-    entries = quepa.obs.events.events(
-        min_severity=args.min_severity, limit=args.limit
-    )
-    for event in entries:
+    report = reports.call("events", subject, vars(args))
+    for event in report["events"]:
         attrs = " ".join(
-            f"{key}={value}" for key, value in sorted(event.attrs.items())
+            f"{key}={value}" for key, value in sorted(event["attrs"].items())
         )
         print(
-            f"[{event.severity:7s}] t={event.ts:.6f}s {event.kind}"
+            f"[{event['severity']:7s}] t={event['ts']:.6f}s {event['kind']}"
             + (f"  {attrs}" if attrs else ""),
             file=out,
         )
-    stats = quepa.obs.events.stats()
+    stats = report["stats"]
     print(
         f"({stats['emitted']} events emitted, {stats['dropped']} dropped, "
-        f"showing {len(entries)})",
+        f"showing {len(report['events'])})",
         file=out,
     )
     return 0
@@ -806,7 +636,6 @@ def _events(args, out) -> int:
 def _faults(args, out) -> int:
     from repro.faults import FaultInjector, ResilienceConfig, parse_fault_spec
 
-    polystore, aindex = load_snapshot(args.snapshot)
     injector = FaultInjector(seed=args.fault_seed)
     try:
         for spec_text in args.inject:
@@ -818,39 +647,17 @@ def _faults(args, out) -> int:
         retry_max_attempts=args.retries,
         breaker_failure_threshold=args.breaker_threshold,
     )
-    config = AugmentationConfig(
-        augmenter=args.augmenter or "sequential",
-        batch_size=args.batch_size,
-        threads_size=args.threads_size,
-        skip_unavailable=True,
-        timeout_budget=args.timeout_budget,
+    subject, answer = _run_query(
+        args,
+        _load(args, resilience=resilience, faults=injector),
+        _config(
+            args, skip_unavailable=True, timeout_budget=args.timeout_budget
+        ),
     )
-    quepa = Quepa(
-        polystore, aindex, resilience=resilience, faults=injector
-    )
-    answer = quepa.augmented_search(
-        args.database,
-        _parse_query(args.query),
-        level=args.level,
-        config=config,
-    )
+    state = reports.call("faults", subject)["faults"]
     stats = answer.stats
-    report = {
-        "answer": {
-            "original_count": stats.original_count,
-            "augmented_count": stats.augmented_count,
-            "degraded": stats.degraded,
-            "errors": dict(stats.errors),
-            "unavailable_databases": list(stats.unavailable_databases),
-            "elapsed_s": stats.elapsed,
-            "queries_issued": stats.queries_issued,
-        },
-        **quepa.fault_report(),
-    }
     if args.as_json:
-        json.dump(report, out, indent=2, default=str)
-        print(file=out)
-        return 0
+        return _dump({"answer": reports.answer_stats(stats), **state}, out)
     flag = "DEGRADED" if stats.degraded else "complete"
     print(
         f"answer: {flag} — {stats.original_count} originals, "
@@ -858,7 +665,7 @@ def _faults(args, out) -> int:
         f"{stats.elapsed * 1000:.2f} ms virtual",
         file=out,
     )
-    _print_report({k: v for k, v in report.items() if k != "answer"}, out)
+    _print_report(state, out)
     return 0
 
 
@@ -882,23 +689,13 @@ def _serving_config(args):
     )
 
 
-def _real_quepa(polystore, aindex, time_scale: float) -> Quepa:
-    """A QUEPA on the wall-clock runtime, as a served instance runs."""
-    from repro.network import RealRuntime, centralized_profile
-
-    profile = centralized_profile(list(polystore))
-    runtime = RealRuntime(profile, time_scale=time_scale)
-    return Quepa(polystore, aindex, profile=profile, runtime=runtime)
-
-
 def _serve(args, out) -> int:
     import time as _time
 
     from repro.serving import QuepaServer
     from repro.ui.server import serve as http_serve
 
-    polystore, aindex = load_snapshot(args.snapshot)
-    quepa = _real_quepa(polystore, aindex, args.time_scale)
+    quepa = _load(args)
     with QuepaServer(quepa, _serving_config(args)) as server:
         endpoint = http_serve(
             quepa, host=args.host, port=args.port, server=server
@@ -930,13 +727,13 @@ def _serve(args, out) -> int:
     return 0
 
 
-def _drive_embedded_load(args):
+def _drive_embedded_load(args, report: str):
     """The embedded-load harness shared by loadgen/slo/record.
 
-    Builds the seeded polystore, starts an embedded server, runs the
-    closed-loop generator; returns ``(report, server, status)`` with
-    the server stopped but its flight recorder and SLO monitor still
-    readable.
+    Builds the seeded polystore, starts an embedded server and runs the
+    closed-loop generator; returns the load report and the payload of
+    ``report`` (``serving``, ``slo`` or ``requests``; its parameters are
+    the command's flags), read before the server stops.
     """
     from repro.serving import LoadGenerator, QuepaServer
     from repro.workloads.queries import QueryWorkload
@@ -946,32 +743,30 @@ def _drive_embedded_load(args):
         scale=PolystoreScale(n_albums=args.albums),
         seed=args.seed,
     )
-    quepa = _real_quepa(bundle.polystore, bundle.aindex, args.time_scale)
-    workload = QueryWorkload(bundle)
+    quepa = Quepa(
+        bundle.polystore,
+        bundle.aindex,
+        **_real_runtime(bundle.polystore, args.time_scale),
+    )
     with QuepaServer(quepa, _serving_config(args)) as server:
         generator = LoadGenerator(
             server,
-            workload,
+            QueryWorkload(bundle),
             sizes=(args.size,),
             levels=(args.level,),
             seed=args.seed,
             deadline=args.deadline,
             zipf_s=args.zipf_s,
         )
-        report = generator.run(args.clients, args.requests)
-        status = server.status()
-    return report, server, status
+        load = generator.run(args.clients, args.requests)
+        return load, reports.call(report, Subject(quepa, server), vars(args))
 
 
 def _loadgen(args, out) -> int:
-    report, _, status = _drive_embedded_load(args)
+    report, payload = _drive_embedded_load(args, "serving")
+    status = payload["serving"]
     if args.as_json:
-        json.dump(
-            {"load": report.as_dict(), "serving": status},
-            out, indent=2, default=str,
-        )
-        print(file=out)
-        return 0
+        return _dump({"load": report.as_dict(), "serving": status}, out)
     print(
         f"loadgen: {report.clients} clients x "
         f"{report.requests_per_client} requests "
@@ -1019,34 +814,27 @@ def _loadgen(args, out) -> int:
 
 
 def _slo(args, out) -> int:
-    report, server, _ = _drive_embedded_load(args)
-    slo = server.slo_report()
+    report, payload = _drive_embedded_load(args, "slo")
     if args.as_json:
-        json.dump({"slo": slo}, out, indent=2, default=str)
-        print(file=out)
-        return 0
+        return _dump(payload, out)
+    slo = payload["slo"]
     print(
         f"slo: {report.completed} completed, {report.shed} shed, "
         f"{report.failed} failed ({report.qps:.1f} QPS)",
         file=out,
     )
-    availability = slo["availability"]
-    print(
-        f"  availability: measured={availability['measured']:.4%} "
-        f"objective={availability['objective']:.2%} "
-        f"burn={availability['burn_rate']:.2f}x "
-        f"{'healthy' if availability['healthy'] else 'BREACHED'}",
-        file=out,
-    )
     latency = slo["latency"]
-    print(
-        f"  latency<={latency['threshold_s']:.3f}s: "
-        f"measured={latency['measured']:.4%} "
-        f"objective={latency['objective']:.2%} "
-        f"burn={latency['burn_rate']:.2f}x "
-        f"{'healthy' if latency['healthy'] else 'BREACHED'}",
-        file=out,
-    )
+    for label, part in (
+        ("availability", slo["availability"]),
+        (f"latency<={latency['threshold_s']:.3f}s", latency),
+    ):
+        print(
+            f"  {label}: measured={part['measured']:.4%} "
+            f"objective={part['objective']:.2%} "
+            f"burn={part['burn_rate']:.2f}x "
+            f"{'healthy' if part['healthy'] else 'BREACHED'}",
+            file=out,
+        )
     print(
         f"  overall: {'healthy' if slo['healthy'] else 'BREACHED'}",
         file=out,
@@ -1055,22 +843,13 @@ def _slo(args, out) -> int:
 
 
 def _record(args, out) -> int:
-    _, server, _ = _drive_embedded_load(args)
-    recorder = server.scheduler.recorder
-    if recorder is None:  # pragma: no cover - CLI always enables it
+    _, payload = _drive_embedded_load(args, "requests")
+    if not payload["enabled"]:  # pragma: no cover - CLI always enables it
         print("flight recorder disabled", file=out)
         return 1
-    digests = recorder.as_dicts(
-        session=args.session, status=args.status, limit=args.limit
-    )
-    stats = recorder.stats()
     if args.as_json:
-        json.dump(
-            {"requests": digests, "recorder": stats},
-            out, indent=2, default=str,
-        )
-        print(file=out)
-        return 0
+        return _dump(payload, out)
+    digests, stats = payload["requests"], payload["recorder"]
     print(
         f"flight recorder: kept {stats['kept']} of "
         f"{stats['observed']} requests "
@@ -1146,8 +925,7 @@ def _ingest(args, out) -> int:
         rng = random.Random(args.seed)
         catalogue = polystore.database("catalogue")
         transactions = polystore.database("transactions")
-        pumps = 0
-        applied = {"added": 0, "removed": 0, "events": 0}
+        pumped = []
         for step in range(args.updates):
             kind = rng.randrange(3)
             seq = rng.randrange(args.albums)
@@ -1177,16 +955,8 @@ def _ingest(args, out) -> int:
             else:
                 catalogue.delete_one("albums", doc_key)
             if (step + 1) % max(args.batch, 1) == 0:
-                report = hub.pump()
-                pumps += 1
-                applied["added"] += report.relations_added
-                applied["removed"] += report.relations_removed
-                applied["events"] += report.events
-        final = hub.pump()
-        pumps += 1
-        applied["added"] += final.relations_added
-        applied["removed"] += final.relations_removed
-        applied["events"] += final.events
+                pumped.append(hub.pump())
+        pumped.append(hub.pump())
 
         snapdir = workdir / "snapshot"
         hub.snapshot(snapdir)
@@ -1201,7 +971,7 @@ def _ingest(args, out) -> int:
         hub2, restart = ChangeHub.warm_restart(snapdir, matcher(), wal=wal)
         restart_s = time.perf_counter() - started
 
-        status = hub.status()
+        status = reports.call("ingest", Subject(None, hub=hub))["ingest"]
         payload = {
             "bootstrap": {
                 "objects_scanned": boot.objects_scanned,
@@ -1211,10 +981,10 @@ def _ingest(args, out) -> int:
             },
             "ingest": {
                 "updates": args.updates,
-                "pumps": pumps,
-                "events": applied["events"],
-                "relations_added": applied["added"],
-                "relations_removed": applied["removed"],
+                "pumps": len(pumped),
+                "events": sum(pump.events for pump in pumped),
+                "relations_added": sum(p.relations_added for p in pumped),
+                "relations_removed": sum(p.relations_removed for p in pumped),
                 "lag": status["lag"],
             },
             "warm_restart": {
@@ -1222,11 +992,10 @@ def _ingest(args, out) -> int:
                 "seconds": restart_s,
                 "index_edges": hub2.aindex.edge_count(),
             },
+            "status": status,
         }
         if args.as_json:
-            json.dump(payload, out, indent=2)
-            print(file=out)
-            return 0
+            return _dump(payload, out)
         boot_info = payload["bootstrap"]
         print(
             f"bootstrap: {boot_info['objects_scanned']} objects, "
@@ -1275,9 +1044,11 @@ def _inspect(args, out) -> int:
     return 0
 
 
-def _explore(args, renderer: TextRenderer, out) -> int:
+def _explore(args, out) -> int:
     quepa = _load(args)
-    with quepa.explore(args.database, args.query) as session:
+    renderer = _renderer(args)
+    seed_query = reports.coerce("query", args.query)
+    with quepa.explore(args.database, seed_query) as session:
         if not session.results:
             print("the query returned no results", file=out)
             return 1
@@ -1293,6 +1064,16 @@ def _explore(args, renderer: TextRenderer, out) -> int:
             print(f"step {step_number + 1}: followed strongest link "
                   f"to {current}", file=out)
     return 0
+
+
+#: subcommand -> handler ``(args, out) -> exit code``.
+COMMANDS = {
+    "demo": _demo, "generate": _generate, "inspect": _inspect,
+    "query": _query, "explore": _explore, "stats": _stats, "trace": _trace,
+    "explain": _explain_or_plan, "plan": _explain_or_plan,
+    "events": _events, "faults": _faults, "serve": _serve,
+    "loadgen": _loadgen, "slo": _slo, "record": _record, "ingest": _ingest,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

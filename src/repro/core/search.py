@@ -146,3 +146,11 @@ def format_answer(answer: AugmentedAnswer, limit: int = 10) -> str:
 def _short(value: Any, width: int = 60) -> str:
     text = repr(value)
     return text if len(text) <= width else text[: width - 3] + "..."
+
+
+def result_seeds(originals: list[DataObject]) -> list[GlobalKey]:
+    """Augmentation seeds: every original that is a stored object
+    (computed ``_result`` rows have no A' index entry)."""
+    return [
+        obj.key for obj in originals if obj.key.collection != "_result"
+    ]

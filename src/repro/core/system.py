@@ -32,6 +32,7 @@ from repro.core.search import (
     AugmentedAnswer,
     SearchStats,
     assemble_answer,
+    result_seeds,
 )
 from repro.core.validator import Validator
 from repro.errors import StoreUnavailableError
@@ -243,7 +244,7 @@ class Quepa:
             stats.elapsed = clock()
             return assemble_answer(originals, [], stats)
 
-        seeds = [obj.key for obj in originals if obj.key.collection != "_result"]
+        seeds = result_seeds(originals)
         plan = self._plan(ctx, seeds, level)
         features = QueryFeatures(
             engine=store.engine,
@@ -349,9 +350,7 @@ class Quepa:
         # first step of augmented_search but stays off the runtime's
         # clocks (EXPLAIN is free in virtual time).
         originals = self._locked_execute(store, validation.query)
-        seeds = [
-            obj.key for obj in originals if obj.key.collection != "_result"
-        ]
+        seeds = result_seeds(originals)
         min_probability = self.config.min_probability
         report["plan"] = self.augmentation.explain(
             seeds, level, min_probability

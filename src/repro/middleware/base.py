@@ -25,6 +25,16 @@ from repro.workloads.queries import WorkloadQuery
 SCAN_PAGE = 1000
 
 
+def check_memory(name: str, footprint: int, budget: int) -> None:
+    """The red X of Fig 13: ``name`` holds more objects than its budget."""
+    if footprint > budget:
+        raise OutOfMemoryError(
+            f"{name}: footprint {footprint} objects exceeds budget {budget}",
+            footprint=footprint,
+            budget=budget,
+        )
+
+
 def page_scan(
     ctx: ExecContext,
     store,
@@ -140,13 +150,7 @@ class MiddlewareSystem(ABC):
         ]
 
     def check_memory(self, footprint: int) -> None:
-        if footprint > self.memory_budget:
-            raise OutOfMemoryError(
-                f"{self.name}: footprint {footprint} objects exceeds "
-                f"budget {self.memory_budget}",
-                footprint=footprint,
-                budget=self.memory_budget,
-            )
+        check_memory(self.name, footprint, self.memory_budget)
 
     def scan_collection(
         self, ctx: ExecContext, database: str, collection: str

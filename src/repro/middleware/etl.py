@@ -18,6 +18,7 @@ size in Fig 13(a,b).
 from __future__ import annotations
 
 from repro.core.augmentation import Augmentation
+from repro.core.search import result_seeds
 from repro.middleware.base import MiddlewareSystem
 from repro.network.executor import ExecContext
 from repro.workloads.queries import WorkloadQuery
@@ -62,7 +63,7 @@ class EtlWorkflow(MiddlewareSystem):
         # Row-at-a-time processing through the pipeline. The related
         # objects per row are resolved against the staged lookups; the
         # expansion factor is the same ground truth QUEPA's index holds.
-        seeds = [obj.key for obj in originals if obj.key.collection != "_result"]
+        seeds = result_seeds(originals)
         plan = Augmentation(self.bundle.aindex).plan(seeds, level)
         supported = {
             name for name, kind in self.supported_databases()

@@ -21,6 +21,7 @@ Redis is not supported (``supported_engines``), as in the paper.
 from __future__ import annotations
 
 from repro.core.augmentation import Augmentation
+from repro.core.search import result_seeds
 from repro.middleware.base import MiddlewareSystem
 from repro.network.executor import ExecContext
 from repro.workloads.queries import WorkloadQuery
@@ -116,7 +117,7 @@ class FederatedMiddleware(MiddlewareSystem):
     # -- META-AUG: QUEPA's algorithm through the interface -------------------------
 
     def _run_augmented(self, ctx: ExecContext, originals, level: int) -> int:
-        seeds = [obj.key for obj in originals if obj.key.collection != "_result"]
+        seeds = result_seeds(originals)
         plan = self._augmentation.plan(seeds, level)
         ctx.cpu(plan.edges_examined * ctx.cost_model.aindex_edge_cost)
         kinds = dict(self.bundle.databases)

@@ -22,6 +22,7 @@ The emulation reproduces the architecture's cost structure:
 from __future__ import annotations
 
 from repro.core.augmentation import Augmentation
+from repro.core.search import result_seeds
 from repro.middleware.base import MiddlewareSystem
 from repro.network.executor import ExecContext
 from repro.workloads.queries import WorkloadQuery
@@ -34,6 +35,14 @@ LOOKUP_CPU = 0.00001
 TRAVERSAL_CPU_PER_EDGE = 0.000005
 #: Memory-pressure multiplier at 100% of budget.
 PRESSURE_FACTOR = 6.0
+
+
+def memory_pressure(footprint: int, budget: int) -> float:
+    """Per-lookup cost multiplier of a ``footprint`` held against a memory
+    ``budget``: 1.0 when empty, growing quadratically with utilization
+    to :data:`PRESSURE_FACTOR` at (and beyond) a full budget."""
+    utilization = min(1.0, footprint / max(1, budget))
+    return 1.0 + (PRESSURE_FACTOR - 1.0) * utilization * utilization
 
 
 class MultiModelStore(MiddlewareSystem):
@@ -74,12 +83,12 @@ class MultiModelStore(MiddlewareSystem):
             )
         if not self._warm:
             self._warm_up(ctx)
-        pressure = self._pressure()
+        pressure = memory_pressure(self._footprint, self.memory_budget)
         store = self.bundle.polystore.database(query.database)
         # The local query runs against the in-memory copy.
         originals = store.execute(query.query)
         ctx.cpu(LOOKUP_CPU * len(originals) * pressure)
-        seeds = [obj.key for obj in originals if obj.key.collection != "_result"]
+        seeds = result_seeds(originals)
         plan = self._augmentation.plan(seeds, level)
         supported = {
             name for name, kind in self.supported_databases()
@@ -119,8 +128,3 @@ class MultiModelStore(MiddlewareSystem):
         ctx.cpu(IMPORT_CPU_PER_OBJECT * imported)
         self._footprint = imported
         self._warm = True
-
-    def _pressure(self) -> float:
-        """Cost multiplier from memory pressure (1.0 when empty)."""
-        utilization = min(1.0, self._footprint / max(1, self.memory_budget))
-        return 1.0 + (PRESSURE_FACTOR - 1.0) * utilization * utilization

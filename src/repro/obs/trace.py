@@ -272,33 +272,38 @@ class Tracer:
         return [span.as_dict() for span in self.spans()]
 
 
-def tree_lines(spans: list[Span]) -> list[str]:
+def tree_lines(spans: list[Span | dict[str, Any]]) -> list[str]:
     """Render spans as an indented tree, ordered by start time.
 
-    Orphan spans (parent evicted by the cap, or none) sit at depth 0.
-    Used by the CLI ``trace`` subcommand.
+    Takes :class:`Span` objects or their :meth:`Span.as_dict` form (what
+    the ``trace`` report and ``GET /trace`` return). Orphan spans
+    (parent evicted by the cap, or none) sit at depth 0. Used by the CLI
+    ``trace`` subcommand.
     """
-    by_parent: dict[int | None, list[Span]] = {}
-    ids = {span.span_id for span in spans}
-    for span in spans:
-        parent = span.parent_id if span.parent_id in ids else None
-        by_parent.setdefault(parent, []).append(span)
+    rows = [
+        span.as_dict() if isinstance(span, Span) else span for span in spans
+    ]
+    by_parent: dict[int | None, list[dict[str, Any]]] = {}
+    ids = {row["id"] for row in rows}
+    for row in rows:
+        parent = row["parent"] if row["parent"] in ids else None
+        by_parent.setdefault(parent, []).append(row)
     lines: list[str] = []
 
     def walk(parent: int | None, depth: int) -> None:
-        for span in sorted(
-            by_parent.get(parent, []), key=lambda s: (s.start, s.span_id)
+        for row in sorted(
+            by_parent.get(parent, []), key=lambda r: (r["start"], r["id"])
         ):
             attrs = " ".join(
-                f"{key}={value}" for key, value in sorted(span.attrs.items())
+                f"{key}={value}" for key, value in sorted(row["attrs"].items())
             )
             lines.append(
                 "  " * depth
-                + f"{span.name}  start={span.start:.6f}s "
-                + f"dur={span.duration * 1000:.3f}ms"
+                + f"{row['name']}  start={row['start']:.6f}s "
+                + f"dur={row['duration'] * 1000:.3f}ms"
                 + (f"  {attrs}" if attrs else "")
             )
-            walk(span.span_id, depth + 1)
+            walk(row["id"], depth + 1)
 
     walk(None, 0)
     return lines

@@ -41,6 +41,20 @@ class AssumedCosts:
     pool_create_overhead: float = 0.001
     cores: int = 16
 
+    @classmethod
+    def from_profile(cls, profile, roundtrip: float) -> "AssumedCosts":
+        """A deployment profile's true scalar costs, with ``roundtrip``
+        as the one store latency the formulas take."""
+        cost = profile.cost_model
+        return cls(
+            roundtrip_latency=roundtrip,
+            per_query_overhead=cost.per_query_overhead,
+            per_object_service=cost.per_object_service,
+            thread_spawn_overhead=cost.thread_spawn_overhead,
+            pool_create_overhead=cost.pool_create_overhead,
+            cores=profile.quepa_machine.cores,
+        )
+
 
 class CostBasedOptimizer:
     """Analytic argmin over (augmenter, batch_size, threads_size)."""

@@ -231,7 +231,6 @@ class PlanCostModel:
         raise ValueError(f"no cost formula for plan kind {plan.kind!r}")
 
     def _pushdown(self, plan, qctx: QueryContext) -> tuple[float, dict]:
-        cost = self.profile.cost_model
         by_database = qctx.fetches_by_database()
         if by_database:
             mean_roundtrip = sum(
@@ -239,14 +238,7 @@ class PlanCostModel:
             ) / len(by_database)
         else:
             mean_roundtrip = self._roundtrip(qctx.query.database)
-        assumed = AssumedCosts(
-            roundtrip_latency=mean_roundtrip,
-            per_query_overhead=cost.per_query_overhead,
-            per_object_service=cost.per_object_service,
-            thread_spawn_overhead=cost.thread_spawn_overhead,
-            pool_create_overhead=cost.pool_create_overhead,
-            cores=self.profile.quepa_machine.cores,
-        )
+        assumed = AssumedCosts.from_profile(self.profile, mean_roundtrip)
         features = QueryFeatures(
             engine="",
             database=qctx.query.database,
@@ -325,10 +317,7 @@ class PlanCostModel:
             imported += self.database_objects(database)
         imported += self._index_edges()
         import_cpu = multimodel.IMPORT_CPU_PER_OBJECT * imported
-        utilization = min(1.0, imported / max(1, self.memory_budget))
-        pressure = 1.0 + (
-            multimodel.PRESSURE_FACTOR - 1.0
-        ) * utilization * utilization
+        pressure = multimodel.memory_pressure(imported, self.memory_budget)
         lookups = (
             multimodel.LOOKUP_CPU * len(qctx.originals) * pressure
             + qctx.edges_examined * cost.aindex_edge_cost

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.core.augmentation import Augmentation, AugmentationConfig
 from repro.core.cache import LruCache
 from repro.core.connectors import ConnectorRegistry
-from repro.core.search import AugmentedAnswer, SearchStats
+from repro.core.search import AugmentedAnswer, SearchStats, result_seeds
 from repro.errors import OutOfMemoryError, UnknownStrategyError
 from repro.faults.resilience import ResilienceConfig, ResilienceManager
 from repro.model.polystore import Polystore
@@ -36,12 +36,7 @@ from repro.planner.logical import (
     PlanResult,
     QueryContext,
 )
-from repro.planner.plans import (
-    ExecutionEnv,
-    PhysicalPlan,
-    restrict_plan,
-    result_seeds,
-)
+from repro.planner.plans import ExecutionEnv, PhysicalPlan, restrict_plan
 
 
 @dataclass

@@ -40,10 +40,15 @@ from repro.core.augmenters import make_augmenter
 from repro.core.augmenters.base import _augmented
 from repro.core.cache import LruCache
 from repro.core.connectors import ConnectorRegistry
-from repro.core.search import AugmentedAnswer, SearchStats, assemble_answer
-from repro.errors import OutOfMemoryError, StoreUnavailableError
+from repro.core.search import (
+    AugmentedAnswer,
+    SearchStats,
+    assemble_answer,
+    result_seeds,
+)
+from repro.errors import StoreUnavailableError
 from repro.middleware import etl, federated, multimodel
-from repro.middleware.base import page_scan
+from repro.middleware.base import check_memory, page_scan
 from repro.model.objects import AugmentedObject, DataObject, GlobalKey
 from repro.model.polystore import Polystore
 from repro.network.executor import ExecContext
@@ -109,14 +114,6 @@ def local_originals(
             raise
         return None, exc
     return list(results), None
-
-
-def result_seeds(originals: list[DataObject]) -> list[GlobalKey]:
-    """Augmentation seeds: every original that is a stored object
-    (computed ``_result`` rows have no index entry, as in Quepa)."""
-    return [
-        obj.key for obj in originals if obj.key.collection != "_result"
-    ]
 
 
 def restrict_plan(
@@ -188,14 +185,22 @@ def scan_database(env: ExecutionEnv, database: str) -> list[list[GlobalKey]]:
     ]
 
 
-def _check_memory(strategy: str, footprint: int, budget: int) -> None:
-    if footprint > budget:
-        raise OutOfMemoryError(
-            f"{strategy}: footprint {footprint} objects exceeds "
-            f"budget {budget}",
-            footprint=footprint,
-            budget=budget,
-        )
+def stage_databases(env: ExecutionEnv, databases, lost: dict[str, str]):
+    """Scan ``databases`` in order, yielding ``(database, collections)``.
+
+    The collect/cast/import strategies all stage this way: with
+    degradation armed an unreachable store is recorded in ``lost``
+    (database -> reason) and skipped instead of failing the plan.
+    """
+    for database in databases:
+        try:
+            collections = scan_database(env, database)
+        except StoreUnavailableError as exc:
+            if not env.degrade:
+                raise
+            lost[database] = f"unavailable: {exc}"
+            continue
+        yield database, collections
 
 
 def _stats(q: LogicalQuery, strategy: str) -> SearchStats:
@@ -224,11 +229,27 @@ def _assemble(
     return assemble_answer(originals, entries, _stats(q, strategy))
 
 
-def _lost_to_faults(
-    fetches: list[PlannedFetch], unavailable: set[str]
-) -> bool:
-    """Did skipping the unavailable databases cost planned objects?"""
-    return any(fetch.key.database in unavailable for fetch in fetches)
+def _staged_result(
+    strategy: str,
+    q: LogicalQuery,
+    originals: list[DataObject],
+    entries: list[AugmentedObject],
+    plan: AugmentationPlan,
+    targets: tuple[str, ...],
+    lost: dict[str, str],
+    footprint: int = 0,
+) -> PlanResult:
+    """The result of a staging strategy: degraded iff skipping the
+    ``lost`` databases cost objects the target-restricted plan wanted."""
+    planned = restrict_plan(plan, targets).all_fetches()
+    return PlanResult(
+        strategy=strategy,
+        answer=_assemble(strategy, q, originals, entries),
+        footprint=footprint,
+        degraded=any(fetch.key.database in lost for fetch in planned),
+        unavailable=tuple(sorted(lost)),
+        errors=lost,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,26 +368,17 @@ class CollectJoinPlan(PhysicalPlan):
         if originals is None:
             return _degraded_empty(self.strategy, q, failure)
         footprint = len(originals)
-        _check_memory(self.strategy, footprint, budget)
+        check_memory(self.strategy, footprint, budget)
         seeds = result_seeds(originals)
         plan = env.augmentation.plan(seeds, q.level, q.min_probability)
         targets = q.resolve_targets(env.polystore)
         staged: set[str] = set()
-        unavailable: list[str] = []
-        errors: dict[str, str] = {}
-        for database in targets:
-            try:
-                collections = scan_database(env, database)
-            except StoreUnavailableError as exc:
-                if not env.degrade:
-                    raise
-                unavailable.append(database)
-                errors[database] = f"unavailable: {exc}"
-                continue
+        lost: dict[str, str] = {}
+        for database, collections in stage_databases(env, targets, lost):
             for keys in collections:
                 # Pulled rows plus the hash-join build table over them.
                 footprint += 2 * len(keys)
-                _check_memory(self.strategy, footprint, budget)
+                check_memory(self.strategy, footprint, budget)
                 ctx.cpu(federated.CONVERT_CPU_PER_OBJECT * len(keys))
                 ctx.cpu(federated.PROBE_CPU * len(seeds))
             staged.add(database)
@@ -379,15 +391,10 @@ class CollectJoinPlan(PhysicalPlan):
         ctx.cpu(federated.CONVERT_CPU_PER_OBJECT * len(fetches))
         entries = materialize(env, fetches)
         footprint += len(entries)
-        _check_memory(self.strategy, footprint, budget)
-        planned = restrict_plan(plan, targets).all_fetches()
-        return PlanResult(
-            strategy=self.strategy,
-            answer=_assemble(self.strategy, q, originals, entries),
-            footprint=footprint,
-            degraded=_lost_to_faults(planned, set(unavailable)),
-            unavailable=tuple(sorted(set(unavailable))),
-            errors=errors,
+        check_memory(self.strategy, footprint, budget)
+        return _staged_result(
+            self.strategy, q, originals, entries, plan, targets, lost,
+            footprint,
         )
 
 
@@ -414,17 +421,8 @@ class EtlCastPlan(PhysicalPlan):
         ctx.cpu(etl.STARTUP_COST)
         targets = q.resolve_targets(env.polystore)
         staged: set[str] = set()
-        unavailable: list[str] = []
-        errors: dict[str, str] = {}
-        for database in targets:
-            try:
-                collections = scan_database(env, database)
-            except StoreUnavailableError as exc:
-                if not env.degrade:
-                    raise
-                unavailable.append(database)
-                errors[database] = f"unavailable: {exc}"
-                continue
+        lost: dict[str, str] = {}
+        for database, collections in stage_databases(env, targets, lost):
             for keys in collections:
                 ctx.cpu(etl.LOOKUP_BUILD_CPU * len(keys))
             staged.add(database)
@@ -441,13 +439,8 @@ class EtlCastPlan(PhysicalPlan):
         records = len(originals) + len(fetches)
         ctx.cpu(records * etl.PIPELINE_STAGES * etl.PER_RECORD_STAGE_CPU)
         entries = materialize(env, fetches)
-        planned = restrict_plan(plan, targets).all_fetches()
-        return PlanResult(
-            strategy=self.strategy,
-            answer=_assemble(self.strategy, q, originals, entries),
-            degraded=_lost_to_faults(planned, set(unavailable)),
-            unavailable=tuple(sorted(set(unavailable))),
-            errors=errors,
+        return _staged_result(
+            self.strategy, q, originals, entries, plan, targets, lost
         )
 
 
@@ -475,33 +468,22 @@ class MultiModelPlan(PhysicalPlan):
         targets = q.resolve_targets(env.polystore)
         imported = 0
         staged: set[str] = set()
-        unavailable: list[str] = []
-        errors: dict[str, str] = {}
-        for database in dict.fromkeys((q.database,) + targets):
-            try:
-                collections = scan_database(env, database)
-            except StoreUnavailableError as exc:
-                if not env.degrade:
-                    raise
-                unavailable.append(database)
-                errors[database] = f"unavailable: {exc}"
-                continue
+        lost: dict[str, str] = {}
+        importing = dict.fromkeys((q.database,) + targets)
+        for database, collections in stage_databases(env, importing, lost):
             imported += sum(len(keys) for keys in collections)
-            _check_memory(self.strategy, imported, budget)
+            check_memory(self.strategy, imported, budget)
             staged.add(database)
         imported += env.aindex.edge_count()
-        _check_memory(self.strategy, imported, budget)
+        check_memory(self.strategy, imported, budget)
         ctx.cpu(multimodel.IMPORT_CPU_PER_OBJECT * imported)
-        utilization = min(1.0, imported / max(1, budget))
-        pressure = 1.0 + (
-            multimodel.PRESSURE_FACTOR - 1.0
-        ) * utilization * utilization
+        pressure = multimodel.memory_pressure(imported, budget)
         if q.database not in staged:
             result = _degraded_empty(
-                self.strategy, q, StoreUnavailableError(errors[q.database])
+                self.strategy, q, StoreUnavailableError(lost[q.database])
             )
-            result.errors = errors
-            result.unavailable = tuple(sorted(set(unavailable)))
+            result.errors = lost
+            result.unavailable = tuple(sorted(lost))
             result.footprint = imported
             return result
         # The local query runs against the in-memory copy: lookup CPU
@@ -519,12 +501,7 @@ class MultiModelPlan(PhysicalPlan):
         ]
         ctx.cpu(multimodel.LOOKUP_CPU * 2.0 * pressure * len(fetches))
         entries = materialize(env, fetches)
-        planned = restrict_plan(plan, targets).all_fetches()
-        return PlanResult(
-            strategy=self.strategy,
-            answer=_assemble(self.strategy, q, originals, entries),
-            footprint=imported,
-            degraded=_lost_to_faults(planned, set(unavailable)),
-            unavailable=tuple(sorted(set(unavailable))),
-            errors=errors,
+        return _staged_result(
+            self.strategy, q, originals, entries, plan, targets, lost,
+            imported,
         )

@@ -8,6 +8,10 @@ dependency:
 * :mod:`repro.ui.api` — a transport-agnostic request router speaking
   JSON-shaped dicts (``POST /query``, ``POST /explore`` and friends).
   Plug it behind any HTTP framework, or drive it directly in tests.
+* :mod:`repro.ui.reports` — the one place a report is built: twelve
+  plain functions in one ``REPORTS`` table plus the coercion of raw
+  parameters onto their signatures; the API and the CLI both render
+  these payloads.
 * :mod:`repro.ui.render` — presentation helpers: probability bands
   ("colors"), ranked plain-text and ANSI rendering of augmented
   answers and exploration steps.
