@@ -533,7 +533,9 @@ def _stats(args, out) -> int:
     index = report["index"]
     if index["refreezes"] is not None:
         print(
-            f"planner: {index['refreezes']} index refreezes "
+            f"planner: {index['refreezes']} index refreezes, "
+            f"{index['compactions']} of them compactions, "
+            f"{index['overlay_nodes']} overlay nodes "
             f"(generation {index['generation']})",
             file=out,
         )

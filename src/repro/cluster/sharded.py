@@ -83,6 +83,14 @@ class _InstanceIndexView:
         return self._index.refreezes
 
     @property
+    def compactions(self) -> int:
+        return self._index.compactions
+
+    @property
+    def overlay_nodes(self) -> int:
+        return self._index.overlay_nodes
+
+    @property
     def shards(self) -> int:
         return self._index.shards
 

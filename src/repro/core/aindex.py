@@ -19,11 +19,16 @@ paper lists as future work (:meth:`AIndex.remove_relation` with
 
 The index carries a monotonically increasing ``generation`` counter,
 bumped on every successful mutation. :meth:`AIndex.frozen` returns a
-cached :class:`~repro.core.compressed.FrozenAIndex` CSR snapshot of the
-current generation, rebuilding it only when the live index has changed
-since the last freeze — this is what lets the augmentation planner scan
+cached :class:`~repro.core.compressed.FrozenAIndex` snapshot of the
+current generation and publishes a new one only when the live index has
+changed since the last — this is what lets the augmentation planner scan
 a compact read-only snapshot by default while lazy deletions still
-invalidate it transparently.
+invalidate it transparently. Publishing costs what changed, not what
+exists: while a snapshot exists every mutation records the nodes whose
+adjacency row it touched, and the next publish lays just those rows
+over the previous snapshot's CSR arrays (DESIGN.md, "Snapshots: base +
+overlay"). ``refreezes`` counts every snapshot published,
+``compactions`` the ones that were full rebuilds.
 """
 
 from __future__ import annotations
@@ -45,8 +50,17 @@ class Neighbor:
     probability: float
 
 
-def _pair(a: GlobalKey, b: GlobalKey) -> tuple[GlobalKey, GlobalKey]:
+Pair = tuple[GlobalKey, GlobalKey]
+
+
+def _pair(a: GlobalKey, b: GlobalKey) -> Pair:
     return (a, b) if str(a) <= str(b) else (b, a)
+
+
+def _mentioned(pair: Pair, supports: Iterable[Pair]) -> set[GlobalKey]:
+    """Every node a lineage record names: its own endpoints and the
+    endpoints of its supports."""
+    return {pair[0], pair[1]}.union(*supports)
 
 
 class AIndex:
@@ -58,17 +72,26 @@ class AIndex:
             GlobalKey, dict[GlobalKey, tuple[RelationType, float]]
         ] = {}
         #: lineage of inferred edges: pair -> set of supporting pairs
-        self._lineage: dict[
-            tuple[GlobalKey, GlobalKey], set[tuple[GlobalKey, GlobalKey]]
-        ] = {}
+        self._lineage: dict[Pair, set[Pair]] = {}
+        #: Derived from ``_lineage``: node -> the records that mention it
+        #: (:func:`_mentioned`), so deletions visit only the records that
+        #: touch their targets. Inner dicts are insertion-ordered sets.
+        self._lineage_by_node: dict[GlobalKey, dict[Pair, None]] = {}
         self.enforce_consistency = enforce_consistency
         #: Bumped on every successful mutation; read snapshots compare it
-        #: to decide whether a cached freeze is still current.
+        #: to decide whether the cached snapshot is still current.
         self.generation = 0
-        #: Times :meth:`frozen` actually rebuilt the snapshot.
+        #: Snapshots :meth:`frozen` published, patched or rebuilt.
         self.refreezes = 0
+        #: Of those, the full rebuilds (the first freeze included).
+        self.compactions = 0
         self._frozen_snapshot = None
         self._frozen_generation = -1
+        #: Nodes whose adjacency row changed since the last publish, in
+        #: mutation order (an insertion-ordered set, so nothing on a
+        #: snapshot depends on the hash seed). ``None`` until a snapshot
+        #: exists to patch: a bulk load tracks nothing.
+        self._dirty: dict[GlobalKey, None] | None = None
         #: Guards every mutation and the freeze path, so a concurrent
         #: writer can never tear the adjacency dicts out from under a
         #: snapshot rebuild. Reentrant because consistency propagation
@@ -135,8 +158,14 @@ class AIndex:
                 return False
         self._adjacency.setdefault(a, {})[b] = (rel_type, probability)
         self._adjacency.setdefault(b, {})[a] = (rel_type, probability)
+        self._touch(a, b)
         self.generation += 1
         return True
+
+    def _touch(self, *keys: GlobalKey) -> None:
+        """Record that a mutation changed the adjacency rows of ``keys``."""
+        if self._dirty is not None:
+            self._dirty.update(dict.fromkeys(keys))
 
     def _propagate_identity(self, relation: PRelation) -> None:
         """Materialize transitive identities and propagated matchings
@@ -203,11 +232,42 @@ class AIndex:
         self,
         a: GlobalKey,
         b: GlobalKey,
-        supports: list[tuple[GlobalKey, GlobalKey]],
+        supports: list[Pair] | set[Pair],
     ) -> None:
-        self._lineage.setdefault(_pair(a, b), set()).update(
+        pair = _pair(a, b)
+        self._lineage.setdefault(pair, set()).update(
             _pair(x, y) for x, y in supports
         )
+        for node in _mentioned(pair, supports):
+            self._lineage_by_node.setdefault(node, {})[pair] = None
+
+    def _drop_lineage(
+        self, pair: Pair, stale: Iterable[Pair] | None = None
+    ) -> None:
+        """Remove the lineage record of ``pair`` — given ``stale``, only
+        those supports, the record surviving while it has another — and
+        the per-node entries of every node it no longer mentions."""
+        record = self._lineage[pair]
+        unmentioned = _mentioned(pair, record)
+        if stale is not None:
+            record.difference_update(stale)
+        if stale is None or not record:
+            del self._lineage[pair]
+        else:
+            unmentioned -= _mentioned(pair, record)
+        for node in unmentioned:
+            records = self._lineage_by_node[node]
+            del records[pair]
+            if not records:
+                del self._lineage_by_node[node]
+
+    def restore_lineage(self, lineage: dict[Pair, set[Pair]]) -> None:
+        """Replace the lineage with a copy of ``lineage`` (pair ->
+        supporting pairs) and rebuild the per-node index from it."""
+        with self._mutex:
+            self._lineage, self._lineage_by_node = {}, {}
+            for (a, b), supports in lineage.items():
+                self._record_lineage(a, b, supports)
 
     def copy(self) -> "AIndex":
         """An independent replica of this index (Section III-A: each
@@ -216,9 +276,7 @@ class AIndex:
         with self._mutex:
             for key, adjacency in self._adjacency.items():
                 replica._adjacency[key] = dict(adjacency)
-            replica._lineage = {
-                pair: set(supports) for pair, supports in self._lineage.items()
-            }
+            replica.restore_lineage(self._lineage)
         return replica
 
     # -- hooks for a subclass that swaps ``_adjacency`` for another node map ------
@@ -228,6 +286,7 @@ class AIndex:
         return AIndex(enforce_consistency=self.enforce_consistency)
 
     def _freeze(self):
+        """A full rebuild of the snapshot (first freeze and compaction)."""
         from repro.core.compressed import FrozenAIndex
 
         return FrozenAIndex.freeze(self)
@@ -235,17 +294,21 @@ class AIndex:
     # -- read snapshot ------------------------------------------------------------
 
     def frozen(self):
-        """The CSR snapshot of the current generation, rebuilt on demand.
+        """The read snapshot of the current generation, published on demand.
 
         The snapshot is cached: repeated calls between mutations return
         the same :class:`~repro.core.compressed.FrozenAIndex` instance,
-        so planners pay the freeze cost once per index generation rather
-        than once per query.
+        so planners pay for a publish once per index generation rather
+        than once per query. A publish after a mutation returns a *new*
+        immutable snapshot (the plan cache keys on snapshot identity)
+        that shares the previous one's CSR base and overlays the rows
+        touched since — O(touched nodes) — or, once the overlay has
+        outgrown the base, a full rebuild.
 
-        Thread-safe: the rebuild happens under the index mutex, so a
-        concurrent writer can never tear the adjacency dicts mid-freeze
+        Thread-safe: publishing happens under the index mutex, so a
+        concurrent writer can never tear the adjacency dicts mid-publish
         and two readers never build the same generation twice. Each
-        snapshot is stamped with the generation it was frozen from
+        snapshot is stamped with the generation it was published from
         (``FrozenAIndex.generation``), which is what serving-layer
         snapshot isolation pins per request.
         """
@@ -256,10 +319,31 @@ class AIndex:
             return self._frozen_snapshot
         with self._mutex:
             if self._frozen_generation != self.generation:
-                self._frozen_snapshot = self._freeze()
+                self._frozen_snapshot = self._publish()
                 self._frozen_generation = self.generation
                 self.refreezes += 1
             return self._frozen_snapshot
+
+    def _publish(self):
+        """The next snapshot: the previous one patched with the rows
+        touched since it was published, or a full rebuild when there is
+        none to patch or its overlay would outgrow its base."""
+        snapshot = None
+        if self._frozen_snapshot is not None:
+            snapshot = self._frozen_snapshot.patched(
+                self._adjacency, self._dirty, self.generation
+            )
+        if snapshot is None:
+            snapshot = self._freeze()
+            self.compactions += 1
+        self._dirty = {}
+        return snapshot
+
+    @property
+    def overlay_nodes(self) -> int:
+        """Overlay size of the cached snapshot (0 before the first)."""
+        snapshot = self._frozen_snapshot
+        return 0 if snapshot is None else snapshot.overlay_nodes
 
     # -- queries --------------------------------------------------------------------
 
@@ -319,6 +403,7 @@ class AIndex:
             adjacency = self._adjacency.pop(key, None)
             if adjacency is None:
                 return 0
+            self._touch(key, *adjacency)
             for other in adjacency:
                 self._adjacency.get(other, {}).pop(key, None)
             self.generation += 1
@@ -340,31 +425,28 @@ class AIndex:
             return 0
         with self._mutex:
             removed = 0
-            for key in targets:
+            records: dict[Pair, None] = {}
+            # Callers hand in sets; the textual order keeps the dirty
+            # record independent of the hash seed.
+            for key in sorted(targets, key=str):
+                records.update(self._lineage_by_node.get(key, ()))
                 adjacency = self._adjacency.pop(key, None)
                 if adjacency is None:
                     continue
                 removed += 1
+                self._touch(key, *adjacency)
                 for other in adjacency:
                     if other not in targets:
                         self._adjacency.get(other, {}).pop(key, None)
-            changed = removed > 0
-            for pair in list(self._lineage):
+            for pair in records:
                 if pair[0] in targets or pair[1] in targets:
-                    del self._lineage[pair]
-                    changed = True
-                    continue
-                supports = self._lineage[pair]
-                stale = [
-                    s for s in supports
-                    if s[0] in targets or s[1] in targets
-                ]
-                if stale:
-                    supports.difference_update(stale)
-                    changed = True
-                    if not supports:
-                        del self._lineage[pair]
-            if changed:
+                    self._drop_lineage(pair)
+                else:
+                    self._drop_lineage(pair, [
+                        s for s in self._lineage[pair]
+                        if s[0] in targets or s[1] in targets
+                    ])
+            if removed or records:
                 self.generation += 1
             return removed
 
@@ -382,15 +464,18 @@ class AIndex:
             if self._adjacency.get(a, {}).pop(b, None) is None:
                 return 0
             self._adjacency.get(b, {}).pop(a, None)
+            self._touch(a, b)
             self.generation += 1
             removed = 1
             removed_pair = _pair(a, b)
-            self._lineage.pop(removed_pair, None)
+            if removed_pair in self._lineage:
+                self._drop_lineage(removed_pair)
             if cascade:
+                # A record supported by a -- b mentions both endpoints.
                 dependents = [
                     pair
-                    for pair, supports in self._lineage.items()
-                    if removed_pair in supports
+                    for pair in self._lineage_by_node.get(a, ())
+                    if removed_pair in self._lineage[pair]
                 ]
                 for pair in dependents:
                     removed += self.remove_relation(pair[0], pair[1], cascade=True)

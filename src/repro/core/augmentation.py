@@ -96,12 +96,12 @@ class AugmentationPlan:
 class Augmentation:
     """Plans augmentations over an A' index.
 
-    Planning runs against a read-only CSR snapshot of the index by
-    default (:meth:`AIndex.frozen`): the snapshot is cached per index
-    generation, so the freeze cost is paid once per mutation rather
-    than once per query, and live edits (including lazy deletions)
-    invalidate it transparently. Passing a :class:`FrozenAIndex`
-    directly still works — a frozen index is its own snapshot.
+    Planning runs against a read-only snapshot of the index by default
+    (:meth:`AIndex.frozen`): the snapshot is cached per index
+    generation, so a publish is paid once per mutation rather than once
+    per query, and live edits (including lazy deletions) invalidate it
+    transparently. Passing a :class:`FrozenAIndex` directly still
+    works — a frozen index is its own snapshot.
     """
 
     #: Recently computed plans kept per planner (repeated queries over
@@ -152,9 +152,20 @@ class Augmentation:
         ``edges_examined``, so the charged planning cost is identical —
         instead of repeating the traversal.
         """
+        return self._plan_on(
+            self._planning_index(), seeds, level, min_probability
+        )
+
+    def _plan_on(
+        self,
+        index,
+        seeds: list[GlobalKey],
+        level: int,
+        min_probability: float,
+    ) -> AugmentationPlan:
+        """:meth:`plan` over ``index``, the snapshot the caller pinned."""
         if level < 0:
             raise ValueError(f"augmentation level must be >= 0, got {level}")
-        index = self._planning_index()
         cache_key = self._plan_cache_key(index, seeds, level, min_probability)
         if cache_key is not None:
             cached = self._plan_cache.get(cache_key)
@@ -177,12 +188,13 @@ class Augmentation:
     ) -> dict:
         """Describe how ``alpha^level`` over ``seeds`` would be planned.
 
-        Reports the A' index traversal — which snapshot (type and
-        generation), whether the plan cache already holds this plan,
-        edges walked, and the planned fetch workload per target
-        database. Planning is index-only, so this runs the real
-        traversal (or replays the cached plan) but never touches a
-        store.
+        Reports the A' index traversal — which snapshot (type, the
+        generation it was published from, and how many of its nodes are
+        read from the overlay of a patched snapshot), whether the plan
+        cache already holds this plan, edges walked, and the planned
+        fetch workload per target database. Planning is index-only, so
+        this runs the real traversal (or replays the cached plan) over
+        the one snapshot it describes but never touches a store.
         """
         index = self._planning_index()
         cache_key = self._plan_cache_key(index, seeds, level, min_probability)
@@ -190,7 +202,7 @@ class Augmentation:
             cache_key is not None
             and self._plan_cache.peek(cache_key) is not None
         )
-        plan = self.plan(seeds, level, min_probability)
+        plan = self._plan_on(index, seeds, level, min_probability)
         fetches_by_database: dict[str, int] = {}
         for fetch in plan.all_fetches():
             database = fetch.key.database
@@ -202,7 +214,8 @@ class Augmentation:
             "seeds": len(seeds),
             "min_probability": min_probability,
             "snapshot": type(index).__name__,
-            "snapshot_generation": getattr(self.aindex, "generation", None),
+            "snapshot_generation": getattr(index, "generation", None),
+            "snapshot_overlay_nodes": getattr(index, "overlay_nodes", None),
             "refreezes": getattr(self.aindex, "refreezes", None),
             "plan_cacheable": cache_key is not None,
             "plan_cache_hit": plan_cache_hit,

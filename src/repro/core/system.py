@@ -563,14 +563,19 @@ class Quepa:
     def _publish_planner_metrics(self) -> None:
         """Publish planner/parse-cache state to the metrics registry.
 
-        Gauges rather than counters: the refreeze count lives on the
+        Gauges rather than counters: the snapshot counts live on the
         index and parse-cache hits on process-wide caches, so each
         search stamps the current totals instead of accumulating.
         """
         metrics = self.obs.metrics
-        refreezes = getattr(self.aindex, "refreezes", None)
-        if refreezes is not None:
-            metrics.gauge("aindex_refreezes_total").set(refreezes)
+        for gauge, attribute in (
+            ("aindex_refreezes_total", "refreezes"),
+            ("aindex_compactions_total", "compactions"),
+            ("aindex_overlay_nodes", "overlay_nodes"),
+        ):
+            value = getattr(self.aindex, attribute, None)
+            if value is not None:
+                metrics.gauge(gauge).set(value)
         for entry in parse_cache_stats():
             metrics.gauge(
                 "parse_cache_hits_total", cache=entry["name"]

@@ -322,15 +322,16 @@ def load_snapshot_bundle(directory: str | Path) -> SnapshotBundle:
                     relation["p"],
                 )
             )
-        for entry in payload.get("lineage", ()):
-            pair = (
+        aindex.restore_lineage({
+            (
                 GlobalKey.parse(entry["left"]),
                 GlobalKey.parse(entry["right"]),
-            )
-            aindex._lineage[pair] = {
+            ): {
                 (GlobalKey.parse(a), GlobalKey.parse(b))
                 for a, b in entry["supports"]
             }
+            for entry in payload.get("lineage", ())
+        })
     cdc_path = path / "cdc_state.json"
     return SnapshotBundle(
         polystore=polystore,

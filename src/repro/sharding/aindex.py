@@ -14,12 +14,15 @@ them from adjacency on demand, and :meth:`ShardedAIndex.owning_shards`
 reverse stubs) is what cluster maintenance uses to route a deletion.
 
 Freezing produces a :class:`ShardedFrozenAIndex`: one per-partition
-:class:`~repro.core.compressed.FrozenAIndex` CSR snapshot. Because
+:class:`~repro.core.compressed.FrozenAIndex` snapshot. Because
 every node's full neighbour list lives in its owning partition
 (cross-shard neighbours included, as stubs), routing a traversal step
 to the owner's snapshot reproduces the unsharded ``FrozenAIndex``
 semantics edge-for-edge — per-node adjacency order is preserved, so the
-planner's tie-breaking is unchanged.
+planner's tie-breaking is unchanged. Publishing goes through the same
+:meth:`AIndex.frozen` hook as the plain index: the dirty record is split
+by placement and only the partitions that own a dirty node are patched
+(:meth:`ShardedFrozenAIndex.patched`); the others are shared as is.
 """
 
 from __future__ import annotations
@@ -176,7 +179,7 @@ def _partition_index(index: ShardedAIndex, shard: int) -> AIndex:
 
 
 class ShardedFrozenAIndex:
-    """Per-shard CSR snapshots behind the ``AIndex`` read protocol.
+    """Per-shard snapshots behind the ``AIndex`` read protocol.
 
     Reads route to the owner's snapshot; since each node's full
     neighbour list (cross-shard stubs included) lives in its owning
@@ -188,20 +191,13 @@ class ShardedFrozenAIndex:
 
     def __init__(
         self,
-        snapshots: list,
+        snapshots: list[FrozenAIndex],
         placement: Callable[[GlobalKey], int],
         generation: int | None,
-        edge_total: int,
-        owned_counts: list[int],
     ) -> None:
         self._snapshots = snapshots
         self._placement = placement
         self.generation = generation
-        self._edge_total = edge_total
-        #: Real (owned) nodes per partition snapshot. A snapshot's key
-        #: table additionally interns cross-shard ghost targets after
-        #: the owned nodes, so counting/iteration must stop here.
-        self._owned_counts = owned_counts
 
     @classmethod
     def freeze(cls, index: ShardedAIndex) -> "ShardedFrozenAIndex":
@@ -213,9 +209,31 @@ class ShardedFrozenAIndex:
                 ],
                 index._placement,
                 index.generation,
-                index.edge_count(),
-                index.partition_node_counts(),
             )
+
+    def patched(
+        self, adjacency, dirty: dict[GlobalKey, None], generation: int
+    ) -> "ShardedFrozenAIndex | None":
+        """:meth:`FrozenAIndex.patched` per partition: ``dirty`` is split
+        by placement, the partitions that own a dirty node are patched
+        and the others are shared as they are. ``None`` (compact
+        instead) as soon as one partition's overlay outgrows its base.
+        """
+        parts: list[dict[GlobalKey, None]] = [{} for __ in self._snapshots]
+        for key in dirty:
+            parts[self._placement(key)][key] = None
+        snapshots = []
+        for snapshot, part in zip(self._snapshots, parts):
+            if part:
+                snapshot = snapshot.patched(adjacency, part, generation)
+                if snapshot is None:
+                    return None
+            snapshots.append(snapshot)
+        return ShardedFrozenAIndex(snapshots, self._placement, generation)
+
+    @property
+    def overlay_nodes(self) -> int:
+        return sum(snapshot.overlay_nodes for snapshot in self._snapshots)
 
     @property
     def shards(self) -> int:
@@ -247,15 +265,15 @@ class ShardedFrozenAIndex:
 
     def nodes(self) -> Iterator[GlobalKey]:
         return itertools.chain.from_iterable(
-            itertools.islice(snapshot.nodes(), owned)
-            for snapshot, owned in zip(self._snapshots, self._owned_counts)
+            snapshot.nodes() for snapshot in self._snapshots
         )
 
     def node_count(self) -> int:
-        return sum(self._owned_counts)
+        return sum(snapshot.node_count() for snapshot in self._snapshots)
 
     def edge_count(self) -> int:
-        return self._edge_total
+        # An edge is one arc in each endpoint's partition.
+        return sum(snapshot._arc_total for snapshot in self._snapshots) // 2
 
     def frozen(self) -> "ShardedFrozenAIndex":
         return self
@@ -299,7 +317,5 @@ def shard_aindex(
             sharded._set_edge(
                 node, neighbor.key, neighbor.type, neighbor.probability
             )
-    sharded._lineage = {
-        pair: set(supports) for pair, supports in index._lineage.items()
-    }
+    sharded.restore_lineage(index._lineage)
     return sharded

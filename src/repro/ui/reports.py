@@ -236,7 +236,8 @@ def stats(subject: Subject) -> dict[str, Any]:
     """The last augmented run's record (``last_run``, null before any)
     and the breakdown behind it: per-store query/object counts with
     latency histograms, shard routing (sharded runs only), span kinds,
-    tracer retention, every cache tier and the A' index refreezes."""
+    tracer retention, every cache tier and the A' index's snapshot
+    counters (published, compacted, current overlay size)."""
     quepa = subject.quepa
     record = quepa.last_record
     if record is None:
@@ -290,8 +291,10 @@ def stats(subject: Subject) -> dict[str, Any]:
             *parse_cache_stats(),
         ],
         "index": {
-            "refreezes": getattr(quepa.aindex, "refreezes", None),
-            "generation": getattr(quepa.aindex, "generation", None),
+            name: getattr(quepa.aindex, name, None)
+            for name in (
+                "refreezes", "compactions", "overlay_nodes", "generation"
+            )
         },
     }
 

@@ -78,6 +78,10 @@ class TestGenerateQueryInspect:
         assert "span kinds:" in output
         assert "store_call" in output
         assert "cache:" in output
+        assert (
+            "planner: 1 index refreezes, 1 of them compactions, "
+            "0 overlay nodes (generation "
+        ) in output
 
     def test_trace_prints_span_tree(self, snapshot):
         code, output = run_cli(

@@ -1,12 +1,19 @@
-"""Tests for the frozen CSR A' index snapshot."""
+"""Tests for the frozen A' index snapshot: the full CSR freeze, and
+the patched snapshots ``AIndex.frozen()`` publishes from it."""
+
+import functools
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.aindex import AIndex
 from repro.core.augmentation import Augmentation
-from repro.core.compressed import FrozenAIndex
+from repro.core.compressed import COMPACT_FRACTION, FrozenAIndex
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation, RelationType
+from repro.sharding import ShardedAIndex
 
 K = GlobalKey.parse
 
@@ -102,3 +109,247 @@ class TestImmutability:
         before = frozen.degree(K("catalogue.albums.d1"))
         mini_aindex.remove_object(K("catalogue.albums.d1"))
         assert frozen.degree(K("catalogue.albums.d1")) == before
+
+
+# -- patched ≡ rebuilt --------------------------------------------------------
+#
+# ``AIndex.frozen()`` publishes by patching the previous snapshot; the
+# full rebuild (``freeze``) is the oracle. One state machine, run over
+# the index contract's three storages (plain, 1 shard, 3 shards).
+
+NODES = [GlobalKey(f"db{i % 3}", "c", f"n{i:02d}") for i in range(24)]
+#: Nodes no rule names (their rows still change, as neighbours): they
+#: make the base big enough for an overlay to grow across many
+#: publishes before it passes COMPACT_FRACTION and is compacted.
+BALLAST = [GlobalKey(f"db{i % 3}", "c", f"x{i:02d}") for i in range(40)]
+node = st.sampled_from(NODES)
+
+
+def reads(index):
+    """Everything a snapshot answers, as plain data. Rows keep their
+    order (the planner breaks ties by discovery order); ``nodes()`` is
+    compared as a set, and must list no ghost, tombstone or duplicate.
+    """
+    nodes = list(index.nodes())
+    assert len(nodes) == len(set(nodes)) == index.node_count()
+    rows = {}
+    for key in NODES + BALLAST:
+        neighbors = index.neighbors(key)
+        rows[key] = (
+            key in index,
+            index.degree(key),
+            neighbors,
+            index.neighbor_arcs(key),
+            index.neighbors(key, RelationType.IDENTITY),
+            [
+                index.relation(key, other)
+                for other in [NODES[0]] + [n.key for n in neighbors[:1]]
+            ],
+        )
+    assert {key for key in rows if rows[key][0]} == set(nodes)
+    return set(nodes), index.edge_count(), rows
+
+
+def assert_same_plans(snapshot, oracle):
+    for level in (0, 2):
+        ours = Augmentation(snapshot).plan(NODES, level)
+        theirs = Augmentation(oracle).plan(NODES, level)
+        assert ours.fetches_by_seed == theirs.fetches_by_seed
+        assert ours.edges_examined == theirs.edges_examined
+
+
+class SnapshotMachine(RuleBasedStateMachine):
+    new_index = AIndex
+
+    def __init__(self):
+        super().__init__()
+        self.index = self.new_index()
+        for i, key in enumerate(BALLAST):
+            self.index.add(PRelation.matching(key, BALLAST[i - 1], 0.5))
+            self.index.add(PRelation.matching(key, NODES[i % 24], 0.4))
+        #: (snapshot, what the rebuild at its generation read), per publish.
+        self.pinned = []
+
+    @rule(a=node, b=node, p=st.floats(0.05, 1.0), identity=st.booleans())
+    def add(self, a, b, p, identity):
+        if a != b:
+            make = PRelation.identity if identity else PRelation.matching
+            self.index.add(make(a, b, p))
+
+    @rule(key=node)
+    def remove_object(self, key):
+        self.index.remove_object(key)
+
+    @rule(keys=st.sets(node, max_size=4))
+    def excise(self, keys):
+        self.index.excise(keys)
+
+    @rule(a=node, pick=st.integers(0, 63), cascade=st.booleans())
+    def remove_relation(self, a, pick, cascade):
+        neighbors = self.index.neighbors(a)
+        if neighbors:
+            b = neighbors[pick % len(neighbors)].key
+            self.index.remove_relation(a, b, cascade=cascade)
+
+    @rule()
+    def publish(self):
+        snapshot = self.index.frozen()
+        assert snapshot.generation == self.index.generation
+        assert self.index.frozen() is snapshot
+        if self.pinned:
+            previous = self.pinned[-1][0]
+            assert (snapshot is previous) == (
+                snapshot.generation == previous.generation
+            )
+        with pytest.raises(TypeError):
+            snapshot.add(PRelation.matching(NODES[0], NODES[1], 0.5))
+        with pytest.raises(TypeError):
+            snapshot.remove_object(NODES[0])
+        # The oracle: a full rebuild of the live index, overlay-free.
+        oracle = self.index._freeze()
+        assert oracle.overlay_nodes == 0
+        expected = reads(oracle)
+        assert reads(snapshot) == expected
+        assert_same_plans(snapshot, oracle)
+        self.pinned.append((snapshot, expected))
+
+    @invariant()
+    def published_snapshots_never_change(self):
+        """Neither a live mutation nor a later patch or compaction (which
+        share arrays with a pinned snapshot) writes through to it."""
+        for snapshot, expected in self.pinned[-1:]:
+            assert reads(snapshot) == expected
+
+    @invariant()
+    def lineage_index_is_exact(self):
+        """``_lineage_by_node`` is derived state: after any mix of
+        writes, excisions and cascades it names exactly the records
+        that mention each node."""
+        mentions = {}
+        for pair, supports in self.index._lineage.items():
+            for key in {*pair, *(end for support in supports for end in support)}:
+                mentions.setdefault(key, set()).add(pair)
+        assert {
+            key: set(records)
+            for key, records in self.index._lineage_by_node.items()
+        } == mentions
+
+    def teardown(self):
+        for snapshot, expected in self.pinned:
+            assert reads(snapshot) == expected
+
+
+def _machine_case(factory):
+    machine = type("Machine", (SnapshotMachine,), {
+        "new_index": staticmethod(factory)
+    })
+    machine.TestCase.settings = settings(
+        max_examples=15, stateful_step_count=40, deadline=None
+    )
+    return machine.TestCase
+
+
+TestPatchedEqualsRebuiltPlain = _machine_case(AIndex)
+TestPatchedEqualsRebuiltOneShard = _machine_case(
+    functools.partial(ShardedAIndex, shards=1)
+)
+TestPatchedEqualsRebuiltThreeShards = _machine_case(
+    functools.partial(ShardedAIndex, shards=3)
+)
+
+
+# -- when a publish patches and when it compacts -------------------------------
+
+
+def _chain(new_index, length=40):
+    """``length`` nodes joined by matchings (matchings over no identity
+    propagate nothing, so each ``add`` touches exactly its endpoints)."""
+    index = new_index()
+    keys = [GlobalKey("db", "c", f"k{i:02d}") for i in range(length)]
+    for left, right in zip(keys, keys[1:]):
+        index.add(PRelation.matching(left, right, 0.3))
+    return index, keys
+
+
+class TestPublish:
+    @pytest.fixture(
+        params=[
+            AIndex,
+            functools.partial(ShardedAIndex, shards=1),
+            functools.partial(ShardedAIndex, shards=3),
+        ],
+        ids=["plain", "1-shard", "3-shards"],
+    )
+    def new_index(self, request):
+        return request.param
+
+    def test_nothing_is_tracked_before_the_first_snapshot(self, new_index):
+        index, keys = _chain(new_index)
+        index.remove_object(keys[0])
+        index.excise(keys[1:3])
+        assert index._dirty is None
+        assert (index.refreezes, index.compactions) == (0, 0)
+        assert index.frozen().overlay_nodes == 0
+        assert (index.refreezes, index.compactions) == (1, 1)
+        assert index._dirty == {}
+        index.add(PRelation.matching(keys[5], keys[6], 0.9))
+        assert list(index._dirty) == [keys[5], keys[6]]
+
+    def test_compactions_moves_exactly_when_an_overlay_passes_the_fraction(
+        self, new_index
+    ):
+        """The model: per partition (one, for a plain index), the nodes
+        touched since the base was built against COMPACT_FRACTION of the
+        nodes the base holds."""
+        index, keys = _chain(new_index)
+        shard_of = getattr(index, "shard_of", lambda key: 0)
+        base = [shard_of(key) for key in keys]
+        index.frozen()
+        overlay: set[GlobalKey] = set()
+        seen = {"patched": 0, "compacted": 0}
+        for step, (left, right) in enumerate(zip(keys[::2], keys[1::2])):
+            index.add(PRelation.matching(left, right, 0.5 + step / 100))
+            overlay |= {left, right}
+            outgrown = any(
+                sum(shard_of(key) == shard for key in overlay)
+                > COMPACT_FRACTION * base.count(shard)
+                for shard in set(base)
+            )
+            before = index.compactions
+            snapshot = index.frozen()
+            assert (index.compactions == before + 1) is outgrown
+            assert index.refreezes == step + 2
+            if outgrown:
+                overlay.clear()
+            seen["compacted" if outgrown else "patched"] += 1
+            assert snapshot.overlay_nodes == len(overlay) == index.overlay_nodes
+        assert seen["patched"] and seen["compacted"]
+
+    def test_a_lineage_only_bump_publishes_a_new_equal_snapshot(self, new_index):
+        """``excise`` of a node that is gone can still prune lineage: the
+        generation moves, no row does."""
+        index = new_index()
+        a, b, c = (GlobalKey("db", "c", name) for name in "abc")
+        index.add(PRelation.identity(a, b, 0.9))
+        index.add(PRelation.identity(b, c, 0.9))  # infers a ~ c via b
+        index.remove_object(b)  # lazy deletion keeps a ~ c and its lineage
+        first = index.frozen()
+        assert index.excise([b]) == 0 and index.is_inferred(a, c) is False
+        second = index.frozen()
+        assert second is not first and second.generation > first.generation
+        for key in (a, b, c):
+            assert (key in second) == (key in first)
+            assert second.neighbors(key) == first.neighbors(key)
+
+
+def test_overlay_order_does_not_depend_on_the_hash_seed():
+    """``excise`` takes a set; the dirty record, and with it the order
+    ``nodes()`` lists overlay nodes in, follows the keys' text. (CI
+    reruns this file under two more PYTHONHASHSEEDs.)"""
+    index, keys = _chain(AIndex)
+    index.frozen()
+    index.excise({keys[5], keys[3], keys[4]})
+    assert list(index._dirty) == [keys[i] for i in (3, 2, 4, 5, 6)]
+    snapshot = index.frozen()
+    assert snapshot.overlay_nodes == 5
+    assert list(snapshot.nodes()) == keys[:2] + keys[7:] + [keys[2], keys[6]]

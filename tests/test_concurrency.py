@@ -162,14 +162,19 @@ def test_shared_quepa_survives_readers_plus_writer():
 
 
 def test_refreeze_generations_are_monotonic_under_writes():
-    """Direct hammering of the refreeze path: concurrent frozen() calls
+    """Direct hammering of the publish path: concurrent frozen() calls
     interleaved with writes never observe a generation regression and
-    never crash mid-freeze."""
+    never crash mid-publish — whether the publish patched the previous
+    snapshot or compacted it, and the writer keeps going until the
+    freezers have seen both."""
     bundle, quepa = _fresh_quepa()
     aindex = quepa.aindex
+    aindex.frozen()  # the base every later publish patches or replaces
     stop = threading.Event()
     errors: list[BaseException] = []
     regressions: list[tuple[int, int]] = []
+    #: Kinds of snapshot a freezer observed after the first publish.
+    kinds: set[str] = set()
     lock = threading.Lock()
 
     def freezer() -> None:
@@ -178,9 +183,11 @@ def test_refreeze_generations_are_monotonic_under_writes():
             try:
                 snapshot = aindex.frozen()
                 generation = snapshot.generation
-                # The snapshot must be internally consistent: its CSR
-                # arrays were built under the index mutex.
+                # The snapshot must be internally consistent: it was
+                # built (base and overlay alike) under the index mutex.
                 assert generation is not None
+                head = K("catalogue.albums.freeze-0")
+                assert (head in snapshot) == bool(snapshot.neighbor_arcs(head))
             except BaseException as exc:  # noqa: BLE001 - collected
                 with lock:
                     errors.append(exc)
@@ -188,11 +195,15 @@ def test_refreeze_generations_are_monotonic_under_writes():
             if generation < last:
                 with lock:
                     regressions.append((last, generation))
+            if generation > last > -1:
+                kinds.add("patched" if snapshot.overlay_nodes else "compacted")
             last = generation
 
     def mutator() -> None:
         previous = K("catalogue.albums.freeze-0")
-        for i in range(1, 400):
+        for i in range(1, 20_000):
+            if i >= 400 and kinds == {"patched", "compacted"}:
+                break
             key = K(f"catalogue.albums.freeze-{i}")
             try:
                 aindex.add(PRelation.matching(previous, key, 0.5))
@@ -215,6 +226,8 @@ def test_refreeze_generations_are_monotonic_under_writes():
 
     assert not errors, f"refreeze raced: {errors[:3]}"
     assert not regressions
+    assert kinds == {"patched", "compacted"}
+    assert aindex.refreezes > aindex.compactions > 1
     assert aindex.frozen().generation == aindex.generation
 
 

@@ -7,6 +7,7 @@ from repro.core import Quepa
 from repro.core.augmentation import AugmentationConfig
 from repro.core.runlog import QueryFeatures, RunRecord
 from repro.errors import QueryError
+from repro.model import GlobalKey, PRelation
 from repro.network import centralized_profile
 from repro.optimizer.adaptive import AdaptiveOptimizer
 from repro.workloads import QueryWorkload
@@ -189,6 +190,36 @@ class TestQuepaExplain:
         second = mini_quepa.explain("transactions", QUERY, level=1)
         assert first["plan"]["plan_cache_hit"] is False
         assert second["plan"]["plan_cache_hit"] is True
+
+    def test_plan_names_the_snapshot_it_traversed(
+        self, mini_quepa, monkeypatch
+    ):
+        """Regression: ``snapshot_generation`` was read off the *live*
+        index after planning, so a write landing meanwhile (here: from
+        inside the traversal) made the report describe a snapshot
+        nobody traversed."""
+        aindex, planner = mini_quepa.aindex, mini_quepa.augmentation
+        pinned = aindex.frozen()
+        expand = planner._expand
+
+        def expand_during_a_write(index, *args):
+            if index is pinned:
+                aindex.add(PRelation.matching(
+                    GlobalKey.parse("catalogue.albums.d1"),
+                    GlobalKey.parse("catalogue.albums.late"),
+                    0.5,
+                ))
+            return expand(index, *args)
+
+        monkeypatch.setattr(planner, "_expand", expand_during_a_write)
+        plan = mini_quepa.explain("transactions", QUERY, level=1)["plan"]
+        assert aindex.generation > pinned.generation
+        assert plan["snapshot_generation"] == pinned.generation
+        assert plan["snapshot_overlay_nodes"] == 0
+        monkeypatch.undo()
+        plan = mini_quepa.explain("transactions", QUERY, level=1)["plan"]
+        assert plan["snapshot_generation"] == aindex.generation
+        assert plan["snapshot_overlay_nodes"] == aindex.overlay_nodes
 
     def test_explicit_config_is_reported(self, mini_quepa):
         config = AugmentationConfig(augmenter="outer_batch", threads_size=3)

@@ -79,7 +79,19 @@ class TestRegistry:
         assert [tier["name"] for tier in report["cache"]][:2] == [
             "object", "plan",
         ]
-        assert report["index"]["refreezes"] >= 1
+        assert report["index"] == {
+            "refreezes": 1, "compactions": 1, "overlay_nodes": 0,
+            "generation": mini_quepa.aindex.generation,
+        }
+        gauges = {
+            entry["name"]: entry["value"]
+            for entry in mini_quepa.obs.metrics.snapshot()
+            if entry["name"].startswith("aindex_")
+        }
+        assert gauges == {
+            "aindex_refreezes_total": 1, "aindex_compactions_total": 1,
+            "aindex_overlay_nodes": 0,
+        }
         json.dumps(report)
 
 

@@ -60,6 +60,10 @@ class TestConstruction:
             assert view.partitioned
             assert view.edge_count() == aindex.edge_count()
             assert view.frozen() is aindex.frozen()
+            # The snapshot counters the planner gauges read.
+            assert view.refreezes == aindex.refreezes == 1
+            assert view.compactions == aindex.compactions == 1
+            assert view.overlay_nodes == aindex.overlay_nodes == 0
 
     def test_base_cluster_refuses_partitioned_indexes(
         self, polystore, aindex

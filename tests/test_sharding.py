@@ -377,6 +377,16 @@ class TestShardedAIndex:
         assert replica.cross_edges() == sharded.cross_edges()
         assert replica._lineage == sharded._lineage
         assert replica._lineage is not sharded._lineage
+        # ... and the per-node index derived from it, through both
+        # ``shard_aindex`` and ``copy`` (deletions only look there).
+        source = _propagated_index(AIndex())
+        assert source._lineage_by_node
+        assert sharded._lineage_by_node == source._lineage_by_node
+        assert replica._lineage_by_node == source._lineage_by_node
+        (pair, supports), *__ = source._lineage.items()
+        support = next(iter(supports))
+        assert replica.remove_relation(*support, cascade=True) >= 2
+        assert replica.relation(*pair) is None
 
     def test_cross_edges_are_canonical_pair_to_endpoint_owners(self):
         """Regression: the owner tuple follows the *canonical* pair, not
