@@ -25,6 +25,13 @@ repro query --snapshot "$snap" --database catalogue --query \
 repro explore --snapshot "$snap" --database similar \
     --query '{"op": "match", "label": "Item", "limit": 1}' > /dev/null
 repro stats "${sql[@]}" --shards 2 | grep "^shard routing:" > /dev/null
+# The validator refuses an aggregate the same way over shards (exit 1,
+# the same error line), instead of answering with per-shard counts.
+count=(--snapshot "$snap" --database transactions
+       --query "SELECT COUNT(*) FROM inventory")
+plain="$(repro query "${count[@]}" 2>&1)" && exit 1
+sharded="$(repro query "${count[@]}" --shards 2 2>&1)" && exit 1
+[[ "$plain" == error:* && "$sharded" == "$plain" ]]
 repro trace "${sql[@]}" --trace-id t-000001 > /dev/null
 repro trace "${sql[@]}" --format chrome | json
 repro explain "${sql[@]}" --analyze --json | json

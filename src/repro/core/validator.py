@@ -34,7 +34,6 @@ from repro.stores.relational.ast import (
     SelectItem,
     Star,
 )
-from repro.stores.relational.engine import RelationalStore
 from repro.stores.relational.parser import parse_sql
 
 
@@ -56,7 +55,7 @@ class Validator:
         Raises :class:`NotAugmentableError` for queries whose results
         cannot be mapped back to stored data objects.
         """
-        if isinstance(store, RelationalStore):
+        if store.engine == "relational":
             return self._validate_sql(store, query)
         # Document / graph / key-value results always carry their keys;
         # only document projections can drop them.
@@ -66,7 +65,7 @@ class Validator:
 
     # -- relational ---------------------------------------------------------
 
-    def _validate_sql(self, store: RelationalStore, query: Any) -> ValidationResult:
+    def _validate_sql(self, store: Store, query: Any) -> ValidationResult:
         if not isinstance(query, str):
             raise NotAugmentableError(
                 f"relational queries must be SQL strings, got {type(query).__name__}"
@@ -89,8 +88,7 @@ class Validator:
             raise NotAugmentableError(
                 "join results are derived rows and cannot be augmented"
             )
-        table = store.table(statement.table.name)
-        pk = table.schema.primary_key
+        pk = store.primary_key(statement.table.name)
         if self._selects_pk(statement, pk):
             return ValidationResult(query)
         rewritten = self._add_pk(statement, pk)

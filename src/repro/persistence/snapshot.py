@@ -4,7 +4,8 @@ Layout of a version-2 snapshot directory::
 
     manifest.json        {"version": 2, "databases": [{"name", "engine"}],
                           "applied_seqs": {db: seq}}
-    db_<name>.json       engine-specific payload (see serializers below)
+    db_<name>.json       engine-specific payload (the store's own
+                          :meth:`~repro.stores.base.Store.dump_state`)
     aindex.json          {"relations": [{"left", "right", "type", "p"}],
                           "lineage": [{"left", "right", "supports"}]}
     cdc_state.json       incremental-collector state (optional; see
@@ -35,12 +36,7 @@ from repro.errors import ReproError
 from repro.model.objects import GlobalKey
 from repro.model.polystore import Polystore
 from repro.model.prelations import PRelation, RelationType
-from repro.stores.base import Store
-from repro.stores.document.store import DocumentStore
-from repro.stores.graph.store import GraphStore
-from repro.stores.keyvalue.store import KeyValueStore
-from repro.stores.relational.engine import RelationalStore
-from repro.stores.relational.types import Column, ColumnType, TableSchema
+from repro.stores import ENGINES
 
 SNAPSHOT_VERSION = 2
 #: Versions :func:`load_snapshot` understands.
@@ -49,147 +45,6 @@ SUPPORTED_VERSIONS = (1, 2)
 
 class SnapshotError(ReproError):
     """A snapshot directory is missing, malformed, or incompatible."""
-
-
-# ---------------------------------------------------------------------------
-# Store serializers
-# ---------------------------------------------------------------------------
-
-
-def _dump_relational(store: RelationalStore) -> dict[str, Any]:
-    tables = {}
-    for name in store.tables():
-        table = store.table(name)
-        tables[name] = {
-            "schema": {
-                "primary_key": table.schema.primary_key,
-                "columns": [
-                    {
-                        "name": column.name,
-                        "type": column.type.value,
-                        "nullable": column.nullable,
-                    }
-                    for column in table.schema.columns
-                ],
-            },
-            "indexes": sorted(table._indexes),
-            "rows": [row for __, row in sorted(table.rows())],
-        }
-    return {"tables": tables}
-
-
-def _load_relational(payload: dict[str, Any]) -> RelationalStore:
-    store = RelationalStore()
-    for name, spec in payload["tables"].items():
-        schema = TableSchema(
-            columns=[
-                Column(c["name"], ColumnType(c["type"]), c["nullable"])
-                for c in spec["schema"]["columns"]
-            ],
-            primary_key=spec["schema"]["primary_key"],
-        )
-        table = store.create_table(name, schema)
-        for row in spec["rows"]:
-            table.insert(row)
-        for column in spec["indexes"]:
-            table.create_index(column)
-    return store
-
-
-def _dump_document(store: DocumentStore) -> dict[str, Any]:
-    return {
-        "collections": {
-            name: {
-                "indexes": sorted(store._indexes.get(name, {})),
-                "documents": [
-                    store.get_value(name, key)
-                    for key in sorted(store.collection_keys(name))
-                ],
-            }
-            for name in store.collections()
-        }
-    }
-
-
-def _load_document(payload: dict[str, Any]) -> DocumentStore:
-    store = DocumentStore()
-    for name, spec in payload["collections"].items():
-        store.create_collection(name)
-        for document in spec["documents"]:
-            store.insert(name, document)
-        for field in spec["indexes"]:
-            store.create_index(name, field)
-    return store
-
-
-def _dump_graph(store: GraphStore) -> dict[str, Any]:
-    nodes = [
-        {
-            "id": node.id,
-            "labels": list(node.labels),
-            "properties": node.properties,
-        }
-        for node in sorted(store._nodes.values(), key=lambda n: n.id)
-    ]
-    edges = [
-        {
-            "type": edge.type,
-            "start": edge.start,
-            "end": edge.end,
-            "properties": edge.properties,
-        }
-        for edge in sorted(store._edges.values(), key=lambda e: e.id)
-    ]
-    return {"nodes": nodes, "edges": edges}
-
-
-def _load_graph(payload: dict[str, Any]) -> GraphStore:
-    store = GraphStore()
-    for node in payload["nodes"]:
-        store.create_node(
-            tuple(node["labels"]), node["properties"], node_id=node["id"]
-        )
-    for edge in payload["edges"]:
-        store.create_edge(
-            edge["start"], edge["type"], edge["end"], edge["properties"]
-        )
-    return store
-
-
-def _dump_keyvalue(store: KeyValueStore) -> dict[str, Any]:
-    return {
-        "keyspace": store.keyspace,
-        "entries": {
-            key: store.get_command(key)
-            for key in sorted(store.collection_keys(store.keyspace))
-        },
-    }
-
-
-def _load_keyvalue(payload: dict[str, Any]) -> KeyValueStore:
-    store = KeyValueStore(keyspace=payload["keyspace"])
-    for key, value in payload["entries"].items():
-        store.set(key, value)
-    return store
-
-
-_DUMPERS = {
-    "relational": _dump_relational,
-    "document": _dump_document,
-    "graph": _dump_graph,
-    "keyvalue": _dump_keyvalue,
-}
-_LOADERS = {
-    "relational": _load_relational,
-    "document": _load_document,
-    "graph": _load_graph,
-    "keyvalue": _load_keyvalue,
-}
-
-
-# ---------------------------------------------------------------------------
-# Snapshot API
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -229,14 +84,14 @@ def save_snapshot(
     }
     for name in sorted(polystore):
         store = polystore.database(name)
-        dumper = _DUMPERS.get(store.engine)
-        if dumper is None:
+        manifest["databases"].append({"name": name, "engine": store.engine})
+        try:
+            with store.lock:
+                _write_json(path / f"db_{name}.json", store.dump_state())
+        except NotImplementedError as exc:
             raise SnapshotError(
                 f"cannot snapshot engine {store.engine!r} of {name!r}"
-            )
-        manifest["databases"].append({"name": name, "engine": store.engine})
-        with store.lock:
-            _write_json(path / f"db_{name}.json", dumper(store))
+            ) from exc
     if aindex is not None:
         relations = []
         seen: set[tuple[str, str]] = set()
@@ -304,11 +159,11 @@ def load_snapshot_bundle(directory: str | Path) -> SnapshotBundle:
         raise SnapshotError(f"unsupported snapshot version {version!r}")
     polystore = Polystore()
     for entry in manifest["databases"]:
-        loader = _LOADERS.get(entry["engine"])
-        if loader is None:
+        engine = ENGINES.get(entry["engine"])
+        if engine is None:
             raise SnapshotError(f"unknown engine {entry['engine']!r}")
         payload = _read_json(path / f"db_{entry['name']}.json")
-        polystore.attach(entry["name"], loader(payload))
+        polystore.attach(entry["name"], engine.load_state(payload))
     aindex = AIndex(enforce_consistency=False)
     aindex_path = path / "aindex.json"
     if aindex_path.exists():

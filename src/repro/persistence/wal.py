@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Iterator
 from zlib import crc32
 
-from repro.errors import KeyNotFoundError, ReproError
+from repro.errors import ReproError
 from repro.model.polystore import Polystore
 
 if TYPE_CHECKING:  # avoids the repro.cdc <-> repro.persistence cycle
@@ -127,74 +127,15 @@ def apply_change(polystore: Polystore, event: ChangeEvent) -> None:
     harmless.
     """
     store = polystore.database(event.database)
-    engine = store.engine
-    with store.lock:
-        if engine == "keyvalue":
-            _apply_keyvalue(store, event)
-        elif engine == "document":
-            _apply_document(store, event)
-        elif engine == "relational":
-            _apply_relational(store, event)
-        elif engine == "graph":
-            _apply_graph(store, event)
-        else:
-            raise WalError(f"cannot replay into engine {engine!r}")
-
-
-def _apply_keyvalue(store: Any, event: ChangeEvent) -> None:
-    if event.op == "delete":
-        store.delete(event.key)
-    else:
-        store.set(event.key, event.value)
-
-
-def _apply_document(store: Any, event: ChangeEvent) -> None:
-    store.create_collection(event.collection)
-    if event.op == "delete":
-        store.delete_one(event.collection, event.key)
-        return
-    # Replace: CDC captured the full post-state document, and a plain
-    # merge could not drop fields removed by $unset/$rename.
-    store.delete_one(event.collection, event.key)
-    document = dict(event.value or {})
-    document["_id"] = event.key
-    store.insert(event.collection, document)
-
-
-def _apply_relational(store: Any, event: ChangeEvent) -> None:
-    table = store.table(event.collection)
-    if event.op == "delete":
-        table.delete(event.key)
-        return
     try:
-        table.row(event.key)
-    except KeyNotFoundError:
-        table.insert(dict(event.value or {}))
-    else:
-        table.update(event.key, dict(event.value or {}))
-
-
-def _apply_graph(store: Any, event: ChangeEvent) -> None:
-    if event.collection == "_edge":
-        value = dict(event.value or {})
-        if event.op == "append":
-            store.create_edge(
-                value["start"],
-                value["type"],
-                value["end"],
-                value.get("properties"),
+        with store.lock:
+            store.apply_change(
+                event.op, event.collection, event.key, event.value
             )
-        return
-    if event.op == "delete":
-        store.delete_node(event.key)
-        return
-    payload = dict(event.value or {})
-    labels = tuple(payload.pop("_labels", ()) or (event.collection,))
-    payload.pop("_id", None)
-    if event.key in store._nodes:
-        store.update_node(event.key, payload, replace=True)
-    else:
-        store.create_node(labels, payload, node_id=event.key)
+    except NotImplementedError as exc:
+        raise WalError(
+            f"cannot replay into engine {store.engine!r}"
+        ) from exc
 
 
 def replay(

@@ -174,13 +174,8 @@ class RangeScheme(PartitionScheme):
     def prepare(self, store) -> None:
         if self.boundaries is not None:
             return
-        tokens: list[float] = []
-        for collection in store.collections():
-            for local_key in store.collection_keys(collection):
-                token = self._token(store.get_value(collection, local_key))
-                if token is not None:
-                    tokens.append(token)
-        self.fit(tokens)
+        tokens = (self._token(value) for __, __, value in store.records())
+        self.fit([token for token in tokens if token is not None])
 
     def _token(self, value: Any) -> float | None:
         if isinstance(value, Mapping):

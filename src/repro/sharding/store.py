@@ -16,11 +16,15 @@ polystore, connectors, validator and EXPLAIN all work unchanged; with
 one shard it degenerates to pass-through routing and adds no virtual
 cost (the fig09 guard covers this).
 
-``partition_store`` splits an existing single-engine store into shards
-— schema, secondary indexes and (for the graph engine) co-located edges
-are replicated per shard; cross-shard graph edges are counted and
-dropped from the per-shard engines (the A' index, not the store graph,
-carries cross-partition relations).
+``partition_store`` splits an existing single-engine store into shards:
+N × the store's own ``empty_like()`` (schema and secondary indexes),
+then its ``records()`` placed by the scheme through ``apply_change``.
+The one sharding rule that is not an engine's lives on the facade: a
+graph edge stays on the shard that holds both its endpoints, otherwise
+it is counted in ``cut_edges`` and dropped (the A' index, not the store
+graph, carries cross-partition relations). The facade implements the
+state contract by routing, so snapshots, WAL replay and CDC capture
+treat it like any store; sharding itself is never persisted.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ from repro.sharding.scheme import (
 from repro.stores.base import Store, StoreCapabilities
 
 #: SQL verbs a sharded relational store refuses through ``execute``:
-#: writes must target the owning shard explicitly (the serving layer's
-#: writers hold a single shard's lock, never the whole fleet's).
+#: a write is routed per object (:meth:`ShardedStore.apply_change`, or
+#: the owning shard's native API under that shard's lock — the serving
+#: layer's writers hold a single shard's lock, never the whole fleet's).
 _SQL_WRITE_VERBS = {"INSERT", "UPDATE", "DELETE", "CREATE", "DROP"}
 
 
@@ -62,8 +67,8 @@ class ShardedStore(Store):
             raise ConfigurationError(
                 f"scheme expects {scheme.shards} shards, got {len(shards)}"
             )
-        # Assigned before Store.__init__: the database_name property
-        # setter (invoked there) propagates the name to every shard.
+        # Assigned before Store.__init__, which sets database_name:
+        # __setattr__ propagates the name to every shard.
         self.shards = list(shards)
         self.scheme = scheme
         super().__init__()
@@ -81,15 +86,14 @@ class ShardedStore(Store):
     def shard_count(self) -> int:
         return len(self.shards)
 
-    @property
-    def database_name(self) -> str:
-        return self._database_name
-
-    @database_name.setter
-    def database_name(self, name: str) -> None:
-        self._database_name = name
-        for shard in getattr(self, "shards", ()):
-            shard.database_name = name
+    def __setattr__(self, name: str, value: Any) -> None:
+        # The attachment name and the CDC feed matter where the data is
+        # (reads stamp keys with the one, writes emit on the other):
+        # set on the facade, they reach every shard.
+        super().__setattr__(name, value)
+        if name in ("database_name", "changes"):
+            for shard in self.shards:
+                setattr(shard, name, value)
 
     # -- routing -------------------------------------------------------------
 
@@ -179,7 +183,7 @@ class ShardedStore(Store):
         ):
             raise QueryError(
                 "sharded stores are read-only through execute(); "
-                "route writes to the owning shard"
+                "route writes through apply_change()"
             )
         targets, pruned = self.route_scan(query)
         self.partitions_scanned_total += len(targets)
@@ -277,6 +281,76 @@ class ShardedStore(Store):
     def capabilities(self) -> StoreCapabilities:
         return self.shards[0].capabilities()
 
+    def primary_key(self, collection: str) -> str:
+        return self.shards[0].primary_key(collection)
+
+    # -- state contract ------------------------------------------------------
+
+    def dump_state(self) -> dict[str, Any]:
+        """The engine's ordinary payload, built from the shards'
+        records: sharding is a load-time decision, never persisted."""
+        merged = self.shards[0].empty_like()
+        for collection, key, value in self.records():
+            merged.apply_change("append", collection, key, value)
+        return merged.dump_state()
+
+    def load_state(self, payload: dict[str, Any]) -> "ShardedStore":
+        return partition_store(self.shards[0].load_state(payload), self.scheme)
+
+    def empty_like(self) -> "ShardedStore":
+        shards = [shard.empty_like() for shard in self.shards]
+        return ShardedStore(shards, self.scheme, engine=self.engine)
+
+    def records(self) -> Iterator[tuple[str, str, Any]]:
+        found: list[tuple[str, str, Any]] = []
+        for shard in self.shards:
+            with shard.lock:
+                found.extend(shard.records())
+        # Stable: every shard's edges after every shard's nodes.
+        return iter(sorted(found, key=lambda record: record[0] == "_edge"))
+
+    def apply_change(
+        self, op: str, collection: str, key: str, value: Any = None
+    ) -> None:
+        """The routed write: lands on the scheme's owner under that
+        shard's lock and leaves the key on exactly one shard — every
+        other shard :meth:`get_value` would probe for it drops its copy,
+        so an update whose token moved the object deletes the old one."""
+        if collection == "_edge":
+            self._place_edge(op, key, value, range(self.shard_count))
+            return
+        owner = None if op == "delete" else self.scheme.shard_of_object(
+            collection, key, value
+        )
+        home = self.scheme.shard_of_key(key)
+        for shard in range(self.shard_count) if home is None else (home,):
+            if shard != owner:
+                self._write(shard, "delete", collection, key)
+        if owner is not None:
+            self._write(owner, op, collection, key, value)
+
+    def _write(
+        self, shard: int, op: str, collection: str, key: str, value: Any = None
+    ) -> None:
+        target = self.shards[shard]
+        with target.lock:
+            target.apply_change(op, collection, key, value)
+
+    def _place_edge(self, op: str, key: str, value: Any, candidates) -> None:
+        """The one sharding rule that is not an engine's: an edge lives
+        where both its endpoints do — the engine refuses it anywhere
+        else — otherwise it is cut."""
+        for shard in candidates:
+            try:
+                self._write(shard, op, "_edge", key, value)
+                return
+            except KeyNotFoundError:
+                continue
+        # Cross-shard edges are not representable inside one engine
+        # shard; the A' index's cross-shard edge table carries
+        # cross-partition relations instead.
+        self.cut_edges += 1
+
     def describe_sharding(self) -> dict[str, Any]:
         report = self.scheme.describe()
         report["engine"] = self.engine
@@ -290,103 +364,29 @@ class ShardedStore(Store):
         return report
 
 
-# -- splitters ---------------------------------------------------------------
-
-
-def _split_relational(store, scheme: PartitionScheme) -> list[Store]:
-    from repro.stores.relational.engine import RelationalStore
-
-    shards: list[Store] = [RelationalStore() for __ in range(scheme.shards)]
-    for name in store.tables():
-        table = store.table(name)
-        for shard in shards:
-            shard_table = shard.create_table(name, table.schema)
-            for column in table._indexes:
-                shard_table.create_index(column)
-        for pk, row in table.rows():
-            owner = scheme.shard_of_object(name, pk, row)
-            shards[owner].insert_row(name, dict(row))
-    return shards
-
-
-def _split_document(store, scheme: PartitionScheme) -> list[Store]:
-    from repro.stores.document.store import DocumentStore
-
-    shards: list[Store] = [DocumentStore() for __ in range(scheme.shards)]
-    for collection in store.collections():
-        for shard in shards:
-            shard.create_collection(collection)
-        for doc_id in list(store.collection_keys(collection)):
-            document = store.get_value(collection, doc_id)
-            owner = scheme.shard_of_object(collection, doc_id, document)
-            shards[owner].insert(collection, dict(document))
-        for field in store._indexes.get(collection, {}):
-            for shard in shards:
-                shard.create_index(collection, field)
-    return shards
-
-
-def _split_keyvalue(store, scheme: PartitionScheme) -> list[Store]:
-    from repro.stores.keyvalue.store import KeyValueStore
-
-    shards: list[Store] = [
-        KeyValueStore(keyspace=store.keyspace) for __ in range(scheme.shards)
-    ]
-    for local_key in list(store.collection_keys(store.keyspace)):
-        value = store.get_value(store.keyspace, local_key)
-        owner = scheme.shard_of_object(store.keyspace, local_key, value)
-        shards[owner].set(local_key, value)
-    return shards
-
-
-def _split_graph(store, scheme: PartitionScheme) -> tuple[list[Store], int]:
-    from repro.stores.graph.store import GraphStore
-
-    shards: list[Store] = [GraphStore() for __ in range(scheme.shards)]
-    placed: dict[str, int] = {}
-    for node_id, node in store._nodes.items():
-        owner = scheme.shard_of_object(
-            node.primary_label, node_id, node.properties
-        )
-        placed[node_id] = owner
-        shards[owner].create_node(
-            node.labels, node.properties, node_id=node_id
-        )
-    cut = 0
-    for edge in store._edges.values():
-        start_owner = placed[edge.start]
-        end_owner = placed[edge.end]
-        if start_owner == end_owner:
-            shards[start_owner].create_edge(
-                edge.start, edge.type, edge.end, edge.properties
-            )
-        else:
-            # Cross-shard edges are not representable inside one engine
-            # shard; the A' index's cross-shard edge table carries
-            # cross-partition relations instead.
-            cut += 1
-    return shards, cut
-
-
 def partition_store(store: Store, scheme: PartitionScheme) -> ShardedStore:
     """Split one engine store into shards behind a ``ShardedStore``."""
     scheme.prepare(store)
-    cut_edges = 0
-    if store.engine == "relational":
-        shards = _split_relational(store, scheme)
-    elif store.engine == "document":
-        shards = _split_document(store, scheme)
-    elif store.engine == "keyvalue":
-        shards = _split_keyvalue(store, scheme)
-    elif store.engine == "graph":
-        shards, cut_edges = _split_graph(store, scheme)
-    else:
+    try:
+        shards = [store.empty_like() for __ in range(scheme.shards)]
+    except NotImplementedError as exc:
         raise ConfigurationError(
             f"no splitter for engine {store.engine!r}"
-        )
+        ) from exc
     sharded = ShardedStore(shards, scheme, engine=store.engine)
-    sharded.cut_edges = cut_edges
     sharded.database_name = store.database_name
+    # Records are unique and the shards start empty, so placement skips
+    # the sweep of other candidate shards the routed apply_change does.
+    placed: dict[str, int] = {}
+    for collection, key, value in store.records():
+        if collection == "_edge":
+            start, end = placed[value["start"]], placed[value["end"]]
+            sharded._place_edge(
+                "append", key, value, (start,) if start == end else ()
+            )
+        else:
+            owner = placed[key] = scheme.shard_of_object(collection, key, value)
+            shards[owner].apply_change("append", collection, key, value)
     return sharded
 
 

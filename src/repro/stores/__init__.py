@@ -13,8 +13,9 @@ Four engines mirror the Polyphony testbed (Section VII-A):
 
 All engines implement the minimal :class:`~repro.stores.base.Store`
 contract QUEPA needs — run a native query, fetch one object by key,
-fetch many objects by key — while each also keeps its full native API,
-which is the whole point of a polystore.
+fetch many objects by key, and dump / load / replay their own state —
+while each also keeps its full native API, which is the whole point of
+a polystore.
 """
 
 from repro.stores.base import Store
@@ -23,7 +24,15 @@ from repro.stores.graph.store import GraphStore
 from repro.stores.keyvalue.store import KeyValueStore
 from repro.stores.relational.engine import RelationalStore
 
+#: Engine family name -> class: the one table that says which engines
+#: exist (``ENGINES[name].load_state(payload)`` rebuilds a store).
+ENGINES: dict[str, type[Store]] = {
+    cls.engine: cls
+    for cls in (RelationalStore, DocumentStore, GraphStore, KeyValueStore)
+}
+
 __all__ = [
+    "ENGINES",
     "DocumentStore",
     "GraphStore",
     "KeyValueStore",

@@ -9,7 +9,10 @@ stored data object can be identified and accessed by means of a key"
 * ``get(global_key)`` / ``multi_get(keys)`` — direct access by key,
   which is what connectors use to materialize augmented objects;
 * ``collections()`` / ``count_objects()`` — introspection used by the
-  collector and the workload builder.
+  collector and the workload builder;
+* ``dump_state()`` / ``load_state()`` / ``empty_like()`` / ``records()``
+  / ``apply_change()`` — the state contract: only an engine knows its
+  own layout, so snapshots, WAL replay and partitioning ask the store.
 
 Engines also keep :class:`StoreStats` counters so tests can assert how
 many native operations an augmenter actually issued.
@@ -62,6 +65,11 @@ class Store(ABC):
 
     #: Engine family name, e.g. ``"relational"``; set by subclasses.
     engine: str = "abstract"
+    #: Optional change-data-capture outbox
+    #: (:class:`repro.cdc.feed.ChangeFeed`). ``None`` until a consumer
+    #: attaches one; unattached stores pay one ``None`` check per write.
+    #: A class-level default: wrappers route it to the stores they wrap.
+    changes: Any = None
 
     def __init__(self) -> None:
         #: Name under which this store is attached to a polystore.
@@ -80,11 +88,6 @@ class Store(ABC):
         #: Reentrant, so an engine method may call another locked
         #: method on the same store.
         self.lock = threading.RLock()
-        #: Optional change-data-capture outbox
-        #: (:class:`repro.cdc.feed.ChangeFeed`). ``None`` until a
-        #: consumer attaches one; unattached stores pay one ``None``
-        #: check per write.
-        self.changes: Any = None
         #: Consumers told about every write synchronously, on the
         #: writer's thread and under whatever lock it holds: each gets
         #: ``on_store_write(store, op, collection, key)``. Held weakly,
@@ -251,22 +254,56 @@ class Store(ABC):
             )
             return report
 
+    # -- state contract ------------------------------------------------------
+
+    def dump_state(self) -> dict[str, Any]:
+        """The engine's JSON payload (schemas, indexes, every object),
+        ordered by ``sorted``, never by a set or a hash."""
+        raise NotImplementedError(f"{self.engine} stores do not dump")
+
+    def load_state(self, payload: dict[str, Any]) -> "Store":
+        """A new store of this kind holding a :meth:`dump_state` payload:
+        a classmethod on engines (``ENGINES[name].load_state(payload)``),
+        a method on wrappers, whose kind includes what they wrap."""
+        raise NotImplementedError(f"{self.engine} stores do not load")
+
+    def empty_like(self) -> "Store":
+        """A new store with this one's schema and indexes, no objects."""
+        raise NotImplementedError(f"{self.engine} stores do not clone")
+
+    def records(self) -> Iterator[tuple[str, str, Any]]:
+        """Every ``(collection, key, value)`` held, in the shape
+        :meth:`_emit_change` emits; graph edges last, as ``_edge``."""
+        for collection in self.collections():
+            for key in self.collection_keys(collection):
+                yield collection, key, self.get_value(collection, key)
+
+    def apply_change(
+        self, op: str, collection: str, key: str, value: Any = None
+    ) -> None:
+        """The inverse of :meth:`_emit_change`: land one captured write
+        (``op`` in :data:`repro.cdc.feed.OPS`), idempotently — upsert,
+        replace or delete through the engine's own write methods, so it
+        counts in ``stats.writes`` and emits like any write. Callers
+        hold :attr:`lock`."""
+        raise NotImplementedError(f"{self.engine} stores do not replay")
+
     def iter_objects(self) -> Iterator[DataObject]:
         """Iterate every data object in the store (collector input)."""
         if not self.database_name:
             raise ValueError("store must be attached to a polystore first")
-        for collection in self.collections():
-            for local_key in self.collection_keys(collection):
+        for collection, local_key, value in self.records():
+            if not collection.startswith("_"):
                 key = GlobalKey(self.database_name, collection, local_key)
-                yield DataObject(key, self.get_value(collection, local_key))
+                yield DataObject(key, value)
 
     def scan_objects(self, chunk_size: int = 512) -> Iterator[DataObject]:
         """Iterate every data object via chunked batch fetches.
 
-        Same objects and order as :meth:`iter_objects`, but routed
-        through :meth:`multi_get` so a full-store scan (the collector's
-        input) issues one native batch operation per ``chunk_size`` keys
-        instead of one point lookup per object.
+        Same objects as :meth:`iter_objects`, collection by collection,
+        but routed through :meth:`multi_get` so a full-store scan (the
+        collector's input) issues one native batch operation per
+        ``chunk_size`` keys instead of one point lookup per object.
         """
         if not self.database_name:
             raise ValueError("store must be attached to a polystore first")

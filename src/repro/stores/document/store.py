@@ -282,6 +282,53 @@ class DocumentStore(Store):
     def collection_keys(self, collection: str) -> Iterator[str]:
         return iter(list(self._collections.get(collection, {})))
 
+    # -- state contract -------------------------------------------------------------
+
+    def dump_state(self) -> dict[str, Any]:
+        return {
+            "collections": {
+                name: {
+                    "indexes": sorted(self._indexes.get(name, {})),
+                    "documents": [
+                        self.get_value(name, key)
+                        for key in sorted(self.collection_keys(name))
+                    ],
+                }
+                for name in self.collections()
+            }
+        }
+
+    @classmethod
+    def load_state(cls, payload: dict[str, Any]) -> "DocumentStore":
+        store = cls()
+        for name, spec in payload["collections"].items():
+            store.create_collection(name)
+            for document in spec["documents"]:
+                store.insert(name, document)
+            for field in spec["indexes"]:
+                store.create_index(name, field)
+        return store
+
+    def empty_like(self) -> "DocumentStore":
+        clone = DocumentStore()
+        for name in self._collections:
+            clone.create_collection(name)
+            for field in self._indexes.get(name, {}):
+                clone.create_index(name, field)
+        return clone
+
+    def apply_change(
+        self, op: str, collection: str, key: str, value: Any = None
+    ) -> None:
+        self.create_collection(collection)
+        # Replace: CDC captured the full post-state document, and a plain
+        # merge could not drop fields removed by $unset/$rename.
+        self.delete_one(collection, key)
+        if op != "delete":
+            document = dict(value or {})
+            document["_id"] = key
+            self.insert(collection, document)
+
     # -- internals ------------------------------------------------------------------
 
     def _require(self, collection: str) -> dict[str, dict[str, Any]]:

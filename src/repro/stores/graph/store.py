@@ -48,6 +48,14 @@ class Edge:
     end: str
     properties: dict[str, Any] = field(default_factory=dict)
 
+    def payload(self) -> dict[str, Any]:
+        return {
+            "type": self.type,
+            "start": self.start,
+            "end": self.end,
+            "properties": dict(self.properties),
+        }
+
 
 class GraphStore(Store):
     """An in-memory property graph with adjacency indexes."""
@@ -136,17 +144,7 @@ class GraphStore(Store):
         # Edges are not data objects (no collection of their own); the
         # underscore collection marks the event as infrastructure so A'
         # maintenance skips it, while WAL replay still restores it.
-        self._emit_change(
-            "append",
-            "_edge",
-            edge_id,
-            {
-                "type": rel_type,
-                "start": start,
-                "end": end,
-                "properties": dict(properties or {}),
-            },
-        )
+        self._emit_change("append", "_edge", edge_id, edge.payload())
         return edge
 
     def delete_node(self, node_id: str) -> bool:
@@ -435,6 +433,70 @@ class GraphStore(Store):
 
     def collection_keys(self, collection: str) -> Iterator[str]:
         return iter(sorted(self._by_label.get(collection, ())))
+
+    # -- state contract ----------------------------------------------------------
+
+    def dump_state(self) -> dict[str, Any]:
+        nodes = [
+            {
+                "id": node.id,
+                "labels": list(node.labels),
+                "properties": node.properties,
+            }
+            for node in sorted(self._nodes.values(), key=lambda n: n.id)
+        ]
+        edges = [
+            edge.payload()
+            for edge in sorted(self._edges.values(), key=lambda e: e.id)
+        ]
+        return {"nodes": nodes, "edges": edges}
+
+    @classmethod
+    def load_state(cls, payload: dict[str, Any]) -> "GraphStore":
+        store = cls()
+        for node in payload["nodes"]:
+            store.create_node(
+                tuple(node["labels"]), node["properties"], node_id=node["id"]
+            )
+        for edge in payload["edges"]:
+            store.apply_change("append", "_edge", "", edge)
+        return store
+
+    def empty_like(self) -> "GraphStore":
+        return GraphStore()
+
+    def records(self) -> Iterator[tuple[str, str, Any]]:
+        """Each node once, under its primary label; then every edge as
+        an ``_edge`` record (what :meth:`create_edge` emits)."""
+        for node in self._nodes.values():
+            yield node.primary_label, node.id, node.payload()
+        for edge in self._edges.values():
+            yield "_edge", edge.id, edge.payload()
+
+    def apply_change(
+        self, op: str, collection: str, key: str, value: Any = None
+    ) -> None:
+        """Nodes upsert. An ``_edge`` append creates the edge, or raises
+        :class:`KeyNotFoundError` when an endpoint is not here; edge ids
+        are local, so re-applying one adds a parallel edge."""
+        if collection == "_edge":
+            if op == "append":
+                self.create_edge(
+                    value["start"],
+                    value["type"],
+                    value["end"],
+                    value.get("properties"),
+                )
+        elif op == "delete":
+            self.delete_node(key)
+        else:
+            payload = dict(value or {})
+            labels = tuple(payload.pop("_labels", ()) or (collection,))
+            payload.pop("_id", None)
+            if key in self._nodes:
+                self.update_node(key, payload, replace=True)
+            else:
+                self.create_node(labels, payload, node_id=key)
 
     def _to_object(self, node: Node) -> DataObject:
         return DataObject(

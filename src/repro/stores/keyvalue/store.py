@@ -223,6 +223,32 @@ class KeyValueStore(Store):
             return iter(())
         return iter(list(self._data))
 
+    # -- state contract -----------------------------------------------------
+
+    def dump_state(self) -> dict[str, Any]:
+        return {
+            "keyspace": self.keyspace,
+            "entries": {key: self._data[key] for key in sorted(self._data)},
+        }
+
+    @classmethod
+    def load_state(cls, payload: dict[str, Any]) -> "KeyValueStore":
+        store = cls(keyspace=payload["keyspace"])
+        for key, value in payload["entries"].items():
+            store.set(key, value)
+        return store
+
+    def empty_like(self) -> "KeyValueStore":
+        return KeyValueStore(keyspace=self.keyspace)
+
+    def apply_change(
+        self, op: str, collection: str, key: str, value: Any = None
+    ) -> None:
+        if op == "delete":
+            self.delete(key)
+        else:
+            self.set(key, value)
+
     def _object(self, key: str) -> DataObject:
         return DataObject(
             GlobalKey(self.database_name or "kv", self.keyspace, key),

@@ -401,6 +401,71 @@ class RelationalStore(Store):
             return iter(())
         return iter([pk for pk, __ in table.rows()])
 
+    def primary_key(self, collection: str) -> str:
+        """The primary-key column of a table (the validator's one
+        schema question)."""
+        return self.table(collection).schema.primary_key
+
+    # -- state contract --------------------------------------------------------------
+
+    def dump_state(self) -> dict[str, Any]:
+        tables = {}
+        for name in self.tables():
+            table = self.table(name)
+            tables[name] = {
+                "schema": {
+                    "primary_key": table.schema.primary_key,
+                    "columns": [
+                        {
+                            "name": column.name,
+                            "type": column.type.value,
+                            "nullable": column.nullable,
+                        }
+                        for column in table.schema.columns
+                    ],
+                },
+                "indexes": sorted(table._indexes),
+                "rows": [row for __, row in sorted(table.rows())],
+            }
+        return {"tables": tables}
+
+    @classmethod
+    def load_state(cls, payload: dict[str, Any]) -> "RelationalStore":
+        store = cls()
+        for name, spec in payload["tables"].items():
+            schema = TableSchema(
+                columns=[
+                    Column(c["name"], ColumnType(c["type"]), c["nullable"])
+                    for c in spec["schema"]["columns"]
+                ],
+                primary_key=spec["schema"]["primary_key"],
+            )
+            table = store.create_table(name, schema)
+            for row in spec["rows"]:
+                table.insert(row)
+            for column in spec["indexes"]:
+                table.create_index(column)
+        return store
+
+    def empty_like(self) -> "RelationalStore":
+        clone = RelationalStore()
+        for name, table in self._tables.items():
+            clone_table = clone.create_table(name, table.schema)
+            for column in table._indexes:
+                clone_table.create_index(column)
+        return clone
+
+    def apply_change(
+        self, op: str, collection: str, key: str, value: Any = None
+    ) -> None:
+        table = self.table(collection)
+        if op == "delete":
+            table.delete(key)
+        elif key in table._rows:
+            table.update(key, value or {})
+        else:
+            table.insert(value or {})
+
     # -- convenience -------------------------------------------------------------------
 
     def insert_row(self, table: str, row: Mapping[str, Any]) -> str:

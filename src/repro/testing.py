@@ -73,6 +73,36 @@ class FlakyStore(Store):
     def collection_keys(self, collection: str) -> Iterator[str]:
         return self.inner.collection_keys(collection)
 
+    def primary_key(self, collection: str) -> str:
+        return self.inner.primary_key(collection)
+
+    # -- state contract, by delegation (writes are never failed) -----------
+
+    @property
+    def changes(self) -> Any:
+        return self.inner.changes
+
+    @changes.setter
+    def changes(self, feed: Any) -> None:
+        self.inner.changes = feed
+
+    def dump_state(self) -> dict[str, Any]:
+        return self.inner.dump_state()
+
+    def load_state(self, payload: dict[str, Any]) -> "FlakyStore":
+        return FlakyStore(self.inner.load_state(payload), self.fail_every)
+
+    def empty_like(self) -> "FlakyStore":
+        return FlakyStore(self.inner.empty_like(), self.fail_every)
+
+    def records(self) -> Iterator[tuple[str, str, Any]]:
+        return self.inner.records()
+
+    def apply_change(
+        self, op: str, collection: str, key: str, value: Any = None
+    ) -> None:
+        self.inner.apply_change(op, collection, key, value)
+
     def _rekey(self, objects: list[DataObject]) -> list[DataObject]:
         # The inner store stamps its own database_name; queries through
         # the wrapper must carry the wrapper's attachment name.

@@ -101,6 +101,60 @@ class TestRoundTrip:
         assert aindex.edge_count() == small_bundle.aindex.edge_count()
 
 
+class TestShardedPolystore:
+    """A sharded polystore snapshots like any other: sharding is a
+    load-time decision, so the directory holds the engines' ordinary
+    payloads and reloads as plain stores."""
+
+    @pytest.mark.parametrize("placement", ["hash", "range"])
+    def test_snapshot_then_load_returns_every_object(
+        self, tmp_path, small_bundle, placement
+    ):
+        from repro.sharding import shard_polystore
+
+        original = small_bundle.polystore
+        sharded = shard_polystore(original, shards=3, placement=placement)
+        path = save_snapshot(tmp_path / "snap", sharded, small_bundle.aindex)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert set(manifest) == {"version", "databases", "applied_seqs"}
+        assert {d["name"]: d["engine"] for d in manifest["databases"]} == {
+            name: store.engine for name, store in original.databases.items()
+        }
+        restored, aindex = load_snapshot(path)
+        assert aindex.edge_count() == small_bundle.aindex.edge_count()
+        for name, store in original.databases.items():
+            assert type(restored.database(name)) is type(store)
+            assert {
+                obj.key: obj.value
+                for obj in restored.database(name).scan_objects()
+            } == {obj.key: obj.value for obj in store.scan_objects()}
+        # Cut graph edges excepted, and counted.
+        graph = original.database("similar")
+        cut = sharded.database("similar").cut_edges
+        assert cut > 0
+        assert restored.database("similar").edge_count() + cut == (
+            graph.edge_count()
+        )
+
+    def test_indexes_and_schemas_survive_the_shards(self, tmp_path,
+                                                    mini_polystore):
+        from repro.sharding import shard_polystore
+
+        mini_polystore.database("transactions").table(
+            "inventory"
+        ).create_index("artist")
+        mini_polystore.database("catalogue").create_index("albums", "artist")
+        save_snapshot(
+            tmp_path / "snap", shard_polystore(mini_polystore, shards=2)
+        )
+        restored, __ = load_snapshot(tmp_path / "snap")
+        table = restored.database("transactions").table("inventory")
+        assert table.index_lookup("artist", "Cure") == ["a32", "a33"]
+        assert restored.database("catalogue").find(
+            "albums", {"artist": "Pixies"}
+        )[0]["_id"] == "d2"
+
+
 from hypothesis import given, settings  # noqa: E402 (grouped with use)
 from hypothesis import strategies as hs  # noqa: E402
 

@@ -175,6 +175,122 @@ class TestReplay:
             assert feed.acked_seq == stats["applied_seqs"].get(database, 0)
 
 
+class TestReplayIntoShards:
+    """``apply_change`` / ``replay`` on a ``shard_polystore`` polystore:
+    the routed write leaves each key on exactly one shard."""
+
+    @staticmethod
+    def sharded_catalogue(placement):
+        from repro.model import Polystore
+        from repro.sharding import shard_polystore
+        from repro.stores import DocumentStore
+
+        catalogue = DocumentStore()
+        for seq in range(0, 60, 5):
+            catalogue.insert("albums", {"_id": f"d{seq}", "seq": seq})
+        polystore = Polystore()
+        polystore.attach("catalogue", catalogue)
+        return shard_polystore(polystore, shards=3, placement=placement)
+
+    @staticmethod
+    def holders(polystore, key):
+        return [
+            index
+            for index, shard in enumerate(
+                polystore.database("catalogue").shards
+            )
+            if key in set(shard.collection_keys("albums"))
+        ]
+
+    @pytest.mark.parametrize("placement", ["hash", "range"])
+    def test_append_move_delete_leave_one_holder_then_none(
+        self, tmp_path, placement
+    ):
+        from repro.cdc.feed import ChangeEvent
+        from repro.persistence import apply_change
+
+        def event(seq, op, value=None):
+            return ChangeEvent(seq, "catalogue", op, "albums", "new", value)
+
+        events = [
+            event(1, "append", {"_id": "new", "seq": 2, "title": "Low"}),
+            # The token moves: under range placement, so does the object.
+            event(2, "update", {"_id": "new", "seq": 57}),
+            event(3, "delete"),
+        ]
+        polystore = self.sharded_catalogue(placement)
+        store = polystore.database("catalogue")
+        apply_change(polystore, events[0])
+        first = self.holders(polystore, "new")
+        assert len(first) == 1
+        apply_change(polystore, events[1])
+        second = self.holders(polystore, "new")
+        assert len(second) == 1
+        assert (second != first) == (placement == "range")
+        # Replace, not merge: the dropped field is gone.
+        assert store.get_value("albums", "new") == {"_id": "new", "seq": 57}
+        apply_change(polystore, events[2])
+        assert self.holders(polystore, "new") == []
+        apply_change(polystore, events[2])  # idempotent
+
+        # The same through a log, twice over (an already-applied suffix).
+        wal = WriteAheadLog(tmp_path / "wal.jsonl")
+        wal.append("catalogue", events[:2])
+        replayed = self.sharded_catalogue(placement)
+        applied, done = replay(replayed, wal)
+        assert applied == {"catalogue": 2} and len(done) == 2
+        replay(replayed, wal)
+        assert self.holders(replayed, "new") == second
+        assert replayed.database("catalogue").count_objects() == 13
+
+
+    def test_a_sharded_deployment_snapshots_crashes_and_restarts(
+        self, tmp_path
+    ):
+        """docs/INGESTION.md, "Over sharded stores": the snapshot is an
+        ordinary one, the restart replays the delta into plain stores,
+        and re-partitioning plus a seeded hub resumes capture."""
+        from repro.sharding import shard_polystore
+
+        polystore = shard_polystore(build_polystore(), shards=3)
+        wal = WriteAheadLog(tmp_path / "wal.jsonl")
+        hub = make_hub(polystore, wal=wal)
+        snapdir = hub.snapshot(tmp_path / "snap")
+        catalogue = polystore.database("catalogue")
+        catalogue.apply_change(
+            "append", "albums", "d9", {"title": "Silver Sessions Live"}
+        )
+        catalogue.apply_change("delete", "albums", "d0")
+        assert hub.pump().events == 2
+        live = {obj.key: obj.value for obj in catalogue.scan_objects()}
+
+        restarted, info = ChangeHub.warm_restart(
+            snapdir, make_matcher(), wal=wal
+        )
+        assert info["replayed_events"] == 2
+        plain = restarted.polystore.database("catalogue")
+        assert not hasattr(plain, "shards")
+        assert {obj.key: obj.value for obj in plain.scan_objects()} == live
+        assert index_signature(restarted.aindex) == index_signature(
+            hub.aindex
+        )
+
+        resharded = shard_polystore(restarted.polystore, shards=3)
+        resumed = ChangeHub(
+            resharded, restarted.aindex, restarted.maintainer, wal=wal
+        )
+        resumed.attach(seeds=info["applied_seqs"])
+        resharded.database("catalogue").apply_change(
+            "append", "albums", "d10", {"title": "Silver Harbors Deluxe"}
+        )
+        report = resumed.pump()
+        assert report.events == 1
+        assert resumed.feeds["catalogue"].last_seq == (
+            info["applied_seqs"]["catalogue"] + 1
+        )
+        assert index_signature(resumed.aindex) == batch_signature(resharded)
+
+
 class TestSnapshotV2:
     def test_lineage_round_trip_preserves_cascade(self, tmp_path):
         """The PR's persistence fix: inferred-edge lineage is part of

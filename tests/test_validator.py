@@ -6,6 +6,8 @@ from repro.core.validator import Validator, expr_to_string, sql_to_string
 from repro.errors import NotAugmentableError
 from repro.stores.relational.parser import parse_sql
 
+from tests.conftest import make_mini_polystore
+
 
 @pytest.fixture
 def validator() -> Validator:
@@ -87,6 +89,86 @@ class TestRelational:
         assert [r["name"] for r in rewritten_rows] == [
             r["name"] for r in original_rows
         ]
+
+
+REFUSED = [
+    "SELECT COUNT(*) FROM inventory",
+    "SELECT artist FROM inventory GROUP BY artist",
+    "SELECT DISTINCT artist FROM inventory",
+    "SELECT * FROM inventory a JOIN inventory b ON a.id = b.id",
+    "INSERT INTO inventory (id) VALUES ('x')",
+    "SELETC * FORM inventory",
+    {"collection": "inventory"},
+]
+ACCEPTED = [
+    "SELECT * FROM inventory",
+    "SELECT id, name FROM inventory",
+    "SELECT name FROM inventory WHERE price > 10",
+    "SELECT name FROM inventory WHERE name LIKE '%wish%' ORDER BY name LIMIT 2",
+]
+
+
+class TestEveryKindOfRelationalStore:
+    """Validation asks ``store.engine``, not the class: a sharded or a
+    wrapped relational database refuses and rewrites exactly what the
+    plain one does."""
+
+    @pytest.fixture(params=["plain", "2-shard", "flaky"])
+    def store(self, request, mini_polystore):
+        from repro.sharding import HashScheme, partition_store
+        from repro.testing import FlakyStore
+
+        plain = mini_polystore.database("transactions")
+        if request.param == "2-shard":
+            return partition_store(plain, HashScheme(2))
+        if request.param == "flaky":
+            return FlakyStore(plain, fail_every=10**9)
+        return plain
+
+    @pytest.mark.parametrize("query", REFUSED, ids=str)
+    def test_refusals(self, validator, store, query):
+        with pytest.raises(NotAugmentableError):
+            validator.validate(store, query)
+
+    @pytest.mark.parametrize("query", ACCEPTED)
+    def test_rewrites(self, validator, store, query):
+        plain = validator.validate(
+            make_mini_polystore().database("transactions"), query
+        )
+        result = validator.validate(store, query)
+        assert (result.query, result.rewritten, result.notes) == (
+            plain.query, plain.rewritten, plain.notes
+        )
+        # The (possibly rewritten) query runs and every row carries its
+        # primary key, so every result is a stored object.
+        objects = store.execute(result.query)
+        assert objects
+        assert all("id" in obj.value for obj in objects)
+        assert all(obj.key.collection == "inventory" for obj in objects)
+
+    def test_unknown_table_is_the_engines_error(self, validator, store):
+        from repro.errors import QueryError
+
+        with pytest.raises(QueryError):
+            validator.validate(store, "SELECT name FROM nowhere")
+
+    def test_sharded_execute_still_serves_joins_and_aggregates(
+        self, mini_polystore
+    ):
+        """The facade's own ``execute`` is not the validator: called
+        directly it answers derived rows per shard, as before."""
+        from repro.sharding import HashScheme, partition_store
+
+        sharded = partition_store(
+            mini_polystore.database("transactions"), HashScheme(2)
+        )
+        counts = sharded.execute("SELECT COUNT(*) AS n FROM inventory")
+        assert sum(obj.value["n"] for obj in counts) == 3
+        assert {obj.key.collection for obj in counts} == {"_result"}
+        joined = sharded.execute(
+            "SELECT a.id FROM inventory a JOIN inventory b ON a.id = b.id"
+        )
+        assert len(joined) == 3
 
 
 class TestDocument:
