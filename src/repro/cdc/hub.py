@@ -173,6 +173,8 @@ class ChangeHub:
                     relations_added=ingest.relations_added,
                     relations_removed=ingest.relations_removed,
                     affected_nodes=ingest.affected_nodes,
+                    pairs_rescored=ingest.pairs_rescored,
+                    dedup_rechecked=ingest.dedup_rechecked,
                 )
         report.lag = self.lag()
         if self.obs is not None:

@@ -14,11 +14,16 @@ pins. The construction that makes this possible:
   and clean–clean pairs inside it gain or lose candidacy.
 
 * **Scored relation set.** Every pre-dedup p-relation the matcher has
-  emitted, keyed by canonical pair. Per batch, only possibly-changed
-  pairs are re-decided; local dedup is then recomputed over the whole
-  scored set — a cheap linear pass that is order-independent (see
-  :func:`~repro.collector.matching.enforce_local_dedup`), so the
-  post-dedup *base* set is exactly what a batch run would produce.
+  emitted, keyed by canonical pair, with two derived views: key → its
+  scored pairs, and dedup slot ``(target, source database)`` → the
+  scored identities competing for it. Per batch, only possibly-changed
+  pairs are re-decided, and local dedup is re-decided only in the slots
+  of the pairs whose scored relation actually changed: the winner of a
+  slot is taken over every scored identity in it, never over survivors
+  (see :func:`~repro.collector.matching.enforce_local_dedup`, the
+  oracle of this path), so a change cannot cascade past the slots it
+  touches and the post-dedup *base* set is exactly what a batch run
+  would produce. A batch costs what it changes, not what is stored.
 
 * **Component rebuild.** The A' closure of a connected component is a
   fixpoint of its base relations, independent of insertion order, so a
@@ -37,18 +42,25 @@ concurrent freeze can never observe a half-rebuilt component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Any, Iterable
 
 from repro.cdc.feed import ChangeEvent
 from repro.collector.blocking import TokenBlocker
 from repro.collector.collector import CollectorSettings
-from repro.collector.matching import PairwiseMatcher, enforce_local_dedup
+from repro.collector.matching import (
+    PairwiseMatcher,
+    _outranks,
+    enforce_local_dedup,
+)
 from repro.errors import ConfigurationError
 from repro.model.objects import DataObject, GlobalKey
 from repro.model.polystore import Polystore
-from repro.model.prelations import PRelation
+from repro.model.prelations import PRelation, RelationType
 
 Pair = tuple[GlobalKey, GlobalKey]
+#: What identities compete for: (target object, source database).
+Slot = tuple[GlobalKey, str]
 
 
 def _canonical(a: GlobalKey, b: GlobalKey) -> Pair:
@@ -59,6 +71,27 @@ def _relation_order(relation: PRelation) -> tuple[str, str, str]:
     return (str(relation.left), str(relation.right), relation.type.value)
 
 
+def _slots(pair: Pair) -> tuple[Slot, Slot]:
+    """The two dedup slots an identity between ``pair`` competes for."""
+    return ((pair[0], pair[1].database), (pair[1], pair[0].database))
+
+
+def _is_identity(relation: PRelation | None) -> bool:
+    return relation is not None and relation.type is RelationType.IDENTITY
+
+
+def _file(view: dict[Any, set], key: Any, member: Any) -> None:
+    view.setdefault(key, set()).add(member)
+
+
+def _unfile(view: dict[Any, set], key: Any, member: Any) -> None:
+    """Inverse of :func:`_file`; no empty container is left behind."""
+    members = view[key]
+    members.discard(member)
+    if not members:
+        del view[key]
+
+
 @dataclass
 class IngestReport:
     """What one bootstrap or CDC batch application did."""
@@ -66,6 +99,9 @@ class IngestReport:
     events: int = 0
     dirty_keys: int = 0
     pairs_rescored: int = 0
+    #: Relations whose dedup survival was re-decided (the re-scored
+    #: pairs that changed plus their slot rivals).
+    dedup_rechecked: int = 0
     relations_added: int = 0
     relations_removed: int = 0
     #: Nodes excised and rebuilt (the affected connected components).
@@ -106,6 +142,11 @@ class IncrementalCollector:
         self._buckets: dict[str, set[GlobalKey]] = {}
         #: canonical pair -> pre-dedup p-relation the matcher emitted.
         self._scored: dict[Pair, PRelation] = {}
+        #: Two views derived from ``_scored``, written by
+        #: :meth:`_set_scored` only: key -> the scored pairs it ends,
+        #: and slot -> the scored identity pairs competing for it.
+        self._scored_by_key: dict[GlobalKey, set[Pair]] = {}
+        self._slot_rivals: dict[Slot, set[Pair]] = {}
         #: canonical pair -> post-dedup (base) p-relation.
         self._base: dict[Pair, PRelation] = {}
         #: adjacency of the base relation graph (component lookup).
@@ -139,15 +180,14 @@ class IncrementalCollector:
             report.candidate_pairs += 1
             decision = self.matcher.decide(left, right)
             if decision.relation is not None:
-                pair = _canonical(left.key, right.key)
-                self._scored[pair] = decision.relation
+                self._set_scored(
+                    _canonical(left.key, right.key), decision.relation
+                )
         base = enforce_local_dedup(
             sorted(self._scored.values(), key=_relation_order)
         )
-        self._base = {(r.left, r.right): r for r in base}
         for relation in base:
-            self._base_adj.setdefault(relation.left, set()).add(relation.right)
-            self._base_adj.setdefault(relation.right, set()).add(relation.left)
+            self._set_base((relation.left, relation.right), relation)
         with aindex._mutex:
             aindex.add_all(sorted(base, key=_relation_order))
         report.relations_added = len(base)
@@ -167,7 +207,15 @@ class IncrementalCollector:
         Idempotent and order-tolerant within the batch: the store is the
         source of truth for every dirty key's current state, so applying
         a duplicated or internally reordered batch recomputes the same
-        result.
+        result. All-or-nothing on maintainer state up to the last
+        decision: if a store fetch (or the matcher) raises, the
+        exception propagates with the state as it was before the call,
+        so the redelivered batch is applied against the same index this
+        one was. The guarantee ends at :meth:`_commit`: from there on
+        only in-memory writes remain (scored set, base set, then the
+        index), and an interrupt landing among them is not rolled back —
+        the redelivery would find its decisions already recorded and
+        repair nothing, so rebuild after one.
         """
         report = IngestReport()
         dirty: set[GlobalKey] = set()
@@ -196,80 +244,165 @@ class IncrementalCollector:
             touched |= old_tokens[key] | new_tokens[key]
         old_sizes = {t: len(self._buckets.get(t, ())) for t in touched}
 
-        # Move dirty keys between buckets.
-        for key in dirty:
-            for token in old_tokens[key] - new_tokens[key]:
-                bucket = self._buckets.get(token)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del self._buckets[token]
-            for token in new_tokens[key] - old_tokens[key]:
-                self._buckets.setdefault(token, set()).add(key)
-            if new_tokens[key]:
-                self._tokens[key] = new_tokens[key]
-            else:
-                self._tokens.pop(key, None)
+        # Decide before committing: candidacy is a function of the token
+        # index *after* the move, and the second fetch can fail. A batch
+        # that raises must leave no trace (the hub leaves it unacked and
+        # redelivers it; a half-moved index would hide the bucket flips
+        # from the retry), so the move is undone on the way out and
+        # nothing else is written until every decision is in hand.
+        self._move(dirty, old_tokens, new_tokens)
+        try:
+            pairs = self._possibly_changed_pairs(
+                dirty, new_tokens, touched, old_sizes
+            )
+            missing = {k for pair in pairs for k in pair if k not in current}
+            current.update(self._fetch(polystore, missing))
+            decided: dict[Pair, PRelation | None] = {}
+            for pair in pairs:
+                relation = None
+                if self._is_candidate(*pair):
+                    left, right = current.get(pair[0]), current.get(pair[1])
+                    if left is not None and right is not None:
+                        relation = self.matcher.decide(left, right).relation
+                decided[pair] = relation
+        except BaseException:
+            self._move(dirty, new_tokens, old_tokens)
+            raise
+        report.pairs_rescored = len(decided)
 
-        pairs = self._possibly_changed_pairs(
-            dirty, new_tokens, touched, old_sizes
-        )
-
-        # Re-decide candidacy + score for every possibly-changed pair.
-        missing = {k for pair in pairs for k in pair if k not in current}
-        current.update(self._fetch(polystore, missing))
-        for pair in sorted(pairs, key=lambda p: (str(p[0]), str(p[1]))):
-            report.pairs_rescored += 1
-            relation = None
-            if self._is_candidate(*pair):
-                left, right = current.get(pair[0]), current.get(pair[1])
-                if left is not None and right is not None:
-                    relation = self.matcher.decide(left, right).relation
-            if relation is None:
-                self._scored.pop(pair, None)
-            else:
-                self._scored[pair] = relation
-
-        # Recompute dedup over the full scored set (order-independent),
-        # then rebuild only the components the base-set diff touches.
-        base = enforce_local_dedup(
-            sorted(self._scored.values(), key=_relation_order)
-        )
-        new_base = {(r.left, r.right): r for r in base}
-        changed: set[Pair] = set()
-        for pair, relation in self._base.items():
-            if new_base.get(pair) != relation:
-                changed.add(pair)
-        for pair, relation in new_base.items():
-            if self._base.get(pair) != relation:
-                changed.add(pair)
+        changed = self._commit(decided, report)
         if changed:
-            report.relations_added = sum(
-                1 for pair in changed if pair in new_base
-            )
-            report.relations_removed = sum(
-                1 for pair in changed
-                if pair in self._base and pair not in new_base
-            )
-            affected = self._affected_component(changed, new_base)
+            # Both ends of every changed pair seed the walk, so the
+            # pieces a removed edge leaves behind are found from their
+            # own end: the walk needs the new adjacency only.
+            affected = self._component(changed)
             report.affected_nodes = len(affected)
             report.invalidation_keys |= affected
+            # ``_base`` is keyed by canonical pair: each edge of the
+            # components is found once, from its left end.
             rebuilt = sorted(
                 (
                     relation
-                    for pair, relation in new_base.items()
-                    if pair[0] in affected
+                    for node in affected
+                    for neighbor in self._base_adj.get(node, ())
+                    if (relation := self._base.get((node, neighbor)))
                 ),
                 key=_relation_order,
             )
             with aindex._mutex:
                 aindex.excise(affected)
                 aindex.add_all(rebuilt)
-            self._apply_base_diff(changed, new_base)
-        self._base = new_base
         return report
 
     # -- internals ------------------------------------------------------------
+
+    def _move(
+        self,
+        keys: set[GlobalKey],
+        source: dict[GlobalKey, frozenset[str]],
+        target: dict[GlobalKey, frozenset[str]],
+    ) -> None:
+        """Re-file ``keys`` in the token index from their ``source``
+        token sets to their ``target`` ones (swapped, it is the undo)."""
+        for key in keys:
+            for token in source[key] - target[key]:
+                _unfile(self._buckets, token, key)
+            for token in target[key] - source[key]:
+                _file(self._buckets, token, key)
+            if target[key]:
+                self._tokens[key] = target[key]
+            else:
+                self._tokens.pop(key, None)
+
+    def _commit(
+        self, decided: dict[Pair, PRelation | None], report: IngestReport
+    ) -> set[Pair]:
+        """Write a batch's decisions to the scored set and re-decide
+        local dedup where they can have changed it.
+
+        An identity survives iff it is the winner of both its slots, and
+        a slot's winner is taken over every scored identity in it, so
+        survival can change only for a pair whose scored relation
+        changed and for the identities sharing a slot with one. The
+        base set is updated in place; returns the pairs whose base
+        relation changed.
+        """
+        recheck: set[Pair] = set()
+        contested: set[Slot] = set()
+        for pair, relation in decided.items():
+            previous = self._scored.get(pair)
+            if relation == previous:
+                continue
+            self._set_scored(pair, relation)
+            recheck.add(pair)
+            if _is_identity(previous) or _is_identity(relation):
+                contested.update(_slots(pair))
+        for slot in contested:
+            recheck.update(self._slot_rivals.get(slot, ()))
+        report.dedup_rechecked = len(recheck)
+
+        changed: set[Pair] = set()
+        winners: dict[Slot, PRelation] = {}
+        for pair in recheck:
+            relation = self._scored.get(pair)
+            if _is_identity(relation) and not all(
+                self._winner(slot, winners) is relation
+                for slot in _slots(pair)
+            ):
+                relation = None
+            if relation == self._base.get(pair):
+                continue
+            changed.add(pair)
+            self._set_base(pair, relation)
+            if relation is None:
+                report.relations_removed += 1
+            else:
+                report.relations_added += 1
+        return changed
+
+    def _set_scored(self, pair: Pair, relation: PRelation | None) -> None:
+        """Set (or with ``None`` remove) a pair's scored relation — the
+        one writer of ``_scored`` and of the two views derived from it."""
+        previous = self._scored.pop(pair, None)
+        if previous is not None:
+            for key in pair:
+                _unfile(self._scored_by_key, key, pair)
+            if _is_identity(previous):
+                for slot in _slots(pair):
+                    _unfile(self._slot_rivals, slot, pair)
+        if relation is not None:
+            self._scored[pair] = relation
+            for key in pair:
+                _file(self._scored_by_key, key, pair)
+            if _is_identity(relation):
+                for slot in _slots(pair):
+                    _file(self._slot_rivals, slot, pair)
+
+    def _set_base(self, pair: Pair, relation: PRelation | None) -> None:
+        """Set (or with ``None`` remove) a base relation and its edge in
+        the base adjacency."""
+        a, b = pair
+        if relation is None:
+            del self._base[pair]
+            _unfile(self._base_adj, a, b)
+            _unfile(self._base_adj, b, a)
+        else:
+            self._base[pair] = relation
+            _file(self._base_adj, a, b)
+            _file(self._base_adj, b, a)
+
+    def _winner(self, slot: Slot, winners: dict[Slot, PRelation]) -> PRelation:
+        """The identity that holds ``slot``: the one no scored rival
+        outranks (``enforce_local_dedup``'s ``best``), found once per
+        batch and slot."""
+        best = winners.get(slot)
+        if best is None:
+            for pair in self._slot_rivals[slot]:
+                rival = self._scored[pair]
+                if best is None or _outranks(rival, best):
+                    best = rival
+            winners[slot] = best
+        return best
 
     def _possibly_changed_pairs(
         self,
@@ -287,27 +420,23 @@ class IncrementalCollector:
         """
         max_size = self._blocker.max_block_size
         pairs: set[Pair] = set()
-        for pair in self._scored:
-            if pair[0] in dirty or pair[1] in dirty:
-                pairs.add(pair)
         for key in dirty:
+            pairs.update(self._scored_by_key.get(key, ()))
             for token in new_tokens[key]:
-                bucket = self._buckets.get(token, set())
+                bucket = self._buckets.get(token, ())
                 if 2 <= len(bucket) <= max_size:
                     for other in bucket:
                         if other != key and other.database != key.database:
                             pairs.add(_canonical(key, other))
         for token in touched:
-            bucket = self._buckets.get(token, set())
+            bucket = self._buckets.get(token, ())
             was_valid = 2 <= old_sizes[token] <= max_size
             is_valid = 2 <= len(bucket) <= max_size
             if was_valid == is_valid:
                 continue
-            members = sorted(bucket, key=str)
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    if a.database != b.database:
-                        pairs.add(_canonical(a, b))
+            for a, b in combinations(bucket, 2):
+                if a.database != b.database:
+                    pairs.add(_canonical(a, b))
         return pairs
 
     def _is_candidate(self, a: GlobalKey, b: GlobalKey) -> bool:
@@ -325,18 +454,11 @@ class IncrementalCollector:
                 return True
         return False
 
-    def _affected_component(
-        self, changed: set[Pair], new_base: dict[Pair, PRelation]
-    ) -> set[GlobalKey]:
-        """Union of the connected components (over old ∪ new base
-        edges) containing any endpoint of a changed base relation."""
-        added_adj: dict[GlobalKey, set[GlobalKey]] = {}
-        for pair in changed:
-            if pair in new_base:
-                added_adj.setdefault(pair[0], set()).add(pair[1])
-                added_adj.setdefault(pair[1], set()).add(pair[0])
+    def _component(self, pairs: Iterable[Pair]) -> set[GlobalKey]:
+        """Union of the connected components of the base adjacency that
+        hold an endpoint of ``pairs``."""
         affected: set[GlobalKey] = set()
-        frontier = [key for pair in changed for key in pair]
+        frontier = [key for pair in pairs for key in pair]
         while frontier:
             node = frontier.pop()
             if node in affected:
@@ -345,26 +467,7 @@ class IncrementalCollector:
             for neighbor in self._base_adj.get(node, ()):
                 if neighbor not in affected:
                     frontier.append(neighbor)
-            for neighbor in added_adj.get(node, ()):
-                if neighbor not in affected:
-                    frontier.append(neighbor)
         return affected
-
-    def _apply_base_diff(
-        self, changed: set[Pair], new_base: dict[Pair, PRelation]
-    ) -> None:
-        for pair in changed:
-            a, b = pair
-            if pair in new_base:
-                self._base_adj.setdefault(a, set()).add(b)
-                self._base_adj.setdefault(b, set()).add(a)
-            else:
-                for x, y in ((a, b), (b, a)):
-                    neighbors = self._base_adj.get(x)
-                    if neighbors is not None:
-                        neighbors.discard(y)
-                        if not neighbors:
-                            del self._base_adj[x]
 
     def _fetch(
         self, polystore: Polystore, keys: Iterable[GlobalKey]
@@ -393,6 +496,8 @@ class IncrementalCollector:
             "buckets": len(self._buckets),
             "scored_relations": len(self._scored),
             "base_relations": len(self._base),
+            "scored_keys": len(self._scored_by_key),
+            "dedup_slots": len(self._slot_rivals),
         }
 
     # -- persistence hooks -----------------------------------------------------
@@ -427,11 +532,11 @@ class IncrementalCollector:
         not touch any index — the caller restores the A' snapshot
         separately and replays the WAL delta through :meth:`apply`.
         """
-        from repro.model.prelations import RelationType
-
         self._tokens.clear()
         self._buckets.clear()
         self._scored.clear()
+        self._scored_by_key.clear()
+        self._slot_rivals.clear()
         self._base.clear()
         self._base_adj.clear()
         for database in polystore:
@@ -451,11 +556,8 @@ class IncrementalCollector:
                 RelationType(spec["type"]),
                 spec["p"],
             )
-            self._scored[(relation.left, relation.right)] = relation
-        base = enforce_local_dedup(
+            self._set_scored((relation.left, relation.right), relation)
+        for relation in enforce_local_dedup(
             sorted(self._scored.values(), key=_relation_order)
-        )
-        self._base = {(r.left, r.right): r for r in base}
-        for relation in base:
-            self._base_adj.setdefault(relation.left, set()).add(relation.right)
-            self._base_adj.setdefault(relation.right, set()).add(relation.left)
+        ):
+            self._set_base((relation.left, relation.right), relation)

@@ -79,11 +79,12 @@ class TokenBlocker:
                 for right in members[i + 1:]:
                     if left.key.database == right.key.database:
                         continue
-                    pair_ids = tuple(sorted((str(left.key), str(right.key))))
+                    pair = _oriented(left, right)
+                    pair_ids = (str(pair[0].key), str(pair[1].key))
                     if pair_ids in emitted:
                         continue
-                    emitted.add(pair_ids)  # type: ignore[arg-type]
-                    yield _oriented(left, right)
+                    emitted.add(pair_ids)
+                    yield pair
 
     def _object_tokens(self, obj: DataObject) -> set[str]:
         tokens: set[str] = set()
@@ -132,8 +133,9 @@ class SortedNeighborhoodBlocker:
             for right in ordered[index + 1: index + self.window]:
                 if left.key.database == right.key.database:
                     continue
-                pair_ids = tuple(sorted((str(left.key), str(right.key))))
+                pair = _oriented(left, right)
+                pair_ids = (str(pair[0].key), str(pair[1].key))
                 if pair_ids in emitted:
                     continue
-                emitted.add(pair_ids)  # type: ignore[arg-type]
-                yield _oriented(left, right)
+                emitted.add(pair_ids)
+                yield pair

@@ -44,10 +44,13 @@ class MatchDecision:
 
 
 def _field_value(obj: DataObject, name: str) -> Any:
-    if isinstance(obj.value, Mapping):
-        return obj.value.get(name)
+    value = obj.value
+    # Every engine hands out plain dicts; the exact-type test keeps them
+    # off ``typing.Mapping``'s Python-level ``__instancecheck__``.
+    if type(value) is dict or isinstance(value, Mapping):
+        return value.get(name)
     if name == "value":
-        return obj.value
+        return value
     return None
 
 

@@ -6,7 +6,9 @@ Under any seeded fault schedule the system must stay *stale, never
 wrong*: a dropped batch is simply not acked (bounded lag, redelivered
 until applied), duplicated and reordered batches are harmless because
 the maintainer recomputes from current store state, and once delivery
-heals the index converges to the batch-rebuild truth.
+heals the index converges to the batch-rebuild truth. The same holds
+for a store that fails a read in the middle of ``apply``: the batch
+raises, stays unacked, and must leave the maintainer as it found it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ import random
 import pytest
 
 from repro.cdc import ChangeHub, IncrementalCollector, MaterializedAugmentations
+from repro.collector import Collector, JaroWinklerComparator, PairwiseMatcher
+from repro.collector.collector import CollectorSettings
+from repro.collector.matching import AttributeRule
 from repro.core.aindex import AIndex
+from repro.errors import StoreUnavailableError
+from repro.model import Polystore
+from repro.stores import DocumentStore
+from repro.testing import FlakyStore
 
 from tests.test_cdc_props import (
     Driver,
@@ -206,3 +215,122 @@ class TestMaterializedUnderFaults:
         assert report.invalidated >= 1
         assert tier.lookup(database, query, 1) is None
         assert index_signature(index) == batch_signature(polystore)
+
+
+def batch_edges(polystore, matcher, settings) -> set:
+    index = AIndex()
+    Collector(matcher, settings=settings).collect(polystore, index)
+    return index_signature(index)
+
+
+class TestStoreFaultsDuringApply:
+    """``apply`` reads the stores twice — the dirty keys, then the other
+    ends of the pairs to re-decide — and moves the dirty keys between
+    token buckets in between. A fault on the second read used to leave
+    the buckets moved: the redelivered batch then saw no bucket cross
+    the size cap and never retired the pairs that had lost candidacy."""
+
+    def alphas(self):
+        """Three stores holding one "alpha" each; ``two`` can fail."""
+        polystore = Polystore()
+        stores = {}
+        for name in ("one", "two", "three"):
+            stores[name] = DocumentStore()
+            stores[name].insert("albums", {"_id": "x", "title": "alpha"})
+        flaky = FlakyStore(stores["two"], fail_every=10 ** 9)
+        polystore.attach("one", stores["one"])
+        polystore.attach("two", flaky)
+        polystore.attach("three", stores["three"])
+        settings = CollectorSettings(max_block_size=3)
+        matcher = PairwiseMatcher(
+            [AttributeRule("title", "title", JaroWinklerComparator())]
+        )
+        index = AIndex()
+        hub = ChangeHub(
+            polystore, index, IncrementalCollector(matcher, settings)
+        )
+        hub.bootstrap()
+        assert len(index_signature(index)) == 6
+        return polystore, stores, flaky, matcher, settings, index, hub
+
+    def test_redelivery_after_a_mid_apply_fault_converges(self):
+        polystore, stores, flaky, matcher, settings, index, hub = self.alphas()
+        # A fourth "alpha" takes the bucket past the cap: every pair
+        # loses candidacy, the three clean ones included.
+        stores["one"].insert("albums", {"_id": "y", "title": "alpha"})
+        flaky.fail_every = 1
+        with pytest.raises(StoreUnavailableError):
+            hub.pump()
+        assert hub.lag() == 1
+        flaky.fail_every = 10 ** 9
+        report = hub.pump()
+        assert (report.events, report.lag) == (1, 0)
+        assert batch_edges(polystore, matcher, settings) == set()
+        assert index_signature(index) == set()
+
+    def test_a_raising_apply_leaves_the_maintainer_as_it_was(self):
+        polystore, stores, flaky, __, __, index, hub = self.alphas()
+        maintainer = hub.maintainer
+        stores["one"].insert("albums", {"_id": "y", "title": "alpha"})
+        before = (
+            maintainer.state(),
+            maintainer.base_relations(),
+            dict(maintainer._tokens),
+            {token: set(keys) for token, keys in maintainer._buckets.items()},
+            index_signature(index),
+        )
+        flaky.fail_every = 1
+        with pytest.raises(StoreUnavailableError):
+            hub.pump()
+        assert before == (
+            maintainer.state(),
+            maintainer.base_relations(),
+            maintainer._tokens,
+            maintainer._buckets,
+            index_signature(index),
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_flaky_reads_converge_once_healed(self, seed):
+        """Any store's ``multi_get`` may fail during any pump; a cap of
+        4 keeps the suite's "silver" and "harbors" buckets crossing it,
+        so clean pairs gain and lose candidacy while batches fail."""
+        polystore = build_polystore()
+        settings = CollectorSettings(max_block_size=4)
+        index = AIndex()
+        hub = ChangeHub(
+            polystore, index, IncrementalCollector(make_matcher(), settings)
+        )
+        hub.bootstrap()
+        faults = random.Random(seed * 7919)
+        armed = [True]
+        failed = [0]
+
+        def flaky(multi_get):
+            def read(keys):
+                if armed[0] and faults.random() < 0.3:
+                    failed[0] += 1
+                    raise StoreUnavailableError("injected read fault")
+                return multi_get(keys)
+            return read
+
+        for database in polystore:
+            store = polystore.database(database)
+            store.multi_get = flaky(store.multi_get)
+        driver = Driver(polystore, random.Random(seed))
+        raised = 0
+        for step in range(120):
+            driver.step()
+            if (step + 1) % 3 == 0:
+                try:
+                    hub.pump()
+                except StoreUnavailableError:
+                    raised += 1
+        assert raised > 0 and failed[0] >= raised
+        armed[0] = False
+        while hub.pump().batches:
+            pass
+        assert hub.lag() == 0
+        assert index_signature(index) == batch_edges(
+            polystore, make_matcher(), settings
+        )

@@ -1,7 +1,18 @@
 """Tests for token blocking (the BLAST stand-in)."""
 
-from repro.collector.blocking import TokenBlocker, tokenize_value
+import random
+import string
+
+import pytest
+
+from repro.collector.blocking import (
+    SortedNeighborhoodBlocker,
+    TokenBlocker,
+    _oriented,
+    tokenize_value,
+)
 from repro.model.objects import DataObject, GlobalKey
+from repro.workloads import PolystoreScale, build_polyphony
 
 
 def obj(db: str, key: str, **fields) -> DataObject:
@@ -83,3 +94,83 @@ class TestCandidatePairs:
         b = DataObject(GlobalKey("db2", "c", "2"), "cure forever")
         pairs = list(blocker.candidate_pairs([a, b]))
         assert len(pairs) == 1
+
+
+def polyphony_objects() -> list[DataObject]:
+    polystore = build_polyphony(
+        stores=4, scale=PolystoreScale(n_albums=60), with_aindex=False
+    ).polystore
+    return [
+        obj for database in polystore
+        for obj in polystore.database(database).scan_objects()
+    ]
+
+
+def contested_objects() -> list[DataObject]:
+    """The ingest benchmark's shape: four copies per entity, titles of
+    four words from a vocabulary small enough to fill the buckets."""
+    rng = random.Random(11)
+    vocabulary = [
+        "".join(rng.choice(string.ascii_lowercase) for __ in range(7))
+        for __ in range(40)
+    ]
+    objects = []
+    for entity in range(120):
+        words = " ".join(rng.choice(vocabulary) for __ in range(4))
+        for database in ("transactions", "catalogue", "similar", "discount"):
+            if rng.random() < 0.9:
+                title = f"{words} x{rng.randrange(1 << 20):05x}"
+                objects.append(obj(database, f"e{entity}", title=title))
+    rng.shuffle(objects)
+    return objects
+
+
+def emitted_before(scanned):
+    """How the blockers enumerated before they oriented first: a sorted
+    tuple of key texts per scanned pair, oriented only when yielded."""
+    emitted = set()
+    for left, right in scanned:
+        if left.key.database == right.key.database:
+            continue
+        pair_ids = tuple(sorted((str(left.key), str(right.key))))
+        if pair_ids in emitted:
+            continue
+        emitted.add(pair_ids)
+        yield _oriented(left, right)
+
+
+def key_texts(pairs) -> list[tuple[str, str]]:
+    return [(str(left.key), str(right.key)) for left, right in pairs]
+
+
+class TestYieldOrder:
+    """The batch collector's ``max_candidate_pairs`` cap keeps a prefix
+    of the enumeration, so the sequence is part of the contract."""
+
+    @pytest.mark.parametrize("corpus", [polyphony_objects, contested_objects])
+    def test_token_blocker_sequence(self, corpus):
+        objects = corpus()
+        blocker = TokenBlocker(max_block_size=32)
+        scanned = (
+            (left, right)
+            for members in blocker.blocks(objects).values()
+            for i, left in enumerate(members)
+            for right in members[i + 1:]
+        )
+        got = key_texts(blocker.candidate_pairs(objects))
+        assert len(got) > 500
+        assert got == key_texts(emitted_before(scanned))
+
+    @pytest.mark.parametrize("corpus", [polyphony_objects, contested_objects])
+    def test_sorted_neighborhood_sequence(self, corpus):
+        objects = corpus()
+        blocker = SortedNeighborhoodBlocker(window=6)
+        ordered = sorted(objects, key=blocker.blocking_key)
+        scanned = (
+            (left, right)
+            for index, left in enumerate(ordered)
+            for right in ordered[index + 1: index + blocker.window]
+        )
+        got = key_texts(blocker.candidate_pairs(objects))
+        assert len(got) > 500
+        assert got == key_texts(emitted_before(scanned))

@@ -113,3 +113,45 @@ class TestNumeric:
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             NumericComparator(0)
+
+    def test_non_finite_is_zero_unless_equal(self):
+        comparator = NumericComparator()
+        assert comparator.compare(float("nan"), 1.0) == 0.0
+        assert comparator.compare(float("inf"), 1.0) == 0.0
+        assert comparator.compare("nan", "nan") == 0.0
+        assert comparator.compare(float("inf"), float("-inf")) == 0.0
+        assert comparator.compare(float("inf"), float("inf")) == 1.0
+        assert comparator.compare(10 ** 400, 1) == 0.0  # float() overflows
+
+
+#: Values outside every comparator's comfort zone, alone and mixed.
+AWKWARD = (
+    None, "", " ", "nan", "inf", "Wish", 0, 1, -1, 10 ** 400, True, False,
+    float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 5e-324,
+    b"", b"12", bytearray(b"wish"), memoryview(b"7"), (), [1], {"a": 1},
+)
+
+
+class TestContract:
+    """The module's promise: a similarity in [0, 1], whatever comes in
+    (a ``nan`` here poisons the matcher's weighted mean)."""
+
+    @pytest.mark.parametrize(
+        "comparator",
+        [
+            ExactComparator(),
+            LevenshteinComparator(),
+            JaroWinklerComparator(),
+            TokenOverlapComparator(),
+            NumericComparator(),
+        ],
+        ids=lambda comparator: comparator.name,
+    )
+    def test_every_result_is_a_finite_float_in_the_unit_interval(
+        self, comparator
+    ):
+        for left in AWKWARD:
+            for right in AWKWARD:
+                score = comparator.compare(left, right)
+                assert type(score) is float, (left, right, score)
+                assert 0.0 <= score <= 1.0, (left, right, score)
