@@ -32,6 +32,13 @@ count=(--snapshot "$snap" --database transactions
 plain="$(repro query "${count[@]}" 2>&1)" && exit 1
 sharded="$(repro query "${count[@]}" --shards 2 2>&1)" && exit 1
 [[ "$plain" == error:* && "$sharded" == "$plain" ]]
+# A query the store refuses (BETWEEN on mismatched types: a TypeError
+# inside the engine until ISSUE 22) is one error line, not a traceback.
+refused="$(repro query --snapshot "$snap" --database transactions \
+    --query "SELECT * FROM inventory WHERE seq BETWEEN 'a' AND 'z'" 2>&1)" \
+    && exit 1
+[[ "$refused" == "error: type error in BETWEEN"* ]]
+[[ "$(wc -l <<< "$refused")" -eq 1 ]]
 repro trace "${sql[@]}" --trace-id t-000001 > /dev/null
 repro trace "${sql[@]}" --format chrome | json
 repro explain "${sql[@]}" --analyze --json | json

@@ -480,14 +480,14 @@ def _stats(args, out) -> int:
     )
     print("per-store breakdown:", file=out)
     print(
-        f"  {'database':16s} {'queries':>8s} {'objects':>8s} "
+        f"  {'database':16s} {'queries':>8s} {'objects':>8s} {'examined':>9s} "
         + " ".join(f"{name + '_ms':>9s}" for name in _LATENCY_COLUMNS),
         file=out,
     )
     for store in report["stores"]:
         print(
             f"  {store['database']:16s} {store['queries']:8d} "
-            f"{store['objects']:8d} "
+            f"{store['objects']:8d} {store['rows_examined']:9d} "
             + " ".join(
                 f"{store['latency_s'][name] * 1000:9.3f}"
                 for name in _LATENCY_COLUMNS

@@ -191,7 +191,11 @@ class ShardedStore(Store):
         results: list[DataObject] = []
         seen: set[GlobalKey] = set()
         for shard, subquery in targets:
-            for obj in self.shards[shard].execute(subquery):
+            engine = self.shards[shard]
+            examined = engine.stats.rows_examined
+            objects = engine.execute(subquery)
+            self.stats.rows_examined += engine.stats.rows_examined - examined
+            for obj in objects:
                 if obj.key.collection == "_result" and len(targets) > 1:
                     # Synthetic result rows (joins, aggregates) are
                     # per-shard local; re-key them so rows from

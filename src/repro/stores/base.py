@@ -40,6 +40,10 @@ class StoreStats:
     multi_gets: int = 0
     objects_returned: int = 0
     writes: int = 0
+    #: Rows / documents / nodes / keys a native query's access path
+    #: yielded to its predicate. ``rows_examined / objects_returned``
+    #: is what a scan costs per result (an index probe keeps it near 1).
+    rows_examined: int = 0
 
     def reset(self) -> None:
         self.queries = 0
@@ -47,6 +51,7 @@ class StoreStats:
         self.multi_gets = 0
         self.objects_returned = 0
         self.writes = 0
+        self.rows_examined = 0
 
 
 @dataclass

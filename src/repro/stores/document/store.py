@@ -147,8 +147,9 @@ class DocumentStore(Store):
         self.stats.queries += 1
         documents = self._require(collection)
         query = query or {}
+        matcher = compile_filter(query)  # refuses a bad filter first
         candidates = self._candidates(collection, documents, query)
-        matcher = compile_filter(query)
+        self.stats.rows_examined += len(candidates)
         matched = [doc for doc in candidates if matcher(doc)]
         if sort:
             for field, direction in reversed(sort):

@@ -511,6 +511,7 @@ def execute_cypher(store: "GraphStore", text: str) -> CypherResult:
     """Parse and run a Cypher-subset query against ``store``."""
     query = parse_cypher(text)
     matches = _match_pattern(store, query)
+    store.stats.rows_examined += len(matches)
     if query.where is not None:
         matches = [row for row in matches if _eval_where(query.where, row)]
 

@@ -187,6 +187,7 @@ class GraphStore(Store):
             candidate_ids = iter(self._nodes)
         results: list[Node] = []
         for node_id in candidate_ids:
+            self.stats.rows_examined += 1
             node = self._nodes[node_id]
             if properties and any(
                 node.properties.get(key) != value
@@ -306,12 +307,14 @@ class GraphStore(Store):
                 query["node"], query.get("rel_type"), query.get("direction", "both")
             )
             self.stats.objects_returned += len(nodes)
+            self.stats.rows_examined += len(nodes)
         elif op == "traverse":
             self.stats.queries += 1
             nodes = self.traverse(
                 query["node"], query.get("depth", 1), query.get("rel_type")
             )
             self.stats.objects_returned += len(nodes)
+            self.stats.rows_examined += len(nodes)
         else:
             raise QueryError(f"unknown graph op {op!r}")
         return [self._to_object(node) for node in nodes]

@@ -96,9 +96,9 @@ class KeyValueStore(Store):
             and len(query) == 2
             and query[0] == "mget"
         ):
-            objects = [
-                self._object(key) for key in query[1] if key in self._data
-            ]
+            keys = list(query[1])
+            self.stats.rows_examined += len(keys)
+            objects = [self._object(key) for key in keys if key in self._data]
         else:
             raise QueryError(f"unsupported key-value query: {query!r}")
         self.stats.objects_returned += len(objects)
@@ -116,6 +116,7 @@ class KeyValueStore(Store):
 
         if verb not in _HANDLERS:
             # Bare glob pattern: shorthand for KEYS <pattern>.
+            self.stats.rows_examined += len(self._data)
             pattern = query.strip() or "*"
             return [self._object(key) for key in sorted(self.keys(pattern))]
         if verb not in READ_VERBS:
@@ -125,8 +126,10 @@ class KeyValueStore(Store):
             )
         parts = parse_command(query)
         if verb == "KEYS":
+            self.stats.rows_examined += len(self._data)
             keys = execute_command(self, query)
             return [self._object(key) for key in keys]
+        self.stats.rows_examined += len(parts) - 1  # GET / MGET probe keys
         if verb == "GET":
             value = execute_command(self, query)
             return [self._object(parts[1])] if value is not None else []

@@ -29,8 +29,14 @@ from repro.stores.relational.ast import (
     Select,
     Update,
 )
-from repro.stores.relational.executor import Evaluator, ResultRow, SelectExecutor
-from repro.stores.relational.parser import parse_sql
+from repro.stores.relational.executor import (
+    ResultRow,
+    WritePlan,
+    bind,
+    index_probe,
+    run_select,
+)
+from repro.stores.relational.parser import prepare_sql
 from repro.stores.relational.types import Column, ColumnType, TableSchema
 
 
@@ -187,20 +193,27 @@ class RelationalStore(Store):
 
     def sql_rows(self, statement: str) -> list[ResultRow]:
         """Run SQL and return rows with provenance (QUEPA's entry point)."""
-        parsed = parse_sql(statement)
+        parsed, plan = prepare_sql(statement)
         if isinstance(parsed, Select):
             self.stats.queries += 1
-            rows = SelectExecutor(self).run(parsed)
+            rows = run_select(self, plan)
             self.stats.objects_returned += len(rows)
             return rows
         if isinstance(parsed, Insert):
-            self._run_insert(parsed)
+            self._run_insert(parsed, plan)
             return []
         if isinstance(parsed, Update):
-            self._run_update(parsed)
+            table = self.table(parsed.table)
+            for pk in self._matching(table, plan):
+                row = table.row(pk)
+                table.update(
+                    pk, {column: value(row) for column, value in plan.assignments}
+                )
             return []
         if isinstance(parsed, Delete):
-            self._run_delete(parsed)
+            table = self.table(parsed.table)
+            for pk in self._matching(table, plan):
+                table.delete(pk)
             return []
         if isinstance(parsed, CreateTable):
             self._run_create_table(parsed)
@@ -229,48 +242,30 @@ class RelationalStore(Store):
         )
         self.create_table(create.table, schema)
 
-    def _run_insert(self, insert: Insert) -> None:
+    def _run_insert(self, insert: Insert, plan: WritePlan) -> None:
         table = self.table(insert.table)
         columns = list(insert.columns) or table.schema.column_names
-        evaluator = Evaluator()
-        for value_tuple in insert.rows:
-            if len(value_tuple) != len(columns):
+        bind(plan.refs, {})  # VALUES see no row: any column is unknown
+        for values in plan.rows:
+            if len(values) != len(columns):
                 raise QueryError(
-                    f"INSERT has {len(value_tuple)} values for "
+                    f"INSERT has {len(values)} values for "
                     f"{len(columns)} columns"
                 )
-            row = {
-                column: evaluator.value(expr, {})
-                for column, expr in zip(columns, value_tuple)
-            }
-            table.insert(row)
+            table.insert(
+                {column: value(None) for column, value in zip(columns, values)}
+            )
 
-    def _run_update(self, update: Update) -> None:
-        table = self.table(update.table)
-        evaluator = Evaluator()
-        targets = []
-        for pk, row in table.rows():
-            env = {update.table: row}
-            if update.where is None or evaluator.value(update.where, env) is True:
-                targets.append(pk)
-        for pk in targets:
-            env = {update.table: table.row(pk)}
-            changes = {
-                assignment.column: evaluator.value(assignment.value, env)
-                for assignment in update.assignments
-            }
-            table.update(pk, changes)
-
-    def _run_delete(self, delete: Delete) -> None:
-        table = self.table(delete.table)
-        evaluator = Evaluator()
-        targets = []
-        for pk, row in table.rows():
-            env = {delete.table: row}
-            if delete.where is None or evaluator.value(delete.where, env) is True:
-                targets.append(pk)
-        for pk in targets:
-            table.delete(pk)
+    def _matching(self, table: Table, plan: WritePlan) -> list[str]:
+        """Primary keys of the rows an UPDATE / DELETE targets, collected
+        before the first write (the scan must not see its own writes)."""
+        bind(plan.refs, {table.name: table.schema})
+        self.stats.rows_examined += len(table)
+        where = plan.where
+        return [
+            pk for pk, row in table.rows()
+            if where is None or where(row) is True
+        ]
 
     # -- Store contract --------------------------------------------------------------
 
@@ -295,18 +290,13 @@ class RelationalStore(Store):
     def _explain_plan(self, query: Any) -> dict[str, Any]:
         """Access path for a SQL SELECT: index probe when the WHERE has
         a usable equality/IN conjunct on an indexed column (the same
-        test :class:`SelectExecutor` applies), full table scan
+        test :func:`run_select` applies), full table scan
         otherwise. Joins report their strategy (hash vs. nested loop)."""
-        from repro.stores.relational.executor import (
-            _index_lookup,
-            _join_equality,
-        )
-
         if not isinstance(query, str):
             raise QueryError(
                 f"relational queries are SQL strings, got {query!r}"
             )
-        parsed = parse_sql(query)
+        parsed, compiled = prepare_sql(query)
         if not isinstance(parsed, Select):
             return {
                 "access_path": "statement",
@@ -316,7 +306,7 @@ class RelationalStore(Store):
                 "estimated_cost": 0.0,
             }
         table = self.table(parsed.table.name)
-        lookup = _index_lookup(parsed.where, parsed.table.binding, table)
+        lookup = index_probe(compiled, table)
         if lookup is not None:
             column, values = lookup
             examined = sum(
@@ -340,9 +330,10 @@ class RelationalStore(Store):
         if parsed.joins:
             joins = []
             cost = plan["estimated_cost"]
-            for join in parsed.joins:
+            for join_plan in compiled.joins:
+                join = join_plan.join
                 right = self.table(join.table.name)
-                hashed = _join_equality(join.on, join.table.binding) is not None
+                hashed = join_plan.hashed is not None
                 joins.append(
                     {
                         "table": join.table.name,

@@ -26,7 +26,7 @@ Strings use single quotes with ``''`` escaping, as in MySQL.
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import SqlSyntaxError
 from repro.stores.querycache import QueryCache
@@ -59,6 +59,7 @@ from repro.stores.relational.ast import (
     UnaryOp,
     Update,
 )
+from repro.stores.relational.executor import compile_statement
 
 KEYWORDS = {
     "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
@@ -576,13 +577,27 @@ class Parser:
         return FuncCall(upper, tuple(args), distinct)
 
 
-#: Statement cache: the AST is frozen dataclasses, so one parsed
-#: ``Statement`` is safely shared by every execution of the same text.
+#: Statement cache: text -> ``(statement, compiled plan)``. The AST is
+#: frozen dataclasses and the plan a tree of stateless closures, both
+#: functions of the text alone, so one entry is safely shared by every
+#: execution of the same text on any store and any thread.
 _STATEMENT_CACHE = QueryCache("sql_statements")
 
 
+def _prepare(sql: str) -> tuple[Statement, Any]:
+    statement = Parser(sql).parse_statement()
+    return statement, compile_statement(statement)
+
+
+def prepare_sql(sql: str) -> tuple[Statement, Any]:
+    """Parse and compile one SQL statement (cached by query text)."""
+    return _STATEMENT_CACHE.get_or_compute(sql, lambda: _prepare(sql))
+
+
 def parse_sql(sql: str) -> Statement:
-    """Parse one SQL statement into its AST (cached by query text)."""
-    return _STATEMENT_CACHE.get_or_compute(
-        sql, lambda: Parser(sql).parse_statement()
-    )
+    """Parse one SQL statement into its AST (cached by query text).
+
+    The first half of :func:`prepare_sql`'s entry (not a call to it: the
+    validator parses on every search, and a frame there is measurable).
+    """
+    return _STATEMENT_CACHE.get_or_compute(sql, lambda: _prepare(sql))[0]

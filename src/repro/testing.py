@@ -33,6 +33,8 @@ class FlakyStore(Store):
         if fail_every < 1:
             raise ValueError("fail_every must be >= 1")
         self.inner = inner
+        #: One set of counters: the wrapped engine's, which does the work.
+        self.stats = inner.stats
         self.fail_every = fail_every
         self.calls = 0
         self.failures = 0

@@ -37,6 +37,7 @@ from repro.errors import (
     InvalidGlobalKeyError,
     KeyNotFoundError,
     NotAugmentableError,
+    QueryError,
     ReproError,
     RequestDeadlineExceeded,
     ServerBusy,
@@ -138,7 +139,7 @@ class QuepaApi:
             raise ApiError(503, str(exc)) from exc
         except RequestDeadlineExceeded as exc:
             raise ApiError(504, str(exc)) from exc
-        except NotAugmentableError as exc:
+        except (NotAugmentableError, QueryError) as exc:
             raise ApiError(422, str(exc)) from exc
         except (UnknownDatabaseError, KeyNotFoundError) as exc:
             raise ApiError(404, str(exc)) from exc

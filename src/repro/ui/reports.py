@@ -276,6 +276,11 @@ def stats(subject: Subject) -> dict[str, Any]:
                 "database": database,
                 "queries": meter.queries_by_database[database],
                 "objects": meter.objects_by_database.get(database, 0),
+                # Cumulative over the store's life, unlike the two above:
+                # against its own objects_returned it is what scans cost.
+                "rows_examined": quepa.polystore.databases[
+                    database
+                ].stats.rows_examined,
                 "latency_s": metrics.histogram(
                     "store_call_seconds", database=database
                 ).snapshot(),

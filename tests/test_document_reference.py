@@ -37,6 +37,15 @@ _FILTERS = st.one_of(
         st.integers(0, 100),
         st.sampled_from(["rock", "jazz"]),
     ),
+    # Negations over the optional field: documents without a ``year``
+    # match them (ISSUE 22; the parent returned none of those).
+    st.builds(lambda y: {"year": {"$ne": y}}, st.integers(1980, 2020)),
+    st.builds(
+        lambda a, b: {"year": {"$nin": [a, b]}},
+        st.integers(1980, 2020),
+        st.integers(1980, 2020),
+    ),
+    st.builds(lambda y: {"year": {"$not": {"$gte": y}}}, st.integers(1980, 2020)),
 )
 
 
@@ -63,6 +72,27 @@ class TestFindVersusNaive:
             if matches_filter(payload, query):
                 expected.add(f"d{index}")
         assert got == expected
+
+    @given(_DOCS, st.integers(1980, 2020), st.integers(1980, 2020))
+    @settings(max_examples=60, deadline=None)
+    def test_negations_match_plain_python_over_the_optional_year(
+        self, docs, first, second
+    ):
+        store = build_store(docs)
+        years = {f"d{i}": doc["year"] for i, doc in enumerate(docs)}
+
+        def found(condition):
+            return {d["_id"] for d in store.find("c", {"year": condition})}
+
+        assert found({"$ne": first}) == {
+            key for key, year in years.items() if year != first
+        }
+        assert found({"$nin": [first, second]}) == {
+            key for key, year in years.items() if year not in (first, second)
+        }
+        assert found({"$not": {"$gte": first}}) == {
+            key for key, year in years.items() if year is None or year < first
+        }
 
     @given(_DOCS, _FILTERS)
     @settings(max_examples=60, deadline=None)

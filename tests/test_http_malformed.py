@@ -193,3 +193,56 @@ class TestInternalError:
         assert events[0]["severity"] == "error"
         assert events[0]["attrs"]["path"] == "/databases"
         assert_no_handler_blocked()
+
+
+class TestBadQuery:
+    """ISSUE 22: a query the store refuses is the client's error. At the
+    parent the ``QueryError``s came back as 500 through the catch-all,
+    and ``BETWEEN`` on mismatched types, ``ABS(text)``, ``$in: 5`` or a
+    ``$regex`` that does not compile escaped as raw exceptions: the
+    "internal error" 500 plus an ``http_internal_error`` event."""
+
+    @pytest.mark.parametrize("database, query, fragment", [
+        ("transactions", "SELECT * FROM inventory WHERE nope = 1",
+         "unknown column 'nope'"),
+        ("transactions",
+         "SELECT * FROM inventory WHERE id = 'zz' AND nope = 1",
+         "unknown column 'nope'"),
+        ("transactions", "SELECT * FROM inventory WHERE price < 'a'",
+         "type error in <"),
+        ("transactions",
+         "SELECT * FROM inventory WHERE price BETWEEN 'a' AND 'z'",
+         "type error in BETWEEN"),
+        ("transactions", "SELECT * FROM inventory WHERE -name = 1",
+         "type error in unary -"),
+        ("transactions", "SELECT id, ABS(name) FROM inventory",
+         "type error in ABS"),
+        ("catalogue", {"collection": "albums", "filter": {"year": {"$in": 5}}},
+         "$in needs a list"),
+        ("catalogue",
+         {"collection": "albums", "filter": {"title": {"$regex": "("}}},
+         "invalid $regex"),
+        ("catalogue",
+         {"collection": "albums", "filter": {"zz": {"$bogus": 1}}},
+         "unknown query operator '$bogus'"),
+    ])
+    def test_refused_query_is_a_422_with_the_message(
+        self, running, mini_quepa, database, query, fragment
+    ):
+        status, payload = post(
+            running, "/query", as_body({"database": database, "query": query})
+        )
+        assert status == payload["status"] == 422
+        assert fragment in payload["error"]
+        assert "Traceback" not in payload["error"]
+        assert mini_quepa.obs.events.as_dicts(kind="http_internal_error") == []
+        assert_no_handler_blocked()
+
+    def test_same_status_through_the_serving_layer(self, mini_quepa):
+        with QuepaServer(mini_quepa, ServingConfig(workers=1)) as scheduler:
+            with serve(mini_quepa, port=0, server=scheduler) as endpoint:
+                status, payload = post(endpoint, "/query", as_body({
+                    "database": "transactions",
+                    "query": "SELECT * FROM inventory WHERE nope = 1",
+                }))
+        assert status == 422 and "unknown column 'nope'" in payload["error"]

@@ -263,3 +263,93 @@ class TestOrderingAndLimits:
             "SELECT id FROM items WHERE id IN ('k5', 'k1') ORDER BY id"
         )
         assert ids(rows) == ["k1", "k5"]
+
+
+# -- ISSUE 22: bad input is refused with QueryError, whatever the data -------
+
+
+@pytest.fixture
+def typed() -> RelationalStore:
+    r = RelationalStore()
+    r.sql("CREATE TABLE t (id TEXT PRIMARY KEY, n INTEGER, name TEXT)")
+    r.sql("INSERT INTO t VALUES ('a', 1, 'x'), ('b', NULL, 'y')")
+    return r
+
+
+@pytest.fixture
+def empty() -> RelationalStore:
+    r = RelationalStore()
+    r.sql("CREATE TABLE t (id TEXT PRIMARY KEY, n INTEGER, name TEXT)")
+    r.sql("CREATE TABLE u (id TEXT PRIMARY KEY, k INTEGER)")
+    return r
+
+
+class TestBadInputIsRefused:
+    """Each of these raised a raw ``TypeError`` at the parent (an HTTP
+    500 and an ``http_internal_error`` event) while ``n < 'a'`` was a
+    ``QueryError``: one translation now, in the compiler."""
+
+    @pytest.mark.parametrize("sql, fragment", [
+        ("SELECT * FROM t WHERE n BETWEEN 'a' AND 'z'", "type error in BETWEEN"),
+        ("SELECT * FROM t WHERE n < 'a'", "type error in <"),
+        ("SELECT * FROM t WHERE -name = 1", "type error in unary -"),
+        ("SELECT ABS(name) FROM t", "type error in ABS"),
+        ("SELECT ROUND(name) FROM t", "type error in ROUND"),
+        ("SELECT ROUND(n, name) FROM t", "type error in ROUND"),
+        ("SELECT SUM(name) FROM t", "type error in SUM"),
+        ("UPDATE t SET n = n + name", "type error in +"),
+        ("DELETE FROM t WHERE name > 1", "type error in >"),
+    ])
+    def test_type_errors_are_query_errors(self, typed, sql, fragment):
+        with pytest.raises(QueryError, match=fragment):
+            typed.sql(sql)
+
+    def test_type_errors_stay_properties_of_the_data(self, typed, empty):
+        """No row, no operand, no error: only names are checked early."""
+        assert empty.sql("SELECT * FROM t WHERE n BETWEEN 'a' AND 'z'") == []
+        assert typed.sql("SELECT * FROM t WHERE id = 'zz' AND n < 'a'") == []
+
+
+class TestRefusalDoesNotDependOnTheData:
+    """At the parent ``WHERE id = 'zz' AND nope = 1`` returned ``[]``
+    (the short-circuit never reached ``nope``) and so did any unknown
+    column over an empty table. Names are bound per execution, before
+    the first row."""
+
+    @pytest.mark.parametrize("sql, message", [
+        ("SELECT * FROM t WHERE nope = 1", "unknown column 'nope'"),
+        ("SELECT * FROM t WHERE id = 'zz' AND nope = 1", "unknown column 'nope'"),
+        ("SELECT nope FROM t", "unknown column 'nope'"),
+        ("SELECT id FROM t ORDER BY nope", "unknown column 'nope'"),
+        ("SELECT id FROM t GROUP BY nope", "unknown column 'nope'"),
+        ("SELECT COUNT(nope) FROM t", "unknown column 'nope'"),
+        ("SELECT * FROM t x WHERE t.id = 'a'", "unknown table alias 't'"),
+        ("SELECT * FROM t WHERE t.nope = 1", "unknown column t.nope"),
+        ("SELECT id FROM t JOIN u ON t.id = u.id", "ambiguous column 'id' (in ['t', 'u'])"),
+        ("SELECT t.id FROM t JOIN u ON t.id = u.nope", "unknown column u.nope"),
+        ("SELECT t.id FROM t JOIN u ON t.id = u.id WHERE k = nope",
+         "unknown column 'nope'"),
+        ("UPDATE t SET n = nope + 1", "unknown column 'nope'"),
+        ("UPDATE t SET n = 1 WHERE id = 'zz' AND nope = 1", "unknown column 'nope'"),
+        ("DELETE FROM t WHERE nope = 1", "unknown column 'nope'"),
+    ])
+    def test_same_refusal_on_empty_and_populated_tables(
+        self, typed, empty, sql, message
+    ):
+        typed.sql("CREATE TABLE u (id TEXT PRIMARY KEY, k INTEGER)")
+        for store in (empty, typed):
+            before = store.dump_state()
+            with pytest.raises(QueryError) as err:
+                store.sql(sql)
+            assert str(err.value) == message
+            assert store.dump_state() == before  # refused before any write
+
+    def test_aggregate_misuse_is_refused_without_rows(self, empty):
+        with pytest.raises(QueryError, match="outside aggregation context"):
+            empty.sql("SELECT id FROM t WHERE COUNT(*) > 1")
+        with pytest.raises(QueryError, match="select list of an aggregate"):
+            empty.sql("SELECT n, COUNT(*) FROM t GROUP BY n ORDER BY name")
+
+    def test_order_by_alias_is_not_a_column_reference(self, typed):
+        rows = typed.sql("SELECT id, COALESCE(n, 0) + 1 AS nxt FROM t ORDER BY nxt")
+        assert [row["nxt"] for row in rows] == [1, 2]

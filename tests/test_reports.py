@@ -9,6 +9,7 @@ surface grows a second builder.
 """
 
 import functools
+import io
 import json
 import re
 from pathlib import Path
@@ -430,3 +431,93 @@ class TestDocs:
             main(["record", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert "Flight-recorder digests of the shed, failed" in text
+
+
+# -- ISSUE 22: a refused query is refused the same way on both surfaces ------
+
+BAD_QUERIES = [
+    ("transactions", "SELECT * FROM inventory WHERE nope = 1"),
+    ("transactions", "SELECT * FROM inventory WHERE id = 'zz' AND nope = 1"),
+    ("transactions", "SELECT * FROM inventory WHERE seq BETWEEN 'a' AND 'z'"),
+    ("transactions", "SELECT * FROM inventory WHERE -name = 1"),
+    ("transactions", "SELECT id, ABS(name) FROM inventory"),
+    ("catalogue", '{"collection": "albums", "filter": {"seq": {"$in": 5}}}'),
+    ("catalogue", '{"collection": "albums", "filter": {"title": {"$regex": "("}}}'),
+    ("catalogue", '{"collection": "albums", "filter": {"zz": {"$bogus": 1}}}'),
+]
+
+
+class TestBadQueryParity:
+    """``repro query`` exits non-zero with the one-line message the HTTP
+    surface puts in its 422 — on a plain and on a sharded polystore, on
+    populated stores and on empty ones."""
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, tmp_path_factory):
+        from repro.cli import main
+
+        path = str(tmp_path_factory.mktemp("bad") / "snap")
+        assert main(
+            ["generate", "--stores", "4", "--albums", "30", "--out", path],
+            out=io.StringIO(),
+        ) == 0
+        return path
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    @pytest.mark.parametrize("database, query", BAD_QUERIES)
+    def test_cli_exit_and_http_422_carry_the_same_line(
+        self, snapshot, database, query, shards
+    ):
+        from repro import cli
+
+        argv = ["query", "--snapshot", snapshot, "--database", database,
+                "--query", query, "--shards", shards]
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == 1
+        line, = out.getvalue().splitlines()
+        assert line.startswith("error: ") and "Traceback" not in line
+        quepa = cli._load(cli.build_parser().parse_args(argv))
+        with pytest.raises(ApiError) as err:
+            QuepaApi(quepa).handle(
+                "POST", "/query", {"database": database, "query": query}
+            )
+        assert err.value.status == 422
+        assert line == f"error: {err.value.message}"
+        assert quepa.obs.events.as_dicts(kind="http_internal_error") == []
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_an_empty_store_refuses_what_a_populated_one_refuses(self, shards):
+        from repro.core.aindex import AIndex
+        from repro.core.system import Quepa
+        from repro.model.polystore import Polystore
+        from repro.sharding import shard_polystore
+        from repro.stores import DocumentStore, RelationalStore
+
+        sales, catalogue = RelationalStore(), DocumentStore()
+        sales.sql("CREATE TABLE inventory (id TEXT PRIMARY KEY, seq INTEGER)")
+        catalogue.create_collection("albums")
+        polystore = Polystore()
+        polystore.attach("transactions", sales)
+        polystore.attach("catalogue", catalogue)
+        if shards > 1:
+            polystore = shard_polystore(polystore, shards=shards)
+        api = QuepaApi(Quepa(polystore, AIndex()))
+        for database, query, fragment in (
+            ("transactions", "SELECT * FROM inventory WHERE nope = 1",
+             "unknown column 'nope'"),
+            ("transactions", "SELECT * FROM inventory x WHERE inventory.id = 'a'",
+             "unknown table alias 'inventory'"),
+            ("catalogue", ["albums", {"zz": {"$bogus": 1}}],
+             "unknown query operator '$bogus'"),
+            ("catalogue", ["albums", {"seq": {"$in": 5}}], "$in needs a list"),
+        ):
+            with pytest.raises(ApiError) as err:
+                api.handle("POST", "/query", {"database": database, "query": query})
+            assert err.value.status == 422, query
+            assert fragment in err.value.message
+        # ...while a property of the data cannot be met without data.
+        answer = api.handle("POST", "/query", {
+            "database": "transactions",
+            "query": "SELECT * FROM inventory WHERE seq < 'a'",
+        })
+        assert answer["originals"] == []

@@ -598,6 +598,28 @@ class TestEnginesOwnTheirState:
             offenders += [f"{module}: {name}" for name in imports(tree, skip)]
         assert offenders == []
 
+    def test_nothing_outside_stores_compiles_a_native_expression(self):
+        """ISSUE 22: a native expression is compiled and evaluated in
+        ``repro/stores/`` and nowhere else. The validator may *parse*
+        SQL (``parse_sql``); the compile entry points and the executor
+        module stay inside."""
+        entry_points = {
+            "compile_statement", "compile_expr", "prepare_sql",
+            "compile_filter", "matches_filter",
+        }
+        offenders = [
+            f"{module}: {node.module}.{alias.name}"
+            for module, tree in _outside_modules()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name in entry_points
+            or (node.module or "").endswith(
+                ("relational.executor", "document.query")
+            )
+        ]
+        assert offenders == []
+
     def test_state_dispatch_is_the_engines_table(self):
         """``persistence/`` and ``sharding/`` hold no engine ladder for
         state: no string comparison against ``engine`` names there

@@ -163,3 +163,86 @@ class TestProjection:
 
     def test_missing_included_field_omitted(self):
         assert project(DOC, {"nope": 1}) == {"_id": "d1"}
+
+
+# -- ISSUE 22: the filter compiler ---------------------------------------------
+
+ABSENT = {"_id": "1", "a": 1}
+
+
+class TestMalformedFiltersAreRefused:
+    """Operand shapes are checked when the filter compiles: at the
+    parent ``$in: 5`` was a raw ``TypeError`` and a bad ``$regex`` a raw
+    ``re.error`` (an HTTP 500 each)."""
+
+    @pytest.mark.parametrize("query, fragment", [
+        ({"a": {"$in": 5}}, r"\$in needs a list"),
+        ({"a": {"$nin": "ab"}}, r"\$nin needs a list"),
+        ({"a": {"$all": 1}}, r"\$all needs a list"),
+        ({"a": {"$regex": "("}}, r"invalid \$regex"),
+        ({"a": {"$regex": 5}}, r"invalid \$regex"),
+        ({"a": {"$size": "x"}}, r"\$size needs an integer"),
+        ({"a": {"$size": True}}, r"\$size needs an integer"),
+        ({"a": {"$type": "nope"}}, r"unknown \$type name"),
+        ({"a": {"$type": []}}, r"unknown \$type name"),
+        ({"a": {"$elemMatch": 3}}, r"\$elemMatch needs a filter document"),
+        ({"a": {"$not": {"$in": 5}}}, r"\$in needs a list"),
+        ({"$and": 5}, r"\$and needs a list of filter documents"),
+        ({"$or": [1]}, r"\$or needs a list of filter documents"),
+        ({3: 1}, "filter keys are strings"),
+    ])
+    def test_refused_with_query_error(self, query, fragment):
+        with pytest.raises(QueryError, match=fragment):
+            matches_filter(ABSENT, query)
+
+
+class TestRefusalDoesNotDependOnTheData:
+    """``{"zz": {"$bogus": 1}}`` returned ``[]`` at the parent because
+    no document had ``zz``; so did any bad filter on an empty
+    collection."""
+
+    @pytest.mark.parametrize("query", [
+        {"a": {"$bogus": 1}},
+        {"zz": {"$bogus": 1}},
+        {"zz": {"$in": 5}},
+        {"zz.deep": {"$regex": "("}},
+        {"$or": [{"a": 1}, {"zz": {"$bogus": 1}}]},
+        {"a": {"$elemMatch": {"zz": {"$bogus": 1}}}},
+    ])
+    def test_same_refusal_on_empty_and_populated_collections(self, query):
+        from repro.stores import DocumentStore
+
+        empty, populated = DocumentStore(), DocumentStore()
+        empty.create_collection("c")
+        populated.insert("c", ABSENT)
+        for store in (empty, populated):
+            with pytest.raises(QueryError):
+                store.find("c", query)
+            with pytest.raises(QueryError):
+                store.execute({"collection": "c", "filter": query})
+
+
+class TestNegationsMatchAnAbsentField:
+    """MongoDB's rule: ``$ne`` / ``$nin`` / ``$not`` hold of a document
+    that lacks the field. The parent quantified them with ``any`` over
+    the (empty) list of values at the path and returned nothing."""
+
+    @pytest.mark.parametrize("query", [
+        {"zz": {"$ne": 1}},
+        {"zz": {"$nin": [1]}},
+        {"zz": {"$not": {"$eq": 1}}},
+    ])
+    def test_absent_field_matches(self, query):
+        assert matches_filter(ABSENT, query)
+        assert matches_filter(DOC, {f"artist.{k}": v for k, v in query.items()})
+
+    def test_present_fields_are_judged_as_before(self):
+        assert not matches_filter(ABSENT, {"a": {"$ne": 1}})
+        assert not matches_filter(ABSENT, {"a": {"$nin": [1]}})
+        assert not matches_filter(ABSENT, {"a": {"$not": {"$eq": 1}}})
+        assert matches_filter(ABSENT, {"a": {"$ne": 2, "$nin": [3]}})
+
+    def test_a_positive_operator_beside_a_negation_still_needs_a_value(self):
+        assert not matches_filter(ABSENT, {"zz": {"$ne": 1, "$gt": 0}})
+        assert not matches_filter(ABSENT, {"zz": {"$ne": 1, "$exists": True}})
+        assert matches_filter(ABSENT, {"zz": {"$ne": 1, "$exists": False}})
