@@ -78,19 +78,42 @@ class AugmentationPlan:
     )
     #: Number of A' index edges examined (charged as CPU by augmenters).
     edges_examined: int = 0
+    #: (flat fetch list, its keys, fetch count), built on first use. A
+    #: plan is filled once by whoever builds it and read-only after, and
+    #: the plan cache hands the same plan to every repeat of a query, so
+    #: these are computed once per plan, not once per search.
+    _columns: tuple[list[PlannedFetch], list[GlobalKey], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _flat(self) -> tuple[list[PlannedFetch], list[GlobalKey], int]:
+        columns = self._columns
+        if columns is None:
+            by_seed = self.fetches_by_seed
+            fetches = [
+                fetch for seed in self.seeds for fetch in by_seed.get(seed, ())
+            ]
+            columns = self._columns = (
+                fetches,
+                [fetch.key for fetch in fetches],
+                sum(len(group) for group in by_seed.values()),
+            )
+        return columns
 
     def all_fetches(self) -> list[PlannedFetch]:
         """Fetches of every seed, in seed order (duplicates possible —
         overlapping augmentations are deduplicated only in the final
-        answer, which is exactly why the cache helps at level > 0)."""
-        return [
-            fetch
-            for seed in self.seeds
-            for fetch in self.fetches_by_seed.get(seed, [])
-        ]
+        answer, which is exactly why the cache helps at level > 0).
+        The plan's own list: callers must not mutate it."""
+        return self._flat()[0]
+
+    def fetch_keys(self) -> list[GlobalKey]:
+        """``fetch.key`` of every :meth:`all_fetches` entry, in the
+        same order (what a cache probe run walks)."""
+        return self._flat()[1]
 
     def total_fetches(self) -> int:
-        return sum(len(f) for f in self.fetches_by_seed.values())
+        return self._flat()[2]
 
 
 class Augmentation:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.core.augmentation import AugmentationConfig, AugmentationPlan, PlannedFetch
 from repro.core.cache import LruCache
 from repro.core.connectors import ConnectorRegistry
+from repro.core.search import _augmented
 from repro.errors import (
     ConfigurationError,
     StoreUnavailableError,
@@ -21,22 +22,34 @@ from repro.network.executor import ExecContext
 
 @dataclass
 class AugmentationOutcome:
-    """What executing an augmentation plan produced."""
+    """What executing an augmentation plan produced.
 
-    objects: list[AugmentedObject] = field(default_factory=list)
+    Also the unit of accounting inside a run: a pool worker fills its
+    own and the strategy merges it with :meth:`absorb` after the join.
+    """
+
+    #: What materialized, as two parallel columns in execution order:
+    #: the stored object (as cached or as fetched) and the planned fetch
+    #: that asked for it. They stay columns until
+    #: :func:`~repro.core.search.assemble_answer` has ranked them;
+    #: only the winners become an :class:`AugmentedObject`.
+    values: list[DataObject] = field(default_factory=list)
+    fetches: list[PlannedFetch] = field(default_factory=list)
     #: Keys planned but absent from the polystore (feed lazy deletion).
     #: Deduplicated across seeds by :meth:`Augmenter.execute`.
     missing: list[GlobalKey] = field(default_factory=list)
     cache_hits: int = 0
+    #: Native queries that reached a store.
     queries_issued: int = 0
-    #: Batch flushes that reached no store because the target database
-    #: was down under ``skip_unavailable`` (not counted as issued).
+    #: Fetches and batch flushes that reached no store: barred by the
+    #: timeout budget, or a flush whose database was down under
+    #: ``skip_unavailable`` (not counted as issued).
     skipped_flushes: int = 0
     #: Databases skipped because they were unreachable (only populated
     #: when the configuration sets ``skip_unavailable``).
     unavailable_databases: tuple[str, ...] = ()
     #: True iff a fault cost this run planned objects: some planned key
-    #: is neither in ``objects`` nor (genuinely) ``missing``. A flaky
+    #: is neither materialized nor (genuinely) ``missing``. A flaky
     #: store whose every fetch succeeded on retry does *not* degrade.
     degraded: bool = False
     #: Database -> reason for every store that misbehaved during the
@@ -46,6 +59,28 @@ class AugmentationOutcome:
     #: Structured trace summary of the run (span counts/durations per
     #: kind), stamped by :meth:`Augmenter.execute`.
     trace: dict | None = None
+
+    @property
+    def objects(self) -> list[AugmentedObject]:
+        """Every materialized row as an answer entry, in execution
+        order: a read-only view, built on each access."""
+        return [
+            _augmented(value, fetch)
+            for value, fetch in zip(self.values, self.fetches)
+        ]
+
+    def absorb(self, part: "AugmentationOutcome") -> None:
+        """Append a worker's rows and add its counts."""
+        self.values += part.values
+        self.fetches += part.fetches
+        self.missing += part.missing
+        self.cache_hits += part.cache_hits
+        self.queries_issued += part.queries_issued
+        self.skipped_flushes += part.skipped_flushes
+
+
+#: A pool task: runs on a child context, returns what it materialized.
+Task = Callable[[ExecContext], AugmentationOutcome]
 
 
 class Augmenter(ABC):
@@ -72,11 +107,8 @@ class Augmenter(ABC):
         #: Virtual deadline of this run (``None`` = no timeout budget).
         self._deadline: float | None = None
         self._budget_exceeded = False
-        #: Fetches barred by the timeout budget (parent thread reads the
-        #: delta to keep them out of ``queries_issued``).
-        self._budget_skips = 0
         #: Per-probe CPU charge; resolved per run by :meth:`execute` so
-        #: _probe_cache skips the cost-model attribute chase.
+        #: _probe_run skips the cost-model attribute chase.
         self._probe_cost = 0.0
 
     def execute(
@@ -91,20 +123,21 @@ class Augmenter(ABC):
         self._unavailable = []
         self._errors = {}
         self._budget_exceeded = False
-        self._budget_skips = 0
         self._deadline = (
             ctx.now + config.timeout_budget
             if config.timeout_budget is not None
             else None
         )
-        # The probe loop runs once per planned fetch; per-probe metric
-        # increments (registry lookup + counter lock, three per probe)
-        # dwarf the cache probe itself. ``BoundedLru`` already counts
-        # every probe under its one lock, so the obs counters are
-        # published once per run from the stats delta.
+        # ``BoundedLru`` counts every probe under its one lock, so the
+        # obs counters are published once per run from the stats delta.
         self._probe_cost = ctx.cost_model.cache_probe_cost
         before = self.cache.stats()
-        outcome = self._run(ctx, plan, config)
+        # An empty plan submits nothing: no strategy sets up a pool.
+        outcome = (
+            self._run(ctx, plan, config)
+            if plan.total_fetches()
+            else AugmentationOutcome()
+        )
         after = self.cache.stats()
         metrics = ctx.obs.metrics
         hits = after["hits"] - before["hits"]
@@ -125,9 +158,8 @@ class Augmenter(ABC):
             # store whose keys all arrived via another route, leaves
             # the answer complete — errors are reported, but the
             # outcome is not degraded.
-            planned = {fetch.key for fetch in plan.all_fetches()}
-            got = {entry.key for entry in outcome.objects}
-            lost = planned - got - set(outcome.missing)
+            got = {fetch.key for fetch in outcome.fetches}
+            lost = set(plan.fetch_keys()) - got - set(outcome.missing)
             outcome.degraded = bool(lost)
         # A served request summarizes its own spans; a classic run
         # (no trace id) owns the whole, freshly reset tracer.
@@ -145,20 +177,107 @@ class Augmenter(ABC):
 
     # -- helpers shared by strategies ---------------------------------------
 
-    def _probe_cache(
-        self, ctx: ExecContext, fetch: PlannedFetch
-    ) -> AugmentedObject | None:
-        """Cache lookup with its (small) CPU cost charged.
+    def _probe_run(
+        self,
+        ctx: ExecContext,
+        keys: list[GlobalKey],
+        start: int,
+        max_misses: int,
+    ) -> tuple[list[DataObject | None], int]:
+        """Probe ``keys[start:]`` in order up to the ``max_misses``-th
+        miss: one value per probe (``None`` = miss), and the misses.
 
-        Hit/miss accounting happens inside the cache (``BoundedLru``
-        counts under its one lock); :meth:`execute` publishes the
-        per-run delta to the obs metrics.
+        The whole run's (small) per-probe CPU is charged here, so before
+        anything the caller does with the result can read the clock — a
+        flush, ``pool.submit``, a span, :meth:`_over_budget`. Hit/miss
+        accounting happens inside the cache; :meth:`execute` publishes
+        the per-run delta to the obs metrics.
         """
-        ctx.cpu(self._probe_cost)
-        cached = self.cache.get(fetch.key)
-        if cached is None:
-            return None
-        return _augmented(cached, fetch)
+        values, misses = self.cache.get_many(keys, start, max_misses)
+        ctx.cpu_repeat(self._probe_cost, len(values))
+        return values, misses
+
+    def _misses(
+        self,
+        ctx: ExecContext,
+        fetches: list[PlannedFetch],
+        into: AugmentationOutcome,
+        keys: list[GlobalKey] | None = None,
+    ) -> Iterator[PlannedFetch]:
+        """Resolve ``fetches`` against the cache in order, yielding each
+        miss where the per-probe loop met it (``keys`` are the fetches'
+        keys, for the caller that already holds that column).
+
+        Runs end at their first miss, so the consumer deals with a miss
+        — fetches it into ``into``, or submits it to a pool — before the
+        next probe is made, with the clock where it would have been. The
+        hits of a run land in ``into`` as two list extensions.
+        """
+        if keys is None:
+            keys = [fetch.key for fetch in fetches]
+        position, total = 0, len(keys)
+        while position < total:
+            values, misses = self._probe_run(ctx, keys, position, 1)
+            stop = position + len(values)
+            if misses:
+                values.pop()
+            into.values += values
+            into.fetches += fetches[position : position + len(values)]
+            into.cache_hits += len(values)
+            position = stop
+            if misses:
+                yield fetches[stop - 1]
+
+    def _fill_groups(
+        self,
+        ctx: ExecContext,
+        plan: AugmentationPlan,
+        batch_size: int,
+        outcome: AugmentationOutcome,
+        flush: Callable[[str, list[PlannedFetch]], None],
+    ) -> None:
+        """The batching main loop: cache hits go to ``outcome``, misses
+        into per-database groups; a group is handed to ``flush`` the
+        moment it holds ``batch_size`` fetches, the partial groups at
+        the end.
+
+        A flush may put objects into the cache (and evict others) and
+        reads the clock, so no probe that follows it in plan order may
+        be made before it. Each run therefore asks for at most
+        ``batch_size - len(fullest group)`` misses: no group can fill on
+        fewer, so a flush can only fall on the last probe of a run —
+        exactly where the per-probe loop had it.
+        """
+        fetches = plan.all_fetches()
+        keys = plan.fetch_keys()
+        groups: dict[str, list[PlannedFetch]] = {}
+        position, total = 0, len(keys)
+        while position < total:
+            fullest = max(map(len, groups.values()), default=0)
+            values, misses = self._probe_run(
+                ctx, keys, position, batch_size - fullest
+            )
+            run = fetches[position : position + len(values)]
+            position += len(values)
+            outcome.cache_hits += len(values) - misses
+            if not misses:
+                outcome.values += values
+                outcome.fetches += run
+                continue
+            for fetch, value in zip(run, values):
+                if value is not None:
+                    outcome.values.append(value)
+                    outcome.fetches.append(fetch)
+                    continue
+                database = fetch.key.database
+                group = groups.setdefault(database, [])
+                group.append(fetch)
+                if len(group) >= batch_size:
+                    flush(database, group)
+                    groups[database] = []
+        for database, group in groups.items():
+            if group:
+                flush(database, group)
 
     def _over_budget(self, ctx: ExecContext, database: str) -> bool:
         """True when the timeout budget bars any further store calls.
@@ -185,7 +304,6 @@ class Augmenter(ABC):
                 ts=ctx.now,
                 deadline=deadline,
             )
-        self._budget_skips += 1
         self._note_fault(ctx, database, "timeout budget exceeded")
         return True
 
@@ -200,12 +318,18 @@ class Augmenter(ABC):
         ).inc()
 
     def _fetch_single(
-        self, ctx: ExecContext, fetch: PlannedFetch, outcome_missing: list[GlobalKey]
-    ) -> AugmentedObject | None:
-        """One direct-access query for one planned fetch (cache-aside)."""
+        self, ctx: ExecContext, fetch: PlannedFetch, into: AugmentationOutcome
+    ) -> None:
+        """One direct-access query for one planned fetch (cache-aside);
+        its row, or its absence, and whether a store was asked land in
+        ``into``."""
         database = fetch.key.database
         if self._over_budget(ctx, database):
-            return None
+            # Never reached a store: skipped, not an issued query, or
+            # the optimizer trains on phantom store traffic.
+            into.skipped_flushes += 1
+            return
+        into.queries_issued += 1
         connector = self.registry.connector(database)
         with ctx.span("fetch", database=database) as span:
             try:
@@ -215,29 +339,33 @@ class Augmenter(ABC):
                     raise
                 self._note_fault(ctx, database, f"unavailable: {exc}")
                 span.attrs["skipped"] = True
-                return None
+                return
             span.attrs["found"] = obj is not None
         if obj is None:
             if getattr(ctx, "last_call_truncated", False):
                 # The store dropped the tail of the reply: the object
                 # may well exist, so it must not feed lazy deletion.
                 self._errors.setdefault(database, "truncated results")
-                return None
-            outcome_missing.append(fetch.key)
-            return None
+                return
+            into.missing.append(fetch.key)
+            return
         self.cache.put(obj)
-        return _augmented(obj, fetch)
+        into.values.append(obj)
+        into.fetches.append(fetch)
 
     def _fetch_group(
         self,
         ctx: ExecContext,
         database: str,
         group: list[PlannedFetch],
-        outcome_missing: list[GlobalKey],
-    ) -> list[AugmentedObject]:
-        """One batch query for a per-database group of planned fetches."""
+        into: AugmentationOutcome,
+    ) -> None:
+        """One batch query for a per-database group of planned fetches;
+        accounts into ``into`` like :meth:`_fetch_single`, except that a
+        flush swallowed by ``skip_unavailable`` counts as skipped too."""
         if self._over_budget(ctx, database):
-            return []
+            into.skipped_flushes += 1
+            return
         unique_keys = list(dict.fromkeys(fetch.key for fetch in group))
         connector = self.registry.connector(database)
         with ctx.span(
@@ -250,8 +378,10 @@ class Augmenter(ABC):
                     raise
                 self._note_fault(ctx, database, f"unavailable: {exc}")
                 span.attrs["skipped"] = True
-                return []
+                into.skipped_flushes += 1
+                return
             span.attrs["found"] = len(objects)
+        into.queries_issued += 1
         # A truncated reply dropped the tail of the batch: the absent
         # keys may well exist, so they must not feed lazy deletion
         # (partial batches count only the objects actually returned).
@@ -261,25 +391,45 @@ class Augmenter(ABC):
         by_key = {obj.key: obj for obj in objects}
         for obj in objects:
             self.cache.put(obj)
-        results: list[AugmentedObject] = []
         seen_missing: set[GlobalKey] = set()
         for fetch in group:
             obj = by_key.get(fetch.key)
             if obj is None:
                 if not truncated and fetch.key not in seen_missing:
                     seen_missing.add(fetch.key)
-                    outcome_missing.append(fetch.key)
+                    into.missing.append(fetch.key)
                 continue
-            results.append(_augmented(obj, fetch))
-        return results
+            into.values.append(obj)
+            into.fetches.append(fetch)
 
+    def _single_worker(self, fetch: PlannedFetch) -> Task:
+        """A pool task fetching one planned object."""
 
-def _augmented(obj: DataObject, fetch: PlannedFetch) -> AugmentedObject:
-    return AugmentedObject(
-        obj.with_probability(fetch.probability),
-        source=fetch.seed,
-        path=fetch.path,
-    )
+        def task(child: ExecContext) -> AugmentationOutcome:
+            part = AugmentationOutcome()
+            self._fetch_single(child, fetch, part)
+            return part
+
+        return task
+
+    def _pool_seeds(
+        self,
+        ctx: ExecContext,
+        plan: AugmentationPlan,
+        workers: int,
+        seed_worker: Callable[[list[PlannedFetch]], Task],
+    ) -> AugmentationOutcome:
+        """One pool whose tasks are whole seeds: ``seed_worker`` makes
+        the task resolving one result's fetches."""
+        outcome = AugmentationOutcome()
+        pool = ctx.pool(workers)
+        for seed in plan.seeds:
+            fetches = plan.fetches_by_seed.get(seed, [])
+            if fetches:
+                pool.submit(seed_worker(fetches))
+        for part in pool.join():
+            outcome.absorb(part)
+        return outcome
 
 
 # ---------------------------------------------------------------------------

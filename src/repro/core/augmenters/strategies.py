@@ -13,9 +13,9 @@ from repro.core.augmentation import AugmentationConfig, AugmentationPlan, Planne
 from repro.core.augmenters.base import (
     AugmentationOutcome,
     Augmenter,
+    Task,
     register_augmenter,
 )
-from repro.model.objects import AugmentedObject, GlobalKey
 from repro.network.executor import ExecContext
 
 
@@ -35,29 +35,11 @@ class SequentialAugmenter(Augmenter):
         config: AugmentationConfig,
     ) -> AugmentationOutcome:
         outcome = AugmentationOutcome()
-        for fetch in plan.all_fetches():
-            self._resolve_one(ctx, fetch, outcome)
+        for fetch in self._misses(
+            ctx, plan.all_fetches(), outcome, plan.fetch_keys()
+        ):
+            self._fetch_single(ctx, fetch, outcome)
         return outcome
-
-    def _resolve_one(
-        self, ctx: ExecContext, fetch: PlannedFetch, outcome: AugmentationOutcome
-    ) -> None:
-        hit = self._probe_cache(ctx, fetch)
-        if hit is not None:
-            outcome.cache_hits += 1
-            outcome.objects.append(hit)
-            return
-        # A fetch barred by the timeout budget never reached a store:
-        # count it as skipped, not as an issued query (parent thread
-        # only, so the counter delta is race-free here).
-        skips_before = self._budget_skips
-        obj = self._fetch_single(ctx, fetch, outcome.missing)
-        if self._budget_skips > skips_before:
-            outcome.skipped_flushes += 1
-        else:
-            outcome.queries_issued += 1
-        if obj is not None:
-            outcome.objects.append(obj)
 
 
 @register_augmenter("batch")
@@ -72,43 +54,16 @@ class BatchAugmenter(Augmenter):
         config: AugmentationConfig,
     ) -> AugmentationOutcome:
         outcome = AugmentationOutcome()
-        groups: dict[str, list[PlannedFetch]] = {}
-        for fetch in plan.all_fetches():
-            hit = self._probe_cache(ctx, fetch)
-            if hit is not None:
-                outcome.cache_hits += 1
-                outcome.objects.append(hit)
-                continue
-            group = groups.setdefault(fetch.key.database, [])
-            group.append(fetch)
-            if len(group) >= config.batch_size:
-                self._flush(ctx, fetch.key.database, group, outcome)
-                groups[fetch.key.database] = []
-        for database, group in groups.items():
-            if group:
-                self._flush(ctx, database, group, outcome)
-        return outcome
-
-    def _flush(
-        self,
-        ctx: ExecContext,
-        database: str,
-        group: list[PlannedFetch],
-        outcome: AugmentationOutcome,
-    ) -> None:
-        # A flush that was swallowed by skip_unavailable issued nothing:
-        # count it as skipped, not as a query, or the optimizer trains on
-        # phantom store traffic. _fetch_group records the skip by
-        # appending the database to self._unavailable (parent thread
-        # only, so the length check is race-free here).
-        skips_before = len(self._unavailable)
-        outcome.objects.extend(
-            self._fetch_group(ctx, database, group, outcome.missing)
+        self._fill_groups(
+            ctx,
+            plan,
+            config.batch_size,
+            outcome,
+            lambda database, group: self._fetch_group(
+                ctx, database, group, outcome
+            ),
         )
-        if len(self._unavailable) > skips_before:
-            outcome.skipped_flushes += 1
-        else:
-            outcome.queries_issued += 1
+        return outcome
 
 
 @register_augmenter("inner")
@@ -131,47 +86,18 @@ class InnerAugmenter(Augmenter):
         outcome = AugmentationOutcome()
         for seed in plan.seeds:
             fetches = plan.fetches_by_seed.get(seed, [])
-            if not fetches:
-                continue
             # The pool is created lazily on the first cache miss: a seed
             # whose fetches all hit cache pays neither pool setup nor an
             # empty join.
             pool = None
-            pending = 0
-            for fetch in fetches:
-                hit = self._probe_cache(ctx, fetch)
-                if hit is not None:
-                    outcome.cache_hits += 1
-                    outcome.objects.append(hit)
-                    continue
+            for fetch in self._misses(ctx, fetches, outcome):
                 if pool is None:
                     pool = ctx.pool(config.threads_size)
-                pool.submit(self._worker(fetch))
-                pending += 1
+                pool.submit(self._single_worker(fetch))
             if pool is not None:
-                for obj, missing_key in pool.join():
-                    self._collect(outcome, obj, missing_key)
-            outcome.queries_issued += pending
+                for part in pool.join():
+                    outcome.absorb(part)
         return outcome
-
-    def _worker(self, fetch: PlannedFetch):
-        def task(child: ExecContext):
-            missing: list[GlobalKey] = []
-            obj = self._fetch_single(child, fetch, missing)
-            return obj, (missing[0] if missing else None)
-
-        return task
-
-    @staticmethod
-    def _collect(
-        outcome: AugmentationOutcome,
-        obj: AugmentedObject | None,
-        missing_key: GlobalKey | None,
-    ) -> None:
-        if obj is not None:
-            outcome.objects.append(obj)
-        if missing_key is not None:
-            outcome.missing.append(missing_key)
 
 
 @register_augmenter("outer")
@@ -188,39 +114,16 @@ class OuterAugmenter(Augmenter):
         plan: AugmentationPlan,
         config: AugmentationConfig,
     ) -> AugmentationOutcome:
-        outcome = AugmentationOutcome()
-        if plan.total_fetches() == 0:
-            # Empty plan: nothing to submit, so skip pool setup + join.
-            return outcome
-        pool = ctx.pool(config.threads_size)
-        for seed in plan.seeds:
-            fetches = plan.fetches_by_seed.get(seed, [])
-            if fetches:
-                pool.submit(self._seed_worker(fetches))
-        for objects, missing, hits, queries in pool.join():
-            outcome.objects.extend(objects)
-            outcome.missing.extend(missing)
-            outcome.cache_hits += hits
-            outcome.queries_issued += queries
-        return outcome
+        return self._pool_seeds(
+            ctx, plan, config.threads_size, self._seed_worker
+        )
 
-    def _seed_worker(self, fetches: list[PlannedFetch]):
-        def task(child: ExecContext):
-            objects: list[AugmentedObject] = []
-            missing: list[GlobalKey] = []
-            hits = 0
-            queries = 0
-            for fetch in fetches:
-                hit = self._probe_cache(child, fetch)
-                if hit is not None:
-                    hits += 1
-                    objects.append(hit)
-                    continue
-                obj = self._fetch_single(child, fetch, missing)
-                queries += 1
-                if obj is not None:
-                    objects.append(obj)
-            return objects, missing, hits, queries
+    def _seed_worker(self, fetches: list[PlannedFetch]) -> Task:
+        def task(child: ExecContext) -> AugmentationOutcome:
+            part = AugmentationOutcome()
+            for fetch in self._misses(child, fetches, part):
+                self._fetch_single(child, fetch, part)
+            return part
 
         return task
 
@@ -241,39 +144,25 @@ class OuterBatchAugmenter(Augmenter):
         config: AugmentationConfig,
     ) -> AugmentationOutcome:
         outcome = AugmentationOutcome()
-        if plan.total_fetches() == 0:
-            # Empty plan: nothing to submit, so skip pool setup + join.
-            return outcome
         pool = ctx.pool(config.threads_size)
-        groups: dict[str, list[PlannedFetch]] = {}
-        submitted = 0
-        for fetch in plan.all_fetches():
-            hit = self._probe_cache(ctx, fetch)
-            if hit is not None:
-                outcome.cache_hits += 1
-                outcome.objects.append(hit)
-                continue
-            group = groups.setdefault(fetch.key.database, [])
-            group.append(fetch)
-            if len(group) >= config.batch_size:
-                pool.submit(self._group_worker(fetch.key.database, group))
-                submitted += 1
-                groups[fetch.key.database] = []
-        for database, group in groups.items():
-            if group:
-                pool.submit(self._group_worker(database, group))
-                submitted += 1
-        for objects, missing in pool.join():
-            outcome.objects.extend(objects)
-            outcome.missing.extend(missing)
-        outcome.queries_issued += submitted
+        self._fill_groups(
+            ctx,
+            plan,
+            config.batch_size,
+            outcome,
+            lambda database, group: pool.submit(
+                self._group_worker(database, group)
+            ),
+        )
+        for part in pool.join():
+            outcome.absorb(part)
         return outcome
 
-    def _group_worker(self, database: str, group: list[PlannedFetch]):
-        def task(child: ExecContext):
-            missing: list[GlobalKey] = []
-            objects = self._fetch_group(child, database, group, missing)
-            return objects, missing
+    def _group_worker(self, database: str, group: list[PlannedFetch]) -> Task:
+        def task(child: ExecContext) -> AugmentationOutcome:
+            part = AugmentationOutcome()
+            self._fetch_group(child, database, group, part)
+            return part
 
         return task
 
@@ -294,48 +183,22 @@ class OuterInnerAugmenter(Augmenter):
         plan: AugmentationPlan,
         config: AugmentationConfig,
     ) -> AugmentationOutcome:
-        outcome = AugmentationOutcome()
         half = max(1, config.threads_size // 2)
-        pool = ctx.pool(half)
-        for seed in plan.seeds:
-            fetches = plan.fetches_by_seed.get(seed, [])
-            if fetches:
-                pool.submit(self._seed_worker(fetches, half))
-        for objects, missing, hits, queries in pool.join():
-            outcome.objects.extend(objects)
-            outcome.missing.extend(missing)
-            outcome.cache_hits += hits
-            outcome.queries_issued += queries
-        return outcome
+        return self._pool_seeds(
+            ctx, plan, half, lambda fetches: self._seed_worker(fetches, half)
+        )
 
-    def _seed_worker(self, fetches: list[PlannedFetch], inner_threads: int):
-        def task(child: ExecContext):
-            objects: list[AugmentedObject] = []
-            missing: list[GlobalKey] = []
-            hits = 0
-            queries = 0
+    def _seed_worker(
+        self, fetches: list[PlannedFetch], inner_threads: int
+    ) -> Task:
+        def task(child: ExecContext) -> AugmentationOutcome:
+            part = AugmentationOutcome()
             inner_pool = child.pool(inner_threads)
-            for fetch in fetches:
-                hit = self._probe_cache(child, fetch)
-                if hit is not None:
-                    hits += 1
-                    objects.append(hit)
-                    continue
-                inner_pool.submit(self._fetch_worker(fetch))
-                queries += 1
-            for obj, missing_key in inner_pool.join():
-                if obj is not None:
-                    objects.append(obj)
-                if missing_key is not None:
-                    missing.append(missing_key)
-            return objects, missing, hits, queries
+            for fetch in self._misses(child, fetches, part):
+                inner_pool.submit(self._single_worker(fetch))
+            for fetched in inner_pool.join():
+                part.absorb(fetched)
+            return part
 
         return task
 
-    def _fetch_worker(self, fetch: PlannedFetch):
-        def task(grandchild: ExecContext):
-            missing: list[GlobalKey] = []
-            obj = self._fetch_single(grandchild, fetch, missing)
-            return obj, (missing[0] if missing else None)
-
-        return task

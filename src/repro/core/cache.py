@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Generic, Hashable, Iterable, TypeVar
+from typing import Generic, Hashable, Iterable, Sequence, TypeVar
 
 from repro.model.objects import DataObject, GlobalKey
 
@@ -55,21 +55,40 @@ class BoundedLru(Generic[K, V]):
             self.hits += 1
             return value
 
-    def get_many(self, keys: Iterable[K]) -> dict[K, V]:
-        """Look up several keys under one lock acquisition: recency as
-        :meth:`get`, counters once per *distinct* requested key."""
-        found: dict[K, V] = {}
+    def get_many(
+        self, keys: Sequence[K], start: int = 0, max_misses: int | None = None
+    ) -> tuple[list[V | None], int]:
+        """Probe ``keys[start:]`` in order under one lock acquisition.
+
+        Each probe is exactly a :meth:`get` — a hit refreshes recency,
+        and one hit or miss is counted per probe, repeats included —
+        and the run stops after the ``max_misses``-th miss. Returns one
+        value per probe made (``None`` = miss) and the number of misses,
+        so the caller resumes at ``start + len(values)``.
+        """
+        if max_misses is not None and max_misses < 1:
+            raise ValueError(f"max_misses must be >= 1, got {max_misses}")
+        values: list[V | None] = []
+        append = values.append
+        misses = 0
         with self._lock:
-            entries = self._entries
-            for key in dict.fromkeys(keys):
-                value = entries.get(key)
+            get = self._entries.get
+            move_to_end = self._entries.move_to_end
+            # By index, not over a slice: a run costs O(its probes),
+            # however much of ``keys`` lies beyond it.
+            for index in range(start, len(keys)):
+                key = keys[index]
+                value = get(key)
+                append(value)
                 if value is None:
-                    self.misses += 1
-                    continue
-                entries.move_to_end(key)
-                self.hits += 1
-                found[key] = value
-        return found
+                    misses += 1
+                    if misses == max_misses:
+                        break
+                else:
+                    move_to_end(key)
+            self.misses += misses
+            self.hits += len(values) - misses
+        return values, misses
 
     def peek(self, key: K) -> V | None:
         """Non-mutating probe: no recency refresh, no hit or miss

@@ -10,9 +10,14 @@ colors/rankings presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.model.objects import AugmentedObject, DataObject, GlobalKey
+
+if TYPE_CHECKING:
+    from repro.core.augmentation import PlannedFetch
+    from repro.core.augmenters.base import AugmentationOutcome
 
 
 @dataclass
@@ -83,36 +88,74 @@ class SearchStats:
     materialized: bool = False
 
 
+#: Where a row came from: a planned fetch names its ``seed``, a built
+#: entry its ``source``.
+_SEED, _SOURCE = attrgetter("seed"), attrgetter("source")
+
+
+def _augmented(obj: DataObject, fetch: "PlannedFetch") -> AugmentedObject:
+    """The answer entry of one materialized fetch: the stored object
+    re-weighted by the probability of the path that reached it."""
+    return AugmentedObject(
+        obj.with_probability(fetch.probability),
+        source=fetch.seed,
+        path=fetch.path,
+    )
+
+
 def assemble_answer(
     originals: list[DataObject],
-    raw_augmented: list[AugmentedObject],
+    raw_augmented: "AugmentationOutcome | list[AugmentedObject]",
     stats: SearchStats,
 ) -> AugmentedAnswer:
     """Deduplicate and rank the raw augmentation output.
 
-    The same object can be reached from several seeds; the entry with
-    the highest probability wins. Objects of the original answer are not
-    repeated in the augmented section when reached from themselves, but
-    are kept when reached from *another* seed (Example 4 of the paper).
-    Ordering is by probability descending, key as tiebreak.
+    ``raw_augmented`` is what the augmentation produced, in execution
+    order: an outcome's parallel ``values`` / ``fetches`` columns, or
+    entries the caller has already built. The same object can be reached
+    from several seeds; the entry with the highest probability wins, the
+    first in execution order on a tie. Objects of the original answer
+    are not repeated in the augmented section when reached from
+    themselves, but are kept when reached from *another* seed (Example 4
+    of the paper). Ordering is by probability descending, key as
+    tiebreak.
+
+    Dedup and rank read only (key, probability, seed), so an outcome's
+    rows stay columns until here and an :class:`AugmentedObject` is
+    built for the winners alone — about half of what a search fetches.
     """
-    best: dict[GlobalKey, AugmentedObject] = {}
-    for entry in raw_augmented:
-        if entry.source == entry.key:
-            continue
-        current = best.get(entry.key)
-        if current is None or entry.probability > current.probability:
-            best[entry.key] = entry
-    # Decorate-sort-undecorate: one entry per key, so the (probability,
-    # key-text) prefix is unique and the entries themselves are never
-    # compared. Going through entry.object skips two property hops per
-    # element, which dominates the sort at answer sizes ~10k.
+    fetches = getattr(raw_augmented, "fetches", None)
+    if fetches is None:
+        rows, seed_of = raw_augmented, _SOURCE
+    else:
+        rows, seed_of = fetches, _SEED
+    # key -> index of its best row so far. Row indexes, not (probability,
+    # index) pairs: a tuple per row is a GC-tracked allocation, and over
+    # thousands of rows the collections those trigger cost more than
+    # reading the best row's probability back through its index.
+    best: dict[GlobalKey, int] = {}
+    for index, row in enumerate(rows):
+        key = row.key
+        current = best.get(key)
+        if (
+            current is None or row.probability > rows[current].probability
+        ) and seed_of(row) != key:
+            best[key] = index
+    # Decorate-sort-undecorate: one row per key, so the (probability,
+    # key-text) prefix is unique and row indexes never decide.
     decorated = [
-        (-entry.object.probability, str(entry.object.key), entry)
-        for entry in best.values()
+        (-rows[index].probability, str(key), index)
+        for key, index in best.items()
     ]
     decorated.sort()
-    ranked = [entry for __, __, entry in decorated]
+    if fetches is None:
+        ranked = [rows[index] for __, __, index in decorated]
+    else:
+        values = raw_augmented.values
+        ranked = [
+            _augmented(values[index], fetches[index])
+            for __, __, index in decorated
+        ]
     stats.augmented_count = len(ranked)
     stats.original_count = len(originals)
     return AugmentedAnswer(list(originals), ranked, stats)

@@ -296,7 +296,7 @@ class Quepa:
         stats.batch_size = run_config.batch_size
         stats.threads_size = run_config.threads_size
         stats.cache_size = run_config.cache_size
-        answer = assemble_answer(originals, outcome.objects, stats)
+        answer = assemble_answer(originals, outcome, stats)
         self._emit_record(features, run_config, stats, outcome, ctx=ctx)
         self.obs.events.emit(
             "augmentation_completed",
@@ -849,10 +849,8 @@ class Quepa:
             self.aindex.remove_object(missing)
         ctx.settle()
         finish()
-        ranked = sorted(
-            outcome.objects, key=lambda entry: (-entry.probability, str(entry.key))
-        )
-        return ranked
+        # One seed plans each key once, so the ranking only orders.
+        return assemble_answer([], outcome, SearchStats()).augmented
 
     def record_exploration(self, path: tuple[GlobalKey, ...]) -> None:
         """Feed a finished session's full path to the promotion repo."""

@@ -3,7 +3,8 @@
 Augmenters and connectors never talk to clocks or thread pools directly;
 they use an :class:`ExecContext`:
 
-* ``ctx.cpu(seconds)`` — QUEPA-side CPU work;
+* ``ctx.cpu(seconds)`` — QUEPA-side CPU work (``ctx.cpu_repeat(seconds,
+  count)``: ``count`` such charges at once, bit for bit the same);
 * ``ctx.store_call(database, fn)`` — one native query against a store,
   charged as latency + per-query overhead + per-object service time;
 * ``ctx.pool(workers)`` — a worker pool whose tasks receive child
@@ -16,8 +17,9 @@ optional scaled real sleeps. Answers are identical under both; only the
 time measurements differ.
 
 **CPU debt (real runtime).** A real sleep costs tens of microseconds
-however short it is asked to be, and an augmenter charges ``cpu()``
-once per cache probe — hundreds of sub-microsecond charges a request.
+however short it is asked to be, and an augmenter charges CPU once
+per cache probe — hundreds of sub-microsecond charges a request, made
+a probe run at a time through ``cpu_repeat()``.
 So a real context does not sleep per charge: ``cpu()`` adds the charge
 to the context's *debt* (and to ``cpu_seconds_total``, per charge, as
 ever), and ``settle()`` pays the whole debt in one sleep at the next
@@ -172,6 +174,17 @@ class ExecContext(ABC):
     @abstractmethod
     def cpu(self, seconds: float) -> None:
         """Perform ``seconds`` of QUEPA-side CPU work."""
+
+    @abstractmethod
+    def cpu_repeat(self, seconds: float, count: int) -> None:
+        """``count`` calls of ``cpu(seconds)`` as one.
+
+        Bit for bit what the calls would have left: every accumulator
+        (clock or debt, machine demand, ``cpu_seconds_total``) takes the
+        same float additions in the same order, never ``count *
+        seconds`` at once. The caller must make it before anything that
+        reads the clock the calls would have advanced.
+        """
 
     @abstractmethod
     def store_call(
@@ -459,6 +472,23 @@ class _VirtualContext(ExecContext):
         )
         self._cpu_counter.inc(seconds)
 
+    def cpu_repeat(self, seconds: float, count: int) -> None:
+        if seconds <= 0 or count <= 0:
+            return
+        now = self._now
+        for __ in range(count):
+            now += seconds
+        self._now = now
+        name = self._quepa_name
+        current = self.demand.get(name)
+        # cpu() starts an absent entry at ``seconds``; 0.0 + seconds is
+        # that same float.
+        busy = 0.0 if current is None else current[1]
+        for __ in range(count):
+            busy += seconds
+        self.demand[name] = (self._quepa_cores, busy)
+        self._cpu_counter.inc_repeat(seconds, count)
+
     def store_call(
         self, database: str, fn: StoreOp, query: Any = None
     ) -> Sequence[Any]:
@@ -686,6 +716,16 @@ class _RealContext(ExecContext):
             if self._runtime.time_scale > 0:
                 self._debt += seconds
             self._runtime._cpu_seconds.inc(seconds)
+
+    def cpu_repeat(self, seconds: float, count: int) -> None:
+        if seconds <= 0 or count <= 0:
+            return
+        if self._runtime.time_scale > 0:
+            debt = self._debt
+            for __ in range(count):
+                debt += seconds
+            self._debt = debt
+        self._runtime._cpu_seconds.inc_repeat(seconds, count)
 
     def settle(self) -> None:
         owed = self._debt

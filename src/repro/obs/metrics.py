@@ -43,6 +43,19 @@ class Counter:
         with self._lock:
             self._value += amount
 
+    def inc_repeat(self, amount: float, count: int) -> None:
+        """``count`` calls of ``inc(amount)`` under one lock acquisition:
+        the same float additions in the same order, so the value is bit
+        for bit what the calls would have left (``count * amount`` added
+        once is not)."""
+        if amount < 0:
+            raise ValueError(f"counters only go up, got {amount}")
+        with self._lock:
+            value = self._value
+            for __ in range(count):
+                value += amount
+            self._value = value
+
     @property
     def value(self) -> float:
         with self._lock:

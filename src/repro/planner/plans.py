@@ -37,7 +37,7 @@ from repro.core.augmentation import (
     PlannedFetch,
 )
 from repro.core.augmenters import make_augmenter
-from repro.core.augmenters.base import _augmented
+from repro.core.augmenters.base import AugmentationOutcome
 from repro.core.cache import LruCache
 from repro.core.connectors import ConnectorRegistry
 from repro.core.search import (
@@ -49,7 +49,7 @@ from repro.core.search import (
 from repro.errors import StoreUnavailableError
 from repro.middleware import etl, federated, multimodel
 from repro.middleware.base import check_memory, page_scan
-from repro.model.objects import AugmentedObject, DataObject, GlobalKey
+from repro.model.objects import DataObject, GlobalKey
 from repro.model.polystore import Polystore
 from repro.network.executor import ExecContext
 from repro.planner.logical import LogicalQuery, PlanResult
@@ -141,8 +141,9 @@ def restrict_plan(
 
 def materialize(
     env: ExecutionEnv, fetches: list[PlannedFetch]
-) -> list[AugmentedObject]:
-    """Build augmented entries from objects already held middleware-side.
+) -> AugmentationOutcome:
+    """Resolve planned fetches against objects already held
+    middleware-side: the rows found, as an outcome's columns.
 
     The collect/cast/import strategies have paid their architecture's
     price for holding the objects (scan roundtrips, conversion CPU,
@@ -160,12 +161,13 @@ def materialize(
         with store.lock:
             for obj in store.multi_get(keys):
                 by_key[obj.key] = obj
-    entries: list[AugmentedObject] = []
+    rows = AugmentationOutcome()
     for fetch in fetches:
         obj = by_key.get(fetch.key)
         if obj is not None:
-            entries.append(_augmented(obj, fetch))
-    return entries
+            rows.values.append(obj)
+            rows.fetches.append(fetch)
+    return rows
 
 
 def scan_database(env: ExecutionEnv, database: str) -> list[list[GlobalKey]]:
@@ -224,16 +226,16 @@ def _assemble(
     strategy: str,
     q: LogicalQuery,
     originals: list[DataObject],
-    entries: list[AugmentedObject],
+    rows: AugmentationOutcome,
 ) -> AugmentedAnswer:
-    return assemble_answer(originals, entries, _stats(q, strategy))
+    return assemble_answer(originals, rows, _stats(q, strategy))
 
 
 def _staged_result(
     strategy: str,
     q: LogicalQuery,
     originals: list[DataObject],
-    entries: list[AugmentedObject],
+    rows: AugmentationOutcome,
     plan: AugmentationPlan,
     targets: tuple[str, ...],
     lost: dict[str, str],
@@ -244,7 +246,7 @@ def _staged_result(
     planned = restrict_plan(plan, targets).all_fetches()
     return PlanResult(
         strategy=strategy,
-        answer=_assemble(strategy, q, originals, entries),
+        answer=_assemble(strategy, q, originals, rows),
         footprint=footprint,
         degraded=any(fetch.key.database in lost for fetch in planned),
         unavailable=tuple(sorted(lost)),
@@ -332,7 +334,7 @@ class PushdownPlan(PhysicalPlan):
         )
         augmenter = make_augmenter(self.augmenter, env.registry, env.cache)
         outcome = augmenter.execute(ctx, plan, config)
-        answer = _assemble(self.strategy, q, originals, outcome.objects)
+        answer = _assemble(self.strategy, q, originals, outcome)
         return PlanResult(
             strategy=self.strategy,
             answer=answer,
@@ -389,11 +391,11 @@ class CollectJoinPlan(PhysicalPlan):
         ]
         # Joined matches are converted into the middleware's row model.
         ctx.cpu(federated.CONVERT_CPU_PER_OBJECT * len(fetches))
-        entries = materialize(env, fetches)
-        footprint += len(entries)
+        rows = materialize(env, fetches)
+        footprint += len(rows.values)
         check_memory(self.strategy, footprint, budget)
         return _staged_result(
-            self.strategy, q, originals, entries, plan, targets, lost,
+            self.strategy, q, originals, rows, plan, targets, lost,
             footprint,
         )
 
@@ -438,9 +440,9 @@ class EtlCastPlan(PhysicalPlan):
         ]
         records = len(originals) + len(fetches)
         ctx.cpu(records * etl.PIPELINE_STAGES * etl.PER_RECORD_STAGE_CPU)
-        entries = materialize(env, fetches)
+        rows = materialize(env, fetches)
         return _staged_result(
-            self.strategy, q, originals, entries, plan, targets, lost
+            self.strategy, q, originals, rows, plan, targets, lost
         )
 
 
@@ -500,8 +502,8 @@ class MultiModelPlan(PhysicalPlan):
             if fetch.key.database in staged and fetch.key.database in targets
         ]
         ctx.cpu(multimodel.LOOKUP_CPU * 2.0 * pressure * len(fetches))
-        entries = materialize(env, fetches)
+        rows = materialize(env, fetches)
         return _staged_result(
-            self.strategy, q, originals, entries, plan, targets, lost,
+            self.strategy, q, originals, rows, plan, targets, lost,
             imported,
         )

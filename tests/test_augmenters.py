@@ -11,10 +11,12 @@ from repro.core.augmentation import Augmentation, AugmentationConfig
 from repro.core.augmenters import available_augmenters, make_augmenter
 from repro.core.cache import LruCache
 from repro.core.connectors import ConnectorRegistry
+from repro.core.system import Quepa
 from repro.errors import ConfigurationError, UnknownAugmenterError
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation
 from repro.network import RealRuntime, VirtualRuntime, centralized_profile
+from repro.workloads import QueryWorkload
 
 K = GlobalKey.parse
 ALL_AUGMENTERS = (
@@ -105,8 +107,11 @@ class TestAnswersAreEquivalent:
         pools = runtime.obs.metrics.counter("pools_created_total")
         assert pools.value == 0
 
-    @pytest.mark.parametrize("name", ("inner", "outer", "outer_batch"))
+    @pytest.mark.parametrize(
+        "name", ("inner", "outer", "outer_batch", "outer_inner")
+    )
     def test_empty_plan_creates_no_pool(self, name, setup, mini_aindex):
+        """``outer_inner`` used to open and join a pool over nothing."""
         registry, __, profile = setup
         empty_plan = Augmentation(mini_aindex).plan([], level=1)
         assert empty_plan.total_fetches() == 0
@@ -114,6 +119,8 @@ class TestAnswersAreEquivalent:
         assert outcome.objects == []
         pools = runtime.obs.metrics.counter("pools_created_total")
         assert pools.value == 0
+        assert "pool" not in {span.name for span in runtime.obs.tracer.spans()}
+        assert runtime.elapsed == 0.0
 
     def test_probabilities_attached_to_objects(self, setup):
         registry, plan, profile = setup
@@ -169,6 +176,36 @@ class TestQueryCounts:
         )
         databases = {f.key.database for f in plan.all_fetches()}
         assert outcome.queries_issued == len(databases)
+
+
+class TestBudgetAccounting:
+    @pytest.mark.parametrize("name", ALL_AUGMENTERS)
+    def test_barred_tasks_are_skipped_not_issued(self, small_bundle, name):
+        """Regression: the pooled strategies counted every submitted
+        task as an issued query, also the ones the timeout budget barred
+        before they reached a store — up to four phantom queries per
+        real one in the run log the optimizer trains on."""
+        query = QueryWorkload(small_bundle).query("transactions", 15)
+
+        def search(**knobs):
+            quepa = Quepa(small_bundle.polystore, small_bundle.aindex)
+            config = AugmentationConfig(name, 8, 4, cache_size=0, **knobs)
+            answer = quepa.augmented_search(
+                query.database, query.query, level=1, config=config
+            )
+            return quepa, answer.stats
+
+        __, baseline = search()
+        quepa, stats = search(
+            skip_unavailable=True, timeout_budget=baseline.elapsed / 4
+        )
+        assert stats.queries_issued == quepa.runtime.meter.total_queries
+        assert stats.queries_issued < baseline.queries_issued
+        barred = quepa.last_record.skipped_flushes
+        assert barred > 0
+        if name not in ("batch", "outer_batch"):
+            # One task per planned fetch: each was issued or barred.
+            assert stats.queries_issued - 1 + barred == stats.planned_fetches
 
 
 class TestCacheInteraction:

@@ -1,0 +1,445 @@
+"""Run probing is the per-probe loop, bit for bit.
+
+The augmenters used to charge ``ctx.cpu`` and call ``cache.get`` once
+per planned fetch. They now probe in *runs* (``BoundedLru.get_many``),
+charge a run in bulk (``ExecContext.cpu_repeat``) and keep what
+materialized as columns until the answer is ranked. The per-probe loop
+they replaced lives here as the reference, and every comparison below is
+``==`` — on floats too: a run makes the same probes in the same order
+and the same float additions in the same order, so there is no
+tolerance to grant.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.aindex import AIndex
+from repro.core.augmentation import (
+    Augmentation,
+    AugmentationConfig,
+    PlannedFetch,
+)
+from repro.core.augmenters import make_augmenter
+from repro.core.augmenters.base import AugmentationOutcome, Augmenter
+from repro.core.cache import BoundedLru, LruCache
+from repro.core.connectors import ConnectorRegistry
+from repro.core.search import SearchStats, assemble_answer
+from repro.model.objects import DataObject, GlobalKey
+from repro.model.prelations import PRelation
+from repro.network import RealRuntime, VirtualRuntime, centralized_profile
+from repro.workloads import PolystoreScale, build_polyphony
+
+from .conftest import make_mini_polystore
+
+K = GlobalKey.parse
+ALL_AUGMENTERS = (
+    "sequential", "batch", "inner", "outer", "outer_batch", "outer_inner",
+)
+
+
+# ---------------------------------------------------------------------------
+# (a) get_many is the loop of get
+# ---------------------------------------------------------------------------
+
+
+def reference_get_many(cache, keys, start, max_misses):
+    """``get`` per key of ``keys[start:]``, up to the ``max_misses``-th
+    miss."""
+    values, misses = [], 0
+    for key in keys[start:]:
+        value = cache.get(key)
+        values.append(value)
+        if value is None:
+            misses += 1
+            if misses == max_misses:
+                break
+    return values, misses
+
+
+KEYS = st.sampled_from("abcdefgh")
+
+
+@given(
+    capacity=st.integers(0, 6),
+    stored=st.lists(KEYS, max_size=12),
+    runs=st.lists(
+        st.tuples(
+            st.lists(KEYS, max_size=16),
+            st.integers(0, 18),
+            st.one_of(st.none(), st.integers(1, 5)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=200)
+def test_get_many_is_the_loop_of_get(capacity, stored, runs):
+    fast, twin = BoundedLru(capacity), BoundedLru(capacity)
+    for cache in (fast, twin):
+        cache.put_many((key, key.upper()) for key in stored)
+    for keys, start, max_misses in runs:
+        assert fast.get_many(keys, start, max_misses) == reference_get_many(
+            twin, keys, start, max_misses
+        )
+        assert fast.items() == twin.items()
+        assert fast.stats() == twin.stats()
+
+
+# ---------------------------------------------------------------------------
+# (b) cpu_repeat is count calls of cpu
+# ---------------------------------------------------------------------------
+
+CHARGES = st.sampled_from([0.0, -1.0, 1e-9, 2.5e-7, 3.3e-6, 0.1, 1 / 3])
+STEPS = st.lists(st.tuples(CHARGES, st.integers(0, 300)), max_size=6)
+
+
+def _contexts(make_runtime):
+    profile = centralized_profile(["transactions", "catalogue"])
+    runtimes = make_runtime(profile), make_runtime(profile)
+    return [(runtime, runtime.root()) for runtime in runtimes]
+
+
+def _cpu_counter(runtime) -> float:
+    return runtime.obs.metrics.counter("cpu_seconds_total").value
+
+
+@given(steps=STEPS)
+@settings(max_examples=100)
+def test_cpu_repeat_is_repeated_cpu_on_the_virtual_clock(steps):
+    (fast_rt, fast), (slow_rt, slow) = _contexts(VirtualRuntime)
+    for seconds, count in steps:
+        fast.cpu_repeat(seconds, count)
+        for __ in range(count):
+            slow.cpu(seconds)
+        assert fast.now == slow.now
+        assert fast.demand == slow.demand
+        assert _cpu_counter(fast_rt) == _cpu_counter(slow_rt)
+
+
+@given(steps=STEPS, time_scale=st.sampled_from([0.0, 1.0]))
+@settings(max_examples=100)
+def test_cpu_repeat_is_repeated_cpu_on_the_real_clock(steps, time_scale):
+    # Nothing settles, so nothing sleeps: the debt only accumulates.
+    (fast_rt, fast), (slow_rt, slow) = _contexts(
+        lambda profile: RealRuntime(profile, time_scale=time_scale)
+    )
+    for seconds, count in steps:
+        fast.cpu_repeat(seconds, count)
+        for __ in range(count):
+            slow.cpu(seconds)
+        assert fast._debt == slow._debt
+        assert _cpu_counter(fast_rt) == _cpu_counter(slow_rt)
+
+
+# ---------------------------------------------------------------------------
+# (c) the six strategies against the per-probe loop
+# ---------------------------------------------------------------------------
+
+
+class PerProbeAugmenter(Augmenter):
+    """The six strategies as they probed before runs: ``ctx.cpu`` and
+    ``cache.get`` once per planned fetch, in plan order. Fetching and
+    accounting are the production helpers; probing, charging and the
+    order rows land in are what is compared."""
+
+    def __init__(self, strategy, registry, cache):
+        super().__init__(registry, cache)
+        self.strategy = strategy
+
+    def _run(self, ctx, plan, config):
+        return getattr(self, f"_{self.strategy}")(ctx, plan, config)
+
+    def _hit(self, ctx, fetch, into) -> bool:
+        ctx.cpu(self._probe_cost)
+        cached = self.cache.get(fetch.key)
+        if cached is None:
+            return False
+        into.cache_hits += 1
+        into.values.append(cached)
+        into.fetches.append(fetch)
+        return True
+
+    def _fill(self, ctx, plan, config, outcome, flush):
+        groups = {}
+        for fetch in plan.all_fetches():
+            if self._hit(ctx, fetch, outcome):
+                continue
+            group = groups.setdefault(fetch.key.database, [])
+            group.append(fetch)
+            if len(group) >= config.batch_size:
+                flush(fetch.key.database, group)
+                groups[fetch.key.database] = []
+        for database, group in groups.items():
+            if group:
+                flush(database, group)
+
+    def _sequential(self, ctx, plan, config):
+        outcome = AugmentationOutcome()
+        for fetch in plan.all_fetches():
+            if not self._hit(ctx, fetch, outcome):
+                self._fetch_single(ctx, fetch, outcome)
+        return outcome
+
+    def _batch(self, ctx, plan, config):
+        outcome = AugmentationOutcome()
+        self._fill(
+            ctx, plan, config, outcome,
+            lambda database, group: self._fetch_group(
+                ctx, database, group, outcome
+            ),
+        )
+        return outcome
+
+    def _inner(self, ctx, plan, config):
+        outcome = AugmentationOutcome()
+        for seed in plan.seeds:
+            pool = None
+            for fetch in plan.fetches_by_seed.get(seed, []):
+                if self._hit(ctx, fetch, outcome):
+                    continue
+                if pool is None:
+                    pool = ctx.pool(config.threads_size)
+                pool.submit(self._single_worker(fetch))
+            if pool is not None:
+                for part in pool.join():
+                    outcome.absorb(part)
+        return outcome
+
+    def _outer(self, ctx, plan, config):
+        def seed_worker(fetches):
+            def task(child):
+                part = AugmentationOutcome()
+                for fetch in fetches:
+                    if not self._hit(child, fetch, part):
+                        self._fetch_single(child, fetch, part)
+                return part
+
+            return task
+
+        return self._pool_seeds(ctx, plan, config.threads_size, seed_worker)
+
+    def _outer_batch(self, ctx, plan, config):
+        outcome = AugmentationOutcome()
+        pool = ctx.pool(config.threads_size)
+
+        def group_worker(database, group):
+            def task(child):
+                part = AugmentationOutcome()
+                self._fetch_group(child, database, group, part)
+                return part
+
+            return task
+
+        self._fill(
+            ctx, plan, config, outcome,
+            lambda database, group: pool.submit(group_worker(database, group)),
+        )
+        for part in pool.join():
+            outcome.absorb(part)
+        return outcome
+
+    def _outer_inner(self, ctx, plan, config):
+        half = max(1, config.threads_size // 2)
+
+        def seed_worker(fetches):
+            def task(child):
+                part = AugmentationOutcome()
+                inner_pool = child.pool(half)
+                for fetch in fetches:
+                    if not self._hit(child, fetch, part):
+                        inner_pool.submit(self._single_worker(fetch))
+                for fetched in inner_pool.join():
+                    part.absorb(fetched)
+                return part
+
+            return task
+
+        return self._pool_seeds(ctx, plan, half, seed_worker)
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    """A private bundle: nothing here writes to it."""
+    return build_polyphony(stores=4, scale=PolystoreScale(n_albums=60), seed=5)
+
+
+def answer_signature(outcome):
+    answer = assemble_answer([], outcome, SearchStats())
+    return [
+        (str(entry.key), str(entry.source), entry.probability, entry.path)
+        for entry in answer.augmented
+    ]
+
+
+def observe(make, bundle, plans, config):
+    """Run ``plans`` one after the other on one cache with augmenters
+    from ``make`` (``make_augmenter`` or the reference class);
+    everything a search reports, per run."""
+    registry = ConnectorRegistry(bundle.polystore)
+    cache = LruCache(config.cache_size)
+    profile = centralized_profile([name for name, __ in bundle.databases])
+    seen = []
+    for plan in plans:
+        runtime = VirtualRuntime(profile)
+        ctx = runtime.root()
+        outcome = make(config.augmenter, registry, cache).execute(
+            ctx, plan, config
+        )
+        seen.append(
+            {
+                "signature": answer_signature(outcome),
+                "rows": [
+                    (value.key, value.value, fetch)
+                    for value, fetch in zip(outcome.values, outcome.fetches)
+                ],
+                "elapsed": runtime.elapsed,
+                "demand": ctx.demand,
+                "queries_issued": outcome.queries_issued,
+                "store_queries": runtime.meter.total_queries,
+                "cache_hits": outcome.cache_hits,
+                "missing": outcome.missing,
+                "cache": [(key, obj.value) for key, obj in cache.items()],
+                "cache_stats": cache.stats(),
+            }
+        )
+    return seen
+
+
+@pytest.mark.parametrize("batch_size", (1, 4, 64))
+@pytest.mark.parametrize("cache_size", (0, 8, 200_000))
+@pytest.mark.parametrize("name", ALL_AUGMENTERS)
+@given(
+    windows=st.lists(
+        st.tuples(st.integers(0, 59), st.integers(1, 8)),
+        min_size=1,
+        max_size=3,
+    ),
+    database=st.sampled_from(["transactions", "catalogue"]),
+    level=st.integers(0, 1),
+    threads_size=st.sampled_from([1, 4]),
+)
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_strategies_equal_the_per_probe_loop(
+    bundle, name, cache_size, batch_size, windows, database, level,
+    threads_size,
+):
+    """Overlapping searches on one cache: the later ones probe what the
+    earlier ones put and, at ``cache_size`` 8, evicted."""
+    planner = Augmentation(bundle.aindex)
+    plans = [
+        planner.plan(
+            [
+                bundle.entity_key(database, (first + offset) % 60)
+                for offset in range(count)
+            ],
+            level,
+        )
+        for first, count in windows
+    ]
+    config = AugmentationConfig(
+        name, batch_size, threads_size, cache_size=cache_size
+    )
+    assert observe(make_augmenter, bundle, plans, config) == observe(
+        PerProbeAugmenter, bundle, plans, config
+    )
+
+
+# ---------------------------------------------------------------------------
+# (d) ranking columns is ranking built objects: ties keep their winner
+# ---------------------------------------------------------------------------
+
+
+def reference_rank(entries):
+    """The ranking as it was, over objects built for every row."""
+    best = {}
+    for entry in entries:
+        if entry.source == entry.key:
+            continue
+        current = best.get(entry.key)
+        if current is None or entry.probability > current.probability:
+            best[entry.key] = entry
+    return sorted(
+        best.values(), key=lambda entry: (-entry.probability, str(entry.key))
+    )
+
+
+def ranked(raw_augmented):
+    return assemble_answer([], raw_augmented, SearchStats()).augmented
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 5),  # target
+            st.integers(0, 5),  # seed (equal to the target: dropped)
+            st.sampled_from([0.25, 0.5, 0.5, 1.0]),
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=200)
+def test_ranking_columns_is_ranking_objects(rows):
+    nodes = [GlobalKey("db", "c", f"n{i}") for i in range(6)]
+    outcome = AugmentationOutcome()
+    for target, seed, probability in rows:
+        outcome.values.append(DataObject(nodes[target], {"n": target}))
+        outcome.fetches.append(
+            PlannedFetch(
+                nodes[target], probability, nodes[seed], (nodes[target],)
+            )
+        )
+    expected = reference_rank(outcome.objects)
+    assert ranked(outcome) == expected
+    assert ranked(outcome.objects) == expected
+    # Dataclass equality is by key only for the object: pin the rest.
+    assert [
+        (e.object.value, e.probability, e.source) for e in ranked(outcome)
+    ] == [(e.object.value, e.probability, e.source) for e in expected]
+
+
+@given(
+    name=st.sampled_from(ALL_AUGMENTERS),
+    probability=st.sampled_from([0.5, 0.8, 1.0]),
+    swapped=st.booleans(),
+    batch_size=st.sampled_from([1, 2, 64]),
+    cache_size=st.sampled_from([0, 1, 64]),
+)
+@settings(max_examples=60, deadline=None)
+def test_equal_probabilities_keep_todays_winner(
+    name, probability, swapped, batch_size, cache_size
+):
+    """Two seeds reach one key with the same probability. Whichever row
+    the strategy materializes first wins — the first seed's, unless a
+    later seed's cache hit overtakes a fetch still in a pool — and that
+    is the winner the per-probe loop and the object ranking chose."""
+    target = K("discount.drop.k1:cure:wish")
+    seeds = [K("transactions.inventory.a32"), K("transactions.inventory.a34")]
+    if swapped:
+        seeds.reverse()
+    index = AIndex()
+    for seed in seeds:
+        index.add(PRelation.matching(seed, target, probability))
+    polystore = make_mini_polystore()
+    plan = Augmentation(index).plan(seeds, level=0)
+    config = AugmentationConfig(name, batch_size, 4, cache_size=cache_size)
+    winners = []
+    for make in (make_augmenter, PerProbeAugmenter):
+        registry = ConnectorRegistry(polystore)
+        cache = LruCache(cache_size)
+        for __ in ("cold", "warm"):
+            ctx = VirtualRuntime(centralized_profile(list(polystore))).root()
+            outcome = make(name, registry, cache).execute(ctx, plan, config)
+            (winner,) = ranked(outcome)
+            assert [winner] == reference_rank(outcome.objects)
+            assert winner.key == target
+            winners.append(winner.source)
+    assert winners[:2] == winners[2:]
+    if name == "sequential":
+        assert winners[0] == seeds[0]
