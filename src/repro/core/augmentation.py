@@ -21,8 +21,10 @@ and o2 = transactions.inventory.a32 appears in its augmentation).
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.aindex import AIndex
 from repro.core.cache import BoundedLru
@@ -52,8 +54,7 @@ class AugmentationConfig:
     timeout_budget: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class PlannedFetch:
+class PlannedFetch(NamedTuple):
     """One object the augmentation must retrieve.
 
     ``seed`` is the original-answer object this fetch augments and
@@ -65,6 +66,11 @@ class PlannedFetch:
     probability: float
     seed: GlobalKey
     path: tuple[GlobalKey, ...]
+
+
+#: ``PlannedFetch(*fields)`` for the planner's inner loop: the generated
+#: ``__new__`` is a Python frame per fetch, this is none.
+_fetch = functools.partial(tuple.__new__, PlannedFetch)
 
 
 @dataclass
@@ -152,9 +158,13 @@ class Augmentation:
     ) -> tuple | None:
         """The plan-cache key, or ``None`` when ``index`` is no safe
         anchor: only immutable snapshots are — a live duck-typed index
-        can mutate without changing identity."""
-        if index is self.aindex and hasattr(index, "add"):
-            return None
+        can mutate without changing identity. A snapshot is what says
+        it is its own (``frozen() is index``); one :meth:`_planning_index`
+        took from a live index is one by construction."""
+        if index is self.aindex:
+            frozen = getattr(index, "frozen", None)
+            if frozen is None or frozen() is not index:
+                return None
         return (index, level, min_probability, tuple(seeds))
 
     def plan_cache_stats(self) -> dict:
@@ -166,18 +176,27 @@ class Augmentation:
         seeds: list[GlobalKey],
         level: int,
         min_probability: float = 0.0,
+        *,
+        attrs: dict | None = None,
     ) -> AugmentationPlan:
         """Compute the fetch plan for ``alpha^level`` over ``seeds``.
 
-        Plans over a frozen snapshot are cached: re-running the same
-        query against an unchanged index (the warm half of the paper's
-        protocol) returns the previously computed plan — including its
-        ``edges_examined``, so the charged planning cost is identical —
-        instead of repeating the traversal.
+        A seed listed more than once is planned once, at its first
+        position (``plan.seeds`` are the distinct seeds). Plans over a
+        frozen snapshot are cached by the seeds as given: re-running
+        the same query against an unchanged index (the warm half of the
+        paper's protocol) returns the previously computed plan —
+        including its ``edges_examined``, so the charged planning cost
+        is identical — instead of repeating the traversal. ``attrs``
+        (the caller's ``plan`` span attributes) receives ``expanded``,
+        the seeds this call traversed: 0 on a plan-cache hit.
         """
-        return self._plan_on(
+        plan, expanded = self._plan_on(
             self._planning_index(), seeds, level, min_probability
         )
+        if attrs is not None:
+            attrs["expanded"] = expanded
+        return plan
 
     def _plan_on(
         self,
@@ -185,23 +204,27 @@ class Augmentation:
         seeds: list[GlobalKey],
         level: int,
         min_probability: float,
-    ) -> AugmentationPlan:
-        """:meth:`plan` over ``index``, the snapshot the caller pinned."""
+    ) -> tuple[AugmentationPlan, int]:
+        """:meth:`plan` over ``index``, the snapshot the caller pinned:
+        the plan, and how many seeds were expanded to get it."""
         if level < 0:
             raise ValueError(f"augmentation level must be >= 0, got {level}")
         cache_key = self._plan_cache_key(index, seeds, level, min_probability)
         if cache_key is not None:
             cached = self._plan_cache.get(cache_key)
             if cached is not None:
-                return cached
-        plan = AugmentationPlan(level=level, seeds=list(seeds))
+                return cached, 0
+        # On a miss only: a repeat of a cached query pays no second pass
+        # over its seeds.
+        seeds = list(dict.fromkeys(seeds))
+        plan = AugmentationPlan(level=level, seeds=seeds)
         for seed in seeds:
             fetches, edges = self._expand(index, seed, level, min_probability)
             plan.fetches_by_seed[seed] = fetches
             plan.edges_examined += edges
         if cache_key is not None:
             self._plan_cache.put(cache_key, plan)
-        return plan
+        return plan, len(seeds)
 
     def explain(
         self,
@@ -225,7 +248,7 @@ class Augmentation:
             cache_key is not None
             and self._plan_cache.peek(cache_key) is not None
         )
-        plan = self._plan_on(index, seeds, level, min_probability)
+        plan, expanded = self._plan_on(index, seeds, level, min_probability)
         fetches_by_database: dict[str, int] = {}
         for fetch in plan.all_fetches():
             database = fetch.key.database
@@ -242,6 +265,7 @@ class Augmentation:
             "refreezes": getattr(self.aindex, "refreezes", None),
             "plan_cacheable": cache_key is not None,
             "plan_cache_hit": plan_cache_hit,
+            "expanded": expanded,
             "edges_examined": plan.edges_examined,
             "planned_fetches": plan.total_fetches(),
             "fetches_by_database": dict(sorted(fetches_by_database.items())),
@@ -254,63 +278,89 @@ class Augmentation:
 
         A Dijkstra-style search over ``-log p`` (implemented directly on
         products) guarantees each reachable key is planned with its
-        maximum path probability.
+        maximum path probability. Among equal probabilities the node
+        discovered first is expanded first, and an arc only replaces a
+        strictly weaker entry (the tie rule). A node is expanded through
+        its best entry or not at all (the depth rule): if that was found
+        at depth ``level + 1`` it is a leaf, even where a weaker entry
+        reached it nearer the seed.
+
+        The loop runs over node handles: ids on a snapshot that has them
+        (``plan_view``), the keys themselves on any other index.
         """
-        max_depth = level + 1
-        best: dict[GlobalKey, float] = {seed: 1.0}
-        result: dict[GlobalKey, PlannedFetch] = {}
-        edges = 0
-        arcs = getattr(index, "neighbor_arcs", None) or _arcs_via_neighbors(
-            index
+        view = getattr(index, "plan_view", None)
+        node_of, row_of, hop_of, text_of = (
+            view() if view is not None else _key_view(index)
         )
-        # Heap entries: (-probability, tiebreak, key, depth, path)
+        start = node_of(seed)
+        if start is None:
+            return [], 0
+        max_depth = level + 1
+        best = {start: 1.0}
+        parent = {}
+        #: Expanded node -> the keys from the seed to it. Probabilities
+        #: are <= 1, so no entry improves once its node was expanded:
+        #: the parent pointers an expansion reads are final.
+        trail = {start: ()}
+        edges = 0
+        # Heap entries: (-probability, tiebreak, node, depth)
         counter = 0
-        heap: list[tuple[float, int, GlobalKey, int, tuple[GlobalKey, ...]]] = [
-            (-1.0, counter, seed, 0, ())
-        ]
+        heap = [(-1.0, counter, start, 0)]
         heappop, heappush = heapq.heappop, heapq.heappush
         best_get = best.get
         while heap:
-            neg_probability, __, key, depth, path = heappop(heap)
+            neg_probability, __, node, depth = heappop(heap)
             probability = -neg_probability
-            if probability < best_get(key, 0.0):
+            if probability < best[node]:
                 continue  # stale entry
-            if depth >= max_depth:
-                continue
-            next_depth = depth + 1
-            arc_list = arcs(key)
-            edges += len(arc_list)
-            for neighbor_key, neighbor_probability in arc_list:
-                combined = probability * neighbor_probability
+            if depth:
+                trail[node] = trail[parent[node]] + hop_of(node)
+            row = row_of(node)
+            edges += len(row)
+            depth += 1
+            # A node found at the last depth is never expanded, so its
+            # entry is never pushed.
+            inner = depth < max_depth
+            for target, arc_probability in row:
+                combined = probability * arc_probability
                 if combined < min_probability or combined <= 0.0:
                     continue
-                if combined <= best_get(neighbor_key, 0.0):
+                if combined <= best_get(target, 0.0):
                     continue
-                best[neighbor_key] = combined
-                new_path = path + (neighbor_key,)
-                if neighbor_key != seed:
-                    result[neighbor_key] = PlannedFetch(
-                        neighbor_key, combined, seed, new_path
-                    )
-                counter += 1
-                heappush(
-                    heap, (-combined, counter, neighbor_key, next_depth, new_path)
-                )
-        # Decorate-sort-undecorate: one fetch per key, so the
-        # (probability, key-text) prefix is unique and PlannedFetch
-        # instances are never compared.
-        decorated = [
-            (-fetch.probability, str(fetch.key), fetch)
-            for fetch in result.values()
+                best[target] = combined
+                parent[target] = node
+                if inner:
+                    counter += 1
+                    heappush(heap, (-combined, counter, target, depth))
+        del best[start]
+        # One fetch per node, so the (probability, key-text) prefix is
+        # unique and handles are never compared.
+        ranked = [
+            (-probability, text_of(node), node)
+            for node, probability in best.items()
         ]
-        decorated.sort()
-        return [fetch for __, __, fetch in decorated], edges
+        ranked.sort()
+        for node, above in parent.items():
+            if node not in trail:  # never expanded: a hop past its parent
+                trail[node] = trail[above] + hop_of(node)
+        return [
+            _fetch(((path := trail[node])[-1], -neg_probability, seed, path))
+            for neg_probability, __, node in ranked
+        ], edges
 
 
-def _arcs_via_neighbors(index):
-    """Arc accessor for duck-typed indexes without ``neighbor_arcs``."""
+def _itself(key: GlobalKey) -> GlobalKey:
+    return key
 
-    def arcs(key: GlobalKey) -> list[tuple[GlobalKey, float]]:
-        return [(n.key, n.probability) for n in index.neighbors(key)]
 
-    return arcs
+def _hop(key: GlobalKey) -> tuple[GlobalKey]:
+    return (key,)
+
+
+def _key_view(index):
+    """:meth:`FrozenAIndex.plan_view` for an index without node ids: a
+    key is its own handle, ``neighbor_arcs`` (or ``neighbors``) its row."""
+    arcs = getattr(index, "neighbor_arcs", None) or (
+        lambda key: [(n.key, n.probability) for n in index.neighbors(key)]
+    )
+    return _itself, arcs, _hop, str

@@ -389,8 +389,7 @@ class Augmenter(ABC):
         if truncated:
             self._errors.setdefault(database, "truncated results")
         by_key = {obj.key: obj for obj in objects}
-        for obj in objects:
-            self.cache.put(obj)
+        self.cache.put_many(objects)
         seen_missing: set[GlobalKey] = set()
         for fetch in group:
             obj = by_key.get(fetch.key)

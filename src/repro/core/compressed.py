@@ -47,9 +47,13 @@ from repro.model.prelations import PRelation, RelationType
 #: a publish copies (the overlay dict) and what a snapshot holds twice.
 COMPACT_FRACTION = 0.25
 
-#: One overlay row: the node's ``(key, probability)`` arcs in live
-#: adjacency order and, in parallel, each arc's relation type.
-Row = tuple[list[tuple[GlobalKey, float]], list[RelationType]]
+#: One node's arcs as the planner reads them: ``(target id, probability)``
+#: in live adjacency order.
+IdRow = list[tuple[int, float]]
+
+#: One overlay row: the node's :data:`IdRow` and, in parallel, each
+#: arc's relation type.
+Row = tuple[IdRow, list[RelationType]]
 
 
 class FrozenAIndex:
@@ -73,18 +77,27 @@ class FrozenAIndex:
         self._probabilities = probabilities
         self._is_identity = is_identity
         #: ``keys[:owned]`` are the base's nodes; the rest are ghosts
-        #: (see :meth:`freeze`), which no count or iteration reports.
+        #: (see :meth:`freeze` and :meth:`_intern`), which no count or
+        #: iteration reports.
         self._owned = owned
-        #: Per-node (key, probability) arc lists, built lazily from the
-        #: CSR arrays on first access (planner fast path). A function of
-        #: the base alone, so snapshots patched from it share the memo.
-        self._arcs: list[list[tuple[GlobalKey, float]] | None] = [None] * len(
-            keys
-        )
-        #: Rows that supersede the base: node -> its current row, or
+        #: Per-node :data:`IdRow`, built from the CSR arrays the first
+        #: time the planner expands the node: every seed of a plan
+        #: revisits the hubs, but most nodes are never expanded, so a
+        #: row per node up front would be paid in memory for nothing.
+        #: A function of the base alone, so snapshots patched from it
+        #: share the memo.
+        self._rows: list[IdRow | None] = [None] * len(keys)
+        #: ``str(key)`` (the planner's sort key) and ``(key,)`` (the
+        #: path of a direct neighbour, and what a longer path ends in)
+        #: per node, set for every target of a built row — the nodes a
+        #: plan can return. The strings already live on the keys; one
+        #: 1-tuple per node replaces one per fetch that plans the node.
+        self._texts: list[str | None] = [None] * len(keys)
+        self._hops: list[tuple[GlobalKey] | None] = [None] * len(keys)
+        #: Rows that supersede the base: node id -> its current row, or
         #: ``None`` for a node that no longer exists. Empty on a full
         #: freeze; never mutated once the snapshot is published.
-        self._overlay: dict[GlobalKey, Row | None] = {}
+        self._overlay: dict[int, Row | None] = {}
         self._node_total = owned
         #: Directed arcs (every edge is stored from both endpoints).
         self._arc_total = len(targets)
@@ -132,6 +145,27 @@ class FrozenAIndex:
         snapshot.generation = generation
         return snapshot
 
+    def _intern(self, key: GlobalKey) -> int:
+        """The id of ``key``, appending it to the base as a zero-degree
+        ghost if it has none: the keys a patch introduces get ids past
+        the base's, so overlay rows are id rows like any other.
+
+        The tables are shared with every snapshot on this base and only
+        ever grow; a snapshot that does not know the key reads the ghost
+        as what it is to it — absent, no arcs. ``_ids`` is written last,
+        so an id a concurrent reader finds indexes every table.
+        """
+        node = self._ids.get(key)
+        if node is None:
+            node = len(self._keys)
+            self._keys.append(key)
+            self._rows.append([])
+            self._texts.append(None)
+            self._hops.append(None)
+            self._offsets.append(self._offsets[-1])
+            self._ids[key] = node
+        return node
+
     def patched(
         self, adjacency, dirty: dict[GlobalKey, None], generation: int
     ) -> "FrozenAIndex | None":
@@ -144,20 +178,28 @@ class FrozenAIndex:
         :data:`COMPACT_FRACTION` of the base: the caller compacts with
         :meth:`freeze` instead.
         """
-        overlay = self._overlay | dirty
-        if len(overlay) > COMPACT_FRACTION * self._owned:
+        overlay, known = self._overlay, self._ids.get
+        added = sum(known(key) not in overlay for key in dirty)
+        if len(overlay) + added > COMPACT_FRACTION * self._owned:
             return None
-        snapshot = copy.copy(self)  # shares the base and its arc memo
-        snapshot._overlay = overlay
+        snapshot = copy.copy(self)  # shares the base and its memos
+        overlay = snapshot._overlay = dict(overlay)
         snapshot.generation = generation
+        intern, hops = self._intern, self._hops
         for key in dirty:
             live = adjacency.get(key)
             snapshot._node_total += (live is not None) - (key in self)
             snapshot._arc_total += len(live or ()) - self.degree(key)
-            overlay[key] = None if live is None else (
-                [(other, edge[1]) for other, edge in live.items()],
-                [edge[0] for edge in live.values()],
-            )
+            row = None
+            if live is not None:
+                arcs = []
+                for other, edge in live.items():
+                    target = intern(other)
+                    if hops[target] is None:
+                        self._label(target, other)
+                    arcs.append((target, edge[1]))
+                row = (arcs, [edge[0] for edge in live.values()])
+            overlay[intern(key)] = row
         return snapshot
 
     @property
@@ -165,21 +207,63 @@ class FrozenAIndex:
         """Nodes read from the overlay (0 for a full freeze)."""
         return len(self._overlay)
 
+    # -- the planner's view ---------------------------------------------------
+
+    def _label(self, node: int, key: GlobalKey) -> None:
+        """Fill the per-node memos of a row target (``_hops`` last: it
+        is the one tested)."""
+        self._texts[node] = str(key)
+        self._hops[node] = (key,)
+
+    def _row(self, node: int) -> IdRow:
+        """The arcs out of ``node``, overlay first."""
+        overlay = self._overlay
+        if overlay and node in overlay:
+            row = overlay[node]
+            return row[0] if row is not None else []
+        arcs = self._rows[node]
+        if arcs is None:
+            keys, hops = self._keys, self._hops
+            targets = self._targets
+            probabilities = self._probabilities
+            arcs = []
+            for position in range(
+                self._offsets[node], self._offsets[node + 1]
+            ):
+                target = targets[position]
+                if hops[target] is None:
+                    self._label(target, keys[target])
+                arcs.append((target, probabilities[position]))
+            self._rows[node] = arcs
+        return arcs
+
+    def plan_view(self) -> tuple:
+        """``(node of a key or None, row of a node, (key,) of a node,
+        text of a node)`` for :meth:`Augmentation._expand`: nodes are
+        ids, and the last two are plain list look-ups."""
+        return (
+            self._ids.get,
+            self._row,
+            self._hops.__getitem__,
+            self._texts.__getitem__,
+        )
+
     # -- AIndex read protocol -----------------------------------------------------
 
     def neighbors(
         self, key: GlobalKey, rel_type: RelationType | None = None
     ) -> list[Neighbor]:
-        if key in self._overlay:
-            arcs, types = self._overlay[key] or ((), ())
-            return [
-                Neighbor(other, edge_type, probability)
-                for (other, probability), edge_type in zip(arcs, types)
-                if rel_type is None or edge_type is rel_type
-            ]
         node = self._ids.get(key)
         if node is None:
             return []
+        keys = self._keys
+        if node in self._overlay:
+            arcs, types = self._overlay[node] or ((), ())
+            return [
+                Neighbor(keys[target], edge_type, probability)
+                for (target, probability), edge_type in zip(arcs, types)
+                if rel_type is None or edge_type is rel_type
+            ]
         start = self._offsets[node]
         end = self._offsets[node + 1]
         out: list[Neighbor] = []
@@ -193,7 +277,7 @@ class FrozenAIndex:
                 continue
             out.append(
                 Neighbor(
-                    self._keys[self._targets[position]],
+                    keys[self._targets[position]],
                     edge_type,
                     self._probabilities[position],
                 )
@@ -206,31 +290,18 @@ class FrozenAIndex:
         """All edges out of ``key`` as bare ``(key, probability)`` pairs.
 
         Same order as :meth:`neighbors`, minus the per-edge
-        :class:`Neighbor` and :class:`RelationType` materialization the
-        planner never looks at. Arc lists are memoized per node, so
-        repeated traversals (every seed of a plan revisits hub nodes)
-        reduce to one list lookup.
+        :class:`Neighbor` and :class:`RelationType` materialization:
+        the node's memoized id row (what the planner walks) with the
+        ids resolved.
         """
-        overlay = self._overlay
-        if overlay and key in overlay:
-            row = overlay[key]
-            return row[0] if row is not None else []
         node = self._ids.get(key)
         if node is None:
             return []
-        arcs = self._arcs[node]
-        if arcs is None:
-            keys = self._keys
-            targets = self._targets
-            probabilities = self._probabilities
-            arcs = [
-                (keys[targets[position]], probabilities[position])
-                for position in range(
-                    self._offsets[node], self._offsets[node + 1]
-                )
-            ]
-            self._arcs[node] = arcs
-        return arcs
+        keys = self._keys
+        return [
+            (keys[target], probability)
+            for target, probability in self._row(node)
+        ]
 
     def frozen(self) -> "FrozenAIndex":
         """A frozen index is its own snapshot (mirrors ``AIndex.frozen``)."""
@@ -243,28 +314,29 @@ class FrozenAIndex:
         return None
 
     def degree(self, key: GlobalKey) -> int:
-        if key in self._overlay:
-            row = self._overlay[key]
-            return len(row[0]) if row is not None else 0
         node = self._ids.get(key)
         if node is None:
             return 0
+        if node in self._overlay:
+            row = self._overlay[node]
+            return len(row[0]) if row is not None else 0
         return self._offsets[node + 1] - self._offsets[node]
 
     def __contains__(self, key: GlobalKey) -> bool:
-        if key in self._overlay:
-            return self._overlay[key] is not None
-        return self._ids.get(key, self._owned) < self._owned
+        node = self._ids.get(key)
+        if node in self._overlay:
+            return self._overlay[node] is not None
+        return node is not None and node < self._owned
 
     def nodes(self) -> Iterator[GlobalKey]:
-        overlay = self._overlay
+        overlay, keys = self._overlay, self._keys
         return chain(
             (
                 key
-                for key in islice(self._keys, self._owned)
-                if key not in overlay
+                for node, key in enumerate(islice(keys, self._owned))
+                if node not in overlay
             ),
-            (key for key, row in overlay.items() if row is not None),
+            (keys[node] for node, row in overlay.items() if row is not None),
         )
 
     def node_count(self) -> int:

@@ -588,7 +588,7 @@ class Quepa:
         """Plan the augmentation, traced and charged as A' index CPU."""
         with ctx.span("plan", level=level, seeds=len(seeds)) as span:
             plan = self.augmentation.plan(
-                seeds, level, self.config.min_probability
+                seeds, level, self.config.min_probability, attrs=span.attrs
             )
             ctx.cpu(plan.edges_examined * ctx.cost_model.aindex_edge_cost)
             span.attrs["fetches"] = plan.total_fetches()
@@ -829,7 +829,9 @@ class Quepa:
         config: AugmentationConfig | None = None,
     ) -> list[AugmentedObject]:
         with ctx.span("plan", level=level, seeds=1) as span:
-            plan = self.augmentation.plan([key], level=level)
+            plan = self.augmentation.plan(
+                [key], level=level, attrs=span.attrs
+            )
             ctx.cpu(plan.edges_examined * ctx.cost_model.aindex_edge_cost)
             span.attrs["fetches"] = plan.total_fetches()
         augmenter = make_augmenter("inner", self.registry, self.cache)

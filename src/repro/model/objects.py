@@ -103,7 +103,10 @@ class DataObject:
         return hash(self.key)
 
     def with_probability(self, probability: float) -> "DataObject":
-        """Return a copy of this object carrying ``probability``."""
+        """This object carrying ``probability``: itself when it already
+        does (objects are immutable), a copy otherwise."""
+        if probability == self.probability:
+            return self
         return DataObject(self.key, self.value, probability)
 
     def fields(self) -> Iterator[tuple[str, Any]]:

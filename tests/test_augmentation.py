@@ -3,9 +3,15 @@
 import pytest
 
 from repro.core.aindex import AIndex
+from repro.core import Quepa
 from repro.core.augmentation import Augmentation, AugmentationConfig
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation
+from repro.network import centralized_profile
+from repro.sharding.aindex import shard_aindex
+
+from tests.conftest import make_mini_aindex, make_mini_polystore
+from tests.test_plan_traversal import NeighborsOnly
 
 K = GlobalKey.parse
 
@@ -126,6 +132,102 @@ class TestPlanning:
         index.add(PRelation.matching(s2, shared, 0.7))
         plan = Augmentation(index).plan([s1, s2], level=0)
         assert plan.total_fetches() == 2
+
+
+class TestDuplicateSeeds:
+    """Regression: a seed listed three times was expanded, charged and
+    probed three times, while ``total_fetches`` counted it once."""
+
+    def test_a_repeated_seed_is_planned_once(self, mini_augmentation):
+        once = mini_augmentation.plan([SEED], level=0)
+        thrice = Augmentation(make_mini_aindex()).plan([SEED] * 3, level=0)
+        assert thrice.seeds == [SEED]
+        assert len(thrice.all_fetches()) == thrice.total_fetches()
+        assert thrice.total_fetches() == once.total_fetches() == 3
+        assert thrice.edges_examined == once.edges_examined
+        assert thrice.fetches_by_seed == once.fetches_by_seed
+
+    def test_distinct_seeds_keep_first_seen_order(self, mini_augmentation):
+        other = K("catalogue.albums.d1")
+        plan = mini_augmentation.plan([SEED, other, SEED, other], level=0)
+        assert plan.seeds == [SEED, other]
+        assert [f.seed for f in plan.all_fetches()] == (
+            [SEED] * len(plan.fetches_by_seed[SEED])
+            + [other] * len(plan.fetches_by_seed[other])
+        )
+
+    def test_the_plan_cache_replays_the_deduplicated_plan(
+        self, mini_augmentation
+    ):
+        plan = mini_augmentation.plan([SEED, SEED], level=1)
+        assert mini_augmentation.plan([SEED, SEED], level=1) is plan
+        assert plan.seeds == [SEED]
+
+    def test_a_search_probes_what_it_says_it_planned(self):
+        """``mget [k, k, k]`` returns three equal originals; the
+        augmentation of the answer is that of ``mget [k]``."""
+
+        def search(keys):
+            polystore = make_mini_polystore()
+            quepa = Quepa(
+                polystore,
+                make_mini_aindex(),
+                profile=centralized_profile(list(polystore)),
+            )
+            answer = quepa.augmented_search(
+                "discount", ("mget", keys), level=0
+            )
+            stats = quepa.cache.stats()
+            return answer, stats["hits"] + stats["misses"]
+
+        single, single_probes = search(["k1:cure:wish"])
+        triple, triple_probes = search(["k1:cure:wish"] * 3)
+        assert len(triple.originals) == 3
+        assert triple.stats.planned_fetches == single.stats.planned_fetches
+        assert triple_probes == single_probes == single.stats.planned_fetches
+        assert [str(o.key) for o in triple.augmented] == [
+            str(o.key) for o in single.augmented
+        ]
+
+
+class TestPlanCache:
+    """Which planning indexes anchor a cached plan: immutable snapshots
+    do, whoever holds them; a live index without snapshots cannot."""
+
+    def test_a_planner_on_a_live_index_caches_per_snapshot(self):
+        index = make_mini_aindex()
+        planner = Augmentation(index)
+        assert planner.plan([SEED], 1) is planner.plan([SEED], 1)
+        assert planner.plan_cache_stats()["hits"] == 1
+
+    @pytest.mark.parametrize("shards", (None, 2))
+    def test_a_planner_built_on_a_snapshot_caches_too(self, shards):
+        """Regression: "mutable" was ``hasattr(index, "add")``, and the
+        snapshots define ``add`` — to raise."""
+        index = make_mini_aindex()
+        if shards:
+            index = shard_aindex(index, shards)
+        planner = Augmentation(index.frozen())
+        assert planner.plan([SEED], 1) is planner.plan([SEED], 1)
+        stats = planner.plan_cache_stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+
+    def test_a_live_index_without_snapshots_is_never_an_anchor(self):
+        index = make_mini_aindex()
+        planner = Augmentation(NeighborsOnly(index))
+        first = planner.plan([SEED], 0)
+        index.remove_object(K("catalogue.albums.d1"))
+        second = planner.plan([SEED], 0)
+        assert len(second.all_fetches()) < len(first.all_fetches())
+        assert planner.plan_cache_stats()["hits"] == 0
+
+    def test_expanded_counts_the_seeds_traversed(self, mini_augmentation):
+        other = K("catalogue.albums.d1")
+        attrs = {}
+        mini_augmentation.plan([SEED, other, SEED], 1, attrs=attrs)
+        assert attrs == {"expanded": 2}
+        mini_augmentation.plan([SEED, other, SEED], 1, attrs=attrs)
+        assert attrs == {"expanded": 0}  # from the plan cache
 
 
 class TestConfig:

@@ -323,6 +323,25 @@ class TestBoundedLru:
         assert lru.pop("d") == 4 and lru.pop("d") is None
         assert lru.stats()["evictions"] == 3
 
+    @pytest.mark.parametrize("capacity", (1, 3, 8, 20))
+    def test_put_many_of_absent_keys_is_the_loop_of_put(self, capacity):
+        """What ``_fetch_group`` relies on: every key of a flush missed
+        the cache, so a batch inserts absent keys — the loop evicts one
+        LRU entry per insert once full, the batch inserts all and then
+        evicts as many from the same end, and what is left is the last
+        ``capacity`` of (old entries, batch) either way. Also when the
+        batch is larger than the cache and evicts its own head."""
+        batch = [obj(f"n{i}") for i in range(12)]
+        bulk, loop = LruCache(capacity), LruCache(capacity)
+        for cache in (bulk, loop):
+            cache.put_many([obj("old1"), obj("old2"), obj("old3")])
+        bulk.put_many(batch)
+        for entry in batch:
+            loop.put(entry)
+        assert bulk.items() == loop.items()
+        assert bulk.stats() == loop.stats()
+        assert bulk.items()[-1][1] is batch[-1]  # p = 1 already: no copy
+
     def test_get_many_counts_distinct_keys(self):
         """The run contract (the name predates it): one value and one
         counted probe per key *as listed*, repeats included, each

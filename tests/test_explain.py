@@ -190,6 +190,8 @@ class TestQuepaExplain:
         second = mini_quepa.explain("transactions", QUERY, level=1)
         assert first["plan"]["plan_cache_hit"] is False
         assert second["plan"]["plan_cache_hit"] is True
+        assert first["plan"]["expanded"] == first["plan"]["seeds"] > 0
+        assert second["plan"]["expanded"] == 0
 
     def test_plan_names_the_snapshot_it_traversed(
         self, mini_quepa, monkeypatch

@@ -71,6 +71,15 @@ class TestDataObject:
         assert obj.probability == 1.0
         assert weighted.value == obj.value
 
+    def test_with_the_probability_it_has_is_the_object_itself(self):
+        """Objects are immutable: the cache's p = 1 normalisation and an
+        identity-edge winner (p = 1) copy nothing."""
+        obj = DataObject(GlobalKey("d", "c", "k"), {"x": 1})
+        assert obj.with_probability(1.0) is obj
+        weighted = obj.with_probability(0.5)
+        assert weighted.with_probability(0.5) is weighted
+        assert weighted.with_probability(1.0) is not weighted
+
     def test_fields_of_mapping_value(self):
         obj = DataObject(GlobalKey("d", "c", "k"), {"a": 1, "b": "two"})
         assert dict(obj.fields()) == {"a": 1, "b": "two"}

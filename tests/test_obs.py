@@ -533,6 +533,22 @@ class TestRuntimeWiring:
         spans = mini_quepa.obs.tracer.spans()
         assert all(span.start >= 0.0 for span in spans)
 
+    def test_plan_span_says_how_many_seeds_it_expanded(self, mini_quepa):
+        """The plan-cache hit ratio, from the program's own spans:
+        ``expanded`` is 0 exactly when the plan came from the cache."""
+
+        def plan_span():
+            mini_quepa.augmented_search("transactions", QUERY, level=1)
+            (span,) = [
+                s for s in mini_quepa.obs.tracer.spans() if s.name == "plan"
+            ]
+            return span.attrs
+
+        first, second = plan_span(), plan_span()
+        assert first["expanded"] == first["seeds"] > 0
+        assert second["expanded"] == 0
+        assert second["fetches"] == first["fetches"]
+
     def test_span_nesting_under_pool(self, mini_polystore, mini_aindex):
         quepa = Quepa(mini_polystore, mini_aindex)
         config = AugmentationConfig(augmenter="inner", threads_size=2)

@@ -260,6 +260,16 @@ class PerProbeAugmenter(Augmenter):
         return self._pool_seeds(ctx, plan, half, seed_worker)
 
 
+class PerObjectPutCache(LruCache):
+    """``put_many`` as the ``put`` per fetched object ``_fetch_group``
+    used to make: the reference for what a flush leaves in the cache,
+    in which order, and how many evictions it counts."""
+
+    def put_many(self, objects):
+        for obj in objects:
+            self.put(obj)
+
+
 @pytest.fixture(scope="module")
 def bundle():
     """A private bundle: nothing here writes to it."""
@@ -274,12 +284,12 @@ def answer_signature(outcome):
     ]
 
 
-def observe(make, bundle, plans, config):
+def observe(make, bundle, plans, config, cache_class=LruCache):
     """Run ``plans`` one after the other on one cache with augmenters
     from ``make`` (``make_augmenter`` or the reference class);
     everything a search reports, per run."""
     registry = ConnectorRegistry(bundle.polystore)
-    cache = LruCache(config.cache_size)
+    cache = cache_class(config.cache_size)
     profile = centralized_profile([name for name, __ in bundle.databases])
     seen = []
     for plan in plans:
@@ -347,7 +357,7 @@ def test_strategies_equal_the_per_probe_loop(
         name, batch_size, threads_size, cache_size=cache_size
     )
     assert observe(make_augmenter, bundle, plans, config) == observe(
-        PerProbeAugmenter, bundle, plans, config
+        PerProbeAugmenter, bundle, plans, config, PerObjectPutCache
     )
 
 
