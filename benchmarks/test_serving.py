@@ -8,7 +8,7 @@ virtual store roundtrips become real, GIL-releasing sleeps, so
 concurrency genuinely overlaps them).
 
 Checked claims (cold: fresh cache per point, real store roundtrips, a
-shared hot-query pool, coalescing + hedging on, closed system, 8
+shared hot-query pool, single-flight coalescing on, closed system, 8
 workers, a fixed total request count):
 
 * every sweep point serves at least the QPS committed for it while
@@ -33,8 +33,8 @@ workers, a fixed total request count):
 * no request is shed or failed at any client count (ample queue);
 * tail latency is reported (p50/p95/p99) and grows no worse than the
   client count would explain;
-* the accelerator's ledgers ride along: each sweep point reports the
-  coalesce hit-rate and hedge win-rate it measured;
+* the coalescer's ledger rides along: each sweep point reports the
+  coalesce hit-rate it measured;
 * the virtual-time guard numbers of Fig 9 stay bit-identical — the
   serving layer must not perturb the deterministic cost model.
 
@@ -88,12 +88,7 @@ def _make_server(bundle):
     )
     return QuepaServer(
         quepa,
-        ServingConfig(
-            workers=WORKERS,
-            queue_capacity=4 * TOTAL_REQUESTS,
-            coalesce=True,
-            hedge=True,
-        ),
+        ServingConfig(workers=WORKERS, queue_capacity=4 * TOTAL_REQUESTS),
     )
 
 
@@ -103,8 +98,8 @@ def _sweep_point(bundle, clients: int):
     Each point gets a fresh Quepa (own cold cache): requests pay real
     store roundtrips, so concurrency genuinely overlaps them and the
     hot-query pool gives the coalescer identical concurrent fetches to
-    share. Returns the load report, the server's accelerator view and
-    the seconds the runtime was asked to sleep over the whole point.
+    share. Returns the load report, the coalescer's stats and the
+    seconds the runtime was asked to sleep over the whole point.
     """
     per_client = TOTAL_REQUESTS // clients
     workload = QueryWorkload(bundle)
@@ -121,16 +116,14 @@ def _sweep_point(bundle, clients: int):
         measured = generator.run(clients, per_client)
         status = server.status()
         quepa = server.quepa
-    accelerator = status["accelerator"] or {}
-    coalesce = accelerator.get("coalesce") or {}
-    hedge = accelerator.get("hedge") or {}
+    coalesce = status["accelerator"]["coalesce"]
     metrics = quepa.obs.metrics
     modelled = metrics.counter("cpu_seconds_total").value + sum(
         metrics.counter("store_queries_total", database=database).value
         * quepa.profile.site(database).roundtrip
         for database in bundle.polystore
     )
-    return measured, coalesce, hedge, modelled * TIME_SCALE
+    return measured, coalesce, modelled * TIME_SCALE
 
 
 def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
@@ -146,10 +139,10 @@ def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
     report.section(
         f"Serving: cold QPS + tail latency vs clients "
         f"({WORKERS} workers, time_scale={TIME_SCALE}, "
-        f"{TOTAL_REQUESTS} requests/point, coalesce+hedge on, "
+        f"{TOTAL_REQUESTS} requests/point, coalesce on, "
         f"hot pool {HOT_QUERIES}@{HOT_FRACTION})"
     )
-    for clients, (load, coalesce, hedge, slept) in results.items():
+    for clients, (load, coalesce, slept) in results.items():
         report.row(
             clients=clients,
             qps=load.qps,
@@ -159,8 +152,7 @@ def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
             completed=load.completed,
             shed=load.shed,
             failed=load.failed,
-            coalesce_hit=coalesce.get("hit_rate", 0.0),
-            hedge_win=hedge.get("win_rate", 0.0),
+            coalesce_hit=coalesce["hit_rate"],
             modelled_sleep_ms=slept / load.completed * 1000,
         )
 
@@ -179,7 +171,7 @@ def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
         )
 
     # Claim 2: 1->8 scaling against the interpreter-lock ceiling.
-    one, _, _, slept = results[1]
+    one, _, slept = results[1]
     sleep_share = slept / one.completed / one.latency_mean
     ceiling = min(8.0, 1.0 / (1.0 - sleep_share))
     scaling = results[8][0].qps / one.qps
@@ -202,16 +194,10 @@ def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
     p95_1 = max(results[1][0].latency_p95, 1e-9)
     assert results[8][0].latency_p95 <= p95_1 * 8 * 2.0
 
-    # Claim 5: the accelerator's own ledgers reconcile at every point.
-    for clients, (_, coalesce, hedge, _) in results.items():
-        if coalesce:
-            shared = coalesce["followers"] + coalesce["leaders"]
-            assert shared >= coalesce["leaders"]
-            assert coalesce["wait_timeouts"] == 0
-        if hedge:
-            assert hedge["issued"] == (
-                hedge["won"] + hedge["lost"] + hedge["cancelled"]
-            )
+    # Claim 5: the coalescer's ledger holds at every point.
+    for clients, (_, coalesce, _) in results.items():
+        assert coalesce["leaders"] > 0
+        assert coalesce["wait_timeouts"] == 0
 
     sweeps = [
         {
@@ -226,16 +212,11 @@ def test_serving_throughput_scales_with_clients(benchmark, bundle4, report):
             "mean_ms": round(load.latency_mean * 1000, 3),
             "cold_wall_s": round(load.wall_s, 6),
             "modelled_sleep_ms": round(slept / load.completed * 1000, 3),
-            "coalesce_hit_rate": round(
-                coalesce.get("hit_rate", 0.0), 4
-            ),
-            "coalesce_leaders": coalesce.get("leaders", 0),
-            "coalesce_followers": coalesce.get("followers", 0),
-            "hedge_win_rate": round(hedge.get("win_rate", 0.0), 4),
-            "hedges_issued": hedge.get("issued", 0),
-            "hedge_breaker_skips": hedge.get("breaker_skips", 0),
+            "coalesce_hit_rate": round(coalesce["hit_rate"], 4),
+            "coalesce_leaders": coalesce["leaders"],
+            "coalesce_followers": coalesce["followers"],
         }
-        for clients, (load, coalesce, hedge, slept) in results.items()
+        for clients, (load, coalesce, slept) in results.items()
     ]
     path = write_bench_json("serving", sweeps)
     report.note(f"QPS/latency sweep written to {path.name}")

@@ -46,7 +46,14 @@ repro plan "${sql[@]}" --targets catalogue,similar --execute --json | json
 repro events "${sql[@]}" --slow-ms 0 > /dev/null
 repro faults "${sql[@]}" --inject discount:fail --shards 2 --json | json
 repro serve --snapshot "$snap" --port 0 --duration 0.05 > /dev/null
-repro loadgen "${load[@]}" --json | json
+# Single-flight sits on the real runtime in the shape the benchmark
+# spine reads, and no hedging key is left in the report.
+repro loadgen "${load[@]}" --json | python -c '
+import json, sys
+text = sys.stdin.read()
+assert "leaders" in json.loads(text)["serving"]["accelerator"]["coalesce"]
+assert "\"hedge" not in text, "a hedge key in loadgen --json"
+'
 repro slo "${load[@]}" --json | json
 repro record "${load[@]}" --json | json
 repro ingest --albums 20 --updates 6 --batch 3 --json | json

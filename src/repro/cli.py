@@ -273,13 +273,6 @@ def _add_serving_args(subparser) -> None:
                            help="scale factor for simulated store "
                                 "latencies on the real runtime "
                                 "(0 disables sleeping)")
-    subparser.add_argument("--hedge", action="store_true",
-                           help="hedge slow store calls with a backup "
-                                "after the learned p95 delay")
-    subparser.add_argument("--no-coalesce", action="store_false",
-                           dest="coalesce",
-                           help="disable single-flight coalescing of "
-                                "identical concurrent store fetches")
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
@@ -679,8 +672,6 @@ def _serving_config(args):
         queue_capacity=args.queue_capacity,
         max_inflight_per_session=args.max_inflight,
         default_deadline=args.deadline,
-        coalesce=args.coalesce,
-        hedge=args.hedge,
         recorder_capacity=getattr(args, "capacity", 256),
         recorder_slow_threshold=getattr(args, "slow_threshold", None),
         slo_availability_objective=getattr(
@@ -797,21 +788,13 @@ def _loadgen(args, out) -> int:
     )
     accelerator = status.get("accelerator")
     if accelerator:
-        coalesce = accelerator.get("coalesce")
-        hedge = accelerator.get("hedge")
-        if coalesce:
-            print(
-                f"  coalesce: {coalesce['followers']} shared / "
-                f"{coalesce['leaders'] + coalesce['followers']} fetches "
-                f"(hit rate {coalesce['hit_rate']:.1%})",
-                file=out,
-            )
-        if hedge:
-            print(
-                f"  hedge: {hedge['issued']} issued, {hedge['won']} won "
-                f"(win rate {hedge['win_rate']:.1%})",
-                file=out,
-            )
+        coalesce = accelerator["coalesce"]
+        print(
+            f"  coalesce: {coalesce['followers']} shared / "
+            f"{coalesce['leaders'] + coalesce['followers']} fetches "
+            f"(hit rate {coalesce['hit_rate']:.1%})",
+            file=out,
+        )
     return 0
 
 

@@ -42,9 +42,9 @@ class Connector:
         # ``query`` is only stringified if a slow-query event fires, so
         # pass the key itself rather than formatting on the hot path.
         op = lambda: self._get_list(key)  # noqa: E731
-        accelerator = ctx.accelerator
-        if accelerator is not None:
-            results = accelerator.fetch_many(
+        coalescer = ctx.coalescer
+        if coalescer is not None:
+            results = coalescer.fetch(
                 ctx,
                 self.database,
                 (key,),
@@ -61,26 +61,21 @@ class Connector:
 
         This is the primitive the BATCH family of augmenters relies on:
         however many keys are in the group, it costs a single roundtrip.
-        With a store-call accelerator attached to the runtime (the
-        serving layer does this), the roundtrip may additionally be
-        coalesced with an identical concurrent fetch or hedged with a
-        backup call — either way the cache/faults/obs layers still see
-        exactly one logical call per physical roundtrip.
+        With a single-flight coalescer attached to the runtime (the
+        serving layer does this), the roundtrip may be shared with an
+        identical concurrent fetch; the cache/faults/obs layers still
+        see exactly one logical call per physical roundtrip.
         """
         if not keys:
             return []
         op = lambda: self._multi_get(keys)  # noqa: E731
         query = ("multi_get", len(keys))
-        accelerator = ctx.accelerator
-        if accelerator is not None:
-            return list(
-                accelerator.fetch_many(
-                    ctx,
-                    self.database,
-                    keys,
-                    lambda c: self._issue(c, op, query),
-                )
-            )
+        coalescer = ctx.coalescer
+        if coalescer is not None:
+            # A copy: a leader's list is the one its followers copy from.
+            return list(coalescer.fetch(
+                ctx, self.database, keys, lambda c: self._issue(c, op, query)
+            ))
         return list(self._issue(ctx, op, query))
 
     def _issue(self, ctx: ExecContext, op, query) -> Sequence[DataObject]:

@@ -78,7 +78,7 @@ class RunRecord:
     #: classic single-session runs).
     trace_id: str | None = None
     #: Request-scoped critical-path breakdown (store time by database,
-    #: per-shard fetches, coalesce waits, hedge outcomes) computed by
+    #: per-shard fetches, coalesce waits) computed by
     #: :func:`repro.obs.requests.latency_breakdown`; empty when the run
     #: was not request-scoped.
     breakdown: dict = field(default_factory=dict)

@@ -26,8 +26,8 @@ ever), and ``settle()`` pays the whole debt in one sleep at the next
 point where the thread blocks anyway:
 
 1. ``store_call`` — before its timer starts, as a sleep of its own, so
-   the ``store_call`` span and ``store_call_seconds`` (whose p95 is the
-   hedge delay) hold roundtrip time only;
+   the ``store_call`` span and ``store_call_seconds`` hold roundtrip
+   time only;
 2. ``sleep`` (retry backoff);
 3. pool hand-off — the parent settles in ``submit`` and ``join``;
 4. task end — a child settles on its worker thread, in a ``finally``;
@@ -157,14 +157,10 @@ class ExecContext(ABC):
         return self._runtime.obs
 
     @property
-    def accelerator(self):
-        """The runtime's store-call accelerator, or ``None``.
-
-        Connectors route ``multi_get`` fetches through it when present,
-        so coalescing/hedging apply to every fetch of every concurrent
-        request without the augmenters knowing.
-        """
-        return self._runtime.accelerator
+    def coalescer(self):
+        """The runtime's :class:`~repro.serving.coalesce.SingleFlight`,
+        or ``None``; connectors route every fetch through it."""
+        return self._runtime.coalescer
 
     @property
     @abstractmethod
@@ -361,12 +357,12 @@ class Runtime(ABC):
         #: (the default) store calls take the plain hot path and the
         #: fault layer costs exactly one attribute check.
         self.faults = None
-        #: Optional store-call accelerator (single-flight coalescing +
-        #: hedging, :mod:`repro.serving.accel`). ``None`` by default:
-        #: connectors check one attribute and take the plain path. The
-        #: serving layer attaches one on :class:`RealRuntime` only —
-        #: virtual-time runs must stay deterministic.
-        self.accelerator = None
+        #: Optional single-flight coalescer
+        #: (:class:`~repro.serving.coalesce.SingleFlight`). ``None`` by
+        #: default: connectors check one attribute and take the plain
+        #: path. The serving layer attaches one on :class:`RealRuntime`
+        #: only — virtual-time runs must stay deterministic.
+        self.coalescer = None
         #: Stable handle for the hot cpu() path (one lock, no lookup).
         self._cpu_seconds = self.obs.metrics.counter("cpu_seconds_total")
         self._pools_created = self.obs.metrics.counter("pools_created_total")
@@ -757,7 +753,7 @@ class _RealContext(ExecContext):
         self, database: str, fn: StoreOp, query: Any = None
     ) -> Sequence[Any]:
         # Its own sleep, before the timer starts: the store_call span
-        # and store_call_seconds (the hedger's p95) hold no CPU debt.
+        # and store_call_seconds hold no CPU debt.
         self.settle()
         started = self.now
         runtime = self._runtime

@@ -9,11 +9,11 @@ request-scoped half (the aggregate half is :mod:`repro.obs.slo`):
   ``trace_id`` from :class:`TraceIdAllocator` (deterministic counter,
   ``"t-000001"``-style, so tests and journals are stable). The id rides
   the :class:`~repro.network.executor.ExecContext` through pool workers,
-  coalesced flights, hedge attempts and per-shard scatter tasks, and is
+  coalesced flights and per-shard scatter tasks, and is
   stamped on every span those paths record.
 * **Latency breakdown** — :func:`latency_breakdown` folds one request's
   spans into "where did the time go": queue wait vs store time by
-  database vs per-shard fetches vs coalesce waits vs hedge outcomes.
+  database vs per-shard fetches vs coalesce waits.
   Attached to serving digests and :class:`~repro.core.runlog.RunRecord`.
 * **Flight recorder** — :class:`FlightRecorder` keeps a bounded ring of
   :class:`RequestDigest` with *tail-based retention*: errored, shed and
@@ -62,15 +62,9 @@ def latency_breakdown(spans: Iterable[Span]) -> dict[str, Any]:
           "scatter_gathers": int,
           "coalesce_wait_s": float,                  # follower waits
           "coalesce_followed": int,
-          "hedge": {"attempts": n, "won": n, "lost": n, "cancelled": n,
-                    "savings_s": seconds},
           "plan_s": float, "augment_s": float, "optimize_s": float,
           "cpu_s": float,                            # cpu_settle spans
         }
-
-    ``savings_s`` is the hedge-win proxy: for every won backup, the
-    primary's elapsed-so-far minus the winning backup's duration — the
-    tail latency the request did not pay.
 
     ``cpu_s`` is the wall time spent paying modelled CPU: the real
     runtime's ``cpu_settle`` sleeps, the wait to be rescheduled after
@@ -79,9 +73,6 @@ def latency_breakdown(spans: Iterable[Span]) -> dict[str, Any]:
     """
     store_s: dict[str, float] = {}
     shard_s: dict[str, float] = {}
-    hedge = {
-        "attempts": 0, "won": 0, "lost": 0, "cancelled": 0, "savings_s": 0.0,
-    }
     out: dict[str, Any] = {
         "store_s": store_s,
         "store_calls": 0,
@@ -89,7 +80,6 @@ def latency_breakdown(spans: Iterable[Span]) -> dict[str, Any]:
         "scatter_gathers": 0,
         "coalesce_wait_s": 0.0,
         "coalesce_followed": 0,
-        "hedge": hedge,
         "plan_s": 0.0,
         "augment_s": 0.0,
         "optimize_s": 0.0,
@@ -112,14 +102,6 @@ def latency_breakdown(spans: Iterable[Span]) -> dict[str, Any]:
         elif name == "coalesce_wait":
             out["coalesce_wait_s"] += span.duration
             out["coalesce_followed"] += 1
-        elif name == "hedge_attempt":
-            hedge["attempts"] += 1
-            outcome = span.attrs.get("outcome")
-            if outcome in ("won", "lost", "cancelled"):
-                hedge[outcome] += 1
-            saved = span.attrs.get("saved_s")
-            if outcome == "won" and isinstance(saved, (int, float)):
-                hedge["savings_s"] += float(saved)
         elif name in ("plan", "augment", "optimize"):
             out[f"{name}_s"] += span.duration
         elif name == "cpu_settle":

@@ -12,9 +12,7 @@ See docs/SERVING.md for the scheduler design, the admission and
 backpressure knobs, the metrics it publishes and the load generator.
 """
 
-from repro.serving.accel import StoreCallAccelerator
 from repro.serving.coalesce import SingleFlight
-from repro.serving.hedge import HedgePolicy
 from repro.serving.loadgen import (
     ClientReport,
     LoadGenerator,
@@ -31,7 +29,6 @@ from repro.serving.server import (
 
 __all__ = [
     "ClientReport",
-    "HedgePolicy",
     "LoadGenerator",
     "LoadReport",
     "PlannedRequest",
@@ -40,6 +37,5 @@ __all__ = [
     "Scheduler",
     "ServingConfig",
     "SingleFlight",
-    "StoreCallAccelerator",
     "Ticket",
 ]

@@ -5,7 +5,11 @@ neighborhoods, so their augmenters issue the *same* ``multi_get``
 keysets against the same stores at the same time (PAPER.md §III; the
 pattern BigDAWG's shared query endpoint exploits). Executing each copy
 separately wastes store roundtrips and serializes on the store's engine
-lock. :class:`SingleFlight` deduplicates them:
+lock. :class:`SingleFlight` deduplicates them. The scheduler attaches
+one to a :class:`~repro.network.executor.RealRuntime` as
+``runtime.coalescer`` for a server's lifetime and connectors call
+:meth:`SingleFlight.fetch` for every ``multi_get``; virtual runtimes
+never get one, so the virtual-time figures stay bit-identical.
 
 * Flights are keyed on ``(database, frozenset(keys))``. The first
   caller for a keyset becomes the **leader** and issues the physical
@@ -62,16 +66,10 @@ class _Flight:
 class SingleFlight:
     """Coalesce identical (and subset) concurrent fetches per database."""
 
-    def __init__(
-        self,
-        metrics=None,
-        subset_sharing: bool = True,
-        wait_timeout: float = 30.0,
-    ) -> None:
+    def __init__(self, metrics=None, wait_timeout: float = 30.0) -> None:
         self._lock = threading.Lock()
         #: database -> {keyset -> flight} for calls currently in flight.
         self._flights: dict[str, dict[frozenset, _Flight]] = {}
-        self._subset_sharing = subset_sharing
         self._wait_timeout = wait_timeout
         self._leaders = 0
         self._followers = 0
@@ -98,7 +96,7 @@ class SingleFlight:
         with self._lock:
             flights = self._flights.setdefault(database, {})
             flight = flights.get(keyset)
-            if flight is None and self._subset_sharing:
+            if flight is None:
                 for candidate in flights.values():
                     if keyset < candidate.keys:
                         flight = candidate

@@ -29,12 +29,11 @@ layer for the reproduction:
   that cannot possibly be met (already expired, or under
   ``admission_deadline_floor`` while every worker is busy) are shed at
   admission, before consuming a queue slot.
-* **Store-call acceleration** — on a :class:`RealRuntime` the
-  scheduler attaches a :class:`~repro.serving.accel.StoreCallAccelerator`
-  (single-flight coalescing of identical concurrent fetches, optional
-  hedged backup calls after the learned p95 delay) for the server's
-  lifetime. Virtual runtimes are never accelerated, keeping the
-  deterministic benchmark figures bit-identical.
+* **Single-flight coalescing** — on a :class:`RealRuntime` the
+  scheduler attaches a :class:`~repro.serving.coalesce.SingleFlight`
+  (identical concurrent fetches share one store call) for the server's
+  lifetime. Virtual runtimes never get one, keeping the deterministic
+  benchmark figures bit-identical.
 
 Everything is observable: an in-flight gauge, queue depth, admission
 counters, per-session QPS and latency histograms (feeding the existing
@@ -68,7 +67,7 @@ from repro.obs import (
     TraceIdAllocator,
     latency_breakdown,
 )
-from repro.serving.accel import StoreCallAccelerator
+from repro.serving.coalesce import SingleFlight
 
 
 @dataclass(frozen=True)
@@ -97,18 +96,6 @@ class ServingConfig:
     #: every worker is already busy: the request could never be picked
     #: up in time, so it should not consume a queue slot first.
     admission_deadline_floor: float = 0.001
-    #: Coalesce identical concurrent store fetches (single-flight).
-    #: Real-runtime servers only; a no-op under virtual time.
-    coalesce: bool = True
-    #: Hedge slow store calls with a backup after the learned delay.
-    hedge: bool = False
-    #: Quantile of ``store_call_seconds`` the hedge delay is read from.
-    hedge_quantile: float = 0.95
-    #: Latency samples a store needs before hedging arms for it.
-    hedge_min_observations: int = 25
-    #: Floor on the hedge delay, seconds (avoids hedging every call
-    #: when a store is uniformly fast).
-    hedge_min_delay: float = 0.0005
     #: Keep a bounded flight recorder of shed/failed/degraded/slow
     #: requests (tail-based retention; see repro.obs.requests).
     flight_recorder: bool = True
@@ -151,12 +138,6 @@ class ServingConfig:
             )
         if self.admission_deadline_floor < 0:
             raise ValueError("admission_deadline_floor must be >= 0")
-        if not 0.0 < self.hedge_quantile < 1.0:
-            raise ValueError("hedge_quantile must be in (0, 1)")
-        if self.hedge_min_observations < 1:
-            raise ValueError("hedge_min_observations must be >= 1")
-        if self.hedge_min_delay < 0:
-            raise ValueError("hedge_min_delay must be >= 0")
         if self.recorder_capacity < 1:
             raise ValueError("recorder_capacity must be >= 1")
         if (
@@ -308,7 +289,7 @@ class Scheduler:
         self._running = False
         self._draining = False
         self._started_at = 0.0
-        self._accelerator: StoreCallAccelerator | None = None
+        self._coalescer: SingleFlight | None = None
         # Reconciliation counters (also mirrored as obs metrics):
         # submitted == admitted + shed_queue_full +
         # shed_deadline_admission, and at quiescence
@@ -359,7 +340,12 @@ class Scheduler:
             self._running = True
             self._draining = False
             self._started_at = time.monotonic()
-            self._attach_accelerator()
+            if isinstance(self.quepa.runtime, RealRuntime):
+                # Real runtimes only: virtual time must stay
+                # deterministic, and a virtual context cannot share
+                # flights across threads anyway.
+                self._coalescer = SingleFlight(metrics=self.obs.metrics)
+                self.quepa.runtime.coalescer = self._coalescer
             self._threads = [
                 threading.Thread(
                     target=self._worker_loop,
@@ -370,29 +356,6 @@ class Scheduler:
             ]
         for thread in self._threads:
             thread.start()
-
-    def _attach_accelerator(self) -> None:
-        """Arm coalescing/hedging on the runtime for this server's life.
-
-        Real runtimes only: virtual time must stay deterministic, and a
-        virtual context cannot share flights across threads anyway.
-        """
-        config = self.config
-        if not (config.coalesce or config.hedge):
-            return
-        if not isinstance(self.quepa.runtime, RealRuntime):
-            return
-        if self._accelerator is None or self._accelerator.closed:
-            self._accelerator = StoreCallAccelerator(
-                self.quepa.runtime,
-                resilience=self.quepa.resilience,
-                coalesce=config.coalesce,
-                hedge=config.hedge,
-                hedge_quantile=config.hedge_quantile,
-                hedge_min_observations=config.hedge_min_observations,
-                hedge_min_delay=config.hedge_min_delay,
-            )
-        self.quepa.runtime.accelerator = self._accelerator
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
         """Stop the workers; with ``drain`` finish queued work first."""
@@ -436,12 +399,10 @@ class Scheduler:
         for thread in self._threads:
             thread.join(timeout)
         self._threads = []
-        if self._accelerator is not None:
-            # Detach (new fetches take the plain path) but keep the
-            # object: its stats stay readable through status().
-            if self.quepa.runtime.accelerator is self._accelerator:
-                self.quepa.runtime.accelerator = None
-            self._accelerator.close()
+        # Detach (new fetches take the plain path) but keep the object:
+        # its stats stay readable through status().
+        if self.quepa.runtime.coalescer is self._coalescer:
+            self.quepa.runtime.coalescer = None
 
     # -- submission ----------------------------------------------------------
 
@@ -929,9 +890,11 @@ class Scheduler:
                 "inflight": self._inflight,
                 "totals": totals,
                 "priorities": priorities,
+                # The benchmark spine reads this key and its
+                # {"coalesce": ...} shape.
                 "accelerator": (
-                    self._accelerator.stats()
-                    if self._accelerator is not None
+                    {"coalesce": self._coalescer.stats()}
+                    if self._coalescer is not None
                     else None
                 ),
                 "recorder": (

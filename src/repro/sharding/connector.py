@@ -8,15 +8,16 @@ the store's partition scheme and:
 
 * **fan-out 1** (hash placement, or one shard) — delegates to the base
   connector path: one native batch call, identical virtual cost to the
-  unsharded store, accelerator (coalescing/hedging) still applies.
+  unsharded store, single-flight coalescing still applies.
   This is what keeps the fig09 guard bit-identical for one shard.
 * **fan-out N** — issues one per-shard ``multi_get`` per owning
   partition *in parallel* through ``ctx.pool``, the same gated executor
   the augmenters use, then merges preserving first-occurrence key
   order. Partitions the scheme proves empty for the group are pruned
-  (never called). The parallel scatter path bypasses the store-call
-  accelerator: hedging a call that is already fanned out per shard
-  would double-count capacity.
+  (never called). The per-shard calls go straight to ``_issue`` and
+  bypass single-flight, so two identical concurrent scatters each pay
+  their own; no measured workload scatters concurrently enough for
+  sharing them to have been worth the code.
 
 Every routed fetch records the fan-out histogram and the scanned/pruned
 partition counters on the runtime's metrics registry.
@@ -54,7 +55,7 @@ class ShardConnector(Connector):
         self._record_routing(ctx, routing)
         if routing.fanout <= 1:
             # Single owning shard: the facade's own multi_get routes it,
-            # with the exact cost/accelerator behaviour of the base path.
+            # with the exact cost/coalescing behaviour of the base path.
             return super().fetch_many(ctx, keys)
         self.store.stats.multi_gets += 1
         with ctx.span(

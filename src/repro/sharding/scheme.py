@@ -267,8 +267,17 @@ def make_scheme(
 
 
 #: ``seq >= A AND seq < B`` — the exact window shape the workload's SQL
-#: queries use. Compiled per token field on demand.
-_SQL_WINDOW = "{tok}\\s*>=\\s*(-?\\d+)\\s+AND\\s+{tok}\\s*<\\s*(-?\\d+)"
+#: queries use — as a conjunct (after ``WHERE``, ``AND`` or ``(``) with
+#: integer bounds that no arithmetic continues. Compiled per token
+#: field on demand.
+_SQL_WINDOW = (
+    r"(?:\bWHERE|\bAND|\()\s*{tok}\s*>=\s*(-?\d+)(?![\d.]|\s*[-+*/])"
+    r"\s+AND\s+{tok}\s*<\s*(-?\d+)(?![\d.]|\s*[-+*/])"
+)
+#: A window bounds the answer only when the text is a pure conjunction:
+#: ``OR`` and ``NOT`` admit rows outside it, and a quoted literal may
+#: contain text that looks like one.
+_SQL_UNPROVABLE = re.compile(r"\b(?:OR|NOT)\b|['\"]", re.IGNORECASE)
 
 
 def query_interval(
@@ -282,6 +291,8 @@ def query_interval(
     extraction is deliberately conservative.
     """
     if engine == "relational" and isinstance(query, str):
+        if _SQL_UNPROVABLE.search(query):
+            return None
         match = re.search(
             _SQL_WINDOW.format(tok=re.escape(token_field)), query
         )
@@ -295,11 +306,11 @@ def query_interval(
             if isinstance(filter_, Mapping):
                 condition = filter_.get(token_field)
         if isinstance(condition, Mapping):
-            lo = condition.get("$gte")
-            if lo is None and "$gt" in condition:
-                lo = condition["$gt"] + 1
+            # ``$gt: v`` bounds from ``v`` itself: the window is
+            # half-open, and ``v + 1`` would skip fractional tokens.
+            lo = condition.get("$gte", condition.get("$gt"))
             hi = condition.get("$lt")
-            if hi is None and "$lte" in condition:
+            if hi is None and isinstance(condition.get("$lte"), (int, float)):
                 hi = condition["$lte"] + 1
             if isinstance(lo, (int, float)) and isinstance(hi, (int, float)):
                 return float(lo), float(hi)

@@ -179,7 +179,9 @@ class ShardedStore(Store):
         if (
             self.engine == "relational"
             and isinstance(query, str)
-            and query.lstrip().split(None, 1)[0].upper() in _SQL_WRITE_VERBS
+            # A blank query has no verb; the shards refuse it as the
+            # plain engine does (SqlSyntaxError).
+            and (query.split(None, 1) or [""])[0].upper() in _SQL_WRITE_VERBS
         ):
             raise QueryError(
                 "sharded stores are read-only through execute(); "

@@ -377,7 +377,7 @@ def faults(subject: Subject) -> dict[str, Any]:
 
 def serving(subject: Subject) -> dict[str, Any]:
     """Scheduler status — queue depth, in-flight, reconciled totals,
-    per-session QPS and latency percentiles, accelerator counters — or
+    per-session QPS and latency percentiles, single-flight counters — or
     ``enabled: false`` without a serving layer."""
     if subject.server is None:
         return {"serving": None, "enabled": False}

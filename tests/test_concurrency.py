@@ -328,21 +328,14 @@ def test_serving_layer_survives_1000_concurrent_requests():
 
 
 def test_coalescing_and_hedging_survive_hot_hammering():
-    """Stress the accelerator itself: a hot-query pool makes most of
-    the fleet issue identical requests at once (maximal single-flight
-    contention) while hedging is armed to fire on nearly every call.
-    Zero drops, zero failures, ledgers reconcile."""
+    """Stress single-flight itself: a hot-query pool makes most of the
+    fleet issue identical requests at once (maximal contention on the
+    flights). Zero drops, zero failures, ledgers reconcile. (The id
+    predates the removal of hedged store calls.)"""
     bundle, quepa = _fresh_quepa()
     workload = QueryWorkload(bundle)
     clients, per_client = 8, 64
-    config = ServingConfig(
-        workers=8,
-        queue_capacity=1024,
-        coalesce=True,
-        hedge=True,
-        hedge_min_observations=1,
-        hedge_min_delay=0.0,
-    )
+    config = ServingConfig(workers=8, queue_capacity=1024)
     with QuepaServer(quepa, config) as server:
         generator = LoadGenerator(
             server,
@@ -358,15 +351,9 @@ def test_coalescing_and_hedging_survive_hot_hammering():
 
     assert report.completed == clients * per_client
     assert report.shed == 0 and report.failed == 0
-    accelerator = status["accelerator"]
-    assert accelerator is not None
-    coalesce = accelerator["coalesce"]
+    coalesce = status["accelerator"]["coalesce"]
     assert coalesce["leaders"] >= 1
     assert coalesce["wait_timeouts"] == 0, "a leader wedged"
-    hedge = accelerator["hedge"]
-    assert hedge["issued"] == (
-        hedge["won"] + hedge["lost"] + hedge["cancelled"]
-    )
     totals = status["totals"]
     assert totals["admitted"] == totals["completed"]
 

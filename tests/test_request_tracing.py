@@ -1,9 +1,9 @@
 """Request-scoped tracing, flight recorder and SLO monitor tests.
 
-The acceptance spine lives here: a sharded + hedged serving run where
-every scheduler-admitted request carries a ``trace_id`` that shows up
-on its root span, its coalesce-follower links, every hedge attempt and
-every per-shard fetch span. Around it: the tracer-reset regression,
+The acceptance spine lives here: a sharded, stalled, coalescing
+serving run where every scheduler-admitted request carries a
+``trace_id`` that shows up on its root span, its coalesce-follower
+links and every per-shard fetch span. Around it: the tracer-reset regression,
 histogram percentile edge cases, the per-request Chrome-trace lanes,
 the concurrent JSONL sink, and unit suites for the flight recorder,
 the SLO monitor and the latency-breakdown fold.
@@ -54,18 +54,20 @@ def _mini_real_quepa() -> Quepa:
     )
 
 
-# -- the acceptance criterion: sharded + hedged end-to-end ---------------------
+# -- the acceptance criterion: sharded + coalescing end-to-end -----------------
 
 
 def test_trace_propagates_through_sharded_hedged_serving():
     """Every admitted request's trace id reaches the root span, every
-    per-shard fetch, every hedge attempt and every coalesce link."""
+    per-shard fetch and every coalesce link; a stalled store call is
+    waited out by its followers, never raced by a second copy (the id
+    predates the removal of hedged store calls)."""
     bundle = build_polyphony(
         stores=4, scale=PolystoreScale(n_albums=60), seed=13
     )
     # Mixed placement: hash databases route each key fetch to its one
-    # owning shard (fan-out 1 — the accelerator path, so hedging and
-    # coalescing engage), while the range-placed database cannot prune
+    # owning shard (fan-out 1 — the single-flight path, so coalescing
+    # engages), while the range-placed database cannot prune
     # key fetches and scatters every group across both shards (fan-out
     # 2 — per-shard scatter spans). One workload exercises both paths.
     polystore = Polystore()
@@ -82,8 +84,8 @@ def test_trace_propagates_through_sharded_hedged_serving():
     query = workload.query(database, 40, variant=2).query
 
     # Once armed, the first two fan-out-1 store calls (the facade's own
-    # multi_get — the accelerator path) stall long enough for the hedge
-    # to fire and for the other requests to coalesce behind the leader.
+    # multi_get — the single-flight path) stall long enough for the
+    # other requests to coalesce behind the leader.
     # Scatter fetches hit shard engines directly and are never stalled.
     armed = threading.Event()
     budget = {"stalls": 2}
@@ -106,10 +108,6 @@ def test_trace_propagates_through_sharded_hedged_serving():
 
     config = ServingConfig(
         workers=6,
-        coalesce=True,
-        hedge=True,
-        hedge_min_observations=1,
-        hedge_min_delay=0.001,
         recorder_slow_threshold=1e-9,  # retain every completion
     )
     with QuepaServer(quepa, config) as server:
@@ -118,7 +116,7 @@ def test_trace_propagates_through_sharded_hedged_serving():
         assert expected.originals
         # The warm run filled the shared object cache; cleared, the six
         # concurrent requests below must fetch for real — which is what
-        # scatters, stalls, hedges and coalesces.
+        # scatters, stalls and coalesces.
         quepa.cache.clear()
         armed.set()
         tickets = [
@@ -161,10 +159,7 @@ def test_trace_propagates_through_sharded_hedged_serving():
     assert scatters
     assert all(span.trace_id in admitted for span in scatters)
 
-    hedges = [s for s in all_spans if s.name == "hedge_attempt"]
-    assert hedges, "the stalled leader call must have hedged"
-    assert all(span.trace_id in admitted for span in hedges)
-    assert any(span.attrs.get("outcome") == "won" for span in hedges)
+    assert not [s for s in all_spans if s.name == "hedge_attempt"]
 
     follows = [s for s in all_spans if s.name == "coalesce_wait"]
     assert follows, "identical concurrent requests must coalesce"
@@ -604,14 +599,6 @@ def test_latency_breakdown_folds_span_kinds():
     tracer.record(
         "coalesce_wait", 0.8, 0.9, root.span_id, trace, leader_trace="t-1"
     )
-    tracer.record(
-        "hedge_attempt", 0.9, 1.0, root.span_id, trace,
-        attempt="backup", outcome="won", saved_s=0.25,
-    )
-    tracer.record(
-        "hedge_attempt", 0.9, 1.0, root.span_id, trace,
-        attempt="primary", outcome="lost",
-    )
     tracer.record("cpu_settle", 0.90, 0.95, root.span_id, trace, owed_s=0.04)
     tracer.record("cpu_settle", 0.95, 1.0, root.span_id, trace, owed_s=0.04)
     tracer.end(root, 1.0)
@@ -625,13 +612,7 @@ def test_latency_breakdown_folds_span_kinds():
     assert out["scatter_gathers"] == 1
     assert out["coalesce_wait_s"] == pytest.approx(0.1)
     assert out["coalesce_followed"] == 1
-    assert out["hedge"] == {
-        "attempts": 2,
-        "won": 1,
-        "lost": 1,
-        "cancelled": 0,
-        "savings_s": pytest.approx(0.25),
-    }
+    assert "hedge" not in out
     assert out["plan_s"] == pytest.approx(0.1)
     assert out["cpu_s"] == pytest.approx(0.1)
 

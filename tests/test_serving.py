@@ -85,9 +85,6 @@ class GatedQuepa:
         {"priority_weights": (("interactive", 3), ("interactive", 1))},
         {"priority_weights": (("interactive", 0),)},
         {"admission_deadline_floor": -1.0},
-        {"hedge_quantile": 1.5},
-        {"hedge_min_observations": 0},
-        {"hedge_min_delay": -0.1},
     ],
 )
 def test_serving_config_rejects_bad_knobs(kwargs):
@@ -365,9 +362,12 @@ def test_status_report_shape():
         )
         assert report["priorities"]["interactive"]["weight"] == 3
         assert report["priorities"]["batch"]["weight"] == 1
-        # Real runtime + default coalesce=True: accelerator attached.
-        assert report["accelerator"] is not None
-        assert "coalesce" in report["accelerator"]
+        # Real runtime: single-flight attached, in exactly the shape the
+        # benchmark spine reads (``accelerator.coalesce.leaders``).
+        assert set(report["accelerator"]) == {"coalesce"}
+        assert report["accelerator"]["coalesce"].keys() >= {
+            "leaders", "followers"
+        }
         session = report["sessions"]["s1"]
         assert session["completed"] == 1
         assert session["qps"] >= 0.0
@@ -666,28 +666,7 @@ def test_cli_loadgen_runs_and_prints_report():
     assert code == 0
     assert "loadgen: 2 clients x 3 requests" in text
     assert "QPS" in text and "server:" in text
-
-
-def test_cli_loadgen_hedge_flag_arms_accelerator():
-    from repro.cli import main
-
-    out = io.StringIO()
-    code = main(
-        [
-            "loadgen",
-            "--stores", "4",
-            "--albums", "30",
-            "--clients", "2",
-            "--requests", "3",
-            "--workers", "2",
-            "--hedge",
-        ],
-        out=out,
-    )
-    text = out.getvalue()
-    assert code == 0
     assert "coalesce:" in text
-    assert "hedge:" in text and "win rate" in text
 
 
 def test_cli_loadgen_json_report():

@@ -1,10 +1,9 @@
-"""Unit tests of the store-call accelerator: single-flight coalescing
-(``repro.serving.coalesce``) and hedged calls (``repro.serving.hedge``).
+"""Unit tests of single-flight coalescing (``repro.serving.coalesce``)
+and of how the scheduler attaches it to a runtime.
 
-The coalescer and hedger are tested against small stubs so every
-interleaving is forced explicitly (gates and semaphores, not sleeps on
-the happy path); the attachment lifecycle is tested against real
-servers/runtimes.
+The coalescer is tested against small stubs so every interleaving is
+forced explicitly (gates and semaphores, not sleeps on the happy path);
+the attachment lifecycle is tested against real servers/runtimes.
 """
 
 from __future__ import annotations
@@ -16,16 +15,11 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core import Quepa
+from repro.core.connectors import Connector
 from repro.errors import StoreUnavailableError
+from repro.model import GlobalKey
 from repro.network import RealRuntime, centralized_profile
-from repro.obs import Observability
-from repro.serving import (
-    HedgePolicy,
-    QuepaServer,
-    ServingConfig,
-    SingleFlight,
-    StoreCallAccelerator,
-)
+from repro.serving import QuepaServer, SingleFlight
 
 from tests.conftest import make_mini_aindex, make_mini_polystore
 
@@ -247,328 +241,79 @@ def test_single_flight_wedged_leader_times_out_follower():
     assert flight.stats()["wait_timeouts"] == 1
 
 
-# -- HedgePolicy -------------------------------------------------------------
+# -- attachment to the runtime ----------------------------------------------
 
 
-class StubCtx(Ctx):
-    pass
-
-
-class StubRuntime:
-    """Just enough runtime for HedgePolicy: obs + request contexts."""
-
-    def __init__(self) -> None:
-        self.obs = Observability()
-
-    def request_context(self) -> StubCtx:
-        return StubCtx()
-
-
-class StubBreaker:
-    CLOSED = "closed"
-
-    def __init__(self, state: str) -> None:
-        self.state = state
-
-
-class StubResilience:
-    def __init__(self, state: str) -> None:
-        self._state = state
-
-    def breaker(self, database: str) -> StubBreaker:
-        return StubBreaker(self._state)
-
-
-def _prime(runtime, database: str, sample: float, n: int = 30) -> None:
-    hist = runtime.obs.metrics.histogram(
-        "store_call_seconds", database=database
+def _real_quepa() -> Quepa:
+    polystore = make_mini_polystore()
+    profile = centralized_profile(list(polystore))
+    return Quepa(
+        polystore,
+        make_mini_aindex(),
+        profile=profile,
+        runtime=RealRuntime(profile),
     )
-    for _ in range(n):
-        hist.observe(sample)
-
-
-def test_hedge_stays_inline_without_latency_history():
-    runtime = StubRuntime()
-    hedger = HedgePolicy(runtime, min_observations=25)
-    assert hedger.delay_for("db") is None
-    ctx = StubCtx()
-    seen = []
-
-    def issue(c):
-        seen.append(c)
-        return "answer"
-
-    assert hedger.call(ctx, "db", issue) == "answer"
-    # Inline: the caller's own context, no executor hop.
-    assert seen == [ctx]
-    assert hedger.stats()["issued"] == 0
-    hedger.close()
-
-
-def test_hedge_arms_after_min_observations():
-    runtime = StubRuntime()
-    hedger = HedgePolicy(
-        runtime, min_observations=25, min_delay=0.0005
-    )
-    _prime(runtime, "db", 0.001, n=24)
-    assert hedger.delay_for("db") is None
-    _prime(runtime, "db", 0.001, n=1)
-    delay = hedger.delay_for("db")
-    assert delay is not None and delay >= 0.0005
-    hedger.close()
-
-
-def test_hedge_backup_wins_when_primary_is_slow():
-    runtime = StubRuntime()
-    hedger = HedgePolicy(runtime, min_observations=1, min_delay=0.001)
-    _prime(runtime, "db", 0.001)
-    release_primary = threading.Event()
-    calls = []
-    lock = threading.Lock()
-
-    def issue(c):
-        with lock:
-            calls.append(c)
-            first = len(calls) == 1
-        if first:  # the primary: wedged until the test releases it
-            assert release_primary.wait(10)
-            return "slow"
-        return "fast"
-
-    ctx = StubCtx()
-    try:
-        assert hedger.call(ctx, "db", issue) == "fast"
-        stats = hedger.stats()
-        assert stats["won"] == 1
-        assert stats["issued"] == 1
-        assert stats["win_rate"] == 1.0
-        counter = runtime.obs.metrics.counter(
-            "serving_hedges_total", outcome="won"
-        )
-        assert counter.value == 1
-    finally:
-        release_primary.set()
-        hedger.close()
-
-
-def test_hedge_never_fires_into_an_open_breaker():
-    runtime = StubRuntime()
-    hedger = HedgePolicy(
-        runtime,
-        resilience=StubResilience("open"),
-        min_observations=1,
-        min_delay=0.0005,
-    )
-    _prime(runtime, "db", 0.0001)
-    calls = []
-
-    def issue(c):
-        calls.append(c)
-        time.sleep(0.05)  # past the hedge delay: a hedge *would* fire
-        return "slow-but-only"
-
-    try:
-        assert hedger.call(StubCtx(), "db", issue) == "slow-but-only"
-        assert len(calls) == 1, "no backup into an open breaker"
-        stats = hedger.stats()
-        assert stats["breaker_skips"] == 1
-        assert stats["issued"] == 0
-        skips = runtime.obs.metrics.counter(
-            "serving_hedge_skips_total", reason="breaker_open"
-        )
-        assert skips.value == 1
-    finally:
-        hedger.close()
-
-
-def test_hedge_fires_when_breaker_is_closed():
-    runtime = StubRuntime()
-    hedger = HedgePolicy(
-        runtime,
-        resilience=StubResilience("closed"),
-        min_observations=1,
-        min_delay=0.0005,
-    )
-    _prime(runtime, "db", 0.0001)
-    release = threading.Event()
-    calls = []
-    lock = threading.Lock()
-
-    def issue(c):
-        with lock:
-            calls.append(c)
-            first = len(calls) == 1
-        if first:
-            assert release.wait(10)
-            return "slow"
-        return "fast"
-
-    try:
-        assert hedger.call(StubCtx(), "db", issue) == "fast"
-        assert len(calls) == 2
-    finally:
-        release.set()
-        hedger.close()
-
-
-def test_hedge_fast_failure_propagates_like_unhedged():
-    runtime = StubRuntime()
-    hedger = HedgePolicy(runtime, min_observations=1, min_delay=0.5)
-    _prime(runtime, "db", 0.0001)
-
-    def issue(c):
-        raise ValueError("boom")
-
-    try:
-        with pytest.raises(ValueError, match="boom"):
-            hedger.call(StubCtx(), "db", issue)
-        assert hedger.stats()["issued"] == 0
-    finally:
-        hedger.close()
-
-
-def test_hedge_both_attempts_failing_raises_primary_error():
-    runtime = StubRuntime()
-    hedger = HedgePolicy(runtime, min_observations=1, min_delay=0.0005)
-    _prime(runtime, "db", 0.0001)
-    calls = []
-    lock = threading.Lock()
-
-    def issue(c):
-        with lock:
-            calls.append(c)
-            first = len(calls) == 1
-        time.sleep(0.01)  # outlive the delay so the backup launches
-        if first:
-            raise ValueError("primary boom")
-        raise KeyError("backup boom")
-
-    try:
-        with pytest.raises(ValueError, match="primary boom"):
-            hedger.call(StubCtx(), "db", issue)
-        assert hedger.stats()["lost"] == 1
-    finally:
-        hedger.close()
-
-
-def test_hedge_propagates_winner_truncation_verdict():
-    runtime = StubRuntime()
-    hedger = HedgePolicy(runtime, min_observations=1, min_delay=0.5)
-    _prime(runtime, "db", 0.0001)
-
-    def issue(c):
-        c.last_call_truncated = True
-        return "ok"
-
-    ctx = StubCtx()
-    try:
-        # Fast success inside the delay window: primary wins inline.
-        assert hedger.call(ctx, "db", issue) == "ok"
-        assert ctx.last_call_truncated is True
-    finally:
-        hedger.close()
-
-
-def test_hedge_closed_policy_serves_inline():
-    runtime = StubRuntime()
-    hedger = HedgePolicy(runtime, min_observations=1, min_delay=0.0005)
-    _prime(runtime, "db", 0.0001)
-    hedger.close()
-    ctx = StubCtx()
-    seen = []
-
-    def issue(c):
-        seen.append(c)
-        return "answer"
-
-    assert hedger.call(ctx, "db", issue) == "answer"
-    assert seen == [ctx]
-
-
-# -- StoreCallAccelerator ----------------------------------------------------
 
 
 def test_accelerator_stats_shape_and_close():
-    runtime = StubRuntime()
-    accel = StoreCallAccelerator(runtime, coalesce=True, hedge=True)
-    stats = accel.stats()
-    assert set(stats) == {"coalesce", "hedge"}
-    assert stats["coalesce"]["leaders"] == 0
-    assert stats["hedge"]["issued"] == 0
-    accel.close()
-    assert accel.closed is True
-
-    coalesce_only = StoreCallAccelerator(runtime, coalesce=True, hedge=False)
-    assert coalesce_only.stats()["hedge"] is None
-    coalesce_only.close()
+    """``SingleFlight.stats()`` is what ``status()["accelerator"]``
+    wraps as ``{"coalesce": ...}``; it stays readable after the server
+    stops and detaches the coalescer."""
+    assert set(SingleFlight().stats()) == {
+        "leaders", "followers", "subset_joins", "wait_timeouts", "hit_rate",
+    }
+    quepa = _real_quepa()
+    server = QuepaServer(quepa).start()
+    server.search("s", "transactions", "SELECT * FROM inventory", level=1)
+    server.stop()
+    assert quepa.runtime.coalescer is None
+    accelerator = server.status()["accelerator"]
+    assert set(accelerator) == {"coalesce"}
+    assert set(accelerator["coalesce"]) == set(SingleFlight().stats())
+    assert accelerator["coalesce"]["leaders"] >= 1
 
 
 def test_accelerator_fetch_many_routes_through_coalescer():
-    runtime = StubRuntime()
-    accel = StoreCallAccelerator(runtime, coalesce=True, hedge=False)
-    result = accel.fetch_many(
-        Ctx(), "db", ["a"], lambda c: [Obj("a")]
-    )
-    assert [o.key for o in result] == ["a"]
-    assert accel.stats()["coalesce"]["leaders"] == 1
-    accel.close()
-
-
-# -- attachment lifecycle ----------------------------------------------------
-
-
-def _mini_bundle():
+    """A connector hands every fetch straight to the runtime's
+    ``SingleFlight.fetch``, one flight per call."""
     polystore = make_mini_polystore()
-    return polystore, make_mini_aindex()
+    profile = centralized_profile(list(polystore))
+    runtime = RealRuntime(profile)
+    runtime.coalescer = SingleFlight()
+    connector = Connector(
+        "transactions", polystore.database("transactions")
+    )
+    ctx = runtime.request_context()
+    keys = [GlobalKey.parse("transactions.inventory.a32")]
+    assert [o.key for o in connector.fetch_many(ctx, keys)] == keys
+    assert connector.fetch_one(ctx, keys[0]).key == keys[0]
+    assert runtime.coalescer.stats()["leaders"] == 2
 
 
 def test_accelerator_attaches_only_on_real_runtime():
-    polystore, aindex = _mini_bundle()
-    virtual_quepa = Quepa(polystore, aindex)  # virtual-time runtime
+    virtual_quepa = Quepa(make_mini_polystore(), make_mini_aindex())
     with QuepaServer(virtual_quepa) as server:
-        assert virtual_quepa.runtime.accelerator is None
+        assert virtual_quepa.runtime.coalescer is None
         assert server.status()["accelerator"] is None
 
-    polystore, aindex = _mini_bundle()
-    profile = centralized_profile(list(polystore))
-    real_quepa = Quepa(
-        polystore, aindex, profile=profile, runtime=RealRuntime(profile)
-    )
+    real_quepa = _real_quepa()
     with QuepaServer(real_quepa) as server:
-        accel = real_quepa.runtime.accelerator
-        assert accel is not None
+        coalescer = real_quepa.runtime.coalescer
+        assert isinstance(coalescer, SingleFlight)
         assert server.status()["accelerator"] is not None
     # Detached on stop; stats stay readable.
-    assert real_quepa.runtime.accelerator is None
-    assert accel.closed is True
+    assert real_quepa.runtime.coalescer is None
     assert server.status()["accelerator"] is not None
 
 
-def test_accelerator_disabled_when_both_features_off():
-    polystore, aindex = _mini_bundle()
-    profile = centralized_profile(list(polystore))
-    quepa = Quepa(
-        polystore, aindex, profile=profile, runtime=RealRuntime(profile)
-    )
-    config = ServingConfig(coalesce=False, hedge=False)
-    with QuepaServer(quepa, config) as server:
-        assert quepa.runtime.accelerator is None
-        assert server.status()["accelerator"] is None
-
-
 def test_accelerator_recreated_on_restart():
-    polystore, aindex = _mini_bundle()
-    profile = centralized_profile(list(polystore))
-    quepa = Quepa(
-        polystore, aindex, profile=profile, runtime=RealRuntime(profile)
-    )
+    quepa = _real_quepa()
     server = QuepaServer(quepa).start()
-    first = quepa.runtime.accelerator
+    first = quepa.runtime.coalescer
     assert first is not None
     server.stop()
-    assert first.closed is True
+    assert quepa.runtime.coalescer is None
     server.start()
-    second = quepa.runtime.accelerator
+    second = quepa.runtime.coalescer
     assert second is not None and second is not first
-    assert second.closed is False
     server.stop()

@@ -14,11 +14,12 @@ the properties are:
    shed(deadline_at_admission)`` and, at quiescence, ``admitted ==
    completed + failed + shed(deadline) + shed(stopped)``; the
    client-side view agrees with the server-side counters.
-4. **Acceleration is invisible** — single-flight coalescing and hedged
-   store calls change latency and physical call counts, never answers:
-   with both on, every completed request still matches its sequential
-   reference, even on duplicate-laden workloads built to maximize
-   flight sharing, and even under seeded chaos with open breakers.
+4. **Coalescing is invisible** — single-flight coalescing changes
+   latency and physical call counts, never answers: every completed
+   request still matches its sequential reference, even on
+   duplicate-laden workloads built to maximize flight sharing, and
+   under seeded chaos with open breakers an answer is only ever a
+   degraded subset of its reference, never a torn one.
 """
 
 from __future__ import annotations
@@ -273,9 +274,7 @@ def test_coalesced_answers_equal_sequential(props_bundle):
     outcomes, status = _run_concurrently(
         props_bundle,
         plan,
-        ServingConfig(
-            workers=8, queue_capacity=len(plan), coalesce=True
-        ),
+        ServingConfig(workers=8, queue_capacity=len(plan)),
         clients=8,
     )
     assert len(outcomes) == len(plan)
@@ -289,51 +288,14 @@ def test_coalesced_answers_equal_sequential(props_bundle):
     assert accelerator["coalesce"]["leaders"] >= 1
 
 
-def test_hedged_answers_equal_sequential(props_bundle):
-    """Hedging (armed as aggressively as the config allows) changes
-    latency, never answers."""
-    plan = _duplicate_plan(props_bundle, seed=5, unique=10, copies=3)
-    sequential = _real_quepa(props_bundle)
-    reference = [
-        _signature(sequential.serve_search(db, q, level=lvl))
-        for db, q, lvl in plan
-    ]
-    outcomes, status = _run_concurrently(
-        props_bundle,
-        plan,
-        ServingConfig(
-            workers=8,
-            queue_capacity=len(plan),
-            coalesce=True,
-            hedge=True,
-            hedge_min_observations=1,
-            hedge_min_delay=0.0,
-        ),
-        clients=8,
-    )
-    assert len(outcomes) == len(plan)
-    assert all(outcome[1] == "completed" for outcome in outcomes)
-    for index, _, signature in outcomes:
-        assert signature == reference[index], (
-            f"request {index} answered differently when hedged"
-        )
-    accelerator = status["accelerator"]
-    assert accelerator is not None
-    assert accelerator["hedge"] is not None
-    # Outcome counts are timing-dependent; the ledger, not the values,
-    # is the invariant.
-    hedge = accelerator["hedge"]
-    assert hedge["issued"] == (
-        hedge["won"] + hedge["lost"] + hedge["cancelled"]
-    )
-
-
 @pytest.mark.chaos
 def test_hedging_with_chaos_and_open_breakers(props_bundle):
-    """Seeded chaos: one store fails half its calls, breakers trip and
-    open, hedging is armed to fire on nearly every call. The server
-    must survive with reconciled meters, degraded (never torn) answers,
-    and hedges accounted — including breaker-open skips."""
+    """Seeded chaos: one store fails half its calls and its breaker
+    trips open while identical concurrent requests share flights. The
+    server must survive with reconciled meters and degraded (never
+    torn) answers: the originals of the fault-free reference, and a
+    subset of its augmented objects. (The id predates the removal of
+    hedged store calls.)"""
     databases = [name for name, _ in props_bundle.databases]
     injector = FaultInjector(seed=7)
     injector.inject(databases[0], kind="fail", rate=0.5)
@@ -350,7 +312,7 @@ def test_hedging_with_chaos_and_open_breakers(props_bundle):
     )
     # Queries target the healthy stores only — the chaotic store is
     # still exercised through augmentation fetches (p-relations cross
-    # stores), which is where hedging and breakers live.
+    # stores), which is where coalescing and breakers live.
     workload = QueryWorkload(props_bundle)
     rng = random.Random("serving-chaos-plan")
     base = []
@@ -365,16 +327,15 @@ def test_hedging_with_chaos_and_open_breakers(props_bundle):
     # Degrade instead of failing: faults on the chaotic store surface
     # as partial answers, so every request either completes or sheds.
     degrade = AugmentationConfig(skip_unavailable=True)
-    config = ServingConfig(
-        workers=8,
-        queue_capacity=len(plan),
-        coalesce=True,
-        hedge=True,
-        hedge_min_observations=1,
-        hedge_min_delay=0.0,
-    )
+    config = ServingConfig(workers=8, queue_capacity=len(plan))
+    fault_free = _real_quepa(props_bundle)
+    reference = [
+        _signature(fault_free.serve_search(db, q, level=lvl))
+        for db, q, lvl in plan
+    ]
     completed = 0
     failed: list = []
+    torn: list = []
     lock = threading.Lock()
     with QuepaServer(quepa, config) as server:
 
@@ -383,7 +344,7 @@ def test_hedging_with_chaos_and_open_breakers(props_bundle):
             for index in range(worker, len(plan), 6):
                 database, query, level = plan[index]
                 try:
-                    server.search(
+                    answer = server.search(
                         f"chaos-{worker}",
                         database,
                         query,
@@ -396,8 +357,12 @@ def test_hedging_with_chaos_and_open_breakers(props_bundle):
                     with lock:
                         failed.append((index, repr(exc)))
                     continue
+                originals, augmented = _signature(answer)
+                expected = reference[index]
                 with lock:
                     completed += 1
+                    if originals != expected[0] or not augmented <= expected[1]:
+                        torn.append(index)
 
         threads = [
             threading.Thread(target=client, args=(i,)) for i in range(6)
@@ -409,6 +374,7 @@ def test_hedging_with_chaos_and_open_breakers(props_bundle):
         status = server.status()
 
     assert not failed, f"chaos leaked client-visible failures: {failed}"
+    assert not torn, f"answers outside their fault-free reference: {torn}"
     assert completed >= 1
     totals = status["totals"]
     shed = totals["shed"]
@@ -424,17 +390,8 @@ def test_hedging_with_chaos_and_open_breakers(props_bundle):
         + shed["deadline"]
         + shed["stopped"]
     )
-    accelerator = status["accelerator"]
-    assert accelerator is not None
-    hedge = accelerator["hedge"]
-    assert hedge["issued"] == (
-        hedge["won"] + hedge["lost"] + hedge["cancelled"]
-    )
-    assert hedge["breaker_skips"] >= 0  # never negative, never crashes
-    # If the chaotic store's breaker opened, the journal says so — and
-    # hedging kept running for the healthy stores regardless.
-    report = quepa.fault_report()
-    breaker_state = report["resilience"]["breakers"].get(
-        databases[0], {"state": "closed"}
-    )["state"]
-    assert breaker_state in {"closed", "open", "half_open"}
+    coalesce = status["accelerator"]["coalesce"]
+    assert coalesce["leaders"] >= 1
+    assert coalesce["wait_timeouts"] == 0, "a leader wedged"
+    breaker = quepa.fault_report()["resilience"]["breakers"][databases[0]]
+    assert breaker["trips"] >= 1, "the chaotic store's breaker never opened"

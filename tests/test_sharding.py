@@ -8,7 +8,12 @@ import pytest
 
 from repro.core import AIndex, Quepa
 from repro.core.connectors import Connector
-from repro.errors import ConfigurationError, KeyNotFoundError, QueryError
+from repro.errors import (
+    ConfigurationError,
+    KeyNotFoundError,
+    QueryError,
+    SqlSyntaxError,
+)
 from repro.model import GlobalKey, PRelation
 from repro.serving import LoadGenerator
 from repro.sharding import (
@@ -24,6 +29,8 @@ from repro.sharding import (
     shard_aindex,
     shard_polystore,
 )
+from repro.stores import DocumentStore, RelationalStore
+from repro.stores.relational.types import Column, ColumnType, TableSchema
 
 from tests.conftest import make_mini_aindex, make_mini_polystore
 
@@ -103,8 +110,28 @@ class TestQueryInterval:
         assert query_interval("document", query) == (5.0, 9.0)
 
     def test_document_closed_bounds(self):
+        # ``$gt: 4`` bounds from 4 (over-inclusive); 5 would drop 4.5.
         query = {"collection": "albums", "filter": {"seq": {"$gt": 4, "$lte": 8}}}
-        assert query_interval("document", query) == (5.0, 9.0)
+        assert query_interval("document", query) == (4.0, 9.0)
+
+    def test_document_non_numeric_bound_proves_nothing(self):
+        query = {"collection": "albums", "filter": {"seq": {"$gt": 4, "$lte": "z"}}}
+        assert query_interval("document", query) is None
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "name = 'x' OR seq >= 0 AND seq < 5",
+            "NOT (seq >= 0 AND seq < 5)",
+            "name = 'WHERE seq >= 0 AND seq < 5'",
+            "seq >= 0 AND seq < 5 + 10",
+            "seq >= 0 AND seq < 5.5",
+            "10 - seq >= 0 AND seq < 5",
+        ],
+    )
+    def test_sql_unprovable_windows_are_not_derived(self, where):
+        query = f"SELECT * FROM inventory WHERE {where}"
+        assert query_interval("relational", query) is None
 
     def test_graph_queries_never_prove_a_window(self):
         assert query_interval("graph", {"op": "match", "label": "Item"}) is None
@@ -240,6 +267,70 @@ class TestShardedStore:
             assert store.count_objects() == (
                 polystore.database(name).count_objects()
             )
+
+
+def _seq_table() -> RelationalStore:
+    """``k0..k19`` with ``seq = i``; ``k15`` is the one named ``x``."""
+    store = RelationalStore()
+    store.create_table(
+        "t",
+        TableSchema(
+            columns=[
+                Column("id", ColumnType.TEXT, nullable=False),
+                Column("name", ColumnType.TEXT),
+                Column("seq", ColumnType.INTEGER),
+            ],
+            primary_key="id",
+        ),
+    )
+    for i in range(20):
+        store.insert_row(
+            "t", {"id": f"k{i}", "name": "x" if i == 15 else f"n{i}", "seq": i}
+        )
+    return store
+
+
+def _answer(store, query) -> list[str]:
+    return sorted(str(obj.key) for obj in store.execute(query))
+
+
+class TestRangePruningAnswers:
+    """Sharded ≡ plain on the queries that a too-eager window pruned."""
+
+    @pytest.mark.parametrize(
+        ("where", "rows"),
+        [
+            ("name = 'x' OR seq >= 0 AND seq < 5", 6),  # lost k15
+            ("NOT (seq >= 0 AND seq < 5)", 15),  # lost all 15
+        ],
+    )
+    def test_sql_window_under_or_and_not(self, where, rows):
+        plain = _seq_table()
+        sharded = partition_store(plain, RangeScheme(4, boundaries=[5, 10, 15]))
+        query = f"SELECT * FROM t WHERE {where}"
+        assert len(_answer(plain, query)) == rows
+        assert _answer(sharded, query) == _answer(plain, query)
+
+    def test_document_gt_on_fractional_tokens(self):
+        plain = DocumentStore()
+        for i in range(40):
+            plain.insert("c", {"_id": f"d{i}", "seq": i / 4})
+        sharded = partition_store(
+            plain, RangeScheme(4, boundaries=[2.5, 5, 7.5])
+        )
+        query = {"collection": "c", "filter": {"seq": {"$gt": 2.0, "$lt": 20}}}
+        assert _answer(sharded, query) == _answer(plain, query)
+        # d9 (2.25) sits below the old ``$gt + 1`` bound of 3.0.
+        assert any(key.endswith(".d9") for key in _answer(sharded, query))
+
+    @pytest.mark.parametrize("query", ["", "   "])
+    def test_blank_sql_is_a_syntax_error_like_the_plain_engine(self, query):
+        plain = _seq_table()
+        sharded = partition_store(plain, RangeScheme(4, boundaries=[5, 10, 15]))
+        with pytest.raises(SqlSyntaxError):
+            plain.execute(query)
+        with pytest.raises(SqlSyntaxError):
+            sharded.execute(query)
 
 
 class TestRouting:
