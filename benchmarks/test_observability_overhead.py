@@ -202,7 +202,6 @@ def test_virtual_elapsed_bit_identical_with_recorder_observing():
                 request_id=request_id,
                 session="bench",
                 kind="search",
-                priority="interactive",
                 status="completed",
                 latency_s=answer.stats.elapsed,
                 breakdown=latency_breakdown(observed.obs.tracer.spans()),

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Sixteen subcommands in four families (``repro <command> --help`` has
+Fifteen subcommands in four families (``repro <command> --help`` has
 the flags). **Snapshots**: ``demo`` (the paper's Fig 1 example),
 ``generate`` (a Polyphony polystore to disk), ``inspect``. **One
 query** against a snapshot (``--snapshot --database --query [--level]
@@ -9,9 +9,9 @@ the document, graph and key-value stores): ``query`` prints the answer
 and ``explore`` walks its strongest links; ``stats``, ``trace``,
 ``events`` and ``faults`` run it and print the report of that name;
 ``explain`` and ``plan`` print theirs without serving it. **Serving**:
-``serve`` a snapshot over HTTP; ``loadgen``, ``slo`` and ``record`` drive
-an embedded server with seeded closed-loop load and print the
-``serving``, ``slo`` and ``requests`` reports. **Ingestion**: ``ingest``
+``serve`` a snapshot over HTTP; ``loadgen`` and ``record`` drive an
+embedded server with seeded closed-loop load and print the ``serving``
+and ``requests`` reports. **Ingestion**: ``ingest``
 streams seeded mutations through the CDC pipeline.
 
 Every report is built in :mod:`repro.ui.reports` — the function's
@@ -158,23 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--json", action="store_true", dest="as_json",
                          help="print the load report as JSON")
 
-    slo = command(
-        "slo", "drive seeded load, then report SLO burn rates", "slo",
-    )
-    _add_loadgen_args(slo)
-    slo.add_argument("--availability-objective", type=float, default=0.99,
-                     dest="availability_objective",
-                     help="target completed/finished fraction")
-    slo.add_argument("--latency-threshold", type=float, default=1.0,
-                     dest="latency_threshold",
-                     help="completed requests must finish within this "
-                          "many seconds...")
-    slo.add_argument("--latency-objective", type=float, default=0.95,
-                     dest="latency_objective",
-                     help="...for at least this fraction of completions")
-    slo.add_argument("--json", action="store_true", dest="as_json",
-                     help="print the SLO report as JSON")
-
     record = command(
         "record", "drive seeded load, then dump the flight recorder",
         "requests",
@@ -242,7 +225,7 @@ def _add_query_args(subparser) -> None:
 
 def _add_loadgen_args(subparser) -> None:
     """Polystore + serving + workload knobs of the embedded-load family
-    (``loadgen``, ``slo``, ``record``)."""
+    (``loadgen``, ``record``)."""
     subparser.add_argument("--stores", type=int, default=4)
     subparser.add_argument("--albums", type=int, default=120)
     subparser.add_argument("--seed", type=int, default=42)
@@ -674,11 +657,6 @@ def _serving_config(args):
         default_deadline=args.deadline,
         recorder_capacity=getattr(args, "capacity", 256),
         recorder_slow_threshold=getattr(args, "slow_threshold", None),
-        slo_availability_objective=getattr(
-            args, "availability_objective", 0.99
-        ),
-        slo_latency_threshold=getattr(args, "latency_threshold", 1.0),
-        slo_latency_objective=getattr(args, "latency_objective", 0.95),
     )
 
 
@@ -721,11 +699,11 @@ def _serve(args, out) -> int:
 
 
 def _drive_embedded_load(args, report: str):
-    """The embedded-load harness shared by loadgen/slo/record.
+    """The embedded-load harness shared by loadgen/record.
 
     Builds the seeded polystore, starts an embedded server and runs the
     closed-loop generator; returns the load report and the payload of
-    ``report`` (``serving``, ``slo`` or ``requests``; its parameters are
+    ``report`` (``serving`` or ``requests``; its parameters are
     the command's flags), read before the server stops.
     """
     from repro.serving import LoadGenerator, QuepaServer
@@ -795,35 +773,6 @@ def _loadgen(args, out) -> int:
             f"(hit rate {coalesce['hit_rate']:.1%})",
             file=out,
         )
-    return 0
-
-
-def _slo(args, out) -> int:
-    report, payload = _drive_embedded_load(args, "slo")
-    if args.as_json:
-        return _dump(payload, out)
-    slo = payload["slo"]
-    print(
-        f"slo: {report.completed} completed, {report.shed} shed, "
-        f"{report.failed} failed ({report.qps:.1f} QPS)",
-        file=out,
-    )
-    latency = slo["latency"]
-    for label, part in (
-        ("availability", slo["availability"]),
-        (f"latency<={latency['threshold_s']:.3f}s", latency),
-    ):
-        print(
-            f"  {label}: measured={part['measured']:.4%} "
-            f"objective={part['objective']:.2%} "
-            f"burn={part['burn_rate']:.2f}x "
-            f"{'healthy' if part['healthy'] else 'BREACHED'}",
-            file=out,
-        )
-    print(
-        f"  overall: {'healthy' if slo['healthy'] else 'BREACHED'}",
-        file=out,
-    )
     return 0
 
 
@@ -1057,7 +1006,7 @@ COMMANDS = {
     "query": _query, "explore": _explore, "stats": _stats, "trace": _trace,
     "explain": _explain_or_plan, "plan": _explain_or_plan,
     "events": _events, "faults": _faults, "serve": _serve,
-    "loadgen": _loadgen, "slo": _slo, "record": _record, "ingest": _ingest,
+    "loadgen": _loadgen, "record": _record, "ingest": _ingest,
 }
 
 

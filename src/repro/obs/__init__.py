@@ -47,7 +47,6 @@ from repro.obs.requests import (
     TraceIdAllocator,
     latency_breakdown,
 )
-from repro.obs.slo import SloConfig, SloMonitor
 from repro.obs.trace import Span, Tracer, tree_lines
 
 
@@ -109,8 +108,6 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "RequestDigest",
-    "SloConfig",
-    "SloMonitor",
     "Span",
     "TraceIdAllocator",
     "Tracer",

@@ -154,22 +154,6 @@ class Histogram:
             total, biggest = self._count, self._max
         return _bucket_quantile(self.bounds, counts, total, biggest, q)
 
-    def fraction_at_or_below(self, threshold: float) -> float:
-        """The fraction of observations ``<= threshold`` (approximate).
-
-        Computed from the bucket whose bound is the smallest bound
-        ``>= threshold`` — exact when ``threshold`` is a bucket bound,
-        conservative (rounds the fraction up) otherwise. Returns 1.0
-        for an empty histogram: with no observations, no objective has
-        been violated. This is the latency-compliance read the SLO
-        monitor (:mod:`repro.obs.slo`) is built on.
-        """
-        index = bisect_left(self.bounds, threshold)
-        with self._lock:
-            if not self._count:
-                return 1.0
-            return sum(self._counts[: index + 1]) / self._count
-
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
             counts = list(self._counts)

@@ -3,7 +3,7 @@
 PR 5-7 made the reproduction a concurrent serving system, but the obs
 layer stayed per-run: one shared tracer, reset between runs, spans from
 concurrent sessions interleaved with no attribution. This module is the
-request-scoped half (the aggregate half is :mod:`repro.obs.slo`):
+request-scoped half:
 
 * **Trace ids** — every request the scheduler admits gets a
   ``trace_id`` from :class:`TraceIdAllocator` (deterministic counter,
@@ -18,8 +18,9 @@ request-scoped half (the aggregate half is :mod:`repro.obs.slo`):
 * **Flight recorder** — :class:`FlightRecorder` keeps a bounded ring of
   :class:`RequestDigest` with *tail-based retention*: errored, shed and
   degraded requests are always kept, completed ones only when slow
-  (at/over ``slow_threshold`` seconds, or at/over the rolling p95 once
-  enough samples exist); fast-and-fine requests only bump counters.
+  (at/over ``slow_threshold`` seconds, or at/over the rolling
+  :data:`ADAPTIVE_QUANTILE` once :data:`ADAPTIVE_MIN_SAMPLES` completions
+  exist); fast-and-fine requests only bump counters.
   Queryable via CLI ``record`` and ``GET /requests``.
 
 Everything here only *reads* clocks and spans — nothing charges virtual
@@ -31,11 +32,17 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from repro.obs.metrics import Histogram
 from repro.obs.trace import Span
+
+#: Without an absolute ``slow_threshold``, a completion is slow at/over
+#: this quantile of the completed latencies the recorder has seen...
+ADAPTIVE_QUANTILE = 0.95
+#: ...once it has seen at least this many.
+ADAPTIVE_MIN_SAMPLES = 50
 
 
 class TraceIdAllocator:
@@ -117,7 +124,6 @@ class RequestDigest:
     request_id: int
     session: str
     kind: str
-    priority: str
     #: completed / failed / shed.
     status: str
     #: Shed reason (queue_full, deadline, deadline_at_admission,
@@ -137,7 +143,6 @@ class RequestDigest:
             "request_id": self.request_id,
             "session": self.session,
             "kind": self.kind,
-            "priority": self.priority,
             "status": self.status,
             "shed_reason": self.shed_reason,
             "degraded": self.degraded,
@@ -154,32 +159,25 @@ class FlightRecorder:
 
     Tail-based retention: a digest survives when its request erred, was
     shed, returned degraded, or was *slow* — at/over ``slow_threshold``
-    seconds when configured, or at/over the rolling p95 of the
-    recorder's own latency histogram once ``adaptive_min_samples``
-    completions have been observed. Everything else is dropped after
-    bumping the observed/dropped counters, so a healthy high-QPS server
-    pays one histogram observe per request and no memory growth.
+    seconds when configured, or at/over the rolling
+    :data:`ADAPTIVE_QUANTILE` of the recorder's own latency histogram
+    once :data:`ADAPTIVE_MIN_SAMPLES` completions have been observed.
+    Everything else is dropped after bumping the observed/dropped
+    counters, so a healthy high-QPS server pays one histogram observe
+    per request and no memory growth.
     """
 
     def __init__(
         self,
         capacity: int = 256,
         slow_threshold: float | None = None,
-        adaptive_quantile: float = 0.95,
-        adaptive_min_samples: int = 50,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if slow_threshold is not None and slow_threshold <= 0:
             raise ValueError("slow_threshold must be > 0")
-        if not 0.0 < adaptive_quantile < 1.0:
-            raise ValueError("adaptive_quantile must be in (0, 1)")
-        if adaptive_min_samples < 1:
-            raise ValueError("adaptive_min_samples must be >= 1")
         self.capacity = capacity
         self.slow_threshold = slow_threshold
-        self.adaptive_quantile = adaptive_quantile
-        self.adaptive_min_samples = adaptive_min_samples
         self._lock = threading.Lock()
         self._digests: deque[RequestDigest] = deque(maxlen=capacity)
         self._latency = Histogram()
@@ -204,7 +202,7 @@ class FlightRecorder:
             self._digests.append(
                 digest
                 if digest.kept_because == reason
-                else _with_reason(digest, reason)
+                else replace(digest, kept_because=reason)
             )
             self._kept += 1
             self._kept_by_reason[reason] = (
@@ -228,9 +226,9 @@ class FlightRecorder:
             return "slow"
         if (
             self.slow_threshold is None
-            and self._latency.count >= self.adaptive_min_samples
+            and self._latency.count >= ADAPTIVE_MIN_SAMPLES
             and digest.latency_s
-            >= self._latency.percentile(self.adaptive_quantile)
+            >= self._latency.percentile(ADAPTIVE_QUANTILE)
         ):
             return "slow"
         return None
@@ -268,28 +266,10 @@ class FlightRecorder:
                 "kept_by_reason": dict(self._kept_by_reason),
                 "slow_threshold": self.slow_threshold,
                 "completed_latency_p95": self._latency.percentile(
-                    self.adaptive_quantile
+                    ADAPTIVE_QUANTILE
                 ),
             }
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._digests)
-
-
-def _with_reason(digest: RequestDigest, reason: str) -> RequestDigest:
-    return RequestDigest(
-        trace_id=digest.trace_id,
-        request_id=digest.request_id,
-        session=digest.session,
-        kind=digest.kind,
-        priority=digest.priority,
-        status=digest.status,
-        shed_reason=digest.shed_reason,
-        degraded=digest.degraded,
-        queue_wait_s=digest.queue_wait_s,
-        latency_s=digest.latency_s,
-        kept_because=reason,
-        error=digest.error,
-        breakdown=digest.breakdown,
-    )

@@ -107,7 +107,6 @@ class LoadGenerator:
         deadline: float | None = None,
         hot_queries: int = 0,
         hot_fraction: float = 0.0,
-        priority: str = "interactive",
         zipf_s: float = 0.0,
         zipf_variants: int = 16,
     ) -> None:
@@ -138,7 +137,6 @@ class LoadGenerator:
         #: scripts byte-identical.
         self.hot_queries = hot_queries
         self.hot_fraction = hot_fraction
-        self.priority = priority
         #: Seeded Zipfian key skew: with ``zipf_s > 0`` the query
         #: *variant* (which shifts the key window, and therefore the
         #: shards the query lands on) is drawn from a Zipf(s)
@@ -229,7 +227,6 @@ class LoadGenerator:
                         planned.query,
                         level=planned.level,
                         deadline=self.deadline,
-                        priority=self.priority,
                     )
                 except ServerBusy:
                     report.shed += 1

@@ -12,23 +12,19 @@ layer for the reproduction:
   itself stays healthy).
 * **Per-session fair scheduling** — sessions get round-robin turns and
   FIFO order within a session, with a per-session in-flight cap so one
-  chatty client cannot monopolize the worker pool.
+  chatty client cannot monopolize the worker pool. Workers sleep on
+  real condition signaling — a submission, completion or stop wakes
+  them precisely, with no polling.
 * **Snapshot-isolated A' reads** — each request plans over the one
   :class:`~repro.core.compressed.FrozenAIndex` snapshot pinned when it
   starts (see :meth:`Quepa.serve_search`), so concurrent p-relation
   writers never tear a traversal.
-* **Priority classes** — every request carries a priority class
-  (``interactive`` by default); classes share the workers by weighted
-  round-robin (default 3:1 interactive:batch), with per-session
-  fairness *within* each class. Workers sleep on real condition
-  signaling — a submission, completion or stop wakes them precisely,
-  with no polling.
 * **Per-request deadlines** — a wall-clock deadline sheds requests
   that expire while queued and is translated into the remaining
   :attr:`AugmentationConfig.timeout_budget` for execution. Deadlines
-  that cannot possibly be met (already expired, or under
-  ``admission_deadline_floor`` while every worker is busy) are shed at
-  admission, before consuming a queue slot.
+  that cannot possibly be met (already expired, or at/under
+  :data:`ADMISSION_DEADLINE_FLOOR` while every worker is busy) are shed
+  at admission, before consuming a queue slot.
 * **Single-flight coalescing** — on a :class:`RealRuntime` the
   scheduler attaches a :class:`~repro.serving.coalesce.SingleFlight`
   (identical concurrent fetches share one store call) for the server's
@@ -62,12 +58,15 @@ from repro.network.executor import RealRuntime
 from repro.obs import (
     FlightRecorder,
     RequestDigest,
-    SloConfig,
-    SloMonitor,
     TraceIdAllocator,
     latency_breakdown,
 )
 from repro.serving.coalesce import SingleFlight
+
+#: Deadlines at or below this (seconds) are shed at admission when
+#: every worker is already busy: the request could never be picked up
+#: in time, so it should not consume a queue slot first.
+ADMISSION_DEADLINE_FLOOR = 0.001
 
 
 @dataclass(frozen=True)
@@ -84,18 +83,6 @@ class ServingConfig:
     #: Default wall-clock deadline in seconds for requests that do not
     #: carry their own (``None`` = no deadline).
     default_deadline: float | None = None
-    #: Priority classes and their weighted-round-robin shares. Workers
-    #: take ``weight`` turns from a class before moving to the next;
-    #: within a class, sessions round-robin as before. ``interactive``
-    #: must be present — it is the default class of every request.
-    priority_weights: tuple[tuple[str, int], ...] = (
-        ("interactive", 3),
-        ("batch", 1),
-    )
-    #: Deadlines at or below this (seconds) are shed at admission when
-    #: every worker is already busy: the request could never be picked
-    #: up in time, so it should not consume a queue slot first.
-    admission_deadline_floor: float = 0.001
     #: Keep a bounded flight recorder of shed/failed/degraded/slow
     #: requests (tail-based retention; see repro.obs.requests).
     flight_recorder: bool = True
@@ -104,12 +91,6 @@ class ServingConfig:
     #: Absolute slow threshold, seconds; ``None`` = adaptive (rolling
     #: p95 of completed latencies once enough samples exist).
     recorder_slow_threshold: float | None = None
-    #: Availability SLO: completed / finished must stay at or above.
-    slo_availability_objective: float = 0.99
-    #: Latency SLO: this fraction of completed requests at or under
-    #: ``slo_latency_threshold`` seconds.
-    slo_latency_threshold: float = 1.0
-    slo_latency_objective: float = 0.95
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -120,24 +101,6 @@ class ServingConfig:
             raise ValueError("max_inflight_per_session must be >= 1")
         if self.default_deadline is not None and self.default_deadline <= 0:
             raise ValueError("default_deadline must be > 0")
-        if not self.priority_weights:
-            raise ValueError("priority_weights must not be empty")
-        seen: set[str] = set()
-        for name, weight in self.priority_weights:
-            if not name or not isinstance(name, str):
-                raise ValueError("priority class names must be strings")
-            if name in seen:
-                raise ValueError(f"duplicate priority class {name!r}")
-            seen.add(name)
-            if weight < 1:
-                raise ValueError("priority weights must be >= 1")
-        if "interactive" not in seen:
-            raise ValueError(
-                "priority_weights must include 'interactive' "
-                "(the default class of every request)"
-            )
-        if self.admission_deadline_floor < 0:
-            raise ValueError("admission_deadline_floor must be >= 0")
         if self.recorder_capacity < 1:
             raise ValueError("recorder_capacity must be >= 1")
         if (
@@ -145,16 +108,6 @@ class ServingConfig:
             and self.recorder_slow_threshold <= 0
         ):
             raise ValueError("recorder_slow_threshold must be > 0")
-        for name in ("slo_availability_objective", "slo_latency_objective"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1)")
-        if self.slo_latency_threshold <= 0:
-            raise ValueError("slo_latency_threshold must be > 0")
-
-    @property
-    def priority_classes(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.priority_weights)
 
 
 class Request:
@@ -162,7 +115,7 @@ class Request:
 
     __slots__ = (
         "id", "session", "kind", "database", "query", "level", "config",
-        "augment", "key", "deadline", "priority", "submitted_at",
+        "augment", "key", "deadline", "submitted_at",
         "started_at", "finished_at", "status", "answer", "error", "done",
         "trace_id", "root_span", "breakdown",
     )
@@ -180,7 +133,6 @@ class Request:
         augment: bool = True,
         key: GlobalKey | None = None,
         deadline: float | None = None,
-        priority: str = "interactive",
     ) -> None:
         self.id = request_id
         self.session = session
@@ -192,7 +144,6 @@ class Request:
         self.augment = augment
         self.key = key
         self.deadline = deadline
-        self.priority = priority
         self.submitted_at = 0.0
         self.started_at = 0.0
         self.finished_at = 0.0
@@ -261,22 +212,11 @@ class Scheduler:
         self.config = config or ServingConfig()
         self.obs = quepa.obs
         self._cond = threading.Condition()
-        #: priority class -> session -> FIFO of queued requests, plus a
-        #: per-class round-robin order over sessions with queued work (a
-        #: session appears at most once per class; capped sessions stay
-        #: in rotation). Workers sweep the classes by weighted
-        #: round-robin (see ``_rotation``).
-        self._queues: dict[str, dict[str, deque[Request]]] = {
-            name: {} for name in self.config.priority_classes
-        }
-        self._orders: dict[str, deque[str]] = {
-            name: deque() for name in self.config.priority_classes
-        }
-        #: The weighted class rotation: each class appears ``weight``
-        #: times, so a full sweep grants turns in the configured ratio.
-        self._rotation: deque[str] = deque()
-        for name, weight in self.config.priority_weights:
-            self._rotation.extend([name] * weight)
+        #: session -> FIFO of queued requests, plus the round-robin
+        #: order over sessions with queued work (a session appears at
+        #: most once; capped sessions stay in rotation).
+        self._queues: dict[str, deque[Request]] = {}
+        self._order: deque[str] = deque()
         #: Optional :class:`repro.cdc.materialize.MaterializedAugmentations`
         #: tier, consulted before planning (see :meth:`_run`). Attached
         #: by the operator that owns the CDC hub; ``None`` = disabled.
@@ -290,8 +230,10 @@ class Scheduler:
         self._draining = False
         self._started_at = 0.0
         self._coalescer: SingleFlight | None = None
-        # Reconciliation counters (also mirrored as obs metrics):
-        # submitted == admitted + shed_queue_full +
+        # Reconciliation counters (also mirrored as obs metrics:
+        # serving_shed_total{reason} sees every shed, while
+        # serving_requests_total{outcome="shed"} sees only the sheds
+        # after admission): submitted == admitted + shed_queue_full +
         # shed_deadline_admission, and at quiescence
         # admitted == completed + failed + shed_deadline + shed_stopped.
         self._submitted = 0
@@ -314,16 +256,6 @@ class Scheduler:
             )
             if self.config.flight_recorder
             else None
-        )
-        self.slo = SloMonitor(
-            self.obs,
-            SloConfig(
-                availability_objective=(
-                    self.config.slo_availability_objective
-                ),
-                latency_threshold=self.config.slo_latency_threshold,
-                latency_objective=self.config.slo_latency_objective,
-            ),
         )
         metrics = self.obs.metrics
         self._inflight_gauge = metrics.gauge("serving_inflight")
@@ -371,29 +303,27 @@ class Scheduler:
                 # shed class — ``stopped`` — metered exactly like other
                 # sheds (prometheus counter + journal event) so the
                 # exported totals reconcile with ``status()``.
-                for queues in self._queues.values():
-                    for queue in queues.values():
-                        while queue:
-                            request = queue.popleft()
-                            self._queued -= 1
-                            request.status = "shed"
-                            request.error = ServerBusy(
-                                "server stopped before the request ran"
-                            )
-                            self._shed_stopped += 1
-                            self._session_stats(request.session)[
-                                "shed_stopped"
-                            ] += 1
-                            self.obs.metrics.counter(
-                                "serving_requests_total", outcome="shed"
-                            ).inc()
-                            self._emit_shed(request, "stopped", now)
-                            self._observe_shed(
-                                request, "stopped", now, request.error
-                            )
-                            request.done.set()
-                for order in self._orders.values():
-                    order.clear()
+                for queue in self._queues.values():
+                    while queue:
+                        request = queue.popleft()
+                        self._queued -= 1
+                        request.status = "shed"
+                        request.error = ServerBusy(
+                            "server stopped before the request ran"
+                        )
+                        self._shed_stopped += 1
+                        self._session_stats(request.session)[
+                            "shed_stopped"
+                        ] += 1
+                        self.obs.metrics.counter(
+                            "serving_requests_total", outcome="shed"
+                        ).inc()
+                        self._emit_shed(request, "stopped", now)
+                        self._observe_shed(
+                            request, "stopped", now, request.error
+                        )
+                        request.done.set()
+                self._order.clear()
                 self._depth_gauge.set(self._queued)
             self._cond.notify_all()
         for thread in self._threads:
@@ -411,8 +341,8 @@ class Scheduler:
 
         Sheds happen here in two ways: a full queue raises
         :class:`ServerBusy`, and a deadline that cannot possibly be met
-        (already expired, or at/under ``admission_deadline_floor`` with
-        every worker busy) raises :class:`RequestDeadlineExceeded`
+        (already expired, or at/under :data:`ADMISSION_DEADLINE_FLOOR`
+        with every worker busy) raises :class:`RequestDeadlineExceeded`
         *before* the request consumes a queue slot and a worker pickup.
         """
         now = time.monotonic()
@@ -421,11 +351,6 @@ class Scheduler:
             request.trace_id = self._trace_ids.next_id()
         if request.deadline is None:
             request.deadline = self.config.default_deadline
-        if request.priority not in self._queues:
-            raise ValueError(
-                f"unknown priority class {request.priority!r} "
-                f"(configured: {self.config.priority_classes})"
-            )
         with self._cond:
             if not self._running:
                 raise ServerBusy("server is not running")
@@ -472,16 +397,12 @@ class Scheduler:
                 request_id=request.id,
                 session=request.session,
                 kind=request.kind,
-                priority=request.priority,
             )
-            queue = self._queues[request.priority].setdefault(
-                request.session, deque()
-            )
+            queue = self._queues.setdefault(request.session, deque())
             queue.append(request)
             self._queued += 1
-            order = self._orders[request.priority]
-            if len(queue) == 1 and request.session not in order:
-                order.append(request.session)
+            if len(queue) == 1 and request.session not in self._order:
+                self._order.append(request.session)
             self._depth_gauge.set(self._queued)
             self.obs.metrics.counter(
                 "serving_requests_total", outcome="admitted"
@@ -512,7 +433,7 @@ class Scheduler:
         if deadline <= 0:
             return True
         return (
-            deadline <= self.config.admission_deadline_floor
+            deadline <= ADMISSION_DEADLINE_FLOOR
             and self._inflight >= self.config.workers
         )
 
@@ -544,28 +465,12 @@ class Scheduler:
                 self._cond.wait()
 
     def _pick_locked(self) -> Request | None:
-        """Weighted round-robin over classes, session RR within one.
-
-        A full sweep of the rotation visits each class ``weight``
-        times; empty classes cost one deque lookup each, so a sweep
-        with any runnable request always finds one.
-        """
-        for _ in range(len(self._rotation)):
-            name = self._rotation[0]
-            self._rotation.rotate(-1)
-            request = self._pick_class_locked(name)
-            if request is not None:
-                return request
-        return None
-
-    def _pick_class_locked(self, priority: str) -> Request | None:
-        """Round-robin over one class's sessions; FIFO within each."""
+        """Round-robin over sessions; FIFO within each."""
         cap = self.config.max_inflight_per_session
-        order = self._orders[priority]
-        queues = self._queues[priority]
+        order = self._order
         for _ in range(len(order)):
             session = order.popleft()
-            queue = queues.get(session)
+            queue = self._queues.get(session)
             if not queue:
                 continue  # stale rotation entry
             if self._inflight_by_session.get(session, 0) >= cap:
@@ -771,7 +676,6 @@ class Scheduler:
                 request_id=request.id,
                 session=request.session,
                 kind=request.kind,
-                priority=request.priority,
                 status=request.status,
                 shed_reason=(
                     "deadline" if request.status == "shed" else None
@@ -810,7 +714,6 @@ class Scheduler:
                 request_id=request.id,
                 session=request.session,
                 kind=request.kind,
-                priority=request.priority,
                 status="shed",
                 shed_reason=reason,
                 queue_wait_s=waited,
@@ -859,22 +762,8 @@ class Scheduler:
                 name: dict(stats)
                 for name, stats in sorted(self._by_session.items())
             }
-            queued_by_session: dict[str, int] = {}
-            for queues in self._queues.values():
-                for name, queue in queues.items():
-                    if queue:
-                        queued_by_session[name] = (
-                            queued_by_session.get(name, 0) + len(queue)
-                        )
-            priorities = {
-                name: {
-                    "weight": weight,
-                    "queued": sum(
-                        len(queue)
-                        for queue in self._queues[name].values()
-                    ),
-                }
-                for name, weight in self.config.priority_weights
+            queued_by_session = {
+                name: len(queue) for name, queue in self._queues.items()
             }
             inflight_by_session = dict(self._inflight_by_session)
             report = {
@@ -889,7 +778,6 @@ class Scheduler:
                 "queue_depth": self._queued,
                 "inflight": self._inflight,
                 "totals": totals,
-                "priorities": priorities,
                 # The benchmark spine reads this key and its
                 # {"coalesce": ...} shape.
                 "accelerator": (
@@ -903,7 +791,6 @@ class Scheduler:
                     else None
                 ),
             }
-        report["slo"] = self.slo.report()
         metrics = self.obs.metrics
         latency = metrics.histogram("serving_latency_seconds")
         report["latency_s"] = {
@@ -974,7 +861,6 @@ class QuepaServer:
         config: AugmentationConfig | None = None,
         augment: bool = True,
         deadline: float | None = None,
-        priority: str = "interactive",
     ) -> Ticket:
         """Queue an augmented search; raises :class:`ServerBusy` if shed."""
         request = Request(
@@ -987,7 +873,6 @@ class QuepaServer:
             config=config,
             augment=augment,
             deadline=deadline,
-            priority=priority,
         )
         return self.scheduler.submit(request)
 
@@ -1001,13 +886,11 @@ class QuepaServer:
         augment: bool = True,
         deadline: float | None = None,
         timeout: float | None = None,
-        priority: str = "interactive",
     ) -> Any:
         """Submit and wait: the synchronous client call."""
         ticket = self.submit_search(
             session, database, query,
             level=level, config=config, augment=augment, deadline=deadline,
-            priority=priority,
         )
         return ticket.result(timeout)
 
@@ -1018,7 +901,6 @@ class QuepaServer:
         level: int = 0,
         config: AugmentationConfig | None = None,
         deadline: float | None = None,
-        priority: str = "interactive",
     ) -> Ticket:
         """Queue one exploration step (augment a single object)."""
         request = Request(
@@ -1029,7 +911,6 @@ class QuepaServer:
             level=level,
             config=config,
             deadline=deadline,
-            priority=priority,
         )
         return self.scheduler.submit(request)
 
@@ -1041,11 +922,9 @@ class QuepaServer:
         config: AugmentationConfig | None = None,
         deadline: float | None = None,
         timeout: float | None = None,
-        priority: str = "interactive",
     ) -> Any:
         ticket = self.submit_augment(
-            session, key, level=level, config=config,
-            deadline=deadline, priority=priority,
+            session, key, level=level, config=config, deadline=deadline,
         )
         return ticket.result(timeout)
 
@@ -1056,7 +935,3 @@ class QuepaServer:
         """Flight-recorder digests (empty when the recorder is off)."""
         recorder = self.scheduler.recorder
         return recorder.as_dicts(**filters) if recorder is not None else []
-
-    def slo_report(self) -> dict[str, Any]:
-        """The SLO monitor's verdict, with gauges published."""
-        return self.scheduler.slo.publish()

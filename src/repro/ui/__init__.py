@@ -8,7 +8,7 @@ dependency:
 * :mod:`repro.ui.api` — a transport-agnostic request router speaking
   JSON-shaped dicts (``POST /query``, ``POST /explore`` and friends).
   Plug it behind any HTTP framework, or drive it directly in tests.
-* :mod:`repro.ui.reports` — the one place a report is built: twelve
+* :mod:`repro.ui.reports` — the one place a report is built: eleven
   plain functions in one ``REPORTS`` table plus the coercion of raw
   parameters onto their signatures; the API and the CLI both render
   these payloads.

@@ -1,13 +1,13 @@
 """A REST-shaped, transport-agnostic API over one QUEPA instance.
 
-Eighteen (method, path) pairs mirror what the paper's demo UI calls.
+Seventeen (method, path) pairs mirror what the paper's demo UI calls.
 Six are written here: ``POST /query`` (augmented search; body
 ``database``, ``query``, ``level``, ``augment``, ``config`` and, with a
-serving layer, ``session``, ``deadline``, ``priority``), the exploration
+serving layer, ``session``, ``deadline``), the exploration
 session — ``POST /explore`` (body ``database``, ``query``), ``GET
 /explore/{sid}``, ``POST /explore/{sid}/select`` (body ``key``), ``POST
 /explore/{sid}/close`` — and ``GET /object/{global_key}``. The other
-twelve are the reports of :data:`repro.ui.reports.REPORTS`, each served
+eleven are the reports of :data:`repro.ui.reports.REPORTS`, each served
 at ``/<name>`` with the verb :func:`~repro.ui.reports.method` gives it
 and its parameters read from the URL query string (GET) or the JSON
 body (POST); the report function's docstring is the endpoint's
@@ -96,7 +96,7 @@ class QuepaApi:
         #: Optional :class:`~repro.serving.QuepaServer`. When attached,
         #: POST /query runs through its scheduler — concurrently, with
         #: admission control — instead of under the global lock, and
-        #: the serving/requests/slo reports have something to read.
+        #: the serving/requests reports have something to read.
         self.server = server
         #: Optional :class:`~repro.cdc.hub.ChangeHub`, read by the
         #: ingest report.
@@ -193,24 +193,16 @@ class QuepaApi:
         augment: bool = True,
         session: str = "http",
         deadline: float | None = None,
-        priority: str = "interactive",
     ) -> dict[str, Any]:
         """``POST /query``: the body's fields are these parameters (the
-        last three only matter to a serving layer)."""
+        last two only matter to a serving layer)."""
         if self.server is None:
             return _answer_payload(self.quepa.augmented_search(
                 database, query, level=level, config=config, augment=augment
             ))
-        classes = self.server.config.priority_classes
-        if priority not in classes:
-            raise ApiError(
-                400,
-                f"unknown priority {priority!r} "
-                f"(one of: {', '.join(classes)})",
-            )
         return _answer_payload(self.server.search(
             session, database, query, level=level, config=config,
-            augment=augment, deadline=deadline, priority=priority,
+            augment=augment, deadline=deadline,
         ))
 
     def open_exploration(self, *, database: str, query: Any) -> dict[str, Any]:

@@ -407,17 +407,6 @@ def requests(
     }
 
 
-def slo(subject: Subject) -> dict[str, Any]:
-    """SLO compliance: measured availability and latency against their
-    objectives, with error-budget burn rates from the live histograms
-    (404 without a serving layer)."""
-    if subject.server is None:
-        raise ReportError(
-            404, "no serving layer attached (start a QuepaServer)"
-        )
-    return {"slo": subject.server.slo_report()}
-
-
 def ingest(subject: Subject) -> dict[str, Any]:
     """CDC ingestion status: per-store cursors and pending counts, lag,
     WAL size, maintainer and materialized-tier state — or ``enabled:
@@ -485,7 +474,7 @@ REPORTS: dict[str, Callable[..., dict[str, Any]]] = {
     function.__name__: function
     for function in (
         databases, stats, metrics, trace, events, faults,
-        serving, requests, slo, ingest, explain, plan,
+        serving, requests, ingest, explain, plan,
     )
 }
 

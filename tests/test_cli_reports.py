@@ -3,7 +3,7 @@
 Three groups: regression tests for what the one query-run path fixed
 (JSON document/graph queries from every query command, ``faults
 --shards``), first tests for the third of the CLI that had none
-(``plan``, ``faults``, ``slo``, ``record``, ``ingest``), and the
+(``plan``, ``faults``, ``record``, ``ingest``), and the
 CLI half of the parity contract — what a command prints under
 ``--json`` is the payload ``reports.call`` built (or its one documented
 sub-dict).
@@ -185,26 +185,6 @@ class TestUntestedThird:
         )
         assert code == 1 and output.startswith("error:")
 
-    def test_slo_text(self):
-        code, output = run_cli("slo", *LOAD)
-        assert code == 0
-        lines = output.splitlines()
-        assert lines[0].startswith("slo: 6 completed, 0 shed, 0 failed")
-        assert lines[1].startswith("  availability: measured=100.0000% ")
-        assert lines[2].startswith("  latency<=1.000s: measured=")
-        assert lines[3] == "  overall: healthy"
-
-    def test_slo_json_breach(self):
-        code, output = run_cli(
-            "slo", *LOAD, "--latency-threshold", "1e-9", "--json"
-        )
-        assert code == 0
-        slo = json.loads(output)["slo"]
-        assert slo["healthy"] is False
-        assert slo["availability"]["healthy"] is True
-        assert slo["latency"]["threshold_s"] == 1e-9
-        assert slo["latency"]["burn_rate"] > 1
-
     def test_record_text(self):
         code, output = run_cli("record", *LOAD, "--slow-threshold", "1e-9")
         assert code == 0
@@ -317,12 +297,12 @@ class TestCliParity:
         assert name == "trace" and printed == as_json(payload)
 
     def test_loadgen_slo_record(self, built):
+        """``loadgen`` and ``record`` (the id predates the removal of
+        the ``slo`` command)."""
         printed = self.printed("loadgen", *LOAD, "--json")
         assert built[-1][0] == "serving"
         assert printed["serving"] == as_json(built[-1][1]["serving"])
         assert set(printed) == {"load", "serving"}
-        assert self.printed("slo", *LOAD, "--json") == as_json(built[-1][1])
-        assert built[-1][0] == "slo"
         assert self.printed("record", *LOAD, "--json") == as_json(built[-1][1])
         assert built[-1][0] == "requests"
 
@@ -356,17 +336,20 @@ class TestCliParity:
 class TestSameSurface:
     SUBCOMMANDS = {
         "demo", "generate", "query", "stats", "trace", "explain", "plan",
-        "events", "faults", "serve", "loadgen", "slo", "record", "ingest",
+        "events", "faults", "serve", "loadgen", "record", "ingest",
         "inspect", "explore",
     }
 
     def test_sixteen_subcommands_one_table(self):
+        """Fifteen since ``slo`` went; the id predates that."""
         assert set(COMMANDS) == self.SUBCOMMANDS
         subparsers = next(
             action for action in build_parser()._actions
             if action.dest == "command"
         )
         assert set(subparsers.choices) == self.SUBCOMMANDS
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["slo"])
 
     def test_report_error_is_a_clean_exit(self, snapshot):
         code, output = run_cli(

@@ -359,19 +359,18 @@ def test_coalescing_and_hedging_survive_hot_hammering():
 
 
 def test_mixed_priorities_under_stress_complete_everything():
-    """Interactive and batch fleets share the pool by weight; under
-    sustained full load neither class is starved or dropped."""
+    """Two fleets share the pool by session round-robin; under sustained
+    full load neither is starved or dropped. (The id predates the
+    removal of priority classes: the fleets were once two classes.)"""
     bundle, quepa = _fresh_quepa()
     workload = QueryWorkload(bundle)
     config = ServingConfig(workers=4, queue_capacity=1024)
     with QuepaServer(quepa, config) as server:
         interactive = LoadGenerator(
             server, workload, sizes=(8,), levels=(0, 1), seed=31,
-            priority="interactive",
         )
         batch = LoadGenerator(
             server, workload, sizes=(8,), levels=(0, 1), seed=32,
-            priority="batch",
         )
         reports = {}
 

@@ -26,9 +26,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 QUERY = "SELECT * FROM inventory WHERE name LIKE '%wish%'"
 
-THE_TWELVE = {
+THE_ELEVEN = {
     "databases", "stats", "metrics", "trace", "events", "faults",
-    "serving", "requests", "slo", "ingest", "explain", "plan",
+    "serving", "requests", "ingest", "explain", "plan",
 }
 
 
@@ -48,7 +48,8 @@ def make_hub(quepa):
 
 class TestRegistry:
     def test_the_twelve_reports(self):
-        assert set(REPORTS) == THE_TWELVE
+        """Eleven since ``slo`` went; the id predates that."""
+        assert set(REPORTS) == THE_ELEVEN
         for name, function in REPORTS.items():
             assert function.__name__ == name
             assert function.__doc__, f"report {name} has no description"
@@ -238,7 +239,6 @@ REQUESTS = {
     "faults": (None, None),
     "serving": (None, None),
     "requests": ("status=completed&limit=5", None),
-    "slo": (None, None),
     "ingest": (None, None),
     "explain": (None, {"database": "transactions", "query": QUERY,
                        "level": 1, "config": {"augmenter": "batch"}}),
@@ -265,7 +265,7 @@ class TestApiParity:
     def test_every_report_has_a_request_here(self):
         assert set(REQUESTS) == set(REPORTS)
 
-    @pytest.mark.parametrize("name", sorted(THE_TWELVE))
+    @pytest.mark.parametrize("name", sorted(THE_ELEVEN))
     def test_handle_returns_what_the_report_built(
         self, name, mini_quepa, monkeypatch
     ):
@@ -298,7 +298,7 @@ class TestApiParity:
                 api.handle("GET" if body else "POST", f"/{name}", body)
             assert err.value.status == 404
 
-    @pytest.mark.parametrize("name", sorted(THE_TWELVE - {"slo"}))
+    @pytest.mark.parametrize("name", sorted(THE_ELEVEN))
     def test_same_payload_without_a_serving_layer(self, name, mini_quepa):
         """Value parity where nothing is wall-clock: a classic system,
         read over the API and then through ``reports.call``."""
@@ -341,7 +341,7 @@ class TestOneImplementation:
     two surfaces used to copy live in ``ui/reports.py`` only."""
 
     BUILDERS = (
-        "explain_section(", "slo_report(", "fault_report(", ".recorder",
+        "explain_section(", "fault_report(", ".recorder",
         "to_prometheus(", "to_chrome_trace(",
     )
 
@@ -377,14 +377,15 @@ class TestOneImplementation:
 
     def test_the_eighteen_routes(self, mini_quepa):
         """The six hand-written routes plus one per ``REPORTS`` entry —
-        the report routes *are* the registry — and nothing else."""
+        the report routes *are* the registry — and nothing else:
+        seventeen since ``/slo`` went (the id predates that)."""
         hand_written = {
             ("POST", "/query"), ("POST", "/explore"), ("GET", "/explore/s1"),
             ("POST", "/explore/s1/select"), ("POST", "/explore/s1/close"),
             ("GET", "/object/catalogue.albums.d1"),
         }
         paths = {path for _, path in hand_written} | {
-            f"/{name}" for name in THE_TWELVE | {"catalog", "teapot"}
+            f"/{name}" for name in THE_ELEVEN | {"catalog", "slo", "teapot"}
         }
         api = QuepaApi(mini_quepa)
         routed = set()
@@ -400,7 +401,7 @@ class TestOneImplementation:
             (reports.method(name), f"/{name}") for name in REPORTS
         }
         assert routed == hand_written | report_routes
-        assert len(routed) == 18
+        assert len(routed) == 17
 
     def test_the_surface_did_not_grow(self):
         files = ("cli.py", "ui/api.py", "ui/reports.py")

@@ -1,12 +1,12 @@
-"""Request-scoped tracing, flight recorder and SLO monitor tests.
+"""Request-scoped tracing and flight recorder tests.
 
 The acceptance spine lives here: a sharded, stalled, coalescing
 serving run where every scheduler-admitted request carries a
 ``trace_id`` that shows up on its root span, its coalesce-follower
 links and every per-shard fetch span. Around it: the tracer-reset regression,
 histogram percentile edge cases, the per-request Chrome-trace lanes,
-the concurrent JSONL sink, and unit suites for the flight recorder,
-the SLO monitor and the latency-breakdown fold.
+the concurrent JSONL sink, and unit suites for the flight recorder
+and the latency-breakdown fold.
 """
 
 from __future__ import annotations
@@ -21,15 +21,13 @@ from repro.core import Quepa
 from repro.network import RealRuntime, centralized_profile
 from repro.obs import (
     FlightRecorder,
-    Observability,
     RequestDigest,
-    SloConfig,
-    SloMonitor,
     latency_breakdown,
 )
 from repro.obs.events import EventJournal
 from repro.obs.export import to_chrome_trace
 from repro.obs.metrics import Histogram
+from repro.obs.requests import ADAPTIVE_MIN_SAMPLES
 from repro.obs.trace import Tracer
 from repro.model import Polystore
 from repro.serving import QuepaServer, ServingConfig
@@ -168,7 +166,7 @@ def test_trace_propagates_through_sharded_hedged_serving():
         assert span.attrs.get("leader_trace") in admitted
 
     # The flight recorder retained every completion (threshold 1e-9)
-    # with a per-request breakdown, and the SLO monitor reads healthy.
+    # with a per-request breakdown, and every request completed.
     digests = server.records(status="completed")
     assert {d["trace_id"] for d in digests} >= admitted
     by_trace = {d["trace_id"]: d for d in digests}
@@ -179,9 +177,8 @@ def test_trace_propagates_through_sharded_hedged_serving():
         by_trace[trace_id]["breakdown"]["shard_fetch_s"]
         for trace_id in admitted
     )
-    slo = server.slo_report()
-    assert slo["healthy"] is True
-    assert slo["availability"]["measured"] == 1.0
+    totals = server.status()["totals"]
+    assert totals["completed"] == totals["submitted"] == len(admitted)
 
 
 # -- satellite: tracer reset vs in-flight serving ------------------------------
@@ -306,7 +303,7 @@ def test_served_outcome_trace_describes_the_request_not_the_buffer(
     assert set(outcome.trace) == {"spans", "dropped", "by_kind"}
 
 
-# -- satellite: histogram percentile / fraction edge cases ---------------------
+# -- satellite: histogram percentile edge cases --------------------------------
 
 
 def test_percentile_empty_histogram_is_zero():
@@ -336,22 +333,6 @@ def test_percentile_all_mass_in_overflow_is_observed_max():
     hist.observe(5.0)
     hist.observe(9.0)
     assert hist.percentile(0.5) == 9.0
-
-
-def test_fraction_at_or_below_empty_is_one():
-    assert Histogram().fraction_at_or_below(0.5) == 1.0
-
-
-def test_fraction_at_or_below_exact_and_conservative_bounds():
-    hist = Histogram(buckets=(0.1, 1.0))
-    hist.observe(0.05)
-    hist.observe(0.5)
-    hist.observe(2.0)
-    # Exact on a bucket bound...
-    assert hist.fraction_at_or_below(0.1) == pytest.approx(1 / 3)
-    assert hist.fraction_at_or_below(1.0) == pytest.approx(2 / 3)
-    # ...conservative (rounds up to the covering bucket) between bounds.
-    assert hist.fraction_at_or_below(0.5) == pytest.approx(2 / 3)
 
 
 # -- satellite: one Chrome-trace lane per request ------------------------------
@@ -464,7 +445,6 @@ def _digest(
         request_id=1,
         session="s1",
         kind="search",
-        priority="interactive",
         status=status,
         latency_s=latency,
     )
@@ -498,8 +478,8 @@ def test_recorder_absolute_slow_threshold():
 
 
 def test_recorder_adaptive_p95_after_min_samples():
-    recorder = FlightRecorder(adaptive_min_samples=10)
-    for i in range(10):
+    recorder = FlightRecorder()
+    for i in range(ADAPTIVE_MIN_SAMPLES):
         assert not recorder.observe(_digest(f"t-{i}", latency=0.01))
     # Rolling p95 is now ~0.01; an outlier at 10x is retained.
     assert recorder.observe(_digest("t-slow", latency=0.1))
@@ -527,53 +507,6 @@ def test_recorder_filters_and_limit():
     assert [d.trace_id for d in recorder.records(limit=2)] == ["t-2", "t-3"]
     assert recorder.records(limit=0) == []
     assert recorder.as_dicts(session="b")[0]["trace_id"] == "t-2"
-
-
-# -- SLO monitor unit suite ----------------------------------------------------
-
-
-def test_slo_monitor_burn_rates_from_live_metrics():
-    obs = Observability()
-    obs.metrics.counter("serving_requests_total", outcome="completed").inc(90)
-    obs.metrics.counter("serving_requests_total", outcome="failed").inc(6)
-    obs.metrics.counter("serving_requests_total", outcome="shed").inc(4)
-    hist = obs.metrics.histogram("serving_latency_seconds")
-    for _ in range(9):
-        hist.observe(0.01)
-    hist.observe(5.0)
-
-    monitor = SloMonitor(obs, SloConfig())
-    report = monitor.report()
-    availability = report["availability"]
-    assert availability["measured"] == pytest.approx(0.9)
-    assert availability["samples"] == 100
-    assert availability["bad"] == 10
-    # burn = (1 - 0.9) / (1 - 0.99): 10x the error budget.
-    assert availability["burn_rate"] == pytest.approx(10.0)
-    assert availability["healthy"] is False
-    latency = report["latency"]
-    assert latency["measured"] == pytest.approx(0.9)
-    assert latency["burn_rate"] == pytest.approx(2.0)
-    assert latency["healthy"] is False
-    assert report["healthy"] is False
-
-    monitor.publish()
-    gauge = obs.metrics.gauge
-    assert gauge("slo_burn_rate", slo="availability").value == pytest.approx(
-        10.0
-    )
-    assert gauge("slo_measured", slo="latency").value == pytest.approx(0.9)
-    assert gauge("slo_objective", slo="latency").value == pytest.approx(0.95)
-    assert gauge("slo_healthy").value == 0.0
-
-
-def test_slo_monitor_no_traffic_is_healthy():
-    monitor = SloMonitor(Observability())
-    report = monitor.report()
-    assert report["healthy"] is True
-    assert report["availability"]["measured"] == 1.0
-    assert report["availability"]["burn_rate"] == 0.0
-    assert report["latency"]["measured"] == 1.0
 
 
 # -- latency breakdown fold ----------------------------------------------------
@@ -630,6 +563,8 @@ def test_api_requests_endpoint_without_server():
 
 
 def test_api_slo_endpoint_without_server_is_404():
+    """There is no SLO report any more: ``/slo`` is an unknown route,
+    with or without a serving layer (see the live-server test below)."""
     api = QuepaApi(_mini_real_quepa())
     with pytest.raises(ApiError) as err:
         api.handle("GET", "/slo")
@@ -637,6 +572,8 @@ def test_api_slo_endpoint_without_server_is_404():
 
 
 def test_api_requests_and_slo_with_live_server():
+    """``/requests`` over a live server; ``/slo`` is gone. (The id
+    predates the removal of the SLO monitor.)"""
     quepa = _mini_real_quepa()
     config = ServingConfig(workers=2, recorder_slow_threshold=1e-9)
     with QuepaServer(quepa, config) as server:
@@ -655,6 +592,6 @@ def test_api_requests_and_slo_with_live_server():
             api.handle("GET", "/requests?limit=many")
         assert err.value.status == 400
 
-        slo = api.handle("GET", "/slo")["slo"]
-        assert slo["healthy"] is True
-        assert slo["availability"]["samples"] >= 1
+        with pytest.raises(ApiError) as err:
+            api.handle("GET", "/slo")
+        assert err.value.status == 404

@@ -7,11 +7,15 @@ and shedding behaviour does not depend on timing.
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import itertools
 import json
+import re
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -80,16 +84,40 @@ class GatedQuepa:
         {"max_inflight_per_session": 0},
         {"default_deadline": 0.0},
         {"default_deadline": -1.0},
-        {"priority_weights": ()},
-        {"priority_weights": (("batch", 1),)},
-        {"priority_weights": (("interactive", 3), ("interactive", 1))},
-        {"priority_weights": (("interactive", 0),)},
-        {"admission_deadline_floor": -1.0},
+        {"recorder_capacity": 0},
+        {"recorder_slow_threshold": 0.0},
+        {"recorder_slow_threshold": -1.0},
+        {"workers": -1},
+        {"queue_capacity": -1},
     ],
 )
 def test_serving_config_rejects_bad_knobs(kwargs):
     with pytest.raises(ValueError):
         ServingConfig(**kwargs)
+
+
+def test_every_serving_field_has_a_ledger_row():
+    """docs/PERFORMANCE.md's Serving table and ``ServingConfig`` agree:
+    every field has a row, every live row names a field, and every ❌
+    row names a field that is gone."""
+    ledger = Path(__file__).parents[1] / "docs" / "PERFORMANCE.md"
+    match = re.search(
+        r"^## Serving \(`ServingConfig`, (\d+) fields\)$(.*?)^## ",
+        ledger.read_text(encoding="utf-8"),
+        re.M | re.S,
+    )
+    assert match, "no Serving table in docs/PERFORMANCE.md"
+    live: set[str] = set()
+    deleted: set[str] = set()
+    for line in match.group(2).splitlines():
+        row = re.match(r"\| `(\w+) = ", line)
+        if row:
+            verdict = line.split("|")[4]
+            (deleted if "❌" in verdict else live).add(row.group(1))
+    fields = {field.name for field in dataclasses.fields(ServingConfig)}
+    assert live == fields
+    assert int(match.group(1)) == len(fields)
+    assert deleted and not deleted & fields
 
 
 # -- basic serving -----------------------------------------------------------
@@ -271,6 +299,73 @@ def test_stop_without_drain_sheds_queued_requests_as_stopped():
     )
 
 
+def test_shed_counters_reconcile_across_all_four_reasons():
+    """``serving_shed_total{reason}`` counts every shed and equals
+    ``status()``'s shed totals; ``serving_requests_total{outcome="shed"}``
+    counts only the sheds after admission (deadline, stopped)."""
+    quepa = make_real_quepa()
+    gates = [threading.Event(), threading.Event()]
+    started = threading.Semaphore(0)
+    calls = itertools.count()
+    real = quepa.serve_search
+
+    def gated(*args, **kwargs):
+        gate = gates[next(calls)]
+        started.release()
+        assert gate.wait(10), "test gate never opened"
+        return real(*args, **kwargs)
+
+    quepa.serve_search = gated  # type: ignore[method-assign]
+    config = ServingConfig(
+        workers=1, queue_capacity=2, max_inflight_per_session=1
+    )
+    server = QuepaServer(quepa, config).start()
+    blocker = server.submit_search("s1", "catalogue", DOC_QUERY)
+    assert started.acquire(timeout=10)
+    with pytest.raises(RequestDeadlineExceeded):  # deadline_at_admission
+        server.submit_search("s1", "catalogue", DOC_QUERY, deadline=1e-9)
+    doomed = server.submit_search(
+        "s1", "catalogue", DOC_QUERY, deadline=0.05
+    )
+    victim = server.submit_search("s1", "catalogue", DOC_QUERY)
+    with pytest.raises(ServerBusy):  # queue_full
+        server.submit_search("s1", "catalogue", DOC_QUERY)
+    time.sleep(0.1)
+    # The blocker completes; ``doomed`` expired in the queue and is shed
+    # at pickup (deadline); ``victim`` then holds the worker.
+    gates[0].set()
+    assert started.acquire(timeout=10)
+    late = server.submit_search("s1", "catalogue", DOC_QUERY)
+    stopper = threading.Thread(target=lambda: server.stop(drain=False))
+    stopper.start()
+    with pytest.raises(ServerBusy):  # stopped
+        late.result(timeout=10)
+    gates[1].set()
+    stopper.join(timeout=30)
+    assert not stopper.is_alive()
+    blocker.result(timeout=10)
+    victim.result(timeout=10)
+    with pytest.raises(RequestDeadlineExceeded):
+        doomed.result(timeout=10)
+
+    shed = server.status()["totals"]["shed"]
+    assert shed == {
+        "queue_full": 1,
+        "deadline": 1,
+        "deadline_at_admission": 1,
+        "stopped": 1,
+    }
+    metrics = quepa.obs.metrics
+    assert {
+        reason: metrics.counter("serving_shed_total", reason=reason).value
+        for reason in shed
+    } == shed
+    assert (
+        metrics.counter("serving_requests_total", outcome="shed").value
+        == shed["deadline"] + shed["stopped"]
+    )
+
+
 # -- fairness ----------------------------------------------------------------
 
 
@@ -360,8 +455,6 @@ def test_status_report_shape():
             + shed["deadline"]
             + shed["stopped"]
         )
-        assert report["priorities"]["interactive"]["weight"] == 3
-        assert report["priorities"]["batch"]["weight"] == 1
         # Real runtime: single-flight attached, in exactly the shape the
         # benchmark spine reads (``accelerator.coalesce.leaders``).
         assert set(report["accelerator"]) == {"coalesce"}
@@ -409,22 +502,12 @@ def test_failed_ticket_result_raises_a_fresh_clone_each_time():
     assert stored.__traceback__ is not first.value.__traceback__
 
 
-# -- priorities --------------------------------------------------------------
+# -- session round-robin ------------------------------------------------------
 
 
-def test_submit_rejects_unknown_priority_class():
-    quepa = make_real_quepa()
-    with QuepaServer(quepa) as server:
-        with pytest.raises(ValueError, match="priority"):
-            server.submit_search(
-                "s1", "catalogue", DOC_QUERY, priority="bulk"
-            )
-
-
-def test_priority_classes_share_workers_by_weighted_round_robin():
-    """With the default 3:1 weights and one worker, queued interactive
-    and batch requests are picked in a 3-interactive-then-1-batch
-    pattern — batch shares the pool but never starves interactive."""
+def test_sessions_share_workers_by_round_robin():
+    """With one worker, queued sessions take turns in the order they
+    first queued work, and each session's requests run FIFO."""
     quepa = make_real_quepa()
     order: list[str] = []
     lock = threading.Lock()
@@ -434,11 +517,7 @@ def test_priority_classes_share_workers_by_weighted_round_robin():
 
     def tracking(database, query, **kwargs):
         with lock:
-            order.append(
-                query.get("tag", "blocker")
-                if isinstance(query, dict)
-                else "?"
-            )
+            order.append(query.get("tag", "blocker"))
         started.release()
         assert gate.wait(10), "test gate never opened"
         return real(database, DOC_QUERY, **kwargs)
@@ -446,34 +525,20 @@ def test_priority_classes_share_workers_by_weighted_round_robin():
     quepa.serve_search = tracking  # type: ignore[method-assign]
     config = ServingConfig(workers=1, max_inflight_per_session=16)
     with QuepaServer(quepa, config) as server:
-        blocker = server.submit_search("s1", "catalogue", DOC_QUERY)
+        blocker = server.submit_search("s0", "catalogue", DOC_QUERY)
         assert started.acquire(timeout=10)
-        tickets = []
-        for i in range(1, 5):
-            tickets.append(
-                server.submit_search(
-                    "s1", "catalogue",
-                    {**DOC_QUERY, "tag": f"i{i}"},
-                    priority="interactive",
-                )
+        tickets = [
+            server.submit_search(
+                session, "catalogue", {**DOC_QUERY, "tag": f"{session}.{i}"}
             )
-        for i in range(1, 5):
-            tickets.append(
-                server.submit_search(
-                    "s1", "catalogue",
-                    {**DOC_QUERY, "tag": f"b{i}"},
-                    priority="batch",
-                )
-            )
+            for session, count in (("a", 3), ("b", 1), ("c", 2))
+            for i in range(1, count + 1)
+        ]
         gate.set()
         blocker.result(timeout=10)
         for ticket in tickets:
             ticket.result(timeout=10)
-    assert order[0] == "blocker"
-    picked = order[1:]
-    # Weighted sweep: 3 interactive turns, then 1 batch turn, until the
-    # interactive queue drains, after which batch gets every turn.
-    assert picked == ["i1", "i2", "b1", "i3", "i4", "b2", "b3", "b4"]
+    assert order == ["blocker", "a.1", "b.1", "c.1", "a.2", "c.2", "a.3"]
 
 
 # -- per-request config on the augment path ----------------------------------
