@@ -5,9 +5,9 @@ Run with:  python examples/cluster_deployment.py
 Shows the two operational properties of QUEPA's architecture:
 
 1. *scale-out* — QUEPA stores no data, so several instances (each with
-   its own A' index replica) answer independent queries in parallel;
-   the cluster's makespan for a query batch drops as instances are
-   added.
+   its own cache and runtime, all planning against one A' index)
+   answer independent queries in parallel; the cluster's makespan for
+   a query batch drops as instances are added.
 2. *loose coupling under failure* — when one store of the polystore
    goes down, augmented queries keep answering from the remaining
    stores (``skip_unavailable``), reporting what was skipped.

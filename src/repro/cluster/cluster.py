@@ -1,8 +1,14 @@
 """A cluster of QUEPA instances answering independent queries.
 
-Each instance owns an A' index **replica** and its own cache and
-runtime; the underlying polystore is shared (QUEPA stores no data).
-Queries submitted to the cluster are dispatched by policy:
+Every instance plans against the one A' index the caller passes — an
+:class:`~repro.core.aindex.AIndex` or a
+:class:`~repro.sharding.aindex.ShardedAIndex`, which is the partitioned
+deployment — and owns its own cache, runtime and augmentation (so its
+own plan cache); the underlying polystore is shared (QUEPA stores no
+data). Index maintenance needs no side channel: a p-relation added to
+the index, a promotion or a lazy deletion made by any instance is seen
+by every instance at its next refreeze. Queries submitted to the
+cluster are dispatched by policy:
 
 * ``round_robin`` — instance ``i = n mod size``;
 * ``least_loaded`` — the instance that becomes free earliest.
@@ -14,11 +20,6 @@ the instance's measured (virtual) execution time. ``drain()`` returns
 when every submitted query is done and reports the makespan, so tests
 can verify that adding instances shortens a batch of independent
 queries — the property the paper's architecture section claims.
-
-Index maintenance (new p-relations, promotions, lazy deletions) must
-reach every replica; the cluster exposes :meth:`add_relation` /
-:meth:`remove_object` broadcasts, and per-instance lazy deletions are
-re-broadcast on drain.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from repro.core.augmentation import AugmentationConfig
 from repro.core.search import AugmentedAnswer
 from repro.core.system import Quepa
 from repro.errors import ConfigurationError
-from repro.model.objects import GlobalKey
 from repro.model.polystore import Polystore
-from repro.model.prelations import PRelation
 from repro.network.latency import DeploymentProfile, centralized_profile
 
 
@@ -80,7 +79,7 @@ class ClusterReport:
 
 
 class QuepaCluster:
-    """N QUEPA instances over one polystore."""
+    """N QUEPA instances over one polystore and one A' index."""
 
     def __init__(
         self,
@@ -99,25 +98,12 @@ class QuepaCluster:
         self.policy = policy
         profile = profile or centralized_profile(list(polystore))
         self._instances = [
-            _Instance(
-                Quepa(
-                    polystore,
-                    self._instance_index(aindex, index),
-                    profile=profile,
-                    config=config,
-                )
-            )
-            for index in range(instances)
+            _Instance(Quepa(polystore, aindex, profile=profile, config=config))
+            for __ in range(instances)
         ]
         self._clock = 0.0
         self._round_robin = 0
         self._pending: list[ClusterResult] = []
-
-    def _instance_index(self, aindex: AIndex, instance: int):
-        """The index instance number ``instance`` plans against: its own
-        replica here; ``ShardedCluster`` hands out views of one shared
-        partitioned index instead."""
-        return aindex.copy()
 
     # -- sizing -----------------------------------------------------------------
 
@@ -164,7 +150,6 @@ class QuepaCluster:
             report.makespan = max(r.completed_at for r in report.results)
             self._clock = report.makespan
         self._pending = []
-        self._sync_lazy_deletions()
         return report
 
     def _pick_instance(self) -> int:
@@ -176,43 +161,3 @@ class QuepaCluster:
             range(len(self._instances)),
             key=lambda i: (self._instances[i].free_at, i),
         )
-
-    # -- index maintenance broadcast --------------------------------------------------
-
-    def add_relation(self, relation: PRelation) -> None:
-        """Insert a p-relation into every replica."""
-        for instance in self._instances:
-            instance.quepa.aindex.add(relation)
-
-    def remove_object(self, key: GlobalKey) -> None:
-        """Lazy-delete an object from every replica."""
-        for instance in self._instances:
-            instance.quepa.aindex.remove_object(key)
-
-    def _sync_lazy_deletions(self) -> None:
-        """Re-broadcast deletions one replica discovered during a batch
-        (an object missing in the polystore is missing for everyone).
-
-        Replica-only reconciliation: inferring deletions from node-set
-        differences is correct precisely because every instance holds a
-        *full* replica. A partitioned index (per-instance node sets
-        differ by design) must never run this union-diff — a key absent
-        from a non-owning partition would be mistaken for a deletion
-        and re-broadcast everywhere. ``ShardedCluster`` overrides this
-        with ownership-routed delivery of *recorded* deletions.
-        """
-        if any(
-            getattr(instance.quepa.aindex, "partitioned", False)
-            for instance in self._instances
-        ):
-            raise ConfigurationError(
-                "replica-style deletion sync cannot run over partitioned "
-                "indexes; use ShardedCluster"
-            )
-        all_nodes: list[set[GlobalKey]] = [
-            set(instance.quepa.aindex.nodes()) for instance in self._instances
-        ]
-        union: set[GlobalKey] = set().union(*all_nodes) if all_nodes else set()
-        for nodes in all_nodes:
-            for gone in union - nodes:
-                self.remove_object(gone)

@@ -269,21 +269,7 @@ class AIndex:
             for (a, b), supports in lineage.items():
                 self._record_lineage(a, b, supports)
 
-    def copy(self) -> "AIndex":
-        """An independent replica of this index (Section III-A: each
-        QUEPA instance has its own A' index replica)."""
-        replica = self._blank()
-        with self._mutex:
-            for key, adjacency in self._adjacency.items():
-                replica._adjacency[key] = dict(adjacency)
-            replica.restore_lineage(self._lineage)
-        return replica
-
-    # -- hooks for a subclass that swaps ``_adjacency`` for another node map ------
-
-    def _blank(self) -> "AIndex":
-        """An empty index with this one's configuration."""
-        return AIndex(enforce_consistency=self.enforce_consistency)
+    # -- hook for a subclass that swaps ``_adjacency`` for another node map -------
 
     def _freeze(self):
         """A full rebuild of the snapshot (first freeze and compaction)."""

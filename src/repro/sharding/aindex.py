@@ -9,9 +9,9 @@ to the per-shard dict of the partition that *owns the node*, so an edge
 ``a -- b`` with ``shard(a) = i`` and ``shard(b) = j`` records ``a → b``
 in partition ``i`` and ``b → a`` in partition ``j``. Cross-shard edges
 are not tracked separately; :meth:`ShardedAIndex.cross_edges` derives
-them from adjacency on demand, and :meth:`ShardedAIndex.owning_shards`
-(home shard plus the shards of the node's neighbours, which hold the
-reverse stubs) is what cluster maintenance uses to route a deletion.
+them from adjacency on demand. A
+:class:`~repro.cluster.QuepaCluster` handed a ``ShardedAIndex`` is the
+partitioned deployment: its instances plan against this one index.
 
 Freezing produces a :class:`ShardedFrozenAIndex`: one per-partition
 :class:`~repro.core.compressed.FrozenAIndex` snapshot. Because
@@ -102,10 +102,6 @@ class _PartitionedNodes:
 class ShardedAIndex(AIndex):
     """An A' index partitioned into per-shard adjacency maps."""
 
-    #: Marker for cluster machinery: node sets differ per partition by
-    #: design, so replica-style union-diff reconciliation must not run.
-    partitioned = True
-
     def __init__(
         self,
         shards: int = 2,
@@ -122,13 +118,6 @@ class ShardedAIndex(AIndex):
         #: shard -> key -> neighbour key -> (type, probability)
         self._adjacency = _PartitionedNodes(shards, self._placement)
 
-    def _blank(self) -> "ShardedAIndex":
-        return ShardedAIndex(
-            shards=self.shards,
-            enforce_consistency=self.enforce_consistency,
-            placement=self._placement,
-        )
-
     def _freeze(self) -> "ShardedFrozenAIndex":
         return ShardedFrozenAIndex.freeze(self)
 
@@ -136,16 +125,6 @@ class ShardedAIndex(AIndex):
 
     def shard_of(self, key: GlobalKey) -> int:
         return self._placement(key)
-
-    def owning_shards(self, key: GlobalKey) -> set[int]:
-        """Partitions holding any adjacency entry for ``key``: its home
-        shard plus every shard owning one of its neighbours (which hold
-        reverse stubs). This is the broadcast target set for a
-        deletion."""
-        with self._mutex:
-            owners = {self.shard_of(key)}
-            owners.update(map(self.shard_of, self._adjacency.get(key, ())))
-            return owners
 
     def cross_edges(self) -> dict[tuple[GlobalKey, GlobalKey], tuple[int, int]]:
         """Every edge whose endpoints live in different partitions:
@@ -186,8 +165,6 @@ class ShardedFrozenAIndex:
     partition, traversal semantics match the unsharded
     :class:`~repro.core.compressed.FrozenAIndex` exactly.
     """
-
-    partitioned = True
 
     def __init__(
         self,

@@ -5,24 +5,17 @@ import pytest
 from repro.errors import TrainingError
 from repro.ml.dataset import Dataset, Example
 from repro.model.objects import GlobalKey
-from repro.model.prelations import PRelation
+from repro.sharding import shard_aindex
 
 K = GlobalKey.parse
 
 
 class TestAIndexCopy:
-    def test_copy_is_deep_for_adjacency(self, mini_aindex):
-        replica = mini_aindex.copy()
-        assert replica.node_count() == mini_aindex.node_count()
-        assert replica.edge_count() == mini_aindex.edge_count()
-        replica.add(
-            PRelation.matching(K("new.c.x"), K("catalogue.albums.d1"), 0.6)
-        )
-        assert K("new.c.x") in replica
-        assert K("new.c.x") not in mini_aindex
-
     def test_copy_preserves_lineage_for_cascade(self, mini_aindex):
-        replica = mini_aindex.copy()
+        """``shard_aindex`` copies an index; the copy carries the lineage
+        a cascading removal follows, and the cascade leaves the source
+        untouched."""
+        replica = shard_aindex(mini_aindex, shards=1)
         # d1 ~ a32 and d1 ~ discount imply an inferred a32 ~ discount.
         a32 = K("transactions.inventory.a32")
         discount = K("discount.drop.k1:cure:wish")
@@ -32,13 +25,7 @@ class TestAIndexCopy:
         assert removed >= 2
         # The original index's lineage is untouched.
         assert mini_aindex.relation(d1, a32) is not None
-
-    def test_copy_preserves_consistency_flag(self, mini_aindex):
-        from repro.core.aindex import AIndex
-
-        raw = AIndex(enforce_consistency=False)
-        assert raw.copy().enforce_consistency is False
-        assert mini_aindex.copy().enforce_consistency is True
+        assert mini_aindex.is_inferred(a32, discount)
 
 
 class TestDataset:

@@ -1,4 +1,13 @@
-"""Tests for the multi-instance QUEPA deployment (Section III-A)."""
+"""Tests for the multi-instance QUEPA deployment (Section III-A).
+
+Every instance of a cluster plans against the index the caller passes.
+Each behaviour runs over the three indexes that may be: the plain
+``AIndex`` (the base classes) and 1- and 3-shard ``shard_aindex``
+partitions of it (the ``...Sharded`` subclasses), the layout of
+``tests/test_aindex.py``.
+"""
+
+import functools
 
 import pytest
 
@@ -6,37 +15,65 @@ from repro.cluster import DispatchPolicy, QuepaCluster
 from repro.errors import ConfigurationError
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation
+from repro.serving import QuepaServer, ServingConfig
+from repro.sharding import shard_aindex
 from repro.workloads import QueryWorkload
 
 K = GlobalKey.parse
 QUERY = "SELECT * FROM inventory WHERE name LIKE '%wish%'"
+DISINTEGRATION = "SELECT * FROM inventory WHERE name = 'Disintegration'"
 
 
 @pytest.fixture
-def cluster(mini_polystore, mini_aindex) -> QuepaCluster:
-    return QuepaCluster(mini_polystore, mini_aindex, instances=3)
+def partition():
+    """The index under test, made from a plain one: the plain index
+    itself here; ``_Sharded`` partitions it."""
+    return lambda index: index
+
+
+@pytest.fixture
+def aindex(partition, mini_aindex):
+    return partition(mini_aindex)
+
+
+@pytest.fixture
+def cluster(mini_polystore, aindex) -> QuepaCluster:
+    return QuepaCluster(mini_polystore, aindex, instances=3)
+
+
+def _keys(answer) -> set[str]:
+    return {str(key) for key in answer.augmented_keys()}
+
+
+def _seen_by_each(cluster, query, key) -> list[bool]:
+    """Whether each instance's answer to ``query`` augments with ``key``."""
+    return [
+        str(key) in _keys(
+            cluster.instance(index).augmented_search("transactions", query)
+        )
+        for index in range(len(cluster))
+    ]
 
 
 class TestConstruction:
-    def test_instances_have_independent_replicas(self, cluster, mini_aindex):
+    def test_instances_share_the_callers_index(self, cluster, aindex):
+        """One index, no copy; each instance keeps its own runtime,
+        cache and augmentation (so its own plan cache)."""
+        instances = [cluster.instance(index) for index in range(3)]
         assert len(cluster) == 3
-        for index in range(3):
-            replica = cluster.instance(index).aindex
-            assert replica is not mini_aindex
-            assert replica.edge_count() == mini_aindex.edge_count()
-        # Mutating one replica does not touch another.
-        cluster.instance(0).aindex.remove_object(K("catalogue.albums.d1"))
-        assert K("catalogue.albums.d1") in cluster.instance(1).aindex
+        assert all(quepa.aindex is aindex for quepa in instances)
+        for part in ("runtime", "cache", "augmentation"):
+            assert len({id(getattr(quepa, part)) for quepa in instances}) == 3
 
-    def test_zero_instances_rejected(self, mini_polystore, mini_aindex):
+    def test_zero_instances_rejected(self, mini_polystore, aindex):
         with pytest.raises(ConfigurationError):
-            QuepaCluster(mini_polystore, mini_aindex, instances=0)
+            QuepaCluster(mini_polystore, aindex, instances=0)
 
 
 class TestDispatch:
-    def test_round_robin_cycles(self, mini_polystore, mini_aindex):
+    def test_round_robin_cycles(self, mini_polystore, aindex):
         cluster = QuepaCluster(
-            mini_polystore, mini_aindex, instances=2,
+            mini_polystore, aindex, instances=2,
             policy=DispatchPolicy.ROUND_ROBIN,
         )
         picks = [
@@ -51,24 +88,32 @@ class TestDispatch:
         assert report.per_instance_counts() == {0: 2, 1: 2, 2: 2}
 
     def test_answers_match_single_instance(self, cluster, mini_quepa):
-        clustered = cluster.submit("transactions", QUERY).answer
-        solo = mini_quepa.augmented_search("transactions", QUERY)
-        assert {str(k) for k in clustered.augmented_keys()} == {
-            str(k) for k in solo.augmented_keys()
-        }
+        """Against a standalone instance over the plain index, at both
+        levels, through a drain."""
+        for level in (0, 1):
+            clustered = cluster.submit("transactions", QUERY, level=level)
+            solo = mini_quepa.augmented_search(
+                "transactions", QUERY, level=level
+            )
+            assert _keys(clustered.answer) == _keys(solo)
+            assert {str(o.key) for o in clustered.answer.originals} == {
+                str(o.key) for o in solo.originals
+            }
+        assert len(cluster.drain().results) == 2
 
     def test_makespan_shrinks_with_more_instances(
-        self, seven_store_bundle
+        self, seven_store_bundle, partition
     ):
         """The paper's point: independent queries answer in parallel."""
         bundle = seven_store_bundle
+        aindex = partition(bundle.aindex)
         workload = QueryWorkload(bundle)
         queries = [workload.query("transactions", 40, variant=v)
                    for v in range(6)]
 
         def makespan(instances: int) -> float:
             cluster = QuepaCluster(
-                bundle.polystore, bundle.aindex, instances=instances
+                bundle.polystore, aindex, instances=instances
             )
             for query in queries:
                 cluster.submit(query.database, query.query)
@@ -100,27 +145,104 @@ class TestDispatch:
 
 
 class TestMaintenance:
-    def test_add_relation_broadcasts(self, cluster):
-        relation = PRelation.matching(
-            K("transactions.inventory.a33"), K("similar.Item.i2"), 0.7
-        )
-        cluster.add_relation(relation)
-        for index in range(len(cluster)):
-            assert cluster.instance(index).aindex.relation(
-                relation.left, relation.right
-            ) is not None
+    """Maintenance is the caller's index, written once: every instance
+    sees the write at its next refreeze. (The ``..._broadcasts`` and
+    ``..._sync_on_drain`` ids predate the deletion of the cluster's own
+    broadcasts and drain-time sync.)"""
 
-    def test_remove_object_broadcasts(self, cluster):
-        cluster.remove_object(K("catalogue.albums.d1"))
-        for index in range(len(cluster)):
-            assert K("catalogue.albums.d1") not in cluster.instance(index).aindex
+    def test_add_relation_broadcasts(self, cluster, aindex):
+        i2 = K("similar.Item.i2")
+        assert _seen_by_each(cluster, DISINTEGRATION, i2) == [False] * 3
+        aindex.add(
+            PRelation.matching(K("transactions.inventory.a33"), i2, 0.7)
+        )
+        assert _seen_by_each(cluster, DISINTEGRATION, i2) == [True] * 3
+
+    def test_remove_object_broadcasts(self, cluster, aindex):
+        d1 = K("catalogue.albums.d1")
+        assert _seen_by_each(cluster, QUERY, d1) == [True] * 3
+        aindex.remove_object(d1)
+        assert _seen_by_each(cluster, QUERY, d1) == [False] * 3
 
     def test_lazy_deletions_sync_on_drain(self, cluster, mini_polystore):
-        """One replica discovers a deletion; drain propagates it."""
+        """One instance discovers a deletion; every instance sees it."""
         mini_polystore.database("catalogue").delete_one("albums", "d1")
-        # Run enough queries that at least one instance hits the ghost.
         for __ in range(3):
             cluster.submit("transactions", QUERY)
         cluster.drain()
         for index in range(len(cluster)):
             assert K("catalogue.albums.d1") not in cluster.instance(index).aindex
+
+    def test_lazy_deletion_survives_drain_without_wiping(
+        self, cluster, aindex, mini_polystore
+    ):
+        """A lazy deletion one instance finds removes exactly that node
+        — nothing else is lost, whatever the partitioning — and no
+        other instance's answer carries it afterwards."""
+        before = set(aindex.nodes())
+        victim = K("catalogue.albums.d1")
+        mini_polystore.database("catalogue").delete_one("albums", "d1")
+        first = cluster.submit("transactions", QUERY)
+        assert first.answer.stats.missing_objects == 1
+        cluster.drain()
+        assert set(aindex.nodes()) == before - {victim}
+        assert _seen_by_each(cluster, QUERY, victim) == [False] * 3
+
+    def test_answers_unaffected_by_unrelated_deletion(self, cluster, aindex):
+        baseline = cluster.submit("transactions", QUERY, level=1).answer
+        cluster.drain()
+        aindex.remove_object(K("similar.Item.i3"))
+        for __ in range(len(cluster)):
+            repeat = cluster.submit("transactions", QUERY, level=1).answer
+            assert _keys(repeat) == _keys(baseline)
+        cluster.drain()
+
+
+class TestServing:
+    def test_scheduler_drives_a_cluster_instance(self, cluster):
+        with QuepaServer(
+            cluster.instance(0), ServingConfig(workers=2)
+        ) as server:
+            answer = server.search("s1", "transactions", QUERY, level=1)
+        assert {str(obj.key) for obj in answer.originals} == {
+            "transactions.inventory.a32"
+        }
+        assert _keys(answer) == _keys(
+            cluster.instance(1).augmented_search(
+                "transactions", QUERY, level=1
+            )
+        )
+
+
+# -- the same behaviour over a partitioned index -----------------------------
+
+
+class _Sharded:
+    @pytest.fixture(params=[1, 3], ids=["1-shard", "3-shards"])
+    def partition(self, request):
+        return functools.partial(shard_aindex, shards=request.param)
+
+
+class TestConstructionSharded(_Sharded, TestConstruction):
+    pass
+
+
+class TestDispatchSharded(_Sharded, TestDispatch):
+    pass
+
+
+class TestMaintenanceSharded(_Sharded, TestMaintenance):
+    pass
+
+
+class TestServingSharded(_Sharded, TestServing):
+    pass
+
+
+def test_three_shards_split_the_mini_index(mini_aindex):
+    """Guards the fixture: at three shards the mini index spreads over
+    every partition with edges between them, so the sharded cases above
+    do cross shard boundaries."""
+    sharded = shard_aindex(mini_aindex, shards=3)
+    assert all(sharded.partition_node_counts())
+    assert sharded.cross_edges()

@@ -411,14 +411,6 @@ class TestShardedAIndex:
         partition_total = sum(sharded.partition_node_counts())
         assert partition_total == sharded.node_count()
 
-    def test_owning_shards_cover_home_and_stubs(self):
-        sharded = shard_aindex(make_mini_aindex(), shards=4)
-        key = K("catalogue.albums.d1")
-        owners = sharded.owning_shards(key)
-        assert sharded.shard_of(key) in owners
-        for neighbor in sharded.neighbors(key):
-            assert sharded.shard_of(neighbor.key) in owners
-
     def test_remove_object_clears_stubs_and_cross_entries(self):
         sharded = shard_aindex(make_mini_aindex(), shards=4)
         key = K("catalogue.albums.d1")
@@ -451,33 +443,29 @@ class TestShardedAIndex:
         with pytest.raises(TypeError):
             frozen.remove_object(K("a.b.c"))
 
-    def test_copy_is_independent(self):
-        sharded = shard_aindex(make_mini_aindex(), shards=2)
-        replica = sharded.copy()
-        replica.remove_object(K("catalogue.albums.d1"))
-        assert K("catalogue.albums.d1") in sharded
-
     def test_copy_keeps_class_partitioning_and_lineage(self):
-        sharded = shard_aindex(_propagated_index(AIndex()), shards=4)
-        replica = sharded.copy()
-        assert type(replica) is ShardedAIndex
-        assert replica.shards == 4
-        assert replica.partition_node_counts() == (
-            sharded.partition_node_counts()
-        )
-        assert replica.cross_edges() == sharded.cross_edges()
-        assert replica._lineage == sharded._lineage
-        assert replica._lineage is not sharded._lineage
-        # ... and the per-node index derived from it, through both
-        # ``shard_aindex`` and ``copy`` (deletions only look there).
+        """``shard_aindex`` is the one way left to copy an index. The copy
+        partitions exactly as an index built sharded does, and keeps the
+        lineage and the per-node index derived from it (deletions only
+        look there); a cascade on the copy leaves the source alone."""
         source = _propagated_index(AIndex())
+        built = _propagated_index(ShardedAIndex(shards=4))
+        sharded = shard_aindex(source, shards=4)
+        assert type(sharded) is ShardedAIndex
+        assert sharded.shards == 4
+        assert sharded.partition_node_counts() == (
+            built.partition_node_counts()
+        )
+        assert sharded.cross_edges().keys() == built.cross_edges().keys()
         assert source._lineage_by_node
+        assert sharded._lineage == source._lineage
+        assert sharded._lineage is not source._lineage
         assert sharded._lineage_by_node == source._lineage_by_node
-        assert replica._lineage_by_node == source._lineage_by_node
         (pair, supports), *__ = source._lineage.items()
         support = next(iter(supports))
-        assert replica.remove_relation(*support, cascade=True) >= 2
-        assert replica.relation(*pair) is None
+        assert sharded.remove_relation(*support, cascade=True) >= 2
+        assert sharded.relation(*pair) is None
+        assert source.relation(*pair) is not None
 
     def test_cross_edges_are_canonical_pair_to_endpoint_owners(self):
         """Regression: the owner tuple follows the *canonical* pair, not
@@ -518,9 +506,9 @@ def _propagated_index(index):
 
 
 class TestOneImplementation:
-    """Structural guard: the Consistency-Condition algorithm and the
-    cluster constructor exist once, so a second copy cannot quietly
-    grow back in the sharded classes."""
+    """Structural guard: the Consistency-Condition algorithm exists
+    once, so a second copy cannot quietly grow back in the sharded
+    index."""
 
     def test_sharded_index_inherits_the_algorithm(self):
         assert issubclass(ShardedAIndex, AIndex)
@@ -531,35 +519,9 @@ class TestOneImplementation:
             "remove_object", "excise", "remove_relation", "is_inferred",
         }
         assert inherited.isdisjoint(vars(ShardedAIndex))
-        for name in inherited | {"copy", "frozen"}:
+        for name in inherited | {"frozen"}:
             assert getattr(ShardedAIndex, name) is getattr(AIndex, name)
         assert type(AIndex()._adjacency) is dict
-
-    def test_both_clusters_build_instances_in_one_code_object(
-        self, polystore, monkeypatch
-    ):
-        import sys
-
-        import repro.cluster.cluster as cluster_module
-        from repro.cluster import QuepaCluster, ShardedCluster
-
-        builders = []
-
-        def recording_quepa(*args, **kwargs):
-            builders.append(sys._getframe(1).f_code)
-            return Quepa(*args, **kwargs)
-
-        monkeypatch.setattr(cluster_module, "Quepa", recording_quepa)
-        QuepaCluster(polystore, make_mini_aindex(), instances=2)
-        ShardedCluster(
-            polystore, shard_aindex(make_mini_aindex(), shards=2), instances=2
-        )
-        assert len(builders) == 4
-        (builder,) = set(builders)
-        base_init = QuepaCluster.__init__.__code__
-        # (before Python 3.12 the list comprehension is a nested code
-        # object among ``__init__``'s constants)
-        assert builder is base_init or builder in base_init.co_consts
 
 
 # -- wiring ------------------------------------------------------------------
