@@ -196,6 +196,26 @@ def test_sharding_smoke_two_shards(bundle7, report):
         (str(o.key), round(o.probability, 12)) for o in expected.augmented
     }
     assert _per_lookup_fanout(polystore, bundle7) == 1.0
+    # The graph's query is a ``match`` with a LIMIT: the engine merges the
+    # shards' matches into the one unsharded answer (not a LIMIT each).
+    graph = workload.query("similar", 100)
+    graph_answers = [
+        system.augmented_search(
+            graph.database, graph.query, level=1, config=CONFIG
+        )
+        for system in (plain, quepa)
+    ]
+    signatures = {
+        (
+            tuple(str(o.key) for o in found.originals),
+            frozenset(
+                (str(o.key), round(o.probability, 12)) for o in found.augmented
+            ),
+        )
+        for found in graph_answers
+    }
+    assert len(signatures) == 1  # same originals, in order; same augmented
+    assert len(graph_answers[1].originals) == 100
     report.row(
         shards=2, placement="hash",
         originals=len(answer.originals), augmented=len(answer.augmented),

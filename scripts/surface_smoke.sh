@@ -32,6 +32,12 @@ count=(--snapshot "$snap" --database transactions
 plain="$(repro query "${count[@]}" 2>&1)" && exit 1
 sharded="$(repro query "${count[@]}" --shards 2 2>&1)" && exit 1
 [[ "$plain" == error:* && "$sharded" == "$plain" ]]
+# A sharded ORDER BY ... LIMIT is the unsharded answer (the engine merges
+# the shards' rows), not one LIMIT per shard.
+top=(--snapshot "$snap" --database transactions --level 0
+     --query "SELECT * FROM inventory ORDER BY seq LIMIT 3")
+one="$(repro query "${top[@]}" --shards 1)"
+[[ "$one" == "3 result(s)"* && "$(repro query "${top[@]}" --shards 2)" == "$one" ]]
 # A query the store refuses (BETWEEN on mismatched types: a TypeError
 # inside the engine until ISSUE 22) is one error line, not a traceback.
 refused="$(repro query --snapshot "$snap" --database transactions \

@@ -15,7 +15,6 @@ from repro.sharding.scheme import (
     RangeScheme,
     hash_shard,
     make_scheme,
-    query_interval,
 )
 from repro.sharding.store import (
     ShardedStore,
@@ -36,7 +35,6 @@ __all__ = [
     "hash_shard",
     "make_scheme",
     "partition_store",
-    "query_interval",
     "shard_aindex",
     "shard_polystore",
 ]

@@ -23,7 +23,6 @@ range placement (shard boundary overlap).
 
 from __future__ import annotations
 
-import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -78,6 +77,9 @@ class PartitionScheme(ABC):
     """Placement + pruning policy for one sharded store."""
 
     placement: str = "abstract"
+    #: The numeric attribute placement reads, when it reads one: an
+    #: engine prunes a scan to the shards its window of it can reach.
+    token_field: str | None = None
 
     def __init__(self, shards: int) -> None:
         if shards < 1:
@@ -264,55 +266,3 @@ def make_scheme(
     raise ConfigurationError(
         f"unknown placement {placement!r}; expected 'hash' or 'range'"
     )
-
-
-#: ``seq >= A AND seq < B`` — the exact window shape the workload's SQL
-#: queries use — as a conjunct (after ``WHERE``, ``AND`` or ``(``) with
-#: integer bounds that no arithmetic continues. Compiled per token
-#: field on demand.
-_SQL_WINDOW = (
-    r"(?:\bWHERE|\bAND|\()\s*{tok}\s*>=\s*(-?\d+)(?![\d.]|\s*[-+*/])"
-    r"\s+AND\s+{tok}\s*<\s*(-?\d+)(?![\d.]|\s*[-+*/])"
-)
-#: A window bounds the answer only when the text is a pure conjunction:
-#: ``OR`` and ``NOT`` admit rows outside it, and a quoted literal may
-#: contain text that looks like one.
-_SQL_UNPROVABLE = re.compile(r"\b(?:OR|NOT)\b|['\"]", re.IGNORECASE)
-
-
-def query_interval(
-    engine: str, query: Any, token_field: str = "seq"
-) -> tuple[float, float] | None:
-    """The half-open token window a native query provably stays inside.
-
-    Returns ``None`` when no window can be derived — the caller must
-    then treat every partition as a candidate. Only *provable* windows
-    are returned; a wrong interval would silently drop answers, so the
-    extraction is deliberately conservative.
-    """
-    if engine == "relational" and isinstance(query, str):
-        if _SQL_UNPROVABLE.search(query):
-            return None
-        match = re.search(
-            _SQL_WINDOW.format(tok=re.escape(token_field)), query
-        )
-        if match:
-            return float(match.group(1)), float(match.group(2))
-        return None
-    if engine == "document":
-        condition = None
-        if isinstance(query, Mapping):
-            filter_ = query.get("filter")
-            if isinstance(filter_, Mapping):
-                condition = filter_.get(token_field)
-        if isinstance(condition, Mapping):
-            # ``$gt: v`` bounds from ``v`` itself: the window is
-            # half-open, and ``v + 1`` would skip fractional tokens.
-            lo = condition.get("$gte", condition.get("$gt"))
-            hi = condition.get("$lt")
-            if hi is None and isinstance(condition.get("$lte"), (int, float)):
-                hi = condition["$lte"] + 1
-            if isinstance(lo, (int, float)) and isinstance(hi, (int, float)):
-                return float(lo), float(hi)
-        return None
-    return None

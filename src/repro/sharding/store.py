@@ -6,10 +6,11 @@ every operation through a :class:`~repro.sharding.scheme.PartitionScheme`:
 * ``multi_get``/``get_value`` route per key — to exactly the owning
   shard under hash placement, to every shard under range placement
   (the token is not derivable from an opaque key);
-* ``execute`` fans out to the candidate shards and merges, pruning
-  partitions that provably cannot answer: per-key exact for a KV MGET
-  under hash placement, token-interval overlap for windowed queries
-  under range placement, no pruning otherwise.
+* ``execute`` leaves the query to the engine, which alone reads its
+  language: its ``scatter`` names the shards that can answer and what
+  each runs (``skip + limit`` as the per-shard limit), its ``merge``
+  makes their answers the unsharded answer — or it raises
+  ``QueryError`` for what does not merge (aggregates, joins, writes).
 
 The wrapper is a real :class:`~repro.stores.base.Store`, so the
 polystore, connectors, validator and EXPLAIN all work unchanged; with
@@ -31,22 +32,11 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.errors import ConfigurationError, KeyNotFoundError, QueryError
+from repro.errors import ConfigurationError, KeyNotFoundError
 from repro.model.objects import DataObject, GlobalKey
 from repro.model.polystore import Polystore
-from repro.sharding.scheme import (
-    KeyRouting,
-    PartitionScheme,
-    make_scheme,
-    query_interval,
-)
-from repro.stores.base import Store, StoreCapabilities
-
-#: SQL verbs a sharded relational store refuses through ``execute``:
-#: a write is routed per object (:meth:`ShardedStore.apply_change`, or
-#: the owning shard's native API under that shard's lock — the serving
-#: layer's writers hold a single shard's lock, never the whole fleet's).
-_SQL_WRITE_VERBS = {"INSERT", "UPDATE", "DELETE", "CREATE", "DROP"}
+from repro.sharding.scheme import KeyRouting, PartitionScheme, make_scheme
+from repro.stores.base import Store, StoreCapabilities, describe_query
 
 
 class ShardedStore(Store):
@@ -55,12 +45,7 @@ class ShardedStore(Store):
     #: Marker the connector registry and EXPLAIN dispatch on.
     sharded = True
 
-    def __init__(
-        self,
-        shards: list[Store],
-        scheme: PartitionScheme,
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, shards: list[Store], scheme: PartitionScheme) -> None:
         if not shards:
             raise ConfigurationError("a sharded store needs at least one shard")
         if len(shards) != scheme.shards:
@@ -72,7 +57,7 @@ class ShardedStore(Store):
         self.shards = list(shards)
         self.scheme = scheme
         super().__init__()
-        self.engine = engine or self.shards[0].engine
+        self.engine = self.shards[0].engine
         #: Partition-pruning tallies for native scans (the connector
         #: publishes the equivalent counters for key fetches).
         self.partitions_scanned_total = 0
@@ -131,113 +116,58 @@ class ShardedStore(Store):
         ]
         return routing
 
-    def route_scan(
-        self, query: Any
-    ) -> tuple[list[tuple[int, Any]], list[int]]:
-        """``(targets, pruned)`` for one native query.
-
-        ``targets`` is ``(shard, per-shard query)`` for every candidate
-        partition. A KV MGET under hash placement splits its key list
-        exactly; windowed queries under range placement keep only the
-        partitions whose token interval overlaps the window; anything
-        else fans out to every shard.
-        """
-        if (
-            self.engine == "keyvalue"
-            and isinstance(query, tuple)
-            and len(query) == 2
-            and str(query[0]).lower() == "mget"
-            and self.scheme.placement == "hash"
-        ):
-            groups: dict[int, list[str]] = {}
-            for local_key in query[1]:
-                shard = self.scheme.shard_of_key(local_key)
-                groups.setdefault(shard, []).append(local_key)
-            targets = [
-                (shard, ("mget", local_keys))
-                for shard, local_keys in sorted(groups.items())
-            ]
-            pruned = [
-                shard
-                for shard in range(self.shard_count)
-                if shard not in groups
-            ]
-            return targets, pruned
-        token_field = getattr(self.scheme, "token_field", "seq")
-        interval = query_interval(self.engine, query, token_field)
-        candidates = self.scheme.scan_candidates(interval)
-        pruned = [
-            shard
-            for shard in range(self.shard_count)
-            if shard not in candidates
-        ]
-        return [(shard, query) for shard in candidates], pruned
+    def _scatter(self, query: Any) -> tuple[list, Any]:
+        """The engine's ``(targets, merge)``; one shard is pass-through."""
+        if self.shard_count == 1:
+            return [(0, query)], "union"
+        return self.shards[0].scatter(query, self.scheme)
 
     # -- native access -------------------------------------------------------
 
     def execute(self, query: Any) -> list[DataObject]:
-        if (
-            self.engine == "relational"
-            and isinstance(query, str)
-            # A blank query has no verb; the shards refuse it as the
-            # plain engine does (SqlSyntaxError).
-            and (query.split(None, 1) or [""])[0].upper() in _SQL_WRITE_VERBS
-        ):
-            raise QueryError(
-                "sharded stores are read-only through execute(); "
-                "route writes through apply_change()"
-            )
-        targets, pruned = self.route_scan(query)
+        targets, __ = self._scatter(query)
         self.partitions_scanned_total += len(targets)
-        self.partitions_pruned_total += len(pruned)
-        results: list[DataObject] = []
-        seen: set[GlobalKey] = set()
+        self.partitions_pruned_total += self.shard_count - len(targets)
+        results = []
         for shard, subquery in targets:
             engine = self.shards[shard]
             examined = engine.stats.rows_examined
-            objects = engine.execute(subquery)
+            results.append(engine.execute(subquery))
             self.stats.rows_examined += engine.stats.rows_examined - examined
-            for obj in objects:
-                if obj.key.collection == "_result" and len(targets) > 1:
-                    # Synthetic result rows (joins, aggregates) are
-                    # per-shard local; re-key them so rows from
-                    # different shards never collide.
-                    obj = DataObject(
-                        GlobalKey(
-                            obj.key.database,
-                            "_result",
-                            f"s{shard}-{obj.key.key}",
-                        ),
-                        obj.value,
-                        obj.probability,
-                    )
-                if obj.key in seen:
-                    continue
-                seen.add(obj.key)
-                results.append(obj)
+        answer = results[0] if self.shard_count == 1 else (
+            self.shards[0].merge(query, results)
+        )
         self.stats.queries += 1
-        self.stats.objects_returned += len(results)
-        return results
+        self.stats.objects_returned += len(answer)
+        return answer
 
     def _explain_plan(self, query: Any) -> dict[str, Any]:
-        targets, pruned = self.route_scan(query)
+        targets, merge = self._scatter(query)
         per_shard = [
-            {"shard": shard, **self.shards[shard]._explain_plan(subquery)}
+            {
+                "shard": shard,
+                "query": describe_query(subquery),
+                **self.shards[shard]._explain_plan(subquery),
+            }
             for shard, subquery in targets
         ]
+        scanned = [shard for shard, __ in targets]
         return {
             "access_path": "sharded_fanout",
             "index": None,
             "placement": self.scheme.placement,
             "shards": self.shard_count,
-            "scanned_partitions": [shard for shard, __ in targets],
-            "pruned_partitions": pruned,
+            "scanned_partitions": scanned,
+            "pruned_partitions": [
+                shard for shard in range(self.shard_count) if shard not in scanned
+            ],
             "estimated_rows": sum(
                 plan.get("estimated_rows", 0) for plan in per_shard
             ),
             "estimated_cost": float(
                 sum(plan.get("estimated_cost", 0.0) for plan in per_shard)
             ),
+            "merge": merge,
             "per_shard": per_shard,
         }
 
@@ -305,7 +235,7 @@ class ShardedStore(Store):
 
     def empty_like(self) -> "ShardedStore":
         shards = [shard.empty_like() for shard in self.shards]
-        return ShardedStore(shards, self.scheme, engine=self.engine)
+        return ShardedStore(shards, self.scheme)
 
     def records(self) -> Iterator[tuple[str, str, Any]]:
         found: list[tuple[str, str, Any]] = []
@@ -379,7 +309,7 @@ def partition_store(store: Store, scheme: PartitionScheme) -> ShardedStore:
         raise ConfigurationError(
             f"no splitter for engine {store.engine!r}"
         ) from exc
-    sharded = ShardedStore(shards, scheme, engine=store.engine)
+    sharded = ShardedStore(shards, scheme)
     sharded.database_name = store.database_name
     # Records are unique and the shards start empty, so placement skips
     # the sweep of other candidate shards the routed apply_change does.

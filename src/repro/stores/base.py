@@ -12,7 +12,10 @@ stored data object can be identified and accessed by means of a key"
   collector and the workload builder;
 * ``dump_state()`` / ``load_state()`` / ``empty_like()`` / ``records()``
   / ``apply_change()`` — the state contract: only an engine knows its
-  own layout, so snapshots, WAL replay and partitioning ask the store.
+  own layout, so snapshots, WAL replay and partitioning ask the store;
+* ``scatter()`` / ``merge()`` — its query half: only an engine reads its
+  own language, so a sharded store asks it what each shard runs and how
+  the shards' answers make one.
 
 Engines also keep :class:`StoreStats` counters so tests can assert how
 many native operations an augmenter actually issued.
@@ -20,6 +23,8 @@ many native operations an augmenter actually issued.
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 import time
 import weakref
@@ -293,6 +298,28 @@ class Store(ABC):
         hold :attr:`lock`."""
         raise NotImplementedError(f"{self.engine} stores do not replay")
 
+    # -- partitioned execution -----------------------------------------------
+
+    def scatter(self, query: Any, scheme: Any) -> tuple[list, Any]:
+        """``([(shard, query it runs), ...], merge)``: the shards of
+        ``scheme`` that can answer and how :meth:`merge` makes one answer
+        (for EXPLAIN), or QueryError. By default all run ``query``."""
+        return [(shard, query) for shard in range(scheme.shards)], "union"
+
+    def merge(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
+        """The answer from the targets' answers: by default their union."""
+        return list({obj.key: obj for run in results for obj in run}.values())
+
+    def _rerun(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
+        """``query`` answered by a store of this kind that holds only the
+        targets' answers — whole objects, placed with :meth:`apply_change`:
+        the merge whose ORDER BY, skip and limit are the engine's own."""
+        union = self.empty_like()
+        union.database_name = self.database_name
+        for obj in itertools.chain.from_iterable(results):
+            union.apply_change("append", obj.key.collection, obj.key.key, obj.value)
+        return union.execute(query)
+
     def iter_objects(self) -> Iterator[DataObject]:
         """Iterate every data object in the store (collector input)."""
         if not self.database_name:
@@ -326,6 +353,17 @@ class Store(ABC):
 
     def capabilities(self) -> StoreCapabilities:
         return StoreCapabilities(name=self.engine)
+
+
+def token_window(bounds: Iterable[tuple[str, Any]]) -> tuple | None:
+    """The half-open ``[lo, hi)`` holding a token that meets every
+    ``(op, number)`` bound (``> v`` from ``v``, ``<= v`` / ``= v`` to
+    ``v + 1``: never lossy), or ``None``; a scan's shards prune by it."""
+    bounds = [(op, v) for op, v in bounds if type(v) in (int, float)]
+    lo = max((v for op, v in bounds if op in (">", ">=", "=")), default=-math.inf)
+    hi = min((v + (op != "<") for op, v in bounds if op in ("<", "<=", "=")),
+             default=math.inf)
+    return None if (lo, hi) == (-math.inf, math.inf) else (lo, hi)
 
 
 def describe_query(query: Any, limit: int = 200) -> str:

@@ -359,3 +359,13 @@ def project(
     if not include_id:
         result.pop("_id", None)
     return result
+
+
+def token_bounds(query: Any, field: str | None) -> list[tuple[str, Any]]:
+    """``(op, value)`` of the filter's comparisons at top-level ``field``."""
+    condition = query.get(field) if field and _is_document(query) else None
+    condition = condition if _is_operator_doc(condition) else {"$eq": condition}
+    return [(_SYMBOLS[op], v) for op, v in condition.items() if op in _SYMBOLS]
+
+
+_SYMBOLS = {"$gt": ">", "$gte": ">=", "$lt": "<", "$lte": "<=", "$eq": "="}

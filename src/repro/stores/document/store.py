@@ -14,11 +14,12 @@ from typing import Any, Iterator, Mapping
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, QueryError
 from repro.model.objects import DataObject, GlobalKey
-from repro.stores.base import Store
+from repro.stores.base import Store, token_window
 from repro.stores.document.query import (
     compile_filter,
     project,
     resolve_path,
+    token_bounds,
 )
 
 
@@ -184,40 +185,42 @@ class DocumentStore(Store):
         """Native query: ``(collection, filter)`` or a dict with keys
         ``collection``, ``filter`` and optionally ``projection``,
         ``sort``, ``skip``, ``limit``."""
-        if isinstance(query, tuple) and len(query) == 2:
-            collection, filter_doc = query
-            options: dict[str, Any] = {}
-        elif isinstance(query, Mapping) and "collection" in query:
-            collection = query["collection"]
-            filter_doc = query.get("filter", {})
-            options = {
-                key: query[key]
-                for key in ("projection", "sort", "skip", "limit")
-                if key in query
-            }
-        else:
-            raise QueryError(f"unsupported document query: {query!r}")
-        documents = self.find(collection, filter_doc, **options)
+        collection, filter_doc, options = _find_args(query)
         return [
             DataObject(
                 GlobalKey(self.database_name or "doc", collection, doc["_id"]),
                 doc,
             )
-            for doc in documents
+            for doc in self.find(collection, filter_doc, **options)
         ]
+
+    def scatter(self, query: Any, scheme: Any) -> tuple[list, Any]:
+        """Shards the filter's token window reaches. A sorted, skipped or
+        limited find runs there unprojected and cut to ``skip + limit``
+        documents, for :meth:`merge` to re-run over whole documents."""
+        __, filter_doc, options = _find_args(query)
+        window = token_window(token_bounds(filter_doc, scheme.token_field))
+        merge: Any = "union"
+        if options.keys() & _WINDOW:
+            sort, skip, limit = (options.get(key) for key in ("sort", "skip", "limit"))
+            merge = {"order": sort or [], "skip": skip or 0, "limit": limit}
+            query = {
+                **{key: value for key, value in query.items() if key != "projection"},
+                "skip": 0, "limit": limit and (skip or 0) + limit,
+            }
+        return [(shard, query) for shard in scheme.scan_candidates(window)], merge
+
+    def merge(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
+        if _find_args(query)[2].keys() & _WINDOW:
+            return self._rerun(query, results)
+        return super().merge(query, results)
 
     def _explain_plan(self, query: Any) -> dict[str, Any]:
         """Access path for a find: equality index probe when the filter
         has a top-level ``field: literal`` / ``field: {"$in": [...]}``
         predicate on an indexed field (the :meth:`_candidates` rule),
         collection scan otherwise."""
-        if isinstance(query, tuple) and len(query) == 2:
-            collection, filter_doc = query
-        elif isinstance(query, Mapping) and "collection" in query:
-            collection = query["collection"]
-            filter_doc = query.get("filter", {})
-        else:
-            raise QueryError(f"unsupported document query: {query!r}")
+        collection, filter_doc, __ = _find_args(query)
         documents = self._require(collection)
         indexes = self._indexes.get(collection, {})
         for field, condition in (filter_doc or {}).items():
@@ -446,6 +449,21 @@ def _hashable(value: Any) -> Any:
     if isinstance(value, dict):
         return tuple(sorted((k, _hashable(v)) for k, v in value.items()))
     return value
+
+
+def _find_args(query: Any) -> tuple[str, Any, dict[str, Any]]:
+    """``(collection, filter, find options)`` of a native query."""
+    if isinstance(query, tuple) and len(query) == 2:
+        return query[0], query[1], {}
+    if not isinstance(query, Mapping) or "collection" not in query:
+        raise QueryError(f"unsupported document query: {query!r}")
+    options = {key: query[key] for key in _FIND_OPTIONS if key in query}
+    return query["collection"], query.get("filter", {}), options
+
+
+_FIND_OPTIONS = ("projection", "sort", "skip", "limit")
+#: The options that window a find's answer: a sharded find re-runs them.
+_WINDOW = frozenset(_FIND_OPTIONS[1:])
 
 
 def _sort_key(values: list[Any]) -> tuple[int, Any]:

@@ -187,6 +187,8 @@ class GraphStore(Store):
             candidate_ids = iter(self._nodes)
         results: list[Node] = []
         for node_id in candidate_ids:
+            if limit is not None and len(results) >= limit:
+                break
             self.stats.rows_examined += 1
             node = self._nodes[node_id]
             if properties and any(
@@ -195,8 +197,6 @@ class GraphStore(Store):
             ):
                 continue
             results.append(node)
-            if limit is not None and len(results) >= limit:
-                break
         self.stats.objects_returned += len(results)
         return results
 
@@ -334,6 +334,37 @@ class GraphStore(Store):
             ]
         self.stats.objects_returned += len(objects)
         return objects
+
+    def scatter(self, query: Any, scheme: Any) -> tuple[list, Any]:
+        """Every shard runs the query itself: the Cypher subset has no
+        SKIP, so a shard's LIMIT bounds the answer's. Cypher answers
+        across shards only a node pattern that returns its node: an edge
+        is a join over a cut graph, property rows have no key."""
+        targets, merge = super().scatter(query, scheme)
+        if isinstance(query, str):
+            from repro.stores.graph.cypher import parse_cypher
+
+            parsed = parse_cypher(query)
+            if parsed.edges or all(item.prop for item in parsed.items):
+                raise QueryError(
+                    "cypher across shards answers one node pattern that "
+                    "returns its node"
+                )
+            merge = {"order": [
+                f"{o.variable}.{o.prop}{'' if o.ascending else ' DESC'}"
+                for o in parsed.order
+            ], "limit": parsed.limit}
+        elif isinstance(query, Mapping) and query.get("op") == "match":
+            merge = {"order": ["_id"] * (query.get("label") is not None),
+                     "limit": query.get("limit")}
+        return targets, merge
+
+    def merge(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
+        """Cypher and ``match`` re-run over the shards' nodes; the other
+        ops, which walk edges, take the union."""
+        if isinstance(query, str) or query.get("op") == "match":
+            return self._rerun(query, results)
+        return super().merge(query, results)
 
     def _explain_plan(self, query: Any) -> dict[str, Any]:
         """Access path for a graph query: label-index scan when the

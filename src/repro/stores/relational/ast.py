@@ -231,3 +231,104 @@ class DropTable:
 Statement = (
     Select | Insert | Update | Delete | CreateTable | CreateIndex | DropTable
 )
+
+
+# ---------------------------------------------------------------------------
+# SQL printing (rewritten statements: the validator's, and the per-shard
+# statements of a partitioned table)
+# ---------------------------------------------------------------------------
+
+
+def sql_to_string(statement: Select) -> str:
+    """Render a SELECT AST back to SQL text."""
+    parts = ["SELECT"]
+    if statement.distinct:
+        parts.append("DISTINCT")
+    parts.append(", ".join(_item_sql(item) for item in statement.items))
+    parts.append("FROM")
+    parts.append(_table_sql(statement.table))
+    for join in statement.joins:
+        keyword = "LEFT JOIN" if join.kind == "LEFT" else "JOIN"
+        parts.append(f"{keyword} {_table_sql(join.table)} ON {expr_to_string(join.on)}")
+    if statement.where is not None:
+        parts.append(f"WHERE {expr_to_string(statement.where)}")
+    if statement.group_by:
+        parts.append(
+            "GROUP BY " + ", ".join(expr_to_string(e) for e in statement.group_by)
+        )
+    if statement.having is not None:
+        parts.append(f"HAVING {expr_to_string(statement.having)}")
+    if statement.order_by:
+        parts.append("ORDER BY " + ", ".join(order_sql(o) for o in statement.order_by))
+    if statement.limit is not None:
+        parts.append(f"LIMIT {statement.limit}")
+        if statement.offset:
+            parts.append(f"OFFSET {statement.offset}")
+    return " ".join(parts)
+
+
+def _item_sql(item: SelectItem) -> str:
+    text = expr_to_string(item.expr)
+    if item.alias:
+        return f"{text} AS {item.alias}"
+    return text
+
+
+def _table_sql(table) -> str:
+    if table.alias:
+        return f"{table.name} {table.alias}"
+    return table.name
+
+
+def order_sql(order: OrderItem) -> str:
+    suffix = "" if order.ascending else " DESC"
+    return expr_to_string(order.expr) + suffix
+
+
+def expr_to_string(expr: Expr) -> str:
+    """Render an expression AST back to SQL text."""
+    if isinstance(expr, Literal):
+        return _literal_sql(expr.value)
+    if isinstance(expr, ColumnRef):
+        return str(expr)
+    if isinstance(expr, Star):
+        return f"{expr.table}.*" if expr.table else "*"
+    if isinstance(expr, BinaryOp):
+        return f"({expr_to_string(expr.left)} {expr.op} {expr_to_string(expr.right)})"
+    if isinstance(expr, LikeOp):
+        keyword = "NOT LIKE" if expr.negated else "LIKE"
+        return f"{expr_to_string(expr.expr)} {keyword} {expr_to_string(expr.pattern)}"
+    if isinstance(expr, InOp):
+        keyword = "NOT IN" if expr.negated else "IN"
+        items = ", ".join(expr_to_string(item) for item in expr.items)
+        return f"{expr_to_string(expr.expr)} {keyword} ({items})"
+    if isinstance(expr, BetweenOp):
+        keyword = "NOT BETWEEN" if expr.negated else "BETWEEN"
+        return (
+            f"{expr_to_string(expr.expr)} {keyword} "
+            f"{expr_to_string(expr.low)} AND {expr_to_string(expr.high)}"
+        )
+    if isinstance(expr, IsNullOp):
+        keyword = "IS NOT NULL" if expr.negated else "IS NULL"
+        return f"{expr_to_string(expr.expr)} {keyword}"
+    if isinstance(expr, FuncCall):
+        inner = ", ".join(expr_to_string(arg) for arg in expr.args)
+        if expr.distinct:
+            inner = f"DISTINCT {inner}"
+        return f"{expr.name}({inner})"
+    if isinstance(expr, UnaryOp):
+        if expr.op == "NOT":
+            return f"NOT ({expr_to_string(expr.operand)})"
+        return f"-{expr_to_string(expr.operand)}"
+    raise ValueError(f"cannot render expression {expr!r}")
+
+
+def _literal_sql(value: Any) -> str:
+    if value is None:
+        return "NULL"
+    if isinstance(value, bool):
+        return "TRUE" if value else "FALSE"
+    if isinstance(value, str):
+        escaped = value.replace("'", "''")
+        return f"'{escaped}'"
+    return repr(value)

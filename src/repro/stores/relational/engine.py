@@ -10,6 +10,7 @@ lookups. The native language is the SQL subset of
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import (
@@ -19,7 +20,7 @@ from repro.errors import (
     SchemaError,
 )
 from repro.model.objects import DataObject, GlobalKey
-from repro.stores.base import Store
+from repro.stores.base import Store, token_window
 from repro.stores.relational.ast import (
     CreateIndex,
     CreateTable,
@@ -27,14 +28,20 @@ from repro.stores.relational.ast import (
     DropTable,
     Insert,
     Select,
+    SelectItem,
+    Star,
     Update,
+    order_sql,
+    sql_to_string,
 )
 from repro.stores.relational.executor import (
     ResultRow,
     WritePlan,
+    base_order,
     bind,
     index_probe,
     run_select,
+    token_bounds,
 )
 from repro.stores.relational.parser import prepare_sql
 from repro.stores.relational.types import Column, ColumnType, TableSchema
@@ -274,8 +281,6 @@ class RelationalStore(Store):
         objects keyed by their base-table primary key; derived rows
         (joins, expressions over multiple tables) get synthetic keys in
         the pseudo-collection ``_result`` and are never augmentable."""
-        if not isinstance(query, str):
-            raise QueryError(f"relational queries are SQL strings, got {query!r}")
         rows = self.sql_rows(query)
         database = self.database_name or "sql"
         objects: list[DataObject] = []
@@ -287,15 +292,46 @@ class RelationalStore(Store):
             objects.append(DataObject(key, dict(row.values)))
         return objects
 
+    def scatter(self, query: Any, scheme: Any) -> tuple[list, Any]:
+        """Shards the WHERE's token window reaches. A windowed SELECT runs
+        there as ``SELECT *`` cut to ``OFFSET + LIMIT`` rows, for
+        :meth:`merge` to re-run over whole rows."""
+        select, windowed = self._sharded_select(query)
+        window = token_window(token_bounds(select.where, scheme.token_field))
+        merge: Any = "union"
+        if windowed:
+            merge = {"order": [order_sql(key) for key in select.order_by],
+                     "skip": select.offset, "limit": select.limit}
+            query = sql_to_string(replace(
+                select, items=(SelectItem(Star()),), order_by=base_order(select),
+                offset=0, limit=select.limit and select.offset + select.limit,
+            ))
+        return [(shard, query) for shard in scheme.scan_candidates(window)], merge
+
+    def merge(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
+        if self._sharded_select(query)[1]:
+            return self._rerun(query, results)
+        return super().merge(query, results)
+
+    def _sharded_select(self, query: Any) -> tuple[Select, bool]:
+        """A SELECT whose rows each come from one shard, and whether
+        ORDER BY / OFFSET / LIMIT window it; anything else QueryError."""
+        select, __ = prepare_sql(query)
+        if not isinstance(select, Select) or select.joins or (
+            select.distinct or select.is_aggregate()
+        ):
+            raise QueryError(
+                "across shards only a single-table SELECT without DISTINCT, "
+                "GROUP BY or aggregates merges; writes go through apply_change()"
+            )
+        windowed = select.order_by or select.offset or select.limit is not None
+        return select, bool(windowed)
+
     def _explain_plan(self, query: Any) -> dict[str, Any]:
         """Access path for a SQL SELECT: index probe when the WHERE has
         a usable equality/IN conjunct on an indexed column (the same
         test :func:`run_select` applies), full table scan
         otherwise. Joins report their strategy (hash vs. nested loop)."""
-        if not isinstance(query, str):
-            raise QueryError(
-                f"relational queries are SQL strings, got {query!r}"
-            )
         parsed, compiled = prepare_sql(query)
         if not isinstance(parsed, Select):
             return {

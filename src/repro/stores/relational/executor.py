@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import operator
 import re
+from dataclasses import replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
 
@@ -54,6 +55,7 @@ from repro.stores.relational.ast import (
     Join,
     LikeOp,
     Literal,
+    OrderItem,
     Select,
     SelectItem,
     Star,
@@ -880,6 +882,35 @@ def _bind_order(
             bind(key.refs, schemas)
             keys.append((None, key.value, key.ascending))
     return keys
+
+
+def base_order(select: Select) -> tuple[OrderItem, ...]:
+    """ORDER BY read over base rows: a key naming a select item is that
+    item's expression (the name :func:`_bind_order` resolves first)."""
+    named = {
+        _item_name(item): item.expr
+        for item in select.items if not isinstance(item.expr, Star)
+    }
+    return tuple(
+        replace(key, expr=named.get(key.expr.name, key.expr))
+        if isinstance(key.expr, ColumnRef) else key
+        for key in select.order_by
+    )
+
+
+def token_bounds(where: Optional[Expr], field: Optional[str]):
+    """``(op, value)`` of each top-level ``AND`` conjunct comparing the
+    bare column ``field`` with a literal, read from the column's side."""
+    for term in _conjuncts(where) if where is not None and field else ():
+        if isinstance(term, BinaryOp) and isinstance(term.left, Literal):
+            term = BinaryOp(_MIRROR.get(term.op, ""), term.right, term.left)
+        if isinstance(term, BinaryOp) and term.op in _MIRROR and isinstance(
+            term.left, ColumnRef
+        ) and term.left.name == field and isinstance(term.right, Literal):
+            yield term.op, term.right.value
+
+
+_MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
 
 
 def _order(

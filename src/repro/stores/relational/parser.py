@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from typing import Any, Optional
 
-from repro.errors import SqlSyntaxError
+from repro.errors import QueryError, SqlSyntaxError
 from repro.stores.querycache import QueryCache
 from repro.stores.relational.ast import (
     AGGREGATE_FUNCTIONS,
@@ -591,6 +591,8 @@ def _prepare(sql: str) -> tuple[Statement, Any]:
 
 def prepare_sql(sql: str) -> tuple[Statement, Any]:
     """Parse and compile one SQL statement (cached by query text)."""
+    if not isinstance(sql, str):
+        raise QueryError(f"relational queries are SQL strings, got {sql!r}")
     return _STATEMENT_CACHE.get_or_compute(sql, lambda: _prepare(sql))
 
 

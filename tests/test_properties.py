@@ -18,10 +18,10 @@ from repro.core.aindex import AIndex
 from repro.core.augmentation import Augmentation
 from repro.core.cache import LruCache
 from repro.core.search import SearchStats, assemble_answer
-from repro.core.validator import sql_to_string
 from repro.model.objects import AugmentedObject, DataObject, GlobalKey
 from repro.model.prelations import PRelation, RelationType
 from repro.stores.document.query import matches_filter
+from repro.stores.relational.ast import sql_to_string
 from repro.stores.relational.parser import parse_sql
 
 # ---------------------------------------------------------------------------

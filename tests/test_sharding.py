@@ -25,11 +25,14 @@ from repro.sharding import (
     hash_shard,
     make_scheme,
     partition_store,
-    query_interval,
     shard_aindex,
     shard_polystore,
 )
-from repro.stores import DocumentStore, RelationalStore
+from repro.stores import DocumentStore, GraphStore, RelationalStore
+from repro.stores.base import token_window
+from repro.stores.document.query import token_bounds as document_bounds
+from repro.stores.relational.executor import token_bounds as sql_bounds
+from repro.stores.relational.parser import parse_sql
 from repro.stores.relational.types import Column, ColumnType, TableSchema
 
 from tests.conftest import make_mini_aindex, make_mini_polystore
@@ -95,28 +98,37 @@ class TestRangeScheme:
         assert scheme.scan_candidates(None) == [0, 1, 2, 3]
 
 
+def sql_window(query: str, field: str = "seq"):
+    return token_window(sql_bounds(parse_sql(query).where, field))
+
+
+def document_window(filter_doc, field: str = "seq"):
+    return token_window(document_bounds(filter_doc, field))
+
+
 class TestQueryInterval:
+    """The engines' token windows: a SQL WHERE's, a document filter's."""
+
     def test_sql_window(self):
-        assert query_interval(
-            "relational", "SELECT * FROM inventory WHERE seq >= 10 AND seq < 20"
+        assert sql_window(
+            "SELECT * FROM inventory WHERE seq >= 10 AND seq < 20"
         ) == (10.0, 20.0)
 
     def test_sql_without_window(self):
         query = "SELECT * FROM inventory WHERE name LIKE '%wish%'"
-        assert query_interval("relational", query) is None
+        assert sql_window(query) is None
 
     def test_document_window(self):
-        query = {"collection": "albums", "filter": {"seq": {"$gte": 5, "$lt": 9}}}
-        assert query_interval("document", query) == (5.0, 9.0)
+        assert document_window({"seq": {"$gte": 5, "$lt": 9}}) == (5.0, 9.0)
 
     def test_document_closed_bounds(self):
         # ``$gt: 4`` bounds from 4 (over-inclusive); 5 would drop 4.5.
-        query = {"collection": "albums", "filter": {"seq": {"$gt": 4, "$lte": 8}}}
-        assert query_interval("document", query) == (4.0, 9.0)
+        assert document_window({"seq": {"$gt": 4, "$lte": 8}}) == (4.0, 9.0)
 
     def test_document_non_numeric_bound_proves_nothing(self):
-        query = {"collection": "albums", "filter": {"seq": {"$gt": 4, "$lte": "z"}}}
-        assert query_interval("document", query) is None
+        # The ``$gt`` bound still holds; ``"z"`` bounds nothing above.
+        window = document_window({"seq": {"$gt": 4, "$lte": "z"}})
+        assert window == (4.0, float("inf"))
 
     @pytest.mark.parametrize(
         "where",
@@ -130,11 +142,21 @@ class TestQueryInterval:
         ],
     )
     def test_sql_unprovable_windows_are_not_derived(self, where):
-        query = f"SELECT * FROM inventory WHERE {where}"
-        assert query_interval("relational", query) is None
+        """Windows a regex over the text could not prove: the AST derives
+        one only from top-level ``seq op number`` conjuncts (the last
+        three), and it holds every row the query matches."""
+        query = f"SELECT * FROM t WHERE {where}"
+        plain = _seq_table()
+        lo, hi = sql_window(query) or (float("-inf"), float("inf"))
+        assert all(lo <= obj.value["seq"] < hi for obj in plain.execute(query))
+        sharded = partition_store(plain, RangeScheme(4, boundaries=[5, 10, 15]))
+        assert _answer(sharded, query) == _answer(plain, query)
 
     def test_graph_queries_never_prove_a_window(self):
-        assert query_interval("graph", {"op": "match", "label": "Item"}) is None
+        targets, __ = GraphStore().scatter(
+            {"op": "match", "label": "Item"}, RangeScheme(2, boundaries=[5])
+        )
+        assert [shard for shard, __ in targets] == [0, 1]
 
     def test_make_scheme_rejects_unknown_placement(self):
         with pytest.raises(ConfigurationError):
@@ -192,9 +214,10 @@ class TestShardedStore:
         query = ("mget", ["k1:cure:wish", "k2:pixies:doolittle"])
         plain = {obj.key for obj in store.execute(query)}
         assert {obj.key for obj in sharded.execute(query)} == plain
-        targets, pruned = sharded.route_scan(("mget", ["k1:cure:wish"]))
-        assert len(targets) == 1
-        assert len(pruned) == 1
+        targets, __ = sharded.shards[0].scatter(
+            ("mget", ["k1:cure:wish"]), sharded.scheme
+        )
+        assert targets == [(hash_shard("k1:cure:wish", 2), ("mget", ["k1:cure:wish"]))]
 
     def test_execute_counts_scanned_and_pruned(self, polystore):
         store = polystore.database("transactions")
@@ -251,6 +274,44 @@ class TestShardedStore:
         assert plan["access_path"] == "sharded_fanout"
         assert plan["scanned_partitions"] == [0, 1]
         assert len(plan["per_shard"]) == 2
+
+    @pytest.mark.parametrize(
+        ("database", "query", "pushed", "merge"),
+        [
+            (
+                "transactions",
+                "SELECT name FROM inventory ORDER BY price DESC LIMIT 2 OFFSET 1",
+                "SELECT * FROM inventory ORDER BY price DESC LIMIT 3",
+                {"order": ["price DESC"], "skip": 1, "limit": 2},
+            ),
+            (
+                "catalogue",
+                {"collection": "albums", "sort": [("year", -1)], "skip": 1,
+                 "limit": 1, "projection": {"title": 1}},
+                str({"collection": "albums", "sort": [("year", -1)],
+                     "skip": 0, "limit": 2}),
+                {"order": [("year", -1)], "skip": 1, "limit": 1},
+            ),
+            (
+                "similar",
+                "MATCH (a:Item) RETURN a ORDER BY a.title LIMIT 2",
+                "MATCH (a:Item) RETURN a ORDER BY a.title LIMIT 2",
+                {"order": ["a.title"], "limit": 2},
+            ),
+            ("discount", "KEYS k*", "KEYS k*", "rerun"),
+        ],
+    )
+    def test_explain_reports_pushdown_and_merge(
+        self, polystore, database, query, pushed, merge
+    ):
+        store = polystore.database(database)
+        sharded = partition_store(store, HashScheme(2))
+        plan = sharded.explain(query)
+        assert [entry["query"] for entry in plan["per_shard"]] == [pushed] * 2
+        assert plan["merge"] == merge
+        assert [obj.value for obj in sharded.execute(query)] == [
+            obj.value for obj in store.execute(query)
+        ]
 
     def test_shard_count_must_match_scheme(self, polystore):
         store = polystore.database("discount")

@@ -621,14 +621,42 @@ class TestEnginesOwnTheirState:
         assert offenders == []
 
     def test_state_dispatch_is_the_engines_table(self):
-        """``persistence/`` and ``sharding/`` hold no engine ladder for
-        state: no string comparison against ``engine`` names there
-        besides the query-routing half, which is out of scope and
-        lives in ``sharding/scheme.py`` and ``ShardedStore.route_scan``
-        / ``execute``."""
+        """``persistence/`` and ``sharding/`` hold no engine ladder: no
+        string comparison against ``engine`` names there, for state or
+        for queries, and ``sharding/`` imports no store parser or
+        compiler. ``core/validator.py`` is out of scope: the paper's
+        augmentability rules it applies are per engine family by
+        definition."""
         for module in ("persistence/snapshot.py", "persistence/wal.py"):
             source = (SRC / module).read_text()
             assert "engine ==" not in source, module
+
+        def names_engine(node):
+            return (isinstance(node, ast.Name) and node.id == "engine") or (
+                isinstance(node, ast.Attribute) and node.attr == "engine"
+            )
+
+        def literal(node):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                return any(literal(item) for item in node.elts)
+            return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+        offenders = []
+        for path in sorted((SRC / "sharding").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                operands = (
+                    [node.left, *node.comparators]
+                    if isinstance(node, ast.Compare) else []
+                )
+                if any(map(names_engine, operands)) and any(map(literal, operands)):
+                    offenders.append(f"{path.name}: {ast.unparse(node)}")
+                module = getattr(node, "module", None) or ""
+                if isinstance(node, ast.ImportFrom) and module.startswith(
+                    "repro.stores."
+                ) and module != "repro.stores.base":
+                    offenders.append(f"{path.name}: imports {module}")
+        # Every native language stays with the engine's scatter() / merge().
+        assert offenders == []
         tree = ast.parse((SRC / "sharding/store.py").read_text())
         partition = next(
             node for node in tree.body

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.validator import Validator, expr_to_string, sql_to_string
+from repro.core.validator import Validator
 from repro.errors import NotAugmentableError
+from repro.stores.relational.ast import expr_to_string, sql_to_string
 from repro.stores.relational.parser import parse_sql
 
 from tests.conftest import make_mini_polystore
@@ -152,23 +153,27 @@ class TestEveryKindOfRelationalStore:
         with pytest.raises(QueryError):
             validator.validate(store, "SELECT name FROM nowhere")
 
-    def test_sharded_execute_still_serves_joins_and_aggregates(
+    def test_sharded_execute_refuses_derived_rows(
         self, mini_polystore
     ):
         """The facade's own ``execute`` is not the validator: called
-        directly it answers derived rows per shard, as before."""
+        directly on two shards it refuses what per-shard rows cannot
+        answer; one shard is the engine itself."""
+        from repro.errors import QueryError
         from repro.sharding import HashScheme, partition_store
 
-        sharded = partition_store(
-            mini_polystore.database("transactions"), HashScheme(2)
-        )
-        counts = sharded.execute("SELECT COUNT(*) AS n FROM inventory")
-        assert sum(obj.value["n"] for obj in counts) == 3
-        assert {obj.key.collection for obj in counts} == {"_result"}
-        joined = sharded.execute(
-            "SELECT a.id FROM inventory a JOIN inventory b ON a.id = b.id"
-        )
-        assert len(joined) == 3
+        store = mini_polystore.database("transactions")
+        for query in (
+            "SELECT COUNT(*) AS n FROM inventory",
+            "SELECT DISTINCT name FROM inventory",
+            "SELECT a.id FROM inventory a JOIN inventory b ON a.id = b.id",
+        ):
+            with pytest.raises(QueryError):
+                partition_store(store, HashScheme(2)).execute(query)
+            one = partition_store(store, HashScheme(1)).execute(query)
+            assert [obj.value for obj in one] == [
+                obj.value for obj in store.execute(query)
+            ]
 
 
 class TestDocument:
