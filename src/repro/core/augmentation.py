@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from repro.core.aindex import AIndex
 from repro.core.cache import BoundedLru
+from repro.core.search import _SEED, _rank
 from repro.model.objects import GlobalKey
 
 
@@ -91,6 +92,11 @@ class AugmentationPlan:
     _columns: tuple[list[PlannedFetch], list[GlobalKey], int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: :meth:`rank`'s memo, same lifecycle. Two threads filling it at
+    #: once write equal lists from the same fetches: the race is benign.
+    _ranked: list[int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def _flat(self) -> tuple[list[PlannedFetch], list[GlobalKey], int]:
         columns = self._columns
@@ -120,6 +126,14 @@ class AugmentationPlan:
 
     def total_fetches(self) -> int:
         return self._flat()[2]
+
+    def rank(self) -> list[int]:
+        """:func:`~repro.core.search._rank` of :meth:`all_fetches` (the
+        plan's own list: callers must not mutate it)."""
+        ranked = self._ranked
+        if ranked is None:
+            ranked = self._ranked = _rank(self.all_fetches(), _SEED)
+        return ranked
 
 
 class Augmentation:

@@ -59,6 +59,8 @@ class AugmentationOutcome:
     #: Structured trace summary of the run (span counts/durations per
     #: kind), stamped by :meth:`Augmenter.execute`.
     trace: dict | None = None
+    #: The plan this run executed, stamped by :meth:`Augmenter.execute`.
+    plan: AugmentationPlan | None = None
 
     @property
     def objects(self) -> list[AugmentedObject]:
@@ -164,6 +166,7 @@ class Augmenter(ABC):
         # A served request summarizes its own spans; a classic run
         # (no trace id) owns the whole, freshly reset tracer.
         outcome.trace = ctx.obs.trace_summary(ctx._trace_id)
+        outcome.plan = plan
         return outcome
 
     @abstractmethod

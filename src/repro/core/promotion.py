@@ -13,6 +13,7 @@ are rarer, so fewer visits are needed to call them interesting.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 from repro.core.aindex import AIndex
@@ -49,6 +50,8 @@ class PathRepository:
         self.policy = policy or PromotionPolicy()
         self._visits: dict[tuple[GlobalKey, ...], int] = {}
         self.promoted: list[PRelation] = []
+        #: Sessions close on HTTP handler threads: one count at a time.
+        self._lock = threading.Lock()
 
     def record_path(self, path: tuple[GlobalKey, ...]) -> PRelation | None:
         """Record one traversal of ``path``; returns the promoted
@@ -59,9 +62,10 @@ class PathRepository:
         """
         if len(path) < 3:
             return None
-        self._visits[path] = self._visits.get(path, 0) + 1
-        length = len(path) - 1
-        if self._visits[path] != self.policy.threshold(length):
+        with self._lock:
+            visits = self._visits[path] = self._visits.get(path, 0) + 1
+        # The count this call wrote: exactly one call sees the threshold.
+        if visits != self.policy.threshold(len(path) - 1):
             return None
         return self._promote(path)
 

@@ -10,8 +10,8 @@ colors/rankings presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterator
+from operator import attrgetter, is_
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.model.objects import AugmentedObject, DataObject, GlobalKey
 
@@ -94,41 +94,15 @@ _SEED, _SOURCE = attrgetter("seed"), attrgetter("source")
 
 
 def _augmented(obj: DataObject, fetch: "PlannedFetch") -> AugmentedObject:
-    """The answer entry of one materialized fetch: the stored object
-    re-weighted by the probability of the path that reached it."""
-    return AugmentedObject(
-        obj.with_probability(fetch.probability),
-        source=fetch.seed,
-        path=fetch.path,
-    )
+    """The answer entry of one materialized fetch: the stored object,
+    uncopied, and the probability of the path that reached it."""
+    return AugmentedObject(obj, fetch.seed, fetch.path, fetch.probability)
 
 
-def assemble_answer(
-    originals: list[DataObject],
-    raw_augmented: "AugmentationOutcome | list[AugmentedObject]",
-    stats: SearchStats,
-) -> AugmentedAnswer:
-    """Deduplicate and rank the raw augmentation output.
-
-    ``raw_augmented`` is what the augmentation produced, in execution
-    order: an outcome's parallel ``values`` / ``fetches`` columns, or
-    entries the caller has already built. The same object can be reached
-    from several seeds; the entry with the highest probability wins, the
-    first in execution order on a tie. Objects of the original answer
-    are not repeated in the augmented section when reached from
-    themselves, but are kept when reached from *another* seed (Example 4
-    of the paper). Ordering is by probability descending, key as
-    tiebreak.
-
-    Dedup and rank read only (key, probability, seed), so an outcome's
-    rows stay columns until here and an :class:`AugmentedObject` is
-    built for the winners alone — about half of what a search fetches.
-    """
-    fetches = getattr(raw_augmented, "fetches", None)
-    if fetches is None:
-        rows, seed_of = raw_augmented, _SOURCE
-    else:
-        rows, seed_of = fetches, _SEED
+def _rank(rows: Sequence, seed_of: Callable) -> list[int]:
+    """Indexes of ``rows`` in answer order: per key its most probable
+    row, the first one on a tie, unless ``seed_of(row)`` is the key
+    itself; by probability descending, key text as tiebreak."""
     # key -> index of its best row so far. Row indexes, not (probability,
     # index) pairs: a tuple per row is a GC-tracked allocation, and over
     # thousands of rows the collections those trigger cost more than
@@ -148,14 +122,43 @@ def assemble_answer(
         for key, index in best.items()
     ]
     decorated.sort()
+    return [index for __, __, index in decorated]
+
+
+def assemble_answer(
+    originals: list[DataObject],
+    raw_augmented: "AugmentationOutcome | list[AugmentedObject]",
+    stats: SearchStats,
+) -> AugmentedAnswer:
+    """Deduplicate and rank the raw augmentation output (:func:`_rank`).
+
+    ``raw_augmented`` is what the augmentation produced, in execution
+    order: an outcome's parallel ``values`` / ``fetches`` columns, or
+    entries the caller has already built. Objects of the original answer
+    are not repeated in the augmented section when reached from
+    themselves, but are kept when reached from *another* seed (Example 4
+    of the paper).
+
+    Dedup and rank read only (key, probability, seed), so an outcome's
+    rows stay columns until here and an :class:`AugmentedObject` is
+    built for the winners alone. Rows that are their plan's fetch list
+    itself (an all-hit run, say) take the plan's memoised rank.
+    """
+    fetches = getattr(raw_augmented, "fetches", None)
     if fetches is None:
-        ranked = [rows[index] for __, __, index in decorated]
+        order = _rank(raw_augmented, _SOURCE)
+        ranked = [raw_augmented[index] for index in order]
     else:
+        plan = raw_augmented.plan
+        planned = plan.all_fetches() if plan is not None else ()
+        if planned and len(planned) == len(fetches) and all(
+            map(is_, planned, fetches)
+        ):
+            order = plan.rank()
+        else:
+            order = _rank(fetches, _SEED)
         values = raw_augmented.values
-        ranked = [
-            _augmented(values[index], fetches[index])
-            for __, __, index in decorated
-        ]
+        ranked = [_augmented(values[index], fetches[index]) for index in order]
     stats.augmented_count = len(ranked)
     stats.original_count = len(originals)
     return AugmentedAnswer(list(originals), ranked, stats)

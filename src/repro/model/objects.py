@@ -125,19 +125,23 @@ class DataObject:
 class AugmentedObject:
     """One element of an augmented answer: an object plus its provenance.
 
-    ``source`` is the result object the augmentation started from (None
-    for the original results themselves) and ``path`` the chain of global
-    keys that led here, useful for explanation and for the exploration UI.
+    ``stored`` is the object as stored and cached (p = 1.0), uncopied;
+    ``probability`` is this entry's. ``source`` is the result object the
+    augmentation started from (None for the original results themselves)
+    and ``path`` the chain of global keys that led here, useful for
+    explanation and for the exploration UI.
     """
 
-    object: DataObject
+    stored: DataObject
     source: GlobalKey | None = None
     path: tuple[GlobalKey, ...] = field(default_factory=tuple)
+    probability: float = 1.0
 
     @property
-    def probability(self) -> float:
-        return self.object.probability
+    def object(self) -> DataObject:
+        """``stored`` at this entry's probability, copied on each read."""
+        return self.stored.with_probability(self.probability)
 
     @property
     def key(self) -> GlobalKey:
-        return self.object.key
+        return self.stored.key

@@ -21,6 +21,11 @@ marked ``# FIX`` below:
 
 Sort / group / DISTINCT helpers are not interpreters and are imported
 from ``src``.
+
+The answer ranking lives here too: :func:`reference_rank` is the
+dedup-and-sort over built answer entries that ``assemble_answer`` did
+before it ranked columns and plans (``tests/test_probe_run.py``,
+``tests/test_plan_rank.py``).
 """
 
 from __future__ import annotations
@@ -692,3 +697,22 @@ def reference_matches(document: Mapping[str, Any], query: Mapping[str, Any]) -> 
         ):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Answer assembly: the ranking over built entries
+# ---------------------------------------------------------------------------
+
+
+def reference_rank(entries):
+    """The ranking as it was, over objects built for every row."""
+    best = {}
+    for entry in entries:
+        if entry.source == entry.key:
+            continue
+        current = best.get(entry.key)
+        if current is None or entry.probability > current.probability:
+            best[entry.key] = entry
+    return sorted(
+        best.values(), key=lambda entry: (-entry.probability, str(entry.key))
+    )

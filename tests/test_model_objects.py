@@ -90,10 +90,13 @@ class TestDataObject:
 
 
 class TestAugmentedObject:
-    def test_probability_delegates_to_object(self):
+    def test_object_is_the_reweighted_view(self):
         key = GlobalKey("d", "c", "k")
-        entry = AugmentedObject(DataObject(key, None, probability=0.42))
+        stored = DataObject(key, {"n": 1})
+        entry = AugmentedObject(stored, probability=0.42)
         assert entry.probability == 0.42
+        assert entry.object.probability == 0.42
+        assert entry.object.value is stored.value
         assert entry.key == key
 
     def test_path_defaults_empty(self):

@@ -33,6 +33,7 @@ from repro.network import RealRuntime, VirtualRuntime, centralized_profile
 from repro.workloads import PolystoreScale, build_polyphony
 
 from .conftest import make_mini_polystore
+from .reference_interpreters import reference_rank
 
 K = GlobalKey.parse
 ALL_AUGMENTERS = (
@@ -364,20 +365,6 @@ def test_strategies_equal_the_per_probe_loop(
 # ---------------------------------------------------------------------------
 # (d) ranking columns is ranking built objects: ties keep their winner
 # ---------------------------------------------------------------------------
-
-
-def reference_rank(entries):
-    """The ranking as it was, over objects built for every row."""
-    best = {}
-    for entry in entries:
-        if entry.source == entry.key:
-            continue
-        current = best.get(entry.key)
-        if current is None or entry.probability > current.probability:
-            best[entry.key] = entry
-    return sorted(
-        best.values(), key=lambda entry: (-entry.probability, str(entry.key))
-    )
 
 
 def ranked(raw_augmented):

@@ -1,5 +1,8 @@
 """Tests for p-relation promotion (Section III-D.a)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.aindex import AIndex
@@ -111,3 +114,104 @@ class TestRepository:
         repo = PathRepository(index, PromotionPolicy(base=2, min_visits=1))
         cyclic = (nodes[0], nodes[1], nodes[0])
         assert repo.record_path(cyclic) is None
+
+
+class _AnnouncingLock:
+    """A lock that calls ``arrived`` before each acquire."""
+
+    def __init__(self, arrived) -> None:
+        self._lock = threading.Lock()
+        self._arrived = arrived
+
+    def __enter__(self):
+        self._arrived()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+class _RacingVisits(dict):
+    """D_P's visit counts, where every read lets the next racing close
+    in before it returns its value."""
+
+    def __init__(self, let_next_in) -> None:
+        super().__init__()
+        self._let_next_in = let_next_in
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self._let_next_in()
+        return value
+
+
+def test_racing_closes_count_every_visit_and_promote_once():
+    """Closes of one path race on its visit count. Each close's read is
+    held open until the next close has either finished or is waiting
+    for the repository's lock. Unlocked, every close reads 0 and writes
+    1: all visits but one are lost and the threshold is never met.
+    Locked, the closes serialize and exactly one promotes."""
+    index, nodes = chain_index()
+    repo = PathRepository(index, PromotionPolicy(base=8, min_visits=3))
+    path = tuple(nodes[:4])
+    closes = repo.policy.threshold(3) + 3
+    mine = threading.local()
+    threads: list[threading.Thread] = []
+    results = []
+
+    def close(settled: threading.Event) -> None:
+        mine.settled = settled
+        try:
+            results.append(repo.record_path(path))
+        finally:
+            settled.set()
+
+    def let_next_in() -> None:
+        if len(threads) == closes:
+            return
+        settled = threading.Event()
+        thread = threading.Thread(target=close, args=(settled,))
+        threads.append(thread)
+        thread.start()
+        assert settled.wait(timeout=10)
+
+    repo._visits = _RacingVisits(let_next_in)
+    repo._lock = _AnnouncingLock(lambda: mine.settled.set())
+    let_next_in()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == closes
+    assert repo.visits(path) == closes
+    assert sum(result is not None for result in results) == 1
+    assert len(repo.promoted) == 1
+
+
+def test_racing_closes_under_a_short_switch_interval():
+    """Stress: more threads than cores close one path, the interpreter
+    switching threads every microsecond."""
+    index, nodes = chain_index()
+    repo = PathRepository(index, PromotionPolicy(base=8, min_visits=3))
+    path = tuple(nodes[:4])
+    threads, each = 8, 200
+    start = threading.Barrier(threads)
+    results = []
+
+    def closes() -> None:
+        start.wait(timeout=10)
+        results.extend(repo.record_path(path) for __ in range(each))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=closes) for __ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert repo.visits(path) == threads * each
+    assert sum(result is not None for result in results) == 1
+    assert len(repo.promoted) == 1

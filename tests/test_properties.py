@@ -289,6 +289,7 @@ class TestAnswerProperties:
                     GlobalKey("other", "c", f"t{target}"), None, probability=p
                 ),
                 source=GlobalKey("db", "s", f"s{source}"),
+                probability=p,
             )
             for target, source, p in entries
         ]

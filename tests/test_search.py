@@ -17,6 +17,7 @@ def augmented(key, probability, source):
     return AugmentedObject(
         DataObject(K(key), {"k": key}, probability=probability),
         source=K(source),
+        probability=probability,
     )
 
 
