@@ -87,13 +87,13 @@ def test_ablation_promotion_shortcuts(benchmark, bundle4, report):
         walk = (start, middle, end)
         before = Augmentation(aindex).plan([start], level=0)
         before_reaches = any(f.key == end for f in
-                             before.fetches_by_seed[start])
+                             before.all_fetches())
         promoted = None
         for __ in range(policy.threshold(2)):
             promoted = paths.record_path(walk) or promoted
         after = Augmentation(aindex).plan([start], level=0)
         after_reaches = any(f.key == end for f in
-                            after.fetches_by_seed[start])
+                            after.all_fetches())
         # Clean up the promoted edge so other benches see the original
         # index (bundles are session-shared).
         if promoted is not None:
@@ -147,12 +147,10 @@ def test_ablation_frozen_index_planning(benchmark, bundle10, report):
                plan_s=frozen_time)
     assert frozen_plan.total_fetches() == live_plan.total_fetches()
     live_keys = {
-        (str(s), str(f.key)) for s, fs in live_plan.fetches_by_seed.items()
-        for f in fs
+        (str(f.seed), str(f.key)) for f in live_plan.all_fetches()
     }
     frozen_keys = {
-        (str(s), str(f.key)) for s, fs in frozen_plan.fetches_by_seed.items()
-        for f in fs
+        (str(f.seed), str(f.key)) for f in frozen_plan.all_fetches()
     }
     assert frozen_keys == live_keys
     report.note("identical plans from the read-only snapshot")

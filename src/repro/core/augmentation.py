@@ -21,14 +21,15 @@ and o2 = transactions.inventory.a32 appears in its augmentation).
 
 from __future__ import annotations
 
-import functools
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import count, repeat
+from typing import Callable, NamedTuple
 
 from repro.core.aindex import AIndex
 from repro.core.cache import BoundedLru
-from repro.core.search import _SEED, _rank
+from repro.core.search import _rank
 from repro.model.objects import GlobalKey
 
 
@@ -56,7 +57,8 @@ class AugmentationConfig:
 
 
 class PlannedFetch(NamedTuple):
-    """One object the augmentation must retrieve.
+    """One row of a plan, as :meth:`AugmentationPlan.fetch` builds it on
+    read (no search does).
 
     ``seed`` is the original-answer object this fetch augments and
     ``path`` the chain of intermediate keys (excluding the seed,
@@ -69,70 +71,118 @@ class PlannedFetch(NamedTuple):
     path: tuple[GlobalKey, ...]
 
 
-#: ``PlannedFetch(*fields)`` for the planner's inner loop: the generated
-#: ``__new__`` is a Python frame per fetch, this is none.
-_fetch = functools.partial(tuple.__new__, PlannedFetch)
+def _hop(key: GlobalKey) -> tuple[GlobalKey]:
+    return (key,)
+
+
+#: The per-row columns of a plan.
+_COLUMNS = ("keys", "probabilities", "sources", "nodes", "texts", "parents")
 
 
 @dataclass
 class AugmentationPlan:
-    """The per-seed fetch lists for one augmented query."""
+    """The fetches of one augmented query, as parallel columns.
+
+    Row ``r`` fetches ``keys[r]`` at ``probabilities[r]`` for the seed
+    ``sources[r]``. The rows of ``seeds[i]`` are ``range(bounds[i],
+    bounds[i + 1])``, in seed order, each seed's ranked by probability
+    with the key text as tiebreak. No row fetches its own seed. A key
+    may have a row under several seeds: overlapping augmentations are
+    deduplicated only in the final answer, which is exactly why the
+    cache helps at level > 0.
+
+    A plan is filled once by whoever builds it and read-only after;
+    the plan cache hands the same plan to every repeat of a query.
+    Callers must not mutate its lists.
+    """
 
     level: int
     seeds: list[GlobalKey]
-    fetches_by_seed: dict[GlobalKey, list[PlannedFetch]] = field(
-        default_factory=dict
-    )
+    keys: list[GlobalKey] = field(default_factory=list)
+    probabilities: list[float] = field(default_factory=list)
+    sources: list[GlobalKey] = field(default_factory=list)
+    #: The row's node handle: the snapshot's node id, or the key itself
+    #: on an index without ids. One handle per key.
+    nodes: list = field(default_factory=list)
+    #: ``str(key)``, the rank's tiebreak.
+    texts: list[str] = field(default_factory=list)
+    #: The row of the previous hop on the row's path, -1 at the seed.
+    parents: list[int] = field(default_factory=list)
+    bounds: list[int] = field(default_factory=lambda: [0])
     #: Number of A' index edges examined (charged as CPU by augmenters).
     edges_examined: int = 0
-    #: (flat fetch list, its keys, fetch count), built on first use. A
-    #: plan is filled once by whoever builds it and read-only after, and
-    #: the plan cache hands the same plan to every repeat of a query, so
-    #: these are computed once per plan, not once per search.
-    _columns: tuple[list[PlannedFetch], list[GlobalKey], int] | None = field(
+    #: ``(key,)`` of a node: a depth-1 path, the index's own tuple
+    #: where it keeps one.
+    hop_of: Callable = field(default=_hop, repr=False, compare=False)
+    #: The plan ``parents`` index (this one, unless :meth:`select`
+    #: cut this plan from another).
+    _trail: "AugmentationPlan | None" = field(
+        default=None, repr=False, compare=False
+    )
+    #: :meth:`rank`'s memo: filled once, read-only after. Two threads
+    #: filling it at once write equal lists from the same columns: the
+    #: race is benign.
+    _ranked: tuple[list[int], list[tuple]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: :meth:`rank`'s memo, same lifecycle. Two threads filling it at
-    #: once write equal lists from the same fetches: the race is benign.
-    _ranked: list[int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def _flat(self) -> tuple[list[PlannedFetch], list[GlobalKey], int]:
-        columns = self._columns
-        if columns is None:
-            by_seed = self.fetches_by_seed
-            fetches = [
-                fetch for seed in self.seeds for fetch in by_seed.get(seed, ())
-            ]
-            columns = self._columns = (
-                fetches,
-                [fetch.key for fetch in fetches],
-                sum(len(group) for group in by_seed.values()),
-            )
-        return columns
-
-    def all_fetches(self) -> list[PlannedFetch]:
-        """Fetches of every seed, in seed order (duplicates possible —
-        overlapping augmentations are deduplicated only in the final
-        answer, which is exactly why the cache helps at level > 0).
-        The plan's own list: callers must not mutate it."""
-        return self._flat()[0]
-
-    def fetch_keys(self) -> list[GlobalKey]:
-        """``fetch.key`` of every :meth:`all_fetches` entry, in the
-        same order (what a cache probe run walks)."""
-        return self._flat()[1]
 
     def total_fetches(self) -> int:
-        return self._flat()[2]
+        return len(self.keys)
 
-    def rank(self) -> list[int]:
-        """:func:`~repro.core.search._rank` of :meth:`all_fetches` (the
-        plan's own list: callers must not mutate it)."""
+    def path(self, row: int) -> tuple[GlobalKey, ...]:
+        """The keys from row ``row``'s seed to it (seed excluded), built
+        on read."""
+        above = self.parents[row]
+        if above < 0:
+            return self.hop_of(self.nodes[row])
+        trail = self._trail or self
+        keys, parents = trail.keys, trail.parents
+        hops = [self.keys[row]]
+        while above >= 0:
+            hops.append(keys[above])
+            above = parents[above]
+        hops.reverse()
+        return tuple(hops)
+
+    def fetch(self, row: int) -> PlannedFetch:
+        """Row ``row`` as a :class:`PlannedFetch`, built on each call."""
+        return PlannedFetch(
+            self.keys[row],
+            self.probabilities[row],
+            self.sources[row],
+            self.path(row),
+        )
+
+    def all_fetches(self) -> list[PlannedFetch]:
+        """Every row as a :class:`PlannedFetch`, in row order."""
+        return [self.fetch(row) for row in range(len(self.keys))]
+
+    def select(self, rows: list[int]) -> "AugmentationPlan":
+        """The plan of ``rows`` (ascending): the same seeds, paths and
+        ``edges_examined``, the rank recomputed."""
+        picked = AugmentationPlan(
+            level=self.level,
+            seeds=list(self.seeds),
+            bounds=[bisect_left(rows, bound) for bound in self.bounds],
+            edges_examined=self.edges_examined,
+            hop_of=self.hop_of,
+            _trail=self._trail or self,
+        )
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            setattr(picked, name, list(map(column.__getitem__, rows)))
+        return picked
+
+    def rank(self) -> tuple[list[int], list[tuple[GlobalKey, ...]]]:
+        """:func:`~repro.core.search._rank` of every row, and the winners'
+        paths (the plan's own lists: callers must not mutate them)."""
         ranked = self._ranked
         if ranked is None:
-            ranked = self._ranked = _rank(self.all_fetches(), _SEED)
+            order = _rank(
+                self.nodes, self.probabilities, self.texts,
+                range(len(self.keys)),
+            )
+            ranked = self._ranked = (order, list(map(self.path, order)))
         return ranked
 
 
@@ -231,11 +281,15 @@ class Augmentation:
         # On a miss only: a repeat of a cached query pays no second pass
         # over its seeds.
         seeds = list(dict.fromkeys(seeds))
-        plan = AugmentationPlan(level=level, seeds=seeds)
+        plan = AugmentationPlan(
+            level=level, seeds=seeds, hop_of=_plan_view(index)[3]
+        )
+        bounds = plan.bounds
         for seed in seeds:
-            fetches, edges = self._expand(index, seed, level, min_probability)
-            plan.fetches_by_seed[seed] = fetches
-            plan.edges_examined += edges
+            plan.edges_examined += self._expand(
+                index, seed, level, min_probability, plan
+            )
+            bounds.append(len(plan.keys))
         if cache_key is not None:
             self._plan_cache.put(cache_key, plan)
         return plan, len(seeds)
@@ -264,8 +318,8 @@ class Augmentation:
         )
         plan, expanded = self._plan_on(index, seeds, level, min_probability)
         fetches_by_database: dict[str, int] = {}
-        for fetch in plan.all_fetches():
-            database = fetch.key.database
+        for key in plan.keys:
+            database = key.database
             fetches_by_database[database] = (
                 fetches_by_database.get(database, 0) + 1
             )
@@ -286,9 +340,16 @@ class Augmentation:
         }
 
     def _expand(
-        self, index, seed: GlobalKey, level: int, min_probability: float
-    ) -> tuple[list[PlannedFetch], int]:
-        """Best-probability-first traversal to depth ``level + 1``.
+        self,
+        index,
+        seed: GlobalKey,
+        level: int,
+        min_probability: float,
+        plan: AugmentationPlan,
+    ) -> int:
+        """Best-probability-first traversal to depth ``level + 1``: the
+        rows of ``seed`` are appended to ``plan``'s columns, and the
+        number of edges examined is returned.
 
         A Dijkstra-style search over ``-log p`` (implemented directly on
         products) guarantees each reachable key is planned with its
@@ -300,22 +361,17 @@ class Augmentation:
         reached it nearer the seed.
 
         The loop runs over node handles: ids on a snapshot that has them
-        (``plan_view``), the keys themselves on any other index.
+        (``plan_view``), the keys themselves on any other index. It
+        keeps no object per row: a path is read back through
+        ``plan.parents`` (:meth:`AugmentationPlan.path`).
         """
-        view = getattr(index, "plan_view", None)
-        node_of, row_of, hop_of, text_of = (
-            view() if view is not None else _key_view(index)
-        )
+        node_of, row_of, key_of, __, text_of = _plan_view(index)
         start = node_of(seed)
         if start is None:
-            return [], 0
+            return 0
         max_depth = level + 1
         best = {start: 1.0}
         parent = {}
-        #: Expanded node -> the keys from the seed to it. Probabilities
-        #: are <= 1, so no entry improves once its node was expanded:
-        #: the parent pointers an expansion reads are final.
-        trail = {start: ()}
         edges = 0
         # Heap entries: (-probability, tiebreak, node, depth)
         counter = 0
@@ -327,8 +383,6 @@ class Augmentation:
             probability = -neg_probability
             if probability < best[node]:
                 continue  # stale entry
-            if depth:
-                trail[node] = trail[parent[node]] + hop_of(node)
             row = row_of(node)
             edges += len(row)
             depth += 1
@@ -347,34 +401,37 @@ class Augmentation:
                     counter += 1
                     heappush(heap, (-combined, counter, target, depth))
         del best[start]
-        # One fetch per node, so the (probability, key-text) prefix is
-        # unique and handles are never compared.
-        ranked = [
-            (-probability, text_of(node), node)
-            for node, probability in best.items()
-        ]
-        ranked.sort()
-        for node, above in parent.items():
-            if node not in trail:  # never expanded: a hop past its parent
-                trail[node] = trail[above] + hop_of(node)
-        return [
-            _fetch(((path := trail[node])[-1], -neg_probability, seed, path))
-            for neg_probability, __, node in ranked
-        ], edges
+        # Probability descending, key text ascending: two stable sorts.
+        # One row per node, so the text is unique and handles never
+        # decide. Probabilities are <= 1, so no entry improved once its
+        # node was expanded: the parent pointers read here are final.
+        order = sorted(best, key=text_of)
+        order.sort(key=best.__getitem__, reverse=True)
+        row_of_node = dict(zip(order, count(len(plan.keys))))
+        row_of_node[start] = -1
+        plan.keys += map(key_of, order)
+        plan.probabilities += map(best.__getitem__, order)
+        plan.sources += repeat(seed, len(order))
+        plan.nodes += order
+        plan.texts += map(text_of, order)
+        plan.parents += map(
+            row_of_node.__getitem__, map(parent.__getitem__, order)
+        )
+        return edges
 
 
 def _itself(key: GlobalKey) -> GlobalKey:
     return key
 
 
-def _hop(key: GlobalKey) -> tuple[GlobalKey]:
-    return (key,)
-
-
-def _key_view(index):
-    """:meth:`FrozenAIndex.plan_view` for an index without node ids: a
-    key is its own handle, ``neighbor_arcs`` (or ``neighbors``) its row."""
+def _plan_view(index) -> tuple:
+    """``index.plan_view()``, or the same view of an index without node
+    ids: a key is its own handle, ``neighbor_arcs`` (or ``neighbors``)
+    its row."""
+    view = getattr(index, "plan_view", None)
+    if view is not None:
+        return view()
     arcs = getattr(index, "neighbor_arcs", None) or (
         lambda key: [(n.key, n.probability) for n in index.neighbors(key)]
     )
-    return _itself, arcs, _hop, str
+    return _itself, arcs, _itself, _hop, str

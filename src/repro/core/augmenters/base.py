@@ -6,10 +6,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.core.augmentation import AugmentationConfig, AugmentationPlan, PlannedFetch
+from repro.core.augmentation import AugmentationConfig, AugmentationPlan
 from repro.core.cache import LruCache
 from repro.core.connectors import ConnectorRegistry
-from repro.core.search import _augmented
 from repro.errors import (
     ConfigurationError,
     StoreUnavailableError,
@@ -29,12 +28,16 @@ class AugmentationOutcome:
     """
 
     #: What materialized, as two parallel columns in execution order:
-    #: the stored object (as cached or as fetched) and the planned fetch
-    #: that asked for it. They stay columns until
+    #: the stored object (as cached or as fetched) and the plan row that
+    #: asked for it. They stay columns until
     #: :func:`~repro.core.search.assemble_answer` has ranked them;
     #: only the winners become an :class:`AugmentedObject`.
     values: list[DataObject] = field(default_factory=list)
-    fetches: list[PlannedFetch] = field(default_factory=list)
+    rows: list[int] = field(default_factory=list)
+    #: True when ``rows`` ascend: execution order is plan order. Set by
+    #: the strategy that knows it; with every row present, the answer
+    #: takes the plan's memoised rank.
+    in_plan_order: bool = False
     #: Keys planned but absent from the polystore (feed lazy deletion).
     #: Deduplicated across seeds by :meth:`Augmenter.execute`.
     missing: list[GlobalKey] = field(default_factory=list)
@@ -66,15 +69,19 @@ class AugmentationOutcome:
     def objects(self) -> list[AugmentedObject]:
         """Every materialized row as an answer entry, in execution
         order: a read-only view, built on each access."""
+        plan = self.plan
         return [
-            _augmented(value, fetch)
-            for value, fetch in zip(self.values, self.fetches)
+            AugmentedObject(
+                value, plan.sources[row], plan.path(row),
+                plan.probabilities[row],
+            )
+            for value, row in zip(self.values, self.rows)
         ]
 
     def absorb(self, part: "AugmentationOutcome") -> None:
         """Append a worker's rows and add its counts."""
         self.values += part.values
-        self.fetches += part.fetches
+        self.rows += part.rows
         self.missing += part.missing
         self.cache_hits += part.cache_hits
         self.queries_issued += part.queries_issued
@@ -112,6 +119,8 @@ class Augmenter(ABC):
         #: Per-probe CPU charge; resolved per run by :meth:`execute` so
         #: _probe_run skips the cost-model attribute chase.
         self._probe_cost = 0.0
+        #: The run's ``plan.keys``: helpers take plan rows.
+        self._keys: list[GlobalKey] = []
 
     def execute(
         self,
@@ -133,6 +142,7 @@ class Augmenter(ABC):
         # ``BoundedLru`` counts every probe under its one lock, so the
         # obs counters are published once per run from the stats delta.
         self._probe_cost = ctx.cost_model.cache_probe_cost
+        self._keys = plan.keys
         before = self.cache.stats()
         # An empty plan submits nothing: no strategy sets up a pool.
         outcome = (
@@ -160,8 +170,9 @@ class Augmenter(ABC):
             # store whose keys all arrived via another route, leaves
             # the answer complete — errors are reported, but the
             # outcome is not degraded.
-            got = {fetch.key for fetch in outcome.fetches}
-            lost = set(plan.fetch_keys()) - got - set(outcome.missing)
+            keys = plan.keys
+            got = set(map(keys.__getitem__, outcome.rows))
+            lost = set(keys) - got - set(outcome.missing)
             outcome.degraded = bool(lost)
         # A served request summarizes its own spans; a classic run
         # (no trace id) owns the whole, freshly reset tracer.
@@ -203,33 +214,34 @@ class Augmenter(ABC):
     def _misses(
         self,
         ctx: ExecContext,
-        fetches: list[PlannedFetch],
+        start: int,
+        stop: int,
         into: AugmentationOutcome,
-        keys: list[GlobalKey] | None = None,
-    ) -> Iterator[PlannedFetch]:
-        """Resolve ``fetches`` against the cache in order, yielding each
-        miss where the per-probe loop met it (``keys`` are the fetches'
-        keys, for the caller that already holds that column).
+    ) -> Iterator[int]:
+        """Resolve plan rows ``start`` to ``stop`` against the cache in
+        order, yielding the row of each miss where the per-probe loop
+        met it.
 
         Runs end at their first miss, so the consumer deals with a miss
         — fetches it into ``into``, or submits it to a pool — before the
         next probe is made, with the clock where it would have been. The
         hits of a run land in ``into`` as two list extensions.
         """
-        if keys is None:
-            keys = [fetch.key for fetch in fetches]
+        keys = self._keys
+        if start or stop != len(keys):
+            keys = keys[start:stop]
         position, total = 0, len(keys)
         while position < total:
             values, misses = self._probe_run(ctx, keys, position, 1)
-            stop = position + len(values)
+            end = position + len(values)
             if misses:
                 values.pop()
             into.values += values
-            into.fetches += fetches[position : position + len(values)]
+            into.rows += range(start + position, start + end - misses)
             into.cache_hits += len(values)
-            position = stop
+            position = end
             if misses:
-                yield fetches[stop - 1]
+                yield start + end - 1
 
     def _fill_groups(
         self,
@@ -237,12 +249,12 @@ class Augmenter(ABC):
         plan: AugmentationPlan,
         batch_size: int,
         outcome: AugmentationOutcome,
-        flush: Callable[[str, list[PlannedFetch]], None],
+        flush: Callable[[str, list[int]], None],
     ) -> None:
-        """The batching main loop: cache hits go to ``outcome``, misses
-        into per-database groups; a group is handed to ``flush`` the
-        moment it holds ``batch_size`` fetches, the partial groups at
-        the end.
+        """The batching main loop: cache hits go to ``outcome``, missed
+        rows into per-database groups; a group is handed to ``flush``
+        the moment it holds ``batch_size`` rows, the partial groups at
+        the end. ``outcome`` is in plan order iff nothing was flushed.
 
         A flush may put objects into the cache (and evict others) and
         reads the clock, so no probe that follows it in plan order may
@@ -251,36 +263,36 @@ class Augmenter(ABC):
         fewer, so a flush can only fall on the last probe of a run —
         exactly where the per-probe loop had it.
         """
-        fetches = plan.all_fetches()
-        keys = plan.fetch_keys()
-        groups: dict[str, list[PlannedFetch]] = {}
+        keys = plan.keys
+        groups: dict[str, list[int]] = {}
         position, total = 0, len(keys)
         while position < total:
             fullest = max(map(len, groups.values()), default=0)
             values, misses = self._probe_run(
                 ctx, keys, position, batch_size - fullest
             )
-            run = fetches[position : position + len(values)]
+            run = range(position, position + len(values))
             position += len(values)
             outcome.cache_hits += len(values) - misses
             if not misses:
                 outcome.values += values
-                outcome.fetches += run
+                outcome.rows += run
                 continue
-            for fetch, value in zip(run, values):
+            for row, value in zip(run, values):
                 if value is not None:
                     outcome.values.append(value)
-                    outcome.fetches.append(fetch)
+                    outcome.rows.append(row)
                     continue
-                database = fetch.key.database
+                database = keys[row].database
                 group = groups.setdefault(database, [])
-                group.append(fetch)
+                group.append(row)
                 if len(group) >= batch_size:
                     flush(database, group)
                     groups[database] = []
         for database, group in groups.items():
             if group:
                 flush(database, group)
+        outcome.in_plan_order = not groups
 
     def _over_budget(self, ctx: ExecContext, database: str) -> bool:
         """True when the timeout budget bars any further store calls.
@@ -321,12 +333,13 @@ class Augmenter(ABC):
         ).inc()
 
     def _fetch_single(
-        self, ctx: ExecContext, fetch: PlannedFetch, into: AugmentationOutcome
+        self, ctx: ExecContext, row: int, into: AugmentationOutcome
     ) -> None:
-        """One direct-access query for one planned fetch (cache-aside);
-        its row, or its absence, and whether a store was asked land in
+        """One direct-access query for one plan row (cache-aside); its
+        object, or its absence, and whether a store was asked land in
         ``into``."""
-        database = fetch.key.database
+        key = self._keys[row]
+        database = key.database
         if self._over_budget(ctx, database):
             # Never reached a store: skipped, not an issued query, or
             # the optimizer trains on phantom store traffic.
@@ -336,7 +349,7 @@ class Augmenter(ABC):
         connector = self.registry.connector(database)
         with ctx.span("fetch", database=database) as span:
             try:
-                obj = connector.fetch_one(ctx, fetch.key)
+                obj = connector.fetch_one(ctx, key)
             except StoreUnavailableError as exc:
                 if not self._skip_unavailable:
                     raise
@@ -350,26 +363,27 @@ class Augmenter(ABC):
                 # may well exist, so it must not feed lazy deletion.
                 self._errors.setdefault(database, "truncated results")
                 return
-            into.missing.append(fetch.key)
+            into.missing.append(key)
             return
         self.cache.put(obj)
         into.values.append(obj)
-        into.fetches.append(fetch)
+        into.rows.append(row)
 
     def _fetch_group(
         self,
         ctx: ExecContext,
         database: str,
-        group: list[PlannedFetch],
+        group: list[int],
         into: AugmentationOutcome,
     ) -> None:
-        """One batch query for a per-database group of planned fetches;
+        """One batch query for a per-database group of plan rows;
         accounts into ``into`` like :meth:`_fetch_single`, except that a
         flush swallowed by ``skip_unavailable`` counts as skipped too."""
         if self._over_budget(ctx, database):
             into.skipped_flushes += 1
             return
-        unique_keys = list(dict.fromkeys(fetch.key for fetch in group))
+        keys = self._keys
+        unique_keys = list(dict.fromkeys(map(keys.__getitem__, group)))
         connector = self.registry.connector(database)
         with ctx.span(
             "fetch_group", database=database, keys=len(unique_keys)
@@ -394,22 +408,23 @@ class Augmenter(ABC):
         by_key = {obj.key: obj for obj in objects}
         self.cache.put_many(objects)
         seen_missing: set[GlobalKey] = set()
-        for fetch in group:
-            obj = by_key.get(fetch.key)
+        for row in group:
+            key = keys[row]
+            obj = by_key.get(key)
             if obj is None:
-                if not truncated and fetch.key not in seen_missing:
-                    seen_missing.add(fetch.key)
-                    into.missing.append(fetch.key)
+                if not truncated and key not in seen_missing:
+                    seen_missing.add(key)
+                    into.missing.append(key)
                 continue
             into.values.append(obj)
-            into.fetches.append(fetch)
+            into.rows.append(row)
 
-    def _single_worker(self, fetch: PlannedFetch) -> Task:
+    def _single_worker(self, row: int) -> Task:
         """A pool task fetching one planned object."""
 
         def task(child: ExecContext) -> AugmentationOutcome:
             part = AugmentationOutcome()
-            self._fetch_single(child, fetch, part)
+            self._fetch_single(child, row, part)
             return part
 
         return task
@@ -419,18 +434,21 @@ class Augmenter(ABC):
         ctx: ExecContext,
         plan: AugmentationPlan,
         workers: int,
-        seed_worker: Callable[[list[PlannedFetch]], Task],
+        seed_worker: Callable[[int, int], Task],
     ) -> AugmentationOutcome:
-        """One pool whose tasks are whole seeds: ``seed_worker`` makes
-        the task resolving one result's fetches."""
+        """One pool whose tasks are whole seeds: ``seed_worker(start,
+        stop)`` makes the task resolving one result's rows. Parts join
+        in seed order, so the outcome is in plan order iff each is."""
         outcome = AugmentationOutcome()
         pool = ctx.pool(workers)
-        for seed in plan.seeds:
-            fetches = plan.fetches_by_seed.get(seed, [])
-            if fetches:
-                pool.submit(seed_worker(fetches))
-        for part in pool.join():
+        bounds = plan.bounds
+        for start, stop in zip(bounds, bounds[1:]):
+            if start < stop:
+                pool.submit(seed_worker(start, stop))
+        parts = pool.join()
+        for part in parts:
             outcome.absorb(part)
+        outcome.in_plan_order = all(part.in_plan_order for part in parts)
         return outcome
 
 

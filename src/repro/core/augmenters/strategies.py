@@ -9,7 +9,7 @@ for 11 objects, BATCH with ``BATCH_SIZE=4`` issues 5.
 
 from __future__ import annotations
 
-from repro.core.augmentation import AugmentationConfig, AugmentationPlan, PlannedFetch
+from repro.core.augmentation import AugmentationConfig, AugmentationPlan
 from repro.core.augmenters.base import (
     AugmentationOutcome,
     Augmenter,
@@ -34,11 +34,10 @@ class SequentialAugmenter(Augmenter):
         plan: AugmentationPlan,
         config: AugmentationConfig,
     ) -> AugmentationOutcome:
-        outcome = AugmentationOutcome()
-        for fetch in self._misses(
-            ctx, plan.all_fetches(), outcome, plan.fetch_keys()
-        ):
-            self._fetch_single(ctx, fetch, outcome)
+        # Each miss is fetched where it was met: always in plan order.
+        outcome = AugmentationOutcome(in_plan_order=True)
+        for row in self._misses(ctx, 0, plan.total_fetches(), outcome):
+            self._fetch_single(ctx, row, outcome)
         return outcome
 
 
@@ -83,18 +82,20 @@ class InnerAugmenter(Augmenter):
         plan: AugmentationPlan,
         config: AugmentationConfig,
     ) -> AugmentationOutcome:
-        outcome = AugmentationOutcome()
-        for seed in plan.seeds:
-            fetches = plan.fetches_by_seed.get(seed, [])
+        # In plan order until a fetch lands after the hits that follow it.
+        outcome = AugmentationOutcome(in_plan_order=True)
+        bounds = plan.bounds
+        for start, stop in zip(bounds, bounds[1:]):
             # The pool is created lazily on the first cache miss: a seed
             # whose fetches all hit cache pays neither pool setup nor an
             # empty join.
             pool = None
-            for fetch in self._misses(ctx, fetches, outcome):
+            for row in self._misses(ctx, start, stop, outcome):
                 if pool is None:
                     pool = ctx.pool(config.threads_size)
-                pool.submit(self._single_worker(fetch))
+                pool.submit(self._single_worker(row))
             if pool is not None:
+                outcome.in_plan_order = False
                 for part in pool.join():
                     outcome.absorb(part)
         return outcome
@@ -118,11 +119,11 @@ class OuterAugmenter(Augmenter):
             ctx, plan, config.threads_size, self._seed_worker
         )
 
-    def _seed_worker(self, fetches: list[PlannedFetch]) -> Task:
+    def _seed_worker(self, start: int, stop: int) -> Task:
         def task(child: ExecContext) -> AugmentationOutcome:
-            part = AugmentationOutcome()
-            for fetch in self._misses(child, fetches, part):
-                self._fetch_single(child, fetch, part)
+            part = AugmentationOutcome(in_plan_order=True)
+            for row in self._misses(child, start, stop, part):
+                self._fetch_single(child, row, part)
             return part
 
         return task
@@ -158,7 +159,7 @@ class OuterBatchAugmenter(Augmenter):
             outcome.absorb(part)
         return outcome
 
-    def _group_worker(self, database: str, group: list[PlannedFetch]) -> Task:
+    def _group_worker(self, database: str, group: list[int]) -> Task:
         def task(child: ExecContext) -> AugmentationOutcome:
             part = AugmentationOutcome()
             self._fetch_group(child, database, group, part)
@@ -185,19 +186,22 @@ class OuterInnerAugmenter(Augmenter):
     ) -> AugmentationOutcome:
         half = max(1, config.threads_size // 2)
         return self._pool_seeds(
-            ctx, plan, half, lambda fetches: self._seed_worker(fetches, half)
+            ctx,
+            plan,
+            half,
+            lambda start, stop: self._seed_worker(start, stop, half),
         )
 
-    def _seed_worker(
-        self, fetches: list[PlannedFetch], inner_threads: int
-    ) -> Task:
+    def _seed_worker(self, start: int, stop: int, inner_threads: int) -> Task:
         def task(child: ExecContext) -> AugmentationOutcome:
             part = AugmentationOutcome()
             inner_pool = child.pool(inner_threads)
-            for fetch in self._misses(child, fetches, part):
-                inner_pool.submit(self._single_worker(fetch))
-            for fetched in inner_pool.join():
-                part.absorb(fetched)
+            for row in self._misses(child, start, stop, part):
+                inner_pool.submit(self._single_worker(row))
+            fetched = inner_pool.join()
+            for single in fetched:
+                part.absorb(single)
+            part.in_plan_order = not fetched
             return part
 
         return task

@@ -106,24 +106,33 @@ class BoundedLru(Generic[K, V]):
     def put(self, key: K, value: V) -> list[tuple[K, V]]:
         """Insert or replace an entry as most recent; returns what the
         insert evicted (least recently used first)."""
-        return self._insert(((key, value),))
+        evicted: list[tuple[K, V]] = []
+        self._insert(((key, value),), evicted)
+        return evicted
 
     def put_many(self, items: Iterable[tuple[K, V]]) -> list[tuple[K, V]]:
-        return self._insert(items)
+        evicted: list[tuple[K, V]] = []
+        self._insert(items, evicted)
+        return evicted
 
-    def _insert(self, items: Iterable[tuple[K, V]]) -> list[tuple[K, V]]:
-        """Insert entries under one lock acquisition, then evict."""
+    def _insert(
+        self,
+        items: Iterable[tuple[K, V]],
+        evicted: list[tuple[K, V]] | None = None,
+    ) -> None:
+        """Insert entries under one lock acquisition, then evict (into
+        ``evicted``, when the caller wants them)."""
         with self._lock:
             # Checked under the lock: a concurrent resize(0) (the
             # adaptive optimizer's cache-delta path) must not leave an
             # entry stranded in a disabled cache.
             if self.capacity == 0:
-                return []
+                return
             entries = self._entries
             for key, value in items:
                 entries[key] = value
                 entries.move_to_end(key)
-            return self._evict()
+            self._evict(evicted)
 
     def pop(self, key: K) -> V | None:
         """Drop ``key``; returns its value, or ``None`` if absent."""
@@ -134,9 +143,11 @@ class BoundedLru(Generic[K, V]):
         """Change capacity online, evicting LRU entries if shrinking."""
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
+        evicted: list[tuple[K, V]] = []
         with self._lock:
             self.capacity = capacity
-            return self._evict()
+            self._evict(evicted)
+        return evicted
 
     def clear(self) -> None:
         """Drop all entries and reset the counters."""
@@ -144,12 +155,18 @@ class BoundedLru(Generic[K, V]):
             self._entries.clear()
             self.hits = self.misses = self.evictions = 0
 
-    def _evict(self) -> list[tuple[K, V]]:
-        evicted = []
-        while len(self._entries) > self.capacity:
-            evicted.append(self._entries.popitem(last=False))
-        self.evictions += len(evicted)
-        return evicted
+    def _evict(self, evicted: list[tuple[K, V]] | None) -> None:
+        """Drop least recently used entries down to capacity, appending
+        them to ``evicted`` unless it is ``None``."""
+        excess = len(self._entries) - self.capacity
+        if excess <= 0:
+            return
+        popitem = self._entries.popitem
+        for __ in range(excess):
+            item = popitem(last=False)
+            if evicted is not None:
+                evicted.append(item)
+        self.evictions += excess
 
     # -- statistics ----------------------------------------------------------
 

@@ -238,12 +238,14 @@ class FrozenAIndex:
         return arcs
 
     def plan_view(self) -> tuple:
-        """``(node of a key or None, row of a node, (key,) of a node,
-        text of a node)`` for :meth:`Augmentation._expand`: nodes are
-        ids, and the last two are plain list look-ups."""
+        """``(node of a key or None, row of a node, key of a node,
+        (key,) of a node, text of a node)`` for
+        :meth:`Augmentation._expand`: nodes are ids, and the last three
+        are plain list look-ups."""
         return (
             self._ids.get,
             self._row,
+            self._keys.__getitem__,
             self._hops.__getitem__,
             self._texts.__getitem__,
         )

@@ -10,13 +10,11 @@ colors/rankings presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter, is_
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.model.objects import AugmentedObject, DataObject, GlobalKey
 
 if TYPE_CHECKING:
-    from repro.core.augmentation import PlannedFetch
     from repro.core.augmenters.base import AugmentationOutcome
 
 
@@ -88,41 +86,28 @@ class SearchStats:
     materialized: bool = False
 
 
-#: Where a row came from: a planned fetch names its ``seed``, a built
-#: entry its ``source``.
-_SEED, _SOURCE = attrgetter("seed"), attrgetter("source")
+def _rank(
+    nodes: Sequence, probabilities: Sequence[float], texts: Sequence[str],
+    rows: Iterable[int],
+) -> list[int]:
+    """``rows`` in answer order: per node its most probable row, the
+    first one on a tie; by probability descending, text as tiebreak.
 
-
-def _augmented(obj: DataObject, fetch: "PlannedFetch") -> AugmentedObject:
-    """The answer entry of one materialized fetch: the stored object,
-    uncopied, and the probability of the path that reached it."""
-    return AugmentedObject(obj, fetch.seed, fetch.path, fetch.probability)
-
-
-def _rank(rows: Sequence, seed_of: Callable) -> list[int]:
-    """Indexes of ``rows`` in answer order: per key its most probable
-    row, the first one on a tie, unless ``seed_of(row)`` is the key
-    itself; by probability descending, key text as tiebreak."""
-    # key -> index of its best row so far. Row indexes, not (probability,
-    # index) pairs: a tuple per row is a GC-tracked allocation, and over
-    # thousands of rows the collections those trigger cost more than
-    # reading the best row's probability back through its index.
-    best: dict[GlobalKey, int] = {}
-    for index, row in enumerate(rows):
-        key = row.key
-        current = best.get(key)
-        if (
-            current is None or row.probability > rows[current].probability
-        ) and seed_of(row) != key:
-            best[key] = index
-    # Decorate-sort-undecorate: one row per key, so the (probability,
-    # key-text) prefix is unique and row indexes never decide.
-    decorated = [
-        (-rows[index].probability, str(key), index)
-        for key, index in best.items()
-    ]
-    decorated.sort()
-    return [index for __, __, index in decorated]
+    Rows are indexes into the three columns, and a node is one handle
+    per key (a snapshot's node id), so the dedup hashes ints.
+    """
+    best: dict = {}
+    best_get = best.get
+    for row in rows:
+        node = nodes[row]
+        current = best_get(node)
+        if current is None or probabilities[row] > probabilities[current]:
+            best[node] = row
+    # One row per node, so the texts are unique: two stable sorts give
+    # (probability descending, text) and rows never decide.
+    order = sorted(best.values(), key=texts.__getitem__)
+    order.sort(key=probabilities.__getitem__, reverse=True)
+    return order
 
 
 def assemble_answer(
@@ -133,32 +118,48 @@ def assemble_answer(
     """Deduplicate and rank the raw augmentation output (:func:`_rank`).
 
     ``raw_augmented`` is what the augmentation produced, in execution
-    order: an outcome's parallel ``values`` / ``fetches`` columns, or
-    entries the caller has already built. Objects of the original answer
-    are not repeated in the augmented section when reached from
-    themselves, but are kept when reached from *another* seed (Example 4
-    of the paper).
+    order: an outcome's parallel ``values`` / ``rows`` columns (rows of
+    its plan), or entries the caller has already built. Objects of the
+    original answer are not repeated in the augmented section when
+    reached from themselves, but are kept when reached from *another*
+    seed (Example 4 of the paper); a plan has no row of that kind.
 
-    Dedup and rank read only (key, probability, seed), so an outcome's
-    rows stay columns until here and an :class:`AugmentedObject` is
-    built for the winners alone. Rows that are their plan's fetch list
-    itself (an all-hit run, say) take the plan's memoised rank.
+    Dedup and rank read only plan columns, so an
+    :class:`AugmentedObject` is built for the winners alone. An outcome
+    whose rows are its plan's rows in plan order (an all-hit run, say)
+    takes the plan's memoised rank and winners' paths.
     """
-    fetches = getattr(raw_augmented, "fetches", None)
-    if fetches is None:
-        order = _rank(raw_augmented, _SOURCE)
-        ranked = [raw_augmented[index] for index in order]
+    rows = getattr(raw_augmented, "rows", None)
+    if rows is None:
+        entries = raw_augmented
+        keys = [entry.key for entry in entries]
+        order = _rank(
+            keys,
+            [entry.probability for entry in entries],
+            list(map(str, keys)),
+            [
+                index for index, entry in enumerate(entries)
+                if entry.source != entry.key
+            ],
+        )
+        ranked = [entries[index] for index in order]
     else:
         plan = raw_augmented.plan
-        planned = plan.all_fetches() if plan is not None else ()
-        if planned and len(planned) == len(fetches) and all(
-            map(is_, planned, fetches)
-        ):
-            order = plan.rank()
-        else:
-            order = _rank(fetches, _SEED)
         values = raw_augmented.values
-        ranked = [_augmented(values[index], fetches[index]) for index in order]
+        if raw_augmented.in_plan_order and len(rows) == len(plan.keys):
+            # ``rows`` is every plan row in order: row == position.
+            order, paths = plan.rank()
+        else:
+            order = _rank(plan.nodes, plan.probabilities, plan.texts, rows)
+            paths = map(plan.path, order)
+            values = dict(zip(rows, values))
+        sources, probabilities = plan.sources, plan.probabilities
+        ranked = [
+            AugmentedObject(
+                values[row], sources[row], path, probabilities[row]
+            )
+            for row, path in zip(order, paths)
+        ]
     stats.augmented_count = len(ranked)
     stats.original_count = len(originals)
     return AugmentedAnswer(list(originals), ranked, stats)

@@ -511,19 +511,17 @@ class Quepa:
         keys_by_database: dict[str, list[Any]] = {}
         would_hit = 0
         seen: set[Any] = set()
-        for fetch in plan.all_fetches():
+        for key in plan.keys:
             entry = per_database.setdefault(
-                fetch.key.database, {"fetches": 0, "cached": 0}
+                key.database, {"fetches": 0, "cached": 0}
             )
             entry["fetches"] += 1
-            if fetch.key in seen or self.cache.contains(fetch.key):
+            if key in seen or self.cache.contains(key):
                 entry["cached"] += 1
                 would_hit += 1
             else:
-                keys_by_database.setdefault(
-                    fetch.key.database, []
-                ).append(fetch.key)
-            seen.add(fetch.key)
+                keys_by_database.setdefault(key.database, []).append(key)
+            seen.add(key)
         estimated_queries = 1  # the local query
         for database, entry in per_database.items():
             misses = entry["fetches"] - entry["cached"]

@@ -68,12 +68,9 @@ class EtlWorkflow(MiddlewareSystem):
         supported = {
             name for name, kind in self.supported_databases()
         }
-        resolved = [
-            fetch for fetch in plan.all_fetches()
-            if fetch.key.database in supported
-        ]
+        resolved = [key for key in plan.keys if key.database in supported]
         # Row-at-a-time cost is paid per pipeline record (duplicates
         # included); the output size is distinct objects.
         records = len(originals) + len(resolved)
         ctx.cpu(records * PIPELINE_STAGES * PER_RECORD_STAGE_CPU)
-        return len(originals) + len({fetch.key for fetch in resolved})
+        return len(originals) + len(set(resolved))

@@ -122,16 +122,16 @@ class FederatedMiddleware(MiddlewareSystem):
         ctx.cpu(plan.edges_examined * ctx.cost_model.aindex_edge_cost)
         kinds = dict(self.bundle.databases)
         fetched: set = set()
-        for fetch in plan.all_fetches():
-            if kinds.get(fetch.key.database) not in self.supported_engines:
+        for key in plan.keys:
+            if kinds.get(key.database) not in self.supported_engines:
                 continue  # Redis objects are unreachable through META
-            store = self.bundle.polystore.database(fetch.key.database)
+            store = self.bundle.polystore.database(key.database)
             # Interface translation overhead on every single-object call
             # (no cache in the middleware: duplicates are refetched).
             ctx.cpu(ctx.cost_model.per_query_overhead * (TRANSLATION_OVERHEAD - 1.0))
             results = ctx.store_call(
-                fetch.key.database,
-                lambda key=fetch.key, store=store: store.multi_get([key]),
+                key.database,
+                lambda key=key, store=store: store.multi_get([key]),
             )
             fetched.update(obj.key for obj in results)
         return len(originals) + len(fetched)

@@ -93,10 +93,7 @@ class MultiModelStore(MiddlewareSystem):
         supported = {
             name for name, kind in self.supported_databases()
         }
-        reachable = [
-            fetch for fetch in plan.all_fetches()
-            if fetch.key.database in supported
-        ]
+        reachable = [key for key in plan.keys if key.database in supported]
         if self.mode == "native":
             # One AQL traversal over the imported A' index.
             ctx.cpu(
@@ -108,7 +105,7 @@ class MultiModelStore(MiddlewareSystem):
             ctx.cpu(plan.edges_examined * ctx.cost_model.aindex_edge_cost)
             for __ in reachable:
                 ctx.cpu(LOOKUP_CPU * 2.0 * pressure)
-        distinct = {fetch.key for fetch in reachable}
+        distinct = set(reachable)
         return len(originals) + len(distinct)
 
     # -- warm-up ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.augmentation import AugmentationPlan, PlannedFetch
+from repro.core.augmentation import AugmentationPlan
 from repro.core.search import AugmentedAnswer
 from repro.model.objects import DataObject, GlobalKey
 from repro.model.polystore import Polystore
@@ -66,10 +66,6 @@ class QueryContext:
     store_report: dict = field(default_factory=dict)
 
     @property
-    def fetches(self) -> list[PlannedFetch]:
-        return self.plan.all_fetches()
-
-    @property
     def fetch_count(self) -> int:
         """Planned fetches, duplicates included (what executions pay)."""
         return self.plan.total_fetches()
@@ -77,7 +73,7 @@ class QueryContext:
     @property
     def unique_fetch_count(self) -> int:
         """Distinct planned keys (what the answer can maximally gain)."""
-        return len({fetch.key for fetch in self.fetches})
+        return len(set(self.plan.keys))
 
     @property
     def edges_examined(self) -> int:
@@ -86,8 +82,8 @@ class QueryContext:
     def fetches_by_database(self) -> dict[str, int]:
         """Planned fetch counts per home database (duplicates included)."""
         counts: dict[str, int] = {}
-        for fetch in self.fetches:
-            database = fetch.key.database
+        for key in self.plan.keys:
+            database = key.database
             counts[database] = counts.get(database, 0) + 1
         return dict(sorted(counts.items()))
 

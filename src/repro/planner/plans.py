@@ -34,7 +34,6 @@ from repro.core.augmentation import (
     Augmentation,
     AugmentationConfig,
     AugmentationPlan,
-    PlannedFetch,
 )
 from repro.core.augmenters import make_augmenter
 from repro.core.augmenters.base import AugmentationOutcome
@@ -119,30 +118,26 @@ def local_originals(
 def restrict_plan(
     plan: AugmentationPlan, targets: tuple[str, ...]
 ) -> AugmentationPlan:
-    """The plan narrowed to fetches homed in ``targets``.
+    """The plan narrowed to fetches homed in ``targets``
+    (:meth:`AugmentationPlan.select`: paths unchanged).
 
     ``edges_examined`` is preserved: the traversal walked the whole
     index regardless of which databases the caller cares about.
     """
-    allowed = set(targets)
-    restricted = AugmentationPlan(
-        level=plan.level,
-        seeds=list(plan.seeds),
-        edges_examined=plan.edges_examined,
-    )
-    for seed in plan.seeds:
-        restricted.fetches_by_seed[seed] = [
-            fetch
-            for fetch in plan.fetches_by_seed.get(seed, [])
-            if fetch.key.database in allowed
-        ]
-    return restricted
+    return plan.select(rows_in(plan, set(targets)))
+
+
+def rows_in(plan: AugmentationPlan, databases) -> list[int]:
+    """The rows of ``plan`` homed in ``databases``, ascending."""
+    return [
+        row for row, key in enumerate(plan.keys) if key.database in databases
+    ]
 
 
 def materialize(
-    env: ExecutionEnv, fetches: list[PlannedFetch]
+    env: ExecutionEnv, plan: AugmentationPlan, rows: list[int]
 ) -> AugmentationOutcome:
-    """Resolve planned fetches against objects already held
+    """Resolve plan rows (ascending) against objects already held
     middleware-side: the rows found, as an outcome's columns.
 
     The collect/cast/import strategies have paid their architecture's
@@ -152,22 +147,23 @@ def materialize(
     without charging the execution context. Missing keys drop out, as
     everywhere (lazy deletion semantics).
     """
+    keys = plan.keys
     unique: dict[str, list[GlobalKey]] = {}
-    for fetch in fetches:
-        unique.setdefault(fetch.key.database, []).append(fetch.key)
+    for row in rows:
+        unique.setdefault(keys[row].database, []).append(keys[row])
     by_key: dict[GlobalKey, DataObject] = {}
-    for database, keys in unique.items():
+    for database, wanted in unique.items():
         store = env.polystore.database(database)
         with store.lock:
-            for obj in store.multi_get(keys):
+            for obj in store.multi_get(wanted):
                 by_key[obj.key] = obj
-    rows = AugmentationOutcome()
-    for fetch in fetches:
-        obj = by_key.get(fetch.key)
+    found = AugmentationOutcome(plan=plan, in_plan_order=True)
+    for row in rows:
+        obj = by_key.get(keys[row])
         if obj is not None:
-            rows.values.append(obj)
-            rows.fetches.append(fetch)
-    return rows
+            found.values.append(obj)
+            found.rows.append(row)
+    return found
 
 
 def scan_database(env: ExecutionEnv, database: str) -> list[list[GlobalKey]]:
@@ -243,12 +239,12 @@ def _staged_result(
 ) -> PlanResult:
     """The result of a staging strategy: degraded iff skipping the
     ``lost`` databases cost objects the target-restricted plan wanted."""
-    planned = restrict_plan(plan, targets).all_fetches()
+    planned = restrict_plan(plan, targets).keys
     return PlanResult(
         strategy=strategy,
         answer=_assemble(strategy, q, originals, rows),
         footprint=footprint,
-        degraded=any(fetch.key.database in lost for fetch in planned),
+        degraded=any(key.database in lost for key in planned),
         unavailable=tuple(sorted(lost)),
         errors=lost,
     )
@@ -384,14 +380,10 @@ class CollectJoinPlan(PhysicalPlan):
                 ctx.cpu(federated.CONVERT_CPU_PER_OBJECT * len(keys))
                 ctx.cpu(federated.PROBE_CPU * len(seeds))
             staged.add(database)
-        fetches = [
-            fetch
-            for fetch in plan.all_fetches()
-            if fetch.key.database in staged
-        ]
+        fetches = rows_in(plan, staged)
         # Joined matches are converted into the middleware's row model.
         ctx.cpu(federated.CONVERT_CPU_PER_OBJECT * len(fetches))
-        rows = materialize(env, fetches)
+        rows = materialize(env, plan, fetches)
         footprint += len(rows.values)
         check_memory(self.strategy, footprint, budget)
         return _staged_result(
@@ -433,14 +425,10 @@ class EtlCastPlan(PhysicalPlan):
             return _degraded_empty(self.strategy, q, failure)
         seeds = result_seeds(originals)
         plan = env.augmentation.plan(seeds, q.level, q.min_probability)
-        fetches = [
-            fetch
-            for fetch in plan.all_fetches()
-            if fetch.key.database in staged
-        ]
+        fetches = rows_in(plan, staged)
         records = len(originals) + len(fetches)
         ctx.cpu(records * etl.PIPELINE_STAGES * etl.PER_RECORD_STAGE_CPU)
-        rows = materialize(env, fetches)
+        rows = materialize(env, plan, fetches)
         return _staged_result(
             self.strategy, q, originals, rows, plan, targets, lost
         )
@@ -496,13 +484,9 @@ class MultiModelPlan(PhysicalPlan):
         seeds = result_seeds(originals)
         plan = env.augmentation.plan(seeds, q.level, q.min_probability)
         ctx.cpu(plan.edges_examined * ctx.cost_model.aindex_edge_cost)
-        fetches = [
-            fetch
-            for fetch in plan.all_fetches()
-            if fetch.key.database in staged and fetch.key.database in targets
-        ]
+        fetches = rows_in(plan, staged.intersection(targets))
         ctx.cpu(multimodel.LOOKUP_CPU * 2.0 * pressure * len(fetches))
-        rows = materialize(env, fetches)
+        rows = materialize(env, plan, fetches)
         return _staged_result(
             self.strategy, q, originals, rows, plan, targets, lost,
             imported,

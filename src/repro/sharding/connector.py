@@ -2,7 +2,7 @@
 
 ``ShardConnector`` replaces the plain connector whenever a database of
 the polystore is a :class:`~repro.sharding.store.ShardedStore`. The
-``PlannedFetch`` layer above is unchanged: augmenters still hand whole
+augmenter layer above is unchanged: augmenters still hand whole
 key groups to ``fetch_many``. The connector routes the group through
 the store's partition scheme and:
 

@@ -27,7 +27,7 @@ SEED = K("transactions.inventory.a32")
 class TestPlanning:
     def test_level_0_reaches_direct_neighbors(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=0)
-        keys = {str(f.key) for f in plan.fetches_by_seed[SEED]}
+        keys = {str(f.key) for f in plan.all_fetches()}
         # a32 ~ d1 (0.9); the Consistency Condition materializes
         # a32 ~ discount (0.72) and a32 = i1 (0.63).
         assert keys == {
@@ -39,7 +39,7 @@ class TestPlanning:
     def test_level_0_probabilities(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=0)
         by_key = {
-            str(f.key): f.probability for f in plan.fetches_by_seed[SEED]
+            str(f.key): f.probability for f in plan.all_fetches()
         }
         assert by_key["catalogue.albums.d1"] == pytest.approx(0.9)
         assert by_key["discount.drop.k1:cure:wish"] == pytest.approx(0.72)
@@ -47,7 +47,7 @@ class TestPlanning:
 
     def test_level_1_reaches_two_hops(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=1)
-        keys = {str(f.key) for f in plan.fetches_by_seed[SEED]}
+        keys = {str(f.key) for f in plan.all_fetches()}
         assert "similar.Item.i2" in keys  # via i1's matching edge
 
     def test_level_bounds_depth(self, mini_aindex):
@@ -59,7 +59,7 @@ class TestPlanning:
         augmentation = Augmentation(index)
         for level, expected in [(0, 1), (1, 2), (2, 3)]:
             plan = augmentation.plan([chain[0]], level)
-            assert len(plan.fetches_by_seed[chain[0]]) == expected
+            assert len(plan.all_fetches()) == expected
 
     def test_probability_multiplies_along_path(self):
         index = AIndex(enforce_consistency=False)
@@ -68,7 +68,7 @@ class TestPlanning:
         index.add(PRelation.matching(b, c, 0.5))
         plan = Augmentation(index).plan([a], level=1)
         probabilities = {
-            str(f.key): f.probability for f in plan.fetches_by_seed[a]
+            str(f.key): f.probability for f in plan.all_fetches()
         }
         assert probabilities[str(c)] == pytest.approx(0.4)
 
@@ -82,30 +82,30 @@ class TestPlanning:
         index.add(PRelation.matching(y, t, 0.6))  # product 0.36
         plan = Augmentation(index).plan([s], level=1)
         target = next(
-            f for f in plan.fetches_by_seed[s] if f.key == t
+            f for f in plan.all_fetches() if f.key == t
         )
         assert target.probability == pytest.approx(0.81)
         assert target.path == (x, t)
 
     def test_seed_not_fetched_for_itself(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=2)
-        assert all(f.key != SEED for f in plan.fetches_by_seed[SEED])
+        assert all(f.key != SEED for f in plan.all_fetches())
 
     def test_min_probability_prunes(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=0, min_probability=0.7)
-        keys = {str(f.key) for f in plan.fetches_by_seed[SEED]}
+        keys = {str(f.key) for f in plan.all_fetches()}
         assert "similar.Item.i1" not in keys  # p = 0.63 < 0.7
         assert "catalogue.albums.d1" in keys
 
     def test_fetches_ordered_by_probability(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=1)
-        probabilities = [f.probability for f in plan.fetches_by_seed[SEED]]
+        probabilities = [f.probability for f in plan.all_fetches()]
         assert probabilities == sorted(probabilities, reverse=True)
 
     def test_unknown_seed_plans_nothing(self, mini_augmentation):
         ghost = K("nowhere.c.k")
         plan = mini_augmentation.plan([ghost], level=1)
-        assert plan.fetches_by_seed[ghost] == []
+        assert plan.all_fetches() == []
 
     def test_negative_level_rejected(self, mini_augmentation):
         with pytest.raises(ValueError):
@@ -145,15 +145,17 @@ class TestDuplicateSeeds:
         assert len(thrice.all_fetches()) == thrice.total_fetches()
         assert thrice.total_fetches() == once.total_fetches() == 3
         assert thrice.edges_examined == once.edges_examined
-        assert thrice.fetches_by_seed == once.fetches_by_seed
+        assert thrice.all_fetches() == once.all_fetches()
+        assert thrice.bounds == once.bounds == [0, 3]
 
     def test_distinct_seeds_keep_first_seen_order(self, mini_augmentation):
         other = K("catalogue.albums.d1")
         plan = mini_augmentation.plan([SEED, other, SEED, other], level=0)
         assert plan.seeds == [SEED, other]
+        middle = plan.bounds[1]
+        assert plan.bounds == [0, middle, plan.total_fetches()]
         assert [f.seed for f in plan.all_fetches()] == (
-            [SEED] * len(plan.fetches_by_seed[SEED])
-            + [other] * len(plan.fetches_by_seed[other])
+            [SEED] * middle + [other] * (plan.total_fetches() - middle)
         )
 
     def test_the_plan_cache_replays_the_deduplicated_plan(

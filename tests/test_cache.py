@@ -2,8 +2,10 @@
 tiers built on the core."""
 
 import inspect
+import random
 import re
 import threading
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -341,6 +343,57 @@ class TestBoundedLru:
         assert bulk.items() == loop.items()
         assert bulk.stats() == loop.stats()
         assert bulk.items()[-1][1] is batch[-1]  # p = 1 already: no copy
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_object_cache_evicts_as_the_reference(self, seed):
+        """``LruCache.put`` / ``put_many`` evict without building the
+        evicted list nobody reads: under a seeded sequence of puts,
+        probes and resizes, the eviction counter, the recency order and
+        the contents are the reference's (an ``OrderedDict`` that pops
+        its oldest entry while over capacity, as the LRU always did)."""
+        rng = random.Random(seed)
+        names = [f"k{i}" for i in range(24)]
+        cache = LruCache(rng.randint(0, 8))
+        entries: OrderedDict = OrderedDict()
+        capacity, evictions = cache.capacity, 0
+
+        def insert(objects):
+            nonlocal evictions
+            if capacity == 0:
+                return
+            for item in objects:
+                entries[item.key] = item
+                entries.move_to_end(item.key)
+            while len(entries) > capacity:
+                entries.popitem(last=False)
+                evictions += 1
+
+        for step in range(400):
+            action = rng.random()
+            if action < 0.35:
+                item = obj(rng.choice(names), step)
+                cache.put(item)
+                insert([item])
+            elif action < 0.55:
+                batch = [obj(rng.choice(names), step) for __ in range(5)]
+                cache.put_many(batch)
+                insert(batch)
+            elif action < 0.95:
+                key = obj(rng.choice(names)).key
+                found = cache.get(key)
+                assert found is entries.get(key)
+                if found is not None:
+                    entries.move_to_end(key)
+            else:
+                capacity = rng.randint(0, 8)
+                evicted = cache.resize(capacity)
+                expected = []
+                while len(entries) > capacity:
+                    expected.append(entries.popitem(last=False))
+                evictions += len(expected)
+                assert evicted == expected
+            assert cache.items() == list(entries.items())
+            assert cache.evictions == evictions
 
     def test_get_many_counts_distinct_keys(self):
         """The run contract (the name predates it): one value and one

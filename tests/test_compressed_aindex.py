@@ -77,11 +77,11 @@ class TestPlanningEquivalence:
             frozen_plan = Augmentation(frozen).plan([seed], level)  # type: ignore[arg-type]
             live = {
                 (str(f.key), round(f.probability, 9))
-                for f in live_plan.fetches_by_seed[seed]
+                for f in live_plan.all_fetches()
             }
             snap = {
                 (str(f.key), round(f.probability, 9))
-                for f in frozen_plan.fetches_by_seed[seed]
+                for f in frozen_plan.all_fetches()
             }
             assert snap == live
 
@@ -152,7 +152,12 @@ def reads(index):
         )
     assert {key for key in rows if rows[key][0]} == set(nodes)
     planner = Augmentation(index)
-    plans = [planner._expand(index, seed, 2, 0.0) for seed in NODES]
+    plans = [
+        (plan.all_fetches(), plan.edges_examined)
+        for plan in (
+            planner._plan_on(index, [seed], 2, 0.0)[0] for seed in NODES
+        )
+    ]
     return set(nodes), index.edge_count(), rows, plans
 
 

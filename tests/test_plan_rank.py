@@ -2,8 +2,8 @@
 row-by-row one.
 
 ``assemble_answer`` ranks an outcome with ``AugmentationPlan.rank()`` —
-computed once per plan and kept by the plan cache — when the outcome's
-``fetches`` column is, element for element, the plan's own fetch list,
+computed once per plan and kept by the plan cache — when the outcome
+says its rows are in plan order and it holds every row of the plan,
 and row by row otherwise. Every strategy, at every cache state that
 decides which of the two runs, must answer what the ranking over built
 entries answers (``reference_rank``), and what the row-by-row path
@@ -15,7 +15,6 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import replace
-from operator import is_
 
 import pytest
 
@@ -63,17 +62,20 @@ def signature(answer):
 
 
 def takes_plan_rank(outcome) -> bool:
-    """The condition ``assemble_answer`` takes the plan's rank on."""
-    planned = outcome.plan.all_fetches()
-    return len(planned) == len(outcome.fetches) and all(
-        map(is_, planned, outcome.fetches)
-    )
+    """The condition ``assemble_answer`` takes the plan's rank on (and
+    an outcome that claims plan order has its rows ascending)."""
+    rows = outcome.rows
+    if outcome.in_plan_order:
+        assert rows == sorted(set(rows))
+    return outcome.in_plan_order and len(rows) == outcome.plan.total_fetches()
 
 
 def check(outcome):
     """The answer equals the reference ranking and the row-by-row path."""
     answer = assemble_answer([], outcome, SearchStats())
-    row_by_row = assemble_answer([], replace(outcome, plan=None), SearchStats())
+    row_by_row = assemble_answer(
+        [], replace(outcome, in_plan_order=False), SearchStats()
+    )
     assert answer.augmented == reference_rank(outcome.objects)
     assert signature(answer) == signature(row_by_row)
     return answer
@@ -141,6 +143,7 @@ def test_one_plan_shared_by_two_quepas(bundle, name):
             answers.append(signature(check(outcome)))
     memo = plan.rank()
     assert memo is plan.rank()
+    assert memo[1] == [plan.path(row) for row in memo[0]]
     assert all(answer == answers[0] for answer in answers)
 
 
@@ -227,6 +230,6 @@ def test_racing_first_ranks_of_one_plan_agree(bundle):
     assert not any(worker.is_alive() for worker in workers)
     assert len(orders) == threads
     assert all(order == orders[0] for order in orders)
-    assert orders[0] == search_module._rank(
-        plan.all_fetches(), search_module._SEED
+    assert orders[0][0] == search_module._rank(
+        plan.nodes, plan.probabilities, plan.texts, range(plan.total_fetches())
     )

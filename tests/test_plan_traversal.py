@@ -8,6 +8,8 @@ return the same fetch list, fetch for fetch (key, probability, seed,
 path, order), and the same ``edges_examined``, whatever the index:
 a full snapshot and a patched one (by node id), a partition view with
 ghost nodes, sharded snapshots, a live index, a duck-typed one (by key).
+The plan keeps columns; :func:`expand` reads one seed's rows back as
+fetches, paths rebuilt from the parent column.
 """
 
 import functools
@@ -18,7 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aindex import AIndex
-from repro.core.augmentation import Augmentation, PlannedFetch
+from repro.core.augmentation import (
+    Augmentation,
+    AugmentationPlan,
+    PlannedFetch,
+    _plan_view,
+)
 from repro.core.compressed import FrozenAIndex
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation
@@ -82,16 +89,27 @@ def reference_expand(index, seed, level, min_probability):
     return [fetch for __, __, fetch in decorated], edges
 
 
+def expand(index, seed, level, min_probability):
+    """One seed's plan over ``index``: its fetches, built from the
+    columns, and the edges examined."""
+    plan = AugmentationPlan(level, [seed], hop_of=_plan_view(index)[3])
+    edges = Augmentation(index)._expand(
+        index, seed, level, min_probability, plan
+    )
+    for name in ("probabilities", "sources", "nodes", "texts", "parents"):
+        assert len(getattr(plan, name)) == len(plan.keys), name
+    return plan.all_fetches(), edges
+
+
 def assert_planned_like_reference(
     index, seeds, levels=LEVELS, cuts=CUTS, oracle=None, label=""
 ):
     """``_expand`` over ``index`` equals the reference over ``oracle``
     (default: ``index`` itself, read through ``neighbors``)."""
-    planner = Augmentation(index)
     for level in levels:
         for cut in cuts:
             for seed in seeds:
-                ours = planner._expand(index, seed, level, cut)
+                ours = expand(index, seed, level, cut)
                 theirs = reference_expand(oracle or index, seed, level, cut)
                 assert ours == theirs, (label, seed, level, cut)
                 assert all(type(f) is PlannedFetch for f in ours[0])
@@ -205,15 +223,13 @@ class TestTheRules:
         for name, flavour, oracle in flavours(index):
             if name.startswith("partition"):
                 continue  # one shard's part of the graph
-            fetches, edges = Augmentation(flavour)._expand(
-                flavour, seed, 1, 0.0
-            )
+            fetches, edges = expand(flavour, seed, 1, 0.0)
             assert [(f.key, f.probability, f.path) for f in fetches] == [
                 (b, 0.9, (b,)),
                 (a, 0.9 * 0.9, (b, a)),
             ], name
             assert edges == 2 + 2, name  # the seed's row and n2's
-            fetches, __ = Augmentation(flavour)._expand(flavour, seed, 2, 0.0)
+            fetches, __ = expand(flavour, seed, 2, 0.0)
             assert PlannedFetch(c, 0.9 * 0.9, seed, (b, a, c)) in fetches
         assert_planned_like_reference(FrozenAIndex.freeze(index), NODES[:4])
 
@@ -227,7 +243,7 @@ class TestTheRules:
         index.add(PRelation.identity(b, c, 1.0))
         index.add(PRelation.identity(a, c, 1.0))
         frozen = FrozenAIndex.freeze(index)
-        fetches, __ = Augmentation(frozen)._expand(frozen, seed, 1, 0.0)
+        fetches, __ = expand(frozen, seed, 1, 0.0)
         assert {f.key: f.path for f in fetches} == {
             a: (a,), b: (b,), c: (a, c),
         }
@@ -237,23 +253,21 @@ class TestTheRules:
         index = chain(1.0, 1.0, 1.0, 1.0)
         index.add(PRelation.identity(NODES[4], NODES[0], 1.0))
         frozen = FrozenAIndex.freeze(index)
-        fetches, __ = Augmentation(frozen)._expand(frozen, NODES[0], 3, 0.0)
+        fetches, __ = expand(frozen, NODES[0], 3, 0.0)
         assert NODES[0] not in [f.key for f in fetches]
         assert {f.probability for f in fetches} == {1.0}
         assert_planned_like_reference(frozen, NODES[:5])
 
     def test_min_probability_cuts_the_path_not_just_the_fetch(self):
         frozen = FrozenAIndex.freeze(chain(0.5, 0.5, 1.0))
-        fetches, edges = Augmentation(frozen)._expand(
-            frozen, NODES[0], 3, 0.3
-        )
+        fetches, edges = expand(frozen, NODES[0], 3, 0.3)
         assert [f.key for f in fetches] == [NODES[1]]
         assert edges == 1 + 2
         assert_planned_like_reference(frozen, NODES[:4])
 
     def test_a_seed_the_index_never_saw_plans_nothing(self, mini_aindex):
         for __, flavour, __ in flavours(mini_aindex):
-            assert Augmentation(flavour)._expand(flavour, ABSENT, 2, 0.0) == (
+            assert expand(flavour, ABSENT, 2, 0.0) == (
                 [], 0
             )
 

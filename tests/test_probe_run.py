@@ -20,7 +20,7 @@ from repro.core.aindex import AIndex
 from repro.core.augmentation import (
     Augmentation,
     AugmentationConfig,
-    PlannedFetch,
+    AugmentationPlan,
 )
 from repro.core.augmenters import make_augmenter
 from repro.core.augmenters.base import AugmentationOutcome, Augmenter
@@ -153,35 +153,35 @@ class PerProbeAugmenter(Augmenter):
     def _run(self, ctx, plan, config):
         return getattr(self, f"_{self.strategy}")(ctx, plan, config)
 
-    def _hit(self, ctx, fetch, into) -> bool:
+    def _hit(self, ctx, row, into) -> bool:
         ctx.cpu(self._probe_cost)
-        cached = self.cache.get(fetch.key)
+        cached = self.cache.get(self._keys[row])
         if cached is None:
             return False
         into.cache_hits += 1
         into.values.append(cached)
-        into.fetches.append(fetch)
+        into.rows.append(row)
         return True
 
     def _fill(self, ctx, plan, config, outcome, flush):
         groups = {}
-        for fetch in plan.all_fetches():
-            if self._hit(ctx, fetch, outcome):
+        for row, key in enumerate(plan.keys):
+            if self._hit(ctx, row, outcome):
                 continue
-            group = groups.setdefault(fetch.key.database, [])
-            group.append(fetch)
+            group = groups.setdefault(key.database, [])
+            group.append(row)
             if len(group) >= config.batch_size:
-                flush(fetch.key.database, group)
-                groups[fetch.key.database] = []
+                flush(key.database, group)
+                groups[key.database] = []
         for database, group in groups.items():
             if group:
                 flush(database, group)
 
     def _sequential(self, ctx, plan, config):
         outcome = AugmentationOutcome()
-        for fetch in plan.all_fetches():
-            if not self._hit(ctx, fetch, outcome):
-                self._fetch_single(ctx, fetch, outcome)
+        for row in range(plan.total_fetches()):
+            if not self._hit(ctx, row, outcome):
+                self._fetch_single(ctx, row, outcome)
         return outcome
 
     def _batch(self, ctx, plan, config):
@@ -196,26 +196,26 @@ class PerProbeAugmenter(Augmenter):
 
     def _inner(self, ctx, plan, config):
         outcome = AugmentationOutcome()
-        for seed in plan.seeds:
+        for start, stop in zip(plan.bounds, plan.bounds[1:]):
             pool = None
-            for fetch in plan.fetches_by_seed.get(seed, []):
-                if self._hit(ctx, fetch, outcome):
+            for row in range(start, stop):
+                if self._hit(ctx, row, outcome):
                     continue
                 if pool is None:
                     pool = ctx.pool(config.threads_size)
-                pool.submit(self._single_worker(fetch))
+                pool.submit(self._single_worker(row))
             if pool is not None:
                 for part in pool.join():
                     outcome.absorb(part)
         return outcome
 
     def _outer(self, ctx, plan, config):
-        def seed_worker(fetches):
+        def seed_worker(start, stop):
             def task(child):
                 part = AugmentationOutcome()
-                for fetch in fetches:
-                    if not self._hit(child, fetch, part):
-                        self._fetch_single(child, fetch, part)
+                for row in range(start, stop):
+                    if not self._hit(child, row, part):
+                        self._fetch_single(child, row, part)
                 return part
 
             return task
@@ -245,13 +245,13 @@ class PerProbeAugmenter(Augmenter):
     def _outer_inner(self, ctx, plan, config):
         half = max(1, config.threads_size // 2)
 
-        def seed_worker(fetches):
+        def seed_worker(start, stop):
             def task(child):
                 part = AugmentationOutcome()
                 inner_pool = child.pool(half)
-                for fetch in fetches:
-                    if not self._hit(child, fetch, part):
-                        inner_pool.submit(self._single_worker(fetch))
+                for row in range(start, stop):
+                    if not self._hit(child, row, part):
+                        inner_pool.submit(self._single_worker(row))
                 for fetched in inner_pool.join():
                     part.absorb(fetched)
                 return part
@@ -303,8 +303,8 @@ def observe(make, bundle, plans, config, cache_class=LruCache):
             {
                 "signature": answer_signature(outcome),
                 "rows": [
-                    (value.key, value.value, fetch)
-                    for value, fetch in zip(outcome.values, outcome.fetches)
+                    (value.key, value.value, plan.fetch(row))
+                    for value, row in zip(outcome.values, outcome.rows)
                 ],
                 "elapsed": runtime.elapsed,
                 "demand": ctx.demand,
@@ -384,14 +384,24 @@ def ranked(raw_augmented):
 @settings(max_examples=200)
 def test_ranking_columns_is_ranking_objects(rows):
     nodes = [GlobalKey("db", "c", f"n{i}") for i in range(6)]
-    outcome = AugmentationOutcome()
-    for target, seed, probability in rows:
+    # A plan never has a row keyed by its own seed: the planner drops
+    # the seed, so such a row is made here only to be left out.
+    rows = [(t, seed, p) for t, seed, p in rows if t != seed]
+    plan = AugmentationPlan(
+        0,
+        [],
+        keys=[nodes[t] for t, __, __ in rows],
+        probabilities=[p for __, __, p in rows],
+        sources=[nodes[seed] for __, seed, __ in rows],
+        nodes=[t for t, __, __ in rows],
+        texts=[str(nodes[t]) for t, __, __ in rows],
+        parents=[-1] * len(rows),
+        hop_of=lambda node: (nodes[node],),
+    )
+    outcome = AugmentationOutcome(plan=plan)
+    for row, (target, __, __) in enumerate(rows):
         outcome.values.append(DataObject(nodes[target], {"n": target}))
-        outcome.fetches.append(
-            PlannedFetch(
-                nodes[target], probability, nodes[seed], (nodes[target],)
-            )
-        )
+        outcome.rows.append(row)
     expected = reference_rank(outcome.objects)
     assert ranked(outcome) == expected
     assert ranked(outcome.objects) == expected

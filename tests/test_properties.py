@@ -223,7 +223,7 @@ class TestAugmentationProperties:
         index.add_all(relations)
         seed = relations[0].left
         plan = Augmentation(index).plan([seed], level)
-        fetches = plan.fetches_by_seed[seed]
+        fetches = plan.all_fetches()
         # Ordered by decreasing probability, no seed, no duplicates.
         probabilities = [f.probability for f in fetches]
         assert probabilities == sorted(probabilities, reverse=True)
@@ -239,10 +239,10 @@ class TestAugmentationProperties:
         seed = relations[0].left
         augmentation = Augmentation(index)
         level0 = {
-            f.key for f in augmentation.plan([seed], 0).fetches_by_seed[seed]
+            f.key for f in augmentation.plan([seed], 0).all_fetches()
         }
         level2 = {
-            f.key for f in augmentation.plan([seed], 2).fetches_by_seed[seed]
+            f.key for f in augmentation.plan([seed], 2).all_fetches()
         }
         assert level0 <= level2
 
@@ -253,7 +253,7 @@ class TestAugmentationProperties:
         index.add_all(relations)
         seed = relations[0].left
         plan = Augmentation(index).plan([seed], 2)
-        for fetch in plan.fetches_by_seed[seed]:
+        for fetch in plan.all_fetches():
             product = 1.0
             previous = seed
             for hop in fetch.path:
