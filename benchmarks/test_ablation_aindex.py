@@ -86,14 +86,12 @@ def test_ablation_promotion_shortcuts(benchmark, bundle4, report):
         end = bundle4.entity_key("similar", 2)
         walk = (start, middle, end)
         before = Augmentation(aindex).plan([start], level=0)
-        before_reaches = any(f.key == end for f in
-                             before.all_fetches())
+        before_reaches = end in before.keys
         promoted = None
         for __ in range(policy.threshold(2)):
             promoted = paths.record_path(walk) or promoted
         after = Augmentation(aindex).plan([start], level=0)
-        after_reaches = any(f.key == end for f in
-                            after.all_fetches())
+        after_reaches = end in after.keys
         # Clean up the promoted edge so other benches see the original
         # index (bundles are session-shared).
         if promoted is not None:
@@ -146,12 +144,8 @@ def test_ablation_frozen_index_planning(benchmark, bundle10, report):
     report.row(index="frozen", fetches=frozen_plan.total_fetches(),
                plan_s=frozen_time)
     assert frozen_plan.total_fetches() == live_plan.total_fetches()
-    live_keys = {
-        (str(f.seed), str(f.key)) for f in live_plan.all_fetches()
-    }
-    frozen_keys = {
-        (str(f.seed), str(f.key)) for f in frozen_plan.all_fetches()
-    }
+    live_keys = set(zip(live_plan.sources, live_plan.keys))
+    frozen_keys = set(zip(frozen_plan.sources, frozen_plan.keys))
     assert frozen_keys == live_keys
     report.note("identical plans from the read-only snapshot")
 

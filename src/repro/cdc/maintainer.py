@@ -64,11 +64,11 @@ Slot = tuple[GlobalKey, str]
 
 
 def _canonical(a: GlobalKey, b: GlobalKey) -> Pair:
-    return (a, b) if str(a) <= str(b) else (b, a)
+    return (a, b) if a <= b else (b, a)
 
 
 def _relation_order(relation: PRelation) -> tuple[str, str, str]:
-    return (str(relation.left), str(relation.right), relation.type.value)
+    return (relation.left, relation.right, relation.type.value)
 
 
 def _slots(pair: Pair) -> tuple[Slot, Slot]:

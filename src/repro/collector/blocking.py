@@ -30,7 +30,7 @@ def _oriented(
     re-scores pairs out of scan context and must land on the same score
     a full batch run computes.
     """
-    return (left, right) if str(left.key) <= str(right.key) else (right, left)
+    return (left, right) if left.key <= right.key else (right, left)
 
 
 def tokenize_value(value: object) -> set[str]:
@@ -80,7 +80,7 @@ class TokenBlocker:
                     if left.key.database == right.key.database:
                         continue
                     pair = _oriented(left, right)
-                    pair_ids = (str(pair[0].key), str(pair[1].key))
+                    pair_ids = (pair[0].key, pair[1].key)
                     if pair_ids in emitted:
                         continue
                     emitted.add(pair_ids)
@@ -134,7 +134,7 @@ class SortedNeighborhoodBlocker:
                 if left.key.database == right.key.database:
                     continue
                 pair = _oriented(left, right)
-                pair_ids = (str(pair[0].key), str(pair[1].key))
+                pair_ids = (pair[0].key, pair[1].key)
                 if pair_ids in emitted:
                     continue
                 emitted.add(pair_ids)

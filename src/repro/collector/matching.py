@@ -170,6 +170,6 @@ def _outranks(candidate: PRelation, incumbent: PRelation) -> bool:
     go to the canonically smaller endpoint pair."""
     if candidate.probability != incumbent.probability:
         return candidate.probability > incumbent.probability
-    return (str(candidate.left), str(candidate.right)) < (
-        str(incumbent.left), str(incumbent.right)
+    return (candidate.left, candidate.right) < (
+        incumbent.left, incumbent.right
     )

@@ -54,7 +54,7 @@ Pair = tuple[GlobalKey, GlobalKey]
 
 
 def _pair(a: GlobalKey, b: GlobalKey) -> Pair:
-    return (a, b) if str(a) <= str(b) else (b, a)
+    return (a, b) if a <= b else (b, a)
 
 
 def _mentioned(pair: Pair, supports: Iterable[Pair]) -> set[GlobalKey]:

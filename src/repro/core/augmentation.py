@@ -25,7 +25,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import count, repeat
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from repro.core.aindex import AIndex
 from repro.core.cache import BoundedLru
@@ -56,27 +56,12 @@ class AugmentationConfig:
     timeout_budget: float | None = None
 
 
-class PlannedFetch(NamedTuple):
-    """One row of a plan, as :meth:`AugmentationPlan.fetch` builds it on
-    read (no search does).
-
-    ``seed`` is the original-answer object this fetch augments and
-    ``path`` the chain of intermediate keys (excluding the seed,
-    including the target), so the exploration UI can explain each link.
-    """
-
-    key: GlobalKey
-    probability: float
-    seed: GlobalKey
-    path: tuple[GlobalKey, ...]
-
-
 def _hop(key: GlobalKey) -> tuple[GlobalKey]:
     return (key,)
 
 
 #: The per-row columns of a plan.
-_COLUMNS = ("keys", "probabilities", "sources", "nodes", "texts", "parents")
+_COLUMNS = ("keys", "probabilities", "sources", "nodes", "parents")
 
 
 @dataclass
@@ -86,10 +71,12 @@ class AugmentationPlan:
     Row ``r`` fetches ``keys[r]`` at ``probabilities[r]`` for the seed
     ``sources[r]``. The rows of ``seeds[i]`` are ``range(bounds[i],
     bounds[i + 1])``, in seed order, each seed's ranked by probability
-    with the key text as tiebreak. No row fetches its own seed. A key
-    may have a row under several seeds: overlapping augmentations are
-    deduplicated only in the final answer, which is exactly why the
-    cache helps at level > 0.
+    with the key (its text) as tiebreak. ``path(r)`` is the chain of
+    keys from the seed to the row (seed excluded, target included), so
+    the exploration UI can explain each link. No row fetches its own
+    seed. A key may have a row under several seeds: overlapping
+    augmentations are deduplicated only in the final answer, which is
+    exactly why the cache helps at level > 0.
 
     A plan is filled once by whoever builds it and read-only after;
     the plan cache hands the same plan to every repeat of a query.
@@ -104,8 +91,6 @@ class AugmentationPlan:
     #: The row's node handle: the snapshot's node id, or the key itself
     #: on an index without ids. One handle per key.
     nodes: list = field(default_factory=list)
-    #: ``str(key)``, the rank's tiebreak.
-    texts: list[str] = field(default_factory=list)
     #: The row of the previous hop on the row's path, -1 at the seed.
     parents: list[int] = field(default_factory=list)
     bounds: list[int] = field(default_factory=lambda: [0])
@@ -144,19 +129,6 @@ class AugmentationPlan:
         hops.reverse()
         return tuple(hops)
 
-    def fetch(self, row: int) -> PlannedFetch:
-        """Row ``row`` as a :class:`PlannedFetch`, built on each call."""
-        return PlannedFetch(
-            self.keys[row],
-            self.probabilities[row],
-            self.sources[row],
-            self.path(row),
-        )
-
-    def all_fetches(self) -> list[PlannedFetch]:
-        """Every row as a :class:`PlannedFetch`, in row order."""
-        return [self.fetch(row) for row in range(len(self.keys))]
-
     def select(self, rows: list[int]) -> "AugmentationPlan":
         """The plan of ``rows`` (ascending): the same seeds, paths and
         ``edges_examined``, the rank recomputed."""
@@ -179,7 +151,7 @@ class AugmentationPlan:
         ranked = self._ranked
         if ranked is None:
             order = _rank(
-                self.nodes, self.probabilities, self.texts,
+                self.nodes, self.probabilities, self.keys,
                 range(len(self.keys)),
             )
             ranked = self._ranked = (order, list(map(self.path, order)))
@@ -365,7 +337,7 @@ class Augmentation:
         keeps no object per row: a path is read back through
         ``plan.parents`` (:meth:`AugmentationPlan.path`).
         """
-        node_of, row_of, key_of, __, text_of = _plan_view(index)
+        node_of, row_of, key_of, __ = _plan_view(index)
         start = node_of(seed)
         if start is None:
             return 0
@@ -401,11 +373,12 @@ class Augmentation:
                     counter += 1
                     heappush(heap, (-combined, counter, target, depth))
         del best[start]
-        # Probability descending, key text ascending: two stable sorts.
-        # One row per node, so the text is unique and handles never
-        # decide. Probabilities are <= 1, so no entry improved once its
-        # node was expanded: the parent pointers read here are final.
-        order = sorted(best, key=text_of)
+        # Probability descending, key ascending (a key sorts as its
+        # text): two stable sorts. One row per node, so the key is
+        # unique and handles never decide. Probabilities are <= 1, so
+        # no entry improved once its node was expanded: the parent
+        # pointers read here are final.
+        order = sorted(best, key=key_of)
         order.sort(key=best.__getitem__, reverse=True)
         row_of_node = dict(zip(order, count(len(plan.keys))))
         row_of_node[start] = -1
@@ -413,7 +386,6 @@ class Augmentation:
         plan.probabilities += map(best.__getitem__, order)
         plan.sources += repeat(seed, len(order))
         plan.nodes += order
-        plan.texts += map(text_of, order)
         plan.parents += map(
             row_of_node.__getitem__, map(parent.__getitem__, order)
         )
@@ -434,4 +406,4 @@ def _plan_view(index) -> tuple:
     arcs = getattr(index, "neighbor_arcs", None) or (
         lambda key: [(n.key, n.probability) for n in index.neighbors(key)]
     )
-    return _itself, arcs, _itself, _hop, str
+    return _itself, arcs, _itself, _hop

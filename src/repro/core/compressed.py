@@ -87,12 +87,10 @@ class FrozenAIndex:
         #: A function of the base alone, so snapshots patched from it
         #: share the memo.
         self._rows: list[IdRow | None] = [None] * len(keys)
-        #: ``str(key)`` (the planner's sort key) and ``(key,)`` (the
-        #: path of a direct neighbour, and what a longer path ends in)
-        #: per node, set for every target of a built row — the nodes a
-        #: plan can return. The strings already live on the keys; one
-        #: 1-tuple per node replaces one per fetch that plans the node.
-        self._texts: list[str | None] = [None] * len(keys)
+        #: ``(key,)`` (the path of a direct neighbour, and what a
+        #: longer path ends in) per node, set for every target of a
+        #: built row — the nodes a plan can return. One 1-tuple per node
+        #: replaces one per fetch that plans the node.
         self._hops: list[tuple[GlobalKey] | None] = [None] * len(keys)
         #: Rows that supersede the base: node id -> its current row, or
         #: ``None`` for a node that no longer exists. Empty on a full
@@ -160,7 +158,6 @@ class FrozenAIndex:
             node = len(self._keys)
             self._keys.append(key)
             self._rows.append([])
-            self._texts.append(None)
             self._hops.append(None)
             self._offsets.append(self._offsets[-1])
             self._ids[key] = node
@@ -196,7 +193,7 @@ class FrozenAIndex:
                 for other, edge in live.items():
                     target = intern(other)
                     if hops[target] is None:
-                        self._label(target, other)
+                        hops[target] = (other,)
                     arcs.append((target, edge[1]))
                 row = (arcs, [edge[0] for edge in live.values()])
             overlay[intern(key)] = row
@@ -208,12 +205,6 @@ class FrozenAIndex:
         return len(self._overlay)
 
     # -- the planner's view ---------------------------------------------------
-
-    def _label(self, node: int, key: GlobalKey) -> None:
-        """Fill the per-node memos of a row target (``_hops`` last: it
-        is the one tested)."""
-        self._texts[node] = str(key)
-        self._hops[node] = (key,)
 
     def _row(self, node: int) -> IdRow:
         """The arcs out of ``node``, overlay first."""
@@ -232,22 +223,20 @@ class FrozenAIndex:
             ):
                 target = targets[position]
                 if hops[target] is None:
-                    self._label(target, keys[target])
+                    hops[target] = (keys[target],)
                 arcs.append((target, probabilities[position]))
             self._rows[node] = arcs
         return arcs
 
     def plan_view(self) -> tuple:
         """``(node of a key or None, row of a node, key of a node,
-        (key,) of a node, text of a node)`` for
-        :meth:`Augmentation._expand`: nodes are ids, and the last three
-        are plain list look-ups."""
+        (key,) of a node)`` for :meth:`Augmentation._expand`: nodes are
+        ids, and the last two are plain list look-ups."""
         return (
             self._ids.get,
             self._row,
             self._keys.__getitem__,
             self._hops.__getitem__,
-            self._texts.__getitem__,
         )
 
     # -- AIndex read protocol -----------------------------------------------------

@@ -87,11 +87,12 @@ class SearchStats:
 
 
 def _rank(
-    nodes: Sequence, probabilities: Sequence[float], texts: Sequence[str],
+    nodes: Sequence, probabilities: Sequence[float], keys: Sequence[GlobalKey],
     rows: Iterable[int],
 ) -> list[int]:
     """``rows`` in answer order: per node its most probable row, the
-    first one on a tie; by probability descending, text as tiebreak.
+    first one on a tie; by probability descending, key (its text) as
+    tiebreak.
 
     Rows are indexes into the three columns, and a node is one handle
     per key (a snapshot's node id), so the dedup hashes ints.
@@ -103,9 +104,9 @@ def _rank(
         current = best_get(node)
         if current is None or probabilities[row] > probabilities[current]:
             best[node] = row
-    # One row per node, so the texts are unique: two stable sorts give
-    # (probability descending, text) and rows never decide.
-    order = sorted(best.values(), key=texts.__getitem__)
+    # One row per node, so the keys are unique: two stable sorts give
+    # (probability descending, key) and rows never decide.
+    order = sorted(best.values(), key=keys.__getitem__)
     order.sort(key=probabilities.__getitem__, reverse=True)
     return order
 
@@ -136,7 +137,7 @@ def assemble_answer(
         order = _rank(
             keys,
             [entry.probability for entry in entries],
-            list(map(str, keys)),
+            keys,
             [
                 index for index, entry in enumerate(entries)
                 if entry.source != entry.key
@@ -150,7 +151,7 @@ def assemble_answer(
             # ``rows`` is every plan row in order: row == position.
             order, paths = plan.rank()
         else:
-            order = _rank(plan.nodes, plan.probabilities, plan.texts, rows)
+            order = _rank(plan.nodes, plan.probabilities, plan.keys, rows)
             paths = map(plan.path, order)
             values = dict(zip(rows, values))
         sources, probabilities = plan.sources, plan.probabilities

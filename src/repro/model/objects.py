@@ -17,39 +17,43 @@ from repro.errors import InvalidGlobalKeyError
 GLOBAL_KEY_SEPARATOR = "."
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalKey:
+class GlobalKey(str):
     """Unique address of a data object inside a polystore.
 
-    The textual form is ``database.collection.key``. Database and
-    collection names must not contain the separator; the local key may
-    (e.g. Redis keys such as ``drop.k1:cure:wish``), which is why parsing
-    splits on the first two separators only.
+    A key *is* its text ``database.collection.key``: a ``str`` whose
+    three read-only fields are set once, when the key is built. Hashing,
+    equality and ordering are ``str``'s, in C, so a key equals, hashes
+    and sorts as its own text, and ``str(key)`` is that text as a plain
+    ``str`` (a copy). Database and collection names must not contain
+    the separator; the local key may (e.g. Redis keys such as
+    ``drop.k1:cure:wish``), which is why parsing splits on the first
+    two separators only. Stores hand out one key per live object
+    (:meth:`repro.stores.base.Store.global_key`).
     """
+
+    __slots__ = ("database", "collection", "key")
 
     database: str
     collection: str
     key: str
-    #: Memoized textual form. Keys are interned all over the hot paths
-    #: (plan ordering, answer assembly, freeze determinism), so the join
-    #: is computed once per key instead of once per __str__ call.
-    _text: str = field(init=False, repr=False, compare=False, default="")
-    #: Memoized hash. Keys index every hot dict (cache shards, planner
-    #: distance maps, batch regrouping), and the generated dataclass
-    #: hash re-tuples three strings per call; 0 means "not yet computed".
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
-    def __post_init__(self) -> None:
-        if not self.database or GLOBAL_KEY_SEPARATOR in self.database:
+    def __new__(cls, database: str, collection: str, key: str) -> "GlobalKey":
+        if not database or GLOBAL_KEY_SEPARATOR in database:
             raise InvalidGlobalKeyError(
-                f"invalid database name in global key: {self.database!r}"
+                f"invalid database name in global key: {database!r}"
             )
-        if not self.collection or GLOBAL_KEY_SEPARATOR in self.collection:
+        if not collection or GLOBAL_KEY_SEPARATOR in collection:
             raise InvalidGlobalKeyError(
-                f"invalid collection name in global key: {self.collection!r}"
+                f"invalid collection name in global key: {collection!r}"
             )
-        if not self.key:
+        if not key:
             raise InvalidGlobalKeyError("empty local key in global key")
+        self = str.__new__(
+            cls, GLOBAL_KEY_SEPARATOR.join((database, collection, key))
+        )
+        for name, value in zip(cls.__slots__, (database, collection, key)):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "GlobalKey":
@@ -61,21 +65,20 @@ class GlobalKey:
             )
         return cls(parts[0], parts[1], parts[2])
 
-    def __str__(self) -> str:
-        text = self._text
-        if not text:
-            text = GLOBAL_KEY_SEPARATOR.join(
-                (self.database, self.collection, self.key)
-            )
-            object.__setattr__(self, "_text", text)
-        return text
+    def __repr__(self) -> str:
+        return (
+            f"GlobalKey(database={self.database!r}, "
+            f"collection={self.collection!r}, key={self.key!r})"
+        )
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value == 0:
-            value = hash((self.database, self.collection, self.key)) or -1
-            object.__setattr__(self, "_hash", value)
-        return value
+    def __reduce__(self) -> tuple:
+        return GlobalKey, (self.database, self.collection, self.key)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -60,20 +60,20 @@ class WriteAheadLog:
         Stops at the first torn or checksum-failing record — everything
         before it is intact (each record carries its own CRC), and
         everything after it is untrusted by definition of an
-        append-only log.
+        append-only log. The file is read a line at a time, so a
+        replay holds one record, not the log.
         """
         if not self.path.exists():
             return
         try:
             with open(self.path, encoding="utf-8") as handle:
-                lines = handle.readlines()
+                for line in handle:
+                    parsed = self._parse(line)
+                    if parsed is None:
+                        return
+                    yield parsed
         except OSError as exc:
             raise WalError(f"cannot read WAL {self.path}: {exc}") from exc
-        for line in lines:
-            parsed = self._parse(line)
-            if parsed is None:
-                return
-            yield parsed
 
     @staticmethod
     def _parse(line: str) -> tuple[str, list[ChangeEvent]] | None:

@@ -255,6 +255,8 @@ class ShardedStore(Store):
         if collection == "_edge":
             self._place_edge(op, key, value, range(self.shard_count))
             return
+        if op == "delete":
+            self._interned.get(collection, {}).pop(key, None)
         owner = None if op == "delete" else self.scheme.shard_of_object(
             collection, key, value
         )

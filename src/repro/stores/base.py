@@ -104,6 +104,9 @@ class Store(ABC):
         #: so a discarded consumer (one of many ``Quepa`` instances
         #: over a long-lived polystore) drops out by itself.
         self.write_listeners: weakref.WeakSet = weakref.WeakSet()
+        #: collection -> local key -> the :class:`GlobalKey` handed out
+        #: for that object (:meth:`global_key`); a delete drops it.
+        self._interned: dict[str, dict[str, GlobalKey]] = {}
 
     def _emit_change(
         self, op: str, collection: str, key: str, value: Any = None
@@ -115,12 +118,27 @@ class Store(ABC):
         (``None`` for deletes); the feed copies it, so engines may keep
         mutating in place.
         """
+        if op == "delete":
+            self._interned.get(collection, {}).pop(key, None)
         feed = self.changes
         if feed is not None:
             feed.record(op, collection, key, value)
         if self.write_listeners:  # bulk loads: a length check per write
             for listener in self.write_listeners:
                 listener.on_store_write(self, op, collection, key)
+
+    def global_key(self, database: str, collection: str, key: str) -> GlobalKey:
+        """The one :class:`GlobalKey` of a live object: built the first
+        time the object is handed out, the same key object after, so a
+        repeated query returns keys that compare by identity. The table
+        dies with the store, and a delete drops the deleted key."""
+        keys = self._interned.get(collection)
+        if keys is None:
+            keys = self._interned[collection] = {}
+        interned = keys.get(key)
+        if interned is None or interned.database != database:
+            interned = keys[key] = GlobalKey(database, collection, key)
+        return interned
 
     # -- native access ------------------------------------------------------
 
@@ -326,7 +344,9 @@ class Store(ABC):
             raise ValueError("store must be attached to a polystore first")
         for collection, local_key, value in self.records():
             if not collection.startswith("_"):
-                key = GlobalKey(self.database_name, collection, local_key)
+                key = self.global_key(
+                    self.database_name, collection, local_key
+                )
                 yield DataObject(key, value)
 
     def scan_objects(self, chunk_size: int = 512) -> Iterator[DataObject]:
@@ -343,7 +363,7 @@ class Store(ABC):
             chunk: list[GlobalKey] = []
             for local_key in self.collection_keys(collection):
                 chunk.append(
-                    GlobalKey(self.database_name, collection, local_key)
+                    self.global_key(self.database_name, collection, local_key)
                 )
                 if len(chunk) >= chunk_size:
                     yield from self.multi_get(chunk)

@@ -13,7 +13,7 @@ import itertools
 from typing import Any, Iterator, Mapping
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, QueryError
-from repro.model.objects import DataObject, GlobalKey
+from repro.model.objects import DataObject
 from repro.stores.base import Store, token_window
 from repro.stores.document.query import (
     compile_filter,
@@ -43,6 +43,7 @@ class DocumentStore(Store):
     def drop_collection(self, name: str) -> None:
         self._collections.pop(name, None)
         self._indexes.pop(name, None)
+        self._interned.pop(name, None)
 
     def create_index(self, collection: str, field: str) -> None:
         """Build an equality index on a top-level ``field``."""
@@ -186,11 +187,9 @@ class DocumentStore(Store):
         ``collection``, ``filter`` and optionally ``projection``,
         ``sort``, ``skip``, ``limit``."""
         collection, filter_doc, options = _find_args(query)
+        database = self.database_name or "doc"
         return [
-            DataObject(
-                GlobalKey(self.database_name or "doc", collection, doc["_id"]),
-                doc,
-            )
+            DataObject(self.global_key(database, collection, doc["_id"]), doc)
             for doc in self.find(collection, filter_doc, **options)
         ]
 

@@ -534,7 +534,7 @@ class GraphStore(Store):
 
     def _to_object(self, node: Node) -> DataObject:
         return DataObject(
-            GlobalKey(
+            self.global_key(
                 self.database_name or "graph", node.primary_label, node.id
             ),
             node.payload(),

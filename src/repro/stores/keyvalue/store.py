@@ -13,7 +13,7 @@ import fnmatch
 from typing import Any, Iterator
 
 from repro.errors import KeyNotFoundError, QueryError
-from repro.model.objects import DataObject, GlobalKey
+from repro.model.objects import DataObject
 from repro.stores.base import Store
 
 
@@ -271,7 +271,7 @@ class KeyValueStore(Store):
 
     def _object(self, key: str) -> DataObject:
         return DataObject(
-            GlobalKey(self.database_name or "kv", self.keyspace, key),
+            self.global_key(self.database_name or "kv", self.keyspace, key),
             self._data[key],
         )
 

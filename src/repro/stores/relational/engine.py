@@ -182,6 +182,7 @@ class RelationalStore(Store):
 
     def drop_table(self, name: str) -> None:
         self._tables.pop(name, None)
+        self._interned.pop(name, None)
 
     def table(self, name: str) -> Table:
         try:
@@ -286,7 +287,7 @@ class RelationalStore(Store):
         objects: list[DataObject] = []
         for position, row in enumerate(rows):
             if row.pk is not None and row.table is not None:
-                key = GlobalKey(database, row.table, row.pk)
+                key = self.global_key(database, row.table, row.pk)
             else:
                 key = GlobalKey(database, "_result", f"row{position}")
             objects.append(DataObject(key, dict(row.values)))

@@ -29,6 +29,7 @@ from contextlib import nullcontext
 from urllib.parse import parse_qs
 from typing import Any, Mapping
 
+from repro.core.cache import BoundedLru
 from repro.core.exploration import ExplorationSession
 from repro.core.search import AugmentedAnswer
 from repro.core.system import Quepa
@@ -48,6 +49,11 @@ from repro.model.objects import AugmentedObject, DataObject, GlobalKey
 from repro.ui import reports
 from repro.ui.render import probability_band
 from repro.ui.reports import ReportError, Subject, TextResponse  # noqa: F401
+
+
+#: Exploration sessions kept open at once. Opening one more evicts the
+#: least recently used; its id then answers 404, like an unknown one.
+SESSION_CAPACITY = 256
 
 
 class ApiError(Exception):
@@ -101,7 +107,9 @@ class QuepaApi:
         #: Optional :class:`~repro.cdc.hub.ChangeHub`, read by the
         #: ingest report.
         self.hub = hub
-        self._sessions: dict[str, ExplorationSession] = {}
+        self._sessions: BoundedLru[str, ExplorationSession] = BoundedLru(
+            SESSION_CAPACITY
+        )
         self._session_ids = itertools.count(1)
         # Without a serving layer, one QUEPA instance serves one query
         # at a time (the classic runtime resets per-run state); the
@@ -208,7 +216,7 @@ class QuepaApi:
     def open_exploration(self, *, database: str, query: Any) -> dict[str, Any]:
         session = self.quepa.explore(database, query)
         sid = f"s{next(self._session_ids)}"
-        self._sessions[sid] = session
+        self._sessions.put(sid, session)
         return {
             "session": sid,
             "results": [_object_payload(obj) for obj in session.results],
@@ -243,7 +251,7 @@ class QuepaApi:
         }
 
     def close_exploration(self, sid: str) -> dict[str, Any]:
-        session = self._sessions.pop(sid, None)
+        session = self._sessions.pop(sid)
         if session is None:
             raise ApiError(404, f"no exploration session {sid!r}")
         session.close()

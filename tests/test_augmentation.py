@@ -11,7 +11,7 @@ from repro.network import centralized_profile
 from repro.sharding.aindex import shard_aindex
 
 from tests.conftest import make_mini_aindex, make_mini_polystore
-from tests.test_plan_traversal import NeighborsOnly
+from tests.test_plan_traversal import NeighborsOnly, plan_rows
 
 K = GlobalKey.parse
 
@@ -27,7 +27,7 @@ SEED = K("transactions.inventory.a32")
 class TestPlanning:
     def test_level_0_reaches_direct_neighbors(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=0)
-        keys = {str(f.key) for f in plan.all_fetches()}
+        keys = set(plan.keys)
         # a32 ~ d1 (0.9); the Consistency Condition materializes
         # a32 ~ discount (0.72) and a32 = i1 (0.63).
         assert keys == {
@@ -38,16 +38,14 @@ class TestPlanning:
 
     def test_level_0_probabilities(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=0)
-        by_key = {
-            str(f.key): f.probability for f in plan.all_fetches()
-        }
+        by_key = dict(zip(plan.keys, plan.probabilities))
         assert by_key["catalogue.albums.d1"] == pytest.approx(0.9)
         assert by_key["discount.drop.k1:cure:wish"] == pytest.approx(0.72)
         assert by_key["similar.Item.i1"] == pytest.approx(0.63)
 
     def test_level_1_reaches_two_hops(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=1)
-        keys = {str(f.key) for f in plan.all_fetches()}
+        keys = set(plan.keys)
         assert "similar.Item.i2" in keys  # via i1's matching edge
 
     def test_level_bounds_depth(self, mini_aindex):
@@ -59,7 +57,7 @@ class TestPlanning:
         augmentation = Augmentation(index)
         for level, expected in [(0, 1), (1, 2), (2, 3)]:
             plan = augmentation.plan([chain[0]], level)
-            assert len(plan.all_fetches()) == expected
+            assert len(plan.keys) == expected
 
     def test_probability_multiplies_along_path(self):
         index = AIndex(enforce_consistency=False)
@@ -67,10 +65,8 @@ class TestPlanning:
         index.add(PRelation.matching(a, b, 0.8))
         index.add(PRelation.matching(b, c, 0.5))
         plan = Augmentation(index).plan([a], level=1)
-        probabilities = {
-            str(f.key): f.probability for f in plan.all_fetches()
-        }
-        assert probabilities[str(c)] == pytest.approx(0.4)
+        probabilities = dict(zip(plan.keys, plan.probabilities))
+        assert probabilities[c] == pytest.approx(0.4)
 
     def test_best_path_wins_on_diamond(self):
         """When two paths reach the same object, keep the max product."""
@@ -81,31 +77,28 @@ class TestPlanning:
         index.add(PRelation.matching(s, y, 0.6))
         index.add(PRelation.matching(y, t, 0.6))  # product 0.36
         plan = Augmentation(index).plan([s], level=1)
-        target = next(
-            f for f in plan.all_fetches() if f.key == t
-        )
-        assert target.probability == pytest.approx(0.81)
-        assert target.path == (x, t)
+        row = plan.keys.index(t)
+        assert plan.probabilities[row] == pytest.approx(0.81)
+        assert plan.path(row) == (x, t)
 
     def test_seed_not_fetched_for_itself(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=2)
-        assert all(f.key != SEED for f in plan.all_fetches())
+        assert SEED not in plan.keys
 
     def test_min_probability_prunes(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=0, min_probability=0.7)
-        keys = {str(f.key) for f in plan.all_fetches()}
+        keys = set(plan.keys)
         assert "similar.Item.i1" not in keys  # p = 0.63 < 0.7
         assert "catalogue.albums.d1" in keys
 
     def test_fetches_ordered_by_probability(self, mini_augmentation):
         plan = mini_augmentation.plan([SEED], level=1)
-        probabilities = [f.probability for f in plan.all_fetches()]
-        assert probabilities == sorted(probabilities, reverse=True)
+        assert plan.probabilities == sorted(plan.probabilities, reverse=True)
 
     def test_unknown_seed_plans_nothing(self, mini_augmentation):
         ghost = K("nowhere.c.k")
         plan = mini_augmentation.plan([ghost], level=1)
-        assert plan.all_fetches() == []
+        assert plan.keys == []
 
     def test_negative_level_rejected(self, mini_augmentation):
         with pytest.raises(ValueError):
@@ -118,8 +111,7 @@ class TestPlanning:
     def test_all_fetches_in_seed_order(self, mini_augmentation):
         other = K("transactions.inventory.a34")
         plan = mini_augmentation.plan([SEED, other], level=0)
-        fetches = plan.all_fetches()
-        seeds_in_order = [f.seed for f in fetches]
+        seeds_in_order = plan.sources
         boundary = seeds_in_order.index(other)
         assert all(s == SEED for s in seeds_in_order[:boundary])
 
@@ -142,10 +134,10 @@ class TestDuplicateSeeds:
         once = mini_augmentation.plan([SEED], level=0)
         thrice = Augmentation(make_mini_aindex()).plan([SEED] * 3, level=0)
         assert thrice.seeds == [SEED]
-        assert len(thrice.all_fetches()) == thrice.total_fetches()
+        assert len(thrice.keys) == thrice.total_fetches()
         assert thrice.total_fetches() == once.total_fetches() == 3
         assert thrice.edges_examined == once.edges_examined
-        assert thrice.all_fetches() == once.all_fetches()
+        assert plan_rows(thrice) == plan_rows(once)
         assert thrice.bounds == once.bounds == [0, 3]
 
     def test_distinct_seeds_keep_first_seen_order(self, mini_augmentation):
@@ -154,7 +146,7 @@ class TestDuplicateSeeds:
         assert plan.seeds == [SEED, other]
         middle = plan.bounds[1]
         assert plan.bounds == [0, middle, plan.total_fetches()]
-        assert [f.seed for f in plan.all_fetches()] == (
+        assert plan.sources == (
             [SEED] * middle + [other] * (plan.total_fetches() - middle)
         )
 
@@ -220,7 +212,7 @@ class TestPlanCache:
         first = planner.plan([SEED], 0)
         index.remove_object(K("catalogue.albums.d1"))
         second = planner.plan([SEED], 0)
-        assert len(second.all_fetches()) < len(first.all_fetches())
+        assert len(second.keys) < len(first.keys)
         assert planner.plan_cache_stats()["hits"] == 0
 
     def test_expanded_counts_the_seeds_traversed(self, mini_augmentation):

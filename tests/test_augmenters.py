@@ -142,11 +142,11 @@ class TestQueryCounts:
         outcome, runtime = run_augmenter(
             "batch", registry, plan, profile, batch_size=4
         )
-        databases = {f.key.database for f in plan.all_fetches()}
+        databases = {key.database for key in plan.keys}
         import math
         upper = sum(
             math.ceil(
-                sum(1 for f in plan.all_fetches() if f.key.database == db) / 4
+                sum(1 for key in plan.keys if key.database == db) / 4
             )
             for db in databases
         )
@@ -165,7 +165,7 @@ class TestQueryCounts:
         outcome, __ = run_augmenter(
             "batch", registry, plan, profile, batch_size=10_000
         )
-        databases = {f.key.database for f in plan.all_fetches()}
+        databases = {key.database for key in plan.keys}
         assert outcome.queries_issued == len(databases)
 
     def test_outer_batch_also_batches(self, setup):
@@ -174,7 +174,7 @@ class TestQueryCounts:
             "outer_batch", registry, plan, profile,
             batch_size=10_000, threads_size=4,
         )
-        databases = {f.key.database for f in plan.all_fetches()}
+        databases = {key.database for key in plan.keys}
         assert outcome.queries_issued == len(databases)
 
 

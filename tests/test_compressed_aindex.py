@@ -15,7 +15,7 @@ from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation, RelationType
 from repro.sharding import ShardedAIndex
 
-from tests.test_plan_traversal import assert_planned_like_reference
+from tests.test_plan_traversal import assert_planned_like_reference, plan_rows
 
 K = GlobalKey.parse
 
@@ -76,12 +76,16 @@ class TestPlanningEquivalence:
             live_plan = Augmentation(mini_aindex).plan([seed], level)
             frozen_plan = Augmentation(frozen).plan([seed], level)  # type: ignore[arg-type]
             live = {
-                (str(f.key), round(f.probability, 9))
-                for f in live_plan.all_fetches()
+                (str(key), round(probability, 9))
+                for key, probability in zip(
+                    live_plan.keys, live_plan.probabilities
+                )
             }
             snap = {
-                (str(f.key), round(f.probability, 9))
-                for f in frozen_plan.all_fetches()
+                (str(key), round(probability, 9))
+                for key, probability in zip(
+                    frozen_plan.keys, frozen_plan.probabilities
+                )
             }
             assert snap == live
 
@@ -153,7 +157,7 @@ def reads(index):
     assert {key for key in rows if rows[key][0]} == set(nodes)
     planner = Augmentation(index)
     plans = [
-        (plan.all_fetches(), plan.edges_examined)
+        (plan_rows(plan), plan.edges_examined)
         for plan in (
             planner._plan_on(index, [seed], 2, 0.0)[0] for seed in NODES
         )

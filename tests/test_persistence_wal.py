@@ -74,6 +74,21 @@ class TestWalFormat:
         recovered = list(wal.records())
         assert recovered == complete[:-1]
 
+    def test_a_streamed_log_ends_at_its_torn_tail(self, tmp_path):
+        """Records are read a line at a time: the intact ones come out
+        in append order, one per ``next``, and the torn tail ends the
+        iteration (nothing past it is trusted, even an intact record)."""
+        __, wal, __, __ = run_scenario(tmp_path)
+        complete = list(wal.records())
+        intact = wal.path.read_text()
+        last = intact.splitlines(keepends=True)[-1]
+        wal.path.write_text(intact + last[: len(last) // 2] + "\n" + last)
+        streamed = wal.records()
+        for record in complete:
+            assert next(streamed) == record
+        with pytest.raises(StopIteration):
+            next(streamed)
+
     def test_checksum_detects_corruption(self, tmp_path):
         __, wal, __, __ = run_scenario(tmp_path)
         complete = list(wal.records())

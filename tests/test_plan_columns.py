@@ -1,8 +1,8 @@
 """The plan is columns: what a plan keeps, and that it is the plan.
 
 ``AugmentationPlan`` holds parallel columns (keys, probabilities,
-sources, nodes, texts, parents) and per-seed row bounds; a path is
-built when it is read, a :class:`PlannedFetch` only by ``fetch(row)``.
+sources, nodes, parents) and per-seed row bounds; a path is built when
+it is read.
 
 * Allocation guards: planning keeps no GC-tracked object per row, and
   an all-hit warm repeat builds no path.
@@ -24,7 +24,6 @@ from repro.core.augmentation import (
     Augmentation,
     AugmentationConfig,
     AugmentationPlan,
-    PlannedFetch,
 )
 from repro.core.augmenters import available_augmenters
 from repro.core.system import Quepa
@@ -33,7 +32,15 @@ from repro.model.prelations import PRelation
 from repro.planner.plans import restrict_plan
 from repro.workloads import PolystoreScale, build_polyphony
 
-from .test_plan_traversal import ABSENT, NODES, build, edge, reference_expand
+from .test_plan_traversal import (
+    ABSENT,
+    NODES,
+    Fetch,
+    build,
+    edge,
+    plan_rows,
+    reference_expand,
+)
 
 DATABASES = ("transactions", "catalogue", "similar", "discount")
 #: Tracked objects a plan may keep whatever its size: the plan, its
@@ -66,7 +73,7 @@ def five_hundred_seeds(bundle) -> list[GlobalKey]:
 def test_planning_keeps_no_object_per_row(bundle, level):
     """Planning 500 seeds on a frozen index grows the collector's young
     generation by a constant, not by one object per planned fetch (a
-    ``PlannedFetch`` and a path tuple per row read 3 018 / 8 501)."""
+    fetch tuple and a path tuple per row read 3 018 / 8 501)."""
     seeds = five_hundred_seeds(bundle)
     assert all(seed in bundle.aindex for seed in seeds)
     # Warm the snapshot's lazy rows and hop tuples: they are the
@@ -122,9 +129,9 @@ def test_an_all_hit_warm_repeat_builds_no_path(bundle, name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def seed_fetches(plan: AugmentationPlan) -> list[list[PlannedFetch]]:
-    """Each seed's rows, read back as fetches through the bounds."""
-    fetches = plan.all_fetches()
+def seed_fetches(plan: AugmentationPlan) -> list[list[Fetch]]:
+    """Each seed's rows, read back from the columns through the bounds."""
+    fetches = plan_rows(plan)
     bounds = plan.bounds
     assert len(bounds) == len(plan.seeds) + 1
     assert bounds[0] == 0 and bounds[-1] == plan.total_fetches()
@@ -143,9 +150,8 @@ def assert_columns_are_the_reference(
             ]
             assert seed_fetches(plan) == [fetches for fetches, __ in expected]
             assert plan.edges_examined == sum(edges for __, edges in expected)
-            for row, fetch in enumerate(plan.all_fetches()):
-                assert plan.fetch(row) == fetch
-                assert plan.path(row) == fetch.path
+            for row, key in enumerate(plan.keys):
+                assert plan.path(row)[-1] == key
             for targets in (("db0",), ("db1", "db2"), ()):
                 restricted = restrict_plan(plan, targets)
                 assert seed_fetches(restricted) == [
@@ -198,7 +204,7 @@ def test_a_generated_bundle_plans_the_reference(bundle):
 
 def test_a_depth_one_path_is_the_snapshots_hop(bundle):
     """A direct neighbour's path is the snapshot's own ``(key,)``; a
-    ``PlannedFetch`` is a view, built anew on every read."""
+    deeper one is its parent row's path plus its own key."""
     snapshot = bundle.aindex.frozen()
     plan = Augmentation(bundle.aindex).plan(five_hundred_seeds(bundle)[:8], 1)
     depth_one = [row for row, above in enumerate(plan.parents) if above < 0]
@@ -209,5 +215,3 @@ def test_a_depth_one_path_is_the_snapshots_hop(bundle):
     for row in deeper:
         assert plan.path(row)[:-1] == plan.path(plan.parents[row])
         assert plan.path(row)[-1] == plan.keys[row]
-    assert plan.fetch(0) == plan.fetch(0)
-    assert plan.fetch(0) is not plan.fetch(0)

@@ -231,5 +231,5 @@ def test_racing_first_ranks_of_one_plan_agree(bundle):
     assert len(orders) == threads
     assert all(order == orders[0] for order in orders)
     assert orders[0][0] == search_module._rank(
-        plan.nodes, plan.probabilities, plan.texts, range(plan.total_fetches())
+        plan.nodes, plan.probabilities, plan.keys, range(plan.total_fetches())
     )

@@ -8,24 +8,19 @@ return the same fetch list, fetch for fetch (key, probability, seed,
 path, order), and the same ``edges_examined``, whatever the index:
 a full snapshot and a patched one (by node id), a partition view with
 ghost nodes, sharded snapshots, a live index, a duck-typed one (by key).
-The plan keeps columns; :func:`expand` reads one seed's rows back as
-fetches, paths rebuilt from the parent column.
+The plan keeps columns; :func:`plan_rows` reads them back as
+:class:`Fetch` rows, paths rebuilt from the parent column.
 """
 
 import functools
 import heapq
+from typing import NamedTuple
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aindex import AIndex
-from repro.core.augmentation import (
-    Augmentation,
-    AugmentationPlan,
-    PlannedFetch,
-    _plan_view,
-)
+from repro.core.augmentation import Augmentation, AugmentationPlan, _plan_view
 from repro.core.compressed import FrozenAIndex
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation
@@ -38,6 +33,28 @@ NODES = [GlobalKey(f"db{i % 3}", "c", f"n{i:02d}") for i in range(10)]
 ABSENT = GlobalKey("db9", "c", "absent")
 LEVELS = (0, 1, 2, 3)
 CUTS = (0.0, 0.3, 0.5)
+
+
+class Fetch(NamedTuple):
+    """One planned row: ``key`` fetched at ``probability`` for ``seed``,
+    reached through ``path`` (the keys from the seed, excluded, to
+    ``key``, included)."""
+
+    key: GlobalKey
+    probability: float
+    seed: GlobalKey
+    path: tuple[GlobalKey, ...]
+
+
+def plan_rows(plan: AugmentationPlan) -> list[Fetch]:
+    """Every row of ``plan`` as a :class:`Fetch`, read from its columns
+    ``keys``, ``probabilities``, ``sources`` and ``path(row)``."""
+    return [
+        Fetch(key, probability, seed, plan.path(row))
+        for row, (key, probability, seed) in enumerate(
+            zip(plan.keys, plan.probabilities, plan.sources)
+        )
+    ]
 
 
 def reference_expand(index, seed, level, min_probability):
@@ -74,7 +91,7 @@ def reference_expand(index, seed, level, min_probability):
             best[neighbor_key] = combined
             new_path = path + (neighbor_key,)
             if neighbor_key != seed:
-                result[neighbor_key] = PlannedFetch(
+                result[neighbor_key] = Fetch(
                     neighbor_key, combined, seed, new_path
                 )
             counter += 1
@@ -90,15 +107,15 @@ def reference_expand(index, seed, level, min_probability):
 
 
 def expand(index, seed, level, min_probability):
-    """One seed's plan over ``index``: its fetches, built from the
-    columns, and the edges examined."""
+    """One seed's plan over ``index``: its rows, read from the columns,
+    and the edges examined."""
     plan = AugmentationPlan(level, [seed], hop_of=_plan_view(index)[3])
     edges = Augmentation(index)._expand(
         index, seed, level, min_probability, plan
     )
-    for name in ("probabilities", "sources", "nodes", "texts", "parents"):
+    for name in ("probabilities", "sources", "nodes", "parents"):
         assert len(getattr(plan, name)) == len(plan.keys), name
-    return plan.all_fetches(), edges
+    return plan_rows(plan), edges
 
 
 def assert_planned_like_reference(
@@ -112,7 +129,6 @@ def assert_planned_like_reference(
                 ours = expand(index, seed, level, cut)
                 theirs = reference_expand(oracle or index, seed, level, cut)
                 assert ours == theirs, (label, seed, level, cut)
-                assert all(type(f) is PlannedFetch for f in ours[0])
 
 
 class NeighborsOnly:
@@ -230,7 +246,7 @@ class TestTheRules:
             ], name
             assert edges == 2 + 2, name  # the seed's row and n2's
             fetches, __ = expand(flavour, seed, 2, 0.0)
-            assert PlannedFetch(c, 0.9 * 0.9, seed, (b, a, c)) in fetches
+            assert Fetch(c, 0.9 * 0.9, seed, (b, a, c)) in fetches
         assert_planned_like_reference(FrozenAIndex.freeze(index), NODES[:4])
 
     def test_tie_rule_first_discovered_wins_and_is_expanded_first(self):
@@ -280,14 +296,3 @@ def test_generated_bundle_plans_like_the_reference(small_bundle):
         index.frozen(), seeds, levels=(0, 1, 2), cuts=(0.0, 0.6), oracle=index
     )
     assert_planned_like_reference(index, seeds, levels=(1,), cuts=(0.0,))
-
-
-def test_planned_fetch_is_what_it_was():
-    fetch = PlannedFetch(NODES[1], 0.5, NODES[0], (NODES[1],))
-    assert fetch._fields == ("key", "probability", "seed", "path")
-    assert fetch == PlannedFetch(
-        key=NODES[1], probability=0.5, seed=NODES[0], path=(NODES[1],)
-    )
-    assert hash(fetch) == hash(PlannedFetch(*fetch))
-    with pytest.raises(AttributeError):
-        fetch.probability = 1.0

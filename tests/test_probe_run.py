@@ -303,7 +303,14 @@ def observe(make, bundle, plans, config, cache_class=LruCache):
             {
                 "signature": answer_signature(outcome),
                 "rows": [
-                    (value.key, value.value, plan.fetch(row))
+                    (
+                        value.key,
+                        value.value,
+                        plan.keys[row],
+                        plan.probabilities[row],
+                        plan.sources[row],
+                        plan.path(row),
+                    )
                     for value, row in zip(outcome.values, outcome.rows)
                 ],
                 "elapsed": runtime.elapsed,
@@ -394,7 +401,6 @@ def test_ranking_columns_is_ranking_objects(rows):
         probabilities=[p for __, __, p in rows],
         sources=[nodes[seed] for __, seed, __ in rows],
         nodes=[t for t, __, __ in rows],
-        texts=[str(nodes[t]) for t, __, __ in rows],
         parents=[-1] * len(rows),
         hop_of=lambda node: (nodes[node],),
     )

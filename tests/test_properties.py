@@ -223,11 +223,10 @@ class TestAugmentationProperties:
         index.add_all(relations)
         seed = relations[0].left
         plan = Augmentation(index).plan([seed], level)
-        fetches = plan.all_fetches()
         # Ordered by decreasing probability, no seed, no duplicates.
-        probabilities = [f.probability for f in fetches]
+        probabilities = plan.probabilities
         assert probabilities == sorted(probabilities, reverse=True)
-        keys = [f.key for f in fetches]
+        keys = plan.keys
         assert len(keys) == len(set(keys))
         assert seed not in keys
 
@@ -238,12 +237,8 @@ class TestAugmentationProperties:
         index.add_all(relations)
         seed = relations[0].left
         augmentation = Augmentation(index)
-        level0 = {
-            f.key for f in augmentation.plan([seed], 0).all_fetches()
-        }
-        level2 = {
-            f.key for f in augmentation.plan([seed], 2).all_fetches()
-        }
+        level0 = set(augmentation.plan([seed], 0).keys)
+        level2 = set(augmentation.plan([seed], 2).keys)
         assert level0 <= level2
 
     @given(st.lists(prelations(), min_size=1, max_size=25))
@@ -253,15 +248,15 @@ class TestAugmentationProperties:
         index.add_all(relations)
         seed = relations[0].left
         plan = Augmentation(index).plan([seed], 2)
-        for fetch in plan.all_fetches():
+        for row, probability in enumerate(plan.probabilities):
             product = 1.0
             previous = seed
-            for hop in fetch.path:
+            for hop in plan.path(row):
                 relation = index.relation(previous, hop)
                 assert relation is not None
                 product *= relation.probability
                 previous = hop
-            assert abs(product - fetch.probability) < 1e-9
+            assert abs(product - probability) < 1e-9
 
 
 # ---------------------------------------------------------------------------

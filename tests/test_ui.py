@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs import parse_prometheus_text
 from repro.ui import AnsiRenderer, ApiError, QuepaApi, TextRenderer, probability_band
-from repro.ui.api import TextResponse
+from repro.ui.api import SESSION_CAPACITY, TextResponse
 
 QUERY = "SELECT * FROM inventory WHERE name LIKE '%wish%'"
 
@@ -162,6 +162,25 @@ class TestExplorationEndpoints:
                    {"key": "transactions.inventory.a32"})
         state = api.handle("GET", f"/explore/{second}")
         assert state["steps"] == []
+
+    def test_the_least_recent_session_is_evicted_at_capacity(self, api):
+        """Sessions are bounded: opening one past ``SESSION_CAPACITY``
+        evicts the least recently used, whose id then answers the 404
+        of an unknown one, and the eviction shows in the LRU's stats."""
+        sids = [
+            self.open(api)["session"] for __ in range(SESSION_CAPACITY + 1)
+        ]
+        with pytest.raises(ApiError) as evicted:
+            api.handle("GET", f"/explore/{sids[0]}")
+        with pytest.raises(ApiError) as unknown:
+            api.handle("GET", "/explore/s-unknown")
+        assert evicted.value.status == unknown.value.status == 404
+        assert evicted.value.message == f"no exploration session {sids[0]!r}"
+        for sid in sids[1:]:
+            assert api.handle("GET", f"/explore/{sid}")["session"] == sid
+        stats = api._sessions.stats()
+        assert stats["evictions"] == 1
+        assert stats["size"] == stats["capacity"] == SESSION_CAPACITY
 
     def test_bad_key_is_400(self, api):
         sid = self.open(api)["session"]
