@@ -29,8 +29,9 @@ import threading
 import time
 import weakref
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro.errors import KeyNotFoundError
 from repro.model.objects import DataObject, GlobalKey
@@ -107,6 +108,14 @@ class Store(ABC):
         #: collection -> local key -> the :class:`GlobalKey` handed out
         #: for that object (:meth:`global_key`); a delete drops it.
         self._interned: dict[str, dict[str, GlobalKey]] = {}
+        #: Monotonic count of content changes: every write (it moves in
+        #: :meth:`_emit_change`) and every table or collection created or
+        #: dropped. Unlike ``stats.writes`` nothing resets it, so a value
+        #: a memo was built at never comes back after a write.
+        self.content_version = 0
+        #: key -> ``(content_version, value)`` of what :meth:`derived`
+        #: built.
+        self._derived: dict[Any, tuple[int, Any]] = {}
 
     def _emit_change(
         self, op: str, collection: str, key: str, value: Any = None
@@ -118,6 +127,7 @@ class Store(ABC):
         (``None`` for deletes); the feed copies it, so engines may keep
         mutating in place.
         """
+        self.content_version += 1
         if op == "delete":
             self._interned.get(collection, {}).pop(key, None)
         feed = self.changes
@@ -139,6 +149,40 @@ class Store(ABC):
         if interned is None or interned.database != database:
             interned = keys[key] = GlobalKey(database, collection, key)
         return interned
+
+    # -- derived access paths -----------------------------------------------
+
+    def derived(self, key: Any, build: Callable[[], Any]) -> Any:
+        """A value derived from the store's contents (an ordered access
+        path, a sorted label list): built the first time it is asked for
+        and rebuilt once :attr:`content_version` has moved. Callers hold
+        :attr:`lock`, like every read; a build is published by one
+        assignment, so two racing builders store equal values."""
+        version = self.content_version
+        memo = self._derived.get(key)
+        if memo is None or memo[0] != version:
+            memo = self._derived[key] = (version, build())
+        return memo[1]
+
+    def range_rows(
+        self,
+        collection: str,
+        field: str,
+        bounds: tuple[tuple[str, Any], ...],
+        scan: Callable[[], tuple[list, list]],
+    ) -> Optional[list]:
+        """The rows of ``collection`` whose ``field`` meets every
+        ``(op, number)`` of ``bounds``, in scan order, read from the
+        field's ordered path — or ``None``: a bound is not a number, or
+        the field holds a value that is not one, and the caller scans.
+        ``scan()`` gives the collection's rows in scan order and their
+        ``field`` values; it runs only when the path is (re)built."""
+        if not all(_orderable(value) for __, value in bounds):
+            return None
+        path = self.derived(
+            ("ordered", collection, field), lambda: OrderedPath.build(*scan())
+        )
+        return None if path is None else path.select(bounds)
 
     # -- native access ------------------------------------------------------
 
@@ -373,6 +417,78 @@ class Store(ABC):
 
     def capabilities(self) -> StoreCapabilities:
         return StoreCapabilities(name=self.engine)
+
+
+#: The comparisons an ordered path answers.
+RANGE_OPS = frozenset((">", ">=", "<", "<="))
+
+
+def _orderable(value: Any) -> bool:
+    """An int or float other than NaN: the values an ordered path holds
+    and bisects by (a bool, a str or a NaN is never one)."""
+    kind = type(value)
+    return (kind is int or kind is float) and value == value
+
+
+class OrderedPath(NamedTuple):
+    """One field's derived ordered access path: a collection's rows in
+    scan order, the field's numeric values sorted, and beside each value
+    the scan position of its row. A range is two bisections; its rows
+    come back in scan order, so the path changes how many rows a query
+    examines, never which rows it returns or in what order."""
+
+    rows: list
+    values: list
+    positions: list
+
+    @classmethod
+    def build(cls, rows: list, values: list) -> Optional["OrderedPath"]:
+        """The path over ``rows`` whose field holds ``values`` (aligned),
+        or ``None`` when a value is neither a number nor null: a bool, a
+        str or a list compares in ways a numeric order does not hold, so
+        that field keeps the scan. ``None`` (or missing) and NaN satisfy
+        no range and are left out."""
+        numbers: list = []
+        positions: list[int] = []
+        for position, value in enumerate(values):
+            if _orderable(value):
+                numbers.append(value)
+                positions.append(position)
+            elif value is not None and type(value) is not float:
+                return None
+        order = sorted(range(len(numbers)), key=numbers.__getitem__)
+        return cls(
+            rows, [numbers[i] for i in order], [positions[i] for i in order]
+        )
+
+    def select(self, bounds: Iterable[tuple[str, Any]]) -> list:
+        """The rows whose value meets every ``(op, number)`` bound."""
+        values = self.values
+        low, high = 0, len(values)
+        for op, bound in bounds:
+            if op == ">=":
+                low = max(low, bisect_left(values, bound))
+            elif op == ">":
+                low = max(low, bisect_right(values, bound))
+            elif op == "<=":
+                high = min(high, bisect_right(values, bound))
+            else:
+                high = min(high, bisect_left(values, bound))
+        rows = self.rows
+        return [rows[p] for p in sorted(self.positions[low:high])]
+
+
+def range_bounds(
+    comparisons: Iterable[tuple[str, str, Any]],
+) -> list[tuple[str, tuple[tuple[str, Any], ...]]]:
+    """``[(field, bounds)]`` in first-seen order from a query's top-level
+    ``(field, op, literal)`` comparisons, keeping the :data:`RANGE_OPS`:
+    what an engine offers :meth:`Store.range_rows`, field by field."""
+    fields: dict[str, list[tuple[str, Any]]] = {}
+    for name, op, value in comparisons:
+        if op in RANGE_OPS:
+            fields.setdefault(name, []).append((op, value))
+    return [(name, tuple(bounds)) for name, bounds in fields.items()]
 
 
 def token_window(bounds: Iterable[tuple[str, Any]]) -> tuple | None:

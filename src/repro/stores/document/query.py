@@ -369,3 +369,18 @@ def token_bounds(query: Any, field: str | None) -> list[tuple[str, Any]]:
 
 
 _SYMBOLS = {"$gt": ">", "$gte": ">=", "$lt": "<", "$lte": "<=", "$eq": "="}
+
+
+def range_comparisons(query: Any):
+    """``(field, op, value)`` of each top-level ``field: {"$gte" | "$gt" |
+    "$lte" | "$lt": value, ...}`` of a filter: what an ordered path may
+    answer. A dotted path, any other operator beside them, or ``$and`` /
+    ``$or`` yields nothing, and that predicate scans."""
+    for field, condition in query.items() if _is_document(query) else ():
+        if "." in field or field.startswith("$") or not (
+            _is_operator_doc(condition)
+            and all(op in _SYMBOLS and op != "$eq" for op in condition)
+        ):
+            continue
+        for op, value in condition.items():
+            yield field, _SYMBOLS[op], value

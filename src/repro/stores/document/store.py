@@ -4,20 +4,22 @@ Collections hold schemaless documents keyed by ``_id``. The native
 query interface is :meth:`DocumentStore.find` — filter document,
 optional projection, sort, skip, limit — plus ``insert/update/delete``
 and equality indexes that ``find`` uses automatically for top-level
-equality predicates.
+equality predicates. A top-level numeric range reads the field's derived
+ordered path (:meth:`repro.stores.base.Store.range_rows`) instead.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Optional
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, QueryError
 from repro.model.objects import DataObject
-from repro.stores.base import Store, token_window
+from repro.stores.base import Store, range_bounds, token_window
 from repro.stores.document.query import (
     compile_filter,
     project,
+    range_comparisons,
     resolve_path,
     token_bounds,
 )
@@ -38,12 +40,15 @@ class DocumentStore(Store):
     # -- collection management -------------------------------------------------
 
     def create_collection(self, name: str) -> None:
-        self._collections.setdefault(name, {})
+        if name not in self._collections:
+            self._collections[name] = {}
+            self.content_version += 1
 
     def drop_collection(self, name: str) -> None:
         self._collections.pop(name, None)
         self._indexes.pop(name, None)
         self._interned.pop(name, None)
+        self.content_version += 1
 
     def create_index(self, collection: str, field: str) -> None:
         """Build an equality index on a top-level ``field``."""
@@ -88,12 +93,17 @@ class DocumentStore(Store):
         documents = self._require(collection)
         if doc_id not in documents:
             raise KeyNotFoundError(f"{collection}._id={doc_id}")
+        # All or nothing: the update runs on a copy, so one that fails
+        # part-way leaves the stored document, its index entries and the
+        # write counter as they were.
+        document = dict(documents[doc_id])
+        _apply_update(document, changes)
+        document["_id"] = doc_id
         self._index_remove(collection, doc_id, documents[doc_id])
-        _apply_update(documents[doc_id], changes)
-        documents[doc_id]["_id"] = doc_id
-        self._index_add(collection, doc_id, documents[doc_id])
+        documents[doc_id] = document
+        self._index_add(collection, doc_id, document)
         self.stats.writes += 1
-        self._emit_change("update", collection, doc_id, documents[doc_id])
+        self._emit_change("update", collection, doc_id, document)
 
     def update_many(
         self,
@@ -150,7 +160,7 @@ class DocumentStore(Store):
         documents = self._require(collection)
         query = query or {}
         matcher = compile_filter(query)  # refuses a bad filter first
-        candidates = self._candidates(collection, documents, query)
+        candidates = self._access(collection, documents, query)[2]
         self.stats.rows_examined += len(candidates)
         matched = [doc for doc in candidates if matcher(doc)]
         if sort:
@@ -215,42 +225,19 @@ class DocumentStore(Store):
         return super().merge(query, results)
 
     def _explain_plan(self, query: Any) -> dict[str, Any]:
-        """Access path for a find: equality index probe when the filter
-        has a top-level ``field: literal`` / ``field: {"$in": [...]}``
-        predicate on an indexed field (the :meth:`_candidates` rule),
-        collection scan otherwise."""
+        """Access path for a find — the one :meth:`_access` reads by
+        (``index_probe``, ``index_range`` or ``collection_scan``), with
+        the documents it yields as the estimate."""
         collection, filter_doc, __ = _find_args(query)
-        documents = self._require(collection)
-        indexes = self._indexes.get(collection, {})
-        for field, condition in (filter_doc or {}).items():
-            if field.startswith("$") or field not in indexes:
-                continue
-            index = indexes[field]
-            if isinstance(condition, Mapping):
-                if set(condition) == {"$in"} and isinstance(
-                    condition["$in"], (list, tuple)
-                ):
-                    ids: set[str] = set()
-                    for value in condition["$in"]:
-                        ids |= index.get(_hashable(value), set())
-                    examined = len(ids)
-                else:
-                    continue
-            else:
-                examined = len(index.get(_hashable(condition), set()))
-            return {
-                "access_path": "index_probe",
-                "index": f"{collection}.{field}",
-                "collection": collection,
-                "estimated_rows": examined,
-                "estimated_cost": float(examined),
-            }
+        path, field, candidates = self._access(
+            collection, self._require(collection), filter_doc or {}
+        )
         return {
-            "access_path": "collection_scan",
-            "index": None,
+            "access_path": path,
+            "index": field and f"{collection}.{field}",
             "collection": collection,
-            "estimated_rows": len(documents),
-            "estimated_cost": float(len(documents)),
+            "estimated_rows": len(candidates),
+            "estimated_cost": float(len(candidates)),
         }
 
     def get_value(self, collection: str, key: str) -> Any:
@@ -339,31 +326,46 @@ class DocumentStore(Store):
             raise KeyNotFoundError(f"no collection {collection!r}")
         return self._collections[collection]
 
-    def _candidates(
+    def _access(
         self,
         collection: str,
         documents: dict[str, dict[str, Any]],
         query: Mapping[str, Any],
-    ) -> list[dict[str, Any]]:
-        """Use an equality index for a top-level ``field: literal`` or
-        ``field: {"$in": [...]}`` predicate when one exists."""
+    ) -> tuple[str, Optional[str], list[dict[str, Any]]]:
+        """``(access path, field, candidates)`` of a find — what it reads
+        and EXPLAIN reports: an equality index for a top-level ``field:
+        literal`` or ``field: {"$in": [...]}`` predicate, else the ordered
+        path of a top-level ``field: {"$gte" | "$gt" | "$lte" | "$lt":
+        number}``, else the collection. Candidates come in collection
+        order, whatever the path."""
         indexes = self._indexes.get(collection, {})
         for field, condition in query.items():
             if field.startswith("$") or field not in indexes:
                 continue
             index = indexes[field]
             if isinstance(condition, Mapping):
-                if set(condition) == {"$in"} and isinstance(
+                if set(condition) != {"$in"} or not isinstance(
                     condition["$in"], (list, tuple)
                 ):
-                    ids: set[str] = set()
-                    for value in condition["$in"]:
-                        ids |= index.get(_hashable(value), set())
-                    return [documents[i] for i in ids if i in documents]
-                continue
-            ids = index.get(_hashable(condition), set())
-            return [documents[i] for i in ids if i in documents]
-        return list(documents.values())
+                    continue
+                ids: set[str] = set()
+                for value in condition["$in"]:
+                    ids |= index.get(_hashable(value), set())
+            else:
+                ids = index.get(_hashable(condition), set())
+            order = self.derived(
+                ("order", collection),
+                lambda: {doc_id: n for n, doc_id in enumerate(documents)},
+            )
+            ranked = sorted((i for i in ids if i in order), key=order.__getitem__)
+            return "index_probe", field, [documents[i] for i in ranked]
+        for field, bounds in range_bounds(range_comparisons(query)):
+            rows = self.range_rows(
+                collection, field, bounds, lambda: _scan(documents, field)
+            )
+            if rows is not None:
+                return "index_range", field, rows
+        return "collection_scan", None, list(documents.values())
 
     def _index_add(
         self, collection: str, doc_id: str, document: Mapping[str, Any]
@@ -418,10 +420,10 @@ def _apply_update(document: dict[str, Any], changes: Mapping[str, Any]) -> None:
                     )
                 document[field] = current + value
             elif operator == "$push":
-                current = document.setdefault(field, [])
+                current = document.get(field, [])
                 if not isinstance(current, list):
                     raise QueryError(f"$push target {field!r} is not a list")
-                current.append(value)
+                document[field] = [*current, value]
             elif operator == "$pull":
                 current = document.get(field)
                 if isinstance(current, list):
@@ -440,6 +442,13 @@ def _index_values(document: Mapping[str, Any], field: str) -> list[Any]:
     if value is None and field not in document:
         return []
     return [_hashable(value)]
+
+
+def _scan(documents: dict[str, dict[str, Any]], field: str) -> tuple[list, list]:
+    """A collection's documents in scan order and their top-level
+    ``field`` (``None`` when missing): what an ordered path is built from."""
+    rows = list(documents.values())
+    return rows, [document.get(field) for document in rows]
 
 
 def _hashable(value: Any) -> Any:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.errors import QueryError
+from repro.stores.base import range_bounds
 from repro.stores.querycache import QueryCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -369,11 +370,48 @@ class MatchRow:
     bindings: dict[str, "Node"] = field(default_factory=dict)
 
 
-def _node_candidates(store: "GraphStore", pattern: NodePattern):
-    if pattern.label is not None:
-        return store.match(pattern.label, dict(pattern.properties) or None)
-    nodes = store.match(None, dict(pattern.properties) or None)
-    return nodes
+def start_access(query: CypherQuery) -> tuple[Optional[str], tuple]:
+    """``(label, ranges)`` the first node pattern is read by
+    (:meth:`GraphStore.access_path`): a single-node pattern offers the
+    top-level ``AND`` comparisons of its variable's properties. A WHERE
+    that names another variable raises on the first row it reads, so it
+    reads them all, as before."""
+    first = query.nodes[0]
+    ranges: tuple = ()
+    if not query.edges and first.variable is not None and all(
+        leaf.variable == first.variable for leaf in _leaves(query.where)
+    ):
+        ranges = tuple(range_bounds(_comparisons(query.where, first.variable)))
+    return first.label, ranges
+
+
+def _leaves(expr: "BoolExpr | Comparison | None") -> Iterator[Comparison]:
+    if isinstance(expr, Comparison):
+        yield expr
+    elif expr is not None:
+        yield from _leaves(expr.leaf or expr.left)
+        yield from _leaves(expr.right)
+
+
+def _comparisons(expr: Optional[BoolExpr], variable: str):
+    """``(prop, op, literal)`` of each top-level ``AND`` comparison on
+    ``variable``."""
+    if expr is None:
+        return
+    if expr.op == "AND":
+        yield from _comparisons(expr.left, variable)  # type: ignore[arg-type]
+        yield from _comparisons(expr.right, variable)  # type: ignore[arg-type]
+    elif expr.op == "LEAF" and expr.leaf.variable == variable:  # type: ignore[union-attr]
+        yield expr.leaf.prop, expr.leaf.op, expr.leaf.literal  # type: ignore[union-attr]
+
+
+def _node_candidates(store: "GraphStore", query: CypherQuery) -> list["Node"]:
+    """The first pattern's nodes, read by the store's access path; each
+    one read counts as examined."""
+    nodes = store.access_path(*start_access(query))[2]
+    store.stats.rows_examined += len(nodes)
+    first = query.nodes[0]
+    return [node for node in nodes if _satisfies(node, first)]
 
 
 def _satisfies(node: "Node", pattern: NodePattern) -> bool:
@@ -441,7 +479,7 @@ def _match_pattern(store: "GraphStore", query: CypherQuery) -> list[MatchRow]:
             row.clear()
             row.update(snapshot)
 
-    for start in _node_candidates(store, first):
+    for start in _node_candidates(store, query):
         row: dict[str, "Node"] = {}
         if bind(row, first, start):
             backtrack(0, start, row, set())
@@ -511,7 +549,8 @@ def execute_cypher(store: "GraphStore", text: str) -> CypherResult:
     """Parse and run a Cypher-subset query against ``store``."""
     query = parse_cypher(text)
     matches = _match_pattern(store, query)
-    store.stats.rows_examined += len(matches)
+    if query.edges:  # the WHERE reads each expanded path as well
+        store.stats.rows_examined += len(matches)
     if query.where is not None:
         matches = [row for row in matches if _eval_where(query.where, row)]
 

@@ -4,7 +4,10 @@ Nodes carry labels and property maps; relationships are typed, directed
 and may carry properties. The native query API covers what the
 similar-items workload needs: label/property match, neighbourhood
 expansion, k-hop traversal, and shortest paths. Every node is a data
-object whose collection is its primary label.
+object whose collection is its primary label. A label's nodes are read
+in label order (sorted ids) from a derived list, and a numeric range on
+one of their properties from a derived ordered path
+(:meth:`repro.stores.base.Store.range_rows`).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Optional
 
 from repro.errors import KeyNotFoundError, QueryError
 from repro.model.objects import DataObject, GlobalKey
@@ -181,16 +184,15 @@ class GraphStore(Store):
     ) -> list[Node]:
         """MATCH (n:label {properties}) RETURN n."""
         self.stats.queries += 1
-        if label is not None:
-            candidate_ids: Iterator[str] = iter(sorted(self._by_label.get(label, ())))
-        else:
-            candidate_ids = iter(self._nodes)
+        candidates = (
+            self._label_nodes(label) if label is not None
+            else self._nodes.values()
+        )
         results: list[Node] = []
-        for node_id in candidate_ids:
+        for node in candidates:
             if limit is not None and len(results) >= limit:
                 break
             self.stats.rows_examined += 1
-            node = self._nodes[node_id]
             if properties and any(
                 node.properties.get(key) != value
                 for key, value in properties.items()
@@ -199,6 +201,38 @@ class GraphStore(Store):
             results.append(node)
         self.stats.objects_returned += len(results)
         return results
+
+    def access_path(
+        self, label: Optional[str], ranges: tuple = ()
+    ) -> tuple[str, Optional[str], list[Node]]:
+        """``(access path, index, candidates)`` of a node pattern — what a
+        Cypher MATCH reads and EXPLAIN reports: the ordered path of the
+        first ``(property, bounds)`` of ``ranges`` that serves it
+        (``index_range``), else the label's nodes (``label_index``),
+        both in label order; without a label, every node."""
+        if label is None:
+            return "node_scan", None, list(self._nodes.values())
+        for prop, bounds in ranges:
+            nodes = self.range_rows(
+                label, prop, bounds, lambda: self._scan(label, prop)
+            )
+            if nodes is not None:
+                return "index_range", f"{label}.{prop}", nodes
+        return "label_index", f"label:{label}", self._label_nodes(label)
+
+    def _label_nodes(self, label: str) -> list[Node]:
+        """The label's nodes in label order (sorted ids), derived once
+        per write instead of sorted per call. Callers do not mutate it."""
+        return self.derived(("label", label), lambda: [
+            self._nodes[node_id]
+            for node_id in sorted(self._by_label.get(label, ()))
+        ])
+
+    def _scan(self, label: str, prop: str) -> tuple[list, list]:
+        """A label's nodes in label order and their ``prop`` (``None``
+        when missing): what an ordered path is built from."""
+        nodes = self._label_nodes(label)
+        return nodes, [node.properties.get(prop) for node in nodes]
 
     def neighbors(
         self,
@@ -367,16 +401,14 @@ class GraphStore(Store):
         return super().merge(query, results)
 
     def _explain_plan(self, query: Any) -> dict[str, Any]:
-        """Access path for a graph query: label-index scan when the
-        (first) node pattern has a label, adjacency probe for
-        ``neighbors``, bounded BFS for ``traverse``, full node scan
-        otherwise."""
+        """Access path for a graph query: the first node pattern's
+        :meth:`access_path` (ordered path, label or full node scan),
+        adjacency probe for ``neighbors``, bounded BFS for ``traverse``."""
         if isinstance(query, str):
-            from repro.stores.graph.cypher import parse_cypher
+            from repro.stores.graph.cypher import parse_cypher, start_access
 
             parsed = parse_cypher(query)
-            label = parsed.nodes[0].label if parsed.nodes else None
-            plan = self._match_plan(label)
+            plan = self._match_plan(*start_access(parsed))
             plan["hops"] = len(parsed.edges)
             if parsed.edges:
                 # Each hop expands the frontier through adjacency lists.
@@ -413,20 +445,13 @@ class GraphStore(Store):
             }
         raise QueryError(f"unknown graph op {op!r}")
 
-    def _match_plan(self, label: str | None) -> dict[str, Any]:
-        if label is not None:
-            examined = len(self._by_label.get(label, ()))
-            return {
-                "access_path": "label_index",
-                "index": f"label:{label}",
-                "estimated_rows": examined,
-                "estimated_cost": float(examined),
-            }
+    def _match_plan(self, label: Optional[str], ranges: tuple = ()) -> dict[str, Any]:
+        path, index, nodes = self.access_path(label, ranges)
         return {
-            "access_path": "node_scan",
-            "index": None,
-            "estimated_rows": self.node_count(),
-            "estimated_cost": float(self.node_count()),
+            "access_path": path,
+            "index": index,
+            "estimated_rows": len(nodes),
+            "estimated_cost": float(len(nodes)),
         }
 
     def cypher(self, text: str) -> list[dict[str, Any]]:
@@ -466,7 +491,7 @@ class GraphStore(Store):
         return sorted(self._by_label)
 
     def collection_keys(self, collection: str) -> Iterator[str]:
-        return iter(sorted(self._by_label.get(collection, ())))
+        return iter([node.id for node in self._label_nodes(collection)])
 
     # -- state contract ----------------------------------------------------------
 

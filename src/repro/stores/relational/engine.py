@@ -4,7 +4,9 @@
 created programmatically with a :class:`TableSchema` (single-column
 primary key, per the paper's object-granularity requirement), rows are
 validated on every write, and equality indexes accelerate point and IN
-lookups. The native language is the SQL subset of
+lookups; a numeric range reads the column's derived ordered path
+(:meth:`repro.stores.base.Store.range_rows`), which nothing declares.
+The native language is the SQL subset of
 :mod:`repro.stores.relational.parser`.
 """
 
@@ -37,9 +39,9 @@ from repro.stores.relational.ast import (
 from repro.stores.relational.executor import (
     ResultRow,
     WritePlan,
+    access_path,
     base_order,
     bind,
-    index_probe,
     run_select,
     token_bounds,
 )
@@ -107,6 +109,12 @@ class Table:
     def rows(self) -> Iterator[tuple[str, dict[str, Any]]]:
         return iter(self._rows.items())
 
+    def scan(self, column: str) -> tuple[list, list]:
+        """The ``(pk, row)`` pairs in scan order and ``column``'s value in
+        each: what the column's ordered access path is built from."""
+        rows = list(self._rows.items())
+        return rows, [row.get(column) for __, row in rows]
+
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -170,6 +178,7 @@ class RelationalStore(Store):
         table = Table(name, schema)
         table.listener = self._table_change
         self._tables[name] = table
+        self.content_version += 1
         return table
 
     def _table_change(
@@ -183,6 +192,7 @@ class RelationalStore(Store):
     def drop_table(self, name: str) -> None:
         self._tables.pop(name, None)
         self._interned.pop(name, None)
+        self.content_version += 1
 
     def table(self, name: str) -> Table:
         try:
@@ -329,10 +339,10 @@ class RelationalStore(Store):
         return select, bool(windowed)
 
     def _explain_plan(self, query: Any) -> dict[str, Any]:
-        """Access path for a SQL SELECT: index probe when the WHERE has
-        a usable equality/IN conjunct on an indexed column (the same
-        test :func:`run_select` applies), full table scan
-        otherwise. Joins report their strategy (hash vs. nested loop)."""
+        """Access path for a SQL SELECT — the one :func:`access_path`
+        :func:`run_select` reads by (``index_probe``, ``index_range`` or
+        ``full_scan``), with the rows it yields as the estimate. Joins
+        report their strategy (hash vs. nested loop)."""
         parsed, compiled = prepare_sql(query)
         if not isinstance(parsed, Select):
             return {
@@ -343,26 +353,14 @@ class RelationalStore(Store):
                 "estimated_cost": 0.0,
             }
         table = self.table(parsed.table.name)
-        lookup = index_probe(compiled, table)
-        if lookup is not None:
-            column, values = lookup
-            examined = sum(
-                len(table.index_lookup(column, value)) for value in values
-            )
-            plan: dict[str, Any] = {
-                "access_path": "index_probe",
-                "index": f"{parsed.table.name}.{column}",
-                "estimated_rows": examined,
-                "estimated_cost": float(examined),
-            }
-        else:
-            examined = len(table)
-            plan = {
-                "access_path": "full_scan",
-                "index": None,
-                "estimated_rows": examined,
-                "estimated_cost": float(examined),
-            }
+        access = access_path(self, table, compiled)
+        examined = len(access.rows)
+        plan: dict[str, Any] = {
+            "access_path": access.path,
+            "index": access.column and f"{parsed.table.name}.{access.column}",
+            "estimated_rows": examined,
+            "estimated_cost": float(examined),
+        }
         plan["table"] = parsed.table.name
         if parsed.joins:
             joins = []

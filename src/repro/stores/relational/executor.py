@@ -62,7 +62,8 @@ from repro.stores.relational.ast import (
     UnaryOp,
     Update,
 )
-from repro.stores.relational.types import TableSchema
+from repro.stores.base import RANGE_OPS, range_bounds
+from repro.stores.relational.types import ColumnType, TableSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stores.relational.engine import RelationalStore, Table
@@ -473,6 +474,11 @@ class SelectPlan(NamedTuple):
     #: ``column IN (literals)`` conjunct on the base table, in order:
     #: the first whose column is indexed answers the scan.
     probes: tuple[tuple[str, tuple[Any, ...]], ...]
+    #: ``(column, ((op, literal), ...))`` of the top-level ``<`` /
+    #: ``<=`` / ``>`` / ``>=`` / ``BETWEEN`` conjuncts on the base table,
+    #: per column in order: the first its ordered path serves answers
+    #: the scan when no probe does.
+    ranges: tuple[tuple[str, tuple[tuple[str, Any], ...]], ...]
     joins: tuple[JoinPlan, ...]
     #: Subject in, output value dict out; ``None`` for aggregates.
     project: Optional[Closure]
@@ -554,6 +560,7 @@ def _compile_select(select: Select) -> SelectPlan:
         order.append(OrderKey(name, value, tuple(key_refs), item.ascending))
     return SelectPlan(
         select, where, tuple(refs), _probes(select.where, scope[0]),
+        tuple(range_bounds(_comparisons(select.where, scope[0]))),
         tuple(joins), project, groups, tuple(order),
     )
 
@@ -680,6 +687,32 @@ def _probes(
     return tuple(found)
 
 
+def _comparisons(where: Optional[Expr], binding: Optional[str]):
+    """``(column, op, value)`` of each top-level ``AND`` conjunct that
+    compares a bare column of ``binding`` (``None``: of any table) with a
+    literal, ``op`` read from the column's side; a ``BETWEEN`` of two
+    literals is its two bounds."""
+    def column(expr: Expr) -> bool:
+        return isinstance(expr, ColumnRef) and (
+            binding is None or expr.table in (None, binding)
+        )
+
+    for term in _conjuncts(where) if where is not None else ():
+        if isinstance(term, BetweenOp):
+            if not term.negated and column(term.expr) and isinstance(
+                term.low, Literal
+            ) and isinstance(term.high, Literal):
+                yield term.expr.name, ">=", term.low.value  # type: ignore[union-attr]
+                yield term.expr.name, "<=", term.high.value  # type: ignore[union-attr]
+            continue
+        if isinstance(term, BinaryOp) and isinstance(term.left, Literal):
+            term = BinaryOp(_MIRROR.get(term.op, ""), term.right, term.left)
+        if isinstance(term, BinaryOp) and term.op in _MIRROR and column(
+            term.left
+        ) and isinstance(term.right, Literal):
+            yield term.left.name, term.op, term.right.value  # type: ignore[union-attr]
+
+
 def _conjuncts(expr: Expr) -> list[Expr]:
     if isinstance(expr, BinaryOp) and expr.op == "AND":
         return _conjuncts(expr.left) + _conjuncts(expr.right)
@@ -725,13 +758,114 @@ def _item_name(item: SelectItem) -> str:
 # -- execution -----------------------------------------------------------------
 
 
-def index_probe(plan: SelectPlan, table: "Table") -> Optional[tuple[str, tuple]]:
-    """The ``(column, values)`` an index of ``table`` answers the base
-    scan with, or ``None`` for a full scan (also what EXPLAIN reports)."""
+class Access(NamedTuple):
+    """How the base table is read: ``path`` (``index_probe``,
+    ``index_range`` or ``full_scan``), the column it reads by, and the
+    ``(pk, row)`` pairs it yields to the WHERE clause."""
+
+    path: str
+    column: Optional[str]
+    rows: list[tuple[str, dict[str, Any]]]
+
+
+def access_path(
+    store: "RelationalStore", table: "Table", plan: SelectPlan
+) -> Access:
+    """The base table's access path — what :func:`run_select` reads and
+    EXPLAIN reports: an index probe of a top-level equality / ``IN``
+    conjunct on an indexed column (rows in primary-key order), else the
+    ordered path of the first range conjunct's column that serves it,
+    else a scan (both in scan order). Joins touch only the base table.
+
+    A range is read from the path only when the WHERE and every ``ON``
+    cannot raise a type error on any row (:func:`_cannot_raise`): the
+    scan meets the rows the path skips, and a refusal must not depend
+    on which path ran."""
     for column, values in plan.probes:
         if table.has_index(column):
-            return column, values
-    return None
+            pks = dict.fromkeys(
+                pk for value in values for pk in table.index_lookup(column, value)
+            )
+            rows = [(pk, table.row(pk)) for pk in sorted(pks)]
+            return Access("index_probe", column, rows)
+    if plan.ranges and _cannot_raise(store, plan):
+        for column, bounds in plan.ranges:
+            if table.schema.has_column(column):
+                rows = store.range_rows(
+                    table.name, column, bounds, lambda: table.scan(column)
+                )
+                if rows is not None:
+                    return Access("index_range", column, rows)
+    return Access("full_scan", None, list(table.rows()))
+
+
+#: Binary operators that never raise (an order comparison, one of
+#: :data:`RANGE_OPS`, raises across kinds: a number against text).
+_NEVER_RAISE = frozenset(("AND", "OR", "=", "!="))
+
+
+def _cannot_raise(store: "RelationalStore", plan: SelectPlan) -> bool:
+    """Whether the WHERE and the joins' ``ON`` evaluate without a type
+    error whatever the rows hold: built from column references, literals,
+    negated numbers, ``AND`` / ``OR`` / ``NOT``, ``=`` / ``!=``, ``IS
+    NULL``, ``LIKE``, ``IN``, and ``<`` / ``<=`` / ``>`` / ``>=`` /
+    ``BETWEEN`` over operands of one kind by the schemas (numbers and
+    booleans, or text). Anything else — arithmetic, functions, mixed
+    kinds — may raise."""
+    select = plan.select
+    try:
+        schemas = {select.table.binding: store.table(select.table.name).schema}
+        for join in select.joins:
+            schemas[join.table.binding] = store.table(join.table.name).schema
+    except QueryError:
+        return False
+
+    def kind(expr: Expr) -> Optional[str]:
+        """``"num"``, ``"str"`` or ``"null"``; ``None``: may raise."""
+        if isinstance(expr, Literal):
+            value = expr.value
+            return "null" if value is None else (
+                "str" if isinstance(value, str) else "num"
+            )
+        if isinstance(expr, ColumnRef):
+            owners = [
+                schema for binding, schema in schemas.items()
+                if expr.table in (None, binding) and schema.has_column(expr.name)
+            ]
+            if len(owners) != 1:
+                return None
+            text = owners[0].column(expr.name).type is ColumnType.TEXT
+            return "str" if text else "num"
+        if isinstance(expr, BinaryOp):
+            if expr.op not in _NEVER_RAISE and expr.op not in RANGE_OPS:
+                return None  # arithmetic
+            kinds = {kind(expr.left), kind(expr.right)}
+        elif isinstance(expr, BetweenOp):
+            kinds = {kind(expr.expr), kind(expr.low), kind(expr.high)}
+        elif isinstance(expr, UnaryOp):
+            kinds = {kind(expr.operand)}
+            if expr.op == "-":  # a negated number, or a type error
+                return None if "str" in kinds else kinds.pop()
+        elif isinstance(expr, IsNullOp):
+            kinds = {kind(expr.expr)}
+        elif isinstance(expr, LikeOp):
+            kinds = {kind(expr.expr), kind(expr.pattern)}
+        elif isinstance(expr, InOp):
+            kinds = {kind(expr.expr), *map(kind, expr.items)}
+        else:
+            return None
+        if None in kinds:
+            return None
+        ordered = isinstance(expr, BetweenOp) or (
+            isinstance(expr, BinaryOp) and expr.op in RANGE_OPS
+        )
+        return None if ordered and len(kinds - {"null"}) > 1 else "num"
+
+    return all(
+        kind(expr) is not None
+        for expr in (select.where, *(join.on for join in select.joins))
+        if expr is not None
+    )
 
 
 def run_select(store: "RelationalStore", plan: SelectPlan) -> list[ResultRow]:
@@ -752,7 +886,7 @@ def run_select(store: "RelationalStore", plan: SelectPlan) -> list[ResultRow]:
     bind(plan.refs, schemas)
     order = _bind_order(plan, schemas)
 
-    pairs = _base_rows(base, plan)
+    pairs = access_path(store, base, plan).rows
     examined = len(pairs)
     where = plan.where
     if stages:
@@ -788,19 +922,6 @@ def run_select(store: "RelationalStore", plan: SelectPlan) -> list[ResultRow]:
     if select.limit is not None:
         rows = rows[: select.limit]
     return rows
-
-
-def _base_rows(table: "Table", plan: SelectPlan) -> list[tuple[str, dict[str, Any]]]:
-    """Scan the base table, through an index when the WHERE clause has a
-    top-level equality/IN conjunct on an indexed column."""
-    probe = index_probe(plan, table)
-    if probe is None:
-        return list(table.rows())
-    column, values = probe
-    pks = dict.fromkeys(
-        pk for value in values for pk in table.index_lookup(column, value)
-    )
-    return [(pk, table.row(pk)) for pk in sorted(pks)]
 
 
 def _join(
@@ -901,13 +1022,10 @@ def base_order(select: Select) -> tuple[OrderItem, ...]:
 def token_bounds(where: Optional[Expr], field: Optional[str]):
     """``(op, value)`` of each top-level ``AND`` conjunct comparing the
     bare column ``field`` with a literal, read from the column's side."""
-    for term in _conjuncts(where) if where is not None and field else ():
-        if isinstance(term, BinaryOp) and isinstance(term.left, Literal):
-            term = BinaryOp(_MIRROR.get(term.op, ""), term.right, term.left)
-        if isinstance(term, BinaryOp) and term.op in _MIRROR and isinstance(
-            term.left, ColumnRef
-        ) and term.left.name == field and isinstance(term.right, Literal):
-            yield term.op, term.right.value
+    return [
+        (op, value) for column, op, value in _comparisons(where, None)
+        if column == field
+    ]
 
 
 _MIRROR = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}

@@ -163,9 +163,23 @@ class TestGenerateQueryInspect:
         )
         assert code == 0
         report = json.loads(output)
-        assert report["query"]["store"]["access_path"] == "full_scan"
-        assert report["query"]["store"]["actual_rows"] == 5
+        store = report["query"]["store"]
+        assert store["access_path"] == "index_range"
+        assert store["index"] == "inventory.seq"
+        assert store["estimated_rows"] == store["actual_rows"] == 5
         assert report["actual"]["queries_issued"] >= 1
+        # The same window under an OR: no access path serves it.
+        code, output = run_cli(
+            "explain", "--snapshot", snapshot,
+            "--database", "transactions",
+            "--query", "SELECT * FROM inventory WHERE seq < 5 OR seq IS NULL",
+            "--level", "1", "--analyze", "--json",
+        )
+        assert code == 0
+        store = json.loads(output)["query"]["store"]
+        assert store["access_path"] == "full_scan"
+        assert store["actual_rows"] == 5
+        assert store["estimated_rows"] > store["actual_rows"]
 
     def test_explain_with_explicit_augmenter(self, snapshot):
         code, output = run_cli(

@@ -10,6 +10,7 @@ from repro.errors import QueryError
 from repro.model import GlobalKey, PRelation
 from repro.network import centralized_profile
 from repro.optimizer.adaptive import AdaptiveOptimizer
+from repro.stores import GraphStore
 from repro.workloads import QueryWorkload
 
 QUERY = "SELECT * FROM inventory WHERE name LIKE '%wish%'"
@@ -23,10 +24,38 @@ QUERY = "SELECT * FROM inventory WHERE name LIKE '%wish%'"
 class TestRelationalExplain:
     def test_full_scan_without_usable_index(self, mini_polystore):
         store = mini_polystore.database("transactions")
-        report = store.explain("SELECT * FROM inventory WHERE price > 12")
+        # The range sits under an OR: no access path serves it.
+        report = store.explain(
+            "SELECT * FROM inventory WHERE price > 12 OR price IS NULL"
+        )
         assert report["engine"] == "relational"
         assert report["access_path"] == "full_scan"
         assert report["index"] is None
+        assert report["estimated_rows"] == 3
+
+    @pytest.mark.parametrize("where", [
+        "price > 12", "12 < price", "price BETWEEN 12.5 AND 20",
+        "price >= 12.5 AND price < 100 AND name LIKE '%'",
+    ])
+    def test_a_numeric_range_reads_the_ordered_path(self, mini_polystore, where):
+        """Derived, never declared: a range on a numeric column examines
+        the rows in its window only, and EXPLAIN's estimate is that count
+        — what execution then examines."""
+        store = mini_polystore.database("transactions")
+        query = f"SELECT * FROM inventory WHERE {where}"
+        report = store.explain(query)
+        assert report["access_path"] == "index_range"
+        assert report["index"] == "inventory.price"
+        assert report["estimated_rows"] == 2
+        store.stats.reset()
+        answer = store.explain(query, analyze=True)
+        assert answer["actual_rows"] == 2
+        assert store.stats.rows_examined == 2
+
+    def test_a_text_range_keeps_the_scan(self, mini_polystore):
+        store = mini_polystore.database("transactions")
+        report = store.explain("SELECT * FROM inventory WHERE name >= 'E'")
+        assert report["access_path"] == "full_scan"
         assert report["estimated_rows"] == 3
 
     def test_primary_key_is_an_index_probe(self, mini_polystore):
@@ -77,6 +106,18 @@ class TestDocumentExplain:
         assert report["access_path"] == "collection_scan"
         assert report["estimated_rows"] == 2  # both albums examined
 
+    def test_a_numeric_range_reads_the_ordered_path(self, mini_polystore):
+        store = mini_polystore.database("catalogue")
+        query = ("albums", {"year": {"$gt": 1989}})
+        report = store.explain(query)
+        assert report["access_path"] == "index_range"
+        assert report["index"] == "albums.year"
+        assert report["estimated_rows"] == 1
+        assert [obj.key.key for obj in store.execute(query)] == ["d1"]
+        # Another operator beside the range: the collection is scanned.
+        both = ("albums", {"year": {"$gt": 1989, "$ne": 0}})
+        assert store.explain(both)["access_path"] == "collection_scan"
+
     def test_index_probe_on_indexed_field(self, mini_polystore):
         store = mini_polystore.database("catalogue")
         store.create_index("albums", "artist")
@@ -115,6 +156,27 @@ class TestGraphExplain:
         assert report["access_path"] == "label_index"
         assert report["hops"] == 1
         assert report["estimated_cost"] > report["estimated_rows"]
+
+    def test_a_single_node_range_reads_the_ordered_path(self):
+        store = GraphStore()
+        for seq in range(10):
+            store.create_node("Item", {"seq": seq}, node_id=f"i{seq}")
+        query = "MATCH (n:Item) WHERE n.seq >= 3 AND n.seq < 7 RETURN n"
+        report = store.explain(query)
+        assert report["access_path"] == "index_range"
+        assert report["index"] == "Item.seq"
+        assert report["estimated_rows"] == 4
+        store.stats.reset()
+        assert [obj.key.key for obj in store.execute(query)] == [
+            "i3", "i4", "i5", "i6"
+        ]
+        assert store.stats.rows_examined == 4
+        # An edge pattern, or a range under an OR, reads the label.
+        for other in (
+            "MATCH (n:Item)-[:SIMILAR]->(m) WHERE n.seq > 3 RETURN m",
+            "MATCH (n:Item) WHERE n.seq > 3 OR n.seq < 1 RETURN n",
+        ):
+            assert store.explain(other)["access_path"] == "label_index"
 
     def test_neighbors_is_an_adjacency_probe(self, mini_polystore):
         store = mini_polystore.database("similar")

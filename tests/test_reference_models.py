@@ -9,6 +9,7 @@ evaluator, or an index fast path.
 from __future__ import annotations
 
 import math
+import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +149,32 @@ class TestSqlVersusReference:
         )]
         assert window == everything[offset:offset + limit]
 
+    @given(_ROWS, st.sampled_from(["val", "opt"]), st.integers(-25, 25),
+           st.integers(-25, 25), st.sampled_from([">", ">="]),
+           st.sampled_from(["<", "<="]))
+    @settings(max_examples=80, deadline=None)
+    def test_range_matches_python_in_scan_order(
+        self, rows, column, low, high, lower, upper
+    ):
+        """A range read from the column's ordered path: the rows Python's
+        own filter keeps, in insertion order, and no other row examined.
+        A negative literal is an expression (``-3``), which scans."""
+        store = build_table(rows)
+        sql = (f"SELECT id FROM t WHERE {column} {lower} {low} "
+               f"AND {high} {_FLIP[upper]} {column}")
+        expected = [
+            f"r{index}" for index, row in enumerate(rows)
+            if (value := row[("val", "opt").index(column)]) is not None
+            and _OPS[lower](value, low) and _OPS[upper](value, high)
+        ]
+        store.stats.reset()
+        assert [row["id"] for row in store.sql(sql)] == expected
+        assert store.explain(sql)["access_path"] == (
+            "index_range" if max(low, high) >= 0 else "full_scan"
+        )
+        if min(low, high) >= 0:
+            assert store.stats.rows_examined == len(expected)
+
     @given(_ROWS, st.sampled_from(["val", "color", "opt"]))
     @settings(max_examples=60, deadline=None)
     def test_index_fast_path_equals_full_scan(self, rows, column):
@@ -160,6 +187,10 @@ class TestSqlVersusReference:
         store.table("t").create_index(column)
         with_index = store.sql(sql)
         assert with_index == without_index
+
+
+_FLIP = {"<": ">", "<=": ">="}
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +246,25 @@ class TestCypherVersusBruteForce:
             if b == b2
         }
         assert got == expected
+
+    @given(_EDGE_LISTS, st.integers(0, 7), st.integers(0, 7),
+           st.sampled_from([0, 1]))
+    @settings(max_examples=80, deadline=None)
+    def test_single_node_range_matches_python(self, edges, low, high, parity):
+        """``MATCH (a:N) WHERE a.rank >= x AND a.rank < y`` reads the
+        (label, property) ordered path: Python's filter, in label order,
+        examining only those nodes."""
+        store = build_graph(edges)
+        store.stats.reset()
+        rows = store.cypher(
+            f"MATCH (a:N) WHERE a.rank >= {low} AND a.rank < {high} "
+            f"AND a.parity = {parity} RETURN a.rank AS x"
+        )
+        window = [rank for rank in range(7) if low <= rank < high]
+        assert [row["x"] for row in rows] == [
+            rank for rank in window if rank % 2 == parity
+        ]
+        assert store.stats.rows_examined == len(window)
 
     @given(_EDGE_LISTS, st.integers(0, 6))
     @settings(max_examples=80, deadline=None)

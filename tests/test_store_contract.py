@@ -369,6 +369,26 @@ NATIVE = {
     ),
 }
 
+#: Per engine: a native range over ``seq`` that its ordered path serves,
+#: and the same range in a form no path serves (so the store scans).
+RANGES = {
+    "relational": lambda low, high: (
+        f"SELECT * FROM items WHERE seq >= {low} AND seq < {high}",
+        f"SELECT * FROM items WHERE (seq >= {low} AND seq < {high}) "
+        "OR id IS NULL",
+    ),
+    "document": lambda low, high: (
+        {"collection": "items", "filter": {"seq": {"$gte": low, "$lt": high}}},
+        {"collection": "items",
+         "filter": {"$and": [{"seq": {"$gte": low, "$lt": high}}]}},
+    ),
+    "graph": lambda low, high: (
+        f"MATCH (n:Item) WHERE n.seq >= {low} AND n.seq < {high} RETURN n",
+        f"MATCH (n:Item) WHERE NOT (NOT (n.seq >= {low} AND n.seq < {high})) "
+        "RETURN n",
+    ),
+}
+
 MACHINE_WRAPS = {
     **WRAPS,
     # Fixed cuts: the machine starts from an empty store, nothing to fit.
@@ -427,6 +447,21 @@ class InverseMachine(RuleBasedStateMachine):
         ):
             self.shadow.create_edge(a, "SIMILAR", b, {"weight": 0.5})
             self._forward()
+
+    @rule(low=SEQS, high=SEQS)
+    def a_range_reads_the_scans_rows(self, low, high):
+        """The ordered path answers as the scan does, in the scan's order,
+        and holds exactly the shadow's objects in the window — through
+        every wrapper, whose shards each derive their own paths."""
+        if self.engine not in RANGES:
+            return
+        served, scanned = RANGES[self.engine](low, high)
+        got = [obj.key.key for obj in self.store.execute(served)]
+        assert got == [obj.key.key for obj in self.store.execute(scanned)]
+        assert sorted(got) == sorted(
+            key for (__, key), value in objects(self.shadow).items()
+            if low <= value["seq"] < high
+        )
 
     @invariant()
     def replaying_the_feed_reproduces_the_dump(self):

@@ -383,6 +383,14 @@ class TestObservabilityEndpoints:
         assert report["plan"]["planned_fetches"] > 0
         assert report["execution"]["estimated_queries"] >= 1
         assert "actual" not in report
+        ranged = api.handle(
+            "POST", "/explain",
+            {"database": "transactions", "level": 1,
+             "query": "SELECT * FROM inventory WHERE price >= 12 AND price < 20"},
+        )["explain"]["query"]["store"]
+        assert ranged["access_path"] == "index_range"
+        assert ranged["index"] == "inventory.price"
+        assert ranged["estimated_rows"] == 2
 
     def test_explain_analyze_with_config(self, api):
         response = api.handle(

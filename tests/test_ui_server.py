@@ -149,6 +149,15 @@ class TestHttpEndpoints:
         report = payload["explain"]
         assert report["query"]["store"]["access_path"] == "full_scan"
         assert report["actual"]["augmented_objects"] > 0
+        status, payload = post(
+            server, "/explain",
+            {"database": "transactions", "level": 1, "analyze": True,
+             "query": "SELECT * FROM inventory WHERE price >= 12 AND price < 20"},
+        )
+        assert status == 200
+        store = payload["explain"]["query"]["store"]
+        assert store["access_path"] == "index_range"
+        assert store["estimated_rows"] == store["actual_rows"] == 2
 
     def test_unknown_route_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:
