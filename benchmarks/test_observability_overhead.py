@@ -84,10 +84,11 @@ def _serve_script(bundle, flight_recorder: bool, aged: bool = False):
         workers=WORKERS,
         queue_capacity=REQUESTS,  # open-loop submit: nothing may shed
         flight_recorder=flight_recorder,
-        recorder_slow_threshold=1e-9 if aged else None,
     )
     script = _script(bundle)
     with QuepaServer(quepa, config) as server:
+        if aged and flight_recorder:
+            server.scheduler.recorder = FlightRecorder(slow_threshold=1e-9)
         if aged:
             tracer = quepa.obs.tracer
             tracer.max_spans = AGED_MAX_SPANS

@@ -60,8 +60,23 @@ text = sys.stdin.read()
 assert "leaders" in json.loads(text)["serving"]["accelerator"]["coalesce"]
 assert "\"hedge" not in text, "a hedge key in loadgen --json"
 '
-repro record "${load[@]}" --json | json
+repro loadgen "${load[@]}" --deadline 5 > /dev/null
+# A --limit above what the recorder holds returns every digest it holds.
+# A nanosecond deadline sheds all 4 requests, and a shed is always kept.
+for limit in 6 100000; do
+    repro record "${load[@]}" --deadline 1e-9 --limit "$limit" --json \
+        | python -c '
+import json, sys
+payload = json.load(sys.stdin)
+assert payload["recorder"]["size"] == 4, payload["recorder"]
+assert len(payload["requests"]) == 4, payload["requests"]
+'
+done
 repro ingest --albums 20 --updates 6 --batch 3 --json | json
-# The SLO monitor is gone, and its subcommand with it.
+# The SLO monitor is gone, and its subcommand with it; so are the
+# per-session cap and the recorder's knobs, and their flags with them.
 repro slo "${load[@]}" > /dev/null 2>&1 && exit 1
+repro serve --snapshot "$snap" --port 0 --duration 0.05 --max-inflight 2 \
+    > /dev/null 2>&1 && exit 1
+repro record "${load[@]}" --slow-threshold 1 > /dev/null 2>&1 && exit 1
 echo "surface smoke: 15 subcommands ok"

@@ -163,12 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         "requests",
     )
     _add_loadgen_args(record)
-    record.add_argument("--capacity", type=int, default=256,
-                        help="digests the recorder retains")
-    record.add_argument("--slow-threshold", type=float, default=None,
-                        dest="slow_threshold",
-                        help="absolute slow cutoff in seconds "
-                             "(default: adaptive rolling p95)")
     record.add_argument("--session", default=None,
                         help="only digests of this session")
     record.add_argument("--status", default=None,
@@ -237,6 +231,9 @@ def _add_loadgen_args(subparser) -> None:
                            help="workload query result-size knob")
     subparser.add_argument("--level", type=int, default=1,
                            help="augmentation level of generated queries")
+    subparser.add_argument("--deadline", type=float, default=None,
+                           help="every generated request's deadline, "
+                                "seconds")
     subparser.add_argument("--zipf-s", type=float, default=0.0,
                            dest="zipf_s",
                            help="Zipf exponent for key-window skew "
@@ -248,10 +245,6 @@ def _add_serving_args(subparser) -> None:
                            help="scheduler worker threads")
     subparser.add_argument("--queue-capacity", type=int, default=64,
                            help="admission queue bound (backpressure)")
-    subparser.add_argument("--max-inflight", type=int, default=2,
-                           help="per-session concurrent-request cap")
-    subparser.add_argument("--deadline", type=float, default=None,
-                           help="default per-request deadline, seconds")
     subparser.add_argument("--time-scale", type=float, default=0.0,
                            help="scale factor for simulated store "
                                 "latencies on the real runtime "
@@ -651,12 +644,7 @@ def _serving_config(args):
     from repro.serving import ServingConfig
 
     return ServingConfig(
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        max_inflight_per_session=args.max_inflight,
-        default_deadline=args.deadline,
-        recorder_capacity=getattr(args, "capacity", 256),
-        recorder_slow_threshold=getattr(args, "slow_threshold", None),
+        workers=args.workers, queue_capacity=args.queue_capacity
     )
 
 

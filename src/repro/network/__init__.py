@@ -7,16 +7,16 @@ time, CPU contention, thread spawn overhead) is modelled explicitly.
 Two interchangeable execution backends drive the augmenters:
 
 * :class:`~repro.network.executor.VirtualRuntime` — deterministic
-  virtual time: store operations charge simulated durations and parallel
-  work is placed with greedy list scheduling on capacity-limited
-  resources. This is what the benchmark figures use.
+  virtual time: store operations charge simulated durations, parallel
+  work is placed with greedy list scheduling on a pool's worker slots
+  and CPU contention is bounded by each machine's cores (Graham's
+  bound). This is what the benchmark figures use.
 * :class:`~repro.network.executor.RealRuntime` — real threads
   (``concurrent.futures``) with optional scaled-down real sleeps, used to
   check that every augmenter produces identical *answers* under genuine
   concurrency.
 """
 
-from repro.network.clock import VirtualClock
 from repro.network.executor import ExecContext, RealRuntime, Runtime, VirtualRuntime
 from repro.network.latency import (
     CostModel,
@@ -35,7 +35,6 @@ __all__ = [
     "RealRuntime",
     "Runtime",
     "StoreSite",
-    "VirtualClock",
     "VirtualRuntime",
     "centralized_profile",
     "distributed_profile",

@@ -11,7 +11,8 @@ they use an :class:`ExecContext`:
   contexts, so nested parallelism (the OUTER-INNER augmenter) composes.
 
 :class:`VirtualRuntime` implements the contract on a deterministic
-virtual clock with capacity-limited CPU resources (see DESIGN.md);
+virtual clock, bounding CPU contention by each machine's cores (see
+DESIGN.md);
 :class:`RealRuntime` implements it with ``ThreadPoolExecutor`` and
 optional scaled real sleeps. Answers are identical under both; only the
 time measurements differ.
@@ -588,10 +589,6 @@ class _VirtualContext(ExecContext):
         if timestamp > self._now:
             self._now = timestamp
 
-    def merge_demand(self, other: "_VirtualContext") -> None:
-        for machine_name, (cores, busy) in other.demand.items():
-            self._add_demand(machine_name, cores, busy)
-
 
 class _VirtualPool(WorkerPool):
     """Greedy list scheduling on private worker slots + Graham's bound."""
@@ -660,7 +657,6 @@ class VirtualRuntime(Runtime):
         self._root: _VirtualContext | None = None
 
     def root(self) -> ExecContext:
-        self.profile.reset()
         self.meter = QueryMeter()
         self.obs.tracer.reset()
         self._root = _VirtualContext(self, 0.0)

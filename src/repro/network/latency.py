@@ -8,9 +8,9 @@ The paper evaluates two deployments (Section VII-A):
   different EC2 regions; latency reaches a few hundred milliseconds.
 
 A :class:`DeploymentProfile` assigns every database a
-:class:`StoreSite`: the machine it runs on (a capacity-limited CPU
-resource in virtual time) and the one-way network latency between QUEPA
-and that machine. The :class:`CostModel` holds the scalar costs of a
+:class:`StoreSite`: the machine it runs on (its core count bounds CPU
+contention in virtual time) and the one-way network latency between
+QUEPA and that machine. The :class:`CostModel` holds the scalar costs of a
 store access — per-query overhead, per-object service time, per-object
 client-side CPU — used by the virtual runtime to charge operations.
 """
@@ -18,24 +18,15 @@ client-side CPU — used by the virtual runtime to charge operations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-
-from repro.network.clock import Resource
+from dataclasses import dataclass
 
 
 @dataclass
 class Machine:
-    """A host with a fixed number of cores, modelled as a CPU resource."""
+    """A host with a fixed number of cores."""
 
     name: str
     cores: int
-    cpu: Resource = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.cpu = Resource(self.cores, name=f"{self.name}.cpu")
-
-    def reset(self) -> None:
-        self.cpu.reset()
 
 
 @dataclass(frozen=True)
@@ -103,17 +94,6 @@ class DeploymentProfile:
                 self._default_machine, self.default_latency
             )
         return self._sites[database]
-
-    def machines(self) -> list[Machine]:
-        seen: dict[str, Machine] = {self.quepa_machine.name: self.quepa_machine}
-        for site in self._sites.values():
-            seen.setdefault(site.machine.name, site.machine)
-        return list(seen.values())
-
-    def reset(self) -> None:
-        """Reset all machine resources (between virtual runs)."""
-        for machine in self.machines():
-            machine.reset()
 
 
 def centralized_profile(

@@ -54,22 +54,19 @@ class Observability:
     """Tracer + metrics registry + event journal, shared by a runtime's
     contexts.
 
-    ``slow_query_threshold`` (seconds, ``None`` = disabled, the default)
-    arms the per-store slow-query log: any store roundtrip whose elapsed
-    time meets the threshold emits a ``slow_query`` warning event with
-    the store name, native query text and elapsed time in its attrs.
+    The tracer and the journal keep their own default bounds.
+    ``slow_query_threshold`` (seconds, ``None`` = disabled, the default;
+    ``repro events --slow-ms`` sets it) arms the per-store slow-query
+    log: any store roundtrip whose elapsed time meets the threshold
+    emits a ``slow_query`` warning event with the store name, native
+    query text and elapsed time in its attrs.
     """
 
-    def __init__(
-        self,
-        max_spans: int = 10_000,
-        max_events: int = 2048,
-        slow_query_threshold: float | None = None,
-    ) -> None:
-        self.tracer = Tracer(max_spans)
+    def __init__(self) -> None:
+        self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.events = EventJournal(max_events)
-        self.slow_query_threshold = slow_query_threshold
+        self.events = EventJournal()
+        self.slow_query_threshold: float | None = None
 
     def trace_summary(self, trace_id: str | None = None) -> dict[str, Any]:
         """Structured summary of the current run's trace — of one served

@@ -143,7 +143,7 @@ class EventJournal:
             ]
         selected = list(selected)
         if limit is not None and limit >= 0:
-            selected = selected[len(selected) - limit:] if limit else []
+            selected = selected[max(len(selected) - limit, 0):]
         return selected
 
     def as_dicts(self, **filters: Any) -> list[dict[str, Any]]:

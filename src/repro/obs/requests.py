@@ -249,7 +249,7 @@ class FlightRecorder:
         if status is not None:
             selected = [d for d in selected if d.status == status]
         if limit is not None and limit >= 0:
-            selected = selected[len(selected) - limit:] if limit else []
+            selected = selected[max(len(selected) - limit, 0):]
         return selected
 
     def as_dicts(self, **filters: Any) -> list[dict[str, Any]]:

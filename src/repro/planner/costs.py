@@ -41,6 +41,11 @@ from repro.planner.logical import QueryContext
 #: exists to tighten what it cannot.
 RATIO_BAND = (0.2, 5.0)
 
+#: EWMA weight of the newest measured/predicted ratio.
+CALIBRATION_ALPHA = 0.4
+#: The band every ratio and factor is clamped to.
+FACTOR_BAND = (0.05, 20.0)
+
 
 @dataclass
 class CostEstimate:
@@ -67,21 +72,11 @@ class CalibrationStore:
 
     ``observe`` folds one execution's ratio into the strategy's factor;
     ``factor`` is what estimates are multiplied by. Ratios and factors
-    are clamped to ``[min_factor, max_factor]`` so a degenerate run
-    (near-zero prediction, faulted execution) cannot blow up the model.
+    are clamped to :data:`FACTOR_BAND` so a degenerate run (near-zero
+    prediction, faulted execution) cannot blow up the model.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.4,
-        min_factor: float = 0.05,
-        max_factor: float = 20.0,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.min_factor = min_factor
-        self.max_factor = max_factor
+    def __init__(self) -> None:
         self._factors: dict[str, float] = {}
         self._observations: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -94,14 +89,16 @@ class CalibrationStore:
         """Fold one (predicted, measured) pair in; returns the new factor."""
         if raw <= 0.0 or actual < 0.0:
             return self.factor(strategy)
-        ratio = min(self.max_factor, max(self.min_factor, actual / raw))
+        low, high = FACTOR_BAND
+        ratio = min(high, max(low, actual / raw))
         with self._lock:
             current = self._factors.get(strategy)
             if current is None:
                 updated = ratio
             else:
-                updated = (1.0 - self.alpha) * current + self.alpha * ratio
-            updated = min(self.max_factor, max(self.min_factor, updated))
+                alpha = CALIBRATION_ALPHA
+                updated = (1.0 - alpha) * current + alpha * ratio
+            updated = min(high, max(low, updated))
             self._factors[strategy] = updated
             self._observations[strategy] = (
                 self._observations.get(strategy, 0) + 1

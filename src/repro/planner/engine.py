@@ -69,7 +69,6 @@ class FederatedEngine:
         config: AugmentationConfig | None = None,
         resilience=None,
         faults=None,
-        calibration: CalibrationStore | None = None,
         degrade: bool = True,
     ) -> None:
         self.polystore = polystore
@@ -83,7 +82,7 @@ class FederatedEngine:
             resilience = ResilienceManager(resilience)
         self.resilience = resilience
         self.faults = faults
-        self.calibration = calibration or CalibrationStore()
+        self.calibration = CalibrationStore()
         self.degrade = degrade
         self.augmentation = Augmentation(aindex)
         self.model = PlanCostModel(

@@ -11,10 +11,10 @@ layer for the reproduction:
   raises :class:`~repro.errors.ServerBusy` (backpressure, the server
   itself stays healthy).
 * **Per-session fair scheduling** — sessions get round-robin turns and
-  FIFO order within a session, with a per-session in-flight cap so one
-  chatty client cannot monopolize the worker pool. Workers sleep on
-  real condition signaling — a submission, completion or stop wakes
-  them precisely, with no polling.
+  FIFO order within a session, so a chatty client's backlog waits
+  behind every other session's next request. Workers sleep on real
+  condition signaling — a submission or stop wakes them precisely,
+  with no polling.
 * **Snapshot-isolated A' reads** — each request plans over the one
   :class:`~repro.core.compressed.FrozenAIndex` snapshot pinned when it
   starts (see :meth:`Quepa.serve_search`), so concurrent p-relation
@@ -78,36 +78,15 @@ class ServingConfig:
     #: Requests that may wait for a worker; past this, submissions are
     #: shed with :class:`ServerBusy`.
     queue_capacity: int = 64
-    #: Per-session concurrent executions (fairness cap).
-    max_inflight_per_session: int = 2
-    #: Default wall-clock deadline in seconds for requests that do not
-    #: carry their own (``None`` = no deadline).
-    default_deadline: float | None = None
     #: Keep a bounded flight recorder of shed/failed/degraded/slow
     #: requests (tail-based retention; see repro.obs.requests).
     flight_recorder: bool = True
-    #: Digests the recorder retains before evicting the oldest.
-    recorder_capacity: int = 256
-    #: Absolute slow threshold, seconds; ``None`` = adaptive (rolling
-    #: p95 of completed latencies once enough samples exist).
-    recorder_slow_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if self.max_inflight_per_session < 1:
-            raise ValueError("max_inflight_per_session must be >= 1")
-        if self.default_deadline is not None and self.default_deadline <= 0:
-            raise ValueError("default_deadline must be > 0")
-        if self.recorder_capacity < 1:
-            raise ValueError("recorder_capacity must be >= 1")
-        if (
-            self.recorder_slow_threshold is not None
-            and self.recorder_slow_threshold <= 0
-        ):
-            raise ValueError("recorder_slow_threshold must be > 0")
 
 
 class Request:
@@ -213,8 +192,8 @@ class Scheduler:
         self.obs = quepa.obs
         self._cond = threading.Condition()
         #: session -> FIFO of queued requests, plus the round-robin
-        #: order over sessions with queued work (a session appears at
-        #: most once; capped sessions stay in rotation).
+        #: order over sessions: a session is in it, once, exactly while
+        #: its queue is non-empty.
         self._queues: dict[str, deque[Request]] = {}
         self._order: deque[str] = deque()
         #: Optional :class:`repro.cdc.materialize.MaterializedAugmentations`
@@ -223,7 +202,6 @@ class Scheduler:
         self.materialized: Any = None
         self._queued = 0
         self._inflight = 0
-        self._inflight_by_session: dict[str, int] = {}
         self._ids = itertools.count(1)
         self._threads: list[threading.Thread] = []
         self._running = False
@@ -248,14 +226,11 @@ class Scheduler:
         self._trace_ids = TraceIdAllocator()
         #: Always-on bounded record of the requests worth keeping
         #: (tail-based retention); ``None`` when disabled for overhead
-        #: comparisons.
+        #: comparisons. Its capacity and slow rule are
+        #: :class:`FlightRecorder`'s own; assign a differently built
+        #: recorder before traffic to change them.
         self.recorder: FlightRecorder | None = (
-            FlightRecorder(
-                capacity=self.config.recorder_capacity,
-                slow_threshold=self.config.recorder_slow_threshold,
-            )
-            if self.config.flight_recorder
-            else None
+            FlightRecorder() if self.config.flight_recorder else None
         )
         metrics = self.obs.metrics
         self._inflight_gauge = metrics.gauge("serving_inflight")
@@ -349,8 +324,6 @@ class Scheduler:
         request.submitted_at = now
         if request.trace_id is None:
             request.trace_id = self._trace_ids.next_id()
-        if request.deadline is None:
-            request.deadline = self.config.default_deadline
         with self._cond:
             if not self._running:
                 raise ServerBusy("server is not running")
@@ -401,7 +374,7 @@ class Scheduler:
             queue = self._queues.setdefault(request.session, deque())
             queue.append(request)
             self._queued += 1
-            if len(queue) == 1 and request.session not in self._order:
+            if len(queue) == 1:
                 self._order.append(request.session)
             self._depth_gauge.set(self._queued)
             self.obs.metrics.counter(
@@ -459,35 +432,24 @@ class Scheduler:
                     not self._draining or self._queued == 0
                 ):
                     return None
-                # Precise wakeup: a submit, a completion (which may
-                # uncap a session) or stop() notifies; until then this
-                # worker sleeps — no polling interval to tune.
+                # Precise wakeup: a submit or stop() notifies; until
+                # then this worker sleeps — no polling interval to tune.
                 self._cond.wait()
 
     def _pick_locked(self) -> Request | None:
         """Round-robin over sessions; FIFO within each."""
-        cap = self.config.max_inflight_per_session
-        order = self._order
-        for _ in range(len(order)):
-            session = order.popleft()
-            queue = self._queues.get(session)
-            if not queue:
-                continue  # stale rotation entry
-            if self._inflight_by_session.get(session, 0) >= cap:
-                order.append(session)  # capped: keep its turn
-                continue
-            request = queue.popleft()
-            self._queued -= 1
-            if queue:
-                order.append(session)
-            self._inflight_by_session[session] = (
-                self._inflight_by_session.get(session, 0) + 1
-            )
-            self._inflight += 1
-            self._depth_gauge.set(self._queued)
-            self._inflight_gauge.set(self._inflight)
-            return request
-        return None
+        if not self._order:
+            return None
+        session = self._order.popleft()
+        queue = self._queues[session]
+        request = queue.popleft()
+        self._queued -= 1
+        if queue:
+            self._order.append(session)
+        self._inflight += 1
+        self._depth_gauge.set(self._queued)
+        self._inflight_gauge.set(self._inflight)
+        return request
 
     def _execute(self, request: Request) -> None:
         request.started_at = time.monotonic()
@@ -515,11 +477,6 @@ class Scheduler:
         session = request.session
         with self._cond:
             self._inflight -= 1
-            remaining = self._inflight_by_session.get(session, 1) - 1
-            if remaining > 0:
-                self._inflight_by_session[session] = remaining
-            else:
-                self._inflight_by_session.pop(session, None)
             stats = self._session_stats(session)
             if request.status == "completed":
                 self._completed += 1
@@ -531,7 +488,6 @@ class Scheduler:
                 self._failed += 1
                 stats["failed"] += 1
             self._inflight_gauge.set(self._inflight)
-            self._cond.notify_all()
         metrics = self.obs.metrics
         metrics.counter(
             "serving_requests_total", outcome=request.status
@@ -765,15 +721,10 @@ class Scheduler:
             queued_by_session = {
                 name: len(queue) for name, queue in self._queues.items()
             }
-            inflight_by_session = dict(self._inflight_by_session)
             report = {
                 "running": self._running,
                 "workers": self.config.workers,
                 "queue_capacity": self.config.queue_capacity,
-                "max_inflight_per_session": (
-                    self.config.max_inflight_per_session
-                ),
-                "default_deadline": self.config.default_deadline,
                 "uptime_s": uptime,
                 "queue_depth": self._queued,
                 "inflight": self._inflight,
@@ -802,7 +753,6 @@ class Scheduler:
         }
         for name, stats in sessions.items():
             stats["queued"] = queued_by_session.get(name, 0)
-            stats["inflight"] = inflight_by_session.get(name, 0)
             stats["qps"] = (
                 stats["completed"] / uptime if uptime > 0 else 0.0
             )

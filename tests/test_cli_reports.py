@@ -9,6 +9,7 @@ CLI half of the parity contract — what a command prints under
 sub-dict).
 """
 
+import functools
 import io
 import json
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro import cli
 from repro.cli import COMMANDS, build_parser, main
+from repro.obs import FlightRecorder
 from repro.ui import reports
 
 SQL = "SELECT * FROM inventory WHERE seq < 5"
@@ -25,6 +27,16 @@ DOCUMENT = (
 GRAPH = '{"op": "match", "label": "Item", "limit": 2}'
 LOAD = ("--stores", "4", "--albums", "30", "--clients", "2",
         "--requests", "3", "--workers", "2")
+
+
+@pytest.fixture
+def keep_every_completion(monkeypatch):
+    """Servers the CLI builds retain every completed request's digest
+    (slow at one nanosecond), so ``record`` has completions to print."""
+    monkeypatch.setattr(
+        "repro.serving.server.FlightRecorder",
+        functools.partial(FlightRecorder, slow_threshold=1e-9),
+    )
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -185,8 +197,8 @@ class TestUntestedThird:
         )
         assert code == 1 and output.startswith("error:")
 
-    def test_record_text(self):
-        code, output = run_cli("record", *LOAD, "--slow-threshold", "1e-9")
+    def test_record_text(self, keep_every_completion):
+        code, output = run_cli("record", *LOAD)
         assert code == 0
         lines = output.splitlines()
         assert lines[0].startswith("flight recorder: kept 6 of 6 requests")
@@ -194,10 +206,9 @@ class TestUntestedThird:
         assert all(" search completed wait=" in line for line in lines[1:])
         assert all("kept=slow" in line for line in lines[1:])
 
-    def test_record_json_filters(self):
+    def test_record_json_filters(self, keep_every_completion):
         code, output = run_cli(
-            "record", *LOAD, "--slow-threshold", "1e-9",
-            "--status", "completed", "--limit", "2", "--json",
+            "record", *LOAD, "--status", "completed", "--limit", "2", "--json",
         )
         assert code == 0
         payload = json.loads(output)
@@ -206,8 +217,7 @@ class TestUntestedThird:
         assert len(payload["requests"]) == 2
         assert all(d["status"] == "completed" for d in payload["requests"])
         code, output = run_cli(
-            "record", *LOAD, "--slow-threshold", "1e-9",
-            "--session", "nobody", "--json",
+            "record", *LOAD, "--session", "nobody", "--json",
         )
         assert code == 0 and json.loads(output)["requests"] == []
 

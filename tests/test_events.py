@@ -72,6 +72,16 @@ class TestEventJournal:
         assert [e.kind for e in limited] == ["broken"]
         assert journal.events(limit=0) == []
 
+    def test_limit_above_the_held_count_returns_everything(self):
+        # 30 held, 50 asked (the ``repro events`` default): all 30,
+        # the oldest included.
+        journal = EventJournal()
+        for i in range(30):
+            journal.emit("tick", ts=float(i), i=i)
+        assert [e.attrs["i"] for e in journal.events(limit=50)] == list(
+            range(30)
+        )
+
     def test_clear_keeps_counters(self):
         journal = EventJournal()
         journal.emit("k")

@@ -1,4 +1,4 @@
-"""Tests for the virtual clock, profiles and execution runtimes."""
+"""Tests for deployment profiles and the execution runtimes."""
 
 import threading
 
@@ -11,53 +11,12 @@ from repro.model.objects import DataObject, GlobalKey
 from repro.network import executor
 from repro.network import (
     CostModel,
-    Machine,
     RealRuntime,
-    VirtualClock,
     VirtualRuntime,
     centralized_profile,
     distributed_profile,
 )
-from repro.network.clock import Resource
 from repro.workloads.queries import QueryWorkload
-
-
-class TestVirtualClock:
-    def test_advance(self):
-        clock = VirtualClock()
-        assert clock.advance(1.5) == 1.5
-        assert clock.now == 1.5
-
-    def test_advance_negative_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-1)
-
-    def test_advance_to_is_monotone(self):
-        clock = VirtualClock(10.0)
-        clock.advance_to(5.0)
-        assert clock.now == 10.0
-        clock.advance_to(12.0)
-        assert clock.now == 12.0
-
-
-class TestResource:
-    def test_serializes_on_one_slot(self):
-        resource = Resource(1)
-        assert resource.acquire(0.0, 2.0) == (0.0, 2.0)
-        assert resource.acquire(0.0, 2.0) == (2.0, 4.0)
-
-    def test_parallel_on_two_slots(self):
-        resource = Resource(2)
-        assert resource.acquire(0.0, 2.0) == (0.0, 2.0)
-        assert resource.acquire(0.0, 2.0) == (0.0, 2.0)
-
-    def test_arrival_respected(self):
-        resource = Resource(1)
-        assert resource.acquire(5.0, 1.0) == (5.0, 6.0)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Resource(0)
 
 
 class TestProfiles:
@@ -481,10 +440,3 @@ class TestRealRuntime:
         else:
             assert outcome == "raised"
 
-
-class TestMachine:
-    def test_reset_clears_resource(self):
-        machine = Machine("m", 2)
-        machine.cpu.acquire(0.0, 5.0)
-        machine.reset()
-        assert machine.cpu.earliest_free() == 0.0

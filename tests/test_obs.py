@@ -283,8 +283,7 @@ class TestTraceRetention:
             return real(*args, **kwargs)
 
         tracer = quepa.obs.tracer
-        config = ServingConfig(workers=1, max_inflight_per_session=1)
-        server = QuepaServer(quepa, config).start()
+        server = QuepaServer(quepa, ServingConfig(workers=1)).start()
         done = server.submit_search("s", "catalogue", query, level=1)
         done.result(10)
         failed = server.submit_search("s", "nosuchdb", query)

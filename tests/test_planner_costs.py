@@ -61,13 +61,13 @@ class TestCalibrationStore:
         assert store.factor("s") == pytest.approx(0.5)
 
     def test_later_observations_blend_with_ewma(self):
-        store = CalibrationStore(alpha=0.4)
+        store = CalibrationStore()
         store.observe("s", raw=1.0, actual=1.0)
         updated = store.observe("s", raw=1.0, actual=2.0)
         assert updated == pytest.approx(0.6 * 1.0 + 0.4 * 2.0)
 
     def test_ratios_are_clamped(self):
-        store = CalibrationStore(min_factor=0.05, max_factor=20.0)
+        store = CalibrationStore()
         assert store.observe("hi", raw=1.0, actual=1e9) == 20.0
         assert store.observe("lo", raw=1e9, actual=1e-9) == 0.05
 
@@ -85,12 +85,6 @@ class TestCalibrationStore:
         snap = store.snapshot()
         assert snap["s"]["observations"] == 2
         assert snap["s"]["factor"] == pytest.approx(2.0)
-
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            CalibrationStore(alpha=0.0)
-        with pytest.raises(ValueError):
-            CalibrationStore(alpha=1.5)
 
 
 class TestRatioBand:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.augmentation import AugmentationConfig
+from repro.obs import FlightRecorder
 from repro.serving import QuepaServer, ServingConfig
 from repro.ui import reports
 from repro.ui.api import ApiError, QuepaApi
@@ -279,8 +280,8 @@ class TestApiParity:
 
         monkeypatch.setitem(REPORTS, name, spy)
         hub = make_hub(mini_quepa)
-        config = ServingConfig(workers=1, recorder_slow_threshold=1e-9)
-        with QuepaServer(mini_quepa, config) as server:
+        with QuepaServer(mini_quepa, ServingConfig(workers=1)) as server:
+            server.scheduler.recorder = FlightRecorder(slow_threshold=1e-9)
             api = QuepaApi(mini_quepa, server=server, hub=hub)
             api.handle("POST", "/query", {
                 "database": "transactions", "query": QUERY, "level": 1,

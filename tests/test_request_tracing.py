@@ -104,11 +104,9 @@ def test_trace_propagates_through_sharded_hedged_serving():
 
         facade.multi_get = stalling
 
-    config = ServingConfig(
-        workers=6,
-        recorder_slow_threshold=1e-9,  # retain every completion
-    )
-    with QuepaServer(quepa, config) as server:
+    with QuepaServer(quepa, ServingConfig(workers=6)) as server:
+        # Retain every completion.
+        server.scheduler.recorder = FlightRecorder(slow_threshold=1e-9)
         warm = server.submit_search("warm", database, query, level=1)
         expected = warm.result(30.0)
         assert expected.originals
@@ -241,8 +239,8 @@ def test_saturated_tracer_still_records_served_requests():
         tracer.end(root, 0.0)
     assert len(tracer) >= tracer.max_spans
 
-    config = ServingConfig(workers=2, recorder_slow_threshold=1e-9)
-    with QuepaServer(quepa, config) as server:
+    with QuepaServer(quepa, ServingConfig(workers=2)) as server:
+        server.scheduler.recorder = FlightRecorder(slow_threshold=1e-9)
         ticket = server.submit_search("s1", "catalogue", DOC_QUERY, level=1)
         assert ticket.result(10.0).originals
         digests = server.records(status="completed")
@@ -509,6 +507,18 @@ def test_recorder_filters_and_limit():
     assert recorder.as_dicts(session="b")[0]["trace_id"] == "t-2"
 
 
+def test_recorder_limit_above_the_held_count_returns_everything():
+    # 3 held, 5 asked: all 3, the oldest included.
+    recorder = FlightRecorder(slow_threshold=1.0)
+    for i in range(1, 4):
+        recorder.observe(_digest(f"t-{i}", "failed", error="x"))
+    assert [d.trace_id for d in recorder.records(limit=5)] == [
+        "t-1",
+        "t-2",
+        "t-3",
+    ]
+
+
 # -- latency breakdown fold ----------------------------------------------------
 
 
@@ -575,8 +585,8 @@ def test_api_requests_and_slo_with_live_server():
     """``/requests`` over a live server; ``/slo`` is gone. (The id
     predates the removal of the SLO monitor.)"""
     quepa = _mini_real_quepa()
-    config = ServingConfig(workers=2, recorder_slow_threshold=1e-9)
-    with QuepaServer(quepa, config) as server:
+    with QuepaServer(quepa, ServingConfig(workers=2)) as server:
+        server.scheduler.recorder = FlightRecorder(slow_threshold=1e-9)
         api = QuepaApi(quepa, server=server)
         server.search("s1", "catalogue", DOC_QUERY, level=1, timeout=10.0)
 

@@ -80,9 +80,16 @@ def _signature(answer):
     )
 
 
-def _run_concurrently(bundle, plan, config: ServingConfig, clients: int):
-    """Fan the plan out over ``clients`` threads; collect per-request
-    outcomes as (index, status, signature-or-None)."""
+def _run_concurrently(
+    bundle,
+    plan,
+    config: ServingConfig,
+    clients: int,
+    deadline: float | None = None,
+):
+    """Fan the plan out over ``clients`` threads, each request with
+    ``deadline``; collect per-request outcomes as (index, status,
+    signature-or-None)."""
     quepa = _real_quepa(bundle)
     outcomes: list[tuple[int, str, object]] = []
     lock = threading.Lock()
@@ -93,7 +100,11 @@ def _run_concurrently(bundle, plan, config: ServingConfig, clients: int):
                 database, query, level = plan[index]
                 try:
                     answer = server.search(
-                        f"client-{worker}", database, query, level=level
+                        f"client-{worker}",
+                        database,
+                        query,
+                        level=level,
+                        deadline=deadline,
                     )
                 except (ServerBusy, ServingError):
                     with lock:
@@ -168,9 +179,7 @@ def test_shed_requests_are_the_only_missing_ones(props_bundle):
     outcomes, status = _run_concurrently(
         props_bundle,
         plan,
-        ServingConfig(
-            workers=1, queue_capacity=2, max_inflight_per_session=1
-        ),
+        ServingConfig(workers=1, queue_capacity=2),
         clients=8,
     )
 
@@ -215,12 +224,9 @@ def test_meters_reconcile_under_deadlines(props_bundle):
     outcomes, status = _run_concurrently(
         props_bundle,
         plan,
-        ServingConfig(
-            workers=2,
-            queue_capacity=len(plan),
-            default_deadline=1e-9,  # everything expires while queued
-        ),
+        ServingConfig(workers=2, queue_capacity=len(plan)),
         clients=6,
+        deadline=1e-9,  # everything expires while queued
     )
     assert len(outcomes) == len(plan)
     assert not [o for o in outcomes if o[1] == "failed"]

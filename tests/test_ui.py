@@ -280,10 +280,11 @@ class TestOtherEndpoints:
         assert shallow < deep  # the tracer only holds the last run
 
     def test_trace_of_one_served_request(self, mini_quepa):
+        from repro.obs import FlightRecorder
         from repro.serving import QuepaServer, ServingConfig
 
-        config = ServingConfig(workers=1, recorder_slow_threshold=1e-9)
-        with QuepaServer(mini_quepa, config) as server:
+        with QuepaServer(mini_quepa, ServingConfig(workers=1)) as server:
+            server.scheduler.recorder = FlightRecorder(slow_threshold=1e-9)
             api = QuepaApi(mini_quepa, server=server)
             for level in (1, 0):
                 api.handle("POST", "/query", {
