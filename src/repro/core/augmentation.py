@@ -39,14 +39,12 @@ class AugmentationConfig:
 
     ``augmenter`` selects the strategy; ``batch_size``/``threads_size``
     parameterize it; ``cache_size`` is applied to the shared LRU cache.
-    ``min_probability`` optionally prunes very weak paths from the plan.
     """
 
     augmenter: str = "sequential"
     batch_size: int = 64
     threads_size: int = 4
     cache_size: int = 1024
-    min_probability: float = 0.0
     #: Degrade gracefully when a store is down: skip its objects instead
     #: of failing the whole augmented query (loose coupling in action).
     skip_unavailable: bool = False

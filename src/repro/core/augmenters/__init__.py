@@ -18,6 +18,8 @@ queries overlap in time.
 """
 
 from repro.core.augmenters.base import (
+    BATCHING,
+    POOLED,
     AugmentationOutcome,
     Augmenter,
     available_augmenters,
@@ -33,6 +35,8 @@ from repro.core.augmenters.strategies import (
 )
 
 __all__ = [
+    "BATCHING",
+    "POOLED",
     "AugmentationOutcome",
     "Augmenter",
     "BatchAugmenter",

@@ -475,6 +475,13 @@ def available_augmenters() -> list[str]:
     return sorted(_REGISTRY)
 
 
+#: The strategies that group fetches into ``BATCH_SIZE`` native queries
+#: (T2 predicts their batch size) and those that fan out over a thread
+#: pool of ``THREADS_SIZE`` (T3 predicts it).
+BATCHING = frozenset({"batch", "outer_batch"})
+POOLED = frozenset({"inner", "outer", "outer_batch", "outer_inner"})
+
+
 def make_augmenter(
     name: str, registry: ConnectorRegistry, cache: LruCache
 ) -> Augmenter:

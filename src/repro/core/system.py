@@ -22,7 +22,7 @@ from typing import Any, Callable, Protocol
 
 from repro.core.aindex import AIndex
 from repro.core.augmentation import Augmentation, AugmentationConfig
-from repro.core.augmenters import make_augmenter
+from repro.core.augmenters import BATCHING, POOLED, make_augmenter
 from repro.core.cache import LruCache
 from repro.core.connectors import ConnectorRegistry
 from repro.core.exploration import ExplorationSession
@@ -351,10 +351,7 @@ class Quepa:
         # clocks (EXPLAIN is free in virtual time).
         originals = self._locked_execute(store, validation.query)
         seeds = result_seeds(originals)
-        min_probability = self.config.min_probability
-        report["plan"] = self.augmentation.explain(
-            seeds, level, min_probability
-        )
+        report["plan"] = self.augmentation.explain(seeds, level)
         features = QueryFeatures(
             engine=store.engine,
             database=database,
@@ -368,14 +365,11 @@ class Quepa:
         report["config"] = {"source": source, **asdict(chosen)}
         if rules:
             report["config"]["rules"] = rules
-        report["execution"] = self._explain_execution(
-            chosen, seeds, level, min_probability
-        )
+        report["execution"] = self._explain_execution(chosen, seeds, level)
         report["planner"] = self._explain_planner(
             database,
             validation.query,
             level,
-            min_probability,
             originals,
             report["query"]["store"],
             analyze,
@@ -431,7 +425,6 @@ class Quepa:
         database: str,
         query: Any,
         level: int,
-        min_probability: float,
         originals,
         store_report: dict,
         analyze: bool,
@@ -444,12 +437,7 @@ class Quepa:
         """
         from repro.planner import LogicalQuery
 
-        logical = LogicalQuery(
-            database=database,
-            query=query,
-            level=level,
-            min_probability=min_probability,
-        )
+        logical = LogicalQuery(database=database, query=query, level=level)
         return self.planner_engine().explain_section(
             logical,
             originals=originals,
@@ -491,7 +479,6 @@ class Quepa:
         chosen: AugmentationConfig,
         seeds: list[Any],
         level: int,
-        min_probability: float,
     ) -> dict[str, Any]:
         """Pool/batching decisions plus per-database cache would-hits.
 
@@ -502,11 +489,9 @@ class Quepa:
         the cache, so repeats count as hits, matching what the run's
         own counters will report.
         """
-        plan = self.augmentation.plan(seeds, level, min_probability)
-        batching = chosen.augmenter in ("batch", "outer_batch")
-        pooled = chosen.augmenter in (
-            "inner", "outer", "outer_batch", "outer_inner",
-        )
+        plan = self.augmentation.plan(seeds, level)
+        batching = chosen.augmenter in BATCHING
+        pooled = chosen.augmenter in POOLED
         per_database: dict[str, dict[str, Any]] = {}
         keys_by_database: dict[str, list[Any]] = {}
         would_hit = 0
@@ -585,9 +570,7 @@ class Quepa:
     def _plan(self, ctx: ExecContext, seeds: list[GlobalKey], level: int):
         """Plan the augmentation, traced and charged as A' index CPU."""
         with ctx.span("plan", level=level, seeds=len(seeds)) as span:
-            plan = self.augmentation.plan(
-                seeds, level, self.config.min_probability, attrs=span.attrs
-            )
+            plan = self.augmentation.plan(seeds, level, attrs=span.attrs)
             ctx.cpu(plan.edges_examined * ctx.cost_model.aindex_edge_cost)
             span.attrs["fetches"] = plan.total_fetches()
             span.attrs["edges"] = plan.edges_examined

@@ -17,15 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.augmentation import AugmentationConfig
+from repro.core.augmenters import BATCHING, POOLED
 from repro.core.runlog import QueryFeatures
 from repro.errors import NotTrainedError, TrainingError
-from repro.ml.decision_tree import C45Tree
-from repro.ml.regression_tree import RepTree
+from repro.ml import C45Tree, RepTree
 from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.logs import RunLogRepository
 
-_BATCHING = ("batch", "outer_batch")
-_CONCURRENT = ("inner", "outer", "outer_batch", "outer_inner")
+
+def _rule(tree: str, role: str, fired: bool, outcome, detail: str) -> dict:
+    return {
+        "tree": tree,
+        "role": role,
+        "fired": fired,
+        "outcome": outcome,
+        "detail": detail,
+    }
 
 
 @dataclass
@@ -124,30 +131,16 @@ class AdaptiveOptimizer:
     def configure(
         self, features: QueryFeatures, current_cache_size: int
     ) -> AugmentationConfig:
-        """Predict the configuration for one query (the Quepa hook)."""
+        """Predict the configuration for one query (the Quepa hook):
+        retrain if due, walk T1->T4 as :meth:`explain_choice` reports,
+        and count the prediction."""
         self._maybe_retrain()
+        config = self.explain_choice(features, current_cache_size)["config"]
         if self.t1 is None:
             self._count("optimizer_fallbacks_total")
-            return self.fallback
-        row = features.as_dict()
-        augmenter = self.t1.predict(row)
-        self._count("optimizer_predictions_total", augmenter=augmenter)
-        batch_size = self.fallback.batch_size
-        if augmenter in _BATCHING and self.t2 is not None:
-            batch_size = max(1, round(self.t2.predict(row)))
-        threads_size = self.fallback.threads_size
-        if augmenter in _CONCURRENT and self.t3 is not None:
-            threads_size = max(1, round(self.t3.predict(row)))
-        cache_size = current_cache_size
-        if self.t4 is not None:
-            predicted = max(0.0, self.t4.predict(row))
-            cache_size = self.smooth_cache_size(current_cache_size, predicted)
-        return AugmentationConfig(
-            augmenter=augmenter,
-            batch_size=batch_size,
-            threads_size=threads_size,
-            cache_size=cache_size,
-        )
+        else:
+            self._count("optimizer_predictions_total", augmenter=config.augmenter)
+        return config
 
     @staticmethod
     def smooth_cache_size(current: int, predicted: float) -> int:
@@ -157,123 +150,60 @@ class AdaptiveOptimizer:
     def explain_choice(
         self, features: QueryFeatures, current_cache_size: int
     ) -> dict:
-        """The configuration :meth:`configure` would pick, plus which
-        rules (T1-T4) fired and why.
+        """The T1->T4 walk: the configuration :meth:`configure` picks,
+        plus which rules fired and why.
 
         Side-effect free: no retraining is triggered and no metrics are
         bumped, so EXPLAIN never perturbs what it observes.
         """
-        rules: list[dict] = []
         if self.t1 is None:
-            rules.append(
-                {
-                    "tree": "T1",
-                    "role": "augmenter",
-                    "fired": False,
-                    "outcome": self.fallback.augmenter,
-                    "detail": "not trained; fallback config used",
-                }
-            )
-            return {"config": self.fallback, "rules": rules}
+            rule = _rule("T1", "augmenter", False, self.fallback.augmenter,
+                         "not trained; fallback config used")
+            return {"config": self.fallback, "rules": [rule]}
         row = features.as_dict()
         augmenter = self.t1.predict(row)
-        rules.append(
-            {
-                "tree": "T1",
-                "role": "augmenter",
-                "fired": True,
-                "outcome": augmenter,
-                "detail": " / ".join(self.t1.decision_path(row)),
-            }
-        )
+        rules = [_rule("T1", "augmenter", True, augmenter,
+                       " / ".join(self.t1.decision_path(row)))]
         batch_size = self.fallback.batch_size
-        if augmenter in _BATCHING and self.t2 is not None:
-            batch_size = max(1, round(self.t2.predict(row)))
-            rules.append(
-                {
-                    "tree": "T2",
-                    "role": "batch_size",
-                    "fired": True,
-                    "outcome": batch_size,
-                    "detail": f"{augmenter} batches, regressor predicted "
-                    f"{self.t2.predict(row):g}",
-                }
-            )
+        if augmenter in BATCHING and self.t2 is not None:
+            predicted = self.t2.predict(row)
+            batch_size = max(1, round(predicted))
+            rules.append(_rule("T2", "batch_size", True, batch_size,
+                               f"{augmenter} batches, regressor predicted "
+                               f"{predicted:g}"))
         else:
-            rules.append(
-                {
-                    "tree": "T2",
-                    "role": "batch_size",
-                    "fired": False,
-                    "outcome": batch_size,
-                    "detail": (
-                        f"{augmenter} does not batch"
-                        if augmenter not in _BATCHING
-                        else "not trained"
-                    ),
-                }
-            )
+            rules.append(_rule("T2", "batch_size", False, batch_size,
+                               "not trained" if augmenter in BATCHING
+                               else f"{augmenter} does not batch"))
         threads_size = self.fallback.threads_size
-        if augmenter in _CONCURRENT and self.t3 is not None:
-            threads_size = max(1, round(self.t3.predict(row)))
-            rules.append(
-                {
-                    "tree": "T3",
-                    "role": "threads_size",
-                    "fired": True,
-                    "outcome": threads_size,
-                    "detail": f"{augmenter} is concurrent, regressor "
-                    f"predicted {self.t3.predict(row):g}",
-                }
-            )
+        if augmenter in POOLED and self.t3 is not None:
+            predicted = self.t3.predict(row)
+            threads_size = max(1, round(predicted))
+            rules.append(_rule("T3", "threads_size", True, threads_size,
+                               f"{augmenter} is concurrent, regressor "
+                               f"predicted {predicted:g}"))
         else:
-            rules.append(
-                {
-                    "tree": "T3",
-                    "role": "threads_size",
-                    "fired": False,
-                    "outcome": threads_size,
-                    "detail": (
-                        f"{augmenter} is sequential"
-                        if augmenter not in _CONCURRENT
-                        else "not trained"
-                    ),
-                }
-            )
+            rules.append(_rule("T3", "threads_size", False, threads_size,
+                               "not trained" if augmenter in POOLED
+                               else f"{augmenter} is sequential"))
         cache_size = current_cache_size
         if self.t4 is not None:
             predicted = max(0.0, self.t4.predict(row))
             cache_size = self.smooth_cache_size(current_cache_size, predicted)
-            rules.append(
-                {
-                    "tree": "T4",
-                    "role": "cache_size",
-                    "fired": True,
-                    "outcome": cache_size,
-                    "detail": f"smoothed {current_cache_size} toward "
-                    f"predicted {predicted:g}: current + (predicted - "
-                    f"current) / 10",
-                }
-            )
+            rules.append(_rule("T4", "cache_size", True, cache_size,
+                               f"smoothed {current_cache_size} toward "
+                               f"predicted {predicted:g}: current + "
+                               f"(predicted - current) / 10"))
         else:
-            rules.append(
-                {
-                    "tree": "T4",
-                    "role": "cache_size",
-                    "fired": False,
-                    "outcome": cache_size,
-                    "detail": "not trained; cache size unchanged",
-                }
-            )
-        return {
-            "config": AugmentationConfig(
-                augmenter=augmenter,
-                batch_size=batch_size,
-                threads_size=threads_size,
-                cache_size=cache_size,
-            ),
-            "rules": rules,
-        }
+            rules.append(_rule("T4", "cache_size", False, cache_size,
+                               "not trained; cache size unchanged"))
+        config = AugmentationConfig(
+            augmenter=augmenter,
+            batch_size=batch_size,
+            threads_size=threads_size,
+            cache_size=cache_size,
+        )
+        return {"config": config, "rules": rules}
 
     # -- inspection -----------------------------------------------------------------
 

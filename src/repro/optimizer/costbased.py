@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.augmentation import AugmentationConfig
-from repro.core.augmenters import available_augmenters
+from repro.core.augmenters import BATCHING, POOLED, available_augmenters
 from repro.core.runlog import QueryFeatures
 
 #: The parameter grid the cost model searches (same as the baselines').
@@ -83,13 +83,11 @@ class CostBasedOptimizer:
 
     @staticmethod
     def _batch_options(augmenter: str):
-        return BATCH_SIZES if augmenter in ("batch", "outer_batch") else (1,)
+        return BATCH_SIZES if augmenter in BATCHING else (1,)
 
     @staticmethod
     def _thread_options(augmenter: str):
-        if augmenter in ("inner", "outer", "outer_batch", "outer_inner"):
-            return THREADS_SIZES
-        return (1,)
+        return THREADS_SIZES if augmenter in POOLED else (1,)
 
     # -- the analytic cost formulas -----------------------------------------------
 

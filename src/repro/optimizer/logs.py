@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.core.augmenters import BATCHING, POOLED
 from repro.core.runlog import RunRecord
 from repro.ml.dataset import Example
 
@@ -58,7 +59,7 @@ class RunLogRepository:
         return [
             Example(best.features.as_dict(), best.batch_size)
             for best in self.best_runs()
-            if best.augmenter in ("batch", "outer_batch")
+            if best.augmenter in BATCHING
         ]
 
     def threads_size_examples(self) -> list[Example]:
@@ -66,7 +67,7 @@ class RunLogRepository:
         return [
             Example(best.features.as_dict(), best.threads_size)
             for best in self.best_runs()
-            if best.augmenter in ("inner", "outer", "outer_batch", "outer_inner")
+            if best.augmenter in POOLED
         ]
 
     def cache_size_examples(self) -> list[Example]:

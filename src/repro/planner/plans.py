@@ -325,7 +325,6 @@ class PushdownPlan(PhysicalPlan):
             augmenter=self.augmenter,
             batch_size=self.batch_size,
             threads_size=self.threads_size,
-            min_probability=q.min_probability,
             skip_unavailable=env.degrade,
         )
         augmenter = make_augmenter(self.augmenter, env.registry, env.cache)

@@ -8,14 +8,22 @@ import pytest
 
 from repro.core.aindex import AIndex
 from repro.core.augmentation import Augmentation, AugmentationConfig
-from repro.core.augmenters import available_augmenters, make_augmenter
+from repro.core.augmenters import (
+    BATCHING,
+    POOLED,
+    available_augmenters,
+    make_augmenter,
+)
 from repro.core.cache import LruCache
 from repro.core.connectors import ConnectorRegistry
+from repro.core.runlog import QueryFeatures, RunRecord
 from repro.core.system import Quepa
 from repro.errors import ConfigurationError, UnknownAugmenterError
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation
 from repro.network import RealRuntime, VirtualRuntime, centralized_profile
+from repro.optimizer import RunLogRepository
+from repro.optimizer.costbased import CostBasedOptimizer
 from repro.workloads import QueryWorkload
 
 K = GlobalKey.parse
@@ -298,3 +306,34 @@ class TestTimingShapes:
         __, eight = run_augmenter("outer", registry, plan, profile,
                                   threads_size=8)
         assert eight.elapsed < one.elapsed
+
+
+class TestFamilies:
+    """BATCHING and POOLED are declared once; every reader agrees."""
+
+    def test_every_reader_agrees_with_the_declaration(self, mini_quepa):
+        assert BATCHING | POOLED <= set(available_augmenters())
+        logs = RunLogRepository()
+        for rank, name in enumerate(available_augmenters()):
+            features = QueryFeatures(
+                "relational", "transactions", 0, rank, 10, 4, "centralized"
+            )
+            logs.add(RunRecord(features, name, 100 + rank, 200 + rank, 0, 1.0))
+        batched = {ex.target - 100 for ex in logs.batch_size_examples()}
+        pooled = {ex.target - 200 for ex in logs.threads_size_examples()}
+        for rank, name in enumerate(available_augmenters()):
+            assert (len(CostBasedOptimizer._batch_options(name)) > 1) == (
+                name in BATCHING
+            )
+            assert (len(CostBasedOptimizer._thread_options(name)) > 1) == (
+                name in POOLED
+            )
+            assert (rank in batched) == (name in BATCHING)
+            assert (rank in pooled) == (name in POOLED)
+            execution = mini_quepa.explain(
+                "transactions",
+                "SELECT * FROM inventory WHERE name LIKE '%wish%'",
+                config=AugmentationConfig(augmenter=name),
+            )["execution"]
+            assert execution["batching"] == (name in BATCHING)
+            assert execution["pooled"] == (name in POOLED)

@@ -6,6 +6,7 @@ from repro.core import Quepa
 from repro.core.augmentation import AugmentationConfig
 from repro.errors import NotAugmentableError, TrainingError
 from repro.model.objects import GlobalKey
+from repro.planner import LogicalQuery
 from repro.stores import RelationalStore
 from repro.stores.relational.types import Column, ColumnType, TableSchema
 
@@ -118,15 +119,20 @@ class TestValidatorEdgeCases:
 
 class TestAugmentationEdgeCases:
     def test_min_probability_filters_plan_and_answer(self, mini_quepa):
-        config = AugmentationConfig(min_probability=0.8)
-        mini_quepa.config = config
-        answer = mini_quepa.augmented_search(
-            "transactions",
-            "SELECT * FROM inventory WHERE name LIKE '%wish%'",
+        """The floor is a planner input: it cuts the plan and the answer."""
+        logical = LogicalQuery(
+            database="transactions",
+            query="SELECT * FROM inventory WHERE name LIKE '%wish%'",
+            min_probability=0.8,
         )
-        assert {str(k) for k in answer.augmented_keys()} == {
+        run = mini_quepa.planner_engine().execute(logical)
+        assert {str(k) for k in run.result.answer.augmented_keys()} == {
             "catalogue.albums.d1"
         }
+        seeds = [K("transactions.inventory.a32")]
+        assert len(mini_quepa.augmentation.plan(seeds, 1).keys) == 4
+        plan = mini_quepa.augmentation.plan(seeds, 1, min_probability=0.8)
+        assert {str(k) for k in plan.keys} == {"catalogue.albums.d1"}
 
     def test_high_level_converges_to_component(self, mini_quepa):
         """Beyond the component diameter, higher levels add nothing."""

@@ -150,6 +150,18 @@ class TestBody:
         }))
         assert status == 400 and "config" in payload["error"]
 
+    @pytest.mark.parametrize("path", ["/query", "/explain"])
+    def test_a_config_with_a_probability_floor_is_400(self, running, path):
+        """The floor is a planner input (``LogicalQuery.min_probability``),
+        not a config field: a per-call one used to be accepted and then
+        silently dropped."""
+        status, payload = post(running, path, as_body({
+            "database": "transactions", "query": QUERY,
+            "config": {"min_probability": 0.95},
+        }))
+        assert status == payload["status"] == 400
+        assert "unknown config fields ['min_probability']" in payload["error"]
+
     def test_deadline_is_validated_without_a_server_too(self, running):
         for deadline, fragment in (("abc", "a number"), (0, "> 0")):
             status, payload = post(running, "/query", as_body({

@@ -121,7 +121,8 @@ class TestCoercion:
         for bad, fragment in (
             ({"warp": 9}, "unknown config fields ['warp']"),
             ({"batch_size": "x"}, "config.batch_size must be an integer"),
-            ({"min_probability": []}, "config.min_probability must be a num"),
+            ({"min_probability": 0.5}, "unknown config fields ['min_probability']"),
+            ({"timeout_budget": []}, "config.timeout_budget must be a num"),
             ("batch", "config must be an object"),
         ):
             with pytest.raises(ReportError) as err:

@@ -138,6 +138,7 @@ def test_every_serving_field_has_a_ledger_row():
         "recorder_capacity",
         "recorder_slow_threshold",
     }
+    assert deleted_by_table["Augmentation"] >= {"min_probability"}
 
 
 # -- basic serving -----------------------------------------------------------
