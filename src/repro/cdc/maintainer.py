@@ -57,6 +57,7 @@ from repro.errors import ConfigurationError
 from repro.model.objects import DataObject, GlobalKey
 from repro.model.polystore import Polystore
 from repro.model.prelations import PRelation, RelationType
+from repro.persistence.snapshot import key_reader
 
 Pair = tuple[GlobalKey, GlobalKey]
 #: What identities compete for: (target object, source database).
@@ -169,13 +170,9 @@ class IncrementalCollector:
             with store.lock:
                 objects.extend(store.scan_objects())
         report.objects_scanned = len(objects)
-        for obj in objects:
-            tokens = frozenset(self._blocker._object_tokens(obj))
-            if not tokens:
-                continue
-            self._tokens[obj.key] = tokens
-            for token in tokens:
-                self._buckets.setdefault(token, set()).add(obj.key)
+        self._track(
+            (obj.key, self._blocker._object_tokens(obj)) for obj in objects
+        )
         for left, right in self._blocker.candidate_pairs(objects):
             report.candidate_pairs += 1
             decision = self.matcher.decide(left, right)
@@ -295,6 +292,22 @@ class IncrementalCollector:
         return report
 
     # -- internals ------------------------------------------------------------
+
+    def _track(self, entries: Iterable[tuple[GlobalKey, Iterable[str]]]) -> None:
+        """File each key under its tokens in the token index (a key with
+        none is not tracked)."""
+        buckets = self._buckets
+        for key, tokens in entries:
+            tokens = frozenset(tokens)
+            if not tokens:
+                continue
+            self._tokens[key] = tokens
+            for token in tokens:
+                bucket = buckets.get(token)
+                if bucket is None:
+                    buckets[token] = {key}
+                else:
+                    bucket.add(key)
 
     def _move(
         self,
@@ -505,10 +518,15 @@ class IncrementalCollector:
     def dump_state(self) -> dict[str, Any]:
         """JSON-serializable maintainer state for incremental snapshots.
 
-        Only the scored set is persisted: the token index is a pure
-        function of the polystore and is rebuilt linearly on load
-        (:meth:`load_state`), while the base set re-derives from the
-        scored set through the (deterministic) dedup pass.
+        The scored set, and each tracked key's sorted tokens (joined by
+        a space, which no token holds) with the ``min_token_length``
+        they were cut with. The tokens are a pure function of the
+        polystore, persisted so that a restart need not re-read and
+        re-tokenise every object; they describe the stores as of the
+        last applied batch, which is what a snapshot taken after a drain
+        (:meth:`repro.cdc.hub.ChangeHub.snapshot`) holds. The base set
+        re-derives from the scored set through the (deterministic) dedup
+        pass.
         """
         return {
             "scored": [
@@ -520,6 +538,11 @@ class IncrementalCollector:
                 }
                 for r in sorted(self._scored.values(), key=_relation_order)
             ],
+            "min_token_length": self._blocker.min_token_length,
+            "tokens": {
+                str(key): " ".join(sorted(tokens))
+                for key, tokens in self._tokens.items()
+            },
         }
 
     def load_state(
@@ -527,10 +550,13 @@ class IncrementalCollector:
     ) -> None:
         """Restore from :meth:`dump_state` plus a loaded polystore.
 
-        Rebuilds the token index from a linear scan (no pairwise work)
-        and re-derives the base set from the persisted scored set. Does
-        not touch any index — the caller restores the A' snapshot
-        separately and replays the WAL delta through :meth:`apply`.
+        Restores the token index from the persisted tokens, or rebuilds
+        it from a linear scan (no pairwise work) when the payload has
+        none (written before tokens were persisted) or they were cut
+        with another ``min_token_length``; re-derives the base set from
+        the persisted scored set. Does not touch any index — the caller
+        restores the A' snapshot separately and replays the WAL delta
+        through :meth:`apply`.
         """
         self._tokens.clear()
         self._buckets.clear()
@@ -539,20 +565,28 @@ class IncrementalCollector:
         self._slot_rivals.clear()
         self._base.clear()
         self._base_adj.clear()
-        for database in polystore:
-            store = polystore.database(database)
-            with store.lock:
-                for obj in store.scan_objects():
-                    tokens = frozenset(self._blocker._object_tokens(obj))
-                    if not tokens:
-                        continue
-                    self._tokens[obj.key] = tokens
-                    for token in tokens:
-                        self._buckets.setdefault(token, set()).add(obj.key)
+        read_key = key_reader(polystore)
+        tokens = payload.get("tokens")
+        if (
+            tokens is not None
+            and payload.get("min_token_length") == self._blocker.min_token_length
+        ):
+            self._track(
+                (read_key(text), joined.split(" "))
+                for text, joined in tokens.items()
+            )
+        else:
+            for database in polystore:
+                store = polystore.database(database)
+                with store.lock:
+                    self._track(
+                        (obj.key, self._blocker._object_tokens(obj))
+                        for obj in store.iter_objects()
+                    )
         for spec in payload.get("scored", ()):
             relation = PRelation(
-                GlobalKey.parse(spec["left"]),
-                GlobalKey.parse(spec["right"]),
+                read_key(spec["left"]),
+                read_key(spec["right"]),
                 RelationType(spec["type"]),
                 spec["p"],
             )

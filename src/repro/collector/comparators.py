@@ -4,14 +4,26 @@ Each comparator maps a pair of attribute values to a similarity in
 [0, 1]. The string metrics (Levenshtein, Jaro, Jaro-Winkler, token
 overlap) are implemented from scratch; a numeric comparator handles
 quantities with relative tolerance.
+
+Each also has a cheap upper bound on that similarity,
+:meth:`Comparator.bound`, which the matcher consults before running the
+exact kernel (see :meth:`repro.collector.matching.PairwiseMatcher.decide`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
+from functools import lru_cache
+from itertools import repeat
 from math import isfinite
 from operator import ne
 from typing import Any
+
+#: Texts whose character counts a :class:`JaroWinklerComparator` keeps
+#: (each about 1 KB). Blocking compares every object with each member of
+#: its blocks, so one text is bounded against many others in a row.
+CHAR_COUNT_MEMO = 2048
 
 
 class Comparator(ABC):
@@ -22,6 +34,12 @@ class Comparator(ABC):
     @abstractmethod
     def compare(self, left: Any, right: Any) -> float:
         """Return the similarity of the two values."""
+
+    def bound(self, left: Any, right: Any) -> float:
+        """An upper bound on :meth:`compare` of the same values, cheaper
+        to compute. ``1.0`` here, so a comparator without its own bound
+        is always run exactly."""
+        return 1.0
 
     @staticmethod
     def _text(value: Any) -> str:
@@ -128,19 +146,64 @@ def jaro_similarity(a: str, b: str) -> float:
 
 
 class JaroWinklerComparator(Comparator):
-    """Jaro with the Winkler common-prefix bonus (scaling 0.1, max 4)."""
+    """Jaro with the Winkler common-prefix bonus (scaling 0.1, max 4).
+
+    The bonus closes ``prefix * prefix_scale`` of the gap between Jaro
+    and 1, so ``prefix_scale * max_prefix`` must not exceed 1: past it a
+    score leaves [0, 1], and the score stops growing with Jaro, which
+    :meth:`bound` relies on.
+    """
 
     name = "jaro_winkler"
 
     def __init__(self, prefix_scale: float = 0.1, max_prefix: int = 4) -> None:
+        if not prefix_scale >= 0:
+            raise ValueError(f"prefix_scale must be >= 0, got {prefix_scale!r}")
+        if max_prefix < 0:
+            raise ValueError(f"max_prefix must be >= 0, got {max_prefix!r}")
+        if prefix_scale * max_prefix > 1:
+            raise ValueError(
+                "prefix_scale * max_prefix must not exceed 1, got "
+                f"{prefix_scale!r} * {max_prefix!r}"
+            )
         self.prefix_scale = prefix_scale
         self.max_prefix = max_prefix
+        self._char_counts = lru_cache(maxsize=CHAR_COUNT_MEMO)(Counter)
 
     def compare(self, left: Any, right: Any) -> float:
         a, b = self._text(left), self._text(right)
         if not a or not b:
             return 0.0
-        jaro = jaro_similarity(a, b)
+        return self._winkler(jaro_similarity(a, b), a, b)
+
+    def bound(self, left: Any, right: Any) -> float:
+        """Jaro-Winkler with Jaro replaced by its character-multiset bound.
+
+        A Jaro match pairs equal characters, each used once, so the
+        matches ``m`` are at most ``M``, the size of the two strings'
+        multiset intersection, and Jaro is at most ``(M/|a| + M/|b| + 1)
+        / 3`` (transpositions only lower the last term). Each step of
+        that expression rounds the same way as the kernel's and takes a
+        larger operand, so the float bound is not below the float Jaro;
+        the Winkler step, which grows with Jaro, is then applied to it
+        with the real prefix. That step is monotone in real arithmetic
+        only: its rounding can leave the bound a few ulps under the
+        score, which the matcher's ``BOUND_SLACK`` absorbs. With no
+        common character there is neither a match nor a prefix: 0.
+        """
+        a, b = self._text(left), self._text(right)
+        if not a or not b:
+            return 0.0
+        counts_a, counts_b = self._char_counts(a), self._char_counts(b)
+        common = sum(
+            map(min, counts_a.values(), map(counts_b.get, counts_a, repeat(0)))
+        )
+        if common == 0:
+            return 0.0
+        jaro = (common / len(a) + common / len(b) + 1.0) / 3.0
+        return self._winkler(jaro, a, b)
+
+    def _winkler(self, jaro: float, a: str, b: str) -> float:
         prefix = 0
         for char_a, char_b in zip(a, b):
             if char_a != char_b or prefix >= self.max_prefix:

@@ -7,6 +7,12 @@ scores into p-relations with the calibration used in the paper's
 evaluation: identity for score >= ``identity_threshold`` (0.9),
 matching for score >= ``matching_threshold`` (0.6), nothing below.
 
+A pair is decided bound-then-verify: the weighted mean of the
+comparators' cheap upper bounds first, the exact comparators only when
+that mean can still reach ``matching_threshold``
+(:meth:`PairwiseMatcher.decide`). Most blocked pairs are ruled out by
+the bound, and every pair that matches is scored exactly.
+
 The matcher also enforces the paper's local-deduplication rule: two
 objects of the same database cannot both hold an identity p-relation
 with the same object elsewhere — only the most probable one is kept.
@@ -14,7 +20,8 @@ with the same object elsewhere — only the most probable one is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
 from typing import Any, Iterable, Mapping
 
 from repro.collector.comparators import Comparator
@@ -32,14 +39,39 @@ class AttributeRule:
     comparator: Comparator
     weight: float = 1.0
 
+    def __post_init__(self) -> None:
+        # A negative, NaN or infinite weight takes the weighted mean out
+        # of [0, 1], and the weighted bound stops bounding it.
+        if not 0.0 <= self.weight < inf:
+            raise ValueError(
+                f"rule weight must be finite and >= 0, got {self.weight!r}"
+            )
+
+
+#: How far under ``matching_threshold`` a pair's bound must fall before
+#: :meth:`PairwiseMatcher.decide` rules the pair out unscored. Every step
+#: of the weighted mean (a product by a weight >= 0, a sum, one division)
+#: rounds monotonically, so a bound that is not below its comparator's
+#: score gives a mean not below the score. A bound is an upper bound in
+#: real arithmetic; in floats it can fall short of its score by the
+#: rounding of a few operations on values in [0, 1], a few multiples of
+#: 2**-53 (about 1.1e-16), and the mean carries at most the largest such
+#: shortfall. 1e-9 is more than a million times that, and far below any
+#: difference a threshold is meant to resolve. A constant of the
+#: arithmetic, not a setting.
+BOUND_SLACK = 1e-9
+
 
 @dataclass
 class MatchDecision:
-    """The outcome of scoring one candidate pair."""
+    """The outcome of deciding one candidate pair."""
 
     left: GlobalKey
     right: GlobalKey
-    score: float
+    #: The exact weighted score, or ``None`` when the bound ruled the
+    #: pair out before any exact comparator ran (the score is then known
+    #: to be below ``matching_threshold``, and ``relation`` is ``None``).
+    score: float | None
     relation: PRelation | None
 
 
@@ -74,13 +106,44 @@ class PairwiseMatcher:
         self.matching_threshold = matching_threshold
 
     def score(self, left: DataObject, right: DataObject) -> float:
-        """Weighted mean similarity over the attribute rules.
+        """Weighted mean similarity over the attribute rules, exact (the
+        genetic tuner's fitness needs every score, matching or not)."""
+        return _weighted_mean(self._evidence(left, right), "compare")
+
+    def decide(self, left: DataObject, right: DataObject) -> MatchDecision:
+        """Decide a pair: its p-relation, if any.
+
+        Bound, then verify. The weighted mean of the rules'
+        :meth:`~repro.collector.comparators.Comparator.bound` is at least
+        the score, so when it falls more than :data:`BOUND_SLACK` under
+        ``matching_threshold`` no exact comparator runs and the decision
+        is ``score=None, relation=None``. Otherwise the score is
+        :meth:`score`'s, bit for bit (same values, same order of
+        operations), and thresholded as always.
+        """
+        evidence = self._evidence(left, right)
+        if (
+            _weighted_mean(evidence, "bound")
+            < self.matching_threshold - BOUND_SLACK
+        ):
+            return MatchDecision(left.key, right.key, None, None)
+        score = _weighted_mean(evidence, "compare")
+        relation: PRelation | None = None
+        if score >= self.identity_threshold:
+            relation = PRelation.identity(left.key, right.key, min(score, 1.0))
+        elif score >= self.matching_threshold:
+            relation = PRelation.matching(left.key, right.key, score)
+        return MatchDecision(left.key, right.key, score, relation)
+
+    def _evidence(
+        self, left: DataObject, right: DataObject
+    ) -> list[tuple[AttributeRule, Any, Any]]:
+        """Each rule with the pair's two values for it, read once.
 
         Rules whose fields are absent on both sides are skipped, so
         heterogeneous objects are compared only on shared evidence.
         """
-        total_weight = 0.0
-        total = 0.0
+        evidence = []
         for rule in self.rules:
             a = _field_value(left, rule.left_field)
             b = _field_value(right, rule.right_field)
@@ -93,21 +156,8 @@ class PairwiseMatcher:
                 b = _field_value(left, rule.right_field)
             if a is None and b is None:
                 continue
-            total += rule.weight * rule.comparator.compare(a, b)
-            total_weight += rule.weight
-        if total_weight == 0.0:
-            return 0.0
-        return total / total_weight
-
-    def decide(self, left: DataObject, right: DataObject) -> MatchDecision:
-        """Score a pair and emit its p-relation, if any."""
-        score = self.score(left, right)
-        relation: PRelation | None = None
-        if score >= self.identity_threshold:
-            relation = PRelation.identity(left.key, right.key, min(score, 1.0))
-        elif score >= self.matching_threshold:
-            relation = PRelation.matching(left.key, right.key, score)
-        return MatchDecision(left.key, right.key, score, relation)
+            evidence.append((rule, a, b))
+        return evidence
 
     def match_pairs(
         self, pairs: Iterable[tuple[DataObject, DataObject]]
@@ -119,6 +169,21 @@ class PairwiseMatcher:
             if decision.relation is not None
         ]
         return enforce_local_dedup(relations)
+
+
+def _weighted_mean(
+    evidence: list[tuple[AttributeRule, Any, Any]], measure: str
+) -> float:
+    """The weight-averaged ``compare`` or ``bound`` of the evidence (0.0
+    without any)."""
+    total_weight = 0.0
+    total = 0.0
+    for rule, a, b in evidence:
+        total += rule.weight * getattr(rule.comparator, measure)(a, b)
+        total_weight += rule.weight
+    if total_weight == 0.0:
+        return 0.0
+    return total / total_weight
 
 
 def enforce_local_dedup(relations: list[PRelation]) -> list[PRelation]:

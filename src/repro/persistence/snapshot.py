@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.aindex import AIndex
 from repro.errors import ReproError
-from repro.model.objects import GlobalKey
+from repro.model.objects import GLOBAL_KEY_SEPARATOR, GlobalKey
 from repro.model.polystore import Polystore
 from repro.model.prelations import PRelation, RelationType
 from repro.stores import ENGINES
@@ -168,22 +168,19 @@ def load_snapshot_bundle(directory: str | Path) -> SnapshotBundle:
     aindex_path = path / "aindex.json"
     if aindex_path.exists():
         payload = _read_json(aindex_path)
+        read_key = key_reader(polystore)
         for relation in payload["relations"]:
             aindex.add(
                 PRelation(
-                    GlobalKey.parse(relation["left"]),
-                    GlobalKey.parse(relation["right"]),
+                    read_key(relation["left"]),
+                    read_key(relation["right"]),
                     RelationType(relation["type"]),
                     relation["p"],
                 )
             )
         aindex.restore_lineage({
-            (
-                GlobalKey.parse(entry["left"]),
-                GlobalKey.parse(entry["right"]),
-            ): {
-                (GlobalKey.parse(a), GlobalKey.parse(b))
-                for a, b in entry["supports"]
+            (read_key(entry["left"]), read_key(entry["right"])): {
+                (read_key(a), read_key(b)) for a, b in entry["supports"]
             }
             for entry in payload.get("lineage", ())
         })
@@ -198,6 +195,31 @@ def load_snapshot_bundle(directory: str | Path) -> SnapshotBundle:
         },
         cdc_state=_read_json(cdc_path) if cdc_path.exists() else None,
     )
+
+
+def key_reader(polystore: Polystore) -> Callable[[str], GlobalKey]:
+    """A ``text -> GlobalKey`` reader for one load of persisted keys.
+
+    Each distinct text is parsed once. A key of an attached database is
+    the one its store hands out (:meth:`~repro.stores.base.Store.global_key`),
+    so the restored index, the collector state and later query answers
+    share one key object per object; any other text is
+    :meth:`GlobalKey.parse`'s, which refuses a malformed one.
+    """
+    keys: dict[str, GlobalKey] = {}
+
+    def read(text: str) -> GlobalKey:
+        key = keys.get(text)
+        if key is None:
+            parts = text.split(GLOBAL_KEY_SEPARATOR, 2)
+            if len(parts) == 3 and parts[0] in polystore:
+                key = polystore.database(parts[0]).global_key(*parts)
+            else:
+                key = GlobalKey.parse(text)
+            keys[text] = key
+        return key
+
+    return read
 
 
 def _write_json(path: Path, payload: dict[str, Any]) -> None:

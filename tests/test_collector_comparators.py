@@ -69,6 +69,24 @@ class TestJaro:
         jw = JaroWinklerComparator(max_prefix=4)
         assert jw.compare("abcdefgh", "abcdefgh") == 1.0
 
+    def test_negative_prefix_scale_refused(self):
+        # It would score a shared prefix below plain Jaro.
+        with pytest.raises(ValueError, match="prefix_scale"):
+            JaroWinklerComparator(prefix_scale=-0.1)
+
+    def test_negative_max_prefix_refused(self):
+        with pytest.raises(ValueError, match="max_prefix"):
+            JaroWinklerComparator(max_prefix=-1)
+
+    def test_prefix_bonus_past_the_gap_refused(self):
+        # (0.5, 4) scored ("abcdxyz", "abcdpqr") 1.2857, outside [0, 1].
+        with pytest.raises(ValueError, match="must not exceed 1"):
+            JaroWinklerComparator(prefix_scale=0.5, max_prefix=4)
+
+    def test_the_largest_bonus_allowed_stays_in_the_unit_interval(self):
+        jw = JaroWinklerComparator(prefix_scale=0.25, max_prefix=4)
+        assert 0.0 <= jw.compare("abcdxyz", "abcdpqr") <= 1.0
+
 
 class TestExactAndTokens:
     def test_exact_strings_case_insensitive(self):

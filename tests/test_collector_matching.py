@@ -57,6 +57,15 @@ class TestScoring:
         matcher = simple_matcher()
         assert matcher.score(obj("a", "1", other=1), obj("b", "2", price=2)) == 0.0
 
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+    def test_weight_outside_the_finite_non_negatives_refused(self, weight):
+        # Such a weight takes the weighted mean out of [0, 1].
+        with pytest.raises(ValueError, match="weight"):
+            AttributeRule("a", "b", JaroWinklerComparator(), weight=weight)
+
+    def test_zero_weight_accepted(self):
+        assert AttributeRule("a", "b", ExactComparator(), weight=0.0).weight == 0.0
+
     def test_requires_rules(self):
         with pytest.raises(ValueError):
             PairwiseMatcher([])

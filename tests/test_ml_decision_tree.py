@@ -108,6 +108,23 @@ class TestPruning:
         pruned = C45Tree(prune=True, min_leaf=1).fit(examples)
         assert pruned.depth() <= unpruned.depth()
 
+    def test_a_subtree_within_the_margin_of_its_leaf_is_collapsed(self):
+        """Subtree replacement keeps a split only when it beats the leaf's
+        pessimistic error by more than 0.1. On this seeded noisy sample
+        the ``x <= 5.5`` branch grows a four-leaf subtree that beats its
+        leaf by less than that, so it collapses: without the margin the
+        subtree stays."""
+        rng = random.Random(14)
+        examples = []
+        for __ in range(30):
+            x, y = rng.randrange(10), rng.randrange(4)
+            label = "hi" if x >= 5 else "lo"
+            if rng.random() < 0.2:
+                label = rng.choice(["hi", "lo"])
+            examples.append(Example({"x": x, "y": y}, label))
+        tree = C45Tree().fit(examples)
+        assert tree.to_text() == "root [x?]\n  <= 5.5 -> lo\n  >  5.5 -> hi"
+
     def test_pruning_preserves_real_signal(self):
         tree = C45Tree(prune=True, min_leaf=1).fit(and_examples())
         assert tree.accuracy(and_examples()) == 1.0
