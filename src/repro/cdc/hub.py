@@ -174,6 +174,8 @@ class ChangeHub:
                     relations_removed=ingest.relations_removed,
                     affected_nodes=ingest.affected_nodes,
                     pairs_rescored=ingest.pairs_rescored,
+                    pairs_unscorable=ingest.pairs_unscorable,
+                    values_fetched=ingest.values_fetched,
                     dedup_rechecked=ingest.dedup_rechecked,
                 )
         report.lag = self.lag()

@@ -25,6 +25,19 @@ pins. The construction that makes this possible:
   touches and the post-dedup *base* set is exactly what a batch run
   would produce. A batch costs what it changes, not what is stored.
 
+* **Filed values.** Each tracked key's rule fields
+  (:meth:`PairwiseMatcher.project`), filed beside its tokens. A batch
+  reads the stores for its dirty keys only; the other end of a pair is
+  decided from its filed values, and read only when it has none (after
+  :meth:`IncrementalCollector.load_state`, which does not persist
+  them). A key's filed values are its store state as of its last
+  applied event — the same condition the token index holds, since every
+  change to a tracked key reaches :meth:`IncrementalCollector.apply`.
+  Their keys are the key's *presence signature*: a pair this batch
+  forms whose two signatures cannot reach ``matching_threshold``
+  (:meth:`PairwiseMatcher.reachable`) holds no scored relation and
+  would decide to none, so it is never formed.
+
 * **Component rebuild.** The A' closure of a connected component is a
   fixpoint of its base relations, independent of insertion order, so a
   delta is applied by excising the affected components (removing stale
@@ -49,6 +62,7 @@ from repro.cdc.feed import ChangeEvent
 from repro.collector.blocking import TokenBlocker
 from repro.collector.collector import CollectorSettings
 from repro.collector.matching import (
+    BOUND_SLACK,
     PairwiseMatcher,
     _outranks,
     enforce_local_dedup,
@@ -62,6 +76,9 @@ from repro.persistence.snapshot import key_reader
 Pair = tuple[GlobalKey, GlobalKey]
 #: What identities compete for: (target object, source database).
 Slot = tuple[GlobalKey, str]
+#: A key's filed values: its presence signature (the rule fields it
+#: holds) and the object over those values, ready to decide a pair.
+Filed = tuple[frozenset[str], DataObject]
 
 
 def _canonical(a: GlobalKey, b: GlobalKey) -> Pair:
@@ -100,6 +117,12 @@ class IngestReport:
     events: int = 0
     dirty_keys: int = 0
     pairs_rescored: int = 0
+    #: Pairs the batch would have formed that no rule can score (their
+    #: presence signatures cannot reach ``matching_threshold``).
+    pairs_unscorable: int = 0
+    #: Keys read from the stores because they had no filed values (the
+    #: dirty keys are read on top of these).
+    values_fetched: int = 0
     #: Relations whose dedup survival was re-decided (the re-scored
     #: pairs that changed plus their slot rivals).
     dedup_rechecked: int = 0
@@ -141,6 +164,11 @@ class IncrementalCollector:
         self._tokens: dict[GlobalKey, frozenset[str]] = {}
         #: token -> keys carrying it (bucket membership, all sizes).
         self._buckets: dict[str, set[GlobalKey]] = {}
+        #: tracked key -> its filed values (:meth:`_filing`); a tracked
+        #: key may have none yet (after :meth:`load_state`).
+        self._filed: dict[GlobalKey, Filed] = {}
+        #: Each presence signature once, shared by the keys holding it.
+        self._signatures: dict[frozenset[str], frozenset[str]] = {}
         #: canonical pair -> pre-dedup p-relation the matcher emitted.
         self._scored: dict[Pair, PRelation] = {}
         #: Two views derived from ``_scored``, written by
@@ -173,6 +201,11 @@ class IncrementalCollector:
         self._track(
             (obj.key, self._blocker._object_tokens(obj)) for obj in objects
         )
+        self._filed.update(
+            (obj.key, self._filing(obj))
+            for obj in objects
+            if obj.key in self._tokens
+        )
         for left, right in self._blocker.candidate_pairs(objects):
             report.candidate_pairs += 1
             decision = self.matcher.decide(left, right)
@@ -204,15 +237,18 @@ class IncrementalCollector:
         Idempotent and order-tolerant within the batch: the store is the
         source of truth for every dirty key's current state, so applying
         a duplicated or internally reordered batch recomputes the same
-        result. All-or-nothing on maintainer state up to the last
-        decision: if a store fetch (or the matcher) raises, the
-        exception propagates with the state as it was before the call,
-        so the redelivered batch is applied against the same index this
-        one was. The guarantee ends at :meth:`_commit`: from there on
-        only in-memory writes remain (scored set, base set, then the
-        index), and an interrupt landing among them is not rolled back —
-        the redelivery would find its decisions already recorded and
-        repair nothing, so rebuild after one.
+        result. The stores are read twice: the dirty keys, then the
+        other ends of the pairs to re-decide that have no filed values
+        (none, once every tracked key is filed). All-or-nothing on
+        maintainer state up to the last decision: if a store fetch (or
+        the matcher) raises, the exception propagates with the state as
+        it was before the call, so the redelivered batch is applied
+        against the same index this one was. The guarantee ends at
+        :meth:`_commit`: from there on only in-memory writes remain
+        (filed values, scored set, base set, then the index), and an
+        interrupt landing among them is not rolled back — the
+        redelivery would find its decisions already recorded and repair
+        nothing, so rebuild after one.
         """
         report = IngestReport()
         dirty: set[GlobalKey] = set()
@@ -227,6 +263,7 @@ class IncrementalCollector:
         report.invalidation_keys |= dirty
 
         current = self._fetch(polystore, dirty)
+        fresh = {key: self._filing(obj) for key, obj in current.items()}
         old_tokens = {k: self._tokens.get(k, frozenset()) for k in dirty}
         new_tokens: dict[GlobalKey, frozenset[str]] = {}
         for key in dirty:
@@ -249,24 +286,66 @@ class IncrementalCollector:
         # nothing else is written until every decision is in hand.
         self._move(dirty, old_tokens, new_tokens)
         try:
-            pairs = self._possibly_changed_pairs(
+            rescore, formed, lost = self._possibly_changed_pairs(
                 dirty, new_tokens, touched, old_sizes
             )
-            missing = {k for pair in pairs for k in pair if k not in current}
-            current.update(self._fetch(polystore, missing))
+            pairs = rescore | formed | lost
+            # Each end as this batch decides it: a dirty key as just read
+            # (None once deleted), any other from its filed values, read
+            # from its store only when it has none (None if absent).
+            filed = self._filed
+            ends = {key: fresh.get(key) for key in dirty}
+            missing = []
+            for key in {key for pair in pairs for key in pair} - dirty:
+                entry = ends[key] = filed.get(key)
+                if entry is None:
+                    missing.append(key)
+            report.values_fetched = len(missing)
+            refilled = {
+                key: self._filing(obj)
+                for key, obj in self._fetch(polystore, missing).items()
+            }
+            ends.update(refilled)
+            # A pair formed here that no rule can score is never decided:
+            # it holds no scored relation (one with a dirty end is in
+            # ``rescore``; one between clean keys was decided from the
+            # values they hold, so it reaches the threshold), and it
+            # would decide to none.
+            reachable = self.matcher.reachable
+            floor = self.matcher.matching_threshold - BOUND_SLACK
+            unscorable = {
+                pair
+                for pair in (formed | lost) - rescore
+                if (left := ends[pair[0]]) is not None
+                and (right := ends[pair[1]]) is not None
+                and reachable(left[0], right[0]) < floor
+            }
+            report.pairs_unscorable = len(unscorable)
             decided: dict[Pair, PRelation | None] = {}
-            for pair in pairs:
+            for pair in pairs - unscorable:
                 relation = None
-                if self._is_candidate(*pair):
-                    left, right = current.get(pair[0]), current.get(pair[1])
-                    if left is not None and right is not None:
-                        relation = self.matcher.decide(left, right).relation
+                left, right = ends[pair[0]], ends[pair[1]]
+                if (
+                    left is not None
+                    and right is not None
+                    and (pair in formed or self._is_candidate(*pair))
+                ):
+                    relation = self.matcher.decide(left[1], right[1]).relation
                 decided[pair] = relation
         except BaseException:
             self._move(dirty, new_tokens, old_tokens)
             raise
         report.pairs_rescored = len(decided)
 
+        for key in dirty:
+            entry = fresh.get(key)
+            if entry is not None and key in self._tokens:
+                filed[key] = entry
+            else:
+                filed.pop(key, None)
+        for key, entry in refilled.items():
+            if key in self._tokens:
+                filed[key] = entry
         changed = self._commit(decided, report)
         if changed:
             # Both ends of every changed pair seed the walk, so the
@@ -423,34 +502,41 @@ class IncrementalCollector:
         new_tokens: dict[GlobalKey, frozenset[str]],
         touched: set[str],
         old_sizes: dict[str, int],
-    ) -> set[Pair]:
-        """Every pair whose candidacy or score may have changed.
+    ) -> tuple[set[Pair], set[Pair], set[Pair]]:
+        """Every pair whose candidacy or score may have changed, from
+        three sources.
 
-        Three sources: (a) scored pairs with a dirty endpoint (content
-        or candidacy change), (b) dirty keys × co-members of their valid
-        new buckets (new candidacies), (c) all cross-database pairs of
-        buckets whose validity flipped (clean–clean candidacy changes).
+        (a) scored pairs with a dirty endpoint (content or candidacy
+        change), (b) dirty keys × co-members of their valid new buckets
+        (new candidacies), (c) all cross-database pairs of buckets whose
+        validity flipped (clean–clean candidacy changes). Returned as
+        (a), then the pairs of (b) and of the buckets (c) made valid,
+        which share a valid bucket and so are candidates, then the pairs
+        of the buckets (c) made invalid.
         """
         max_size = self._blocker.max_block_size
-        pairs: set[Pair] = set()
+        rescore: set[Pair] = set()
+        formed: set[Pair] = set()
+        lost: set[Pair] = set()
         for key in dirty:
-            pairs.update(self._scored_by_key.get(key, ()))
+            rescore.update(self._scored_by_key.get(key, ()))
             for token in new_tokens[key]:
                 bucket = self._buckets.get(token, ())
                 if 2 <= len(bucket) <= max_size:
                     for other in bucket:
-                        if other != key and other.database != key.database:
-                            pairs.add(_canonical(key, other))
+                        if other.database != key.database:
+                            formed.add(_canonical(key, other))
         for token in touched:
             bucket = self._buckets.get(token, ())
             was_valid = 2 <= old_sizes[token] <= max_size
             is_valid = 2 <= len(bucket) <= max_size
             if was_valid == is_valid:
                 continue
+            flipped = formed if is_valid else lost
             for a, b in combinations(bucket, 2):
                 if a.database != b.database:
-                    pairs.add(_canonical(a, b))
-        return pairs
+                    flipped.add(_canonical(a, b))
+        return rescore, formed, lost
 
     def _is_candidate(self, a: GlobalKey, b: GlobalKey) -> bool:
         """Would the batch blocker emit this pair right now?"""
@@ -466,6 +552,16 @@ class IncrementalCollector:
             if bucket is not None and 2 <= len(bucket) <= max_size:
                 return True
         return False
+
+    def _filing(self, obj: DataObject) -> Filed:
+        """``obj``'s filed values: :meth:`PairwiseMatcher.project`'s
+        dict, with its keys as the presence signature."""
+        values = self.matcher.project(obj)
+        signature = frozenset(values)
+        return (
+            self._signatures.setdefault(signature, signature),
+            DataObject(obj.key, values),
+        )
 
     def _component(self, pairs: Iterable[Pair]) -> set[GlobalKey]:
         """Union of the connected components of the base adjacency that
@@ -506,6 +602,7 @@ class IncrementalCollector:
     def state(self) -> dict[str, int]:
         return {
             "tracked_keys": len(self._tokens),
+            "filed_values": len(self._filed),
             "buckets": len(self._buckets),
             "scored_relations": len(self._scored),
             "base_relations": len(self._base),
@@ -526,7 +623,8 @@ class IncrementalCollector:
         last applied batch, which is what a snapshot taken after a drain
         (:meth:`repro.cdc.hub.ChangeHub.snapshot`) holds. The base set
         re-derives from the scored set through the (deterministic) dedup
-        pass.
+        pass. The filed values are not persisted: a restart refills them
+        as batches read them.
         """
         return {
             "scored": [
@@ -554,12 +652,14 @@ class IncrementalCollector:
         it from a linear scan (no pairwise work) when the payload has
         none (written before tokens were persisted) or they were cut
         with another ``min_token_length``; re-derives the base set from
-        the persisted scored set. Does not touch any index — the caller
-        restores the A' snapshot separately and replays the WAL delta
-        through :meth:`apply`.
+        the persisted scored set. Files no values: a key's are read the
+        first time a batch decides a pair of it. Does not touch any
+        index — the caller restores the A' snapshot separately and
+        replays the WAL delta through :meth:`apply`.
         """
         self._tokens.clear()
         self._buckets.clear()
+        self._filed.clear()
         self._scored.clear()
         self._scored_by_key.clear()
         self._slot_rivals.clear()

@@ -96,46 +96,3 @@ class TokenBlocker:
                     tokens.add(token)
         return tokens
 
-
-class SortedNeighborhoodBlocker:
-    """Sorted-neighborhood blocking: the classic alternative to token
-    blocking.
-
-    Objects are sorted by a blocking key (the concatenated normalized
-    tokens of their textual attributes) and a window of size ``window``
-    slides over the sorted list; objects within the same window are
-    candidates. Produces far fewer candidate pairs than token blocking
-    at the cost of missing pairs whose keys sort far apart — the
-    standard recall/efficiency trade-off, measurable with the
-    benchmarks' ablation.
-    """
-
-    def __init__(self, window: int = 5) -> None:
-        if window < 2:
-            raise ValueError("window must be at least 2")
-        self.window = window
-
-    def blocking_key(self, obj: DataObject) -> str:
-        tokens: list[str] = []
-        for name, value in sorted(obj.fields()):
-            if name.startswith("_"):
-                continue
-            tokens.extend(sorted(tokenize_value(value)))
-        return " ".join(tokens)
-
-    def candidate_pairs(
-        self, objects: Iterable[DataObject]
-    ) -> Iterator[tuple[DataObject, DataObject]]:
-        """Cross-database pairs within the sliding window."""
-        ordered = sorted(objects, key=self.blocking_key)
-        emitted: set[tuple[str, str]] = set()
-        for index, left in enumerate(ordered):
-            for right in ordered[index + 1: index + self.window]:
-                if left.key.database == right.key.database:
-                    continue
-                pair = _oriented(left, right)
-                pair_ids = (pair[0].key, pair[1].key)
-                if pair_ids in emitted:
-                    continue
-                emitted.add(pair_ids)
-                yield pair

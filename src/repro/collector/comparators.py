@@ -30,6 +30,12 @@ class Comparator(ABC):
     """Similarity of two attribute values, in [0, 1]."""
 
     name = "abstract"
+    #: Whether :meth:`compare` is 0.0 whenever exactly one value is
+    #: ``None``. The matcher then knows, from which fields two objects
+    #: hold alone, that such a rule adds nothing to their score
+    #: (:meth:`repro.collector.matching.PairwiseMatcher.reachable`); a
+    #: comparator that does not declare it is taken to reach 1.0 there.
+    absent_scores_zero = False
 
     @abstractmethod
     def compare(self, left: Any, right: Any) -> float:
@@ -50,6 +56,7 @@ class ExactComparator(Comparator):
     """1.0 on equality (case-insensitive for strings), else 0.0."""
 
     name = "exact"
+    absent_scores_zero = True
 
     def compare(self, left: Any, right: Any) -> float:
         if left is None or right is None:
@@ -85,6 +92,7 @@ class LevenshteinComparator(Comparator):
     """1 - normalized edit distance."""
 
     name = "levenshtein"
+    absent_scores_zero = True
 
     def compare(self, left: Any, right: Any) -> float:
         a, b = self._text(left), self._text(right)
@@ -155,6 +163,7 @@ class JaroWinklerComparator(Comparator):
     """
 
     name = "jaro_winkler"
+    absent_scores_zero = True
 
     def __init__(self, prefix_scale: float = 0.1, max_prefix: int = 4) -> None:
         if not prefix_scale >= 0:
@@ -216,6 +225,7 @@ class TokenOverlapComparator(Comparator):
     """Jaccard overlap of whitespace tokens (good for titles)."""
 
     name = "token_overlap"
+    absent_scores_zero = True
 
     def compare(self, left: Any, right: Any) -> float:
         tokens_a = set(self._text(left).split())
@@ -235,6 +245,7 @@ class NumericComparator(Comparator):
     """
 
     name = "numeric"
+    absent_scores_zero = True
 
     def __init__(self, tolerance: float = 0.5) -> None:
         if tolerance <= 0:

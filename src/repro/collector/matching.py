@@ -11,7 +11,10 @@ A pair is decided bound-then-verify: the weighted mean of the
 comparators' cheap upper bounds first, the exact comparators only when
 that mean can still reach ``matching_threshold``
 (:meth:`PairwiseMatcher.decide`). Most blocked pairs are ruled out by
-the bound, and every pair that matches is scored exactly.
+the bound, and every pair that matches is scored exactly. Coarser still,
+which rule fields two objects hold at all caps what they can score
+(:meth:`PairwiseMatcher.reachable`), so the incremental collector never
+forms a pair that no rule can score.
 
 The matcher also enforces the paper's local-deduplication rule: two
 objects of the same database cannot both hold an identity p-relation
@@ -104,6 +107,19 @@ class PairwiseMatcher:
         self.rules = rules
         self.identity_threshold = identity_threshold
         self.matching_threshold = matching_threshold
+        #: The distinct fields the rules read, on either side, in rule
+        #: order: all :meth:`project` keeps of an object.
+        self.fields = tuple(
+            dict.fromkeys(
+                name
+                for rule in rules
+                for name in (rule.left_field, rule.right_field)
+            )
+        )
+        #: (left signature, right signature) -> :meth:`reachable`.
+        self._reachable: dict[
+            tuple[frozenset[str], frozenset[str]], float
+        ] = {}
 
     def score(self, left: DataObject, right: DataObject) -> float:
         """Weighted mean similarity over the attribute rules, exact (the
@@ -134,6 +150,51 @@ class PairwiseMatcher:
         elif score >= self.matching_threshold:
             relation = PRelation.matching(left.key, right.key, score)
         return MatchDecision(left.key, right.key, score, relation)
+
+    def project(self, obj: DataObject) -> dict[str, Any]:
+        """The rule fields ``obj`` holds as non-``None``, with their values.
+
+        A mapping payload gives its fields, a scalar payload is
+        ``"value"``, as :meth:`_evidence` reads them, so a
+        ``DataObject(obj.key, project(obj))`` decides every pair exactly
+        like ``obj``. Its keys are ``obj``'s *presence signature*, the
+        input of :meth:`reachable`.
+        """
+        return {
+            name: value
+            for name in self.fields
+            if (value := _field_value(obj, name)) is not None
+        }
+
+    def reachable(self, left: frozenset[str], right: frozenset[str]) -> float:
+        """The best score a pair can reach whose left and right objects
+        hold the rule fields ``left`` and ``right`` (their presence
+        signatures, :meth:`project`'s keys).
+
+        :meth:`_evidence` read off the signatures alone, with the same
+        orientation fallback: a rule with both sides present may score
+        1.0, a rule with one side absent 0.0 if its comparator declares
+        ``absent_scores_zero`` and 1.0 otherwise, and a rule with both
+        sides absent is skipped. The weights are summed in rule order,
+        as :func:`_weighted_mean` sums them, so the float result is not
+        below any score such a pair gets. Cached per signature pair.
+        """
+        signatures = (left, right)
+        best = self._reachable.get(signatures)
+        if best is None:
+            total = total_weight = 0.0
+            for rule in self.rules:
+                a, b = rule.left_field in left, rule.right_field in right
+                if not (a or b):
+                    a, b = rule.left_field in right, rule.right_field in left
+                    if not (a or b):
+                        continue
+                if (a and b) or not rule.comparator.absent_scores_zero:
+                    total += rule.weight
+                total_weight += rule.weight
+            best = total / total_weight if total_weight else 0.0
+            self._reachable[signatures] = best
+        return best
 
     def _evidence(
         self, left: DataObject, right: DataObject

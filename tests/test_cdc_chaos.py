@@ -223,14 +223,28 @@ def batch_edges(polystore, matcher, settings) -> set:
     return index_signature(index)
 
 
+def filed_values(maintainer) -> dict:
+    """key -> (signature, values): the filed objects compare by key only."""
+    return {
+        key: (signature, obj.value)
+        for key, (signature, obj) in maintainer._filed.items()
+    }
+
+
 class TestStoreFaultsDuringApply:
     """``apply`` reads the stores twice — the dirty keys, then the other
-    ends of the pairs to re-decide — and moves the dirty keys between
-    token buckets in between. A fault on the second read used to leave
-    the buckets moved: the redelivered batch then saw no bucket cross
-    the size cap and never retired the pairs that had lost candidacy."""
+    ends of the pairs to re-decide that have no filed values — and moves
+    the dirty keys between token buckets in between. A fault on the
+    second read used to leave the buckets moved: the redelivered batch
+    then saw no bucket cross the size cap and never retired the pairs
+    that had lost candidacy.
 
-    def alphas(self):
+    A bootstrap files every key's values, so the second read is reached
+    through a maintainer restored by ``load_state``, which files none
+    (as after a warm restart). A fault on the first read lands on a key
+    written to the flaky store itself."""
+
+    def alphas(self, filed: bool = True):
         """Three stores holding one "alpha" each; ``two`` can fail."""
         polystore = Polystore()
         stores = {}
@@ -250,14 +264,19 @@ class TestStoreFaultsDuringApply:
             polystore, index, IncrementalCollector(matcher, settings)
         )
         hub.bootstrap()
+        if not filed:
+            hub.maintainer.load_state(hub.maintainer.dump_state(), polystore)
+            assert hub.maintainer.state()["filed_values"] == 0
         assert len(index_signature(index)) == 6
         return polystore, stores, flaky, matcher, settings, index, hub
 
-    def test_redelivery_after_a_mid_apply_fault_converges(self):
-        polystore, stores, flaky, matcher, settings, index, hub = self.alphas()
+    def converges_after_a_fault(self, writer: str, filed: bool) -> None:
+        polystore, stores, flaky, matcher, settings, index, hub = self.alphas(
+            filed
+        )
         # A fourth "alpha" takes the bucket past the cap: every pair
         # loses candidacy, the three clean ones included.
-        stores["one"].insert("albums", {"_id": "y", "title": "alpha"})
+        stores[writer].insert("albums", {"_id": "y", "title": "alpha"})
         flaky.fail_every = 1
         with pytest.raises(StoreUnavailableError):
             hub.pump()
@@ -268,15 +287,16 @@ class TestStoreFaultsDuringApply:
         assert batch_edges(polystore, matcher, settings) == set()
         assert index_signature(index) == set()
 
-    def test_a_raising_apply_leaves_the_maintainer_as_it_was(self):
-        polystore, stores, flaky, __, __, index, hub = self.alphas()
+    def leaves_the_maintainer_as_it_was(self, writer: str, filed: bool) -> None:
+        polystore, stores, flaky, __, __, index, hub = self.alphas(filed)
         maintainer = hub.maintainer
-        stores["one"].insert("albums", {"_id": "y", "title": "alpha"})
+        stores[writer].insert("albums", {"_id": "y", "title": "alpha"})
         before = (
             maintainer.state(),
             maintainer.base_relations(),
             dict(maintainer._tokens),
             {token: set(keys) for token, keys in maintainer._buckets.items()},
+            filed_values(maintainer),
             index_signature(index),
         )
         flaky.fail_every = 1
@@ -287,8 +307,24 @@ class TestStoreFaultsDuringApply:
             maintainer.base_relations(),
             maintainer._tokens,
             maintainer._buckets,
+            filed_values(maintainer),
             index_signature(index),
         )
+
+    def test_redelivery_after_a_mid_apply_fault_converges(self):
+        """The fault lands on the second read: ``two``'s "alpha" is the
+        other end of the pairs the write in ``one`` re-decides."""
+        self.converges_after_a_fault("one", filed=False)
+
+    def test_a_raising_apply_leaves_the_maintainer_as_it_was(self):
+        self.leaves_the_maintainer_as_it_was("one", filed=False)
+
+    def test_redelivery_after_a_fault_on_the_first_read_converges(self):
+        """The fault lands on the first read: the dirty key is ``two``'s."""
+        self.converges_after_a_fault("two", filed=True)
+
+    def test_a_raising_first_read_leaves_the_maintainer_as_it_was(self):
+        self.leaves_the_maintainer_as_it_was("two", filed=True)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_flaky_reads_converge_once_healed(self, seed):

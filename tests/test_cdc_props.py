@@ -353,6 +353,50 @@ class TestIncrementalEqualsBatch:
         assert signatures[0] == signatures[1] == signatures[2]
 
 
+def assert_filed_values_are_current(polystore: Polystore, maintainer) -> None:
+    """Each filed key's values are the rule fields of a fresh store read,
+    its signature their names, and only tracked keys have filed values."""
+    filed = maintainer._filed
+    assert filed.keys() <= maintainer._tokens.keys()
+    for key, (signature, filed_obj) in filed.items():
+        (obj,) = polystore.database(key.database).multi_get([key])
+        fields = obj.value if isinstance(obj.value, dict) else {"value": obj.value}
+        values = {
+            name: value
+            for name in ("name", "title")
+            if (value := fields.get(name)) is not None
+        }
+        assert filed_obj.key == key and filed_obj.value == values
+        assert signature == frozenset(values)
+
+
+class TestFiledValues:
+    @pytest.mark.parametrize("restored", [False, True], ids=["live", "restored"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_filed_values_follow_the_stores(self, seed, restored):
+        """After every pump; a restored maintainer starts with none and
+        files a key's values the first time it decides a pair of it."""
+        rng = random.Random(seed)
+        polystore = build_polystore()
+        index = AIndex()
+        hub = ChangeHub(polystore, index, IncrementalCollector(make_matcher()))
+        hub.bootstrap()
+        maintainer = hub.maintainer
+        assert maintainer.state()["filed_values"] == len(maintainer._tokens)
+        if restored:
+            maintainer.load_state(maintainer.dump_state(), polystore)
+            assert maintainer.state()["filed_values"] == 0
+        driver = Driver(polystore, rng)
+        for step in range(60):
+            driver.step()
+            if rng.random() < 0.3:
+                hub.pump()
+                assert_filed_values_are_current(polystore, maintainer)
+        hub.pump()
+        assert_filed_values_are_current(polystore, maintainer)
+        assert index_signature(index) == batch_signature(polystore)
+
+
 class TestMaterializedTier:
     def test_hit_after_promotion_and_invalidation_on_write(self):
         from repro.cdc import MaterializedAugmentations

@@ -5,12 +5,7 @@ import string
 
 import pytest
 
-from repro.collector.blocking import (
-    SortedNeighborhoodBlocker,
-    TokenBlocker,
-    _oriented,
-    tokenize_value,
-)
+from repro.collector.blocking import TokenBlocker, _oriented, tokenize_value
 from repro.model.objects import DataObject, GlobalKey
 from repro.workloads import PolystoreScale, build_polyphony
 
@@ -156,20 +151,6 @@ class TestYieldOrder:
             for members in blocker.blocks(objects).values()
             for i, left in enumerate(members)
             for right in members[i + 1:]
-        )
-        got = key_texts(blocker.candidate_pairs(objects))
-        assert len(got) > 500
-        assert got == key_texts(emitted_before(scanned))
-
-    @pytest.mark.parametrize("corpus", [polyphony_objects, contested_objects])
-    def test_sorted_neighborhood_sequence(self, corpus):
-        objects = corpus()
-        blocker = SortedNeighborhoodBlocker(window=6)
-        ordered = sorted(objects, key=blocker.blocking_key)
-        scanned = (
-            (left, right)
-            for index, left in enumerate(ordered)
-            for right in ordered[index + 1: index + blocker.window]
         )
         got = key_texts(blocker.candidate_pairs(objects))
         assert len(got) > 500

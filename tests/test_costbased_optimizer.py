@@ -1,10 +1,8 @@
-"""Tests for the cost-based optimizer baseline and SN blocking."""
+"""Tests for the cost-based optimizer baseline."""
 
 import pytest
 
-from repro.collector.blocking import SortedNeighborhoodBlocker, TokenBlocker
 from repro.core.runlog import QueryFeatures
-from repro.model.objects import DataObject, GlobalKey
 from repro.optimizer.costbased import AssumedCosts, CostBasedOptimizer
 
 
@@ -90,64 +88,3 @@ class TestCostBased:
             slow_choice.augmenter, slow_choice.batch_size
         )
 
-
-def make_objects():
-    titles = [
-        "black dreams", "black dreams deluxe", "quiet rivers",
-        "quiet rivers live", "zanzibar nights", "aardvark morning",
-    ]
-    objects = []
-    for index, title in enumerate(titles):
-        database = "dbA" if index % 2 == 0 else "dbB"
-        objects.append(
-            DataObject(GlobalKey(database, "c", f"k{index}"), {"title": title})
-        )
-    return objects
-
-
-class TestSortedNeighborhood:
-    def test_adjacent_keys_become_candidates(self):
-        blocker = SortedNeighborhoodBlocker(window=3)
-        pairs = list(blocker.candidate_pairs(make_objects()))
-        pair_titles = {
-            tuple(sorted((a.value["title"], b.value["title"])))
-            for a, b in pairs
-        }
-        assert ("black dreams", "black dreams deluxe") in pair_titles
-        assert ("quiet rivers", "quiet rivers live") in pair_titles
-
-    def test_same_database_pairs_excluded(self):
-        blocker = SortedNeighborhoodBlocker(window=6)
-        for a, b in blocker.candidate_pairs(make_objects()):
-            assert a.key.database != b.key.database
-
-    def test_linear_candidates_vs_quadratic_token_blocks(self):
-        """SN's candidate count is linear in n (n x window); token
-        blocking is quadratic inside a popular block."""
-        objects = [
-            DataObject(
-                GlobalKey("dbA" if i % 2 == 0 else "dbB", "c", f"k{i}"),
-                {"title": f"common tune variation{i:03d}"},
-            )
-            for i in range(30)
-        ]
-        sn = len(list(
-            SortedNeighborhoodBlocker(window=3).candidate_pairs(objects)
-        ))
-        token = len(list(
-            TokenBlocker(max_block_size=50).candidate_pairs(objects)
-        ))
-        assert sn <= len(objects) * 2
-        assert token > sn
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            SortedNeighborhoodBlocker(window=1)
-
-    def test_blocking_key_is_deterministic(self):
-        blocker = SortedNeighborhoodBlocker()
-        obj = DataObject(
-            GlobalKey("dbA", "c", "k"), {"b": "two words", "a": "one"}
-        )
-        assert blocker.blocking_key(obj) == blocker.blocking_key(obj)
-        assert "one" in blocker.blocking_key(obj)
