@@ -94,6 +94,9 @@ class AugmentationPlan:
     bounds: list[int] = field(default_factory=lambda: [0])
     #: Number of A' index edges examined (charged as CPU by augmenters).
     edges_examined: int = 0
+    #: Seeds whose rows were copied from the snapshot's seed segments
+    #: instead of traversed (their filed edges are in ``edges_examined``).
+    segments_reused: int = 0
     #: ``(key,)`` of a node: a depth-1 path, the index's own tuple
     #: where it keeps one.
     hop_of: Callable = field(default=_hop, repr=False, compare=False)
@@ -135,6 +138,7 @@ class AugmentationPlan:
             seeds=list(self.seeds),
             bounds=[bisect_left(rows, bound) for bound in self.bounds],
             edges_examined=self.edges_examined,
+            segments_reused=self.segments_reused,
             hop_of=self.hop_of,
             _trail=self._trail or self,
         )
@@ -223,13 +227,16 @@ class Augmentation:
         including its ``edges_examined``, so the charged planning cost
         is identical — instead of repeating the traversal. ``attrs``
         (the caller's ``plan`` span attributes) receives ``expanded``,
-        the seeds this call traversed: 0 on a plan-cache hit.
+        the seeds this call planned one by one (0 on a plan-cache hit),
+        and ``segments_reused``, how many of those were copied from the
+        snapshot's seed segments rather than traversed.
         """
         plan, expanded = self._plan_on(
             self._planning_index(), seeds, level, min_probability
         )
         if attrs is not None:
             attrs["expanded"] = expanded
+            attrs["segments_reused"] = plan.segments_reused if expanded else 0
         return plan
 
     def _plan_on(
@@ -273,10 +280,12 @@ class Augmentation:
         """Describe how ``alpha^level`` over ``seeds`` would be planned.
 
         Reports the A' index traversal — which snapshot (type, the
-        generation it was published from, and how many of its nodes are
-        read from the overlay of a patched snapshot), whether the plan
-        cache already holds this plan, edges walked, and the planned
-        fetch workload per target database. Planning is index-only, so
+        generation it was published from, how many of its nodes are
+        read from the overlay of a patched snapshot, and the seed
+        segments it has filed), whether the plan cache already holds
+        this plan, the seeds planned and how many of them came from
+        seed segments, edges walked, and the planned fetch workload per
+        target database. Planning is index-only, so
         this runs the real traversal (or replays the cached plan) over
         the one snapshot it describes but never touches a store.
         """
@@ -287,6 +296,8 @@ class Augmentation:
             and self._plan_cache.peek(cache_key) is not None
         )
         plan, expanded = self._plan_on(index, seeds, level, min_probability)
+        memo = getattr(index, "segments", None)
+        filed = memo.stats() if memo is not None else {}
         fetches_by_database: dict[str, int] = {}
         for key in plan.keys:
             database = key.database
@@ -300,10 +311,13 @@ class Augmentation:
             "snapshot": type(index).__name__,
             "snapshot_generation": getattr(index, "generation", None),
             "snapshot_overlay_nodes": getattr(index, "overlay_nodes", None),
+            "snapshot_segments": filed.get("segments"),
+            "snapshot_segment_rows": filed.get("rows"),
             "refreezes": getattr(self.aindex, "refreezes", None),
             "plan_cacheable": cache_key is not None,
             "plan_cache_hit": plan_cache_hit,
             "expanded": expanded,
+            "segments_reused": plan.segments_reused if expanded else 0,
             "edges_examined": plan.edges_examined,
             "planned_fetches": plan.total_fetches(),
             "fetches_by_database": dict(sorted(fetches_by_database.items())),
@@ -317,77 +331,141 @@ class Augmentation:
         min_probability: float,
         plan: AugmentationPlan,
     ) -> int:
-        """Best-probability-first traversal to depth ``level + 1``: the
-        rows of ``seed`` are appended to ``plan``'s columns, and the
-        number of edges examined is returned.
+        """The rows of ``seed`` appended to ``plan``'s columns; returns
+        the number of edges examined to find them.
 
-        A Dijkstra-style search over ``-log p`` (implemented directly on
-        products) guarantees each reachable key is planned with its
-        maximum path probability. Among equal probabilities the node
-        discovered first is expanded first, and an arc only replaces a
-        strictly weaker entry (the tie rule). A node is expanded through
-        its best entry or not at all (the depth rule): if that was found
-        at depth ``level + 1`` it is a leaf, even where a weaker entry
-        reached it nearer the seed.
-
-        The loop runs over node handles: ids on a snapshot that has them
-        (``plan_view``), the keys themselves on any other index. It
-        keeps no object per row: a path is read back through
-        ``plan.parents`` (:meth:`AugmentationPlan.path`).
+        Without a probability cut, on a snapshot that keeps seed
+        segments (:class:`~repro.core.compressed.SeedSegments`), the
+        rows are those of the seed's segment, and the edges those its
+        traversal examined: the first plan of the seed on the snapshot
+        traverses and files it, every later plan copies it. Anything
+        else runs :func:`_traverse` into the plan.
         """
         node_of, row_of, key_of, __ = _plan_view(index)
         start = node_of(seed)
         if start is None:
             return 0
-        max_depth = level + 1
-        best = {start: 1.0}
-        parent = {}
-        edges = 0
-        # Heap entries: (-probability, tiebreak, node, depth)
-        counter = 0
-        heap = [(-1.0, counter, start, 0)]
-        heappop, heappush = heapq.heappop, heapq.heappush
-        best_get = best.get
-        while heap:
-            neg_probability, __, node, depth = heappop(heap)
-            probability = -neg_probability
-            if probability < best[node]:
-                continue  # stale entry
-            row = row_of(node)
-            edges += len(row)
-            depth += 1
-            # A node found at the last depth is never expanded, so its
-            # entry is never pushed.
-            inner = depth < max_depth
-            for target, arc_probability in row:
-                combined = probability * arc_probability
-                if combined < min_probability or combined <= 0.0:
-                    continue
-                if combined <= best_get(target, 0.0):
-                    continue
-                best[target] = combined
-                parent[target] = node
-                if inner:
-                    counter += 1
-                    heappush(heap, (-combined, counter, target, depth))
-        del best[start]
-        # Probability descending, key ascending (a key sorts as its
-        # text): two stable sorts. One row per node, so the key is
-        # unique and handles never decide. Probabilities are <= 1, so
-        # no entry improved once its node was expanded: the parent
-        # pointers read here are final.
-        order = sorted(best, key=key_of)
-        order.sort(key=best.__getitem__, reverse=True)
-        row_of_node = dict(zip(order, count(len(plan.keys))))
-        row_of_node[start] = -1
+        memo = (
+            getattr(index, "segments", None)
+            if min_probability == 0.0
+            else None
+        )
+        if memo is not None:
+            arena = memo.find(start, level)
+            if arena is not None:
+                plan.segments_reused += 1
+                return _copy_segment(arena, start, seed, plan)
+        order, best, parent, edges = _traverse(
+            start, level, min_probability, row_of, key_of
+        )
+        if memo is not None:
+            arena = memo.file(
+                start,
+                level,
+                map(key_of, order),
+                map(best.__getitem__, order),
+                order,
+                _parent_rows(order, parent, start, 0),
+                edges,
+            )
+            if arena is not None:
+                return _copy_segment(arena, start, seed, plan)
+        plan.parents += _parent_rows(order, parent, start, len(plan.keys))
         plan.keys += map(key_of, order)
         plan.probabilities += map(best.__getitem__, order)
         plan.sources += repeat(seed, len(order))
         plan.nodes += order
-        plan.parents += map(
-            row_of_node.__getitem__, map(parent.__getitem__, order)
-        )
         return edges
+
+
+def _traverse(start, level: int, min_probability: float, row_of, key_of):
+    """Best-probability-first traversal from node ``start`` to depth
+    ``level + 1``: the nodes reached, in plan order, their best
+    probabilities, the node each was reached from, and the number of
+    edges examined.
+
+    A Dijkstra-style search over ``-log p`` (implemented directly on
+    products) guarantees each reachable key is planned with its
+    maximum path probability. Among equal probabilities the node
+    discovered first is expanded first, and an arc only replaces a
+    strictly weaker entry (the tie rule). A node is expanded through
+    its best entry or not at all (the depth rule): if that was found
+    at depth ``level + 1`` it is a leaf, even where a weaker entry
+    reached it nearer the seed.
+
+    The loop runs over node handles: ids on a snapshot that has them
+    (``plan_view``), the keys themselves on any other index. It keeps
+    no object per row: a path is read back through the plan's
+    ``parents`` (:meth:`AugmentationPlan.path`).
+    """
+    max_depth = level + 1
+    best = {start: 1.0}
+    parent = {}
+    edges = 0
+    # Heap entries: (-probability, tiebreak, node, depth)
+    counter = 0
+    heap = [(-1.0, counter, start, 0)]
+    heappop, heappush = heapq.heappop, heapq.heappush
+    best_get = best.get
+    while heap:
+        neg_probability, __, node, depth = heappop(heap)
+        probability = -neg_probability
+        if probability < best[node]:
+            continue  # stale entry
+        row = row_of(node)
+        edges += len(row)
+        depth += 1
+        # A node found at the last depth is never expanded, so its
+        # entry is never pushed.
+        inner = depth < max_depth
+        for target, arc_probability in row:
+            combined = probability * arc_probability
+            if combined < min_probability or combined <= 0.0:
+                continue
+            if combined <= best_get(target, 0.0):
+                continue
+            best[target] = combined
+            parent[target] = node
+            if inner:
+                counter += 1
+                heappush(heap, (-combined, counter, target, depth))
+    del best[start]
+    # Probability descending, key ascending (a key sorts as its text):
+    # two stable sorts. One row per node, so the key is unique and
+    # handles never decide. Probabilities are <= 1, so no entry
+    # improved once its node was expanded: the parent pointers read
+    # here are final.
+    order = sorted(best, key=key_of)
+    order.sort(key=best.__getitem__, reverse=True)
+    return order, best, parent, edges
+
+
+def _parent_rows(order: list, parent: dict, start, first: int):
+    """The parent row of each of ``order``'s nodes, rows numbered from
+    ``first``: -1 for a node reached from ``start``, the seed."""
+    row_of_node = dict(zip(order, count(first)))
+    row_of_node[start] = -1
+    return map(row_of_node.__getitem__, map(parent.__getitem__, order))
+
+
+def _copy_segment(arena, node: int, seed: GlobalKey, plan) -> int:
+    """Append ``node``'s filed segment in ``arena`` to ``plan`` as the
+    rows of ``seed``; returns the edges its traversal examined."""
+    first, last = arena.starts[node], arena.stops[node]
+    offset = len(plan.keys)
+    plan.keys += arena.keys[first:last]
+    plan.probabilities += arena.probabilities[first:last]
+    plan.sources += repeat(seed, last - first)
+    plan.nodes += arena.nodes[first:last]
+    parents = arena.parents[first:last]
+    if plan.level:
+        # Rebase onto the plan's rows; the seed's -1 stays.
+        plan.parents += [
+            above + offset if above >= 0 else -1 for above in parents
+        ]
+    else:
+        plan.parents += parents  # every row hangs off the seed: all -1
+    return arena.edges[node]
 
 
 def _itself(key: GlobalKey) -> GlobalKey:

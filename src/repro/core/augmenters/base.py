@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_not
 from typing import Callable, Iterator
 
 from repro.core.augmentation import AugmentationConfig, AugmentationPlan
@@ -44,6 +46,8 @@ class AugmentationOutcome:
     cache_hits: int = 0
     #: Native queries that reached a store.
     queries_issued: int = 0
+    #: ``BoundedLru.get_many`` runs the cache was probed in.
+    probe_runs: int = 0
     #: Fetches and batch flushes that reached no store: barred by the
     #: timeout budget, or a flush whose database was down under
     #: ``skip_unavailable`` (not counted as issued).
@@ -85,6 +89,7 @@ class AugmentationOutcome:
         self.missing += part.missing
         self.cache_hits += part.cache_hits
         self.queries_issued += part.queries_issued
+        self.probe_runs += part.probe_runs
         self.skipped_flushes += part.skipped_flushes
 
 
@@ -196,10 +201,14 @@ class Augmenter(ABC):
         ctx: ExecContext,
         keys: list[GlobalKey],
         start: int,
-        max_misses: int,
+        max_misses: int | None,
+        into: AugmentationOutcome,
+        ends_run: Callable[[int], bool] | None = None,
     ) -> tuple[list[DataObject | None], int]:
         """Probe ``keys[start:]`` in order up to the ``max_misses``-th
-        miss: one value per probe (``None`` = miss), and the misses.
+        miss, or the miss ``ends_run`` ends the run on
+        (:meth:`BoundedLru.get_many`): one value per probe (``None`` =
+        miss), and the misses. The run is counted in ``into``.
 
         The whole run's (small) per-probe CPU is charged here, so before
         anything the caller does with the result can read the clock — a
@@ -207,8 +216,11 @@ class Augmenter(ABC):
         accounting happens inside the cache; :meth:`execute` publishes
         the per-run delta to the obs metrics.
         """
-        values, misses = self.cache.get_many(keys, start, max_misses)
+        values, misses = self.cache.get_many(
+            keys, start, max_misses, ends_run
+        )
         ctx.cpu_repeat(self._probe_cost, len(values))
+        into.probe_runs += 1
         return values, misses
 
     def _misses(
@@ -232,7 +244,7 @@ class Augmenter(ABC):
             keys = keys[start:stop]
         position, total = 0, len(keys)
         while position < total:
-            values, misses = self._probe_run(ctx, keys, position, 1)
+            values, misses = self._probe_run(ctx, keys, position, 1, into)
             end = position + len(values)
             if misses:
                 values.pop()
@@ -258,18 +270,31 @@ class Augmenter(ABC):
 
         A flush may put objects into the cache (and evict others) and
         reads the clock, so no probe that follows it in plan order may
-        be made before it. Each run therefore asks for at most
-        ``batch_size - len(fullest group)`` misses: no group can fill on
-        fewer, so a flush can only fall on the last probe of a run —
-        exactly where the per-probe loop had it.
+        be made before it. The run therefore files each miss in its
+        group as it meets it (``ends_run``) and ends on the miss that
+        fills one: a flush falls on the last probe of a run, after the
+        run's CPU — exactly where the per-probe loop had it — and a
+        plan is probed in one run per group that fills, plus one.
         """
         keys = plan.keys
         groups: dict[str, list[int]] = {}
+        full: list[str] = []
+
+        def file_miss(row: int) -> bool:
+            database = keys[row].database
+            group = groups.get(database)
+            if group is None:
+                group = groups[database] = []
+            group.append(row)
+            if len(group) < batch_size:
+                return False
+            full.append(database)
+            return True
+
         position, total = 0, len(keys)
         while position < total:
-            fullest = max(map(len, groups.values()), default=0)
             values, misses = self._probe_run(
-                ctx, keys, position, batch_size - fullest
+                ctx, keys, position, None, outcome, file_miss
             )
             run = range(position, position + len(values))
             position += len(values)
@@ -278,17 +303,13 @@ class Augmenter(ABC):
                 outcome.values += values
                 outcome.rows += run
                 continue
-            for row, value in zip(run, values):
-                if value is not None:
-                    outcome.values.append(value)
-                    outcome.rows.append(row)
-                    continue
-                database = keys[row].database
-                group = groups.setdefault(database, [])
-                group.append(row)
-                if len(group) >= batch_size:
-                    flush(database, group)
-                    groups[database] = []
+            hit = list(map(is_not, values, repeat(None)))
+            outcome.values += compress(values, hit)
+            outcome.rows += compress(run, hit)
+            if full:
+                database = full.pop()
+                flush(database, groups[database])
+                groups[database] = []
         for database, group in groups.items():
             if group:
                 flush(database, group)

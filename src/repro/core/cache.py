@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Generic, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, Sequence, TypeVar
 
 from repro.model.objects import DataObject, GlobalKey
 
@@ -56,15 +56,22 @@ class BoundedLru(Generic[K, V]):
             return value
 
     def get_many(
-        self, keys: Sequence[K], start: int = 0, max_misses: int | None = None
+        self,
+        keys: Sequence[K],
+        start: int = 0,
+        max_misses: int | None = None,
+        ends_run: Callable[[int], bool] | None = None,
     ) -> tuple[list[V | None], int]:
         """Probe ``keys[start:]`` in order under one lock acquisition.
 
         Each probe is exactly a :meth:`get` — a hit refreshes recency,
-        and one hit or miss is counted per probe, repeats included —
-        and the run stops after the ``max_misses``-th miss. Returns one
-        value per probe made (``None`` = miss) and the number of misses,
-        so the caller resumes at ``start + len(values)``.
+        and one hit or miss is counted per probe, repeats included. The
+        run stops after the ``max_misses``-th miss, or after a miss at
+        ``keys[index]`` for which ``ends_run(index)`` returns true (it
+        runs under the lock, so it must not call back into the cache).
+        Returns one value per probe made (``None`` = miss) and the
+        number of misses, so the caller resumes at ``start +
+        len(values)``.
         """
         if max_misses is not None and max_misses < 1:
             raise ValueError(f"max_misses must be >= 1, got {max_misses}")
@@ -82,7 +89,9 @@ class BoundedLru(Generic[K, V]):
                 append(value)
                 if value is None:
                     misses += 1
-                    if misses == max_misses:
+                    if misses == max_misses or (
+                        ends_run is not None and ends_run(index)
+                    ):
                         break
                 else:
                     move_to_end(key)

@@ -34,9 +34,10 @@ snapshot lists untouched base nodes first, then overlay nodes.
 from __future__ import annotations
 
 import copy
+import threading
 from array import array
 from itertools import chain, islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.aindex import AIndex, Neighbor
 from repro.model.objects import GlobalKey
@@ -54,6 +55,103 @@ IdRow = list[tuple[int, float]]
 #: One overlay row: the node's :data:`IdRow` and, in parallel, each
 #: arc's relation type.
 Row = tuple[IdRow, list[RelationType]]
+
+
+class SegmentArena:
+    """The rows of every seed segment filed at one level, as columns.
+
+    A segment is one seed's rows, in plan order: ``keys``,
+    ``probabilities``, ``nodes`` and ``parents`` from ``starts[node]``
+    to ``stops[node]``, where ``node`` is the seed's id. Parents count
+    from the segment's first row, -1 at the seed. ``edges[node]`` is
+    what the traversal that filed the segment examined. ``starts[node]``
+    is -1 until the segment is filed.
+    """
+
+    __slots__ = (
+        "keys", "probabilities", "nodes", "parents", "starts", "stops",
+        "edges",
+    )
+
+    def __init__(self, size: int) -> None:
+        self.keys: list[GlobalKey] = []
+        self.probabilities = array("d")
+        self.nodes = array("i")
+        self.parents = array("i")
+        self.starts = array("i", [-1]) * size
+        self.stops = array("i", [0]) * size
+        self.edges = array("i", [0]) * size
+
+
+class SeedSegments:
+    """The alpha^level rows of each seed one snapshot has planned
+    (DESIGN.md, "Seed segments").
+
+    The rows a seed contributes to a plan depend only on the snapshot,
+    the seed and the level (with no probability cut), so they are filed
+    once per ``(seed id, level)`` and copied into every later plan. One
+    :class:`SegmentArena` per level holds them: no object per segment.
+
+    Readers never lock. A writer files under the lock and publishes a
+    segment's start last, so a reader that finds the start reads a
+    complete segment. A segment is filed at most once, and the memo
+    dies with its snapshot: it holds at most one segment per node and
+    level.
+    """
+
+    def __init__(self, size: int) -> None:
+        #: Node ids the arenas cover: every id the snapshot knows.
+        self._size = size
+        self._arenas: dict[int, SegmentArena] = {}
+        self._lock = threading.Lock()
+        #: Segments filed so far.
+        self.filed = 0
+
+    def find(self, node: int, level: int) -> SegmentArena | None:
+        """The arena holding ``node``'s segment at ``level``, or ``None``
+        when it is not filed."""
+        arena = self._arenas.get(level)
+        if arena is None or node >= self._size or arena.starts[node] < 0:
+            return None
+        return arena
+
+    def file(
+        self,
+        node: int,
+        level: int,
+        keys: Iterable[GlobalKey],
+        probabilities: Iterable[float],
+        nodes: Iterable[int],
+        parents: Iterable[int],
+        edges: int,
+    ) -> SegmentArena | None:
+        """File ``node``'s segment at ``level`` unless it already is;
+        the arena holding it, or ``None`` for a node the arenas do not
+        cover (an id interned after this snapshot was published)."""
+        if node >= self._size:
+            return None
+        with self._lock:
+            arena = self._arenas.get(level)
+            if arena is None:
+                arena = self._arenas[level] = SegmentArena(self._size)
+            if arena.starts[node] < 0:
+                start = len(arena.keys)
+                arena.keys += keys
+                arena.probabilities.extend(probabilities)
+                arena.nodes.extend(nodes)
+                arena.parents.extend(parents)
+                arena.stops[node] = len(arena.keys)
+                arena.edges[node] = edges
+                arena.starts[node] = start  # published last
+                self.filed += 1
+        return arena
+
+    def stats(self) -> dict:
+        """How many segments are filed, and their rows."""
+        return {
+            "segments": self.filed,
+            "rows": sum(len(arena.keys) for arena in self._arenas.values()),
+        }
 
 
 class FrozenAIndex:
@@ -102,6 +200,9 @@ class FrozenAIndex:
         #: Generation of the live index this snapshot was published from.
         #: The serving layer pins this per request for snapshot isolation.
         self.generation: int | None = None
+        #: The planner's seed segments: this snapshot's own, never
+        #: shared with a snapshot patched from it.
+        self.segments = SeedSegments(len(keys))
 
     # -- construction ---------------------------------------------------------
 
@@ -197,6 +298,8 @@ class FrozenAIndex:
                     arcs.append((target, edge[1]))
                 row = (arcs, [edge[0] for edge in live.values()])
             overlay[intern(key)] = row
+        # The overlay changed rows, so the planned segments start empty.
+        snapshot.segments = SeedSegments(len(self._keys))
         return snapshot
 
     @property

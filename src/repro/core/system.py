@@ -263,6 +263,7 @@ class Quepa:
             outcome = augmenter.execute(ctx, plan, run_config)
             span.attrs["queries"] = outcome.queries_issued
             span.attrs["cache_hits"] = outcome.cache_hits
+            span.attrs["probe_runs"] = outcome.probe_runs
         for missing in outcome.missing:
             self.aindex.remove_object(missing)  # lazy deletion (III-C.b)
         if outcome.missing:

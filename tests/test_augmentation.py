@@ -219,9 +219,16 @@ class TestPlanCache:
         other = K("catalogue.albums.d1")
         attrs = {}
         mini_augmentation.plan([SEED, other, SEED], 1, attrs=attrs)
-        assert attrs == {"expanded": 2}
+        assert attrs == {"expanded": 2, "segments_reused": 0}
         mini_augmentation.plan([SEED, other, SEED], 1, attrs=attrs)
-        assert attrs == {"expanded": 0}  # from the plan cache
+        # From the plan cache.
+        assert attrs == {"expanded": 0, "segments_reused": 0}
+        mini_augmentation.plan([other, SEED], 1, attrs=attrs)
+        # A new plan of planned seeds: copied from their segments.
+        assert attrs == {"expanded": 2, "segments_reused": 2}
+        mini_augmentation.plan([other, SEED], 1, 0.5, attrs=attrs)
+        # A probability cut traverses.
+        assert attrs == {"expanded": 2, "segments_reused": 0}
 
 
 class TestConfig:

@@ -26,6 +26,7 @@ from repro.core.augmentation import (
     AugmentationPlan,
 )
 from repro.core.augmenters import available_augmenters
+from repro.core.compressed import FrozenAIndex
 from repro.core.system import Quepa
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation
@@ -69,17 +70,9 @@ def five_hundred_seeds(bundle) -> list[GlobalKey]:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("level", (0, 1))
-def test_planning_keeps_no_object_per_row(bundle, level):
-    """Planning 500 seeds on a frozen index grows the collector's young
-    generation by a constant, not by one object per planned fetch (a
-    fetch tuple and a path tuple per row read 3 018 / 8 501)."""
-    seeds = five_hundred_seeds(bundle)
-    assert all(seed in bundle.aindex for seed in seeds)
-    # Warm the snapshot's lazy rows and hop tuples: they are the
-    # index's, kept once whatever the number of plans.
-    Augmentation(bundle.aindex).plan(seeds, level)
-    planner = Augmentation(bundle.aindex)
+def young_growth(planner, seeds, level) -> tuple[AugmentationPlan, int]:
+    """A plan by ``planner``, and how much it grew the collector's young
+    generation."""
     gc.collect()
     gc.disable()
     try:
@@ -88,6 +81,41 @@ def test_planning_keeps_no_object_per_row(bundle, level):
         grown = gc.get_count()[0] - before
     finally:
         gc.enable()
+    return plan, grown
+
+
+@pytest.mark.parametrize("level", (0, 1))
+def test_planning_keeps_no_object_per_row(bundle, level):
+    """Planning 500 seeds on a frozen index grows the collector's young
+    generation by a constant, not by one object per planned fetch (a
+    fetch tuple and a path tuple per row read 3 018 / 8 501). The plan
+    measured is served entirely from the snapshot's seed segments."""
+    seeds = five_hundred_seeds(bundle)
+    assert all(seed in bundle.aindex for seed in seeds)
+    # Warm the snapshot's lazy rows and hop tuples, and file its seed
+    # segments: they are the index's, kept once whatever the number of
+    # plans.
+    Augmentation(bundle.aindex).plan(seeds, level)
+    plan, grown = young_growth(Augmentation(bundle.aindex), seeds, level)
+    assert plan.segments_reused == len(seeds)
+    assert plan.total_fetches() > 4 * len(seeds)
+    assert grown <= PLAN_CONSTANT + PER_SEED * len(seeds), grown
+
+
+@pytest.mark.parametrize("level", (0, 1))
+def test_traversing_into_segments_keeps_no_object_per_row(bundle, level):
+    """The same guard on the traversal that files the segments: a fresh
+    snapshot, its rows warmed by a plan under a cut (which files
+    nothing), and its arena for ``level`` made by filing one other
+    seed (an arena is the snapshot's, made once per level)."""
+    seeds = five_hundred_seeds(bundle)
+    snapshot = FrozenAIndex.freeze(bundle.aindex)
+    Augmentation(snapshot).plan(seeds, level, 1e-9)
+    Augmentation(snapshot).plan([bundle.entity_key(DATABASES[0], 200)], level)
+    assert snapshot.segments.stats()["segments"] == 1
+    plan, grown = young_growth(Augmentation(snapshot), seeds, level)
+    assert plan.segments_reused == 0
+    assert snapshot.segments.stats()["segments"] == 1 + len(seeds)
     assert plan.total_fetches() > 4 * len(seeds)
     assert grown <= PLAN_CONSTANT + PER_SEED * len(seeds), grown
 

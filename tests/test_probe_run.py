@@ -26,7 +26,8 @@ from repro.core.augmenters import make_augmenter
 from repro.core.augmenters.base import AugmentationOutcome, Augmenter
 from repro.core.cache import BoundedLru, LruCache
 from repro.core.connectors import ConnectorRegistry
-from repro.core.search import SearchStats, assemble_answer
+from repro.core.system import Quepa
+from repro.core.search import SearchStats, assemble_answer, result_seeds
 from repro.model.objects import DataObject, GlobalKey
 from repro.model.prelations import PRelation
 from repro.network import RealRuntime, VirtualRuntime, centralized_profile
@@ -85,6 +86,56 @@ def test_get_many_is_the_loop_of_get(capacity, stored, runs):
         assert fast.get_many(keys, start, max_misses) == reference_get_many(
             twin, keys, start, max_misses
         )
+        assert fast.items() == twin.items()
+        assert fast.stats() == twin.stats()
+
+
+def reference_ends_run(cache, keys, start, ends_at, calls):
+    """``get`` per key of ``keys[start:]``, ending after a miss at an
+    index in ``ends_at``; every miss's index is appended to ``calls``."""
+    values, misses = [], 0
+    for index in range(start, len(keys)):
+        value = cache.get(keys[index])
+        values.append(value)
+        if value is None:
+            misses += 1
+            calls.append(index)
+            if index in ends_at:
+                break
+    return values, misses
+
+
+@given(
+    capacity=st.integers(0, 6),
+    stored=st.lists(KEYS, max_size=12),
+    runs=st.lists(
+        st.tuples(
+            st.lists(KEYS, max_size=16),
+            st.integers(0, 18),
+            st.sets(st.integers(0, 16), max_size=5),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=200)
+def test_get_many_ending_runs_is_the_loop_of_get(capacity, stored, runs):
+    """``ends_run`` sees every miss, in order, and ends the run on the
+    one it says: values, misses, counters and recency are the loop's."""
+    fast, twin = BoundedLru(capacity), BoundedLru(capacity)
+    for cache in (fast, twin):
+        cache.put_many((key, key.upper()) for key in stored)
+    for keys, start, ends_at in runs:
+        seen, expected_seen = [], []
+
+        def ends_run(index):
+            seen.append(index)
+            return index in ends_at
+
+        assert fast.get_many(keys, start, None, ends_run) == (
+            reference_ends_run(twin, keys, start, ends_at, expected_seen)
+        )
+        assert seen == expected_seen
         assert fast.items() == twin.items()
         assert fast.stats() == twin.stats()
 
@@ -367,6 +418,73 @@ def test_strategies_equal_the_per_probe_loop(
     assert observe(make_augmenter, bundle, plans, config) == observe(
         PerProbeAugmenter, bundle, plans, config, PerObjectPutCache
     )
+
+
+def full_groups(plan, batch_size) -> tuple[int, bool]:
+    """With every probe a miss: how many times a database group fills,
+    and whether the plan's last row fills one."""
+    sizes: dict[str, int] = {}
+    fills, last_filled = 0, False
+    for key in plan.keys:
+        sizes[key.database] = sizes.get(key.database, 0) + 1
+        last_filled = sizes[key.database] == batch_size
+        if last_filled:
+            fills += 1
+            sizes[key.database] = 0
+    return fills, last_filled
+
+
+@pytest.mark.parametrize("batch_size", (1, 3, 8))
+@pytest.mark.parametrize("name", ("batch", "outer_batch"))
+def test_a_cold_plan_is_probed_in_one_run_per_flush(
+    bundle, name, batch_size, monkeypatch
+):
+    """Every probe misses: a run ends where a group fills, so the runs
+    are the groups that fill, plus one for the rows after the last."""
+    plan = Augmentation(bundle.aindex).plan(
+        [bundle.entity_key("transactions", seq) for seq in range(12)], 1
+    )
+    runs, flushes = [], []
+    get_many, fetch_group = LruCache.get_many, Augmenter._fetch_group
+
+    def counted_get_many(cache, *args):
+        runs.append(args[1])
+        return get_many(cache, *args)
+
+    def counted_fetch_group(augmenter, ctx, database, group, into):
+        flushes.append(len(group))
+        return fetch_group(augmenter, ctx, database, group, into)
+
+    monkeypatch.setattr(LruCache, "get_many", counted_get_many)
+    monkeypatch.setattr(Augmenter, "_fetch_group", counted_fetch_group)
+    config = AugmentationConfig(name, batch_size, 4, cache_size=0)
+    registry = ConnectorRegistry(bundle.polystore)
+    ctx = VirtualRuntime(
+        centralized_profile([name for name, __ in bundle.databases])
+    ).root()
+    outcome = make_augmenter(name, registry, LruCache(0)).execute(
+        ctx, plan, config
+    )
+    fills, last_filled = full_groups(plan, batch_size)
+    assert fills and flushes.count(batch_size) == fills
+    assert outcome.probe_runs == len(runs) == fills + (not last_filled)
+    assert outcome.cache_hits == 0
+
+
+def test_the_augment_span_counts_the_probe_runs(bundle):
+    quepa = Quepa(
+        bundle.polystore,
+        bundle.aindex,
+        config=AugmentationConfig("outer_batch", 4, 4, cache_size=0),
+    )
+    answer = quepa.augmented_search(
+        "transactions", "SELECT * FROM inventory WHERE seq < 6", level=1
+    )
+    plan = quepa.augmentation.plan(result_seeds(answer.originals), 1)
+    fills, last_filled = full_groups(plan, 4)
+    (augment,) = [s for s in quepa.obs.tracer.spans() if s.name == "augment"]
+    assert augment.attrs["probe_runs"] == fills + (not last_filled)
+    assert augment.attrs["probe_runs"] < plan.total_fetches() / 2
 
 
 # ---------------------------------------------------------------------------
