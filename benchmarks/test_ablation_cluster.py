@@ -5,9 +5,7 @@ instances of the system that can answer independent queries in
 parallel." The ablation measures a batch of independent queries on
 1/2/4/8 instances: the makespan must shrink near-linearly while the
 per-query answers stay identical to a single instance's. The makespans
-are virtual seconds, so they are pinned exactly, and a cluster over a
-4-shard partition of the same index must reproduce them and the
-answers.
+are virtual seconds, so they are pinned exactly.
 """
 
 from __future__ import annotations
@@ -15,21 +13,12 @@ from __future__ import annotations
 from repro.cluster import DispatchPolicy, QuepaCluster
 from repro.core import Quepa
 from repro.network import centralized_profile
-from repro.sharding import shard_aindex
 from repro.workloads import QueryWorkload
 
 from .conftest import QUERY_SIZES
 
 #: The rows of the committed ``results/ablation_cluster_scaleout.txt``.
 PINNED_MAKESPANS = {1: 8.947060, 2: 4.486480, 4: 2.243240, 8: 1.121620}
-
-
-def _signature(answer):
-    return (
-        [str(obj.key) for obj in answer.originals],
-        [(str(obj.key), obj.probability) for obj in answer.augmented],
-        answer.stats.elapsed,
-    )
 
 
 def test_ablation_cluster_scaleout(benchmark, bundle7, report):
@@ -39,26 +28,17 @@ def test_ablation_cluster_scaleout(benchmark, bundle7, report):
         for v in range(16)
     ]
 
-    def scale_out(aindex):
-        makespans, answers = {}, {}
+    def run():
+        makespans = {}
         for instances in (1, 2, 4, 8):
             cluster = QuepaCluster(
-                bundle7.polystore, aindex,
+                bundle7.polystore, bundle7.aindex,
                 instances=instances,
                 policy=DispatchPolicy.LEAST_LOADED,
             )
             for query in queries:
                 cluster.submit(query.database, query.query)
-            drained = cluster.drain()
-            makespans[instances] = drained.makespan
-            answers[instances] = [
-                _signature(result.answer) for result in drained.results
-            ]
-        return makespans, answers
-
-    def run():
-        makespans, answers = scale_out(bundle7.aindex)
-        sharded = scale_out(shard_aindex(bundle7.aindex, 4))
+            makespans[instances] = cluster.drain().makespan
         # Answer-equivalence against a standalone instance.
         solo = Quepa(
             bundle7.polystore, bundle7.aindex,
@@ -74,9 +54,9 @@ def test_ablation_cluster_scaleout(benchmark, bundle7, report):
         same = {str(k) for k in solo_answer.augmented_keys()} == {
             str(k) for k in cluster_answer.augmented_keys()
         }
-        return makespans, answers, sharded, same
+        return makespans, same
 
-    makespans, answers, sharded, same = benchmark.pedantic(
+    makespans, same = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     report.section("makespan of 16 independent queries vs instances")
@@ -90,9 +70,6 @@ def test_ablation_cluster_scaleout(benchmark, bundle7, report):
             f"{instances} instances: makespan {makespans[instances]!r} "
             f"moved from the committed {pinned}"
         )
-    sharded_makespans, sharded_answers = sharded
-    assert sharded_makespans == makespans, "4-shard index moved the makespans"
-    assert sharded_answers == answers, "4-shard index changed the answers"
     # Near-linear scale-out over the measured range.
     assert makespans[2] < makespans[1] / 1.7
     assert makespans[4] < makespans[1] / 3.0

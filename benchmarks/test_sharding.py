@@ -26,7 +26,7 @@ import time
 from repro.core import Quepa
 from repro.core.augmentation import AugmentationConfig
 from repro.network import centralized_profile
-from repro.sharding import shard_aindex, shard_polystore
+from repro.sharding import shard_polystore
 from repro.workloads import QueryWorkload
 
 from .harness import write_bench_json
@@ -43,12 +43,8 @@ def _sharded_quepa(bundle, shards: int, placement: str):
     polystore = shard_polystore(
         bundle.polystore, shards=shards, placement=placement
     )
-    aindex = (
-        shard_aindex(bundle.aindex, shards=shards) if shards > 1
-        else bundle.aindex
-    )
     profile = centralized_profile(bundle.database_names())
-    return Quepa(polystore, aindex, profile=profile), polystore
+    return Quepa(polystore, bundle.aindex, profile=profile), polystore
 
 
 def _entity_lookup(bundle, quepa, level: int = 1):

@@ -42,10 +42,9 @@ pins. The construction that makes this possible:
   fixpoint of its base relations, independent of insertion order, so a
   delta is applied by excising the affected components (removing stale
   inferred edges and lineage with them — :meth:`AIndex.excise`) and
-  re-inserting their current base relations in canonical order. Works
-  unchanged against a :class:`~repro.sharding.aindex.ShardedAIndex`:
-  it is the same ``AIndex.excise``/``add`` code over a partitioned
-  node map, which files each adjacency entry under its owning shard.
+  re-inserting their current base relations in canonical order. On a
+  sharded polystore the index is the same one ``AIndex``: only the
+  stores are partitioned.
 
 Locking follows the PR 5 discipline: store fetches take ``store.lock``
 and index surgery holds the index mutex across excise + re-add, so a

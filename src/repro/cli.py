@@ -210,8 +210,8 @@ def _add_query_args(subparser) -> None:
     subparser.add_argument("--batch-size", type=int, default=64)
     subparser.add_argument("--threads-size", type=int, default=4)
     subparser.add_argument("--shards", type=int, default=1,
-                           help="partition every store and the A' index "
-                                "into this many shards (1 = unsharded)")
+                           help="partition every store into this many "
+                                "shards (1 = unsharded)")
     subparser.add_argument("--placement", default="hash",
                            choices=("hash", "range"),
                            help="shard placement scheme when --shards > 1")
@@ -357,17 +357,16 @@ def _real_runtime(polystore, time_scale: float) -> dict[str, Any]:
 
 def _load(args, **quepa_kwargs) -> Quepa:
     """The one ``Quepa``-from-snapshot builder: ``--shards`` and
-    ``--placement`` partition the stores and the A' index, and a command
-    with ``--time-scale`` (``serve``) runs on the wall clock."""
+    ``--placement`` partition the stores (the A' index stays one), and a
+    command with ``--time-scale`` (``serve``) runs on the wall clock."""
     polystore, aindex = load_snapshot(args.snapshot)
     shards = getattr(args, "shards", 1)
     if shards > 1:
-        from repro.sharding import shard_aindex, shard_polystore
+        from repro.sharding import shard_polystore
 
         polystore = shard_polystore(
             polystore, shards=shards, placement=args.placement
         )
-        aindex = shard_aindex(aindex, shards=shards)
     if hasattr(args, "time_scale"):
         quepa_kwargs.update(_real_runtime(polystore, args.time_scale))
     return Quepa(polystore, aindex, **quepa_kwargs)

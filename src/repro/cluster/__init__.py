@@ -4,10 +4,9 @@
 instances of the system that can answer independent queries in
 parallel." This package implements that deployment:
 :class:`~repro.cluster.cluster.QuepaCluster` runs N instances over one
-polystore and one A' index — plain or
-:class:`~repro.sharding.aindex.ShardedAIndex`, the caller's, not a copy
-— dispatches independent queries across them, and accounts completion
-times on the shared virtual clock.
+polystore and one A' index — the caller's, not a copy — dispatches
+independent queries across them, and accounts completion times on the
+shared virtual clock.
 """
 
 from repro.cluster.cluster import ClusterResult, DispatchPolicy, QuepaCluster

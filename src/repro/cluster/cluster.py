@@ -1,11 +1,9 @@
 """A cluster of QUEPA instances answering independent queries.
 
-Every instance plans against the one A' index the caller passes — an
-:class:`~repro.core.aindex.AIndex` or a
-:class:`~repro.sharding.aindex.ShardedAIndex`, which is the partitioned
-deployment — and owns its own cache, runtime and augmentation (so its
-own plan cache); the underlying polystore is shared (QUEPA stores no
-data). Index maintenance needs no side channel: a p-relation added to
+Every instance plans against the one :class:`~repro.core.aindex.AIndex`
+the caller passes and owns its own cache, runtime and augmentation (so
+its own plan cache); the underlying polystore is shared (QUEPA stores
+no data). Index maintenance needs no side channel: a p-relation added to
 the index, a promotion or a lazy deletion made by any instance is seen
 by every instance at its next refreeze. Queries submitted to the
 cluster are dispatched by policy:

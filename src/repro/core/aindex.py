@@ -269,14 +269,6 @@ class AIndex:
             for (a, b), supports in lineage.items():
                 self._record_lineage(a, b, supports)
 
-    # -- hook for a subclass that swaps ``_adjacency`` for another node map -------
-
-    def _freeze(self):
-        """A full rebuild of the snapshot (first freeze and compaction)."""
-        from repro.core.compressed import FrozenAIndex
-
-        return FrozenAIndex.freeze(self)
-
     # -- read snapshot ------------------------------------------------------------
 
     def frozen(self):
@@ -320,7 +312,9 @@ class AIndex:
                 self._adjacency, self._dirty, self.generation
             )
         if snapshot is None:
-            snapshot = self._freeze()
+            from repro.core.compressed import FrozenAIndex
+
+            snapshot = FrozenAIndex.freeze(self)
             self.compactions += 1
         self._dirty = {}
         return snapshot

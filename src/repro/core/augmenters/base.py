@@ -21,6 +21,11 @@ from repro.model.objects import AugmentedObject, DataObject, GlobalKey
 from repro.network.executor import ExecContext
 
 
+def _every_miss(index: int) -> bool:
+    """``ends_run`` for a run that ends at its first miss."""
+    return True
+
+
 @dataclass
 class AugmentationOutcome:
     """What executing an augmentation plan produced.
@@ -49,8 +54,8 @@ class AugmentationOutcome:
     #: ``BoundedLru.get_many`` runs the cache was probed in.
     probe_runs: int = 0
     #: Fetches and batch flushes that reached no store: barred by the
-    #: timeout budget, or a flush whose database was down under
-    #: ``skip_unavailable`` (not counted as issued).
+    #: timeout budget, or swallowed under ``skip_unavailable`` because
+    #: their database was down (not counted as issued).
     skipped_flushes: int = 0
     #: Databases skipped because they were unreachable (only populated
     #: when the configuration sets ``skip_unavailable``).
@@ -201,14 +206,13 @@ class Augmenter(ABC):
         ctx: ExecContext,
         keys: list[GlobalKey],
         start: int,
-        max_misses: int | None,
         into: AugmentationOutcome,
-        ends_run: Callable[[int], bool] | None = None,
+        ends_run: Callable[[int], bool],
     ) -> tuple[list[DataObject | None], int]:
-        """Probe ``keys[start:]`` in order up to the ``max_misses``-th
-        miss, or the miss ``ends_run`` ends the run on
-        (:meth:`BoundedLru.get_many`): one value per probe (``None`` =
-        miss), and the misses. The run is counted in ``into``.
+        """Probe ``keys[start:]`` in order up to the miss ``ends_run``
+        ends the run on (:meth:`BoundedLru.get_many`): one value per
+        probe (``None`` = miss), and the misses. The run is counted in
+        ``into``.
 
         The whole run's (small) per-probe CPU is charged here, so before
         anything the caller does with the result can read the clock — a
@@ -216,9 +220,7 @@ class Augmenter(ABC):
         accounting happens inside the cache; :meth:`execute` publishes
         the per-run delta to the obs metrics.
         """
-        values, misses = self.cache.get_many(
-            keys, start, max_misses, ends_run
-        )
+        values, misses = self.cache.get_many(keys, start, ends_run)
         ctx.cpu_repeat(self._probe_cost, len(values))
         into.probe_runs += 1
         return values, misses
@@ -244,7 +246,9 @@ class Augmenter(ABC):
             keys = keys[start:stop]
         position, total = 0, len(keys)
         while position < total:
-            values, misses = self._probe_run(ctx, keys, position, 1, into)
+            values, misses = self._probe_run(
+                ctx, keys, position, into, _every_miss
+            )
             end = position + len(values)
             if misses:
                 values.pop()
@@ -294,7 +298,7 @@ class Augmenter(ABC):
         position, total = 0, len(keys)
         while position < total:
             values, misses = self._probe_run(
-                ctx, keys, position, None, outcome, file_miss
+                ctx, keys, position, outcome, file_miss
             )
             run = range(position, position + len(values))
             position += len(values)
@@ -357,8 +361,9 @@ class Augmenter(ABC):
         self, ctx: ExecContext, row: int, into: AugmentationOutcome
     ) -> None:
         """One direct-access query for one plan row (cache-aside); its
-        object, or its absence, and whether a store was asked land in
-        ``into``."""
+        object, or its absence, and whether a store answered land in
+        ``into``: a fetch swallowed by ``skip_unavailable`` counts as
+        skipped, not issued."""
         key = self._keys[row]
         database = key.database
         if self._over_budget(ctx, database):
@@ -366,7 +371,6 @@ class Augmenter(ABC):
             # the optimizer trains on phantom store traffic.
             into.skipped_flushes += 1
             return
-        into.queries_issued += 1
         connector = self.registry.connector(database)
         with ctx.span("fetch", database=database) as span:
             try:
@@ -376,8 +380,10 @@ class Augmenter(ABC):
                     raise
                 self._note_fault(ctx, database, f"unavailable: {exc}")
                 span.attrs["skipped"] = True
+                into.skipped_flushes += 1
                 return
             span.attrs["found"] = obj is not None
+        into.queries_issued += 1
         if obj is None:
             if getattr(ctx, "last_call_truncated", False):
                 # The store dropped the tail of the reply: the object
@@ -398,8 +404,7 @@ class Augmenter(ABC):
         into: AugmentationOutcome,
     ) -> None:
         """One batch query for a per-database group of plan rows;
-        accounts into ``into`` like :meth:`_fetch_single`, except that a
-        flush swallowed by ``skip_unavailable`` counts as skipped too."""
+        accounts into ``into`` like :meth:`_fetch_single`."""
         if self._over_budget(ctx, database):
             into.skipped_flushes += 1
             return

@@ -59,22 +59,18 @@ class BoundedLru(Generic[K, V]):
         self,
         keys: Sequence[K],
         start: int = 0,
-        max_misses: int | None = None,
         ends_run: Callable[[int], bool] | None = None,
     ) -> tuple[list[V | None], int]:
         """Probe ``keys[start:]`` in order under one lock acquisition.
 
         Each probe is exactly a :meth:`get` — a hit refreshes recency,
         and one hit or miss is counted per probe, repeats included. The
-        run stops after the ``max_misses``-th miss, or after a miss at
-        ``keys[index]`` for which ``ends_run(index)`` returns true (it
-        runs under the lock, so it must not call back into the cache).
-        Returns one value per probe made (``None`` = miss) and the
-        number of misses, so the caller resumes at ``start +
-        len(values)``.
+        run stops after a miss at ``keys[index]`` for which
+        ``ends_run(index)`` returns true (it runs under the lock, so it
+        must not call back into the cache). Returns one value per probe
+        made (``None`` = miss) and the number of misses, so the caller
+        resumes at ``start + len(values)``.
         """
-        if max_misses is not None and max_misses < 1:
-            raise ValueError(f"max_misses must be >= 1, got {max_misses}")
         values: list[V | None] = []
         append = values.append
         misses = 0
@@ -89,9 +85,7 @@ class BoundedLru(Generic[K, V]):
                 append(value)
                 if value is None:
                     misses += 1
-                    if misses == max_misses or (
-                        ends_run is not None and ends_run(index)
-                    ):
+                    if ends_run is not None and ends_run(index):
                         break
                 else:
                     move_to_end(key)

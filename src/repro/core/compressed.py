@@ -166,7 +166,6 @@ class FrozenAIndex:
         targets: array,
         probabilities: array,
         is_identity: list[bool],
-        owned: int,
     ) -> None:
         self._keys = keys
         self._ids = ids
@@ -174,10 +173,10 @@ class FrozenAIndex:
         self._targets = targets
         self._probabilities = probabilities
         self._is_identity = is_identity
-        #: ``keys[:owned]`` are the base's nodes; the rest are ghosts
-        #: (see :meth:`freeze` and :meth:`_intern`), which no count or
-        #: iteration reports.
-        self._owned = owned
+        #: ``keys[:owned]`` are the base's nodes; the keys a patch
+        #: interns past them are ghosts (see :meth:`_intern`), which no
+        #: count or iteration reports.
+        self._owned = owned = len(keys)
         #: Per-node :data:`IdRow`, built from the CSR arrays the first
         #: time the planner expands the node: every seed of a plan
         #: revisits the hubs, but most nodes are never expanded, so a
@@ -211,11 +210,8 @@ class FrozenAIndex:
         """Build a snapshot of ``index`` in full (no overlay), preserving
         its iteration order.
 
-        Targets that are not themselves nodes of ``index`` are interned
-        as zero-degree ghost nodes appended after the real ones. A full
-        A' index never produces these (every edge endpoint is a node);
-        partition views of a sharded index do — their cross-shard
-        neighbour stubs point at nodes owned by other partitions.
+        Every arc's target is a node: the live index writes and drops
+        both arcs of an edge together.
         """
         offsets = array("l", [0])
         targets = array("l")
@@ -224,23 +220,15 @@ class FrozenAIndex:
         identity = RelationType.IDENTITY
         with index._mutex:
             keys = list(index._adjacency)
-            owned = len(keys)
             ids = {key: node for node, key in enumerate(keys)}
             for row in index._adjacency.values():
                 for other, (edge_type, probability) in row.items():
-                    target = ids.get(other)
-                    if target is None:
-                        target = ids[other] = len(keys)
-                        keys.append(other)
-                    targets.append(target)
+                    targets.append(ids[other])
                     probabilities.append(probability)
                     is_identity.append(edge_type is identity)
                 offsets.append(len(targets))
             generation = index.generation
-        offsets.extend([len(targets)] * (len(keys) - owned))
-        snapshot = cls(
-            keys, ids, offsets, targets, probabilities, is_identity, owned
-        )
+        snapshot = cls(keys, ids, offsets, targets, probabilities, is_identity)
         snapshot.generation = generation
         return snapshot
 

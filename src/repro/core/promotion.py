@@ -23,7 +23,8 @@ from repro.model.prelations import PRelation
 
 @dataclass(frozen=True)
 class PromotionPolicy:
-    """Threshold schedule: tau(length) = max(min_visits, base / (length - 1)).
+    """Threshold schedule:
+    tau(length) = max(min_visits, ceil(base / (2 * (length - 1)))).
 
     ``length`` is the number of edges in the path (>= 2 by definition of
     full path). With the defaults, a 2-edge path needs 12 visits, a

@@ -1,12 +1,8 @@
-"""Sharding: partitioned stores, a partitioned A' index, and
-scatter-gather augmentation with partition pruning."""
+"""Sharding: partitioned stores and scatter-gather augmentation with
+partition pruning. The A' index is not partitioned: every instance
+plans against one :class:`~repro.core.aindex.AIndex`."""
 
-from repro.sharding.aindex import (
-    ShardedAIndex,
-    ShardedFrozenAIndex,
-    default_index_placement,
-    shard_aindex,
-)
+from repro.core.aindex import AIndex
 from repro.sharding.connector import ShardConnector
 from repro.sharding.scheme import (
     HashScheme,
@@ -28,13 +24,25 @@ __all__ = [
     "PartitionScheme",
     "RangeScheme",
     "ShardConnector",
-    "ShardedAIndex",
-    "ShardedFrozenAIndex",
     "ShardedStore",
-    "default_index_placement",
     "hash_shard",
     "make_scheme",
     "partition_store",
     "shard_aindex",
     "shard_polystore",
 ]
+
+
+def shard_aindex(index: AIndex, shards: int) -> AIndex:
+    """A plain copy of ``index``: edges copied verbatim, lineage restored;
+    ``shards`` is ignored. It exists for the benchmark spine's import
+    (``sharding.freeze_ms`` freezes the copy) and goes with that probe
+    in ROADMAP item 2's ``[benchmark]`` change."""
+    copy = AIndex(enforce_consistency=index.enforce_consistency)
+    for node in index.nodes():
+        for neighbor in index.neighbors(node):
+            copy._set_edge(
+                node, neighbor.key, neighbor.type, neighbor.probability
+            )
+    copy.restore_lineage(index._lineage)
+    return copy

@@ -8,7 +8,6 @@ from repro.core.augmentation import Augmentation, AugmentationConfig
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation
 from repro.network import centralized_profile
-from repro.sharding.aindex import shard_aindex
 
 from tests.conftest import make_mini_aindex, make_mini_polystore
 from tests.test_plan_traversal import NeighborsOnly, plan_rows
@@ -194,13 +193,10 @@ class TestPlanCache:
         assert planner.plan([SEED], 1) is planner.plan([SEED], 1)
         assert planner.plan_cache_stats()["hits"] == 1
 
-    @pytest.mark.parametrize("shards", (None, 2))
-    def test_a_planner_built_on_a_snapshot_caches_too(self, shards):
+    def test_a_planner_built_on_a_snapshot_caches_too(self):
         """Regression: "mutable" was ``hasattr(index, "add")``, and the
         snapshots define ``add`` — to raise."""
         index = make_mini_aindex()
-        if shards:
-            index = shard_aindex(index, shards)
         planner = Augmentation(index.frozen())
         assert planner.plan([SEED], 1) is planner.plan([SEED], 1)
         stats = planner.plan_cache_stats()

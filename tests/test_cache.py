@@ -398,22 +398,20 @@ class TestBoundedLru:
     def test_get_many_counts_distinct_keys(self):
         """The run contract (the name predates it): one value and one
         counted probe per key *as listed*, repeats included, each
-        exactly a ``get``; ``start`` / ``max_misses`` bound the run."""
+        exactly a ``get``; ``start`` / ``ends_run`` bound the run."""
         lru = BoundedLru(4)
         lru.put_many([("a", 1), ("b", 2)])
         assert lru.get_many(["b", "x", "b", "a"]) == ([2, None, 2, 1], 1)
         assert (lru.hits, lru.misses) == (3, 1)
         assert [key for key, __ in lru.items()] == ["b", "a"]
-        # Stops on the second miss: "b" is never probed, "a" was.
+        # Ends on the miss at "y": "b" is never probed, "a" was.
         keys = ["b", "x", "a", "y", "b"]
-        assert lru.get_many(keys, start=1, max_misses=2) == (
-            [None, 1, None], 2,
-        )
+        assert lru.get_many(
+            keys, start=1, ends_run=lambda index: keys[index] == "y"
+        ) == ([None, 1, None], 2)
         assert (lru.hits, lru.misses) == (4, 3)
         assert [key for key, __ in lru.items()] == ["b", "a"]
         assert lru.get_many(keys, start=5) == ([], 0)
-        with pytest.raises(ValueError):
-            lru.get_many(keys, max_misses=0)
 
     def test_plan_cache_misses_on_a_new_snapshot(self):
         index = make_mini_aindex()

@@ -107,8 +107,10 @@ class TestOneQueryRunPath:
     @pytest.mark.parametrize("placement", ["hash", "range"])
     def test_faults_honours_shards(self, snapshot, placement, monkeypatch):
         """``_faults`` bypassed ``_load``: ``--shards`` was accepted and
-        ignored, so the fault drill never ran against a sharded system."""
-        from repro.sharding import ShardedAIndex, ShardedStore
+        ignored, so the fault drill never ran against a sharded system.
+        ``--shards`` partitions the stores; the A' index stays one."""
+        from repro.core.aindex import AIndex
+        from repro.sharding import ShardedStore
 
         built = []
 
@@ -125,7 +127,7 @@ class TestOneQueryRunPath:
         )
         assert code == 0, output
         (polystore, aindex, kwargs), = built
-        assert isinstance(aindex, ShardedAIndex)
+        assert type(aindex) is AIndex
         for name in polystore:
             store = polystore.database(name)
             assert isinstance(store, ShardedStore)

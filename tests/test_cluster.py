@@ -1,13 +1,7 @@
 """Tests for the multi-instance QUEPA deployment (Section III-A).
 
 Every instance of a cluster plans against the index the caller passes.
-Each behaviour runs over the three indexes that may be: the plain
-``AIndex`` (the base classes) and 1- and 3-shard ``shard_aindex``
-partitions of it (the ``...Sharded`` subclasses), the layout of
-``tests/test_aindex.py``.
 """
-
-import functools
 
 import pytest
 
@@ -16,7 +10,6 @@ from repro.errors import ConfigurationError
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation
 from repro.serving import QuepaServer, ServingConfig
-from repro.sharding import shard_aindex
 from repro.workloads import QueryWorkload
 
 K = GlobalKey.parse
@@ -25,20 +18,8 @@ DISINTEGRATION = "SELECT * FROM inventory WHERE name = 'Disintegration'"
 
 
 @pytest.fixture
-def partition():
-    """The index under test, made from a plain one: the plain index
-    itself here; ``_Sharded`` partitions it."""
-    return lambda index: index
-
-
-@pytest.fixture
-def aindex(partition, mini_aindex):
-    return partition(mini_aindex)
-
-
-@pytest.fixture
-def cluster(mini_polystore, aindex) -> QuepaCluster:
-    return QuepaCluster(mini_polystore, aindex, instances=3)
+def cluster(mini_polystore, mini_aindex) -> QuepaCluster:
+    return QuepaCluster(mini_polystore, mini_aindex, instances=3)
 
 
 def _keys(answer) -> set[str]:
@@ -56,24 +37,24 @@ def _seen_by_each(cluster, query, key) -> list[bool]:
 
 
 class TestConstruction:
-    def test_instances_share_the_callers_index(self, cluster, aindex):
+    def test_instances_share_the_callers_index(self, cluster, mini_aindex):
         """One index, no copy; each instance keeps its own runtime,
         cache and augmentation (so its own plan cache)."""
         instances = [cluster.instance(index) for index in range(3)]
         assert len(cluster) == 3
-        assert all(quepa.aindex is aindex for quepa in instances)
+        assert all(quepa.aindex is mini_aindex for quepa in instances)
         for part in ("runtime", "cache", "augmentation"):
             assert len({id(getattr(quepa, part)) for quepa in instances}) == 3
 
-    def test_zero_instances_rejected(self, mini_polystore, aindex):
+    def test_zero_instances_rejected(self, mini_polystore, mini_aindex):
         with pytest.raises(ConfigurationError):
-            QuepaCluster(mini_polystore, aindex, instances=0)
+            QuepaCluster(mini_polystore, mini_aindex, instances=0)
 
 
 class TestDispatch:
-    def test_round_robin_cycles(self, mini_polystore, aindex):
+    def test_round_robin_cycles(self, mini_polystore, mini_aindex):
         cluster = QuepaCluster(
-            mini_polystore, aindex, instances=2,
+            mini_polystore, mini_aindex, instances=2,
             policy=DispatchPolicy.ROUND_ROBIN,
         )
         picks = [
@@ -101,19 +82,16 @@ class TestDispatch:
             }
         assert len(cluster.drain().results) == 2
 
-    def test_makespan_shrinks_with_more_instances(
-        self, seven_store_bundle, partition
-    ):
+    def test_makespan_shrinks_with_more_instances(self, seven_store_bundle):
         """The paper's point: independent queries answer in parallel."""
         bundle = seven_store_bundle
-        aindex = partition(bundle.aindex)
         workload = QueryWorkload(bundle)
         queries = [workload.query("transactions", 40, variant=v)
                    for v in range(6)]
 
         def makespan(instances: int) -> float:
             cluster = QuepaCluster(
-                bundle.polystore, aindex, instances=instances
+                bundle.polystore, bundle.aindex, instances=instances
             )
             for query in queries:
                 cluster.submit(query.database, query.query)
@@ -150,18 +128,18 @@ class TestMaintenance:
     ``..._sync_on_drain`` ids predate the deletion of the cluster's own
     broadcasts and drain-time sync.)"""
 
-    def test_add_relation_broadcasts(self, cluster, aindex):
+    def test_add_relation_broadcasts(self, cluster, mini_aindex):
         i2 = K("similar.Item.i2")
         assert _seen_by_each(cluster, DISINTEGRATION, i2) == [False] * 3
-        aindex.add(
+        mini_aindex.add(
             PRelation.matching(K("transactions.inventory.a33"), i2, 0.7)
         )
         assert _seen_by_each(cluster, DISINTEGRATION, i2) == [True] * 3
 
-    def test_remove_object_broadcasts(self, cluster, aindex):
+    def test_remove_object_broadcasts(self, cluster, mini_aindex):
         d1 = K("catalogue.albums.d1")
         assert _seen_by_each(cluster, QUERY, d1) == [True] * 3
-        aindex.remove_object(d1)
+        mini_aindex.remove_object(d1)
         assert _seen_by_each(cluster, QUERY, d1) == [False] * 3
 
     def test_lazy_deletions_sync_on_drain(self, cluster, mini_polystore):
@@ -174,24 +152,26 @@ class TestMaintenance:
             assert K("catalogue.albums.d1") not in cluster.instance(index).aindex
 
     def test_lazy_deletion_survives_drain_without_wiping(
-        self, cluster, aindex, mini_polystore
+        self, cluster, mini_aindex, mini_polystore
     ):
         """A lazy deletion one instance finds removes exactly that node
-        — nothing else is lost, whatever the partitioning — and no
+        — nothing else is lost — and no
         other instance's answer carries it afterwards."""
-        before = set(aindex.nodes())
+        before = set(mini_aindex.nodes())
         victim = K("catalogue.albums.d1")
         mini_polystore.database("catalogue").delete_one("albums", "d1")
         first = cluster.submit("transactions", QUERY)
         assert first.answer.stats.missing_objects == 1
         cluster.drain()
-        assert set(aindex.nodes()) == before - {victim}
+        assert set(mini_aindex.nodes()) == before - {victim}
         assert _seen_by_each(cluster, QUERY, victim) == [False] * 3
 
-    def test_answers_unaffected_by_unrelated_deletion(self, cluster, aindex):
+    def test_answers_unaffected_by_unrelated_deletion(
+        self, cluster, mini_aindex
+    ):
         baseline = cluster.submit("transactions", QUERY, level=1).answer
         cluster.drain()
-        aindex.remove_object(K("similar.Item.i3"))
+        mini_aindex.remove_object(K("similar.Item.i3"))
         for __ in range(len(cluster)):
             repeat = cluster.submit("transactions", QUERY, level=1).answer
             assert _keys(repeat) == _keys(baseline)
@@ -213,36 +193,3 @@ class TestServing:
             )
         )
 
-
-# -- the same behaviour over a partitioned index -----------------------------
-
-
-class _Sharded:
-    @pytest.fixture(params=[1, 3], ids=["1-shard", "3-shards"])
-    def partition(self, request):
-        return functools.partial(shard_aindex, shards=request.param)
-
-
-class TestConstructionSharded(_Sharded, TestConstruction):
-    pass
-
-
-class TestDispatchSharded(_Sharded, TestDispatch):
-    pass
-
-
-class TestMaintenanceSharded(_Sharded, TestMaintenance):
-    pass
-
-
-class TestServingSharded(_Sharded, TestServing):
-    pass
-
-
-def test_three_shards_split_the_mini_index(mini_aindex):
-    """Guards the fixture: at three shards the mini index spreads over
-    every partition with edges between them, so the sharded cases above
-    do cross shard boundaries."""
-    sharded = shard_aindex(mini_aindex, shards=3)
-    assert all(sharded.partition_node_counts())
-    assert sharded.cross_edges()

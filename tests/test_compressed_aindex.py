@@ -1,8 +1,6 @@
 """Tests for the frozen A' index snapshot: the full CSR freeze, and
 the patched snapshots ``AIndex.frozen()`` publishes from it."""
 
-import functools
-
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -13,7 +11,6 @@ from repro.core.augmentation import Augmentation
 from repro.core.compressed import COMPACT_FRACTION, FrozenAIndex
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation, RelationType
-from repro.sharding import ShardedAIndex
 
 from tests.test_plan_traversal import assert_planned_like_reference, plan_rows
 
@@ -120,8 +117,7 @@ class TestImmutability:
 # -- patched ≡ rebuilt --------------------------------------------------------
 #
 # ``AIndex.frozen()`` publishes by patching the previous snapshot; the
-# full rebuild (``freeze``) is the oracle. One state machine, run over
-# the index contract's three storages (plain, 1 shard, 3 shards).
+# full rebuild (``freeze``) is the oracle.
 
 NODES = [GlobalKey(f"db{i % 3}", "c", f"n{i:02d}") for i in range(24)]
 #: Nodes no rule names (their rows still change, as neighbours): they
@@ -166,11 +162,9 @@ def reads(index):
 
 
 class SnapshotMachine(RuleBasedStateMachine):
-    new_index = AIndex
-
     def __init__(self):
         super().__init__()
-        self.index = self.new_index()
+        self.index = AIndex()
         for i, key in enumerate(BALLAST):
             self.index.add(PRelation.matching(key, BALLAST[i - 1], 0.5))
             self.index.add(PRelation.matching(key, NODES[i % 24], 0.4))
@@ -213,7 +207,7 @@ class SnapshotMachine(RuleBasedStateMachine):
         with pytest.raises(TypeError):
             snapshot.remove_object(NODES[0])
         # The oracle: a full rebuild of the live index, overlay-free.
-        oracle = self.index._freeze()
+        oracle = FrozenAIndex.freeze(self.index)
         assert oracle.overlay_nodes == 0
         expected = reads(oracle)
         assert reads(snapshot) == expected
@@ -230,6 +224,18 @@ class SnapshotMachine(RuleBasedStateMachine):
         share arrays with a pinned snapshot) writes through to it."""
         for snapshot, expected in self.pinned[-1:]:
             assert reads(snapshot) == expected
+
+    @invariant()
+    def every_arc_has_its_reverse(self):
+        """What a full freeze relies on: after any add, remove_object,
+        excise or remove_relation, every target of a live row is a node
+        whose row holds the reverse arc, of the same type and
+        probability."""
+        adjacency = self.index._adjacency
+        for a, row in adjacency.items():
+            for b, edge in row.items():
+                assert b in adjacency
+                assert adjacency[b].get(a) == edge
 
     @invariant()
     def lineage_index_is_exact(self):
@@ -250,23 +256,10 @@ class SnapshotMachine(RuleBasedStateMachine):
             assert reads(snapshot) == expected
 
 
-def _machine_case(factory):
-    machine = type("Machine", (SnapshotMachine,), {
-        "new_index": staticmethod(factory)
-    })
-    machine.TestCase.settings = settings(
-        max_examples=15, stateful_step_count=40, deadline=None
-    )
-    return machine.TestCase
-
-
-TestPatchedEqualsRebuiltPlain = _machine_case(AIndex)
-TestPatchedEqualsRebuiltOneShard = _machine_case(
-    functools.partial(ShardedAIndex, shards=1)
+SnapshotMachine.TestCase.settings = settings(
+    max_examples=15, stateful_step_count=40, deadline=None
 )
-TestPatchedEqualsRebuiltThreeShards = _machine_case(
-    functools.partial(ShardedAIndex, shards=3)
-)
+TestPatchedEqualsRebuiltPlain = SnapshotMachine.TestCase
 
 
 # -- when a publish patches and when it compacts -------------------------------
@@ -283,14 +276,7 @@ def _chain(new_index, length=40):
 
 
 class TestPublish:
-    @pytest.fixture(
-        params=[
-            AIndex,
-            functools.partial(ShardedAIndex, shards=1),
-            functools.partial(ShardedAIndex, shards=3),
-        ],
-        ids=["plain", "1-shard", "3-shards"],
-    )
+    @pytest.fixture(params=[AIndex], ids=["plain"])
     def new_index(self, request):
         return request.param
 
@@ -309,23 +295,16 @@ class TestPublish:
     def test_compactions_moves_exactly_when_an_overlay_passes_the_fraction(
         self, new_index
     ):
-        """The model: per partition (one, for a plain index), the nodes
-        touched since the base was built against COMPACT_FRACTION of the
-        nodes the base holds."""
+        """The model: the nodes touched since the base was built against
+        COMPACT_FRACTION of the nodes the base holds."""
         index, keys = _chain(new_index)
-        shard_of = getattr(index, "shard_of", lambda key: 0)
-        base = [shard_of(key) for key in keys]
         index.frozen()
         overlay: set[GlobalKey] = set()
         seen = {"patched": 0, "compacted": 0}
         for step, (left, right) in enumerate(zip(keys[::2], keys[1::2])):
             index.add(PRelation.matching(left, right, 0.5 + step / 100))
             overlay |= {left, right}
-            outgrown = any(
-                sum(shard_of(key) == shard for key in overlay)
-                > COMPACT_FRACTION * base.count(shard)
-                for shard in set(base)
-            )
+            outgrown = len(overlay) > COMPACT_FRACTION * len(keys)
             before = index.compactions
             snapshot = index.frozen()
             assert (index.compactions == before + 1) is outgrown

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Quepa
 from repro.core.augmentation import AugmentationConfig
+from repro.core.augmenters import available_augmenters
 from repro.errors import StoreUnavailableError
 from repro.model.objects import GlobalKey
 from repro.testing import DownStore, FlakyStore
@@ -89,17 +90,20 @@ class TestAugmentationUnderFailure:
         assert "catalogue.albums.d1" not in keys
         assert answer.stats.unavailable_databases == ("catalogue",)
 
-    def test_batch_skipped_flush_not_counted_as_query(self):
-        """Regression: a flush swallowed by ``skip_unavailable`` used to
-        count toward ``queries_issued`` even though no query ran."""
+    @pytest.mark.parametrize("augmenter", available_augmenters())
+    def test_batch_skipped_flush_not_counted_as_query(self, augmenter):
+        """Regression: a fetch or flush swallowed by ``skip_unavailable``
+        counted toward ``queries_issued`` even though no query ran (a
+        single fetch did so until every augmenter counted it skipped)."""
         polystore, aindex = polystore_with_down_catalogue()
         quepa = Quepa(polystore, aindex)
         config = AugmentationConfig(
-            augmenter="batch", batch_size=2, skip_unavailable=True
+            augmenter=augmenter, batch_size=2, threads_size=2,
+            skip_unavailable=True,
         )
         answer = quepa.augmented_search("transactions", QUERY, config=config)
-        # The local query plus one flush each for discount and similar;
-        # the failed catalogue flush is reported as skipped instead.
+        # The local query plus one fetch each for discount and similar;
+        # the failed catalogue fetch is reported as skipped instead.
         assert answer.stats.queries_issued == 3
         assert quepa.last_record.skipped_flushes == 1
         skips = quepa.obs.metrics.counter(

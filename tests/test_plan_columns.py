@@ -219,7 +219,9 @@ def test_a_patched_snapshot_plans_the_reference(edges, later):
     patched = index.frozen()
     assert patched.overlay_nodes
     seeds = NODES + [GlobalKey("db4", "c", f"l{b}") for b in range(10)]
-    assert_columns_are_the_reference(patched, seeds, oracle=index._freeze())
+    assert_columns_are_the_reference(
+        patched, seeds, oracle=FrozenAIndex.freeze(index)
+    )
 
 
 def test_a_generated_bundle_plans_the_reference(bundle):

@@ -6,13 +6,12 @@ every improvement builds a fetch, entries at the last depth are pushed
 and dropped when popped — kept verbatim as the oracle. The planner must
 return the same fetch list, fetch for fetch (key, probability, seed,
 path, order), and the same ``edges_examined``, whatever the index:
-a full snapshot and a patched one (by node id), a partition view with
-ghost nodes, sharded snapshots, a live index, a duck-typed one (by key).
+a full snapshot and a patched one (by node id), a live index, a
+duck-typed one (by key).
 The plan keeps columns; :func:`plan_rows` reads them back as
 :class:`Fetch` rows, paths rebuilt from the parent column.
 """
 
-import functools
 import heapq
 from typing import NamedTuple
 
@@ -24,8 +23,6 @@ from repro.core.augmentation import Augmentation, AugmentationPlan, _plan_view
 from repro.core.compressed import FrozenAIndex
 from repro.model.objects import GlobalKey
 from repro.model.prelations import PRelation
-from repro.sharding import ShardedAIndex
-from repro.sharding.aindex import _partition_index, shard_aindex
 
 K = GlobalKey.parse
 
@@ -139,25 +136,15 @@ class NeighborsOnly:
 
 
 def flavours(index):
-    """Every kind of index the planner is handed, built from ``index``.
-    Sharding may interleave a row's order differently, so each flavour
-    is its own oracle; only the full freeze promises the live order."""
+    """Every kind of index the planner is handed, built from ``index``,
+    with the index whose ``neighbors`` is its oracle (``None``: itself)."""
     yield "live", index, None
     yield "duck-typed", NeighborsOnly(index), index
     yield "frozen", FrozenAIndex.freeze(index), index
-    for shards in (1, 3):
-        sharded = shard_aindex(index, shards)
-        yield f"sharded/{shards}", sharded.frozen(), None
-        yield f"sharded/{shards} live", sharded, None
-        for shard in range(shards):
-            # Cross-shard neighbours are ghosts of a partition's snapshot.
-            yield f"partition {shard}/{shards}", FrozenAIndex.freeze(
-                _partition_index(sharded, shard)
-            ), None
 
 
-def build(edges, consistent=False, new_index=AIndex):
-    index = new_index(enforce_consistency=consistent)
+def build(edges, consistent=False):
+    index = AIndex(enforce_consistency=consistent)
     for a, b, probability, identity in edges:
         if a != b:
             make = PRelation.identity if identity else PRelation.matching
@@ -188,15 +175,10 @@ def test_every_index_plans_like_the_reference(edges, consistent):
     edges=st.lists(edge, min_size=4, max_size=30),
     later=st.lists(edge, min_size=1, max_size=6),
     dropped=st.sets(st.integers(0, 9), max_size=2),
-    shards=st.sampled_from([None, 1, 3]),
 )
-def test_a_patched_snapshot_plans_like_its_rebuild(
-    edges, later, dropped, shards
-):
+def test_a_patched_snapshot_plans_like_its_rebuild(edges, later, dropped):
     """Overlay rows are id rows, over keys the base never saw too."""
-    index = build(edges, new_index=AIndex if shards is None else (
-        functools.partial(ShardedAIndex, shards)
-    ))
+    index = build(edges)
     base = index.frozen()
     for a, b, p, identity in later:
         if a != b:
@@ -207,7 +189,7 @@ def test_a_patched_snapshot_plans_like_its_rebuild(
     for node in dropped:
         index.remove_object(NODES[node])
     patched = index.frozen()
-    rebuilt = index._freeze()
+    rebuilt = FrozenAIndex.freeze(index)
     seeds = NODES + [ABSENT] + [
         GlobalKey("db4", "c", f"late{b}") for b in range(10)
     ]
@@ -236,9 +218,7 @@ class TestTheRules:
         index.add(PRelation.matching(seed, b, 0.9))
         index.add(PRelation.matching(b, a, 0.9))
         index.add(PRelation.matching(a, c, 1.0))
-        for name, flavour, oracle in flavours(index):
-            if name.startswith("partition"):
-                continue  # one shard's part of the graph
+        for name, flavour, __ in flavours(index):
             fetches, edges = expand(flavour, seed, 1, 0.0)
             assert [(f.key, f.probability, f.path) for f in fetches] == [
                 (b, 0.9, (b,)),

@@ -47,16 +47,16 @@ ALL_AUGMENTERS = (
 # ---------------------------------------------------------------------------
 
 
-def reference_get_many(cache, keys, start, max_misses):
-    """``get`` per key of ``keys[start:]``, up to the ``max_misses``-th
-    miss."""
+def reference_get_many(cache, keys, start, first_miss_ends):
+    """``get`` per key of ``keys[start:]``, up to the first miss when
+    ``first_miss_ends``."""
     values, misses = [], 0
     for key in keys[start:]:
         value = cache.get(key)
         values.append(value)
         if value is None:
             misses += 1
-            if misses == max_misses:
+            if first_miss_ends:
                 break
     return values, misses
 
@@ -71,7 +71,7 @@ KEYS = st.sampled_from("abcdefgh")
         st.tuples(
             st.lists(KEYS, max_size=16),
             st.integers(0, 18),
-            st.one_of(st.none(), st.integers(1, 5)),
+            st.booleans(),
         ),
         min_size=1,
         max_size=4,
@@ -82,9 +82,10 @@ def test_get_many_is_the_loop_of_get(capacity, stored, runs):
     fast, twin = BoundedLru(capacity), BoundedLru(capacity)
     for cache in (fast, twin):
         cache.put_many((key, key.upper()) for key in stored)
-    for keys, start, max_misses in runs:
-        assert fast.get_many(keys, start, max_misses) == reference_get_many(
-            twin, keys, start, max_misses
+    for keys, start, first_miss_ends in runs:
+        ends_run = (lambda index: True) if first_miss_ends else None
+        assert fast.get_many(keys, start, ends_run) == reference_get_many(
+            twin, keys, start, first_miss_ends
         )
         assert fast.items() == twin.items()
         assert fast.stats() == twin.stats()
@@ -132,7 +133,7 @@ def test_get_many_ending_runs_is_the_loop_of_get(capacity, stored, runs):
             seen.append(index)
             return index in ends_at
 
-        assert fast.get_many(keys, start, None, ends_run) == (
+        assert fast.get_many(keys, start, ends_run) == (
             reference_ends_run(twin, keys, start, ends_at, expected_seen)
         )
         assert seen == expected_seen

@@ -31,7 +31,7 @@ from repro.obs.requests import ADAPTIVE_MIN_SAMPLES
 from repro.obs.trace import Tracer
 from repro.model import Polystore
 from repro.serving import QuepaServer, ServingConfig
-from repro.sharding import make_scheme, partition_store, shard_aindex
+from repro.sharding import make_scheme, partition_store
 from repro.ui.api import ApiError, QuepaApi
 from repro.workloads import PolystoreScale, build_polyphony
 from repro.workloads.queries import QueryWorkload
@@ -72,10 +72,9 @@ def test_trace_propagates_through_sharded_hedged_serving():
     for name, store in bundle.polystore.databases.items():
         placement = "range" if name == "transactions" else "hash"
         polystore.attach(name, partition_store(store, make_scheme(placement, 2)))
-    aindex = shard_aindex(bundle.aindex, shards=2)
     profile = centralized_profile(list(polystore))
     quepa = Quepa(
-        polystore, aindex, profile=profile, runtime=RealRuntime(profile)
+        polystore, bundle.aindex, profile=profile, runtime=RealRuntime(profile)
     )
     workload = QueryWorkload(bundle)
     database = "catalogue"

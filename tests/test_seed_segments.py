@@ -162,7 +162,7 @@ def test_a_patched_snapshot_files_its_own_segments(edges, later):
     patched = index.frozen()
     assert patched.overlay_nodes
     assert patched.segments.stats() == {"segments": 0, "rows": 0}
-    rebuilt = index._freeze()
+    rebuilt = FrozenAIndex.freeze(index)
     for level in LEVELS:
         for __ in range(2):  # traversed and filed, then copied
             planned(patched, seeds, level, 0.0, rebuilt)
@@ -183,7 +183,7 @@ def test_a_changed_row_is_not_read_from_the_base():
     index.add(PRelation.matching(NODES[0], NODES[5], 0.9))
     patched = index.frozen()
     assert patched.overlay_nodes and patched.segments is not base.segments
-    after = planned(patched, [NODES[0]], 0, 0.0, index._freeze())
+    after = planned(patched, [NODES[0]], 0, 0.0, FrozenAIndex.freeze(index))
     assert after.segments_reused == 0
     assert after.keys == [NODES[5]] + before.keys
     assert after.edges_examined == before.edges_examined + 1

@@ -1,4 +1,5 @@
-"""Unit tests for the sharding layer: schemes, stores, index, wiring."""
+"""Unit tests for the sharding layer: schemes, stores, the index copy,
+wiring."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from repro.sharding import (
     HashScheme,
     RangeScheme,
     ShardConnector,
-    ShardedAIndex,
     ShardedStore,
     hash_shard,
     make_scheme,
@@ -424,7 +424,7 @@ class TestRouting:
         assert routing.pruned == [0, 1]
 
 
-# -- sharded A' index --------------------------------------------------------
+# -- the A' index copy -------------------------------------------------------
 
 
 def _neighbor_sets(index, keys):
@@ -437,152 +437,19 @@ def _neighbor_sets(index, keys):
     }
 
 
-class TestShardedAIndex:
-    def test_insertion_matches_plain_aindex(self):
-        plain = AIndex()
-        sharded = ShardedAIndex(shards=3)
-        for relation in (
-            PRelation.identity(K("a.c.1"), K("b.c.2"), 0.9),
-            PRelation.identity(K("b.c.2"), K("c.c.3"), 0.8),
-            PRelation.matching(K("a.c.1"), K("d.c.4"), 0.7),
-            PRelation.matching(K("c.c.3"), K("e.c.5"), 0.6),
-        ):
-            plain.add(relation)
-            sharded.add(relation)
-        keys = set(plain.nodes())
-        assert set(sharded.nodes()) == keys
-        assert _neighbor_sets(sharded, keys) == _neighbor_sets(plain, keys)
-        assert sharded.edge_count() == plain.edge_count()
-        assert sharded.node_count() == plain.node_count()
-
-    def test_shard_aindex_copies_existing_index(self):
-        plain = make_mini_aindex()
-        sharded = shard_aindex(plain, shards=4)
-        keys = set(plain.nodes())
-        assert set(sharded.nodes()) == keys
-        assert _neighbor_sets(sharded, keys) == _neighbor_sets(plain, keys)
-        assert sharded.edge_count() == plain.edge_count()
-
-    def test_cross_edges_record_both_owners(self):
-        sharded = shard_aindex(make_mini_aindex(), shards=4)
-        for (a, b), (shard_a, shard_b) in sharded.cross_edges().items():
-            assert sharded.shard_of(a) == shard_a
-            assert sharded.shard_of(b) == shard_b
-            assert shard_a != shard_b
-        partition_total = sum(sharded.partition_node_counts())
-        assert partition_total == sharded.node_count()
-
-    def test_remove_object_clears_stubs_and_cross_entries(self):
-        sharded = shard_aindex(make_mini_aindex(), shards=4)
-        key = K("catalogue.albums.d1")
-        neighbors = [n.key for n in sharded.neighbors(key)]
-        removed = sharded.remove_object(key)
-        assert removed == len(neighbors)
-        assert key not in sharded
-        for other in neighbors:
-            assert key not in {n.key for n in sharded.neighbors(other)}
-        for pair in sharded.cross_edges():
-            assert key not in pair
-
-    def test_frozen_routes_like_live_index(self):
-        sharded = shard_aindex(make_mini_aindex(), shards=3)
-        frozen = sharded.frozen()
-        assert frozen is sharded.frozen()  # cached per generation
-        for key in sharded.nodes():
-            assert {
-                (n.key, n.type, n.probability) for n in frozen.neighbors(key)
-            } == {(n.key, n.type, n.probability) for n in sharded.neighbors(key)}
-            assert frozen.degree(key) == sharded.degree(key)
-        assert frozen.node_count() == sharded.node_count()
-        assert frozen.edge_count() == sharded.edge_count()
-        assert set(frozen.nodes()) == set(sharded.nodes())
-
-    def test_frozen_is_immutable(self):
-        frozen = shard_aindex(make_mini_aindex(), shards=2).frozen()
-        with pytest.raises(TypeError):
-            frozen.add(PRelation.identity(K("a.b.c"), K("d.e.f"), 0.5))
-        with pytest.raises(TypeError):
-            frozen.remove_object(K("a.b.c"))
-
-    def test_copy_keeps_class_partitioning_and_lineage(self):
-        """``shard_aindex`` is the one way left to copy an index. The copy
-        partitions exactly as an index built sharded does, and keeps the
-        lineage and the per-node index derived from it (deletions only
-        look there); a cascade on the copy leaves the source alone."""
-        source = _propagated_index(AIndex())
-        built = _propagated_index(ShardedAIndex(shards=4))
-        sharded = shard_aindex(source, shards=4)
-        assert type(sharded) is ShardedAIndex
-        assert sharded.shards == 4
-        assert sharded.partition_node_counts() == (
-            built.partition_node_counts()
-        )
-        assert sharded.cross_edges().keys() == built.cross_edges().keys()
-        assert source._lineage_by_node
-        assert sharded._lineage == source._lineage
-        assert sharded._lineage is not source._lineage
-        assert sharded._lineage_by_node == source._lineage_by_node
-        (pair, supports), *__ = source._lineage.items()
-        support = next(iter(supports))
-        assert sharded.remove_relation(*support, cascade=True) >= 2
-        assert sharded.relation(*pair) is None
-        assert source.relation(*pair) is not None
-
-    def test_cross_edges_are_canonical_pair_to_endpoint_owners(self):
-        """Regression: the owner tuple follows the *canonical* pair, not
-        the argument order of whichever call stored the edge — which
-        propagation and ``shard_aindex`` make arbitrary."""
-        built = _propagated_index(ShardedAIndex(shards=4))
-        copied = shard_aindex(_propagated_index(AIndex()), shards=4)
-        for sharded in (built, copied):
-            cross = sharded.cross_edges()
-            assert cross, "the build produced no cross-shard edge"
-            for (a, b), owners in cross.items():
-                assert str(a) <= str(b)
-                assert owners == (sharded.shard_of(a), sharded.shard_of(b))
-                assert owners[0] != owners[1]
-                assert sharded.relation(a, b) is not None
-        # Exactly the edges that straddle two partitions, each once.
-        straddling = {
-            frozenset((node, neighbor.key))
-            for node in built.nodes()
-            for neighbor in built.neighbors(node)
-            if built.shard_of(node) != built.shard_of(neighbor.key)
-        }
-        assert {frozenset(pair) for pair in built.cross_edges()} == straddling
-        assert len(built.cross_edges()) == len(straddling)
-
-
-def _propagated_index(index):
-    """Fill ``index`` so that most edges come from identity/matching
-    *propagation*, whose ``_set_edge`` calls put the endpoints in
-    whatever order the traversal met them — here mostly descending."""
-    keys = [K(f"db{i % 3}.c.k{i:02d}") for i in range(10)]
-    clique, rest = keys[:5], keys[5:]
-    for i in range(4, 0, -1):
-        index.add(PRelation.identity(clique[i], clique[i - 1], 0.9))
-    for key in rest:  # each fans out over the whole identity class
-        index.add(PRelation.matching(key, clique[0], 0.7))
-    return index
-
-
-class TestOneImplementation:
-    """Structural guard: the Consistency-Condition algorithm exists
-    once, so a second copy cannot quietly grow back in the sharded
-    index."""
-
-    def test_sharded_index_inherits_the_algorithm(self):
-        assert issubclass(ShardedAIndex, AIndex)
-        inherited = {
-            "add", "add_all", "_set_edge", "_propagate_identity",
-            "_propagate_matching", "_identity_class", "_record_lineage",
-            "neighbors", "neighbor_arcs", "relation", "degree",
-            "remove_object", "excise", "remove_relation", "is_inferred",
-        }
-        assert inherited.isdisjoint(vars(ShardedAIndex))
-        for name in inherited | {"frozen"}:
-            assert getattr(ShardedAIndex, name) is getattr(AIndex, name)
-        assert type(AIndex()._adjacency) is dict
+def test_shard_aindex_copies_existing_index():
+    """``shard_aindex`` partitions nothing: it returns a plain copy,
+    lineage included (``tests/test_api_completeness.py`` cascades on
+    one)."""
+    plain = make_mini_aindex()
+    copy = shard_aindex(plain, shards=4)
+    assert type(copy) is AIndex and copy is not plain
+    keys = set(plain.nodes())
+    assert set(copy.nodes()) == keys
+    assert _neighbor_sets(copy, keys) == _neighbor_sets(plain, keys)
+    assert copy.edge_count() == plain.edge_count()
+    assert copy._lineage == plain._lineage
+    assert copy._lineage_by_node == plain._lineage_by_node
 
 
 # -- wiring ------------------------------------------------------------------
@@ -591,7 +458,7 @@ class TestOneImplementation:
 class TestWiring:
     def test_registry_picks_shard_connector(self):
         polystore = shard_polystore(make_mini_polystore(), shards=2)
-        quepa = Quepa(polystore, shard_aindex(make_mini_aindex(), shards=2))
+        quepa = Quepa(polystore, make_mini_aindex())
         connector = quepa.registry.connector("transactions")
         assert isinstance(connector, ShardConnector)
 
@@ -602,7 +469,7 @@ class TestWiring:
 
     def test_explain_reports_shard_routing(self):
         polystore = shard_polystore(make_mini_polystore(), shards=2)
-        quepa = Quepa(polystore, shard_aindex(make_mini_aindex(), shards=2))
+        quepa = Quepa(polystore, make_mini_aindex())
         report = quepa.explain(
             "transactions",
             "SELECT * FROM inventory WHERE name LIKE '%wish%'",

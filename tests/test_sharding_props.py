@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import Quepa
 from repro.errors import QueryError
-from repro.sharding import shard_aindex, shard_polystore
+from repro.sharding import shard_polystore
 from repro.workloads import QueryWorkload
 
 PLACEMENTS = ("hash", "range")
@@ -66,8 +66,7 @@ def test_sharded_answers_match_unsharded(
     polystore = shard_polystore(
         small_bundle.polystore, shards=shards, placement=placement
     )
-    aindex = shard_aindex(small_bundle.aindex, shards=shards)
-    quepa = Quepa(polystore, aindex)
+    quepa = Quepa(polystore, small_bundle.aindex)
     workload = QueryWorkload(small_bundle)
     for database, query in _queries(workload):
         for level in (0, 1):
@@ -94,7 +93,7 @@ def test_single_shard_matches_unsharded_virtual_time(
     polystore = shard_polystore(
         small_bundle.polystore, shards=1, placement=placement
     )
-    quepa = Quepa(polystore, shard_aindex(small_bundle.aindex, shards=1))
+    quepa = Quepa(polystore, small_bundle.aindex)
     answer = quepa.augmented_search("transactions", query, level=1)
     assert _signature(answer) == _signature(expected)
     assert answer.stats.elapsed == expected.stats.elapsed
@@ -109,7 +108,7 @@ def test_hash_point_routing_prunes_partitions(small_bundle, shards):
     polystore = shard_polystore(
         small_bundle.polystore, shards=shards, placement="hash"
     )
-    quepa = Quepa(polystore, shard_aindex(small_bundle.aindex, shards=shards))
+    quepa = Quepa(polystore, small_bundle.aindex)
     workload = QueryWorkload(small_bundle)
     query = workload.query("transactions", 40, variant=1).query
     quepa.augmented_search("transactions", query, level=1)
@@ -129,7 +128,7 @@ def test_range_point_routing_cannot_prune(small_bundle):
     polystore = shard_polystore(
         small_bundle.polystore, shards=2, placement="range"
     )
-    quepa = Quepa(polystore, shard_aindex(small_bundle.aindex, shards=2))
+    quepa = Quepa(polystore, small_bundle.aindex)
     workload = QueryWorkload(small_bundle)
     query = workload.query("transactions", 40, variant=1).query
     quepa.augmented_search("transactions", query, level=1)
