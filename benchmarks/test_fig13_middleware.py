@@ -9,7 +9,7 @@ databases. Red 'X' marks out-of-memory runs.
 
 Claims checked:
 * QUEPA is the most performing at every point;
-* the ArangoDB variants pay a heavy warm-up and OOM as the polystore
+* the ArangoDB variants pay a heavy import and OOM as the polystore
   grows;
 * META-NAT goes out of memory at scale, META-AUG scales like QUEPA
   (linear, constant factor slower);

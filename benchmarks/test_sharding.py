@@ -26,7 +26,7 @@ import time
 from repro.core import Quepa
 from repro.core.augmentation import AugmentationConfig
 from repro.network import centralized_profile
-from repro.sharding import shard_polystore
+from repro.sharding import shard_aindex, shard_polystore
 from repro.workloads import QueryWorkload
 
 from .harness import write_bench_json
@@ -40,11 +40,16 @@ CONFIG = AugmentationConfig(augmenter="batch", batch_size=4096)
 
 
 def _sharded_quepa(bundle, shards: int, placement: str):
+    """A Quepa over ``shards`` partitions of the bundle's stores, planning
+    on its own copy of the A' index: a frozen snapshot keeps the seeds it
+    has planned, so a shared index would let only the first set-up pay
+    planning and ``cold_wall_s`` would stop comparing shard counts."""
     polystore = shard_polystore(
         bundle.polystore, shards=shards, placement=placement
     )
     profile = centralized_profile(bundle.database_names())
-    return Quepa(polystore, bundle.aindex, profile=profile), polystore
+    aindex = shard_aindex(bundle.aindex, shards=shards)
+    return Quepa(polystore, aindex, profile=profile), polystore
 
 
 def _entity_lookup(bundle, quepa, level: int = 1):

@@ -66,7 +66,6 @@ from repro.collector.matching import (
     _outranks,
     enforce_local_dedup,
 )
-from repro.errors import ConfigurationError
 from repro.model.objects import DataObject, GlobalKey
 from repro.model.polystore import Polystore
 from repro.model.prelations import PRelation, RelationType
@@ -149,12 +148,6 @@ class IncrementalCollector:
     ) -> None:
         self.matcher = matcher
         self.settings = settings or CollectorSettings()
-        if self.settings.max_candidate_pairs is not None:
-            raise ConfigurationError(
-                "incremental maintenance requires max_candidate_pairs=None: "
-                "a candidate cap depends on enumeration order, which has no "
-                "incremental equivalent"
-            )
         self._blocker = TokenBlocker(
             max_block_size=self.settings.max_block_size,
             min_token_length=self.settings.min_token_length,

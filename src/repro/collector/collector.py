@@ -25,8 +25,6 @@ class CollectorSettings:
 
     max_block_size: int = 50
     min_token_length: int = 3
-    #: Stop after this many candidate pairs (None = exhaustive).
-    max_candidate_pairs: int | None = None
     #: Keep collecting when a database is unreachable: its objects are
     #: skipped (and reported) instead of failing the whole run. The A'
     #: index stays correct — a skipped store just contributes no new
@@ -84,15 +82,8 @@ class Collector:
         report.skipped_databases = tuple(skipped)
         report.objects_scanned = len(objects)
 
-        pairs = []
-        for pair in self.blocker.candidate_pairs(objects):
-            pairs.append(pair)
-            report.candidate_pairs += 1
-            if (
-                self.settings.max_candidate_pairs is not None
-                and report.candidate_pairs >= self.settings.max_candidate_pairs
-            ):
-                break
+        pairs = list(self.blocker.candidate_pairs(objects))
+        report.candidate_pairs = len(pairs)
 
         relations = self.matcher.match_pairs(pairs)
         report.relations = relations

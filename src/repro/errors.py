@@ -99,6 +99,11 @@ class FaultError(StoreError):
 class StoreUnavailableError(FaultError):
     """A store could not be reached (down, timing out, flaky)."""
 
+    def __init__(self, message: str, database: str | None = None):
+        super().__init__(message)
+        #: The unreachable database, when the raiser knows it.
+        self.database = database
+
 
 class InjectedFaultError(StoreUnavailableError):
     """A configured fault schedule failed this call on purpose."""

@@ -240,7 +240,7 @@ class ResilienceManager:
         if not breaker.allow(ctx.now, trace_id=trace_id):
             self._count_fast_fail(database)
             raise CircuitOpenError(
-                f"{database}: circuit breaker is open"
+                f"{database}: circuit breaker is open", database
             )
         attempt = 1
         while True:

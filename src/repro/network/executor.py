@@ -546,7 +546,8 @@ class _VirtualContext(ExecContext):
             self._charge_failed_call(database, started, query, injected=True)
             raise InjectedFaultError(
                 f"{database}: injected fault (schedule seed "
-                f"{runtime.faults.seed})"
+                f"{runtime.faults.seed})",
+                database,
             )
         try:
             results = fn()
@@ -768,7 +769,9 @@ class _RealContext(ExecContext):
                 self._record_failed_call(
                     database, started, self.now, query, injected=True
                 )
-                raise InjectedFaultError(f"{database}: injected fault")
+                raise InjectedFaultError(
+                    f"{database}: injected fault", database
+                )
         try:
             results = fn()
         except StoreError:

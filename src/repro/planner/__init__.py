@@ -30,6 +30,7 @@ from repro.planner.plans import (
     MultiModelPlan,
     PhysicalPlan,
     PushdownPlan,
+    run_plan,
 )
 
 __all__ = [
@@ -51,4 +52,5 @@ __all__ = [
     "QueryContext",
     "answer_signature",
     "enumerate_plans",
+    "run_plan",
 ]

@@ -5,9 +5,9 @@ charges its execution actually makes — store roundtrips from the
 deployment profile, scan paging from per-collection cardinalities,
 push-down fetch schedules from the :class:`CostBasedOptimizer` formulas
 of :mod:`repro.optimizer.costbased`, and the middleware constants the
-strategies were promoted from. Cardinalities come from the per-store
-``explain()`` estimates plus the A' index plan, both available before
-any store is contacted on the clock.
+plans of :mod:`repro.planner.plans` charge. Cardinalities come from the
+per-store ``explain()`` estimates plus the A' index plan, both available
+before any store is contacted on the clock.
 
 Analytic formulas drift from measured reality (contention, cache
 behaviour, modelling gaps), so each strategy carries a learned
@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 from repro.core.augmentation import AugmentationConfig
 from repro.core.runlog import QueryFeatures
-from repro.middleware import etl, federated, multimodel
-from repro.middleware.base import SCAN_PAGE
 from repro.model.polystore import Polystore
 from repro.network.latency import DeploymentProfile
 from repro.optimizer.costbased import AssumedCosts, CostBasedOptimizer
+from repro.planner import plans
 from repro.planner.logical import QueryContext
 
 #: Documented estimated-vs-actual band for *uncalibrated* raw costs:
@@ -166,7 +165,7 @@ class PlanCostModel:
         roundtrip = self._roundtrip(database)
         total = 0.0
         for count in self.collection_stats(database).values():
-            pages = math.ceil(count / SCAN_PAGE) if count else 0
+            pages = math.ceil(count / plans.SCAN_PAGE) if count else 0
             total += pages * (roundtrip + cost.per_query_overhead)
             total += count * (
                 cost.per_object_service + cost.per_object_cpu
@@ -269,9 +268,9 @@ class PlanCostModel:
         for database in qctx.targets:
             scans += self.scan_cost(database)
             stats = self.collection_stats(database)
-            join_cpu += federated.CONVERT_CPU_PER_OBJECT * sum(stats.values())
-            join_cpu += federated.PROBE_CPU * seeds * len(stats)
-        convert = federated.CONVERT_CPU_PER_OBJECT * qctx.fetch_count
+            join_cpu += plans.CONVERT_CPU_PER_OBJECT * sum(stats.values())
+            join_cpu += plans.PROBE_CPU * seeds * len(stats)
+        convert = plans.CONVERT_CPU_PER_OBJECT * qctx.fetch_count
         breakdown = {
             "local_query": local,
             "scan": scans,
@@ -288,19 +287,19 @@ class PlanCostModel:
         staging_cpu = 0.0
         for database in qctx.targets:
             scans += self.scan_cost(database)
-            staging_cpu += etl.LOOKUP_BUILD_CPU * self.database_objects(
+            staging_cpu += plans.LOOKUP_BUILD_CPU * self.database_objects(
                 database
             )
         records = len(qctx.originals) + qctx.fetch_count
-        pipeline = records * etl.PIPELINE_STAGES * etl.PER_RECORD_STAGE_CPU
+        pipeline = records * plans.PIPELINE_STAGES * plans.PER_RECORD_STAGE_CPU
         breakdown = {
-            "startup": etl.STARTUP_COST,
+            "startup": plans.STARTUP_COST,
             "local_query": local,
             "scan": scans,
             "staging_cpu": staging_cpu,
             "pipeline": pipeline,
         }
-        total = etl.STARTUP_COST + local + scans + staging_cpu + pipeline
+        total = plans.STARTUP_COST + local + scans + staging_cpu + pipeline
         breakdown["total"] = total
         return total, breakdown
 
@@ -313,12 +312,12 @@ class PlanCostModel:
             scans += self.scan_cost(database)
             imported += self.database_objects(database)
         imported += self._index_edges()
-        import_cpu = multimodel.IMPORT_CPU_PER_OBJECT * imported
-        pressure = multimodel.memory_pressure(imported, self.memory_budget)
+        import_cpu = plans.IMPORT_CPU_PER_OBJECT * imported
+        pressure = plans.memory_pressure(imported, self.memory_budget)
         lookups = (
-            multimodel.LOOKUP_CPU * len(qctx.originals) * pressure
+            plans.LOOKUP_CPU * len(qctx.originals) * pressure
             + qctx.edges_examined * cost.aindex_edge_cost
-            + multimodel.LOOKUP_CPU * 2.0 * pressure * qctx.fetch_count
+            + plans.LOOKUP_CPU * 2.0 * pressure * qctx.fetch_count
         )
         breakdown = {
             "scan": scans,

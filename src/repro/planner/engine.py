@@ -21,13 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.augmentation import Augmentation, AugmentationConfig
-from repro.core.cache import LruCache
-from repro.core.connectors import ConnectorRegistry
-from repro.core.search import AugmentedAnswer, SearchStats, result_seeds
-from repro.errors import OutOfMemoryError, UnknownStrategyError
+from repro.core.search import result_seeds
+from repro.errors import UnknownStrategyError
 from repro.faults.resilience import ResilienceConfig, ResilienceManager
 from repro.model.polystore import Polystore
-from repro.network.executor import VirtualRuntime
 from repro.network.latency import DeploymentProfile, centralized_profile
 from repro.planner.costs import CalibrationStore, CostEstimate, PlanCostModel
 from repro.planner.enumerator import enumerate_plans
@@ -36,7 +33,7 @@ from repro.planner.logical import (
     PlanResult,
     QueryContext,
 )
-from repro.planner.plans import ExecutionEnv, PhysicalPlan, restrict_plan
+from repro.planner.plans import PhysicalPlan, restrict_plan, run_plan
 
 
 @dataclass
@@ -231,37 +228,20 @@ class FederatedEngine:
         return results
 
     def _run_plan(self, plan: PhysicalPlan, q: LogicalQuery) -> PlanResult:
-        """One plan on a fresh virtual runtime; OOM reported, not raised."""
-        runtime = VirtualRuntime(self.profile)
-        runtime.faults = self.faults
-        ctx = runtime.root()
-        env = ExecutionEnv(
-            ctx=ctx,
-            polystore=self.polystore,
-            aindex=self.aindex,
+        """One plan through :func:`~repro.planner.plans.run_plan`."""
+        return run_plan(
+            plan,
+            q,
+            self.polystore,
+            self.aindex,
+            self.profile,
             augmentation=self.augmentation,
-            registry=ConnectorRegistry(self.polystore, self.resilience),
-            cache=LruCache(self.config.cache_size),
-            resilience=self.resilience,
             memory_budget=self.memory_budget,
+            config=self.config,
+            resilience=self.resilience,
+            faults=self.faults,
             degrade=self.degrade,
-            base_config=self.config,
         )
-        try:
-            result = plan.execute(env, q)
-        except OutOfMemoryError as oom:
-            result = PlanResult(
-                strategy=plan.strategy,
-                answer=AugmentedAnswer(
-                    [], [], SearchStats(database=q.database, level=q.level)
-                ),
-                footprint=oom.footprint,
-                out_of_memory=True,
-                errors={"memory": str(oom)},
-            )
-        result.elapsed = runtime.elapsed
-        result.queries_issued = runtime.meter.total_queries
-        return result
 
     # -- explain ---------------------------------------------------------------
 

@@ -14,21 +14,24 @@ architectural route to the augmented objects:
 * **store-to-store cast** (``etl_cast``) — the ETL route (TALEND):
   stage every target store into lookup tables, then stream the answer
   rows through a fixed pipeline that resolves related objects;
-* **multi-model import** (``multimodel_import``) — the ARANGO route:
-  import the touched databases plus the A' index into one in-memory
-  engine and answer there under memory pressure.
+* **multi-model import** (``multimodel_import``) — the ARANGO route
+  (ARANGO-AUG): import the touched databases plus the A' index into one
+  in-memory engine and answer there under memory pressure.
 
-The cost *structure* of each route reuses the constants of the
-:mod:`repro.middleware` emulators it was promoted from, so the planner's
-trade-offs match Fig 13's. The answers, however, are all computed with
-full fidelity — same dedup, same probabilities, same ordering — which
-is the plan-equivalence invariant ``tests/test_planner_props.py`` checks.
+The middleware routes' cost constants are defined here, once: the
+planner's formulas (:mod:`repro.planner.costs`) predict them, and the
+Fig 13 middleware systems run these very plans. The answers are all
+computed with full fidelity — same dedup, same probabilities, same
+ordering — which is the plan-equivalence invariant
+``tests/test_planner_props.py`` checks. :func:`run_plan` executes one
+plan on a fresh virtual runtime for every caller.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.core.augmentation import (
     Augmentation,
@@ -45,13 +48,88 @@ from repro.core.search import (
     assemble_answer,
     result_seeds,
 )
-from repro.errors import StoreUnavailableError
-from repro.middleware import etl, federated, multimodel
-from repro.middleware.base import check_memory, page_scan
+from repro.errors import OutOfMemoryError, StoreUnavailableError
 from repro.model.objects import DataObject, GlobalKey
 from repro.model.polystore import Polystore
-from repro.network.executor import ExecContext
+from repro.network.executor import ExecContext, VirtualRuntime
+from repro.network.latency import DeploymentProfile
 from repro.planner.logical import LogicalQuery, PlanResult
+
+#: Page size of bulk collection scans through a middleware connector.
+SCAN_PAGE = 1000
+
+# collect_join (META-NAT)
+#: Middleware CPU to deserialize/convert one pulled object.
+CONVERT_CPU_PER_OBJECT = 0.0004
+#: Middleware CPU per hash-join probe.
+PROBE_CPU = 0.00002
+
+# etl_cast (TALEND)
+#: Workflow bootstrap (compiled job start-up), seconds.
+STARTUP_COST = 1.2
+#: Pipeline stages every record passes through.
+PIPELINE_STAGES = 3
+#: Middleware CPU per record per stage (row-at-a-time interpretation).
+PER_RECORD_STAGE_CPU = 0.0007
+#: CPU to insert one staged object into a lookup table.
+LOOKUP_BUILD_CPU = 0.000002
+
+# multimodel_import (ARANGO)
+#: CPU to import one object or index edge.
+IMPORT_CPU_PER_OBJECT = 0.00004
+#: In-memory lookup CPU per object.
+LOOKUP_CPU = 0.00001
+#: Memory-pressure multiplier at 100% of budget.
+PRESSURE_FACTOR = 6.0
+
+
+def memory_pressure(footprint: int, budget: int) -> float:
+    """Per-lookup cost multiplier of a ``footprint`` held against a memory
+    ``budget``: 1.0 when empty, growing quadratically with utilization
+    to :data:`PRESSURE_FACTOR` at (and beyond) a full budget."""
+    utilization = min(1.0, footprint / max(1, budget))
+    return 1.0 + (PRESSURE_FACTOR - 1.0) * utilization * utilization
+
+
+def check_memory(name: str, footprint: int, budget: int) -> None:
+    """The red X of Fig 13: ``name`` holds more objects than its budget."""
+    if footprint > budget:
+        raise OutOfMemoryError(
+            f"{name}: footprint {footprint} objects exceeds budget {budget}",
+            footprint=footprint,
+            budget=budget,
+        )
+
+
+def page_scan(
+    ctx: ExecContext,
+    store,
+    database: str,
+    collection: str,
+    page_size: int = SCAN_PAGE,
+    issue: Callable | None = None,
+) -> list[GlobalKey]:
+    """Pull a whole collection through a middleware connector, paged.
+
+    Charges one store roundtrip per page of ``page_size`` objects and
+    returns the global keys (middleware layers track footprints and
+    join keys; payloads live in the underlying stores either way).
+    ``issue`` optionally replaces the plain ``ctx.store_call`` — the
+    planner routes pages through the resilience layer with it, so an
+    open circuit breaker fails a scan exactly as it fails a fetch.
+    """
+    keys = [
+        GlobalKey(database, collection, local)
+        for local in store.collection_keys(collection)
+    ]
+    for page_start in range(0, len(keys), page_size):
+        page = keys[page_start:page_start + page_size]
+        op = lambda page=page: page  # noqa: E731
+        if issue is not None:
+            issue(ctx, database, op)
+        else:
+            ctx.store_call(database, op)
+    return keys
 
 
 @dataclass
@@ -88,7 +166,7 @@ def _locked_execute(store, query):
         return store.execute(query)
 
 
-def _issue(env: ExecutionEnv, database: str, op, query=None):
+def issue_call(env: ExecutionEnv, database: str, op, query=None):
     """One store call, through the resilience layer when attached."""
     if env.resilience is not None:
         return env.resilience.call(env.ctx, database, op, query=query)
@@ -107,7 +185,7 @@ def local_originals(
     store = env.polystore.database(q.database)
     op = lambda: _locked_execute(store, q.query)  # noqa: E731
     try:
-        results = _issue(env, q.database, op, query=q.query)
+        results = issue_call(env, q.database, op, query=q.query)
     except StoreUnavailableError as exc:
         if not env.degrade:
             raise
@@ -205,13 +283,22 @@ def _stats(q: LogicalQuery, strategy: str) -> SearchStats:
     return SearchStats(database=q.database, level=q.level, augmenter=strategy)
 
 
-def _degraded_empty(
-    strategy: str, q: LogicalQuery, exc: Exception
-) -> PlanResult:
-    """The answer every strategy gives when the home store is down."""
+def _empty(strategy: str, q: LogicalQuery, **fields) -> PlanResult:
+    """A result without an answer; ``fields`` say why."""
     return PlanResult(
         strategy=strategy,
         answer=AugmentedAnswer([], [], _stats(q, strategy)),
+        **fields,
+    )
+
+
+def degraded_empty(
+    strategy: str, q: LogicalQuery, exc: Exception
+) -> PlanResult:
+    """The answer every strategy gives when the home store is down."""
+    return _empty(
+        strategy,
+        q,
         degraded=True,
         unavailable=(q.database,),
         errors={q.database: f"unavailable: {exc}"},
@@ -227,7 +314,7 @@ def _assemble(
     return assemble_answer(originals, rows, _stats(q, strategy))
 
 
-def _staged_result(
+def staged_result(
     strategy: str,
     q: LogicalQuery,
     originals: list[DataObject],
@@ -315,7 +402,7 @@ class PushdownPlan(PhysicalPlan):
         ctx = env.ctx
         originals, failure = local_originals(env, q)
         if originals is None:
-            return _degraded_empty(self.strategy, q, failure)
+            return degraded_empty(self.strategy, q, failure)
         seeds = result_seeds(originals)
         plan = env.augmentation.plan(seeds, q.level, q.min_probability)
         ctx.cpu(plan.edges_examined * ctx.cost_model.aindex_edge_cost)
@@ -347,12 +434,12 @@ class PushdownPlan(PhysicalPlan):
 class CollectJoinPlan(PhysicalPlan):
     """Pull target collections into middleware memory and hash-join.
 
-    Cost structure of :class:`~repro.middleware.federated.FederatedMiddleware`
-    in native mode: every target collection is scanned page by page into
-    a footprint-checked staging area (rows plus hash build table), join
-    CPU is paid per probe, and matched objects are converted into the
-    middleware's row model. No A' index traversal is charged — the joins
-    discover relatedness from the values themselves.
+    META-NAT's architecture (Apache Metamodel's own operators): every
+    target collection is scanned page by page into a footprint-checked
+    staging area (rows plus hash build table), join CPU is paid per
+    probe, and matched objects are converted into the middleware's row
+    model. No A' index traversal is charged — the joins discover
+    relatedness from the values themselves.
     """
 
     strategy = "collect_join"
@@ -363,7 +450,7 @@ class CollectJoinPlan(PhysicalPlan):
         budget = env.memory_budget
         originals, failure = local_originals(env, q)
         if originals is None:
-            return _degraded_empty(self.strategy, q, failure)
+            return degraded_empty(self.strategy, q, failure)
         footprint = len(originals)
         check_memory(self.strategy, footprint, budget)
         seeds = result_seeds(originals)
@@ -376,16 +463,16 @@ class CollectJoinPlan(PhysicalPlan):
                 # Pulled rows plus the hash-join build table over them.
                 footprint += 2 * len(keys)
                 check_memory(self.strategy, footprint, budget)
-                ctx.cpu(federated.CONVERT_CPU_PER_OBJECT * len(keys))
-                ctx.cpu(federated.PROBE_CPU * len(seeds))
+                ctx.cpu(CONVERT_CPU_PER_OBJECT * len(keys))
+                ctx.cpu(PROBE_CPU * len(seeds))
             staged.add(database)
         fetches = rows_in(plan, staged)
         # Joined matches are converted into the middleware's row model.
-        ctx.cpu(federated.CONVERT_CPU_PER_OBJECT * len(fetches))
+        ctx.cpu(CONVERT_CPU_PER_OBJECT * len(fetches))
         rows = materialize(env, plan, fetches)
         footprint += len(rows.values)
         check_memory(self.strategy, footprint, budget)
-        return _staged_result(
+        return staged_result(
             self.strategy, q, originals, rows, plan, targets, lost,
             footprint,
         )
@@ -399,11 +486,11 @@ class CollectJoinPlan(PhysicalPlan):
 class EtlCastPlan(PhysicalPlan):
     """Stage every target store, then stream rows through the pipeline.
 
-    Cost structure of :class:`~repro.middleware.etl.EtlWorkflow`: fixed
-    start-up, one full scan per target store into lookup tables
-    (streamed — no OOM, Talend spills), then row-at-a-time pipeline CPU
-    for every answer row and every resolved related object (duplicates
-    included; the output is distinct).
+    TALEND's architecture (a compiled Talend workflow): fixed start-up,
+    one full scan per target store into lookup tables (streamed — no
+    OOM, Talend spills), then row-at-a-time pipeline CPU for every
+    answer row and every resolved related object (duplicates included;
+    the output is distinct).
     """
 
     strategy = "etl_cast"
@@ -411,24 +498,24 @@ class EtlCastPlan(PhysicalPlan):
 
     def execute(self, env: ExecutionEnv, q: LogicalQuery) -> PlanResult:
         ctx = env.ctx
-        ctx.cpu(etl.STARTUP_COST)
+        ctx.cpu(STARTUP_COST)
         targets = q.resolve_targets(env.polystore)
         staged: set[str] = set()
         lost: dict[str, str] = {}
         for database, collections in stage_databases(env, targets, lost):
             for keys in collections:
-                ctx.cpu(etl.LOOKUP_BUILD_CPU * len(keys))
+                ctx.cpu(LOOKUP_BUILD_CPU * len(keys))
             staged.add(database)
         originals, failure = local_originals(env, q)
         if originals is None:
-            return _degraded_empty(self.strategy, q, failure)
+            return degraded_empty(self.strategy, q, failure)
         seeds = result_seeds(originals)
         plan = env.augmentation.plan(seeds, q.level, q.min_probability)
         fetches = rows_in(plan, staged)
         records = len(originals) + len(fetches)
-        ctx.cpu(records * etl.PIPELINE_STAGES * etl.PER_RECORD_STAGE_CPU)
+        ctx.cpu(records * PIPELINE_STAGES * PER_RECORD_STAGE_CPU)
         rows = materialize(env, plan, fetches)
-        return _staged_result(
+        return staged_result(
             self.strategy, q, originals, rows, plan, targets, lost
         )
 
@@ -441,11 +528,11 @@ class EtlCastPlan(PhysicalPlan):
 class MultiModelPlan(PhysicalPlan):
     """Import the touched databases plus the A' index, answer in memory.
 
-    Cost structure of :class:`~repro.middleware.multimodel.MultiModelStore`
-    in augmented mode: per-object import CPU at warm-up (footprint
-    checked against the budget), then per-lookup CPU inflated by the
-    quadratic memory-pressure factor. The home database must import
-    successfully for the local query to run at all.
+    ARANGO-AUG's architecture (ArangoDB as data store and index, queried
+    QUEPA-style): per-object import CPU (footprint checked against the
+    budget), then per-lookup CPU inflated by the quadratic
+    memory-pressure factor (:meth:`lookups`). The home database must
+    import successfully for the local query to run at all.
     """
 
     strategy = "multimodel_import"
@@ -465,10 +552,10 @@ class MultiModelPlan(PhysicalPlan):
             staged.add(database)
         imported += env.aindex.edge_count()
         check_memory(self.strategy, imported, budget)
-        ctx.cpu(multimodel.IMPORT_CPU_PER_OBJECT * imported)
-        pressure = multimodel.memory_pressure(imported, budget)
+        ctx.cpu(IMPORT_CPU_PER_OBJECT * imported)
+        pressure = memory_pressure(imported, budget)
         if q.database not in staged:
-            result = _degraded_empty(
+            result = degraded_empty(
                 self.strategy, q, StoreUnavailableError(lost[q.database])
             )
             result.errors = lost
@@ -479,14 +566,87 @@ class MultiModelPlan(PhysicalPlan):
         # under pressure, no network roundtrip.
         store = env.polystore.database(q.database)
         originals = list(_locked_execute(store, q.query))
-        ctx.cpu(multimodel.LOOKUP_CPU * len(originals) * pressure)
+        ctx.cpu(LOOKUP_CPU * len(originals) * pressure)
         seeds = result_seeds(originals)
         plan = env.augmentation.plan(seeds, q.level, q.min_probability)
-        ctx.cpu(plan.edges_examined * ctx.cost_model.aindex_edge_cost)
         fetches = rows_in(plan, staged.intersection(targets))
-        ctx.cpu(multimodel.LOOKUP_CPU * 2.0 * pressure * len(fetches))
+        self.lookups(ctx, plan, len(fetches), pressure)
         rows = materialize(env, plan, fetches)
-        return _staged_result(
+        return staged_result(
             self.strategy, q, originals, rows, plan, targets, lost,
             imported,
         )
+
+    def lookups(
+        self, ctx: ExecContext, plan: AugmentationPlan, count: int,
+        pressure: float,
+    ) -> None:
+        """QUEPA's loop in memory: plan on the imported index, then two
+        lookups for each of the ``count`` planned objects."""
+        ctx.cpu(plan.edges_examined * ctx.cost_model.aindex_edge_cost)
+        ctx.cpu(LOOKUP_CPU * 2.0 * pressure * count)
+
+
+# ---------------------------------------------------------------------------
+# The plan runner
+# ---------------------------------------------------------------------------
+
+
+def run_plan(
+    plan: PhysicalPlan,
+    q: LogicalQuery,
+    polystore: Polystore,
+    aindex,
+    profile: DeploymentProfile,
+    *,
+    augmentation: Augmentation | None = None,
+    memory_budget: int = 200_000,
+    config: AugmentationConfig | None = None,
+    resilience=None,
+    faults=None,
+    degrade: bool = True,
+) -> PlanResult:
+    """Run ``plan`` to completion on a fresh virtual runtime.
+
+    Each run gets its own clock, cache and connector registry, so runs
+    are independent and their virtual times comparable; ``faults`` is
+    armed on the runtime. A run that outgrows ``memory_budget`` (the red
+    X of Fig 13), or that loses a store with ``degrade`` off, returns an
+    empty answer saying why instead of raising.
+    """
+    runtime = VirtualRuntime(profile)
+    runtime.faults = faults
+    config = config or AugmentationConfig()
+    env = ExecutionEnv(
+        ctx=runtime.root(),
+        polystore=polystore,
+        aindex=aindex,
+        augmentation=augmentation or Augmentation(aindex),
+        registry=ConnectorRegistry(polystore, resilience),
+        cache=LruCache(config.cache_size),
+        resilience=resilience,
+        memory_budget=memory_budget,
+        degrade=degrade,
+        base_config=config,
+    )
+    try:
+        result = plan.execute(env, q)
+    except OutOfMemoryError as oom:
+        result = _empty(
+            plan.strategy,
+            q,
+            footprint=oom.footprint,
+            out_of_memory=True,
+            errors={"memory": str(oom)},
+        )
+    except StoreUnavailableError as exc:
+        lost = exc.database or "store"
+        result = _empty(
+            plan.strategy,
+            q,
+            unavailable=(lost,),
+            errors={lost: f"unavailable: {exc}"},
+        )
+    result.elapsed = runtime.elapsed
+    result.queries_issued = runtime.meter.total_queries
+    return result

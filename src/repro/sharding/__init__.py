@@ -36,8 +36,8 @@ __all__ = [
 def shard_aindex(index: AIndex, shards: int) -> AIndex:
     """A plain copy of ``index``: edges copied verbatim, lineage restored;
     ``shards`` is ignored. It exists for the benchmark spine's import
-    (``sharding.freeze_ms`` freezes the copy) and goes with that probe
-    in ROADMAP item 2's ``[benchmark]`` change."""
+    (``sharding.freeze_ms`` freezes the copy) and for the sharding
+    sweep, which plans each set-up on its own copy."""
     copy = AIndex(enforce_consistency=index.enforce_consistency)
     for node in index.nodes():
         for neighbor in index.neighbors(node):

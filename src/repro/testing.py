@@ -49,7 +49,8 @@ class FlakyStore(Store):
             self.failures += 1
             raise StoreUnavailableError(
                 f"{self.database_name or 'store'}: injected failure "
-                f"(call {self.calls})"
+                f"(call {self.calls})",
+                self.database_name,
             )
 
     # -- Store contract, with injection ------------------------------------

@@ -3,8 +3,9 @@
 The tracing/metrics layer reads the virtual clock but never charges it,
 so the figure benchmarks must reproduce the committed seed results
 bit-for-bit. This smoke test recomputes representative Fig 9 sweep
-points and compares them — formatted exactly as the results file is
-written (six decimal places) — against ``benchmarks/results``.
+points and the 4-store column of Fig 13(c), and compares them —
+formatted exactly as the results file is written (six decimal places)
+— against ``benchmarks/results``.
 """
 
 import re
@@ -15,11 +16,15 @@ import pytest
 from repro.core.augmentation import AugmentationConfig
 from repro.workloads import PolystoreScale, QueryWorkload, build_polyphony
 
+from benchmarks.conftest import QUERY_SIZES, get_bundle
 from benchmarks.harness import run_cold_warm
+from benchmarks.test_fig13_middleware import middleware_systems, quepa_time
 
-RESULTS = (
-    Path(__file__).resolve().parent.parent
-    / "benchmarks" / "results" / "fig09_batch_size_sweep.txt"
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+RESULTS = RESULTS_DIR / "fig09_batch_size_sweep.txt"
+FIG13_RESULTS = RESULTS_DIR / "fig13_store_count_scalability.txt"
+FIG13_SYSTEMS = (
+    "QUEPA", "META-NAT", "META-AUG", "TALEND", "ARANGO-NAT", "ARANGO-AUG"
 )
 # Two points per augmenter keep the guard under a few seconds while
 # covering both the query-bound and the overhead-bound ends of Fig 9.
@@ -80,3 +85,26 @@ class TestFig09Unchanged:
         assert f"{times.cold:.6f}" == expected_cold
         assert f"{times.warm:.6f}" == seed_warm[(augmenter, batch_size)]
         assert times.queries_issued == expected_queries
+
+
+FIG13_LINE = re.compile(r"stores=4\s+system=(\S+)\s+cold_s=([\d.]+)")
+
+
+@pytest.fixture(scope="module")
+def fig13_four_stores():
+    """Every Fig 13(c) system's cold time at 4 stores, run exactly as the
+    figure runs them (the figure's query size, systems and budget; the
+    committed rows are the default scale, so ``REPRO_FULL`` is unset)."""
+    bundle = get_bundle(4)
+    query = QueryWorkload(bundle).query("catalogue", QUERY_SIZES[1])
+    cold = {"QUEPA": quepa_time(bundle, query, 0)}
+    for system in middleware_systems(bundle):
+        cold[system.name] = system.run(query, level=0).elapsed
+    return cold
+
+
+class TestFig13Unchanged:
+    @pytest.mark.parametrize("system", FIG13_SYSTEMS)
+    def test_four_store_row_bit_identical(self, fig13_four_stores, system):
+        committed = dict(FIG13_LINE.findall(FIG13_RESULTS.read_text()))
+        assert f"{fig13_four_stores[system]:.6f}" == committed[system]

@@ -18,11 +18,9 @@ import pytest
 
 from repro.cdc import ChangeHub, IncrementalCollector
 from repro.collector import Collector, JaroWinklerComparator, PairwiseMatcher
-from repro.collector.collector import CollectorSettings
 from repro.collector.matching import AttributeRule
 from repro.core import Quepa
 from repro.core.aindex import AIndex
-from repro.errors import ConfigurationError
 from repro.model import Polystore
 from repro.sharding import shard_polystore
 from repro.stores import (
@@ -236,11 +234,6 @@ class TestBootstrap:
         report = hub.bootstrap()
         assert report.objects_scanned > 0
         assert index_signature(index) == batch_signature(polystore)
-
-    def test_rejects_candidate_cap(self):
-        settings = CollectorSettings(max_candidate_pairs=10)
-        with pytest.raises(ConfigurationError):
-            IncrementalCollector(make_matcher(), settings)
 
 
 class TestIncrementalEqualsBatch:

@@ -139,8 +139,9 @@ def key_texts(pairs) -> list[tuple[str, str]]:
 
 
 class TestYieldOrder:
-    """The batch collector's ``max_candidate_pairs`` cap keeps a prefix
-    of the enumeration, so the sequence is part of the contract."""
+    """The matcher scores pairs, and the A' index files relations, in
+    the order the blocker emits them, so the sequence is part of the
+    contract."""
 
     @pytest.mark.parametrize("corpus", [polyphony_objects, contested_objects])
     def test_token_blocker_sequence(self, corpus):

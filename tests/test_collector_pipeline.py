@@ -4,7 +4,6 @@ import pytest
 
 from repro.collector import (
     Collector,
-    CollectorSettings,
     GeneticTuner,
     JaroWinklerComparator,
     PairwiseMatcher,
@@ -62,13 +61,6 @@ class TestCollector:
                 GlobalKey("catalogue", "albums", f"d{i}"),
             )
             assert relation is not None
-
-    def test_candidate_cap_respected(self):
-        polystore = build_two_store_polystore()
-        aindex = AIndex()
-        settings = CollectorSettings(max_candidate_pairs=1)
-        report = Collector(title_matcher(), settings).collect(polystore, aindex)
-        assert report.candidate_pairs == 1
 
     def test_report_counts_consistent(self):
         polystore = build_two_store_polystore()

@@ -31,7 +31,7 @@ class TestFederated:
         )
         result = system.run(workload.query("catalogue", 20), level=0)
         assert not result.out_of_memory
-        assert result.answer_size > 20
+        assert len(result.answer) > 20
         assert result.elapsed > 0
 
     def test_redis_objects_unreachable_through_meta(self, env):
@@ -47,7 +47,7 @@ class TestFederated:
 
         quepa = Quepa(bundle.polystore, bundle.aindex, profile=profile)
         answer = quepa.augmented_search(query.database, query.query, level=0)
-        assert result.answer_size < len(answer)
+        assert len(result.answer) < len(answer)
 
     def test_kv_target_query_rejected(self, env):
         bundle, profile, workload = env
@@ -74,7 +74,7 @@ class TestFederated:
         )
         result = system.run(workload.query("catalogue", 100))
         assert result.out_of_memory
-        assert result.marker == "X"
+        assert len(result.answer) == 0
         assert result.footprint > 500
 
 
@@ -83,7 +83,7 @@ class TestEtl:
         bundle, profile, workload = env
         system = EtlWorkflow(bundle, profile, memory_budget=BIG_BUDGET)
         result = system.run(workload.query("catalogue", 10))
-        from repro.middleware.etl import STARTUP_COST
+        from repro.planner.plans import STARTUP_COST
 
         assert result.elapsed >= STARTUP_COST
 
@@ -102,27 +102,6 @@ class TestEtl:
 
 
 class TestMultiModel:
-    def test_cold_run_pays_warmup(self, env):
-        bundle, profile, workload = env
-        system = MultiModelStore(
-            bundle, profile, mode="native", memory_budget=BIG_BUDGET
-        )
-        query = workload.query("catalogue", 20)
-        cold = system.run(query)
-        warm = system.run(query)
-        assert cold.elapsed > warm.elapsed * 2
-
-    def test_reset_cache_returns_to_cold(self, env):
-        bundle, profile, workload = env
-        system = MultiModelStore(
-            bundle, profile, mode="augmented", memory_budget=BIG_BUDGET
-        )
-        query = workload.query("catalogue", 20)
-        cold = system.run(query)
-        system.reset_cache()
-        again = system.run(query)
-        assert again.elapsed == pytest.approx(cold.elapsed, rel=0.2)
-
     def test_ooms_when_polystore_exceeds_budget(self, env):
         bundle, profile, workload = env
         system = MultiModelStore(bundle, profile, memory_budget=1000)
@@ -145,21 +124,20 @@ class TestMultiModel:
 
         quepa = Quepa(bundle.polystore, bundle.aindex, profile=profile)
         full = quepa.augmented_search(query.database, query.query, level=0)
-        assert result.answer_size < len(full)
+        assert len(result.answer) < len(full)
 
     def test_memory_pressure_slows_warm_queries(self, env):
+        """The in-memory answer (what a warm run would be) slows as the
+        import fills the budget: on two cold runs that import the same
+        objects, the one held against an exactly full budget is slower."""
         bundle, profile, workload = env
         query = workload.query("catalogue", 50)
         roomy = MultiModelStore(
             bundle, profile, mode="native", memory_budget=BIG_BUDGET
-        )
+        ).run(query)
         tight = MultiModelStore(
-            bundle, profile, mode="native",
-            memory_budget=int(BIG_BUDGET / 2000),
-        )
-        roomy.run(query)
-        tight.run(query)
-        warm_roomy = roomy.run(query)
-        warm_tight = tight.run(query)
-        if not warm_tight.out_of_memory:
-            assert warm_tight.elapsed > warm_roomy.elapsed
+            bundle, profile, mode="native", memory_budget=roomy.footprint
+        ).run(query)
+        assert not tight.out_of_memory
+        assert tight.footprint == roomy.footprint
+        assert tight.elapsed > roomy.elapsed

@@ -9,9 +9,9 @@ Three families of edge behaviour the benchmark suites never hit:
   middleware's row model: ``GlobalKey`` parse/str round-trips and
   ``multi_get`` returns the exact stored objects, which is what makes
   the planner's materialized strategies bit-identical to push-down;
-* **unavailability** — ``MiddlewareSystem.run`` reports a
-  :class:`StoreUnavailableError` on the result (``unavailable=...``)
-  instead of raising, mirroring the OOM red-X behaviour.
+* **unavailability** — ``MiddlewareSystem.run`` reports an unreachable
+  store on the result (``unavailable=...``) instead of raising or
+  returning a half answer, mirroring the OOM red-X behaviour.
 """
 
 from __future__ import annotations
@@ -22,13 +22,8 @@ import pytest
 
 from repro.errors import InjectedFaultError, StoreUnavailableError
 from repro.faults import FaultInjector
-from repro.middleware import (
-    EtlWorkflow,
-    FederatedMiddleware,
-    MultiModelStore,
-    page_scan,
-)
-from repro.middleware.base import SCAN_PAGE
+from repro.middleware import EtlWorkflow, FederatedMiddleware, MultiModelStore
+from repro.planner.plans import SCAN_PAGE, page_scan
 from repro.model.objects import GlobalKey
 from repro.network import centralized_profile
 from repro.network.executor import VirtualRuntime
@@ -65,9 +60,9 @@ class TestEmptyJoins:
             bundle, profile, mode="native", memory_budget=BIG_BUDGET
         )
         result = system.run(empty_query(), level=1)
-        assert result.answer_size == 0
+        assert len(result.answer) == 0
         assert not result.out_of_memory
-        assert result.unavailable is None
+        assert result.unavailable == ()
         # The join rounds still scanned the remote collections.
         assert result.elapsed > 0
 
@@ -76,20 +71,20 @@ class TestEmptyJoins:
             bundle, profile, mode="augmented", memory_budget=BIG_BUDGET
         )
         result = system.run(empty_query(), level=2)
-        assert result.answer_size == 0
+        assert len(result.answer) == 0
         assert not result.out_of_memory
 
     def test_etl_pipeline_with_zero_records(self, bundle, profile):
         system = EtlWorkflow(bundle, profile, memory_budget=BIG_BUDGET)
         result = system.run(empty_query(), level=1)
-        assert result.answer_size == 0
+        assert len(result.answer) == 0
         # Startup and staging are paid regardless of the empty answer.
         assert result.elapsed > 1.0
 
     def test_multimodel_empty_answer(self, bundle, profile):
         system = MultiModelStore(bundle, profile, memory_budget=BIG_BUDGET)
         result = system.run(empty_query(), level=1)
-        assert result.answer_size == 0
+        assert len(result.answer) == 0
 
     def test_page_scan_empty_collection_issues_no_calls(self, profile):
         from repro.stores import DocumentStore
@@ -167,11 +162,10 @@ class TestCastRoundTrips:
 
 
 class TestUnavailability:
-    def _faulted(self, system, database):
+    def _faults(self, database):
         faults = FaultInjector(seed=2)
         faults.inject(database, "fail", rate=1.0)
-        system.runtime.faults = faults
-        return system
+        return faults
 
     @pytest.mark.parametrize(
         "factory,mode",
@@ -185,17 +179,18 @@ class TestUnavailability:
     def test_run_reports_unavailable_instead_of_raising(
         self, bundle, profile, factory, mode
     ):
-        kwargs = {"memory_budget": BIG_BUDGET}
+        kwargs = {
+            "memory_budget": BIG_BUDGET, "faults": self._faults("similar")
+        }
         if mode is not None:
             kwargs["mode"] = mode
-        system = self._faulted(factory(bundle, profile, **kwargs), "similar")
+        system = factory(bundle, profile, **kwargs)
         query = QueryWorkload(bundle).query("catalogue", 10)
         result = system.run(query, level=1)
-        assert result.answer_size == 0
-        assert result.unavailable is not None
-        assert "similar" in result.unavailable
+        assert len(result.answer) == 0
+        assert result.unavailable == ("similar",)
+        assert "similar" in result.errors["similar"]
         assert not result.out_of_memory
-        assert result.marker == "o"
 
     def test_oom_still_reported_as_red_x(self, bundle, profile):
         system = FederatedMiddleware(
@@ -203,16 +198,14 @@ class TestUnavailability:
         )
         result = system.run(QueryWorkload(bundle).query("catalogue", 10))
         assert result.out_of_memory
-        assert result.marker == "X"
+        assert result.unavailable == ()
         assert result.footprint > 10
 
     def test_home_store_down_reports_unavailable(self, bundle, profile):
-        system = self._faulted(
-            FederatedMiddleware(
-                bundle, profile, mode="augmented", memory_budget=BIG_BUDGET
-            ),
-            "catalogue",
+        system = FederatedMiddleware(
+            bundle, profile, mode="augmented", memory_budget=BIG_BUDGET,
+            faults=self._faults("catalogue"),
         )
         result = system.run(QueryWorkload(bundle).query("catalogue", 10))
-        assert result.answer_size == 0
-        assert result.unavailable is not None
+        assert len(result.answer) == 0
+        assert result.unavailable == ("catalogue",)
