@@ -467,11 +467,11 @@ class CollectJoinPlan(PhysicalPlan):
                 ctx.cpu(PROBE_CPU * len(seeds))
             staged.add(database)
         fetches = rows_in(plan, staged)
-        # Joined matches are converted into the middleware's row model.
-        ctx.cpu(CONVERT_CPU_PER_OBJECT * len(fetches))
         rows = materialize(env, plan, fetches)
         footprint += len(rows.values)
         check_memory(self.strategy, footprint, budget)
+        # Joined matches are converted into the middleware's row model.
+        ctx.cpu(CONVERT_CPU_PER_OBJECT * len(fetches))
         return staged_result(
             self.strategy, q, originals, rows, plan, targets, lost,
             footprint,

@@ -7,10 +7,12 @@ every operation through a :class:`~repro.sharding.scheme.PartitionScheme`:
   shard under hash placement, to every shard under range placement
   (the token is not derivable from an opaque key);
 * ``execute`` leaves the query to the engine, which alone reads its
-  language: its ``scatter`` names the shards that can answer and what
-  each runs (``skip + limit`` as the per-shard limit), its ``merge``
-  makes their answers the unsharded answer — or it raises
-  ``QueryError`` for what does not merge (aggregates, joins, writes).
+  language: its ``scatter`` names the shards that can answer, what each
+  runs (``skip + limit`` as the per-shard limit) and the merge — or it
+  raises ``QueryError`` for what does not merge (aggregates, joins,
+  writes). ``execute`` applies that merge as it is returned: ``"union"``
+  is the answers' key union, any other is the engine re-running the
+  query over the shards' answers (``Store._rerun``).
 
 The wrapper is a real :class:`~repro.stores.base.Store`, so the
 polystore, connectors, validator and EXPLAIN all work unchanged; with
@@ -125,7 +127,7 @@ class ShardedStore(Store):
     # -- native access -------------------------------------------------------
 
     def execute(self, query: Any) -> list[DataObject]:
-        targets, __ = self._scatter(query)
+        targets, merge = self._scatter(query)
         self.partitions_scanned_total += len(targets)
         self.partitions_pruned_total += self.shard_count - len(targets)
         results = []
@@ -134,9 +136,12 @@ class ShardedStore(Store):
             examined = engine.stats.rows_examined
             results.append(engine.execute(subquery))
             self.stats.rows_examined += engine.stats.rows_examined - examined
-        answer = results[0] if self.shard_count == 1 else (
-            self.shards[0].merge(query, results)
-        )
+        if self.shard_count == 1:
+            answer = results[0]
+        elif merge == "union":
+            answer = list({obj.key: obj for run in results for obj in run}.values())
+        else:
+            answer = self.shards[0]._rerun(query, results)
         self.stats.queries += 1
         self.stats.objects_returned += len(answer)
         return answer

@@ -13,9 +13,9 @@ stored data object can be identified and accessed by means of a key"
 * ``dump_state()`` / ``load_state()`` / ``empty_like()`` / ``records()``
   / ``apply_change()`` — the state contract: only an engine knows its
   own layout, so snapshots, WAL replay and partitioning ask the store;
-* ``scatter()`` / ``merge()`` — its query half: only an engine reads its
-  own language, so a sharded store asks it what each shard runs and how
-  the shards' answers make one.
+* ``scatter()`` — its query half: only an engine reads its own
+  language, so a sharded store asks it what each shard runs and how the
+  shards' answers make one.
 
 Engines also keep :class:`StoreStats` counters so tests can assert how
 many native operations an augmenter actually issued.
@@ -364,13 +364,11 @@ class Store(ABC):
 
     def scatter(self, query: Any, scheme: Any) -> tuple[list, Any]:
         """``([(shard, query it runs), ...], merge)``: the shards of
-        ``scheme`` that can answer and how :meth:`merge` makes one answer
-        (for EXPLAIN), or QueryError. By default all run ``query``."""
+        ``scheme`` that can answer and how their answers make one, or
+        QueryError. ``merge`` is ``"union"`` (the answers' key union) or
+        anything else EXPLAIN shows of a :meth:`_rerun`. By default all
+        shards run ``query`` and the union merges."""
         return [(shard, query) for shard in range(scheme.shards)], "union"
-
-    def merge(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
-        """The answer from the targets' answers: by default their union."""
-        return list({obj.key: obj for run in results for obj in run}.values())
 
     def _rerun(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
         """``query`` answered by a store of this kind that holds only the

@@ -23,6 +23,7 @@ from repro.stores.document.query import (
     resolve_path,
     token_bounds,
 )
+from repro.stores.operators import type_rank, window
 
 
 class DocumentStore(Store):
@@ -164,16 +165,11 @@ class DocumentStore(Store):
         self.stats.rows_examined += len(candidates)
         matched = [doc for doc in candidates if matcher(doc)]
         if sort:
-            for field, direction in reversed(sort):
-                matched.sort(
-                    key=lambda doc: _sort_key(resolve_path(doc, field)),
-                    reverse=direction < 0,
-                )
-        if skip:
-            matched = matched[skip:]
-        if limit is not None:
-            matched = matched[:limit]
-        results = [project(doc, projection) for doc in matched]
+            matched.sort(key=lambda doc: tuple(
+                type_rank(resolve_path(doc, field), direction >= 0)
+                for field, direction in sort
+            ))
+        results = [project(doc, projection) for doc in window(matched, skip, limit)]
         self.stats.objects_returned += len(results)
         return results
 
@@ -206,9 +202,9 @@ class DocumentStore(Store):
     def scatter(self, query: Any, scheme: Any) -> tuple[list, Any]:
         """Shards the filter's token window reaches. A sorted, skipped or
         limited find runs there unprojected and cut to ``skip + limit``
-        documents, for :meth:`merge` to re-run over whole documents."""
+        documents, for :meth:`_rerun` to re-run over whole documents."""
         __, filter_doc, options = _find_args(query)
-        window = token_window(token_bounds(filter_doc, scheme.token_field))
+        reach = token_window(token_bounds(filter_doc, scheme.token_field))
         merge: Any = "union"
         if options.keys() & _WINDOW:
             sort, skip, limit = (options.get(key) for key in ("sort", "skip", "limit"))
@@ -217,12 +213,7 @@ class DocumentStore(Store):
                 **{key: value for key, value in query.items() if key != "projection"},
                 "skip": 0, "limit": limit and (skip or 0) + limit,
             }
-        return [(shard, query) for shard in scheme.scan_candidates(window)], merge
-
-    def merge(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
-        if _find_args(query)[2].keys() & _WINDOW:
-            return self._rerun(query, results)
-        return super().merge(query, results)
+        return [(shard, query) for shard in scheme.scan_candidates(reach)], merge
 
     def _explain_plan(self, query: Any) -> dict[str, Any]:
         """Access path for a find — the one :meth:`_access` reads by
@@ -472,15 +463,3 @@ def _find_args(query: Any) -> tuple[str, Any, dict[str, Any]]:
 _FIND_OPTIONS = ("projection", "sort", "skip", "limit")
 #: The options that window a find's answer: a sharded find re-runs them.
 _WINDOW = frozenset(_FIND_OPTIONS[1:])
-
-
-def _sort_key(values: list[Any]) -> tuple[int, Any]:
-    """Missing fields sort first; mixed types sort by type name."""
-    if not values:
-        return (0, "")
-    value = values[0]
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float)):
-        return (1, value)
-    return (2, str(value))

@@ -22,7 +22,9 @@ Supported grammar (a practical Cypher subset):
 Pattern matching is standard backtracking over the adjacency lists,
 with distinct-edge semantics (the same relationship is not reused
 within one match, as in Cypher). ``RETURN`` of a bare variable yields
-whole nodes; mixed item lists yield rows.
+whole nodes; mixed item lists yield rows. The de-dup of matches, ORDER
+BY (NULLs first, SQL's order) and LIMIT are the row operators of
+:mod:`repro.stores.operators`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.errors import QueryError
 from repro.stores.base import range_bounds
+from repro.stores.operators import null_first, unique, window
 from repro.stores.querycache import QueryCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -554,18 +557,12 @@ def execute_cypher(store: "GraphStore", text: str) -> CypherResult:
     if query.where is not None:
         matches = [row for row in matches if _eval_where(query.where, row)]
 
-    # Deduplicate identical binding combinations (same nodes bound to
-    # the same variables through different edges).
-    seen: set[tuple] = set()
-    unique: list[MatchRow] = []
-    for row in matches:
-        signature = tuple(
+    if query.edges:
+        # The same nodes bound to the same variables through different
+        # edges are one match; a node pattern binds each node once.
+        matches = unique(matches, lambda row: tuple(
             (name, node.id) for name, node in sorted(row.bindings.items())
-        )
-        if signature not in seen:
-            seen.add(signature)
-            unique.append(row)
-    matches = unique
+        ))
 
     if query.order:
         def sort_key(row: MatchRow):
@@ -573,12 +570,11 @@ def execute_cypher(store: "GraphStore", text: str) -> CypherResult:
             for order in query.order:
                 node = row.bindings.get(order.variable)
                 value = node.properties.get(order.prop) if node else None
-                key.append(_sortable(value, order.ascending))
+                key.append(null_first(value, order.ascending))
             return tuple(key)
 
         matches.sort(key=sort_key)
-    if query.limit is not None:
-        matches = matches[: query.limit]
+    matches = window(matches, 0, query.limit)
 
     columns = [item.name for item in query.items]
     rows: list[dict[str, Any]] = []
@@ -603,38 +599,3 @@ def execute_cypher(store: "GraphStore", text: str) -> CypherResult:
             node = row.bindings[node_item.variable]
             nodes.append(node)
     return CypherResult(columns, rows, nodes)
-
-
-class _Sortable:
-    """Mixed-type sort key; ``__eq__`` makes multi-key ORDER BY work
-    (tuple comparison advances only past equal elements)."""
-
-    __slots__ = ("value", "reverse")
-
-    def __init__(self, value: Any, reverse: bool):
-        self.value = value
-        self.reverse = reverse
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Sortable):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as a key
-        return hash(self.value)
-
-    def __lt__(self, other: "_Sortable") -> bool:
-        a, b = self.value, other.value
-        if a is None:
-            return not self.reverse
-        if b is None:
-            return self.reverse
-        try:
-            result = a < b
-        except TypeError:
-            result = str(a) < str(b)
-        return result != self.reverse
-
-
-def _sortable(value: Any, ascending: bool) -> _Sortable:
-    return _Sortable(value, not ascending)

@@ -371,9 +371,11 @@ class GraphStore(Store):
 
     def scatter(self, query: Any, scheme: Any) -> tuple[list, Any]:
         """Every shard runs the query itself: the Cypher subset has no
-        SKIP, so a shard's LIMIT bounds the answer's. Cypher answers
-        across shards only a node pattern that returns its node: an edge
-        is a join over a cut graph, property rows have no key."""
+        SKIP, so a shard's LIMIT bounds the answer's. Cypher and
+        ``match`` re-run over the shards' nodes; the other ops, which
+        walk edges, take the union. Cypher answers across shards only a
+        node pattern that returns its node: an edge is a join over a cut
+        graph, property rows have no key."""
         targets, merge = super().scatter(query, scheme)
         if isinstance(query, str):
             from repro.stores.graph.cypher import parse_cypher
@@ -392,13 +394,6 @@ class GraphStore(Store):
             merge = {"order": ["_id"] * (query.get("label") is not None),
                      "limit": query.get("limit")}
         return targets, merge
-
-    def merge(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
-        """Cypher and ``match`` re-run over the shards' nodes; the other
-        ops, which walk edges, take the union."""
-        if isinstance(query, str) or query.get("op") == "match":
-            return self._rerun(query, results)
-        return super().merge(query, results)
 
     def _explain_plan(self, query: Any) -> dict[str, Any]:
         """Access path for a graph query: the first node pattern's

@@ -190,7 +190,8 @@ class KeyValueStore(Store):
     def scatter(self, query: Any, scheme: Any) -> tuple[list, Any]:
         """An ``("mget", keys)`` asks each key's owner, when placement
         derives it, for its keys; anything else asks every shard (which
-        refuses a write or a SCAN cursor)."""
+        refuses a write or a SCAN cursor). GET / MGET / KEYS re-run over
+        the shards' keys: their order."""
         targets, __ = super().scatter(query, scheme)
         if isinstance(query, tuple) and len(query) == 2 and query[0] == "mget":
             owners: dict[Any, list[str]] = {}
@@ -199,10 +200,6 @@ class KeyValueStore(Store):
             if None not in owners:
                 targets = [(shard, ("mget", keys)) for shard, keys in sorted(owners.items())]
         return targets, "rerun"
-
-    def merge(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
-        """GET / MGET / KEYS re-run over the shards' keys: their order."""
-        return self._rerun(query, results)
 
     def command(self, text: str) -> Any:
         """Run any Redis-style command string (including writes)."""

@@ -304,29 +304,11 @@ class RelationalStore(Store):
         return objects
 
     def scatter(self, query: Any, scheme: Any) -> tuple[list, Any]:
-        """Shards the WHERE's token window reaches. A windowed SELECT runs
-        there as ``SELECT *`` cut to ``OFFSET + LIMIT`` rows, for
-        :meth:`merge` to re-run over whole rows."""
-        select, windowed = self._sharded_select(query)
-        window = token_window(token_bounds(select.where, scheme.token_field))
-        merge: Any = "union"
-        if windowed:
-            merge = {"order": [order_sql(key) for key in select.order_by],
-                     "skip": select.offset, "limit": select.limit}
-            query = sql_to_string(replace(
-                select, items=(SelectItem(Star()),), order_by=base_order(select),
-                offset=0, limit=select.limit and select.offset + select.limit,
-            ))
-        return [(shard, query) for shard in scheme.scan_candidates(window)], merge
-
-    def merge(self, query: Any, results: list[list[DataObject]]) -> list[DataObject]:
-        if self._sharded_select(query)[1]:
-            return self._rerun(query, results)
-        return super().merge(query, results)
-
-    def _sharded_select(self, query: Any) -> tuple[Select, bool]:
-        """A SELECT whose rows each come from one shard, and whether
-        ORDER BY / OFFSET / LIMIT window it; anything else QueryError."""
+        """Shards the WHERE's token window reaches, for a SELECT whose
+        rows each come from one shard; anything else QueryError. A SELECT
+        that ORDER BY / OFFSET / LIMIT window runs there as ``SELECT *``
+        cut to ``OFFSET + LIMIT`` rows, for :meth:`_rerun` to re-run over
+        whole rows."""
         select, __ = prepare_sql(query)
         if not isinstance(select, Select) or select.joins or (
             select.distinct or select.is_aggregate()
@@ -335,8 +317,16 @@ class RelationalStore(Store):
                 "across shards only a single-table SELECT without DISTINCT, "
                 "GROUP BY or aggregates merges; writes go through apply_change()"
             )
-        windowed = select.order_by or select.offset or select.limit is not None
-        return select, bool(windowed)
+        window = token_window(token_bounds(select.where, scheme.token_field))
+        merge: Any = "union"
+        if select.order_by or select.offset or select.limit is not None:
+            merge = {"order": [order_sql(key) for key in select.order_by],
+                     "skip": select.offset, "limit": select.limit}
+            query = sql_to_string(replace(
+                select, items=(SelectItem(Star()),), order_by=base_order(select),
+                offset=0, limit=select.limit and select.offset + select.limit,
+            ))
+        return [(shard, query) for shard in scheme.scan_candidates(window)], merge
 
     def _explain_plan(self, query: Any) -> dict[str, Any]:
         """Access path for a SQL SELECT — the one :func:`access_path`

@@ -24,8 +24,9 @@ over an environment ``{binding: row}`` that also holds, under
 The logic is SQL's three-valued one (comparisons with NULL yield NULL;
 WHERE keeps rows whose predicate is TRUE), with MySQL-style
 case-insensitive LIKE, nested-loop joins with an equality fast path,
-grouping and the five standard aggregates, ORDER BY with NULLs first,
-and LIMIT/OFFSET.
+grouping and the five standard aggregates. DISTINCT, ORDER BY (NULLs
+first, the order Cypher shares) and LIMIT/OFFSET are the row operators
+of :mod:`repro.stores.operators`, given SQL's row signature.
 
 Result rows carry *provenance*: for single-table non-aggregate queries
 each output row remembers the primary key of the base row it came from,
@@ -63,6 +64,7 @@ from repro.stores.relational.ast import (
     Update,
 )
 from repro.stores.base import RANGE_OPS, range_bounds
+from repro.stores.operators import null_first, unique, window
 from repro.stores.relational.types import ColumnType, TableSchema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -914,14 +916,10 @@ def run_select(store: "RelationalStore", plan: SelectPlan) -> list[ResultRow]:
         project, name = plan.project, select.table.name
         rows = [ResultRow(project(row), pk, name) for pk, row in pairs]
     if select.distinct:
-        rows = _distinct(rows)
+        rows = unique(rows, _signature)
     if order:
         rows = _order(order, rows, subjects)
-    if select.offset:
-        rows = rows[select.offset:]
-    if select.limit is not None:
-        rows = rows[: select.limit]
-    return rows
+    return window(rows, select.offset, select.limit)
 
 
 def _join(
@@ -1040,7 +1038,7 @@ def _order(
     projected from (only read by keys that are expressions)."""
     keys = [
         tuple(
-            _null_first(
+            null_first(
                 row.values[name] if value is None else value(subjects[index]),
                 ascending,
             )
@@ -1051,58 +1049,10 @@ def _order(
     return [rows[index] for index in sorted(range(len(rows)), key=keys.__getitem__)]
 
 
-def _null_first(value: Any, ascending: bool):
-    """Sort helper: NULLs first ascending, last descending (MySQL)."""
-    if ascending:
-        return (value is not None, _Comparable(value, False))
-    return (value is None, _Comparable(value, True))
-
-
-class _Comparable:
-    """Wraps a value so mixed types do not raise during sorting.
-
-    ``__eq__`` is required: multi-key ORDER BY builds tuples of these,
-    and tuple comparison only moves to the next key when the current
-    elements compare equal.
-    """
-
-    __slots__ = ("value", "reverse")
-
-    def __init__(self, value: Any, reverse: bool):
-        self.value = value
-        self.reverse = reverse
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Comparable):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as a key
-        return hash((self.value, self.reverse))
-
-    def __lt__(self, other: "_Comparable") -> bool:
-        a, b = self.value, other.value
-        if a is None:
-            return False
-        if b is None:
-            return True
-        try:
-            result = a < b
-        except TypeError:
-            result = str(a) < str(b)
-        return result != self.reverse
-
-
 def _group_key(value: Any):
     return (value is None, str(type(value).__name__), value if value is not None else 0)
 
 
-def _distinct(rows: list[ResultRow]) -> list[ResultRow]:
-    seen: set[tuple] = set()
-    unique: list[ResultRow] = []
-    for row in rows:
-        signature = tuple(sorted((k, repr(v)) for k, v in row.values.items()))
-        if signature not in seen:
-            seen.add(signature)
-            unique.append(row)
-    return unique
+def _signature(row: ResultRow) -> tuple:
+    """What two DISTINCT rows are the same under: their values' reprs."""
+    return tuple(sorted((k, repr(v)) for k, v in row.values.items()))

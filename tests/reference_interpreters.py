@@ -52,14 +52,14 @@ from repro.stores.relational.ast import (
     UnaryOp,
     Update,
 )
+from repro.stores.operators import null_first, unique
 from repro.stores.relational.executor import (
     ResultRow,
-    _distinct,
     _group_key,
     _item_name,
     _join_equality,
     _like_regex,
-    _null_first,
+    _signature,
     _truthy,
 )
 
@@ -254,7 +254,7 @@ class SelectExecutor:
         else:
             rows = [self._project(select, env) for env in envs]
         if select.distinct:
-            rows = _distinct(rows)
+            rows = unique(rows, _signature)
         if select.order_by:
             # After DISTINCT or aggregation, ORDER BY may only reference
             # the select list (row alignment with scan envs is lost).
@@ -460,7 +460,7 @@ class SelectExecutor:
                         "ORDER BY expression must appear in the select list "
                         "of an aggregate query"
                     )
-                key.append(_null_first(value, item.ascending))
+                key.append(null_first(value, item.ascending))
             return tuple(key)
 
         indexed = sorted(enumerate(rows), key=sort_key)

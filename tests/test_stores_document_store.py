@@ -74,6 +74,23 @@ class TestFind:
         out = store.find("albums", sort=[("artist", 1), ("year", -1)])
         assert [d["_id"] for d in out] == ["d1", "d2", "d3"]
 
+    def test_find_sort_null_with_missing(self):
+        """Null sorts with missing (Mongo's order), not as the text
+        ``"None"``; numbers and booleans rank together, text after."""
+        doc = DocumentStore()
+        values = ["Z", None, "A", 1, "<missing>", "Nz", True, 0.5]
+        for position, value in enumerate(values):
+            fields = {} if value == "<missing>" else {"x": value}
+            doc.insert("c", {"_id": f"d{position}", **fields})
+        ascending = doc.find("c", sort=[("x", 1)])
+        assert [d["_id"] for d in ascending] == [
+            "d1", "d4", "d7", "d3", "d6", "d2", "d5", "d0"
+        ]
+        descending = doc.find("c", sort=[("x", -1)])
+        assert [d["_id"] for d in descending] == [
+            "d0", "d5", "d2", "d3", "d6", "d7", "d1", "d4"
+        ]
+
     def test_find_skip_limit(self, store):
         out = store.find("albums", sort=[("year", 1)], skip=1, limit=1)
         assert [d["_id"] for d in out] == ["d3"]

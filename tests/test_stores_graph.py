@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import KeyNotFoundError, QueryError
-from repro.stores import GraphStore
+from repro.stores import GraphStore, RelationalStore
+from repro.stores.relational.types import Column, ColumnType, TableSchema
 
 
 @pytest.fixture
@@ -123,3 +124,45 @@ class TestStoreContract:
 
     def test_collection_keys(self, store):
         assert list(store.collection_keys("Artist")) == ["ar1"]
+
+
+#: One mixed-type property: int, float, bool, text, an explicit null and
+#: a missing one (``_MISSING``), with ties (2 / 2.0, 1 / True).
+_MISSING = object()
+_MIXED = [2, "a", None, 1.5, True, "10", _MISSING, 0, 2.0, "B", 1, False, -3.5]
+
+
+@pytest.mark.parametrize("sql_order, cypher_order", [
+    ("v", "n.v"),
+    ("v DESC", "n.v DESC"),
+    ("g, v DESC", "n.g, n.v DESC"),
+    ("v DESC, g", "n.v DESC, n.g"),
+])
+def test_sql_and_cypher_order_mixed_types_alike(sql_order, cypher_order):
+    """SQL and Cypher ORDER BY share one order over the same values."""
+    typed = {bool: "b", int: "i", float: "f", str: "s"}
+    sql = RelationalStore()
+    sql.create_table("t", TableSchema(columns=[
+        Column("id", ColumnType.TEXT, nullable=False),
+        Column("g", ColumnType.TEXT),
+        Column("b", ColumnType.BOOLEAN),
+        Column("i", ColumnType.INTEGER),
+        Column("f", ColumnType.FLOAT),
+        Column("s", ColumnType.TEXT),
+    ], primary_key="id"))
+    graph = GraphStore()
+    for position, value in enumerate(_MIXED):
+        row = {"id": f"r{position:02d}", "g": "xy"[position % 2]}
+        properties = {"g": row["g"]}
+        if value is not _MISSING:
+            properties["v"] = value
+            if value is not None:
+                row[typed[type(value)]] = value
+        sql.insert_row("t", row)
+        graph.create_node("Row", properties, node_id=row["id"])
+    by_sql = sql.execute(
+        f"SELECT id, g, COALESCE(b, i, f, s) AS v FROM t ORDER BY {sql_order}"
+    )
+    by_cypher = graph.execute(f"MATCH (n:Row) RETURN n ORDER BY {cypher_order}")
+    assert [obj.key.key for obj in by_sql] == [obj.key.key for obj in by_cypher]
+    assert len(by_sql) == len(_MIXED)
