@@ -1,10 +1,11 @@
 """Planner regression table: picks and cost orderings stay pinned.
 
 tests/fixtures/planner/cases.json records, for a canonical bundle, which
-strategy the planner must choose for each query and the full ascending
-cost ordering of the admissible candidates. Everything in the stack is
-deterministic — generator, A' index, analytic cost formulas — so any
-drift here is a real behaviour change of the planner, not noise. After
+strategy the planner must choose for each query, the full ascending
+cost ordering of the admissible candidates and each candidate's raw
+estimate. Everything in the stack is deterministic — generator, A'
+index, analytic cost formulas — so any drift here is a real behaviour
+change of the planner, not noise. After
 an *intentional* cost-model change, regenerate the table by re-running
 each case through ``FederatedEngine.candidates`` and reviewing the diff.
 """
@@ -65,6 +66,15 @@ def test_cost_ordering_pinned(fixture_bundle, case):
     ranked, rejected = run_case(fixture_bundle, case)
     assert [e.strategy for __, e in ranked] == case["cost_order"]
     assert sorted(r["strategy"] for r in rejected) == case["inadmissible"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_raw_estimates_pinned(fixture_bundle, case):
+    """Every raw estimate equals the recorded float exactly: a change
+    to the cost code that claims no change to any estimate is held to
+    the last bit."""
+    ranked, __ = run_case(fixture_bundle, case)
+    assert {e.strategy: e.raw for __, e in ranked} == case["raw"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
