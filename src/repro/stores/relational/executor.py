@@ -993,9 +993,10 @@ def _bind_order(
         if key.name in outputs:
             keys.append((key.name, None, key.ascending))
         elif key.value is None:
+            kind = "an aggregate" if plan.groups is not None else "a DISTINCT"
             raise UnsupportedQueryError(
                 "ORDER BY expression must appear in the select list "
-                "of an aggregate query"
+                f"of {kind} query"
             )
         else:
             bind(key.refs, schemas)

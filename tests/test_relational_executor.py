@@ -145,6 +145,12 @@ class TestProjection:
     def test_distinct(self, store):
         rows = store.sql("SELECT DISTINCT grp FROM items")
         assert sorted(r["grp"] for r in rows) == ["a", "b", "c"]
+        # Only output columns can order a DISTINCT answer; the refusal
+        # names DISTINCT, not an aggregate the query does not have.
+        with pytest.raises(
+            QueryError, match="select list of a DISTINCT query"
+        ):
+            store.sql("SELECT DISTINCT grp FROM items ORDER BY id DESC")
 
 
 class TestAggregates:
