@@ -17,9 +17,9 @@ store knowledge at all.
 from __future__ import annotations
 
 from repro.core import Quepa
-from repro.network import distributed_profile
+from repro.network import CostModel, distributed_profile
 from repro.optimizer import AdaptiveOptimizer
-from repro.optimizer.costbased import AssumedCosts, CostBasedOptimizer
+from repro.optimizer.costbased import CostBasedOptimizer
 from repro.workloads import QueryWorkload
 
 from .conftest import get_bundle
@@ -53,9 +53,9 @@ def test_ablation_rule_based_vs_cost_based(benchmark, report):
         # The true distributed deployment has ~40-220 ms latencies; the
         # informed cost model knows that, the misinformed one believes
         # everything is co-located.
-        informed = CostBasedOptimizer(AssumedCosts(roundtrip_latency=0.25))
+        informed = CostBasedOptimizer(roundtrip=0.25)
         misinformed = CostBasedOptimizer(
-            AssumedCosts(roundtrip_latency=0.0004, thread_spawn_overhead=0.01)
+            CostModel(thread_spawn_overhead=0.01), roundtrip=0.0004
         )
         return {
             "ADAPTIVE": run_with_optimizer(bundle, adaptive, queries),

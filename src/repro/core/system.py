@@ -372,7 +372,6 @@ class Quepa:
             validation.query,
             level,
             originals,
-            report["query"]["store"],
             analyze,
         )
         if analyze:
@@ -427,14 +426,13 @@ class Quepa:
         query: Any,
         level: int,
         originals,
-        store_report: dict,
         analyze: bool,
     ) -> dict:
         """The ``planner`` section: enumerated plans, costs, the pick.
 
-        Reuses the originals and store report explain already computed,
-        so the section adds zero extra store executions (``analyze=True``
-        additionally runs the chosen plan, like the rest of ANALYZE).
+        Reuses the originals explain already computed, so the section
+        adds zero extra store executions (``analyze=True`` additionally
+        runs the chosen plan, like the rest of ANALYZE).
         """
         from repro.planner import LogicalQuery
 
@@ -442,7 +440,6 @@ class Quepa:
         return self.planner_engine().explain_section(
             logical,
             originals=originals,
-            store_report=store_report,
             analyze=analyze,
         )
 

@@ -79,7 +79,6 @@ class TranslatedFetchPlan(PhysicalPlan):
     """
 
     strategy = "translated_fetch"
-    kind = "translated_fetch"
 
     def execute(self, env: ExecutionEnv, q: LogicalQuery) -> PlanResult:
         ctx = env.ctx
@@ -116,7 +115,9 @@ class TraversalPlan(MultiModelPlan):
     pressure) instead of QUEPA's plan-then-lookup loop."""
 
     strategy = "multimodel_traversal"
-    kind = "multimodel_traversal"
+    # The inherited formula prices the plan-then-lookup loop, not the
+    # traversal; the planner does not enumerate this plan.
+    estimate = PhysicalPlan.estimate
 
     def lookups(self, ctx, plan, count, pressure) -> None:
         ctx.cpu(TRAVERSAL_CPU_PER_EDGE * plan.edges_examined * pressure)

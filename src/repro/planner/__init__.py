@@ -3,10 +3,12 @@
 A federated engine over the polystore: declarative queries in
 (:class:`LogicalQuery`), physical plans enumerated across four
 architectural families — A'-index push-down, middleware collect-and-join,
-ETL store-to-store cast, multi-model import — costed from per-store
-EXPLAIN estimates plus learned calibration factors, and executed through
-the existing connectors. Every plan returns the identical answer; the
-planner only ever changes cost. See docs/PLANNING.md.
+ETL store-to-store cast, multi-model import — each priced by its own
+formula over one operator vocabulary (:class:`PlanCostModel`) and the
+collection counts taken when the query is prepared, times a learned
+calibration factor, and executed through the existing connectors.
+Every plan returns the identical answer; the planner only ever changes
+cost. See docs/PLANNING.md.
 """
 
 from repro.planner.costs import (

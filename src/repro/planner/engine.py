@@ -3,11 +3,12 @@
 :class:`FederatedEngine` is the planner's front door. Given a
 :class:`~repro.planner.logical.LogicalQuery` it
 
-1. *prepares* the query off-clock (local answer, per-store EXPLAIN,
-   A' index plan restricted to the targets),
+1. *prepares* the query off-clock (local answer, A' index plan
+   restricted to the targets, per-collection counts of every touched
+   store),
 2. *enumerates* admissible physical plans,
-3. *costs* each one — analytic raw formula times the strategy's learned
-   calibration factor — and
+3. *costs* each one — the plan's own analytic raw formula times the
+   strategy's learned calibration factor — and
 4. *executes* the cheapest (or a named strategy) on a fresh virtual
    runtime, feeding the measured time back into calibration.
 
@@ -82,45 +83,40 @@ class FederatedEngine:
         self.calibration = CalibrationStore()
         self.degrade = degrade
         self.augmentation = Augmentation(aindex)
-        self.model = PlanCostModel(
-            self.profile,
-            polystore,
-            aindex=aindex,
-            memory_budget=memory_budget,
-        )
+        self.model = PlanCostModel(self.profile, memory_budget)
 
     # -- preparation -----------------------------------------------------------
 
-    def prepare(
-        self,
-        q: LogicalQuery,
-        originals=None,
-        store_report: dict | None = None,
-    ) -> QueryContext:
-        """Prepare ``q`` off-clock: originals, EXPLAIN, restricted plan.
+    def prepare(self, q: LogicalQuery, originals=None) -> QueryContext:
+        """Prepare ``q`` off-clock: originals, restricted plan, counts.
 
-        ``originals``/``store_report`` may be passed in when the caller
-        already ran them (``Quepa.explain`` does), so preparation adds
-        zero extra store executions there.
+        ``originals`` may be passed in when the caller already ran the
+        local query (``Quepa.explain`` does), so preparation adds zero
+        extra store executions there. Every touched store's collections
+        are counted under its lock, and the A' index's edges, so each
+        estimate prices the stores as they are now.
         """
         store = self.polystore.database(q.database)
         if originals is None:
             with store.lock:
                 originals = store.execute(q.query)
         originals = list(originals)
-        if store_report is None:
-            with store.lock:
-                store_report = store.estimate_query(q.query)
         seeds = result_seeds(originals)
         plan = self.augmentation.plan(seeds, q.level, q.min_probability)
         targets = q.resolve_targets(self.polystore)
+        stats = {}
+        for database in dict.fromkeys((q.database,) + targets):
+            member = self.polystore.database(database)
+            with member.lock:
+                stats[database] = member.collection_stats()
         return QueryContext(
             query=q,
             targets=targets,
             originals=originals,
             seeds=seeds,
             plan=restrict_plan(plan, targets),
-            store_report=store_report,
+            collection_stats=stats,
+            index_edges=self.aindex.edge_count(),
         )
 
     # -- enumeration + costing ---------------------------------------------------
@@ -134,9 +130,7 @@ class FederatedEngine:
         """
         if qctx is None:
             qctx = self.prepare(q)
-        plans, rejected = enumerate_plans(
-            qctx, self.model, self.memory_budget
-        )
+        plans, rejected = enumerate_plans(qctx, self.model)
         ranked: list[tuple[PhysicalPlan, CostEstimate]] = []
         for plan in plans:
             raw, breakdown = plan.estimate(self.model, qctx)
@@ -167,11 +161,9 @@ class FederatedEngine:
         """Plan and run ``q``; ``strategy`` forces a named plan.
 
         ``record`` feeds the measured time back into the calibration
-        store (skipped automatically for faulted/OOM runs, whose times
-        do not reflect the formula's fault-free assumption).
+        store (:meth:`_observe`).
         """
-        qctx = self.prepare(q)
-        ranked, rejected = self.candidates(q, qctx)
+        ranked, rejected = self.candidates(q)
         if not ranked:
             raise UnknownStrategyError(
                 f"no admissible plan for query on {q.database!r}"
@@ -189,15 +181,8 @@ class FederatedEngine:
                     f"admissible: {known}"
                 )
         result = self._run_plan(plan, q)
-        if (
-            record
-            and not result.out_of_memory
-            and not result.degraded
-            and not result.errors
-        ):
-            self.calibration.observe(
-                plan.strategy, estimate.raw, result.elapsed
-            )
+        if record:
+            self._observe(estimate, result)
         return PlannerExecution(
             query=q,
             chosen=plan.strategy,
@@ -210,22 +195,23 @@ class FederatedEngine:
         self, q: LogicalQuery, record: bool = False
     ) -> dict[str, PlanResult]:
         """Run EVERY admissible plan (equivalence suite / oracle input)."""
-        qctx = self.prepare(q)
-        ranked, __ = self.candidates(q, qctx)
+        ranked, __ = self.candidates(q)
         results: dict[str, PlanResult] = {}
         for plan, estimate in ranked:
             result = self._run_plan(plan, q)
             results[plan.strategy] = result
-            if (
-                record
-                and not result.out_of_memory
-                and not result.degraded
-                and not result.errors
-            ):
-                self.calibration.observe(
-                    plan.strategy, estimate.raw, result.elapsed
-                )
+            if record:
+                self._observe(estimate, result)
         return results
+
+    def _observe(self, estimate: CostEstimate, result: PlanResult) -> None:
+        """Fold a clean run's measured time into calibration: faulted,
+        degraded and OOM runs do not reflect the formulas' fault-free
+        assumption and are skipped."""
+        if not (result.out_of_memory or result.degraded or result.errors):
+            self.calibration.observe(
+                estimate.strategy, estimate.raw, result.elapsed
+            )
 
     def _run_plan(self, plan: PhysicalPlan, q: LogicalQuery) -> PlanResult:
         """One plan through :func:`~repro.planner.plans.run_plan`."""
@@ -249,7 +235,6 @@ class FederatedEngine:
         self,
         q: LogicalQuery,
         originals=None,
-        store_report: dict | None = None,
         analyze: bool = False,
     ) -> dict:
         """The ``planner`` section of ``Quepa.explain()``: JSON-ready.
@@ -257,7 +242,7 @@ class FederatedEngine:
         ``analyze=True`` additionally executes the chosen plan and
         reports measured time next to the estimate.
         """
-        qctx = self.prepare(q, originals=originals, store_report=store_report)
+        qctx = self.prepare(q, originals=originals)
         ranked, rejected = self.candidates(q, qctx)
         section = {
             "targets": list(qctx.targets),

@@ -32,29 +32,29 @@ PUSHDOWN_VARIANTS = (
 
 
 def enumerate_plans(
-    qctx: QueryContext,
-    model: PlanCostModel,
-    memory_budget: int = 200_000,
+    qctx: QueryContext, model: PlanCostModel
 ) -> tuple[list[PhysicalPlan], list[dict]]:
     """All admissible plans for ``qctx`` plus the rejections.
 
     Returns ``(plans, rejected)``; each rejection is a JSON-ready dict
-    naming the strategy and why it was not enumerated.
+    naming the strategy and why it was not enumerated. Footprints are
+    admitted against ``model.memory_budget``.
     """
+    budget = model.memory_budget
     plans: list[PhysicalPlan] = [
         PushdownPlan(augmenter, batch_size, threads_size)
         for augmenter, batch_size, threads_size in PUSHDOWN_VARIANTS
     ]
     rejected: list[dict] = []
     for candidate in (CollectJoinPlan(), EtlCastPlan(), MultiModelPlan()):
-        footprint = model.footprint_estimate(candidate.kind, qctx)
-        if footprint is not None and footprint > memory_budget:
+        footprint = candidate.footprint(model, qctx)
+        if footprint is not None and footprint > budget:
             rejected.append(
                 {
                     "strategy": candidate.strategy,
                     "reason": (
                         f"estimated footprint {footprint} objects exceeds "
-                        f"memory budget {memory_budget}"
+                        f"memory budget {budget}"
                     ),
                 }
             )

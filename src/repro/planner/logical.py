@@ -50,10 +50,10 @@ class QueryContext:
     """A logical query prepared for enumeration and costing.
 
     Built off-clock by :meth:`~repro.planner.engine.FederatedEngine.prepare`
-    — like ``Quepa.explain``, preparation runs the local query and the
-    index traversal without charging virtual time, so estimates can use
-    the true cardinalities the paper's planner would read from
-    ``explain()`` and the A' index.
+    — like ``Quepa.explain``, preparation runs the local query, the
+    index traversal and a count of every touched collection without
+    charging virtual time, so estimates price the true cardinalities of
+    the moment the query is planned.
     """
 
     query: LogicalQuery
@@ -62,8 +62,11 @@ class QueryContext:
     seeds: list[GlobalKey]
     #: Augmentation plan already restricted to the targets.
     plan: AugmentationPlan
-    #: Per-store EXPLAIN of the local query (access path, row estimates).
-    store_report: dict = field(default_factory=dict)
+    #: Database -> collection -> object count, taken under each store's
+    #: lock: the home database first, then every target.
+    collection_stats: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: Edges of the whole A' index (what a multi-model import copies).
+    index_edges: int = 0
 
     @property
     def fetch_count(self) -> int:
@@ -78,6 +81,14 @@ class QueryContext:
     @property
     def edges_examined(self) -> int:
         return self.plan.edges_examined
+
+    @property
+    def databases(self) -> tuple[str, ...]:
+        """Every counted database: the home database, then the targets."""
+        return tuple(self.collection_stats)
+
+    def database_objects(self, database: str) -> int:
+        return sum(self.collection_stats[database].values())
 
     def fetches_by_database(self) -> dict[str, int]:
         """Planned fetch counts per home database (duplicates included)."""

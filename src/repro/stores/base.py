@@ -299,33 +299,6 @@ class Store(ABC):
             for collection in self.collections()
         }
 
-    def estimate_query(self, query: Any) -> dict[str, Any]:
-        """The EXPLAIN estimates of a query, never raising.
-
-        Planner-facing wrapper over :meth:`explain`: a query the engine
-        cannot explain (malformed for EXPLAIN purposes, unsupported
-        feature) degrades to the base full-scan assumption instead of
-        failing the estimate pass.
-        """
-        try:
-            return self.explain(query)
-        except Exception:
-            report: dict[str, Any] = {
-                "engine": self.engine,
-                "database": self.database_name or None,
-                "query": describe_query(query),
-            }
-            total = self.count_objects()
-            report.update(
-                {
-                    "access_path": "scan",
-                    "index": None,
-                    "estimated_rows": total,
-                    "estimated_cost": float(total),
-                }
-            )
-            return report
-
     # -- state contract ------------------------------------------------------
 
     def dump_state(self) -> dict[str, Any]:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.runlog import QueryFeatures
-from repro.optimizer.costbased import AssumedCosts, CostBasedOptimizer
+from repro.network.latency import CostModel
+from repro.optimizer.costbased import CostBasedOptimizer
 
 
 def features(planned=1000, original=100, stores=7, deployment="centralized"):
@@ -20,9 +21,7 @@ def features(planned=1000, original=100, stores=7, deployment="centralized"):
 
 class TestCostBased:
     def test_picks_batching_for_large_remote_answers(self):
-        optimizer = CostBasedOptimizer(
-            AssumedCosts(roundtrip_latency=0.2)
-        )
+        optimizer = CostBasedOptimizer(roundtrip=0.2)
         config = optimizer.configure(features(planned=5000), 1024)
         assert config.augmenter in ("batch", "outer_batch")
         assert config.batch_size >= 64
@@ -44,11 +43,10 @@ class TestCostBased:
         assert large > small
 
     def test_sequential_estimate_formula(self):
-        assumed = AssumedCosts(
-            roundtrip_latency=0.1, per_query_overhead=0.0,
-            per_object_service=0.0,
+        optimizer = CostBasedOptimizer(
+            CostModel(per_query_overhead=0.0, per_object_service=0.0),
+            roundtrip=0.1,
         )
-        optimizer = CostBasedOptimizer(assumed)
         from repro.core.augmentation import AugmentationConfig
 
         cost = optimizer.estimate(
@@ -76,11 +74,9 @@ class TestCostBased:
         """The paper's point: the cost model is only as good as its
         knowledge of each store."""
         believes_fast_network = CostBasedOptimizer(
-            AssumedCosts(roundtrip_latency=0.00001, thread_spawn_overhead=0.01)
+            CostModel(thread_spawn_overhead=0.01), roundtrip=0.00001
         )
-        believes_slow_network = CostBasedOptimizer(
-            AssumedCosts(roundtrip_latency=0.5)
-        )
+        believes_slow_network = CostBasedOptimizer(roundtrip=0.5)
         f = features(planned=2000)
         fast_choice = believes_fast_network.configure(f, 0)
         slow_choice = believes_slow_network.configure(f, 0)

@@ -23,7 +23,6 @@ from repro.faults import FaultInjector
 from repro.optimizer.costbased import (
     BATCH_SIZES,
     THREADS_SIZES,
-    AssumedCosts,
     CostBasedOptimizer,
 )
 from repro.planner import (
@@ -32,7 +31,7 @@ from repro.planner import (
     FederatedEngine,
     LogicalQuery,
 )
-from repro.workloads import QueryWorkload
+from repro.workloads import PolystoreScale, QueryWorkload, build_polyphony
 
 BIG_BUDGET = 10_000_000
 
@@ -169,6 +168,36 @@ class TestCalibrationFeedback:
         assert engine.calibration.snapshot() == {}
 
 
+class TestCardinalitiesAreCountedPerPrepare:
+    def test_a_long_lived_engine_prices_rows_inserted_after_it(self):
+        """Scans and footprints are priced from the counts each prepare
+        takes, so an engine built before 1 000 inserts estimates exactly
+        what an engine built after them does."""
+        bundle = build_polyphony(
+            stores=4, scale=PolystoreScale(n_albums=120), seed=3
+        )
+        query = QueryWorkload(bundle).query("catalogue", 20)
+        logical = LogicalQuery(
+            database=query.database, query=query.query, level=1
+        )
+
+        def raws(engine):
+            ranked, __ = engine.candidates(logical)
+            return {estimate.strategy: estimate.raw for __, estimate in ranked}
+
+        engine = make_engine(bundle)
+        before = raws(engine)
+        store = bundle.polystore.database("transactions")
+        for seq in range(1000):
+            store.insert_row(
+                "inventory", {"id": f"extra-{seq}", "seq": 100_000 + seq}
+            )
+        after = raws(engine)
+        assert after == raws(make_engine(bundle))
+        assert after["collect_join"] > before["collect_join"]
+        assert after["etl_cast"] > before["etl_cast"]
+
+
 class TestMonotonicity:
     """optimizer/costbased.py: cost non-decreasing in input cardinality."""
 
@@ -188,7 +217,7 @@ class TestMonotonicity:
 
     @pytest.mark.parametrize("augmenter", AUGMENTERS)
     def test_cost_non_decreasing_in_planned_fetches(self, augmenter):
-        optimizer = CostBasedOptimizer(AssumedCosts())
+        optimizer = CostBasedOptimizer()
         for batch_size in BATCH_SIZES:
             for threads_size in THREADS_SIZES:
                 config = AugmentationConfig(
@@ -208,7 +237,7 @@ class TestMonotonicity:
 
     @pytest.mark.parametrize("augmenter", AUGMENTERS)
     def test_cost_positive(self, augmenter):
-        optimizer = CostBasedOptimizer(AssumedCosts())
+        optimizer = CostBasedOptimizer()
         config = AugmentationConfig(augmenter=augmenter)
         assert optimizer.estimate(self.features(100), config) > 0
 
